@@ -50,9 +50,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 

@@ -2,8 +2,9 @@
 
 Every command writes its outputs under --out together with a manifest.txt
 recording the resolved flags, the seed, and sha256 checksums of all inputs
-and outputs; `rerun` replays a manifest into a fresh directory and verifies
-that the outputs come back byte-identical.
+and outputs; `rerun` checks that the recorded inputs are unchanged, replays
+the manifest into a fresh directory, and verifies that the outputs come back
+byte-identical.
 """
 
 from __future__ import annotations
@@ -138,6 +139,31 @@ def read_manifest(path: Path) -> dict:
     return info
 
 
+# how a parsed value of a custom flag type reads back on the command line
+_RENDER = {_range_pair: lambda pair: f"{pair[0]}:{pair[1]}",
+           _dims: lambda dims: ",".join(str(d) for d in dims)}
+
+
+def replay_args(ns, parser: argparse.ArgumentParser) -> list[str]:
+    """The flags of `ns.command` as an argv that parses back to `ns`.
+
+    Walks the command's option actions in declaration order, so every flag is
+    recorded, defaults included. The seed is recorded resolved; flags whose
+    value is None are left out."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    args = []
+    for action in sub.choices[ns.command]._actions:
+        value = getattr(ns, action.dest, None)
+        if action.dest == "seed":
+            value = _resolve_seed(value)
+        if not action.option_strings or value is None:
+            continue
+        render = _RENDER.get(action.type, str)
+        values = value if action.nargs == "+" else [value]
+        args += [action.option_strings[0], *(render(v) for v in values)]
+    return args
+
+
 def _out_dir(ns) -> Path:
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -172,15 +198,6 @@ def _load_subject_datasets(data_dir: Path) -> tuple[list[SubjectDataset], list[P
 # commands
 
 
-def _canon_synth(ns) -> list[str]:
-    return ["--subjects", str(ns.subjects), "--sessions", str(ns.sessions),
-            "--trials", str(ns.trials), "--channels", str(ns.channels),
-            "--fs", str(ns.fs), "--duration", str(ns.duration),
-            "--classes", str(ns.classes), "--shift", str(ns.shift),
-            "--snr", str(ns.snr), "--seed", str(_resolve_seed(ns.seed)),
-            "--out", str(ns.out)]
-
-
 def cmd_synth(ns, parser) -> int:
     seed = _resolve_seed(ns.seed)
     out = _out_dir(ns)
@@ -192,17 +209,9 @@ def cmd_synth(ns, parser) -> int:
             path = out / f"{ds.subject_id}_s{k}{CONTAINER_SUFFIX}"
             save_trialset(session, path)
             outputs.append(path)
-    write_manifest(out, "synth", _canon_synth(ns), seed, [], outputs)
+    write_manifest(out, "synth", replay_args(ns, parser), seed, [], outputs)
     print(f"wrote {len(outputs)} container(s) to {out}")
     return 0
-
-
-def _canon_preprocess(ns) -> list[str]:
-    args = ["--data", str(ns.data), "--notch", str(ns.notch),
-            "--low", str(ns.low), "--high", str(ns.high), "--out", str(ns.out)]
-    if ns.channels:
-        args += ["--channels", ns.channels]
-    return args
 
 
 def cmd_preprocess(ns, parser) -> int:
@@ -217,26 +226,9 @@ def cmd_preprocess(ns, parser) -> int:
         dest = out / path.name
         save_trialset(processed, dest)
         outputs.append(dest)
-    write_manifest(out, "preprocess", _canon_preprocess(ns), None, inputs, outputs)
+    write_manifest(out, "preprocess", replay_args(ns, parser), None, inputs, outputs)
     print(f"preprocessed {len(outputs)} container(s) into {out}")
     return 0
-
-
-def _canon_train(ns) -> list[str]:
-    return ["--data", str(ns.data), "--model", ns.model, "--target", ns.target,
-            "--regime", ns.regime, "--calib", str(ns.calib),
-            "--val", f"{ns.val[0]}:{ns.val[1]}", "--test", f"{ns.test[0]}:{ns.test[1]}",
-            "--win", str(ns.win), "--overlap", str(ns.overlap),
-            "--lambda", str(getattr(ns, "lambda")), "--batch", str(ns.batch),
-            "--epochs", str(ns.epochs), "--patience", str(ns.patience),
-            "--lr", str(ns.lr), "--temporal-filters", str(ns.temporal_filters),
-            "--temporal-kernel", str(ns.temporal_kernel),
-            "--pool-width", str(ns.pool_width), "--pool-stride", str(ns.pool_stride),
-            "--dropout", str(ns.dropout),
-            "--common-dims", ",".join(str(d) for d in ns.common_dims),
-            "--separate-dims", ",".join(str(d) for d in ns.separate_dims),
-            "--seed", str(_resolve_seed(ns.seed)),
-            "--subjects-note", ns.subjects_note, "--out", str(ns.out)]
 
 
 def cmd_train(ns, parser) -> int:
@@ -267,20 +259,13 @@ def cmd_train(ns, parser) -> int:
     report_csv.write_text(report.to_csv_text(), encoding="utf-8")
     summary = out / "summary.txt"
     summary.write_text(report.to_summary_text(), encoding="utf-8")
-    write_manifest(out, "train", _canon_train(ns), seed, inputs,
+    write_manifest(out, "train", replay_args(ns, parser), seed, inputs,
                    [ckpt, report_csv, summary],
                    extras={"wall_time_s": f"{report.wall_time_s:.3f}",
                            "split_sizes": f"{n_train}/{len(split.val)}/{len(split.test)}"})
     print(f"test_crop_accuracy={report.test_crop_accuracy!r}")
     print(f"test_trial_accuracy={report.test_trial_accuracy!r}")
     return 0
-
-
-def _canon_eval(ns) -> list[str]:
-    return ["--ckpt", str(ns.ckpt), "--data", str(ns.data), "--target", ns.target,
-            "--calib", str(ns.calib), "--val", f"{ns.val[0]}:{ns.val[1]}",
-            "--test", f"{ns.test[0]}:{ns.test[1]}", "--win", str(ns.win),
-            "--overlap", str(ns.overlap), "--out", str(ns.out)]
 
 
 def cmd_eval(ns, parser) -> int:
@@ -300,13 +285,8 @@ def cmd_eval(ns, parser) -> int:
         f"model={meta.get('model', model.kind)}\nregime={meta.get('regime', '')}\n"
         f"target_subject={ns.target}\ntest_crop_accuracy={crop_acc!r}\n"
         f"test_trial_accuracy={trial_acc!r}\n", encoding="utf-8")
-    write_manifest(out, "eval", _canon_eval(ns), None, [ckpt] + inputs, [summary])
+    write_manifest(out, "eval", replay_args(ns, parser), None, [ckpt] + inputs, [summary])
     return 0
-
-
-def _canon_report(ns) -> list[str]:
-    return ["--runs", *[str(r) for r in ns.runs], "--metric", ns.metric,
-            "--out", str(ns.out)]
 
 
 def cmd_report(ns, parser) -> int:
@@ -329,7 +309,7 @@ def cmd_report(ns, parser) -> int:
     report_csv.write_text(table.to_csv_text(), encoding="utf-8")
     summary_txt = out / "summary.txt"
     summary_txt.write_text(table.to_text(), encoding="utf-8")
-    write_manifest(out, "report", _canon_report(ns), None, inputs,
+    write_manifest(out, "report", replay_args(ns, parser), None, inputs,
                    [report_csv, summary_txt])
     print(table.to_text(), end="")
     return 0
@@ -341,6 +321,12 @@ def cmd_rerun(ns, parser) -> int:
         command, stored = manifest["command"], shlex.split(manifest["args"])
     except KeyError as missing:
         raise ValueError(f"manifest lacks a {missing} line") from None
+    drifted = [name for name, digest in manifest["inputs"]
+               if not Path(name).is_file() or sha256_file(name) != digest]
+    for name in drifted:
+        print(f"input differs from the manifest: {name}", file=sys.stderr)
+    if drifted:
+        return 1
     args = list(stored)
     if "--out" in args:
         args[args.index("--out") + 1] = str(ns.out)
@@ -401,16 +387,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preprocess)
 
-    p = sub.add_parser("train", help="train a decoder on a split")
-    p.add_argument("--data", required=True)
+    # the split and crop flags that train and eval share
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--data", required=True)
+    split.add_argument("--target", required=True)
+    split.add_argument("--calib", type=_nonnegative_int, default=120)
+    split.add_argument("--val", type=_range_pair, default=(120, 144))
+    split.add_argument("--test", type=_range_pair, default=(144, 288))
+    split.add_argument("--win", type=_positive_float, default=2.0)
+    split.add_argument("--overlap", type=_nonnegative_float, default=1.9)
+
+    p = sub.add_parser("train", parents=[split], help="train a decoder on a split")
     p.add_argument("--model", choices=("baseline", "scsn", "scsn-mmd"), required=True)
-    p.add_argument("--target", required=True)
     p.add_argument("--regime", choices=("single", "multi"), default="multi")
-    p.add_argument("--calib", type=_nonnegative_int, default=120)
-    p.add_argument("--val", type=_range_pair, default=(120, 144))
-    p.add_argument("--test", type=_range_pair, default=(144, 288))
-    p.add_argument("--win", type=_positive_float, default=2.0)
-    p.add_argument("--overlap", type=_nonnegative_float, default=1.9)
     p.add_argument("--lambda", type=_nonnegative_float, default=1.0,
                    help="balance of the discrepancy term (scsn-mmd)")
     p.add_argument("--batch", type=_positive_int, default=30)
@@ -430,15 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a test split")
+    p = sub.add_parser("eval", parents=[split], help="evaluate a checkpoint on a test split")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--calib", type=_nonnegative_int, default=120)
-    p.add_argument("--val", type=_range_pair, default=(120, 144))
-    p.add_argument("--test", type=_range_pair, default=(144, 288))
-    p.add_argument("--win", type=_positive_float, default=2.0)
-    p.add_argument("--overlap", type=_nonnegative_float, default=1.9)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
 

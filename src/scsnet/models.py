@@ -10,8 +10,9 @@ per-subject layers expose their activations for discrepancy regularization.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,9 +114,6 @@ class ModelParams:
         for name, group in self._group_of.items():
             out.setdefault(group, []).append(name)
         return out
-
-    def group_tensors(self, group: str) -> list[ad.Tensor]:
-        return [self._tensors[n] for n, g in self._group_of.items() if g == group]
 
     def n_values(self) -> int:
         return sum(t.size for t in self._tensors.values())
@@ -304,28 +302,26 @@ def forward_infer(model, crops, branch: int | None = None) -> np.ndarray:
 # checkpoints
 
 
+# the header echoes every config field as name=value; tuples are comma-joined
+_PARSE = {"int": int, "float": float,
+          "tuple[int, ...]": lambda text: tuple(int(d) for d in text.split(","))}
+_SCSN_FIELDS = [(f.name, _PARSE[f.type]) for f in dataclasses.fields(ScsnConfig)
+                if f.name != "base"]
+_BASE_FIELDS = [(f.name, _PARSE[f.type]) for f in dataclasses.fields(BaselineConfig)]
+
+
 def _config_lines(model) -> list[str]:
-    if isinstance(model, BaselineModel):
-        base, lines = model.cfg, [f"kind={model.kind}"]
+    if isinstance(model, ScsnModel):
+        parts = [(model.cfg, _SCSN_FIELDS), (model.cfg.base, _BASE_FIELDS)]
     else:
-        base = model.cfg.base
-        lines = [
-            f"kind={model.kind}",
-            f"n_subjects={model.cfg.n_subjects}",
-            f"target_index={model.cfg.target_index}",
-            f"common_fc_dims={','.join(str(d) for d in model.cfg.common_fc_dims)}",
-            f"separate_fc_dims={','.join(str(d) for d in model.cfg.separate_fc_dims)}",
-        ]
-    lines += [
-        f"n_channels={base.n_channels}",
-        f"n_samples={base.n_samples}",
-        f"n_classes={base.n_classes}",
-        f"temporal_filters={base.temporal_filters}",
-        f"temporal_kernel={base.temporal_kernel}",
-        f"pool_width={base.pool_width}",
-        f"pool_stride={base.pool_stride}",
-        f"dropout={base.dropout!r}",
-    ]
+        parts = [(model.cfg, _BASE_FIELDS)]
+    lines = [f"kind={model.kind}"]
+    for cfg, schema in parts:
+        for name, _ in schema:
+            value = getattr(cfg, name)
+            if isinstance(value, (tuple, list)):
+                value = ",".join(str(d) for d in value)
+            lines.append(f"{name}={value}")
     return lines
 
 
@@ -369,43 +365,36 @@ def load_checkpoint(path):
         raise ValueError("unsupported checkpoint version")
     meta = {k[len("meta."):]: v for k, v in fields.items() if k.startswith("meta.")}
 
-    base = BaselineConfig(
-        n_channels=int(fields["n_channels"]),
-        n_samples=int(fields["n_samples"]),
-        n_classes=int(fields["n_classes"]),
-        temporal_filters=int(fields["temporal_filters"]),
-        temporal_kernel=int(fields["temporal_kernel"]),
-        pool_width=int(fields["pool_width"]),
-        pool_stride=int(fields["pool_stride"]),
-        dropout=float(fields["dropout"]),
-    )
-    if fields["kind"] == "baseline":
+    def read(schema):
+        try:
+            return {name: parse(fields[name]) for name, parse in schema}
+        except KeyError as missing:
+            raise ValueError(f"checkpoint header lacks {missing}") from None
+
+    base = BaselineConfig(**read(_BASE_FIELDS))
+    if fields.get("kind") == "baseline":
         model = build_baseline(base, seed=0)
-    elif fields["kind"] == "scsn":
-        cfg = ScsnConfig(
-            base=base,
-            n_subjects=int(fields["n_subjects"]),
-            target_index=int(fields["target_index"]),
-            common_fc_dims=tuple(int(d) for d in fields["common_fc_dims"].split(",")),
-            separate_fc_dims=tuple(int(d) for d in fields["separate_fc_dims"].split(",")),
-        )
-        model = build_scsn(cfg, seed=0)
+    elif fields.get("kind") == "scsn":
+        model = build_scsn(ScsnConfig(base=base, **read(_SCSN_FIELDS)), seed=0)
     else:
-        raise ValueError(f"unknown model kind {fields['kind']!r}")
+        raise ValueError(f"unknown model kind {fields.get('kind')!r}")
 
     offset = sep + 2
-    expected = int(fields["param_count"])
-    seen = 0
+    seen: set[str] = set()
     while offset < len(blob):
         eol = blob.find(b"\n", offset)
         if eol < 0:
-            raise ValueError("truncated parameter block header")
-        head = blob[offset:eol].decode("utf-8")
-        parts = dict(p.split("=", 1) for p in head.split(" "))
-        name = parts["param"]
-        shape = tuple(int(d) for d in parts["shape"].split(",")) if parts["shape"] else ()
+            raise ValueError(f"truncated parameter block header at byte {offset}")
+        try:
+            parts = dict(p.split("=", 1) for p in blob[offset:eol].decode("utf-8").split(" "))
+            name = parts["param"]
+            shape = tuple(int(d) for d in parts["shape"].split(",")) if parts["shape"] else ()
+        except (ValueError, KeyError):
+            raise ValueError(f"malformed parameter block header at byte {offset}") from None
         if name not in model.params:
-            raise ValueError(f"unexpected parameter {name!r}")
+            raise ValueError(f"unexpected parameter {name!r} at byte {offset}")
+        if name in seen:
+            raise ValueError(f"duplicate parameter {name!r} at byte {offset}")
         tensor = model.params[name]
         if tensor.shape != shape:
             raise ValueError(f"parameter {name!r} has shape {shape}, expected {tensor.shape}")
@@ -415,7 +404,11 @@ def load_checkpoint(path):
             raise ValueError(f"truncated data for parameter {name!r}")
         tensor.values = np.frombuffer(blob[start:start + nbytes], dtype="<f8").reshape(shape).copy()
         offset = start + nbytes
-        seen += 1
-    if seen != expected:
-        raise ValueError(f"checkpoint lists {expected} parameters, found {seen}")
+        seen.add(name)
+    missing = [name for name in model.params.names() if name not in seen]
+    if missing:
+        raise ValueError(f"checkpoint lacks parameters {missing}")
+    if fields.get("param_count") != str(len(seen)):
+        raise ValueError(f"checkpoint lists {fields.get('param_count')} parameters, "
+                         f"found {len(seen)}")
     return model, meta

@@ -188,12 +188,13 @@ def _grads_of(params: ModelParams) -> dict[str, np.ndarray | None]:
     return {name: tensor.grad for name, tensor in params.items()}
 
 
-def _crop_accuracy(model, branch, x: np.ndarray, y: np.ndarray) -> float:
+def _predict_crops(model, branch, x: np.ndarray) -> np.ndarray:
+    """Predicted class per crop, inferred in chunks of _INFER_CHUNK crops."""
     preds = np.empty(len(x), dtype=np.int64)
     for lo in range(0, len(x), _INFER_CHUNK):
         chunk = x[lo:lo + _INFER_CHUNK]
         preds[lo:lo + len(chunk)] = forward_infer(model, chunk, branch).argmax(axis=1)
-    return float(np.mean(preds == y))
+    return preds
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +312,7 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
 
         report.train_loss.append(float(np.mean(step_losses)))
         report.train_mmd_loss.append(float(np.mean(step_mmds)))
-        val_acc = _crop_accuracy(model, branch, val_x, val_y)
+        val_acc = float(np.mean(_predict_crops(model, branch, val_x) == val_y))
         report.val_accuracy.append(val_acc)
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch
@@ -345,11 +346,7 @@ def evaluate(model, branch, test: TrialSet, win_s: float, overlap_s: float
         if crops_per_trial is None:
             crops_per_trial = len(crops)
         all_crops.extend(c.data for c in crops)
-    x = np.stack(all_crops).astype(np.float64)
-    preds = np.empty(len(x), dtype=np.int64)
-    for lo in range(0, len(x), _INFER_CHUNK):
-        chunk = x[lo:lo + _INFER_CHUNK]
-        preds[lo:lo + len(chunk)] = forward_infer(model, chunk, branch).argmax(axis=1)
+    preds = _predict_crops(model, branch, np.stack(all_crops).astype(np.float64))
 
     labels = test.labels()
     crop_labels = np.repeat(labels, crops_per_trial)

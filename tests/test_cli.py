@@ -1,9 +1,10 @@
+import argparse
 import os
 
 import numpy as np
 import pytest
 
-from scsnet.cli import main, read_manifest, sha256_file
+from scsnet.cli import build_parser, main, read_manifest, replay_args, sha256_file
 from scsnet.datasets import load_trialset
 
 SYNTH = ["synth", "--subjects", "2", "--sessions", "2", "--trials", "12",
@@ -17,6 +18,24 @@ TRAIN_FLAGS = ["--target", "S01", "--calib", "4", "--val", "4:8", "--test", "8:1
                "--pool-width", "4", "--pool-stride", "3",
                "--common-dims", "4,4,4", "--separate-dims", "3,3,3",
                "--seed", "1"]
+
+# every flag of every manifest-writing command, each away from its default
+NON_DEFAULT_ARGV = [
+    ["synth", "--subjects", "3", "--sessions", "1", "--trials", "10", "--channels", "4",
+     "--fs", "64", "--duration", "1.5", "--classes", "3", "--shift", "0.25", "--snr", "2",
+     "--seed", "9", "--out", "o"],
+    ["preprocess", "--data", "d", "--notch", "60", "--low", "2", "--high", "40",
+     "--channels", "ch01,ch00", "--out", "o"],
+    ["train", "--data", "d", "--model", "scsn-mmd", "--target", "S02", "--regime", "single",
+     "--calib", "3", "--val", "3:5", "--test", "5:9", "--win", "1.5", "--overlap", "0.25",
+     "--lambda", "0.5", "--batch", "7", "--epochs", "4", "--patience", "2", "--lr", "0.01",
+     "--temporal-filters", "3", "--temporal-kernel", "4", "--pool-width", "5",
+     "--pool-stride", "2", "--dropout", "0.1", "--common-dims", "5,6",
+     "--separate-dims", "2,3,4", "--seed", "3", "--subjects-note", "S01,S02", "--out", "o"],
+    ["eval", "--ckpt", "c", "--data", "d", "--target", "S02", "--calib", "3", "--val", "3:5",
+     "--test", "5:9", "--win", "1.5", "--overlap", "0.25", "--out", "o"],
+    ["report", "--runs", "a", "b", "--metric", "crop", "--out", "o"],
+]
 
 
 @pytest.fixture()
@@ -197,3 +216,32 @@ class TestRerun:
         code = main(["rerun", str(manifest), "--out", str(tmp_path / "fresh")])
         assert code == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_rerun_checks_inputs_first(self, data_dir, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        assert main(["preprocess", "--data", str(data_dir), "--notch", "10", "--low", "1",
+                     "--high", "14", "--out", str(prep)]) == 0
+        raw = data_dir / "S02_s1.tsc"
+        blob = raw.read_bytes()
+        raw.write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
+        fresh = tmp_path / "fresh"
+        capsys.readouterr()
+        assert main(["rerun", str(prep / "manifest.txt"), "--out", str(fresh)]) == 1
+        err = capsys.readouterr().err
+        assert str(raw) in err and "S01_s1.tsc" not in err
+        assert not fresh.exists()
+
+
+@pytest.mark.parametrize("argv", NON_DEFAULT_ARGV, ids=lambda argv: argv[0])
+def test_replay_args_round_trip(argv):
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert {a[0] for a in NON_DEFAULT_ARGV} == set(commands) - {"rerun"}
+    ns = parser.parse_args(argv)
+    args = replay_args(ns, parser)
+    assert parser.parse_args([argv[0], *args]) == ns
+    for action in commands[argv[0]]._actions:
+        if action.option_strings and action.dest != "help":
+            assert getattr(ns, action.dest) != action.default, action.dest
+            assert action.option_strings[0] in args, action.dest

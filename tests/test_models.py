@@ -223,21 +223,50 @@ class TestCheckpoint:
                                           model.params[name].values)
 
     def test_scsn_round_trip_bit_exact(self, tmp_path):
-        model = build_scsn(tiny_scsn_cfg(n_subjects=3), seed=14)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, meta={"subjects": "S01,S02,S03", "target": "S02"})
-        back, meta = load_checkpoint(path)
-        assert meta["subjects"] == "S01,S02,S03"
-        assert back.cfg == model.cfg
-        for name in model.params.names():
-            assert back.params[name].values.tobytes() == model.params[name].values.tobytes()
-        x = np.random.default_rng(15).normal(size=(2, 2, 20))
-        np.testing.assert_array_equal(forward_infer(back, x, 1), forward_infer(model, x, 1))
+        # every config field away from its default and from the tiny config
+        odd = ScsnConfig(base=BaselineConfig(n_channels=3, n_samples=24, n_classes=3,
+                                             temporal_filters=2, temporal_kernel=6,
+                                             pool_width=5, pool_stride=2, dropout=0.25),
+                         n_subjects=3, target_index=2, common_fc_dims=(5, 7),
+                         separate_fc_dims=(4, 3, 2))
+        for cfg in (tiny_scsn_cfg(n_subjects=3), odd):
+            model = build_scsn(cfg, seed=14)
+            path = tmp_path / "model.ckpt"
+            save_checkpoint(model, path, meta={"subjects": "S01,S02,S03", "target": "S02"})
+            back, meta = load_checkpoint(path)
+            assert meta["subjects"] == "S01,S02,S03"
+            assert back.cfg == model.cfg
+            for name in model.params.names():
+                assert back.params[name].values.tobytes() == model.params[name].values.tobytes()
+            x = np.random.default_rng(15).normal(size=(2, cfg.base.n_channels, cfg.base.n_samples))
+            np.testing.assert_array_equal(forward_infer(back, x, 1), forward_infer(model, x, 1))
 
     def test_truncated_rejected(self, tmp_path):
         model = build_baseline(TINY, seed=16)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", ["duplicate_block", "trailing_line"])
+    def test_malformed_blocks_rejected(self, tmp_path, corrupt):
+        model = build_baseline(TINY, seed=17)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        if corrupt == "duplicate_block":
+            # the last block written again in place of the first: the block
+            # count still matches param_count
+            offset = blob.index(b"\n\n") + 2
+            header, blocks = blob[:offset], []
+            for _, tensor in model.params.items():
+                end = blob.index(b"\n", offset) + 1 + 8 * tensor.size
+                blocks.append(blob[offset:end])
+                offset = end
+            blob = header + b"".join([blocks[-1]] + blocks[1:])
+        else:
+            blob += b"a=b\n"
+        path.write_bytes(blob)
         with pytest.raises(ValueError):
             load_checkpoint(path)
