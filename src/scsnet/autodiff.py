@@ -126,10 +126,15 @@ def _with_batch(values: np.ndarray, expect_ndim: int) -> tuple[np.ndarray, bool]
 
 
 def _scatter_windows(target: np.ndarray, windowed: np.ndarray, stride: int) -> None:
-    # windowed[..., t', j] contributes to target[..., t' * stride + j]
+    # windowed[..., t', j] contributes to target[..., t' * stride + j]. Within a
+    # block of `stride` consecutive offsets j every target is hit at most once,
+    # so each block is one strided add; blocks go in increasing j, the order in
+    # which a per-offset loop would sum, so the result is the same to the bit.
     n_out, width = windowed.shape[-2], windowed.shape[-1]
-    for j in range(width):
-        target[..., j:j + (n_out - 1) * stride + 1:stride] += windowed[..., j]
+    for j in range(0, width, stride):
+        block = min(stride, width - j)
+        slab = sliding_window_view(target[..., j:], block, axis=-1, writeable=True)
+        slab[..., :(n_out - 1) * stride + 1:stride, :] += windowed[..., j:j + block]
 
 
 def conv_time(x, kernels, stride: int = 1) -> Tensor:
@@ -220,7 +225,7 @@ def mean_pool(x, width: int, stride: int) -> Tensor:
     def backward(gout):
         g = gout if batched else gout[None]
         gx = np.zeros_like(xb)
-        spread = np.repeat((g / width)[..., None], width, axis=-1)
+        spread = np.broadcast_to((g / width)[..., None], g.shape + (width,))
         _scatter_windows(gx, spread, stride)
         return (gx if batched else gx[0],)
 

@@ -157,7 +157,8 @@ def _parse_int(fields: dict, key: str) -> int:
 
 
 def load_trialset(path) -> TrialSet:
-    """Read a container written by save_trialset; round-trips bit-exactly."""
+    """Read a container written by save_trialset; round-trips bit-exactly.
+    Non-finite samples are rejected, naming the file and the trial."""
     with open(path, "rb") as fh:
         blob = fh.read()
     sep = blob.find(b"\n\n")
@@ -204,6 +205,10 @@ def load_trialset(path) -> TrialSet:
         raise ContainerFormatError(
             f"payload holds {len(payload)} bytes, header implies {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(n_trials, n_channels, n_samples)
+    finite = np.isfinite(data).all(axis=(1, 2))
+    if not finite.all():
+        raise ContainerFormatError(
+            f"{path}: trial {int(np.argmin(finite))} holds non-finite samples")
     if labels.size and int(labels.max()) >= len(class_names):
         raise ContainerFormatError("label block references a class beyond class_names")
 

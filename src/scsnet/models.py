@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .preprocessing import CropGeometry
 
 CHECKPOINT_VERSION = 1
 
@@ -164,12 +165,40 @@ def _init_dense_chain(params: ModelParams, rng, prefix: str, group: str,
 
 
 def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
-                     training: bool, dropout_rng) -> ad.Tensor:
+                     training: bool, dropout_rng, crop_stride: int | None = None
+                     ) -> ad.Tensor:
+    """Pooled log-power features of crops [[batch,] channels, n_samples].
+
+    Given `crop_stride`, x holds whole trials [trials, channels, samples]
+    instead, and the result holds the features of every crop of every trial
+    (n_samples wide, one every crop_stride samples), trial-major. Conv and
+    square act locally in time, so each trial's covered span runs through
+    them once; pooling at the stride g = gcd(crop_stride, pool_stride) then
+    yields every pooling window of every crop, and the crop read-out is a
+    gather. That read-out is not differentiated: inference only.
+    """
+    step, windows = cfg.pool_stride, None
+    if crop_stride is not None:
+        if training:
+            raise ValueError("the whole-trial crop read-out is inference-only")
+        x = np.asarray(x)
+        if x.ndim != 3:
+            raise ValueError("whole-trial input must be [trials, channels, samples]")
+        geo = CropGeometry.of(x.shape[-1], cfg.n_samples, crop_stride)
+        x = x[..., :geo.covered]
+        if geo.count > 1:  # a single crop pools exactly as the per-crop path
+            step = math.gcd(crop_stride, cfg.pool_stride)
+            # crop j's m-th window starts at j * crop_stride + m * pool_stride
+            windows = (np.arange(geo.count)[:, None] * crop_stride
+                       + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
     h = ad.conv_time(x, params[f"{prefix}temporal.kernels"], 1)
     h = ad.conv_space(h, params[f"{prefix}spatial.weights"])
     h = ad.square(h)
-    h = ad.mean_pool(h, cfg.pool_width, cfg.pool_stride)
+    h = ad.mean_pool(h, cfg.pool_width, step)
     h = ad.log_clipped(h)
+    if windows is not None:
+        feats = np.moveaxis(h.values[:, :, windows], 2, 1)  # [trials, crops, F, P]
+        h = ad.Tensor(feats.reshape((-1,) + feats.shape[2:]))
     h = ad.dropout(h, cfg.dropout, dropout_rng, training=training)
     batch = h.shape[0] if h.ndim == 3 else None
     flat = (cfg.feature_dim,) if batch is None else (batch, cfg.feature_dim)
@@ -200,12 +229,14 @@ class BaselineModel:
         self.cfg = cfg
         self.params = params
 
-    def forward(self, x, training: bool = False, dropout_rng=None) -> ad.Tensor:
-        h = _shallow_forward(x, self.params, self.cfg, "", training, dropout_rng)
+    def forward(self, x, training: bool = False, dropout_rng=None,
+                crop_stride: int | None = None) -> ad.Tensor:
+        h = _shallow_forward(x, self.params, self.cfg, "", training, dropout_rng, crop_stride)
         return ad.dense(h, self.params["classifier.weight"], self.params["classifier.bias"])
 
-    def predict_proba(self, x, branch: int | None = None) -> np.ndarray:
-        return _softmax_probs(self.forward(x, training=False).values)
+    def predict_proba(self, x, branch: int | None = None,
+                      crop_stride: int | None = None) -> np.ndarray:
+        return _softmax_probs(self.forward(x, training=False, crop_stride=crop_stride).values)
 
 
 class ScsnModel:
@@ -222,12 +253,13 @@ class ScsnModel:
     def n_subjects(self) -> int:
         return self.cfg.n_subjects
 
-    def branch_forward(self, x, branch: int, training: bool = False,
-                       dropout_rng=None) -> tuple[ad.Tensor, list[ad.Tensor]]:
+    def branch_forward(self, x, branch: int, training: bool = False, dropout_rng=None,
+                       crop_stride: int | None = None) -> tuple[ad.Tensor, list[ad.Tensor]]:
         if not 0 <= branch < self.cfg.n_subjects:
             raise ValueError(f"branch {branch} out of range")
         prefix = f"subject{branch}."
-        h = _shallow_forward(x, self.params, self.cfg.base, prefix, training, dropout_rng)
+        h = _shallow_forward(x, self.params, self.cfg.base, prefix, training, dropout_rng,
+                             crop_stride)
         h = _dense_chain_forward(h, self.params, "common.", len(self.cfg.common_fc_dims))
         feats: list[ad.Tensor] = []
         h = _dense_chain_forward(h, self.params, f"{prefix}sep.",
@@ -236,8 +268,8 @@ class ScsnModel:
                           self.params[f"{prefix}classifier.bias"])
         return logits, feats
 
-    def predict_proba(self, x, branch: int) -> np.ndarray:
-        logits, _ = self.branch_forward(x, branch, training=False)
+    def predict_proba(self, x, branch: int, crop_stride: int | None = None) -> np.ndarray:
+        logits, _ = self.branch_forward(x, branch, training=False, crop_stride=crop_stride)
         return _softmax_probs(logits.values)
 
 
@@ -288,14 +320,22 @@ def forward_train(model: ScsnModel, batch: dict, dropout_rng=None
     return out
 
 
-def forward_infer(model, crops, branch: int | None = None) -> np.ndarray:
+def forward_infer(model, x, branch: int | None = None,
+                  crop_stride: int | None = None) -> np.ndarray:
     """Class probabilities per crop, dropout disabled. SCSN models use only
-    the requested branch; the baseline ignores the branch argument."""
+    the requested branch; the baseline ignores the branch argument.
+
+    x holds crops [crops, channels, n_samples]. Given `crop_stride`, it holds
+    whole trials [trials, channels, samples] instead, and the rows are the
+    probabilities of each trial's crops (n_samples wide, one every
+    crop_stride samples), trial-major, from one shallow pass per trial.
+    """
+    dense = {} if crop_stride is None else {"crop_stride": crop_stride}
     if isinstance(model, ScsnModel):
         if branch is None:
             raise ValueError("SCSN inference needs a branch index")
-        return model.predict_proba(crops, branch)
-    return model.predict_proba(crops)
+        return model.predict_proba(x, branch, **dense)
+    return model.predict_proba(x, **dense)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +442,10 @@ def load_checkpoint(path):
         start = eol + 1
         if start + nbytes > len(blob):
             raise ValueError(f"truncated data for parameter {name!r}")
-        tensor.values = np.frombuffer(blob[start:start + nbytes], dtype="<f8").reshape(shape).copy()
+        values = np.frombuffer(blob[start:start + nbytes], dtype="<f8").reshape(shape)
+        if not np.isfinite(values).all():
+            raise ValueError(f"parameter {name!r} holds non-finite values")
+        tensor.values = values.copy()
         offset = start + nbytes
         seen.add(name)
     missing = [name for name in model.params.names() if name not in seen]

@@ -9,6 +9,7 @@ would switch to forward-only filtering.
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, filtfilt, iirnotch
@@ -45,22 +46,46 @@ def _samples(seconds: float, fs: float, what: str) -> int:
     return int(rounded)
 
 
-def crop_trials(epoch: Epoch, win_s: float, overlap_s: float) -> list[Epoch]:
-    """Slice a trial into overlapping fixed-length crops, ordered by onset.
+@dataclass(frozen=True)
+class CropGeometry:
+    """Where a trial's crops lie, in samples: `count` windows of `width`
+    samples starting every `stride` samples, ordered by onset."""
 
-    Produces floor((L - W) / S) + 1 crops where W is the window and
-    S = win_s - overlap_s the stride, all in samples.
-    """
+    width: int
+    stride: int
+    count: int
+
+    @classmethod
+    def of(cls, n_samples: int, width: int, stride: int) -> "CropGeometry":
+        """Crops of `width` samples every `stride` samples over a trial of
+        `n_samples`: floor((n_samples - width) / stride) + 1 of them."""
+        if width > n_samples:
+            raise ValueError("window exceeds the trial duration")
+        return cls(width, stride, (n_samples - width) // stride + 1)
+
+    @property
+    def covered(self) -> int:
+        """Samples from the first crop's onset to the last crop's end."""
+        return (self.count - 1) * self.stride + self.width
+
+
+def crop_geometry(n_samples: int, fs: float, win_s: float, overlap_s: float) -> CropGeometry:
+    """The crops of a trial of `n_samples` at `fs` for a window of `win_s`
+    seconds that overlaps the next by `overlap_s` seconds."""
     if overlap_s >= win_s:
         raise ValueError("overlap must be shorter than the window")
-    width = _samples(win_s, epoch.fs, "window")
-    stride = _samples(win_s - overlap_s, epoch.fs, "stride")
-    if width > epoch.n_samples:
-        raise ValueError("window exceeds the trial duration")
-    count = (epoch.n_samples - width) // stride + 1
-    return [Epoch(epoch.data[:, i * stride:i * stride + width].copy(),
+    width = _samples(win_s, fs, "window")
+    stride = _samples(win_s - overlap_s, fs, "stride")
+    return CropGeometry.of(n_samples, width, stride)
+
+
+def crop_trials(epoch: Epoch, win_s: float, overlap_s: float) -> list[Epoch]:
+    """Slice a trial into overlapping fixed-length crops, ordered by onset,
+    as laid out by `crop_geometry`."""
+    geo = crop_geometry(epoch.n_samples, epoch.fs, win_s, overlap_s)
+    return [Epoch(epoch.data[:, i * geo.stride:i * geo.stride + geo.width].copy(),
                   epoch.label, epoch.subject_id, epoch.fs)
-            for i in range(count)]
+            for i in range(geo.count)]
 
 
 def crop_trialset(trial_set: TrialSet, win_s: float, overlap_s: float) -> TrialSet:
@@ -125,12 +150,15 @@ def preprocess_trialset(trial_set: TrialSet, notch_hz: float | None = 50.0,
     """The standard pipeline: notch, bandpass, optional channel selection.
 
     Filtering runs in float64 per trial; results are stored back at the
-    container precision (float32).
+    container precision (float32). A trial with a NaN or infinite sample is
+    rejected by index.
     """
     ts = select_channels(trial_set, channels) if channels else trial_set
     trials = []
-    for trial in ts.trials:
+    for i, trial in enumerate(ts.trials):
         data = trial.data.astype(np.float64)
+        if not np.isfinite(data).all():
+            raise ValueError(f"trial {i} (subject {trial.subject_id!r}) holds non-finite samples")
         if notch_hz is not None:
             data = notch_filter(data, notch_hz, ts.fs)
         if band is not None:

@@ -8,24 +8,28 @@ all derive from disjoint streams of the one configured seed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .datasets import Split, TrialSet, balanced_upsample, batch_iter
 from .mmd import MmdConfig, layered_class_mmd, transfer_loss
 from .models import (
     BaselineConfig,
+    BaselineModel,
     ModelParams,
     ScsnConfig,
+    ScsnModel,
     build_baseline,
     build_scsn,
     forward_infer,
     forward_train,
 )
-from .preprocessing import crop_trials, crop_trialset
+from .preprocessing import crop_geometry, crop_trialset
 
 MODEL_KINDS = ("baseline", "scsn", "scsn_mmd")
 REGIMES = ("single", "multi")
@@ -188,12 +192,39 @@ def _grads_of(params: ModelParams) -> dict[str, np.ndarray | None]:
     return {name: tensor.grad for name, tensor in params.items()}
 
 
-def _predict_crops(model, branch, x: np.ndarray) -> np.ndarray:
-    """Predicted class per crop, inferred in chunks of _INFER_CHUNK crops."""
-    preds = np.empty(len(x), dtype=np.int64)
-    for lo in range(0, len(x), _INFER_CHUNK):
-        chunk = x[lo:lo + _INFER_CHUNK]
-        preds[lo:lo + len(chunk)] = forward_infer(model, chunk, branch).argmax(axis=1)
+def _check_finite(loss: float, params: ModelParams, epoch: int, step: int) -> None:
+    if not math.isfinite(loss):
+        raise FloatingPointError(f"epoch {epoch}, step {step}: non-finite loss {loss!r}")
+    for name, tensor in params.items():
+        if tensor.grad is not None and not np.isfinite(tensor.grad).all():
+            raise FloatingPointError(
+                f"epoch {epoch}, step {step}: non-finite gradient for {name!r}")
+
+
+def _predict_crops(model, branch, trials: TrialSet, win_s: float, overlap_s: float
+                   ) -> np.ndarray:
+    """Predicted class of every crop of every trial, [trials, crops].
+
+    The decoders of this package read a trial's crops out of one shallow
+    pass over the trial (`forward_infer` with the crop stride); any other
+    model exposing `predict_proba` is given the crops themselves. Each
+    inference chunk holds whole trials: at most _INFER_CHUNK crops, and at
+    least one trial.
+    """
+    geo = crop_geometry(trials.n_samples, trials.fs, win_s, overlap_s)
+    dense = isinstance(model, (BaselineModel, ScsnModel))
+    per_chunk = max(1, _INFER_CHUNK // geo.count)
+    preds = np.empty((len(trials), geo.count), dtype=np.int64)
+    for lo in range(0, len(trials), per_chunk):
+        x = np.stack([t.data[:, :geo.covered] for t in trials.trials[lo:lo + per_chunk]]
+                     ).astype(np.float64)
+        if dense:
+            probs = forward_infer(model, x, branch, crop_stride=geo.stride)
+        else:
+            crops = sliding_window_view(x, geo.width, axis=-1)[..., ::geo.stride, :]
+            probs = forward_infer(
+                model, np.moveaxis(crops, 2, 1).reshape(-1, x.shape[1], geo.width), branch)
+        preds[lo:lo + len(x)] = probs.argmax(axis=1).reshape(len(x), geo.count)
     return preds
 
 
@@ -227,7 +258,8 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
     n_channels = len(any_train.channel_names)
     base = BaselineConfig(
         n_channels=n_channels,
-        n_samples=next(iter(crop_trials(any_train.trials[0], cfg.win_s, cfg.overlap_s))).n_samples,
+        n_samples=crop_geometry(any_train.n_samples, any_train.fs, cfg.win_s,
+                                cfg.overlap_s).width,
         n_classes=n_classes,
         temporal_filters=cfg.temporal_filters,
         temporal_kernel=cfg.temporal_kernel,
@@ -235,7 +267,7 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
         pool_stride=cfg.pool_stride,
         dropout=cfg.dropout,
     )
-    val_x, val_y = _xy(crop_trialset(split.val, cfg.win_s, cfg.overlap_s))
+    val_y = split.val.labels()[:, None]
     drop_rng = dropout_stream(cfg.seed)
     mmd_cfg = MmdConfig(lam=cfg.lam, class_matched=cfg.class_matched)
     report = TrainReport(kind, regime, split.target_subject)
@@ -281,13 +313,15 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
                 logits = model.forward(x[idx], training=True, dropout_rng=drop_rng)
                 loss, _ = ad.softmax_xent(logits, y[idx])
                 loss.backward()
+                _check_finite(loss.item(), model.params, epoch, b + 1)
                 adam_step(model.params, _grads_of(model.params), state, cfg)
                 model.params.zero_grad()
                 step_losses.append(loss.item())
                 step_mmds.append(0.0)
         else:
-            for picks in batch_iter(pools, cfg.batch_per_branch,
-                                    epoch_batch_seed(cfg.seed, epoch)):
+            for step, picks in enumerate(batch_iter(pools, cfg.batch_per_branch,
+                                                    epoch_batch_seed(cfg.seed, epoch)),
+                                         start=1):
                 batch = {i: (arrays[s][0][picks[s]], arrays[s][1][picks[s]])
                          for i, s in enumerate(subjects)}
                 out = forward_train(model, batch, dropout_rng=drop_rng)
@@ -304,6 +338,7 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
                     loss = ce
                     step_mmds.append(0.0)
                 loss.backward()
+                _check_finite(loss.item(), model.params, epoch, step)
                 adam_step(model.params, _grads_of(model.params), state, cfg)
                 model.params.zero_grad()
                 step_losses.append(loss.item())
@@ -312,7 +347,8 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
 
         report.train_loss.append(float(np.mean(step_losses)))
         report.train_mmd_loss.append(float(np.mean(step_mmds)))
-        val_acc = float(np.mean(_predict_crops(model, branch, val_x) == val_y))
+        val_acc = float(np.mean(
+            _predict_crops(model, branch, split.val, cfg.win_s, cfg.overlap_s) == val_y))
         report.val_accuracy.append(val_acc)
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch
@@ -339,20 +375,10 @@ def evaluate(model, branch, test: TrialSet, win_s: float, overlap_s: float
     if len(test) == 0:
         raise ValueError("cannot evaluate on an empty test set")
     n_classes = len(test.class_names)
-    crops_per_trial = None
-    all_crops: list[np.ndarray] = []
-    for trial in test.trials:
-        crops = crop_trials(trial, win_s, overlap_s)
-        if crops_per_trial is None:
-            crops_per_trial = len(crops)
-        all_crops.extend(c.data for c in crops)
-    preds = _predict_crops(model, branch, np.stack(all_crops).astype(np.float64))
-
+    preds = _predict_crops(model, branch, test, win_s, overlap_s)
     labels = test.labels()
-    crop_labels = np.repeat(labels, crops_per_trial)
-    crop_acc = float(np.mean(preds == crop_labels))
-    votes = preds.reshape(len(test), crops_per_trial)
-    winners = np.array([np.bincount(v, minlength=n_classes).argmax() for v in votes])
+    crop_acc = float(np.mean(preds == labels[:, None]))
+    winners = np.array([np.bincount(v, minlength=n_classes).argmax() for v in preds])
     trial_acc = float(np.mean(winners == labels))
     return crop_acc, trial_acc
 

@@ -139,6 +139,42 @@ class TestMeanPool:
         np.testing.assert_allclose(ad.mean_pool(x, 5, 3).values, naive_mean_pool(x, 5, 3), atol=1e-12)
 
 
+def loop_scatter_windows(target, windowed, stride):
+    """The per-offset loop `_scatter_windows` replaces: one strided add per
+    window column, in increasing offset."""
+    n_out, width = windowed.shape[-2], windowed.shape[-1]
+    for j in range(width):
+        target[..., j:j + (n_out - 1) * stride + 1:stride] += windowed[..., j]
+
+
+class TestScatterWindows:
+    @given(width=st.integers(1, 30), stride=st.integers(1, 20), n_out=st.integers(1, 12),
+           slack=st.integers(0, 3), lead=st.lists(st.integers(1, 3), max_size=2),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_offset_loop(self, width, stride, n_out, slack, lead, seed):
+        # covers width < stride, width not a multiple of stride, and stride 1
+        # (the conv_time input gradient)
+        rng = np.random.default_rng(seed)
+        windowed = rng.normal(size=(*lead, n_out, width))
+        extent = (n_out - 1) * stride + width + slack
+        want, got = np.zeros((*lead, extent)), np.zeros((*lead, extent))
+        loop_scatter_windows(want, windowed, stride)
+        ad._scatter_windows(got, windowed, stride)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width,stride", [(75, 15), (4, 6), (7, 3), (5, 1)])
+    def test_pool_gradient_matches_offset_loop(self, width, stride):
+        rng = np.random.default_rng(width * stride)
+        x = ad.Tensor(rng.normal(size=(3, 2, 2 * width + 3 * stride)), requires_grad=True)
+        out = ad.mean_pool(x, width, stride)
+        gout = rng.normal(size=out.shape)
+        (got,) = out._backward(gout)
+        want = np.zeros_like(x.values)
+        loop_scatter_windows(want, np.repeat((gout / width)[..., None], width, axis=-1), stride)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestDense:
     def test_identity(self):
         x = np.array([1., 2., 3.])

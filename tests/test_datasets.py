@@ -69,6 +69,26 @@ class TestContainer:
         with pytest.raises(ContainerFormatError, match="payload"):
             load_trialset(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, tmp_path, bad):
+        ts = random_trialset(seed=3)
+        ts.trials[4].data[1, 7] = bad
+        path = tmp_path / "set.tsc"
+        save_trialset(ts, path)
+        with pytest.raises(ContainerFormatError, match=r"set\.tsc: trial 4 "):
+            load_trialset(path)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_strict_prefix_rejected(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("prefix") / "set.tsc"
+        save_trialset(random_trialset(seed=4), path)
+        blob = path.read_bytes()
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ContainerFormatError):
+            load_trialset(path)
+
     def test_zero_fs_rejected(self, tmp_path):
         path = tmp_path / "set.tsc"
         save_trialset(random_trialset(), path)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from scsnet import autodiff as ad
 from scsnet.mmd import FIXED, KernelSpec, MmdConfig, layered_class_mmd, transfer_loss
@@ -210,6 +213,70 @@ def test_end_to_end_gradient_check_tiny_scsn():
     assert ad.grad_check(loss, wrt, eps=1e-5) < 1e-4
 
 
+def crops_of(trials, width, stride):
+    """Every crop of every trial, trial-major, as a contiguous crop array."""
+    crops = sliding_window_view(trials, width, axis=-1)[..., ::stride, :]
+    return np.ascontiguousarray(np.moveaxis(crops, 2, 1)).reshape(-1, trials.shape[1], width)
+
+
+# (name, crop width, crop stride, trial samples, pool width, pool stride)
+DENSE_GEOMETRIES = [
+    ("gcd5-paper-like", 100, 5, 200, 15, 15),
+    ("coprime-gcd1", 60, 7, 200, 10, 4),
+    ("single-crop", 60, 7, 60, 10, 4),
+    ("longer-than-covered", 60, 10, 217, 10, 4),
+    ("crop-stride-multiple-of-pool", 60, 8, 140, 10, 4),
+]
+
+
+class TestDenseCropInference:
+    @pytest.mark.parametrize("kind", ["baseline", "scsn"])
+    @pytest.mark.parametrize("geometry", DENSE_GEOMETRIES, ids=[g[0] for g in DENSE_GEOMETRIES])
+    def test_matches_per_crop_probabilities(self, kind, geometry):
+        _, width, stride, samples, pool_width, pool_stride = geometry
+        base = BaselineConfig(n_channels=3, n_samples=width, n_classes=4, temporal_filters=4,
+                              temporal_kernel=5, pool_width=pool_width,
+                              pool_stride=pool_stride, dropout=0.5)
+        if kind == "baseline":
+            model, branch = build_baseline(base, seed=21), None
+        else:
+            model = build_scsn(ScsnConfig(base=base, n_subjects=3, target_index=1,
+                                          common_fc_dims=(8, 8, 8),
+                                          separate_fc_dims=(6, 6, 6)), seed=21)
+            branch = 2
+        trials = np.random.default_rng(22).normal(size=(3, 3, samples))
+        dense = forward_infer(model, trials, branch, crop_stride=stride)
+        crops = forward_infer(model, crops_of(trials, width, stride), branch)
+        assert dense.shape == crops.shape == (3 * ((samples - width) // stride + 1), 4)
+        np.testing.assert_allclose(dense, crops, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(dense.argmax(axis=1), crops.argmax(axis=1))
+
+    def test_single_crop_runs_the_per_crop_ops(self, monkeypatch):
+        model = build_baseline(TINY, seed=23)
+        pools = []
+        real_pool = ad.mean_pool
+
+        def spy(x, width, stride):
+            pools.append((width, stride))
+            return real_pool(x, width, stride)
+
+        monkeypatch.setattr(ad, "mean_pool", spy)
+        trials = np.random.default_rng(24).normal(size=(2, 2, TINY.n_samples + 2))
+        forward_infer(model, trials, crop_stride=3)
+        assert pools == [(TINY.pool_width, TINY.pool_stride)]
+
+    def test_whole_trial_input_must_be_batched(self):
+        model = build_baseline(TINY, seed=25)
+        with pytest.raises(ValueError, match="trials"):
+            forward_infer(model, np.zeros((2, 40)), crop_stride=5)
+
+    def test_read_out_is_inference_only(self):
+        model = build_baseline(TINY, seed=26)
+        with pytest.raises(ValueError, match="inference"):
+            model.forward(np.zeros((1, 2, 40)), training=True,
+                          dropout_rng=np.random.default_rng(0), crop_stride=5)
+
+
 class TestCheckpoint:
     def test_baseline_round_trip(self, tmp_path):
         model = build_baseline(TINY, seed=13)
@@ -268,5 +335,24 @@ class TestCheckpoint:
         else:
             blob += b"a=b\n"
         path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        model = build_baseline(TINY, seed=18)
+        model.params["temporal.kernels"].values[1, 2] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(ValueError, match="temporal.kernels"):
+            load_checkpoint(path)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_strict_prefix_rejected(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("prefix") / "model.ckpt"
+        save_checkpoint(build_scsn(tiny_scsn_cfg(), seed=19), path, meta={"target": "S01"})
+        blob = path.read_bytes()
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        path.write_bytes(blob[:cut])
         with pytest.raises(ValueError):
             load_checkpoint(path)

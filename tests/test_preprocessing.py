@@ -9,9 +9,11 @@ from scsnet.datasets import Epoch, TrialSet
 from scsnet.preprocessing import (
     band_power_map,
     bandpass_filter,
+    crop_geometry,
     crop_trials,
     crop_trialset,
     notch_filter,
+    preprocess_trialset,
     select_channels,
     write_band_power_csv,
 )
@@ -132,6 +134,18 @@ class TestCrops:
         onsets = [c.data[0, 0] for c in crops]
         assert onsets == sorted(onsets)
         assert all(c.label == 3 and c.subject_id == "S01" for c in crops)
+
+    def test_geometry_of_paper_trial(self):
+        geo = crop_geometry(1000, 250.0, 2.0, 1.9)
+        assert (geo.width, geo.stride, geo.count, geo.covered) == (500, 25, 21, 1000)
+        longer = crop_geometry(1010, 250.0, 2.0, 1.9)
+        assert (longer.count, longer.covered) == (21, 1000)
+
+    def test_geometry_rejections(self):
+        with pytest.raises(ValueError, match="overlap"):
+            crop_geometry(1000, 250.0, 2.0, 2.0)
+        with pytest.raises(ValueError, match="window exceeds"):
+            crop_geometry(499, 250.0, 2.0, 1.9)
 
     @given(length=st.integers(2, 300), width=st.integers(1, 300), stride=st.integers(1, 20))
     @settings(max_examples=100, deadline=None)
@@ -254,3 +268,11 @@ def test_crop_trialset_order():
     crops = crop_trialset(ts, 2.0, 1.9)
     assert len(crops) == 63
     assert [c.data[0, 0] for c in crops.trials[:21]] == [0.0] * 21
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_preprocess_rejects_non_finite_trial(bad):
+    ts = _trialset(trials=4)
+    ts.trials[2].data[1, 50] = bad
+    with pytest.raises(ValueError, match="trial 2 "):
+        preprocess_trialset(ts, notch_hz=50.0, band=(1.0, 40.0))

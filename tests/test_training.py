@@ -13,6 +13,7 @@ from scsnet.models import (
     forward_train,
 )
 from scsnet.training import (
+    _INFER_CHUNK,
     AdamState,
     ComparisonRow,
     TrainConfig,
@@ -23,6 +24,7 @@ from scsnet.training import (
     scsn_pools,
     train,
 )
+from scsnet.training import _check_finite, _predict_crops
 
 TINY_ARCH = dict(temporal_filters=4, temporal_kernel=9, pool_width=10, pool_stride=5,
                  common_fc_dims=(8, 8, 8), separate_fc_dims=(6, 6, 6))
@@ -262,6 +264,74 @@ class TestEvaluate:
         crop_acc, trial_acc = evaluate(Alternating(), None, test, 0.5, 0.0)  # 2 crops/trial
         assert crop_acc == 0.5
         assert trial_acc == 1.0  # ties (one vote each for 2 and 3) resolve to class 2
+
+
+class TestDenseEvaluate:
+    # 0.6 s crops every 0.07 s at 100 Hz: 60 samples every 7, 21 crops over
+    # the first 200 of 205 samples
+    FS, WIN, OVERLAP, SAMPLES, COVERED, CROPS = 100.0, 0.6, 0.53, 205, 200, 21
+
+    def _model(self):
+        base = BaselineConfig(n_channels=3, n_samples=60, n_classes=4, temporal_filters=4,
+                              temporal_kernel=5, pool_width=10, pool_stride=4)
+        return build_scsn(ScsnConfig(base=base, n_subjects=2, target_index=0,
+                                     common_fc_dims=(8, 8, 8), separate_fc_dims=(6, 6, 6)),
+                          seed=4)
+
+    def _trials(self, n):
+        rng = np.random.default_rng(5)
+        trials = [Epoch(rng.normal(size=(3, self.SAMPLES)).astype(np.float32), i % 4, "S",
+                        self.FS) for i in range(n)]
+        return TrialSet(trials, ["a", "b", "c"], self.FS, [f"k{i}" for i in range(4)])
+
+    def test_matches_per_crop_predictions_across_chunks(self):
+        class CropsOnly:  # exposes predict_proba alone, so it is given crops
+            def __init__(self, model):
+                self.model = model
+
+            def predict_proba(self, x, branch=None):
+                return self.model.predict_proba(x, 1)
+
+        model, test = self._model(), self._trials(30)
+        assert 30 * self.CROPS > _INFER_CHUNK
+        dense = _predict_crops(model, 1, test, self.WIN, self.OVERLAP)
+        crops = _predict_crops(CropsOnly(model), None, test, self.WIN, self.OVERLAP)
+        assert dense.shape == (30, self.CROPS)
+        np.testing.assert_array_equal(dense, crops)
+        assert evaluate(model, 1, test, self.WIN, self.OVERLAP) == \
+            evaluate(CropsOnly(model), None, test, self.WIN, self.OVERLAP)
+
+    def test_one_temporal_conv_per_chunk_of_whole_trials(self, monkeypatch):
+        shapes = []
+        real_conv = ad.conv_time
+
+        def spy(x, kernels, stride=1):
+            shapes.append(np.shape(x))
+            return real_conv(x, kernels, stride)
+
+        monkeypatch.setattr(ad, "conv_time", spy)
+        per_chunk = _INFER_CHUNK // self.CROPS
+        evaluate(self._model(), 0, self._trials(30), self.WIN, self.OVERLAP)
+        assert shapes == [(per_chunk, 3, self.COVERED), (per_chunk, 3, self.COVERED),
+                          (30 - 2 * per_chunk, 3, self.COVERED)]
+
+
+class TestNonFinite:
+    def test_nan_training_data_aborts_with_epoch_and_step(self):
+        split = tiny_split()
+        for trial in split.train["S01"].trials:
+            trial.data[0, 3] = np.nan
+        with pytest.raises(FloatingPointError, match="epoch 1, step 1: non-finite loss"):
+            train("scsn", split, tiny_cfg())
+
+    def test_non_finite_gradient_named(self):
+        params = ModelParams()
+        params.add("w", ad.Tensor(np.ones(2), requires_grad=True), "model")
+        params["w"].grad = np.array([0.5, np.inf])
+        with pytest.raises(FloatingPointError, match="epoch 2, step 7: .*'w'"):
+            _check_finite(0.25, params, 2, 7)
+        params["w"].grad = np.array([0.5, 1.0])
+        _check_finite(0.25, params, 2, 7)
 
 
 class TestComparisonReport:
