@@ -1,8 +1,9 @@
 """Dense float64 tensors with reverse-mode gradients.
 
 Implements exactly the operation set the decoders in this package need:
-temporal and spatial convolutions, mean pooling, affine layers,
-square/log/tanh activations, dropout, and a softmax cross-entropy head.
+temporal and spatial convolutions (apart, and fused into one), mean pooling,
+affine layers, square/log/tanh activations, dropout, and a softmax
+cross-entropy head.
 Every op accepts either a single sample or a batch with one leading axis.
 No broadcasting beyond that, no GPU, no general-purpose graph surgery.
 """
@@ -206,6 +207,70 @@ def conv_space(x, weights) -> Tensor:
     return make_node(out if batched else out[0], (x, weights), backward)
 
 
+def conv_time_space(x, kernels, weights) -> Tensor:
+    """conv_space(conv_time(x, kernels, 1), weights) as one convolution.
+
+    No nonlinearity separates the two, so they are one valid convolution
+    with the effective kernel W[o, c, k] = sum_f weights[o, f, c] *
+    kernels[f, k], run as an im2col matmul per sample; the [F, C, T']
+    temporal-conv output is never formed. Shapes and input checks are those
+    of the two-op chain: x [channels, time] or batched, kernels [n_filters,
+    k], weights [n_out, n_filters, channels]; output [n_out, time'] (batched:
+    [batch, n_out, time']) with time' = time - k + 1.
+    """
+    x, kernels, weights = as_tensor(x), as_tensor(kernels), as_tensor(weights)
+    if kernels.ndim != 2:
+        raise ValueError("kernels must have shape [n_filters, k]")
+    xb, batched = _with_batch(x.values, 2)
+    f, k = kernels.values.shape
+    if k > xb.shape[-1]:
+        raise ValueError(f"kernel length {k} exceeds signal length {xb.shape[-1]}")
+    if weights.ndim != 3:
+        raise ValueError("weights must have shape [n_out, n_filters, channels]")
+    b, c, t = xb.shape
+    if weights.values.shape[1:] != (f, c):
+        raise ValueError(
+            f"weight extents {weights.values.shape[1:]} do not match input "
+            f"filter/channel extents {(f, c)}")
+
+    o, t_out = weights.values.shape[0], t - k + 1
+    w_eff = np.einsum("ofc,fk->ock", weights.values, kernels.values).reshape(o, c * k)
+    windows = sliding_window_view(xb, k, axis=-1).transpose(0, 1, 3, 2)  # [B, C, k, T']
+
+    def im2col(i: int, cols: np.ndarray) -> np.ndarray:
+        np.copyto(cols, windows[i])
+        return cols.reshape(c * k, t_out)
+
+    cols = np.empty((c, k, t_out))
+    out = np.empty((b, o, t_out))
+    for i in range(b):
+        np.matmul(w_eff, im2col(i, cols), out=out[i])
+
+    def backward(gout):
+        g = gout if batched else gout[None]
+        gx = gk = gw = None
+        if kernels.requires_grad or weights.requires_grad:
+            cols = np.empty((c, k, t_out))
+            g_eff = np.zeros((o, c * k))
+            for i in range(b):
+                g_eff += g[i] @ im2col(i, cols).T
+            g_eff = g_eff.reshape(o, c, k)
+            if kernels.requires_grad:
+                gk = np.einsum("ock,ofc->fk", g_eff, weights.values)
+            if weights.requires_grad:
+                gw = np.einsum("ock,fk->ofc", g_eff, kernels.values)
+        if x.requires_grad:
+            gx = np.zeros_like(xb)
+            for i in range(b):
+                spread = (w_eff.T @ g[i]).reshape(c, k, t_out)
+                _scatter_windows(gx[i], spread.transpose(0, 2, 1), 1)
+            if not batched:
+                gx = gx[0]
+        return gx, gk, gw
+
+    return make_node(out if batched else out[0], (x, kernels, weights), backward)
+
+
 def mean_pool(x, width: int, stride: int) -> Tensor:
     """Mean over sliding windows along the last axis.
 
@@ -223,11 +288,14 @@ def mean_pool(x, width: int, stride: int) -> Tensor:
     out = windows.mean(axis=-1)
 
     def backward(gout):
-        g = gout if batched else gout[None]
-        gx = np.zeros_like(xb)
-        spread = np.broadcast_to((g / width)[..., None], g.shape + (width,))
-        _scatter_windows(gx, spread, stride)
-        return (gx if batched else gx[0],)
+        # the pool is the fixed [T', T] matrix P with 1/width on each window,
+        # so its input gradient is g @ P
+        n_out, t = out.shape[-1], xb.shape[-1]
+        pool = np.zeros((n_out, t))
+        rows = np.arange(n_out)[:, None]
+        pool[rows, rows * stride + np.arange(width)] = 1.0 / width
+        gx = (gout.reshape(-1, n_out) @ pool).reshape(x.shape)
+        return (gx,)
 
     return make_node(out if batched else out[0], (x,), backward)
 

@@ -191,8 +191,17 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
             # crop j's m-th window starts at j * crop_stride + m * pool_stride
             windows = (np.arange(geo.count)[:, None] * crop_stride
                        + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
-    h = ad.conv_time(x, params[f"{prefix}temporal.kernels"], 1)
-    h = ad.conv_space(h, params[f"{prefix}spatial.weights"])
+    kernels, weights = params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"]
+    if training:
+        h = ad.conv_time_space(x, kernels, weights)
+    else:
+        # Inference keeps the two-op chain only because the traced benchmark
+        # (perfbench/tracer.py, perfbench/metrics.py) derives
+        # autodiff.conv_time.useful_frac and autodiff.conv.gflops from work
+        # counters that only conv_time and conv_space feed. This branch can go
+        # once a benchmark change traces conv_time_space and reads those two
+        # metrics from its counters.
+        h = ad.conv_space(ad.conv_time(x, kernels, 1), weights)
     h = ad.square(h)
     h = ad.mean_pool(h, cfg.pool_width, step)
     h = ad.log_clipped(h)

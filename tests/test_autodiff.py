@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scsnet import autodiff as ad
@@ -38,6 +38,12 @@ def naive_mean_pool(x, width, stride):
     for ti in range(t_out):
         out[:, ti] = x[:, ti * stride:ti * stride + width].mean(axis=1)
     return out
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    """Max absolute deviation within rtol of the reference's largest magnitude."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
 class TestConvTime:
@@ -115,6 +121,57 @@ class TestConvSpace:
         np.testing.assert_allclose(ad.conv_space(x, w).values, naive_conv_space(x, w), atol=1e-12)
 
 
+class TestConvTimeSpace:
+    @staticmethod
+    def _grads(op, x, k, w):
+        for t in (x, k, w):
+            t.zero_grad()
+        out = op(x, k, w)
+        ad.tsum(ad.square(out)).backward()
+        return out.values, x.grad, k.grad, w.grad
+
+    @given(batch=st.none() | st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
+           o=st.integers(1, 4), k=st.integers(1, 8), extra=st.integers(0, 12),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_two_op_chain(self, batch, c, f, o, k, extra, seed):
+        rng = np.random.default_rng(seed)
+        lead = () if batch is None else (batch,)
+        x = ad.Tensor(rng.normal(size=(*lead, c, k + extra)), requires_grad=True)
+        kern = ad.Tensor(rng.normal(size=(f, k)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(o, f, c)), requires_grad=True)
+        want = self._grads(lambda x, k, w: ad.conv_space(ad.conv_time(x, k, 1), w), x, kern, w)
+        got = self._grads(ad.conv_time_space, x, kern, w)
+        assert got[0].shape == (*lead, o, extra + 1)
+        for g, v in zip(got, want):
+            assert_rel_close(g, v)
+
+    def test_gradient_check(self):
+        rng = np.random.default_rng(12)
+        x = ad.Tensor(rng.normal(size=(2, 3, 11)), requires_grad=True)
+        k = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
+
+        def loss():
+            return ad.tsum(ad.square(ad.conv_time_space(x, k, w)))
+
+        assert ad.grad_check(loss, [x, k, w], eps=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("x_shape,k_shape,w_shape", [
+        ((2, 4), (1, 5), (1, 1, 2)),
+        ((2, 3, 9), (2, 3), (4, 2, 2)),
+        ((3, 9), (2, 3), (4, 3, 3)),
+        ((3, 9), (2, 3), (2, 3)),
+    ], ids=["kernel-longer-than-signal", "channel-extent", "filter-extent", "weights-not-3d"])
+    def test_rejects_what_the_chain_rejects(self, x_shape, k_shape, w_shape):
+        x, k, w = np.zeros(x_shape), np.zeros(k_shape), np.zeros(w_shape)
+        with pytest.raises(ValueError) as chain:
+            ad.conv_space(ad.conv_time(x, k, 1), w)
+        with pytest.raises(ValueError) as fused:
+            ad.conv_time_space(x, k, w)
+        assert str(fused.value) == str(chain.value)
+
+
 class TestMeanPool:
     def test_constant_input(self):
         out = ad.mean_pool(np.full((2, 10), 3.5), 4, 2)
@@ -137,6 +194,25 @@ class TestMeanPool:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(3, 17))
         np.testing.assert_allclose(ad.mean_pool(x, 5, 3).values, naive_mean_pool(x, 5, 3), atol=1e-12)
+
+    @given(width=st.integers(1, 30), stride=st.integers(1, 20), n_out=st.integers(1, 12),
+           slack=st.integers(0, 3), batched=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @example(width=4, stride=6, n_out=5, slack=2, batched=True, seed=0)    # width < stride
+    @example(width=7, stride=3, n_out=6, slack=1, batched=False, seed=1)   # not a multiple
+    @example(width=5, stride=1, n_out=9, slack=0, batched=True, seed=2)    # stride 1
+    @settings(max_examples=150, deadline=None)
+    def test_matrix_gradient_matches_scatter(self, width, stride, n_out, slack, batched, seed):
+        rng = np.random.default_rng(seed)
+        lead = (2, 3) if batched else (3,)
+        x = ad.Tensor(rng.normal(size=(*lead, (n_out - 1) * stride + width + slack)),
+                      requires_grad=True)
+        out = ad.mean_pool(x, width, stride)
+        gout = rng.normal(size=out.shape)
+        (got,) = out._backward(gout)
+        want = np.zeros_like(x.values)
+        spread = np.broadcast_to((gout / width)[..., None], gout.shape + (width,))
+        ad._scatter_windows(want, spread, stride)
+        assert_rel_close(got, want)
 
 
 def loop_scatter_windows(target, windowed, stride):
@@ -172,7 +248,7 @@ class TestScatterWindows:
         (got,) = out._backward(gout)
         want = np.zeros_like(x.values)
         loop_scatter_windows(want, np.repeat((gout / width)[..., None], width, axis=-1), stride)
-        assert got.tobytes() == want.tobytes()
+        assert_rel_close(got, want)
 
 
 class TestDense:

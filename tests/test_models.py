@@ -132,6 +132,24 @@ class TestForwardTrain:
         out = forward_train(model, {0: (x, np.zeros(3, int)), 1: (x, np.zeros(3, int))})
         np.testing.assert_array_equal(out[0][0].values, out[1][0].values)
 
+    def test_one_fused_conv_per_branch(self, monkeypatch):
+        calls = []
+        real_fused = ad.conv_time_space
+
+        def spy(x, kernels, weights):
+            calls.append((np.shape(x), kernels.shape, weights.shape))
+            return real_fused(x, kernels, weights)
+
+        def two_op_chain(*args, **kwargs):
+            raise AssertionError("training ran conv_time or conv_space")
+
+        monkeypatch.setattr(ad, "conv_time_space", spy)
+        monkeypatch.setattr(ad, "conv_time", two_op_chain)
+        monkeypatch.setattr(ad, "conv_space", two_op_chain)
+        model = build_scsn(tiny_scsn_cfg(n_subjects=3), seed=0)
+        forward_train(model, self._batch(model, np.random.default_rng(3)))
+        assert calls == [((4, 2, 20), (3, 5), (3, 3, 2))] * 3
+
 
 class TestForwardInfer:
     def test_zero_classifier_uniform(self):
