@@ -152,19 +152,34 @@ def conv_time(x, kernels, stride: int = 1) -> Tensor:
     if not isinstance(stride, int) or stride < 1:
         raise ValueError("stride must be a positive integer")
     xb, batched = _with_batch(x.values, 2)
-    k = kernels.values.shape[1]
-    if k > xb.shape[-1]:
-        raise ValueError(f"kernel length {k} exceeds signal length {xb.shape[-1]}")
+    f, k = kernels.values.shape
+    b, c, t = xb.shape
+    if k > t:
+        raise ValueError(f"kernel length {k} exceeds signal length {t}")
 
-    windows = sliding_window_view(xb, k, axis=-1)[..., ::stride, :]  # [B, C, T', k]
-    out = np.tensordot(windows, kernels.values, axes=([3], [1]))     # [B, C, T', F]
-    out = np.ascontiguousarray(np.moveaxis(out, -1, 1))              # [B, F, C, T']
+    t_out = (t - k) // stride + 1
+    windows = sliding_window_view(xb, k, axis=-1)[..., ::stride, :].transpose(0, 3, 1, 2)
+
+    def im2col(i: int, cols: np.ndarray) -> np.ndarray:
+        # k-major columns of sample i: cols[j, c, t'] = x[i, c, t' * stride + j]
+        np.copyto(cols, windows[i])
+        return cols.reshape(k, c * t_out)
+
+    # one [F, k] @ [k, C*T'] matmul per sample, written straight into its
+    # [F, C, T'] slab of the output
+    cols = np.empty((k, c, t_out))
+    out = np.empty((b, f, c, t_out))
+    for i in range(b):
+        np.matmul(kernels.values, im2col(i, cols), out=out[i].reshape(f, c * t_out))
 
     def backward(gout):
         g = gout if batched else gout[None]
         gk = gx = None
         if kernels.requires_grad:
-            gk = np.tensordot(g, windows, axes=([0, 2, 3], [0, 1, 2]))  # [F, k]
+            cols = np.empty((k, c, t_out))
+            gk = np.zeros((f, k))
+            for i in range(b):
+                gk += g[i].reshape(f, c * t_out) @ im2col(i, cols).T
         if x.requires_grad:
             spread = np.tensordot(g, kernels.values, axes=([1], [0]))   # [B, C, T', k]
             gx = np.zeros_like(xb)
@@ -191,15 +206,22 @@ def conv_space(x, weights) -> Tensor:
             f"weight extents {weights.values.shape[1:]} do not match input "
             f"filter/channel extents {xb.shape[1:3]}")
 
-    out = np.einsum("ofc,bfct->bot", weights.values, xb, optimize=True)
+    o, f, c = weights.values.shape
+    b, t = xb.shape[0], xb.shape[-1]
+    w2 = weights.values.reshape(o, f * c)
+    x2 = xb.reshape(b, f * c, t)
+    out = np.matmul(w2, x2)  # one [O, F*C] @ [F*C, T'] matmul per sample
 
     def backward(gout):
         g = gout if batched else gout[None]
         gw = gx = None
         if weights.requires_grad:
-            gw = np.einsum("bot,bfct->ofc", g, xb, optimize=True)
+            gw = np.zeros((o, f * c))
+            for i in range(b):
+                gw += g[i] @ x2[i].T
+            gw = gw.reshape(o, f, c)
         if x.requires_grad:
-            gx = np.einsum("bot,ofc->bfct", g, weights.values, optimize=True)
+            gx = np.matmul(w2.T, g).reshape(xb.shape)
             if not batched:
                 gx = gx[0]
         return gx, gw

@@ -195,12 +195,15 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
     if training:
         h = ad.conv_time_space(x, kernels, weights)
     else:
-        # Inference keeps the two-op chain only because the traced benchmark
-        # (perfbench/tracer.py, perfbench/metrics.py) derives
-        # autodiff.conv_time.useful_frac and autodiff.conv.gflops from work
-        # counters that only conv_time and conv_space feed. This branch can go
-        # once a benchmark change traces conv_time_space and reads those two
-        # metrics from its counters.
+        # Inference runs the two-op chain, each op as per-sample matmuls
+        # (conv_time writes [F, C, T'] straight from one kernel-bank matmul,
+        # conv_space is one [O, F*C] @ [F*C, T'] matmul); at a one-trial
+        # decode the chain takes about 1.25x the fused op's time (ROADMAP
+        # item 2). It stays because the traced benchmark (perfbench/tracer.py,
+        # perfbench/metrics.py) derives autodiff.conv_time.useful_frac and
+        # autodiff.conv.gflops from work counters that only conv_time and
+        # conv_space feed. This branch can go once a benchmark change traces
+        # conv_time_space and reads those two metrics from its counters.
         h = ad.conv_space(ad.conv_time(x, kernels, 1), weights)
     h = ad.square(h)
     h = ad.mean_pool(h, cfg.pool_width, step)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from scsnet import autodiff as ad
 
@@ -46,6 +48,27 @@ def assert_rel_close(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
+def tensordot_conv_time(xb, kernels, stride, g):
+    """The tensordot formulas conv_time used before its per-sample matmul:
+    (output, input gradient, kernel gradient) of a batched input for the
+    output gradient g."""
+    windows = sliding_window_view(xb, kernels.shape[1], axis=-1)[..., ::stride, :]
+    out = np.ascontiguousarray(np.moveaxis(
+        np.tensordot(windows, kernels, axes=([3], [1])), -1, 1))
+    gk = np.tensordot(g, windows, axes=([0, 2, 3], [0, 1, 2]))
+    gx = np.zeros_like(xb)
+    ad._scatter_windows(gx, np.tensordot(g, kernels, axes=([1], [0])), stride)
+    return out, gx, gk
+
+
+def einsum_conv_space(xb, w, g):
+    """The einsum formulas conv_space used before its matmuls: (output, input
+    gradient, weight gradient) of a batched input for the output gradient g."""
+    return (np.einsum("ofc,bfct->bot", w, xb, optimize=True),
+            np.einsum("bot,ofc->bfct", g, w, optimize=True),
+            np.einsum("bot,bfct->ofc", g, xb, optimize=True))
+
+
 class TestConvTime:
     def test_identity_kernel(self):
         out = ad.conv_time(np.array([[1., 2., 3., 4., 5.]]), np.array([[1.]]), 1)
@@ -84,6 +107,48 @@ class TestConvTime:
             single = ad.conv_time(x[b], kern, 2).values
             np.testing.assert_array_equal(batched[b], single)
 
+    @given(batch=st.none() | st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
+           k=st.integers(1, 8), stride=st.integers(1, 4), n_out=st.integers(1, 8),
+           slack=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+    @example(batch=2, c=3, f=2, k=5, stride=3, n_out=4, slack=2, seed=0)     # stride > 1
+    @example(batch=2, c=2, f=3, k=7, stride=1, n_out=1, slack=0, seed=1)     # k = T
+    @example(batch=None, c=3, f=2, k=4, stride=2, n_out=5, slack=1, seed=2)  # unbatched
+    @example(batch=1, c=4, f=3, k=6, stride=1, n_out=6, slack=0, seed=3)     # batch 1
+    @settings(max_examples=100, deadline=None)
+    def test_matches_tensordot_formulas(self, batch, c, f, k, stride, n_out, slack, seed):
+        rng = np.random.default_rng(seed)
+        lead = () if batch is None else (batch,)
+        x = ad.Tensor(rng.normal(size=(*lead, c, (n_out - 1) * stride + k + slack)),
+                      requires_grad=True)
+        kern = ad.Tensor(rng.normal(size=(f, k)), requires_grad=True)
+        out = ad.conv_time(x, kern, stride)
+        gout = rng.normal(size=out.shape)
+        got = (out.values, *out._backward(gout))
+        want = tensordot_conv_time(x.values.reshape(-1, c, x.shape[-1]), kern.values, stride,
+                                   gout.reshape(-1, *out.shape[-3:]))
+        for g, w in zip(got, want):
+            assert_rel_close(g, w.reshape(g.shape))
+
+    def test_peak_memory_is_output_plus_one_column_buffer(self):
+        # the forward writes each sample's matmul into the output and stages
+        # its windows in one reused [k, C, T'] buffer: nothing else of
+        # output size is allocated
+        rng = np.random.default_rng(5)
+        b, c, t, f, k = 4, 8, 300, 16, 25
+        x = rng.normal(size=(b, c, t))
+        kern = ad.Tensor(rng.normal(size=(f, k)), requires_grad=True)
+        t_out = t - k + 1
+        out_bytes, cols_bytes = 8 * b * f * c * t_out, 8 * k * c * t_out
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.conv_time(x, kern)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.values.nbytes == out_bytes
+        assert peak <= out_bytes + cols_bytes + 16 * 1024
+
     @given(t=st.integers(1, 40), k=st.integers(1, 40), s=st.integers(1, 5))
     @settings(max_examples=80, deadline=None)
     def test_shape_law(self, t, k, s):
@@ -119,6 +184,35 @@ class TestConvSpace:
         x = rng.normal(size=(3, 4, 6))
         w = rng.normal(size=(2, 3, 4))
         np.testing.assert_allclose(ad.conv_space(x, w).values, naive_conv_space(x, w), atol=1e-12)
+
+    def test_batched_matches_per_sample(self):
+        # a one-trial decode and a whole-set evaluate chunk run the same
+        # per-sample matmul, so they agree to the bit
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(3, 4, 5, 7))
+        w = rng.normal(size=(2, 4, 5))
+        batched = ad.conv_space(x, w).values
+        for b in range(3):
+            single = ad.conv_space(x[b], w).values
+            np.testing.assert_array_equal(batched[b], single)
+
+    @given(batch=st.none() | st.integers(1, 3), f=st.integers(1, 5), c=st.integers(1, 5),
+           o=st.integers(1, 5), t=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+    @example(batch=None, f=3, c=4, o=2, t=6, seed=0)  # unbatched
+    @example(batch=1, f=4, c=2, o=3, t=9, seed=1)     # batch 1
+    @settings(max_examples=100, deadline=None)
+    def test_matches_einsum_formulas(self, batch, f, c, o, t, seed):
+        rng = np.random.default_rng(seed)
+        lead = () if batch is None else (batch,)
+        x = ad.Tensor(rng.normal(size=(*lead, f, c, t)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(o, f, c)), requires_grad=True)
+        out = ad.conv_space(x, w)
+        gout = rng.normal(size=out.shape)
+        got = (out.values, *out._backward(gout))
+        want = einsum_conv_space(x.values.reshape(-1, f, c, t), w.values,
+                                 gout.reshape(-1, o, t))
+        for g, v in zip(got, want):
+            assert_rel_close(g, v.reshape(g.shape))
 
 
 class TestConvTimeSpace:
