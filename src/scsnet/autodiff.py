@@ -221,7 +221,10 @@ def conv_space(x, weights) -> Tensor:
                 gw += g[i] @ x2[i].T
             gw = gw.reshape(o, f, c)
         if x.requires_grad:
-            gx = np.matmul(w2.T, g).reshape(xb.shape)
+            # one [F*C, O] @ [O, B*T'] GEMM for the whole batch, returned as a
+            # [B, F, C, T'] view of its [F, C, B, T'] result
+            gx = (w2.T @ g.transpose(1, 0, 2).reshape(o, b * t)
+                  ).reshape(f, c, b, t).transpose(2, 0, 1, 3)
             if not batched:
                 gx = gx[0]
         return gx, gw

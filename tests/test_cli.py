@@ -200,6 +200,17 @@ class TestRerun:
         for name, digest in read_manifest(data_dir / "manifest.txt")["outputs"]:
             assert sha256_file(fresh / name) == digest
 
+    def test_preprocess_rerun_verifies(self, data_dir, tmp_path, capsys):
+        prep = tmp_path / "prep"
+        assert main(["preprocess", "--data", str(data_dir), "--notch", "10", "--low", "1",
+                     "--high", "14", "--channels", "ch02,ch00", "--out", str(prep)]) == 0
+        fresh = tmp_path / "fresh"
+        capsys.readouterr()
+        assert main(["rerun", str(prep / "manifest.txt"), "--out", str(fresh)]) == 0
+        assert capsys.readouterr().out.count("ok\t") == 4
+        for name, _ in read_manifest(prep / "manifest.txt")["outputs"]:
+            assert (prep / name).read_bytes() == (fresh / name).read_bytes()
+
     def test_train_rerun_verifies(self, data_dir, tmp_path):
         run = tmp_path / "run"
         assert main(["train", "--data", str(data_dir), "--model", "scsn-mmd",

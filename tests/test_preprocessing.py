@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scsnet import preprocessing
 from scsnet.datasets import Epoch, TrialSet
 from scsnet.preprocessing import (
     band_power_map,
@@ -276,3 +279,123 @@ def test_preprocess_rejects_non_finite_trial(bad):
     ts.trials[2].data[1, 50] = bad
     with pytest.raises(ValueError, match="trial 2 "):
         preprocess_trialset(ts, notch_hz=50.0, band=(1.0, 40.0))
+
+
+def per_trial_preprocess(trial_set, notch_hz, band, channels):
+    """Reference: each trial filtered alone (notch, then bandpass, each
+    designed for that trial), then cast to float32."""
+    ts = select_channels(trial_set, channels) if channels else trial_set
+    out = []
+    for trial in ts.trials:
+        data = trial.data.astype(np.float64)
+        if notch_hz is not None:
+            data = notch_filter(data, notch_hz, ts.fs)
+        if band is not None:
+            data = bandpass_filter(data, band[0], band[1], ts.fs)
+        out.append(data.astype(np.float32))
+    return out
+
+
+def _session(trials, channels=3, samples=120, fs=FS, seed=0):
+    rng = np.random.default_rng(seed)
+    eps = [Epoch((rng.normal(size=(channels, samples)) * 10.0).astype(np.float32),
+                 i % 2, "S03", fs) for i in range(trials)]
+    return TrialSet(eps, [f"ch{i}" for i in range(channels)], fs, ["a", "b"])
+
+
+class TestBlockFiltering:
+    @given(trials=st.integers(1, 7), channels=st.integers(1, 4),
+           samples=st.integers(60, 200), block_trials=st.integers(0, 8),
+           notch=st.sampled_from([None, 50.0]),
+           band=st.sampled_from([None, (1.0, 40.0), (4.0, 100.0)]),
+           select=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @example(trials=1, channels=2, samples=100, block_trials=1, notch=50.0,
+             band=(1.0, 40.0), select=False, seed=0)   # one trial
+    @example(trials=4, channels=3, samples=90, block_trials=4, notch=None,
+             band=(1.0, 40.0), select=False, seed=1)   # no notch
+    @example(trials=4, channels=3, samples=90, block_trials=4, notch=50.0,
+             band=None, select=False, seed=2)          # no bandpass
+    @example(trials=5, channels=4, samples=80, block_trials=5, notch=50.0,
+             band=(1.0, 40.0), select=True, seed=3)    # channel selection
+    @example(trials=7, channels=3, samples=150, block_trials=3, notch=50.0,
+             band=(4.0, 100.0), select=True, seed=4)   # three blocks, the last one short
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_trial_loop_bitwise(self, trials, channels, samples, block_trials,
+                                            notch, band, select, seed):
+        ts = _session(trials, channels, samples, seed=seed)
+        names = ts.channel_names[::-1][:max(1, channels - 1)] if select else None
+        # block_trials 0 makes a block smaller than one trial: one trial per block
+        block = block_trials * channels * samples
+        with mock.patch.object(preprocessing, "_FILTER_BLOCK", block):
+            got = preprocess_trialset(ts, notch_hz=notch, band=band, channels=names)
+        want = per_trial_preprocess(ts, notch, band, names)
+        assert got.channel_names == (names or ts.channel_names)
+        assert len(got) == trials
+        for g, w, t in zip(got.trials, want, ts.trials):
+            assert g.data.dtype == np.float32
+            assert g.data.tobytes() == w.tobytes()
+            assert (g.label, g.subject_id, g.fs) == (t.label, t.subject_id, t.fs)
+
+    @pytest.mark.parametrize("design", ["butter", "iirnotch"])
+    def test_one_filter_design_per_block(self, design):
+        ts = _session(12, channels=2, samples=100)
+        real = getattr(preprocessing, design)
+        with mock.patch.object(preprocessing, "_FILTER_BLOCK", 5 * 2 * 100), \
+                mock.patch.object(preprocessing, design, side_effect=real) as spy:
+            preprocess_trialset(ts, notch_hz=50.0, band=(1.0, 40.0))
+        assert spy.call_count == 3  # blocks of 5, 5 and 2 trials
+
+    def test_band_power_designs_once_per_block_of_a_class(self):
+        ts = _session(12, channels=2, samples=100)  # 6 trials per class
+        with mock.patch.object(preprocessing, "_FILTER_BLOCK", 4 * 2 * 100), \
+                mock.patch.object(preprocessing, "butter",
+                                  side_effect=preprocessing.butter) as spy:
+            band_power_map(ts, 8.0, 30.0)
+        assert spy.call_count == 4  # per class: blocks of 4 and 2 trials
+
+    @given(trials=st.integers(2, 9), block_trials=st.integers(1, 4), seed=st.integers(0, 99))
+    @settings(max_examples=25, deadline=None)
+    def test_band_power_matches_per_trial_sum(self, trials, block_trials, seed):
+        ts = _session(trials, channels=3, samples=100, seed=seed)
+        with mock.patch.object(preprocessing, "_FILTER_BLOCK", block_trials * 3 * 100):
+            rows = band_power_map(ts, 8.0, 30.0)
+        labels = ts.labels()
+        want = []
+        for c in range(2):
+            total = np.zeros(3)
+            members = [t for t, lab in zip(ts.trials, labels) if lab == c]
+            for t in members:
+                total += np.mean(bandpass_filter(t.data, 8.0, 30.0, ts.fs) ** 2, axis=1)
+            want.extend(10.0 * np.log10(total / len(members)))
+        assert [p for _, _, p in rows] == [float(w) for w in want]
+
+    def test_empty_set_comes_back_empty(self):
+        empty = TrialSet([], ["c0", "c1", "c2"], FS, ["a", "b"])
+        out = preprocess_trialset(empty, notch_hz=50.0, band=(1.0, 40.0))
+        assert len(out) == 0
+        assert (out.channel_names, out.fs, out.class_names) == (["c0", "c1", "c2"], FS,
+                                                                ["a", "b"])
+        assert len(preprocess_trialset(empty, channels=["c2"])) == 0
+
+    def test_non_finite_trial_in_a_later_block_is_named(self):
+        ts = _session(7, channels=2, samples=100)
+        ts.trials[5].data[1, 7] = np.nan
+        with mock.patch.object(preprocessing, "_FILTER_BLOCK", 2 * 2 * 100), \
+                pytest.raises(ValueError, match=r"trial 5 \(subject 'S03'\)"):
+            preprocess_trialset(ts, notch_hz=50.0, band=(1.0, 40.0))
+
+    def test_peak_memory_of_a_paper_session(self):
+        # 288 trials x 22 channels x 4 s at 250 Hz: the output is 25 MB of
+        # float32, the session 51 MB as float64; filtering it unblocked
+        # peaks at several times the latter
+        ts = _session(288, channels=22, samples=1000, seed=5)
+        out_bytes = 288 * 22 * 1000 * 4
+        tracemalloc.start()
+        try:
+            out = preprocess_trialset(ts, notch_hz=50.0, band=(1.0, 100.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 288
+        block_bytes = 8 << 20  # 2**20 float64 samples
+        assert peak <= out_bytes + 6 * block_bytes
