@@ -22,7 +22,7 @@ class Tensor:
     """A float64 array node in a recorded computation.
 
     `values` holds the data in row-major order, `grad` is filled by
-    `backward()` for nodes with `requires_grad`. Interior nodes keep
+    `backward()` for leaves with `requires_grad`. Interior nodes keep
     references to their parents plus a closure that maps the incoming
     gradient to per-parent gradients.
     """
@@ -55,10 +55,12 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Fill `grad` for every reachable tensor that requires one.
+        """Fill `grad` for every reachable leaf that requires one.
 
         Only scalar roots are supported; gradients accumulate across all
-        uses of a node, so shared parameters get the full sum.
+        uses of a node, so shared parameters get the full sum. An interior
+        node (one with a backward closure) hands its gradient on to its
+        parents and keeps none, so each is freed once it has been passed on.
         """
         if self.values.ndim != 0:
             raise ValueError("backward requires a scalar loss node")
@@ -86,11 +88,8 @@ class Tensor:
             gout = grads.pop(id(node), None)
             if gout is None:
                 continue
-            if node.grad is None:
-                node.grad = gout.copy()
-            else:
-                node.grad = node.grad + gout
             if node._backward is None:
+                node.grad = gout.copy() if node.grad is None else node.grad + gout
                 continue
             parent_grads = node._backward(gout)
             for parent, pgrad in zip(node._parents, parent_grads):

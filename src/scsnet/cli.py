@@ -103,8 +103,15 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+def _hashed(path: Path) -> tuple[Path, str]:
+    """`path` with its sha256 digest. Commands hash each input as soon as
+    they have read it, so a manifest names the bytes a run used even if a
+    file changes while the run goes on."""
+    return path, sha256_file(path)
+
+
 def write_manifest(out_dir: Path, command: str, args: list[str], seed: int | None,
-                   inputs: list[Path], outputs: list[Path],
+                   inputs: list[tuple[Path, str]], outputs: list[Path],
                    extras: dict[str, str] | None = None) -> Path:
     lines = [
         f"command={command}",
@@ -115,8 +122,8 @@ def write_manifest(out_dir: Path, command: str, args: list[str], seed: int | Non
         lines.append(f"seed={seed}")
     for key, value in (extras or {}).items():
         lines.append(f"{key}={value}")
-    for path in inputs:
-        lines.append(f"input={path}\t{sha256_file(path)}")
+    for path, digest in inputs:
+        lines.append(f"input={path}\t{digest}")
     for path in outputs:
         lines.append(f"output={path.name}\t{sha256_file(path)}")
     manifest = out_dir / "manifest.txt"
@@ -216,11 +223,11 @@ def cmd_synth(ns, parser) -> int:
 
 def cmd_preprocess(ns, parser) -> int:
     out = _out_dir(ns)
-    inputs = _discover_containers(Path(ns.data))
     channels = ns.channels.split(",") if ns.channels else None
-    outputs = []
-    for path in inputs:
+    inputs, outputs = [], []
+    for path in _discover_containers(Path(ns.data)):
         ts = load_trialset(path)
+        inputs.append(_hashed(path))
         processed = preprocess_trialset(ts, notch_hz=ns.notch, band=(ns.low, ns.high),
                                         channels=channels)
         dest = out / path.name
@@ -236,7 +243,8 @@ def cmd_train(ns, parser) -> int:
         parser.error("multi-branch models require --regime multi (need at least 2 subjects)")
     seed = _resolve_seed(ns.seed)
     out = _out_dir(ns)
-    datasets, inputs = _load_subject_datasets(Path(ns.data))
+    datasets, files = _load_subject_datasets(Path(ns.data))
+    inputs = [_hashed(path) for path in files]
     split = make_splits(datasets, SplitSpec(ns.target, ns.calib, ns.val, ns.test))
     n_train = sum(len(ts) for ts in split.train.values())
     print(f"split: train={n_train} val={len(split.val)} test={len(split.test)}")
@@ -274,7 +282,9 @@ def cmd_eval(ns, parser) -> int:
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     model, meta = load_checkpoint(ckpt)
-    datasets, inputs = _load_subject_datasets(Path(ns.data))
+    inputs = [_hashed(ckpt)]
+    datasets, files = _load_subject_datasets(Path(ns.data))
+    inputs += [_hashed(path) for path in files]
     split = make_splits(datasets, SplitSpec(ns.target, ns.calib, ns.val, ns.test))
     branch = model.cfg.target_index if model.kind == "scsn" else None
     crop_acc, trial_acc = evaluate(model, branch, split.test, ns.win, ns.overlap)
@@ -285,7 +295,7 @@ def cmd_eval(ns, parser) -> int:
         f"model={meta.get('model', model.kind)}\nregime={meta.get('regime', '')}\n"
         f"target_subject={ns.target}\ntest_crop_accuracy={crop_acc!r}\n"
         f"test_trial_accuracy={trial_acc!r}\n", encoding="utf-8")
-    write_manifest(out, "eval", replay_args(ns, parser), None, [ckpt] + inputs, [summary])
+    write_manifest(out, "eval", replay_args(ns, parser), None, inputs, [summary])
     return 0
 
 
@@ -299,11 +309,11 @@ def cmd_report(ns, parser) -> int:
             raise FileNotFoundError(f"run summary not found: {summary}")
         fields = dict(line.split("=", 1)
                       for line in summary.read_text(encoding="utf-8").splitlines() if line)
+        inputs.append(_hashed(summary))
         key = "test_trial_accuracy" if ns.metric == "trial" else "test_crop_accuracy"
         model = fields.get("model_kind", fields.get("model", "unknown")).replace("_", "-")
         rows.append(ComparisonRow(model, fields["regime"], fields["target_subject"],
                                   float(fields[key])))
-        inputs.append(summary)
     table = negative_transfer_report(rows)
     report_csv = out / "report.csv"
     report_csv.write_text(table.to_csv_text(), encoding="utf-8")

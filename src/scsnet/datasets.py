@@ -9,6 +9,7 @@ float64. One container file holds one TrialSet (a single subject's session).
 from __future__ import annotations
 
 import math
+from collections.abc import Sized
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -407,15 +408,16 @@ def synth_multisubject(n_subjects: int, n_sessions: int, n_trials: int,
 # balanced upsampling and batching
 
 
-def balanced_upsample(trial_set: TrialSet, target_size: int, seed: int) -> TrialSet:
-    """Append random duplicates so per-class counts land within 1 of
-    target_size / n_classes; originals are always kept."""
-    if target_size < len(trial_set):
+def balanced_duplicates(labels: np.ndarray, class_names: list[str], target_size: int,
+                        seed) -> np.ndarray:
+    """Indices of the random duplicates that bring a set with these labels
+    to target_size with per-class counts within 1 of target_size /
+    n_classes, class by class in index order; originals are always kept."""
+    if target_size < len(labels):
         raise ValueError("target_size must not shrink the set")
-    labels = trial_set.labels()
-    n_classes = len(trial_set.class_names)
+    n_classes = len(class_names)
     counts = np.bincount(labels, minlength=n_classes) if labels.size else np.zeros(n_classes, int)
-    missing = [trial_set.class_names[c] for c in range(n_classes) if counts[c] == 0]
+    missing = [class_names[c] for c in range(n_classes) if counts[c] == 0]
     if missing:
         raise ValueError(f"cannot balance: class(es) absent from input: {', '.join(missing)}")
 
@@ -426,19 +428,21 @@ def balanced_upsample(trial_set: TrialSet, target_size: int, seed: int) -> Trial
         raise ValueError("cannot balance without dropping trials; raise target_size")
 
     rng = np.random.default_rng(seed)
-    extra: list[Epoch] = []
+    extra = [np.empty(0, dtype=np.int64)]
     for c in range(n_classes):
-        pool = np.flatnonzero(labels == c)
         need = int(per_class[c] - counts[c])
         if need:
-            picks = rng.choice(pool, size=need, replace=True)
-            extra.extend(trial_set.trials[int(i)] for i in picks)
-    if not extra:
-        return trial_set.with_trials(list(trial_set.trials))
-    return trial_set.with_trials(list(trial_set.trials) + extra)
+            extra.append(rng.choice(np.flatnonzero(labels == c), size=need, replace=True))
+    return np.concatenate(extra)
 
 
-def batch_iter(train: dict[str, TrialSet], batch_per_branch: int, seed: int):
+def balanced_upsample(trial_set: TrialSet, target_size: int, seed: int) -> TrialSet:
+    """Append the `balanced_duplicates` of a set's trials to it."""
+    extra = balanced_duplicates(trial_set.labels(), trial_set.class_names, target_size, seed)
+    return trial_set.with_trials(list(trial_set.trials) + [trial_set.trials[i] for i in extra])
+
+
+def batch_iter(train: dict[str, Sized], batch_per_branch: int, seed: int):
     """Yield one epoch of multi-branch batches as {subject: trial indices}.
 
     Every subject's pool is shuffled once, then consumed without replacement;

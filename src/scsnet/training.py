@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
-from .datasets import Split, TrialSet, balanced_upsample, batch_iter
+from .datasets import Split, TrialSet, balanced_duplicates, batch_iter
 from .mmd import MmdConfig, layered_class_mmd, transfer_loss
 from .models import (
     BaselineConfig,
@@ -29,7 +29,7 @@ from .models import (
     forward_infer,
     forward_train,
 )
-from .preprocessing import crop_geometry, crop_trialset
+from .preprocessing import crop_geometry
 
 MODEL_KINDS = ("baseline", "scsn", "scsn_mmd")
 REGIMES = ("single", "multi")
@@ -169,22 +169,84 @@ def upsample_seed(seed: int, branch: int) -> np.random.SeedSequence:
 # data staging
 
 
-def _xy(ts: TrialSet) -> tuple[np.ndarray, np.ndarray]:
-    return ts.data_array(np.float64), ts.labels()
+@dataclass(frozen=True)
+class CropPool:
+    """A training pool of crops held as indices into whole trials.
+
+    Crop r is `trials[trial[r], :, onset[r]:onset[r] + width]` with label
+    `label[r]`. Rows run in `crop_trialset` order (trial-major, then by
+    onset) followed by any upsampled duplicates; duplicates share the trial
+    array. The pool reads like a cropped TrialSet (len, labels, data_array,
+    n_samples, channel_names, class_names) without holding one copy per crop.
+    """
+
+    trials: np.ndarray  # [trials, channels, samples], the trials' own dtype
+    trial: np.ndarray
+    onset: np.ndarray
+    label: np.ndarray
+    width: int
+    channel_names: list[str]
+    class_names: list[str]
+
+    def __len__(self) -> int:
+        return len(self.trial)
+
+    @property
+    def n_samples(self) -> int:
+        return self.width
+
+    def labels(self) -> np.ndarray:
+        return self.label.copy()
+
+    def batch(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The crops of `rows` as float64 [rows, channels, width], with labels."""
+        windows = sliding_window_view(self.trials, self.width, axis=-1)
+        return windows[self.trial[rows], :, self.onset[rows]].astype(np.float64), self.label[rows]
+
+    def data_array(self, dtype=np.float64) -> np.ndarray:
+        return self.batch(slice(None))[0].astype(dtype, copy=False)
+
+    def upsampled(self, target_size: int, seed) -> "CropPool":
+        """The pool plus its `balanced_duplicates` rows, as `balanced_upsample`
+        extends a cropped TrialSet."""
+        extra = balanced_duplicates(self.label, self.class_names, target_size, seed)
+        rows = np.concatenate([np.arange(len(self)), extra])
+        return replace(self, trial=self.trial[rows], onset=self.onset[rows],
+                       label=self.label[rows])
 
 
-def scsn_pools(split: Split, cfg: TrainConfig) -> tuple[list[str], dict[str, TrialSet]]:
+def crop_pool(sets: list[TrialSet], win_s: float, overlap_s: float) -> CropPool:
+    """Every crop of every trial of `sets`, set by set in `crop_trialset`
+    order, over one array of their trials (shorter trials zero-padded at the
+    end, where no crop reads)."""
+    if not all(sets):
+        raise ValueError("every training set needs at least one trial")
+    geos = [crop_geometry(ts.n_samples, ts.fs, win_s, overlap_s) for ts in sets]
+    if len({geo.width for geo in geos}) > 1:
+        raise ValueError("training sets give crops of different widths")
+    epochs = [t for ts in sets for t in ts.trials]
+    trials = np.zeros((len(epochs), len(sets[0].channel_names), max(ts.n_samples for ts in sets)),
+                      dtype=np.result_type(*{t.data.dtype for t in epochs}))
+    for i, t in enumerate(epochs):
+        trials[i, :, :t.n_samples] = t.data
+    counts = [geo.count for ts, geo in zip(sets, geos) for _ in ts.trials]
+    trial = np.repeat(np.arange(len(epochs)), counts)
+    onset = np.concatenate([np.tile(np.arange(geo.count) * geo.stride, len(ts))
+                            for ts, geo in zip(sets, geos)])
+    label = np.array([t.label for t in epochs], dtype=np.int64)[trial]
+    return CropPool(trials, trial, onset, label, geos[0].width, list(sets[0].channel_names),
+                    list(sets[0].class_names))
+
+
+def scsn_pools(split: Split, cfg: TrainConfig) -> tuple[list[str], dict[str, CropPool]]:
     """Crop every training set and upsample sources to the target's crop
     count with balanced labels. Branch order is the sorted subject list."""
     subjects = sorted(split.train)
-    crops = {s: crop_trialset(split.train[s], cfg.win_s, cfg.overlap_s) for s in subjects}
-    target_n = len(crops[split.target_subject])
-    pools = {}
+    pools = {s: crop_pool([split.train[s]], cfg.win_s, cfg.overlap_s) for s in subjects}
+    target_n = len(pools[split.target_subject])
     for j, s in enumerate(subjects):
-        ts = crops[s]
-        if s != split.target_subject and len(ts) < target_n:
-            ts = balanced_upsample(ts, target_n, upsample_seed(cfg.seed, j))
-        pools[s] = ts
+        if s != split.target_subject and len(pools[s]) < target_n:
+            pools[s] = pools[s].upsampled(target_n, upsample_seed(cfg.seed, j))
     return subjects, pools
 
 
@@ -232,6 +294,49 @@ def _predict_crops(model, branch, trials: TrialSet, win_s: float, overlap_s: flo
 # training
 
 
+def _descend(loss: ad.Tensor, model, state: AdamState, cfg: TrainConfig,
+             where: tuple[int, int]) -> float:
+    """Backpropagate `loss`, take one Adam step and clear the gradients;
+    returns the loss value. `where` is the (epoch, step) an error names."""
+    loss.backward()
+    value = loss.item()
+    _check_finite(value, model.params, *where)
+    adam_step(model.params, _grads_of(model.params), state, cfg)
+    model.params.zero_grad()
+    return value
+
+
+# A step gathers its own batch and returns only the floats the report logs,
+# so its batch, outputs and graph are freed before the next step starts.
+
+
+def _baseline_step(model, state, cfg, where, drop_rng, pool: CropPool, rows
+                   ) -> tuple[float, float]:
+    """One baseline step on the crops `rows` of `pool`: (loss, 0.0)."""
+    x, y = pool.batch(rows)
+    logits = model.forward(x, training=True, dropout_rng=drop_rng)
+    return _descend(ad.softmax_xent(logits, y)[0], model, state, cfg, where), 0.0
+
+
+def _scsn_step(model, state, cfg, where, drop_rng, picks: list[tuple[CropPool, np.ndarray]],
+               mmd_cfg: MmdConfig | None) -> tuple[float, float]:
+    """One SCSN step on the crops `picks` gives each branch: (loss, summed
+    MMD). Without `mmd_cfg` the loss is the cross-entropy alone."""
+    batch = {i: pool.batch(rows) for i, (pool, rows) in enumerate(picks)}
+    out = forward_train(model, batch, dropout_rng=drop_rng)
+    n = len(batch)
+    ce = ad.scale(ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0] for i in range(n)]),
+                  1.0 / n)
+    if mmd_cfg is None:
+        return _descend(ce, model, state, cfg, where), 0.0
+    target = model.cfg.target_index
+    terms = [layered_class_mmd(out[target][1], out[i][1], batch[target][1], batch[i][1],
+                               mmd_cfg)
+             for i in range(n) if i != target]
+    mmd = float(sum(t.item() for t in terms))
+    return _descend(transfer_loss(ce, terms, cfg.lam), model, state, cfg, where), mmd
+
+
 def train(model_kind: str, split: Split, cfg: TrainConfig,
           regime: str = "multi"):
     """Train one decoder on a split and return (model, TrainReport).
@@ -269,29 +374,21 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
     )
     val_y = split.val.labels()[:, None]
     drop_rng = dropout_stream(cfg.seed)
-    mmd_cfg = MmdConfig(lam=cfg.lam, class_matched=cfg.class_matched)
+    mmd_cfg = (MmdConfig(lam=cfg.lam, class_matched=cfg.class_matched)
+               if kind == "scsn_mmd" and cfg.lam > 0 else None)
     report = TrainReport(kind, regime, split.target_subject)
 
     if kind == "baseline":
-        if regime == "single":
-            pool = crop_trialset(split.train[split.target_subject], cfg.win_s, cfg.overlap_s)
-            batch_size = cfg.batch_per_branch
-        else:
-            subjects = sorted(split.train)
-            merged: list = []
-            for s in subjects:
-                merged.extend(crop_trialset(split.train[s], cfg.win_s, cfg.overlap_s).trials)
-            pool = any_train.with_trials(merged)
-            batch_size = cfg.batch_per_branch * len(subjects)
-        x, y = _xy(pool)
-        if len(x) < batch_size:
-            raise ValueError(f"training pool ({len(x)}) is below the batch size ({batch_size})")
+        subjects = [split.target_subject] if regime == "single" else sorted(split.train)
+        pool = crop_pool([split.train[s] for s in subjects], cfg.win_s, cfg.overlap_s)
+        batch_size = cfg.batch_per_branch * len(subjects)
+        if len(pool) < batch_size:
+            raise ValueError(f"training pool ({len(pool)}) is below the batch size ({batch_size})")
         model = build_baseline(base, cfg.seed)
         branch = None
     else:
         subjects, pools = scsn_pools(split, cfg)
         target_idx = subjects.index(split.target_subject)
-        arrays = {s: _xy(pools[s]) for s in subjects}
         model = build_scsn(
             ScsnConfig(base=base, n_subjects=len(subjects), target_index=target_idx,
                        common_fc_dims=tuple(cfg.common_fc_dims),
@@ -299,52 +396,26 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
             cfg.seed)
         branch = target_idx
     state = AdamState(model.params)
-    use_mmd = kind == "scsn_mmd" and cfg.lam > 0
 
     best_acc, best_epoch, best_snapshot = -1.0, 0, model.params.snapshot()
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        step_losses: list[float] = []
-        step_mmds: list[float] = []
+        steps: list[tuple[float, float]] = []
         if kind == "baseline":
-            order = np.random.default_rng(epoch_batch_seed(cfg.seed, epoch)).permutation(len(x))
-            for b in range(len(x) // batch_size):
-                idx = order[b * batch_size:(b + 1) * batch_size]
-                logits = model.forward(x[idx], training=True, dropout_rng=drop_rng)
-                loss, _ = ad.softmax_xent(logits, y[idx])
-                loss.backward()
-                _check_finite(loss.item(), model.params, epoch, b + 1)
-                adam_step(model.params, _grads_of(model.params), state, cfg)
-                model.params.zero_grad()
-                step_losses.append(loss.item())
-                step_mmds.append(0.0)
+            order = np.random.default_rng(epoch_batch_seed(cfg.seed, epoch)).permutation(len(pool))
+            for b in range(len(pool) // batch_size):
+                steps.append(_baseline_step(model, state, cfg, (epoch, b + 1), drop_rng,
+                                            pool, order[b * batch_size:(b + 1) * batch_size]))
         else:
             for step, picks in enumerate(batch_iter(pools, cfg.batch_per_branch,
                                                     epoch_batch_seed(cfg.seed, epoch)),
                                          start=1):
-                batch = {i: (arrays[s][0][picks[s]], arrays[s][1][picks[s]])
-                         for i, s in enumerate(subjects)}
-                out = forward_train(model, batch, dropout_rng=drop_rng)
-                ce = ad.scale(ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0]
-                                        for i in range(len(subjects))]),
-                              1.0 / len(subjects))
-                if use_mmd:
-                    terms = [layered_class_mmd(out[branch][1], out[i][1],
-                                               batch[branch][1], batch[i][1], mmd_cfg)
-                             for i in range(len(subjects)) if i != branch]
-                    loss = transfer_loss(ce, terms, cfg.lam)
-                    step_mmds.append(float(sum(t.item() for t in terms)))
-                else:
-                    loss = ce
-                    step_mmds.append(0.0)
-                loss.backward()
-                _check_finite(loss.item(), model.params, epoch, step)
-                adam_step(model.params, _grads_of(model.params), state, cfg)
-                model.params.zero_grad()
-                step_losses.append(loss.item())
-        if not step_losses:
+                steps.append(_scsn_step(model, state, cfg, (epoch, step), drop_rng,
+                                        [(pools[s], picks[s]) for s in subjects], mmd_cfg))
+        if not steps:
             raise ValueError("no full batch fits the training pools")
 
+        step_losses, step_mmds = zip(*steps)
         report.train_loss.append(float(np.mean(step_losses)))
         report.train_mmd_loss.append(float(np.mean(step_mmds)))
         val_acc = float(np.mean(

@@ -430,6 +430,64 @@ class TestBackward:
         loss.backward()
         np.testing.assert_allclose(w.grad, [4., 8.])
 
+    @staticmethod
+    def _topological(root):
+        order, seen, stack = [], set(), [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if p.requires_grad and id(p) not in seen)
+        return order
+
+    def _backward_keeping_every_grad(self, root):
+        """Oracle: `backward` as it was before it kept gradients on leaves
+        only, storing one on every node it reaches."""
+        grads = {id(root): np.ones(())}
+        for node in reversed(self._topological(root)):
+            gout = grads.pop(id(node), None)
+            if gout is None:
+                continue
+            node.grad = gout.copy() if node.grad is None else node.grad + gout
+            if node._backward is not None:
+                for parent, pgrad in zip(node._parents, node._backward(gout)):
+                    if pgrad is not None and parent.requires_grad:
+                        acc = grads.get(id(parent))
+                        grads[id(parent)] = pgrad if acc is None else acc + pgrad
+
+    def test_only_leaves_keep_gradients(self):
+        rng = np.random.default_rng(12)
+        x = ad.Tensor(rng.normal(size=(3, 2, 20)), requires_grad=True)
+        k = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(4, 3, 2)), requires_grad=True)
+        d = ad.Tensor(rng.normal(size=(2, 4 * 5)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=2), requires_grad=True)
+        leaves = [x, k, w, d, b]
+
+        def loss():
+            h = ad.mean_pool(ad.square(ad.conv_time_space(x, k, w)), 4, 3)
+            logits = ad.dense(ad.reshape(ad.log_clipped(h), (3, 20)), d, b)
+            ce, _ = ad.softmax_xent(logits, np.array([0, 1, 1]))
+            return ad.add(ce, ad.scale(ad.tsum(ad.square(k)), 0.1))  # k used twice
+
+        self._backward_keeping_every_grad(loss())
+        want = [t.grad for t in leaves]
+        for t in leaves:
+            t.zero_grad()
+        root = loss()
+        root.backward()
+        interior = [n for n in self._topological(root) if n._backward is not None]
+        assert len(interior) > 5
+        assert all(n.grad is None for n in interior)
+        for t, ref in zip(leaves, want):
+            assert t.grad.tobytes() == ref.tobytes()
+
     def test_composite_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         x = ad.Tensor(rng.normal(size=(2, 12)), requires_grad=True)

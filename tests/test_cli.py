@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from scsnet import cli
 from scsnet.cli import build_parser, main, read_manifest, replay_args, sha256_file
 from scsnet.datasets import load_trialset
 
@@ -227,6 +228,28 @@ class TestRerun:
         code = main(["rerun", str(manifest), "--out", str(tmp_path / "fresh")])
         assert code == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    def test_inputs_hashed_when_loaded(self, data_dir, tmp_path, monkeypatch, capsys):
+        # a container replaced while training runs: the manifest keeps the
+        # digest of the bytes the model was trained on
+        real_train = cli.train
+        raw = data_dir / "S02_s1.tsc"
+
+        def replacing_train(*args, **kwargs):
+            blob = raw.read_bytes()
+            raw.write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", replacing_train)
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--model", "baseline",
+                     "--regime", "single", *TRAIN_FLAGS, "--out", str(run)]) == 0
+        monkeypatch.setattr(cli, "train", real_train)
+        capsys.readouterr()
+        assert main(["rerun", str(run / "manifest.txt"), "--out", str(tmp_path / "fresh")]) == 1
+        err = capsys.readouterr().err
+        assert f"input differs from the manifest: {raw}" in err
+        assert "S01_s1.tsc" not in err
 
     def test_rerun_checks_inputs_first(self, data_dir, tmp_path, capsys):
         prep = tmp_path / "prep"

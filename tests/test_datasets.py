@@ -9,6 +9,7 @@ from scsnet.datasets import (
     SplitSpec,
     SubjectDataset,
     TrialSet,
+    balanced_duplicates,
     balanced_upsample,
     batch_iter,
     load_trialset,
@@ -264,6 +265,26 @@ class TestBalancedUpsample:
     def test_shrinking_rejected(self):
         with pytest.raises(ValueError):
             balanced_upsample(self._set([4, 4]), 6, seed=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(counts=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           grow=st.integers(0, 12), seed=st.integers(0, 2**16))
+    def test_duplicates_drawn_class_by_class(self, counts, grow, seed):
+        labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(counts)),
+                                                                   counts))
+        names = [f"class{i}" for i in range(len(counts))]
+        target = len(counts) * max(counts) + grow
+        # oracle: one rng.choice per class short of its share, in class order
+        rng = np.random.default_rng(seed)
+        base, remainder = divmod(target, len(counts))
+        want = []
+        for c, have in enumerate(counts):
+            need = base + (c < remainder) - have
+            if need:
+                want.extend(rng.choice(np.flatnonzero(labels == c), size=need, replace=True))
+        got = balanced_duplicates(labels, names, target, seed)
+        np.testing.assert_array_equal(got, np.array(want, dtype=np.int64))
+        assert got.dtype == np.int64
 
 
 class TestBatchIter:

@@ -1,8 +1,21 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scsnet import autodiff as ad
-from scsnet.datasets import Epoch, SplitSpec, TrialSet, make_splits, synth_multisubject
+from scsnet import training
+from scsnet.datasets import (
+    Epoch,
+    SplitSpec,
+    TrialSet,
+    balanced_upsample,
+    make_splits,
+    synth_multisubject,
+)
 from scsnet.mmd import MmdConfig, layered_class_mmd, transfer_loss
 from scsnet.models import (
     BaselineConfig,
@@ -18,12 +31,14 @@ from scsnet.training import (
     ComparisonRow,
     TrainConfig,
     adam_step,
+    crop_pool,
     epoch_batch_seed,
     evaluate,
     negative_transfer_report,
     scsn_pools,
     train,
 )
+from scsnet.preprocessing import crop_trialset
 from scsnet.training import _check_finite, _predict_crops
 
 TINY_ARCH = dict(temporal_filters=4, temporal_kernel=9, pool_width=10, pool_stride=5,
@@ -179,6 +194,119 @@ class TestMmdLogMatchesRecomputation:
             adam_step(model.params, {n: t.grad for n, t in model.params.items()}, state, cfg)
             model.params.zero_grad()
         assert abs(report.train_mmd_loss[0] - float(np.mean(step_mmds))) < 1e-12
+
+
+def labeled_trialset(n_trials, n_channels, n_samples, n_classes=2, fs=10.0, seed=0):
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(n_trials) % n_classes)
+    trials = [Epoch(rng.normal(size=(n_channels, n_samples)).astype(np.float32), int(y), "S",
+                    fs) for y in labels]
+    return TrialSet(trials, [f"c{i}" for i in range(n_channels)], fs,
+                    [f"k{i}" for i in range(n_classes)])
+
+
+class TestCropPool:
+    """Index pools against the cropped TrialSets they replace, bit for bit.
+    At 10 Hz a window of w samples every s samples is w/10 s overlapping
+    the next by (w - s)/10 s."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_trials=st.integers(1, 5), n_channels=st.integers(1, 3),
+           width=st.integers(1, 12), extra=st.integers(0, 20), stride=st.integers(1, 6),
+           n_picks=st.integers(1, 30), seed=st.integers(0, 2**16))
+    @example(n_trials=3, n_channels=2, width=8, extra=0, stride=3, n_picks=5, seed=0)  # 1 crop
+    @example(n_trials=2, n_channels=3, width=6, extra=12, stride=4, n_picks=9, seed=1)  # 4 crops
+    @example(n_trials=4, n_channels=1, width=5, extra=11, stride=3, n_picks=20, seed=2)  # 11 % 3
+    def test_batches_equal_cropped_trialset(self, n_trials, n_channels, width, extra, stride,
+                                            n_picks, seed):
+        ts = labeled_trialset(n_trials, n_channels, width + extra, seed=seed)
+        win_s, overlap_s = width / 10.0, (width - stride) / 10.0
+        pool = crop_pool([ts], win_s, overlap_s)
+        crops = crop_trialset(ts, win_s, overlap_s)
+        picks = np.random.default_rng(seed).integers(len(crops), size=n_picks)
+        x, y = pool.batch(picks)
+        assert (len(pool), pool.n_samples) == (len(crops), crops.n_samples)
+        assert x.dtype == np.float64
+        assert x.tobytes() == crops.data_array(np.float64)[picks].tobytes()
+        np.testing.assert_array_equal(y, crops.labels()[picks])
+        assert pool.data_array().tobytes() == crops.data_array(np.float64).tobytes()
+        np.testing.assert_array_equal(pool.labels(), crops.labels())
+
+    def test_sets_of_different_lengths_concatenate(self):
+        short, long = labeled_trialset(3, 2, 14, seed=3), labeled_trialset(2, 2, 23, seed=4)
+        pool = crop_pool([short, long], 0.8, 0.5)
+        crops = short.with_trials(crop_trialset(short, 0.8, 0.5).trials
+                                  + crop_trialset(long, 0.8, 0.5).trials)
+        assert pool.data_array().tobytes() == crops.data_array(np.float64).tobytes()
+        np.testing.assert_array_equal(pool.labels(), crops.labels())
+
+    def test_mismatched_crop_widths_rejected(self):
+        a, b = labeled_trialset(2, 1, 20), labeled_trialset(2, 1, 40, fs=20.0)
+        with pytest.raises(ValueError, match="different widths"):
+            crop_pool([a, b], 1.0, 0.5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_trials=st.integers(3, 9), n_classes=st.integers(1, 3), grow=st.integers(0, 15),
+           seed=st.integers(0, 2**16))
+    def test_upsampling_matches_balanced_upsample(self, n_trials, n_classes, grow, seed):
+        ts = labeled_trialset(n_trials, 2, 13, n_classes=n_classes, seed=seed)
+        crops = crop_trialset(ts, 0.5, 0.2)  # 3 crops per trial
+        target = n_classes * int(np.bincount(crops.labels()).max()) + grow
+        want = balanced_upsample(crops, target, np.random.SeedSequence(seed))
+        got = crop_pool([ts], 0.5, 0.2).upsampled(target, np.random.SeedSequence(seed))
+        assert got.data_array().tobytes() == want.data_array(np.float64).tobytes()
+        np.testing.assert_array_equal(got.labels(), want.labels())
+
+
+class TestStepMemory:
+    """Training keeps the trial arrays plus one step alive, nothing more."""
+
+    def test_previous_step_graph_is_freed(self, monkeypatch):
+        real = training.forward_train
+        alive, survivors = [], []
+
+        def spy(model, batch, dropout_rng=None):
+            survivors.append(sum(ref() is not None for ref in alive))
+            out = real(model, batch, dropout_rng=dropout_rng)
+            alive[:] = [weakref.ref(t.values) for logits, feats in out.values()
+                        for t in (logits, *feats)]
+            return out
+
+        monkeypatch.setattr(training, "forward_train", spy)
+        train("scsn_mmd", tiny_split(), tiny_cfg(max_epochs=2, patience=2, lam=1.0))
+        assert len(survivors) > 2
+        assert not any(survivors), survivors
+
+    def test_peak_bounded_by_trials_and_one_step(self):
+        # 22 channels, 4 s trials at 100 Hz, 2 s crops every 0.1 s: 21 per trial
+        data = synth_multisubject(3, 2, 16, 22, 100.0, 4.0, 4, 0.5, 5.0, seed=2)
+        split = make_splits(data, SplitSpec("S01", 4, (4, 6), (6, 8)))
+        cfg = tiny_cfg(max_epochs=1, patience=1, lam=1.0, win_s=2.0, overlap_s=1.9)
+        trial_bytes = 4 * sum(ts.data_array(np.float32).size for ts in split.train.values())
+
+        tracemalloc.start()
+        try:
+            model, _ = train("scsn_mmd", split, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        # one step on a batch of the same shape: its batch, graph and gradients
+        subjects, pools = scsn_pools(split, cfg)
+        rows = np.arange(cfg.batch_per_branch)
+        tracemalloc.start()
+        try:
+            batch = {i: pools[s].batch(rows) for i, s in enumerate(subjects)}
+            out = forward_train(model, batch, dropout_rng=np.random.default_rng(0))
+            ce = ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0] for i in batch])
+            terms = [layered_class_mmd(out[0][1], out[i][1], batch[0][1], batch[i][1],
+                                       MmdConfig()) for i in (1, 2)]
+            transfer_loss(ce, terms, 1.0).backward()
+            step = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 1e6  # parameters, Adam moments, validation, interpreter objects
+        assert peak <= trial_bytes + step + slack, (peak, trial_bytes, step)
 
 
 class TestSeparableTask:
