@@ -17,8 +17,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .datasets import SplitSpec, SubjectDataset, load_trialset, make_splits, save_trialset, \
-    synth_multisubject
+from .datasets import SplitSpec, SubjectDataset, load_trialset, make_splits, read_fields, \
+    save_trialset, synth_multisubject
 from .models import load_checkpoint, save_checkpoint
 from .preprocessing import preprocess_trialset
 from .training import ComparisonRow, TrainConfig, evaluate, negative_transfer_report, train
@@ -32,39 +32,24 @@ SUBJECTS_NOTE = "A01,A03,A07,A08,A09"
 # flag parsing helpers
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
+def _checked(convert, bad, problem: str):
+    """A flag type: `convert` the text, then reject a value for which `bad`
+    holds with "<value> <problem>"."""
+    def parse(text: str):
+        value = convert(text)
+        if bad(value):
+            raise argparse.ArgumentTypeError(f"{value} {problem}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names the type
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is negative")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{value} is not positive")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is negative")
-    return value
-
-
-def _unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{value} is outside [0, 1]")
-    return value
+_positive_int = _checked(int, lambda v: v < 1, "is not a positive integer")
+_nonnegative_int = _checked(int, lambda v: v < 0, "is negative")
+_positive_float = _checked(float, lambda v: v <= 0, "is not positive")
+_nonnegative_float = _checked(float, lambda v: v < 0, "is negative")
+_unit_float = _checked(float, lambda v: not 0.0 <= v <= 1.0, "is outside [0, 1]")
 
 
 def _range_pair(text: str) -> tuple[int, int]:
@@ -246,6 +231,7 @@ def cmd_train(ns, parser) -> int:
     datasets, files = _load_subject_datasets(Path(ns.data))
     inputs = [_hashed(path) for path in files]
     split = make_splits(datasets, SplitSpec(ns.target, ns.calib, ns.val, ns.test))
+    del datasets  # sessions the split does not use are freed before training
     n_train = sum(len(ts) for ts in split.train.values())
     print(f"split: train={n_train} val={len(split.val)} test={len(split.test)}")
 
@@ -286,6 +272,7 @@ def cmd_eval(ns, parser) -> int:
     datasets, files = _load_subject_datasets(Path(ns.data))
     inputs += [_hashed(path) for path in files]
     split = make_splits(datasets, SplitSpec(ns.target, ns.calib, ns.val, ns.test))
+    del datasets  # sessions the split does not use are freed before decoding
     branch = model.cfg.target_index if model.kind == "scsn" else None
     crop_acc, trial_acc = evaluate(model, branch, split.test, ns.win, ns.overlap)
     print(f"crop_accuracy={crop_acc!r}")
@@ -299,21 +286,32 @@ def cmd_eval(ns, parser) -> int:
     return 0
 
 
+def _summary_row(path: Path, key: str) -> ComparisonRow:
+    """The comparison row of one run's summary.txt; a malformed summary
+    raises a ValueError naming the file and the field."""
+    fields = read_fields(path.read_text(encoding="utf-8"), path)
+    for name in ("regime", "target_subject", key):
+        if name not in fields:
+            raise ValueError(f"{path}: field {name} is missing")
+    model = fields.get("model_kind", fields.get("model", "unknown")).replace("_", "-")
+    try:
+        return ComparisonRow(model, fields["regime"], fields["target_subject"], float(fields[key]))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err} (regime={fields['regime']!r}, "
+                         f"{key}={fields[key]!r})") from None
+
+
 def cmd_report(ns, parser) -> int:
     out = _out_dir(ns)
+    key = "test_trial_accuracy" if ns.metric == "trial" else "test_crop_accuracy"
     rows = []
     inputs = []
     for run_dir in ns.runs:
         summary = Path(run_dir) / "summary.txt"
         if not summary.exists():
             raise FileNotFoundError(f"run summary not found: {summary}")
-        fields = dict(line.split("=", 1)
-                      for line in summary.read_text(encoding="utf-8").splitlines() if line)
+        rows.append(_summary_row(summary, key))
         inputs.append(_hashed(summary))
-        key = "test_trial_accuracy" if ns.metric == "trial" else "test_crop_accuracy"
-        model = fields.get("model_kind", fields.get("model", "unknown")).replace("_", "-")
-        rows.append(ComparisonRow(model, fields["regime"], fields["target_subject"],
-                                  float(fields[key])))
     table = negative_transfer_report(rows)
     report_csv = out / "report.csv"
     report_csv.write_text(table.to_csv_text(), encoding="utf-8")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sized
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class ContainerFormatError(ValueError):
 
 @dataclass
 class Epoch:
-    """One fixed-length multi-channel trial (or crop) with its label."""
+    """One trial (or crop) with its label: what `crop_trials` takes and returns."""
 
     data: np.ndarray  # [channels, samples]
     label: int
@@ -52,48 +52,46 @@ class Epoch:
 
 @dataclass
 class TrialSet:
-    """A labeled collection of same-shape epochs sharing one channel layout."""
+    """One subject's labeled trials as one [trials, channels, samples] array
+    sharing one channel layout and sampling rate."""
 
-    trials: list[Epoch]
+    data: np.ndarray  # [trials, channels, samples], in the dtype it was given
+    label: np.ndarray  # int64 [trials]
+    subject_id: str
     channel_names: list[str]
     fs: float
     class_names: list[str]
 
     def __post_init__(self):
+        self.data = np.asarray(self.data)
+        self.label = np.asarray(self.label, dtype=np.int64)
+        self.channel_names, self.class_names = list(self.channel_names), list(self.class_names)
+        if self.data.ndim != 3 or self.data.shape[1] != len(self.channel_names):
+            raise ValueError("data must be [trials, channels, samples] over channel_names")
+        if self.label.shape != self.data.shape[:1]:
+            raise ValueError("label must hold one class index per trial")
+        if np.any((self.label < 0) | (self.label >= len(self.class_names))):
+            raise ValueError("labels must index class_names")
         if self.fs <= 0:
             raise ValueError("fs must be positive")
-        n_ch = len(self.channel_names)
-        for t in self.trials:
-            if t.n_channels != n_ch:
-                raise ValueError("trial channel count does not match channel_names")
-            if t.n_samples != self.trials[0].n_samples:
-                raise ValueError("trials must share one samples-per-trial extent")
-            if t.fs != self.fs:
-                raise ValueError("trial fs does not match the set fs")
-            if t.label >= len(self.class_names):
-                raise ValueError("trial label exceeds class_names")
 
     def __len__(self) -> int:
-        return len(self.trials)
+        return len(self.data)
 
     @property
     def n_samples(self) -> int:
-        return self.trials[0].n_samples if self.trials else 0
+        return self.data.shape[2]
 
     def labels(self) -> np.ndarray:
-        return np.array([t.label for t in self.trials], dtype=np.int64)
+        return self.label.copy()
 
     def data_array(self, dtype=np.float64) -> np.ndarray:
-        if not self.trials:
-            return np.zeros((0, len(self.channel_names), 0), dtype=dtype)
-        return np.stack([t.data for t in self.trials]).astype(dtype)
+        return self.data.astype(dtype)
 
     def subset(self, indices) -> "TrialSet":
-        return TrialSet([self.trials[i] for i in indices],
-                        list(self.channel_names), self.fs, list(self.class_names))
-
-    def with_trials(self, trials: list[Epoch]) -> "TrialSet":
-        return TrialSet(trials, list(self.channel_names), self.fs, list(self.class_names))
+        """The rows `indices`; a slice gives views of this set's arrays."""
+        rows = indices if isinstance(indices, slice) else np.asarray(indices, dtype=np.intp)
+        return replace(self, data=self.data[rows], label=self.label[rows])
 
 
 @dataclass
@@ -116,11 +114,7 @@ def _check_name(kind: str, name: str) -> None:
 def save_trialset(trial_set: TrialSet, path) -> None:
     """Write one TrialSet: text header, blank line, uint8 labels, float32
     little-endian payload in [trial][channel][sample] order."""
-    subjects = {t.subject_id for t in trial_set.trials}
-    if len(subjects) > 1:
-        raise ValueError("a container holds trials of a single subject")
-    subject_id = subjects.pop() if subjects else ""
-    _check_name("subject id", subject_id)
+    _check_name("subject id", trial_set.subject_id)
     for name in trial_set.channel_names:
         _check_name("channel name", name)
     for name in trial_set.class_names:
@@ -137,14 +131,25 @@ def save_trialset(trial_set: TrialSet, path) -> None:
         f"n_samples={trial_set.n_samples}\n"
         f"channel_names={','.join(trial_set.channel_names)}\n"
         f"class_names={','.join(trial_set.class_names)}\n"
-        f"subject_id={subject_id}\n"
+        f"subject_id={trial_set.subject_id}\n"
         "\n"
     )
-    payload = trial_set.data_array(dtype=np.float32).astype("<f4")
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(labels.astype(np.uint8).tobytes())
-        fh.write(payload.tobytes())
+        fh.write(np.ascontiguousarray(trial_set.data, dtype="<f4").data)
+
+
+def read_fields(text: str, source, error=ValueError) -> dict[str, str]:
+    """The `name=value` lines of a header or run summary; a non-blank line
+    without `=` raises `error` naming `source` and the line."""
+    fields = {}
+    for line in text.splitlines():
+        name, eq, value = line.partition("=")
+        if line and not eq:
+            raise error(f"{source}: line {line!r} is not name=value")
+        fields[name] = value
+    return fields
 
 
 def _parse_int(fields: dict, key: str) -> int:
@@ -159,6 +164,7 @@ def _parse_int(fields: dict, key: str) -> int:
 
 def load_trialset(path) -> TrialSet:
     """Read a container written by save_trialset; round-trips bit-exactly.
+    The set's data is one read-only float32 array over the payload.
     Non-finite samples are rejected, naming the file and the trial."""
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -170,12 +176,7 @@ def load_trialset(path) -> TrialSet:
     except UnicodeDecodeError:
         raise ContainerFormatError("header is not valid UTF-8") from None
 
-    fields: dict[str, str] = {}
-    for line in header.splitlines():
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ContainerFormatError(f"malformed header line: {line!r}")
-        fields[key] = value
+    fields = read_fields(header, path, ContainerFormatError)
     for key in HEADER_KEYS:
         if key not in fields:
             raise ContainerFormatError(f"missing field {key}")
@@ -196,12 +197,12 @@ def load_trialset(path) -> TrialSet:
         raise ContainerFormatError("field channel_names does not match n_channels")
     subject_id = fields["subject_id"]
 
-    body = blob[sep + 2:]
-    if len(body) < n_trials:
+    start = sep + 2 + n_trials
+    if len(blob) < start:
         raise ContainerFormatError("truncated label block")
-    labels = np.frombuffer(body[:n_trials], dtype=np.uint8)
+    labels = np.frombuffer(blob[sep + 2:start], dtype=np.uint8)
     expected = n_trials * n_channels * n_samples * 4
-    payload = body[n_trials:]
+    payload = blob[start:]
     if len(payload) != expected:
         raise ContainerFormatError(
             f"payload holds {len(payload)} bytes, header implies {expected}")
@@ -213,8 +214,7 @@ def load_trialset(path) -> TrialSet:
     if labels.size and int(labels.max()) >= len(class_names):
         raise ContainerFormatError("label block references a class beyond class_names")
 
-    trials = [Epoch(data[i].copy(), int(labels[i]), subject_id, fs) for i in range(n_trials)]
-    return TrialSet(trials, channel_names, fs, class_names)
+    return TrialSet(data, labels, subject_id, channel_names, fs, class_names)
 
 
 # ---------------------------------------------------------------------------
@@ -282,14 +282,19 @@ def make_splits(datasets: list[SubjectDataset], spec: SplitSpec) -> Split:
                          ("test_range", spec.test_range[1])):
             if hi > limit:
                 raise ValueError(f"{name} exceeds the second session size ({limit})")
-        train[spec.target_subject] = session1.with_trials(
-            session1.trials + session2.trials[:spec.calib_trials])
-        val = session2.subset(range(*spec.val_range))
-        test = session2.subset(range(*spec.test_range))
+        for name in ("channel_names", "fs", "n_samples", "class_names"):
+            if getattr(session2, name) != getattr(session1, name):
+                raise ValueError(f"subject {spec.target_subject!r}: sessions 1 and 2 "
+                                 f"differ in {name}")
+        calib = slice(spec.calib_trials)
+        train[spec.target_subject] = replace(
+            session1, data=np.concatenate([session1.data, session2.data[calib]]),
+            label=np.concatenate([session1.label, session2.label[calib]]))
+        val = session2.subset(slice(*spec.val_range))
+        test = session2.subset(slice(*spec.test_range))
     else:
         train[spec.target_subject] = session1
-        val = session1.with_trials([])
-        test = session1.with_trials([])
+        val, test = session1.subset(slice(0)), session1.subset(slice(0))
     return Split(train, val, test, spec.target_subject)
 
 
@@ -390,16 +395,15 @@ def synth_multisubject(n_subjects: int, n_sessions: int, n_trials: int,
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, s, k)))
             labels = np.tile(np.arange(n_classes), n_trials // n_classes + 1)[:n_trials]
             rng.shuffle(labels)
-            trials = []
-            for label in labels:
+            data = np.empty((n_trials, n_channels, n_samples), dtype=np.float32)
+            for i, label in enumerate(labels):
                 f = freqs[label] + rng.uniform(-0.5, 0.5)
                 phase = rng.uniform(0.0, 2.0 * math.pi)
                 amp = rng.uniform(0.8, 1.2)
                 wave = amp * np.sin(2.0 * math.pi * f * t + phase)
                 clean = mixing @ np.outer(patterns[label], wave)
-                noisy = clean + rng.normal(0.0, noise_sigma, (n_channels, n_samples))
-                trials.append(Epoch(noisy.astype(np.float32), int(label), subject_id, fs))
-            sessions.append(TrialSet(trials, channel_names, fs, class_names))
+                data[i] = clean + rng.normal(0.0, noise_sigma, (n_channels, n_samples))
+            sessions.append(TrialSet(data, labels, subject_id, channel_names, fs, class_names))
         datasets.append(SubjectDataset(subject_id, sessions))
     return datasets
 
@@ -438,8 +442,8 @@ def balanced_duplicates(labels: np.ndarray, class_names: list[str], target_size:
 
 def balanced_upsample(trial_set: TrialSet, target_size: int, seed: int) -> TrialSet:
     """Append the `balanced_duplicates` of a set's trials to it."""
-    extra = balanced_duplicates(trial_set.labels(), trial_set.class_names, target_size, seed)
-    return trial_set.with_trials(list(trial_set.trials) + [trial_set.trials[i] for i in extra])
+    extra = balanced_duplicates(trial_set.label, trial_set.class_names, target_size, seed)
+    return trial_set.subset(np.concatenate([np.arange(len(trial_set)), extra]))
 
 
 def batch_iter(train: dict[str, Sized], batch_per_branch: int, seed: int):

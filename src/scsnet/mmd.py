@@ -41,14 +41,11 @@ class KernelSpec:
 class MmdConfig:
     """Weighting of the discrepancy term across layers and classes."""
 
-    lam: float = 1.0
     layer_weights: tuple[float, ...] = DEFAULT_LAYER_WEIGHTS
     class_matched: bool = True
     kernel: KernelSpec = field(default_factory=KernelSpec)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
         if abs(sum(self.layer_weights) - 1.0) > 1e-9:
             raise ValueError("layer_weights must sum to 1")
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .datasets import read_fields
 from .preprocessing import CropGeometry
 
 CHECKPOINT_VERSION = 1
@@ -395,16 +396,6 @@ def save_checkpoint(model, path, meta: dict[str, str] | None = None) -> None:
             fh.write(tensor.values.astype("<f8").tobytes())
 
 
-def _split_fields(header: str) -> dict[str, str]:
-    fields = {}
-    for line in header.splitlines():
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ValueError(f"malformed checkpoint line: {line!r}")
-        fields[key] = value
-    return fields
-
-
 def load_checkpoint(path):
     """Rebuild the model and the stored metadata from a checkpoint file."""
     with open(path, "rb") as fh:
@@ -412,16 +403,21 @@ def load_checkpoint(path):
     sep = blob.find(b"\n\n")
     if sep < 0:
         raise ValueError("checkpoint header not terminated by a blank line")
-    fields = _split_fields(blob[:sep].decode("utf-8"))
+    fields = read_fields(blob[:sep].decode("utf-8"), path)
     if fields.get("checkpoint_version") != str(CHECKPOINT_VERSION):
         raise ValueError("unsupported checkpoint version")
     meta = {k[len("meta."):]: v for k, v in fields.items() if k.startswith("meta.")}
 
     def read(schema):
-        try:
-            return {name: parse(fields[name]) for name, parse in schema}
-        except KeyError as missing:
-            raise ValueError(f"checkpoint header lacks {missing}") from None
+        values = {}
+        for name, parse in schema:
+            try:
+                values[name] = parse(fields[name])
+            except KeyError:
+                raise ValueError(f"checkpoint header lacks {name!r}") from None
+            except ValueError:
+                raise ValueError(f"{path}: field {name}={fields[name]!r} does not parse") from None
+        return values
 
     base = BaselineConfig(**read(_BASE_FIELDS))
     if fields.get("kind") == "baseline":

@@ -11,7 +11,7 @@ so a sample does not depend on which trials share its block.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import butter, filtfilt, iirnotch
@@ -41,15 +41,13 @@ def bandpass_filter(x: np.ndarray, low: float, high: float, fs: float) -> np.nda
     return filtfilt(b, a, np.asarray(x, dtype=np.float64), axis=-1)
 
 
-def _trial_blocks(trials: list[Epoch]):
-    """Yield (offset, block): consecutive trials stacked into float64
-    [n, channels, samples] blocks of at most _FILTER_BLOCK samples and at
-    least one trial. Only one block is stacked at a time."""
-    if not trials:
-        return
-    per_block = max(1, _FILTER_BLOCK // trials[0].data.size)
-    for lo in range(0, len(trials), per_block):
-        yield lo, np.stack([t.data for t in trials[lo:lo + per_block]], dtype=np.float64)
+def _trial_blocks(data: np.ndarray):
+    """Yield (offset, block): consecutive rows of a [trials, channels,
+    samples] array as float64 blocks of at most _FILTER_BLOCK samples and at
+    least one trial. Only one block is converted at a time."""
+    per_block = max(1, _FILTER_BLOCK // max(1, data.shape[1] * data.shape[2]))
+    for lo in range(0, len(data), per_block):
+        yield lo, data[lo:lo + per_block].astype(np.float64)
 
 
 def _samples(seconds: float, fs: float, what: str) -> int:
@@ -104,10 +102,11 @@ def crop_trials(epoch: Epoch, win_s: float, overlap_s: float) -> list[Epoch]:
 
 def crop_trialset(trial_set: TrialSet, win_s: float, overlap_s: float) -> TrialSet:
     """Crop every trial; output ordered trial-major, then by onset."""
-    crops: list[Epoch] = []
-    for trial in trial_set.trials:
-        crops.extend(crop_trials(trial, win_s, overlap_s))
-    return trial_set.with_trials(crops)
+    geo = crop_geometry(trial_set.n_samples, trial_set.fs, win_s, overlap_s)
+    crops = np.stack([trial_set.data[:, :, i * geo.stride:i * geo.stride + geo.width]
+                      for i in range(geo.count)], axis=1)
+    return replace(trial_set, data=crops.reshape(-1, len(trial_set.channel_names), geo.width),
+                   label=np.repeat(trial_set.label, geo.count))
 
 
 def select_channels(trial_set: TrialSet, names: list[str]) -> TrialSet:
@@ -116,9 +115,7 @@ def select_channels(trial_set: TrialSet, names: list[str]) -> TrialSet:
     if missing:
         raise KeyError(f"unknown channel(s): {', '.join(missing)}")
     idx = [trial_set.channel_names.index(n) for n in names]
-    trials = [Epoch(t.data[idx].copy(), t.label, t.subject_id, t.fs)
-              for t in trial_set.trials]
-    return TrialSet(trials, list(names), trial_set.fs, list(trial_set.class_names))
+    return replace(trial_set, data=trial_set.data[:, idx], channel_names=names)
 
 
 def band_power_map(trial_set: TrialSet, band_low: float, band_high: float
@@ -132,11 +129,11 @@ def band_power_map(trial_set: TrialSet, band_low: float, band_high: float
     """
     if not 0.0 < band_low < band_high or band_high >= trial_set.fs / 2.0:
         raise ValueError("band must lie strictly inside (0, fs/2)")
-    labels = trial_set.labels()
+    labels = trial_set.label
     rows: list[tuple[str, str, float]] = []
     for c, class_name in enumerate(trial_set.class_names):
-        members = [trial_set.trials[i] for i in np.flatnonzero(labels == c)]
-        if not members:
+        members = trial_set.data[labels == c]
+        if not len(members):
             warnings.warn(f"class {class_name!r} has no trials; skipped from band power map")
             continue
         total = np.zeros(len(trial_set.channel_names))
@@ -165,22 +162,20 @@ def preprocess_trialset(trial_set: TrialSet, notch_hz: float | None = 50.0,
     Filtering runs in float64 on blocks of whole trials (at most
     _FILTER_BLOCK samples, at least one trial), each filter designed once
     per block; the results land in one float32 [trials, channels, samples]
-    array at the container precision, and each returned trial holds its
-    row. The outputs equal filtering each trial alone, bit for bit. A trial
-    with a NaN or infinite sample is rejected by index.
+    array at the container precision. The outputs equal filtering each trial
+    alone, bit for bit. A trial with a NaN or infinite sample is rejected by
+    index.
     """
     ts = select_channels(trial_set, channels) if channels else trial_set
-    out = np.empty((len(ts), len(ts.channel_names), ts.n_samples), dtype=np.float32)
-    for lo, block in _trial_blocks(ts.trials):
+    out = np.empty(ts.data.shape, dtype=np.float32)
+    for lo, block in _trial_blocks(ts.data):
         finite = np.isfinite(block).all(axis=(1, 2))
         if not finite.all():
             i = lo + int(np.argmin(finite))
-            raise ValueError(f"trial {i} (subject {ts.trials[i].subject_id!r}) "
-                             "holds non-finite samples")
+            raise ValueError(f"trial {i} (subject {ts.subject_id!r}) holds non-finite samples")
         if notch_hz is not None:
             block = notch_filter(block, notch_hz, ts.fs)
         if band is not None:
             block = bandpass_filter(block, band[0], band[1], ts.fs)
         out[lo:lo + len(block)] = block
-    return ts.with_trials([Epoch(out[i], t.label, t.subject_id, t.fs)
-                           for i, t in enumerate(ts.trials)])
+    return replace(ts, data=out)

@@ -63,7 +63,6 @@ class TrainConfig:
     dropout: float = 0.5
     common_fc_dims: tuple[int, ...] = (128, 128, 128)
     separate_fc_dims: tuple[int, ...] = (64, 64, 64)
-    class_matched: bool = True
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -217,23 +216,28 @@ class CropPool:
 
 def crop_pool(sets: list[TrialSet], win_s: float, overlap_s: float) -> CropPool:
     """Every crop of every trial of `sets`, set by set in `crop_trialset`
-    order, over one array of their trials (shorter trials zero-padded at the
-    end, where no crop reads)."""
+    order. One set's trial array is used as it is; several are concatenated
+    into one array (shorter trials zero-padded at the end, where no crop
+    reads)."""
     if not all(sets):
         raise ValueError("every training set needs at least one trial")
     geos = [crop_geometry(ts.n_samples, ts.fs, win_s, overlap_s) for ts in sets]
     if len({geo.width for geo in geos}) > 1:
         raise ValueError("training sets give crops of different widths")
-    epochs = [t for ts in sets for t in ts.trials]
-    trials = np.zeros((len(epochs), len(sets[0].channel_names), max(ts.n_samples for ts in sets)),
-                      dtype=np.result_type(*{t.data.dtype for t in epochs}))
-    for i, t in enumerate(epochs):
-        trials[i, :, :t.n_samples] = t.data
-    counts = [geo.count for ts, geo in zip(sets, geos) for _ in ts.trials]
-    trial = np.repeat(np.arange(len(epochs)), counts)
+    trials = sets[0].data
+    if len(sets) > 1:
+        trials = np.zeros((sum(map(len, sets)), len(sets[0].channel_names),
+                           max(ts.n_samples for ts in sets)),
+                          dtype=np.result_type(*(ts.data.dtype for ts in sets)))
+        lo = 0
+        for ts in sets:
+            trials[lo:lo + len(ts), :, :ts.n_samples] = ts.data
+            lo += len(ts)
+    counts = np.repeat([geo.count for geo in geos], [len(ts) for ts in sets])
+    trial = np.repeat(np.arange(len(trials)), counts)
     onset = np.concatenate([np.tile(np.arange(geo.count) * geo.stride, len(ts))
                             for ts, geo in zip(sets, geos)])
-    label = np.array([t.label for t in epochs], dtype=np.int64)[trial]
+    label = np.concatenate([ts.label for ts in sets])[trial]
     return CropPool(trials, trial, onset, label, geos[0].width, list(sets[0].channel_names),
                     list(sets[0].class_names))
 
@@ -278,8 +282,7 @@ def _predict_crops(model, branch, trials: TrialSet, win_s: float, overlap_s: flo
     per_chunk = max(1, _INFER_CHUNK // geo.count)
     preds = np.empty((len(trials), geo.count), dtype=np.int64)
     for lo in range(0, len(trials), per_chunk):
-        x = np.stack([t.data[:, :geo.covered] for t in trials.trials[lo:lo + per_chunk]]
-                     ).astype(np.float64)
+        x = trials.data[lo:lo + per_chunk, :, :geo.covered].astype(np.float64)
         if dense:
             probs = forward_infer(model, x, branch, crop_stride=geo.stride)
         else:
@@ -374,8 +377,7 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
     )
     val_y = split.val.labels()[:, None]
     drop_rng = dropout_stream(cfg.seed)
-    mmd_cfg = (MmdConfig(lam=cfg.lam, class_matched=cfg.class_matched)
-               if kind == "scsn_mmd" and cfg.lam > 0 else None)
+    mmd_cfg = MmdConfig() if kind == "scsn_mmd" and cfg.lam > 0 else None
     report = TrainReport(kind, regime, split.target_subject)
 
     if kind == "baseline":

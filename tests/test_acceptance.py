@@ -151,11 +151,8 @@ def test_criterion_3_layer_weighting():
 
 
 def _sessions(subject, sizes):
-    sessions = []
-    for size in sizes:
-        trials = [Epoch(np.zeros((1, 4), dtype=np.float32), i % 2, subject, 100.0)
-                  for i in range(size)]
-        sessions.append(TrialSet(trials, ["c0"], 100.0, ["a", "b"]))
+    sessions = [TrialSet(np.zeros((size, 1, 4), dtype=np.float32), np.arange(size) % 2,
+                         subject, ["c0"], 100.0, ["a", "b"]) for size in sizes]
     return SubjectDataset(subject, sessions)
 
 

@@ -1,5 +1,7 @@
 import argparse
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -128,6 +130,31 @@ class TestTrain:
         for name in ("model.ckpt", "report.csv", "summary.txt", "manifest.txt"):
             assert (out / name).exists()
 
+    def test_sessions_the_split_does_not_use_are_freed(self, data_dir, tmp_path, monkeypatch):
+        # the trial arrays alive when training starts: each source's first
+        # session and the target's second (its validation and test views)
+        loaded, alive = {}, set()
+        real_load, real_train = cli.load_trialset, cli.train
+
+        def load(path):
+            ts = real_load(path)
+            owner = ts.data
+            while isinstance(owner.base, np.ndarray):  # views keep their owner alive
+                owner = owner.base
+            loaded[path.name] = weakref.ref(owner)
+            return ts
+
+        def train(*args, **kwargs):
+            gc.collect()
+            alive.update(name for name, ref in loaded.items() if ref() is not None)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_trialset", load)
+        monkeypatch.setattr(cli, "train", train)
+        assert main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
+                     "--out", str(tmp_path / "run")]) == 0
+        assert alive == {"S01_s2.tsc", "S02_s1.tsc"}
+
     def test_scsn_single_regime_usage_error(self, data_dir, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["train", "--data", str(data_dir), "--model", "scsn",
@@ -189,6 +216,23 @@ class TestEvalAndReport:
         assert abs(delta - (multi_acc - single_acc)) < 1e-12
         mean_row = lines[2].split(",")
         assert mean_row[1] == "mean"
+
+    @pytest.mark.parametrize("lines, field", [
+        (["regime=multi", "target_subject=S01", "stray", "test_trial_accuracy=0.5"], "stray"),
+        (["target_subject=S01", "test_trial_accuracy=0.5"], "regime"),
+        (["regime=multi", "test_trial_accuracy=0.5"], "target_subject"),
+        (["regime=multi", "target_subject=S01", "test_crop_accuracy=0.5"],
+         "test_trial_accuracy"),
+        (["regime=multi", "target_subject=S01", "test_trial_accuracy=high"],
+         "test_trial_accuracy"),
+    ], ids=["no_equals", "no_regime", "no_target", "no_accuracy", "non_numeric"])
+    def test_report_names_file_and_field_of_a_bad_summary(self, tmp_path, capsys, lines, field):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "summary.txt").write_text("\n".join(["model_kind=scsn", *lines]) + "\n")
+        assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 1
+        err = capsys.readouterr().err
+        assert str(run / "summary.txt") in err and field in err, err
 
 
 class TestRerun:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 
 from scsnet.datasets import (
     ContainerFormatError,
-    Epoch,
     SplitSpec,
     SubjectDataset,
     TrialSet,
@@ -23,11 +24,38 @@ from scsnet.datasets import (
 def random_trialset(seed=0, n_trials=6, n_channels=3, n_samples=10, n_classes=2,
                     subject="S01", fs=250.0):
     rng = np.random.default_rng(seed)
-    trials = [Epoch(rng.normal(size=(n_channels, n_samples)).astype(np.float32),
-                    int(rng.integers(n_classes)), subject, fs)
-              for _ in range(n_trials)]
-    return TrialSet(trials, [f"ch{i}" for i in range(n_channels)], fs,
+    data = rng.normal(size=(n_trials, n_channels, n_samples)).astype(np.float32)
+    return TrialSet(data, rng.integers(n_classes, size=n_trials), subject,
+                    [f"ch{i}" for i in range(n_channels)], fs,
                     [f"class{i}" for i in range(n_classes)])
+
+
+class TestTrialSet:
+    def test_rejects_inconsistent_fields(self):
+        ok = dict(data=np.zeros((3, 2, 5), np.float32), label=[0, 1, 0], subject_id="S",
+                  channel_names=["a", "b"], fs=10.0, class_names=["x", "y"])
+        TrialSet(**ok)
+        for bad, match in ((dict(data=np.zeros((2, 5))), "trials, channels, samples"),
+                           (dict(channel_names=["a"]), "channel_names"),
+                           (dict(label=[0, 1]), "one class index per trial"),
+                           (dict(label=[0, 2, 0]), "class_names"),
+                           (dict(label=[0, -1, 0]), "class_names"),
+                           (dict(fs=0.0), "fs")):
+            with pytest.raises(ValueError, match=match):
+                TrialSet(**{**ok, **bad})
+
+    def test_keeps_the_given_dtype_and_subsets_rows(self):
+        ts = random_trialset(n_trials=5)
+        assert ts.data.dtype == np.float32 and ts.label.dtype == np.int64
+        assert ts.data_array().dtype == np.float64
+        part = ts.subset([3, 1])
+        np.testing.assert_array_equal(part.data, ts.data[[3, 1]])
+        np.testing.assert_array_equal(part.labels(), ts.labels()[[3, 1]])
+        assert (part.subject_id, part.n_samples) == (ts.subject_id, ts.n_samples)
+        assert len(ts.subset([])) == 0 and ts.subset(range(0)).n_samples == ts.n_samples
+        view = ts.subset(slice(1, 4))
+        np.testing.assert_array_equal(view.labels(), ts.labels()[1:4])
+        assert np.shares_memory(view.data, ts.data)
 
 
 class TestContainer:
@@ -41,7 +69,8 @@ class TestContainer:
         assert back.fs == ts.fs
         np.testing.assert_array_equal(back.labels(), ts.labels())
         np.testing.assert_array_equal(back.data_array(np.float32), ts.data_array(np.float32))
-        assert all(t.subject_id == "S01" for t in back.trials)
+        assert back.subject_id == "S01"
+        assert back.data.dtype == np.float32 and back.data.shape == ts.data.shape
 
     def test_double_round_trip_bytes(self, tmp_path):
         ts = random_trialset(seed=2)
@@ -73,7 +102,7 @@ class TestContainer:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected(self, tmp_path, bad):
         ts = random_trialset(seed=3)
-        ts.trials[4].data[1, 7] = bad
+        ts.data[4, 1, 7] = bad
         path = tmp_path / "set.tsc"
         save_trialset(ts, path)
         with pytest.raises(ContainerFormatError, match=r"set\.tsc: trial 4 "):
@@ -108,22 +137,17 @@ class TestContainer:
         with pytest.raises(ContainerFormatError, match="class_names"):
             load_trialset(path)
 
-    def test_mixed_subjects_rejected(self, tmp_path):
-        ts = random_trialset()
-        ts.trials[0].subject_id = "OTHER"
-        with pytest.raises(ValueError):
-            save_trialset(ts, tmp_path / "bad.tsc")
-
 
 def subjects_with_sessions(spec):
-    """spec: list of (subject_id, [session_sizes])."""
+    """spec: list of (subject_id, [session_sizes]). Every sample of trial i
+    of session k holds 1000 * k + i."""
     out = []
     for subject, sizes in spec:
         sessions = []
-        for size in sizes:
-            trials = [Epoch(np.zeros((1, 4), dtype=np.float32), i % 2, subject, 100.0)
-                      for i in range(size)]
-            sessions.append(TrialSet(trials, ["c0"], 100.0, ["a", "b"]))
+        for k, size in enumerate(sizes):
+            data = np.repeat(1000.0 * k + np.arange(size, dtype=np.float32), 4).reshape(size, 1, 4)
+            sessions.append(TrialSet(data, np.arange(size) % 2, subject, ["c0"], 100.0,
+                                     ["a", "b"]))
         out.append(SubjectDataset(subject, sessions))
     return out
 
@@ -153,11 +177,25 @@ class TestMakeSplits:
     def test_partitions_disjoint_and_cover(self):
         datasets = subjects_with_sessions([("T", [8, 20]), ("S", [8])])
         split = make_splits(datasets, SplitSpec("T", 5, (5, 9), (9, 20)))
-        session2 = datasets[0].sessions[1].trials
-        calib = split.train["T"].trials[8:]
-        picked = calib + split.val.trials + split.test.trials
-        assert len(picked) == len({id(t) for t in picked}) == 20
-        assert {id(t) for t in picked} == {id(t) for t in session2}
+        session1, session2 = datasets[0].sessions
+        np.testing.assert_array_equal(split.train["T"].data[:8], session1.data)
+        picked = np.concatenate([split.train["T"].data[8:], split.val.data, split.test.data])
+        np.testing.assert_array_equal(picked, session2.data)
+        picked_labels = np.concatenate([split.train["T"].labels()[8:], split.val.labels(),
+                                        split.test.labels()])
+        np.testing.assert_array_equal(picked_labels, session2.labels())
+
+    @pytest.mark.parametrize("field, value", [("channel_names", ["c1"]), ("fs", 50.0),
+                                              ("n_samples", 5), ("class_names", ["a", "c"])])
+    def test_session_layout_mismatch_named(self, field, value):
+        datasets = subjects_with_sessions([("T", [8, 20]), ("S", [8])])
+        second = datasets[0].sessions[1]
+        if field == "n_samples":
+            datasets[0].sessions[1] = replace(second, data=np.zeros((20, 1, value), np.float32))
+        else:
+            datasets[0].sessions[1] = replace(second, **{field: value})
+        with pytest.raises(ValueError, match=f"subject 'T': sessions 1 and 2 differ in {field}"):
+            make_splits(datasets, SplitSpec("T", 5, (5, 9), (9, 20)))
 
     def test_range_overflow(self):
         datasets = subjects_with_sessions([("T", [8, 20])])
@@ -193,7 +231,8 @@ class TestSynth:
             assert len(ds.sessions) == 2
             for session in ds.sessions:
                 assert len(session) == 10
-                assert session.trials[0].data.shape == (6, 256)
+                assert session.data.shape == (10, 6, 256)
+                assert session.data.dtype == np.float32
 
     def test_zero_shift_mixing_is_identity(self):
         for s in range(4):
@@ -220,12 +259,9 @@ class TestSynth:
 class TestBalancedUpsample:
     def _set(self, counts, seed=0):
         rng = np.random.default_rng(seed)
-        trials = []
-        for label, n in enumerate(counts):
-            for _ in range(n):
-                trials.append(Epoch(rng.normal(size=(1, 5)).astype(np.float32),
-                                    label, "S01", 100.0))
-        return TrialSet(trials, ["c0"], 100.0, [f"class{i}" for i in range(len(counts))])
+        data = rng.normal(size=(sum(counts), 1, 5)).astype(np.float32)
+        return TrialSet(data, np.repeat(np.arange(len(counts)), counts), "S01", ["c0"], 100.0,
+                        [f"class{i}" for i in range(len(counts))])
 
     def test_even_growth(self):
         out = balanced_upsample(self._set([10, 10]), 60, seed=1)
@@ -235,7 +271,8 @@ class TestBalancedUpsample:
     def test_already_balanced_unchanged(self):
         ts = self._set([5, 5])
         out = balanced_upsample(ts, 10, seed=2)
-        assert [id(t) for t in out.trials] == [id(t) for t in ts.trials]
+        assert out.data.tobytes() == ts.data.tobytes()
+        np.testing.assert_array_equal(out.labels(), ts.labels())
 
     def test_counting_argument(self):
         ts = self._set([7, 3])
@@ -243,13 +280,13 @@ class TestBalancedUpsample:
         counts = np.bincount(out.labels())
         np.testing.assert_array_equal(counts, [10, 10])
         # originals kept, then 3 class-0 and 7 class-1 duplicates
-        assert [id(t) for t in out.trials[:10]] == [id(t) for t in ts.trials]
+        assert out.data[:10].tobytes() == ts.data.tobytes()
 
     def test_never_fabricates(self):
         ts = self._set([4, 7, 2], seed=4)
         out = balanced_upsample(ts, 30, seed=5)
-        originals = {t.data.tobytes() for t in ts.trials}
-        assert all(t.data.tobytes() in originals for t in out.trials)
+        originals = {(row.tobytes(), label) for row, label in zip(ts.data, ts.label)}
+        assert all((row.tobytes(), label) in originals for row, label in zip(out.data, out.label))
 
     def test_deterministic(self):
         ts = self._set([4, 7, 2], seed=6)

@@ -244,8 +244,6 @@ class TestTransferLoss:
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        MmdConfig(lam=-1.0)
-    with pytest.raises(ValueError):
         MmdConfig(layer_weights=(0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         KernelSpec(bandwidth_rule=FIXED)

@@ -334,7 +334,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("corrupt", ["duplicate_block", "trailing_line"])
+    @pytest.mark.parametrize("corrupt", ["duplicate_block", "trailing_line", "header_value"])
     def test_malformed_blocks_rejected(self, tmp_path, corrupt):
         model = build_baseline(TINY, seed=17)
         path = tmp_path / "model.ckpt"
@@ -350,10 +350,13 @@ class TestCheckpoint:
                 blocks.append(blob[offset:end])
                 offset = end
             blob = header + b"".join([blocks[-1]] + blocks[1:])
+        elif corrupt == "header_value":
+            blob = blob.replace(b"\ntemporal_filters=", b"\ntemporal_filters=x", 1)
         else:
             blob += b"a=b\n"
         path.write_bytes(blob)
-        with pytest.raises(ValueError):
+        match = "temporal_filters='x" if corrupt == "header_value" else None
+        with pytest.raises(ValueError, match=match):
             load_checkpoint(path)
 
     def test_non_finite_parameter_rejected(self, tmp_path):

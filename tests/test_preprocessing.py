@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -169,10 +170,9 @@ class TestCrops:
 def _trialset(n_channels=4, names=None, fs=250.0, trials=3, label_fn=None, seed=0):
     rng = np.random.default_rng(seed)
     names = names or [f"ch{i}" for i in range(n_channels)]
-    eps = [Epoch(rng.normal(size=(len(names), 100)).astype(np.float32),
-                 label_fn(i) if label_fn else 0, "S01", fs)
-           for i in range(trials)]
-    return TrialSet(eps, names, fs, ["a", "b"])
+    data = rng.normal(size=(trials, len(names), 100)).astype(np.float32)
+    labels = [label_fn(i) if label_fn else 0 for i in range(trials)]
+    return TrialSet(data, labels, "S01", names, fs, ["a", "b"])
 
 
 class TestSelectChannels:
@@ -180,7 +180,7 @@ class TestSelectChannels:
         ts = _trialset()
         out = select_channels(ts, ts.channel_names)
         assert out.channel_names == ts.channel_names
-        np.testing.assert_array_equal(out.trials[0].data, ts.trials[0].data)
+        np.testing.assert_array_equal(out.data, ts.data)
 
     def test_motor_cortex_channel_subset(self):
         motor = ["FC1", "FC2", "C3", "C4", "CP5", "CP1", "CP2", "CP6", "P3", "Pz", "P4"]
@@ -188,12 +188,12 @@ class TestSelectChannels:
         ts = _trialset(names=all_names)
         out = select_channels(ts, motor)
         assert out.channel_names == motor
-        assert out.trials[0].data.shape[0] == 11
+        assert out.data.shape == (3, 11, 100)
 
     def test_single_channel_projection(self):
         ts = _trialset(names=["Fz", "C3", "Pz"])
         out = select_channels(ts, ["C3"])
-        np.testing.assert_array_equal(out.trials[0].data[0], ts.trials[0].data[1])
+        np.testing.assert_array_equal(out.data[:, 0], ts.data[:, 1])
 
     def test_unknown_channel_named(self):
         ts = _trialset(names=["Fz", "C3"])
@@ -205,7 +205,7 @@ class TestSelectChannels:
         nested = select_channels(select_channels(ts, ["d", "b", "a"]), ["b", "a"])
         direct = select_channels(ts, ["b", "a"])
         assert nested.channel_names == direct.channel_names
-        np.testing.assert_array_equal(nested.trials[0].data, direct.trials[0].data)
+        np.testing.assert_array_equal(nested.data, direct.data)
 
 
 class TestBandPower:
@@ -213,13 +213,9 @@ class TestBandPower:
         fs = 250.0
         t = np.arange(500) / fs
         rng = np.random.default_rng(1)
-        trials = []
-        for i in range(8):
-            data = rng.normal(scale=0.05, size=(3, 500))
-            if i % 2 == 0:
-                data[1] += amp * np.sin(2 * np.pi * 10.0 * t)  # tone on C3 for class 0
-            trials.append(Epoch(data, i % 2, "S01", fs))
-        return TrialSet(trials, ["Cz", "C3", "C4"], fs, ["tone", "rest"])
+        data = rng.normal(scale=0.05, size=(8, 3, 500))
+        data[::2, 1] += amp * np.sin(2 * np.pi * 10.0 * t)  # tone on C3 for class 0
+        return TrialSet(data, np.arange(8) % 2, "S01", ["Cz", "C3", "C4"], fs, ["tone", "rest"])
 
     def test_injected_tone_dominates(self):
         rows = band_power_map(self._toned_set(), 8.0, 30.0)
@@ -229,8 +225,7 @@ class TestBandPower:
 
     def test_doubling_adds_six_db(self):
         ts = self._toned_set()
-        doubled = ts.with_trials([Epoch(t.data * 2.0, t.label, t.subject_id, t.fs)
-                                  for t in ts.trials])
+        doubled = replace(ts, data=ts.data * 2.0)
         base = band_power_map(ts, 8.0, 30.0)
         loud = band_power_map(doubled, 8.0, 30.0)
         for (_, _, p0), (_, _, p1) in zip(base, loud):
@@ -239,9 +234,9 @@ class TestBandPower:
     def test_identical_classes_identical_maps(self):
         fs = 250.0
         rng = np.random.default_rng(2)
-        block = [Epoch(rng.normal(size=(2, 500)), 0, "S01", fs) for _ in range(5)]
-        mirrored = [Epoch(e.data.copy(), 1, "S01", fs) for e in block]
-        ts = TrialSet(block + mirrored, ["c0", "c1"], fs, ["x", "y"])
+        block = rng.normal(size=(5, 2, 500))
+        ts = TrialSet(np.concatenate([block, block]), [0] * 5 + [1] * 5, "S01", ["c0", "c1"],
+                      fs, ["x", "y"])
         rows = band_power_map(ts, 8.0, 30.0)
         by_class = {}
         for cls, ch, p in rows:
@@ -266,17 +261,27 @@ class TestBandPower:
 
 def test_crop_trialset_order():
     fs = 250.0
-    eps = [Epoch(np.full((1, 1000), float(i)), 0, "S01", fs) for i in range(3)]
-    ts = TrialSet(eps, ["c"], fs, ["a"])
+    ts = TrialSet(np.repeat(np.arange(3.0), 1000).reshape(3, 1, 1000), [0, 0, 0], "S01", ["c"],
+                  fs, ["a"])
     crops = crop_trialset(ts, 2.0, 1.9)
     assert len(crops) == 63
-    assert [c.data[0, 0] for c in crops.trials[:21]] == [0.0] * 21
+    assert list(crops.data[:21, 0, 0]) == [0.0] * 21
+
+
+def test_crop_trialset_matches_crop_trials():
+    ts = _trialset(n_channels=2, trials=3, label_fn=lambda i: i % 2)
+    crops = crop_trialset(ts, 0.2, 0.1)  # 50 samples every 25: 3 crops per trial
+    want = [c for row, label in zip(ts.data, ts.label)
+            for c in crop_trials(Epoch(row, int(label), ts.subject_id, ts.fs), 0.2, 0.1)]
+    assert len(crops) == len(want) == 9
+    assert crops.data.tobytes() == np.stack([c.data for c in want]).tobytes()
+    np.testing.assert_array_equal(crops.labels(), [c.label for c in want])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_preprocess_rejects_non_finite_trial(bad):
     ts = _trialset(trials=4)
-    ts.trials[2].data[1, 50] = bad
+    ts.data[2, 1, 50] = bad
     with pytest.raises(ValueError, match="trial 2 "):
         preprocess_trialset(ts, notch_hz=50.0, band=(1.0, 40.0))
 
@@ -286,8 +291,8 @@ def per_trial_preprocess(trial_set, notch_hz, band, channels):
     designed for that trial), then cast to float32."""
     ts = select_channels(trial_set, channels) if channels else trial_set
     out = []
-    for trial in ts.trials:
-        data = trial.data.astype(np.float64)
+    for trial in ts.data:
+        data = trial.astype(np.float64)
         if notch_hz is not None:
             data = notch_filter(data, notch_hz, ts.fs)
         if band is not None:
@@ -298,9 +303,9 @@ def per_trial_preprocess(trial_set, notch_hz, band, channels):
 
 def _session(trials, channels=3, samples=120, fs=FS, seed=0):
     rng = np.random.default_rng(seed)
-    eps = [Epoch((rng.normal(size=(channels, samples)) * 10.0).astype(np.float32),
-                 i % 2, "S03", fs) for i in range(trials)]
-    return TrialSet(eps, [f"ch{i}" for i in range(channels)], fs, ["a", "b"])
+    data = (rng.normal(size=(trials, channels, samples)) * 10.0).astype(np.float32)
+    return TrialSet(data, np.arange(trials) % 2, "S03", [f"ch{i}" for i in range(channels)],
+                    fs, ["a", "b"])
 
 
 class TestBlockFiltering:
@@ -331,10 +336,11 @@ class TestBlockFiltering:
         want = per_trial_preprocess(ts, notch, band, names)
         assert got.channel_names == (names or ts.channel_names)
         assert len(got) == trials
-        for g, w, t in zip(got.trials, want, ts.trials):
-            assert g.data.dtype == np.float32
-            assert g.data.tobytes() == w.tobytes()
-            assert (g.label, g.subject_id, g.fs) == (t.label, t.subject_id, t.fs)
+        assert got.data.dtype == np.float32
+        for g, w in zip(got.data, want):
+            assert g.tobytes() == w.tobytes()
+        np.testing.assert_array_equal(got.labels(), ts.labels())
+        assert (got.subject_id, got.fs) == (ts.subject_id, ts.fs)
 
     @pytest.mark.parametrize("design", ["butter", "iirnotch"])
     def test_one_filter_design_per_block(self, design):
@@ -363,14 +369,15 @@ class TestBlockFiltering:
         want = []
         for c in range(2):
             total = np.zeros(3)
-            members = [t for t, lab in zip(ts.trials, labels) if lab == c]
+            members = [t for t, lab in zip(ts.data, labels) if lab == c]
             for t in members:
-                total += np.mean(bandpass_filter(t.data, 8.0, 30.0, ts.fs) ** 2, axis=1)
+                total += np.mean(bandpass_filter(t, 8.0, 30.0, ts.fs) ** 2, axis=1)
             want.extend(10.0 * np.log10(total / len(members)))
         assert [p for _, _, p in rows] == [float(w) for w in want]
 
     def test_empty_set_comes_back_empty(self):
-        empty = TrialSet([], ["c0", "c1", "c2"], FS, ["a", "b"])
+        empty = TrialSet(np.zeros((0, 3, 100), np.float32), [], "S01", ["c0", "c1", "c2"], FS,
+                         ["a", "b"])
         out = preprocess_trialset(empty, notch_hz=50.0, band=(1.0, 40.0))
         assert len(out) == 0
         assert (out.channel_names, out.fs, out.class_names) == (["c0", "c1", "c2"], FS,
@@ -379,7 +386,7 @@ class TestBlockFiltering:
 
     def test_non_finite_trial_in_a_later_block_is_named(self):
         ts = _session(7, channels=2, samples=100)
-        ts.trials[5].data[1, 7] = np.nan
+        ts.data[5, 1, 7] = np.nan
         with mock.patch.object(preprocessing, "_FILTER_BLOCK", 2 * 2 * 100), \
                 pytest.raises(ValueError, match=r"trial 5 \(subject 'S03'\)"):
             preprocess_trialset(ts, notch_hz=50.0, band=(1.0, 40.0))

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from scsnet import autodiff as ad
 from scsnet import training
 from scsnet.datasets import (
-    Epoch,
     SplitSpec,
+    SubjectDataset,
     TrialSet,
     balanced_upsample,
+    load_trialset,
     make_splits,
+    save_trialset,
     synth_multisubject,
 )
 from scsnet.mmd import MmdConfig, layered_class_mmd, transfer_loss
@@ -175,7 +177,7 @@ class TestMmdLogMatchesRecomputation:
                                       separate_fc_dims=cfg.separate_fc_dims), cfg.seed)
         state = AdamState(model.params)
         arrays = {s: (pools[s].data_array(np.float64), pools[s].labels()) for s in subjects}
-        mmd_cfg = MmdConfig(lam=cfg.lam)
+        mmd_cfg = MmdConfig()
         from scsnet.datasets import batch_iter
 
         step_mmds = []
@@ -199,9 +201,8 @@ class TestMmdLogMatchesRecomputation:
 def labeled_trialset(n_trials, n_channels, n_samples, n_classes=2, fs=10.0, seed=0):
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.arange(n_trials) % n_classes)
-    trials = [Epoch(rng.normal(size=(n_channels, n_samples)).astype(np.float32), int(y), "S",
-                    fs) for y in labels]
-    return TrialSet(trials, [f"c{i}" for i in range(n_channels)], fs,
+    data = rng.normal(size=(n_trials, n_channels, n_samples)).astype(np.float32)
+    return TrialSet(data, labels, "S", [f"c{i}" for i in range(n_channels)], fs,
                     [f"k{i}" for i in range(n_classes)])
 
 
@@ -235,10 +236,10 @@ class TestCropPool:
     def test_sets_of_different_lengths_concatenate(self):
         short, long = labeled_trialset(3, 2, 14, seed=3), labeled_trialset(2, 2, 23, seed=4)
         pool = crop_pool([short, long], 0.8, 0.5)
-        crops = short.with_trials(crop_trialset(short, 0.8, 0.5).trials
-                                  + crop_trialset(long, 0.8, 0.5).trials)
-        assert pool.data_array().tobytes() == crops.data_array(np.float64).tobytes()
-        np.testing.assert_array_equal(pool.labels(), crops.labels())
+        crops = [crop_trialset(ts, 0.8, 0.5) for ts in (short, long)]
+        want = np.concatenate([c.data_array(np.float64) for c in crops])
+        assert pool.data_array().tobytes() == want.tobytes()
+        np.testing.assert_array_equal(pool.labels(), np.concatenate([c.labels() for c in crops]))
 
     def test_mismatched_crop_widths_rejected(self):
         a, b = labeled_trialset(2, 1, 20), labeled_trialset(2, 1, 40, fs=20.0)
@@ -256,6 +257,25 @@ class TestCropPool:
         got = crop_pool([ts], 0.5, 0.2).upsampled(target, np.random.SeedSequence(seed))
         assert got.data_array().tobytes() == want.data_array(np.float64).tobytes()
         np.testing.assert_array_equal(got.labels(), want.labels())
+
+
+class TestPoolsShareLoadedTrials:
+    def test_source_pools_index_the_loaded_sessions(self, tmp_path):
+        datasets = []
+        for ds in synth_multisubject(3, 2, 12, 3, 64.0, 1.0, 2, 0.5, 5.0, seed=4):
+            sessions = []
+            for k, session in enumerate(ds.sessions):
+                save_trialset(session, tmp_path / f"{ds.subject_id}_s{k}.tsc")
+                sessions.append(load_trialset(tmp_path / f"{ds.subject_id}_s{k}.tsc"))
+            datasets.append(SubjectDataset(ds.subject_id, sessions))
+        loaded = datasets[1].sessions[0]
+        assert loaded.data.shape == (12, 3, 64) and loaded.data.flags.c_contiguous
+        split = make_splits(datasets, SplitSpec("S01", 4, (4, 8), (8, 12)))
+        subjects, pools = scsn_pools(split, tiny_cfg(win_s=0.5, overlap_s=0.25))
+        for s in subjects:
+            assert np.shares_memory(pools[s].trials, split.train[s].data), s
+            if s != "S01":
+                assert split.train[s] is datasets[subjects.index(s)].sessions[0]
 
 
 class TestStepMemory:
@@ -344,9 +364,8 @@ class TestEvaluate:
     def _test_set(self, labels, fs=64.0, seconds=1.0, n_channels=2):
         rng = np.random.default_rng(0)
         n = int(fs * seconds)
-        trials = [Epoch(rng.normal(size=(n_channels, n)).astype(np.float32), int(l), "S", fs)
-                  for l in labels]
-        return TrialSet(trials, [f"c{i}" for i in range(n_channels)], fs,
+        data = rng.normal(size=(len(labels), n_channels, n)).astype(np.float32)
+        return TrialSet(data, labels, "S", [f"c{i}" for i in range(n_channels)], fs,
                         [f"k{i}" for i in range(4)])
 
     def test_constant_predictor_on_matching_labels(self):
@@ -373,7 +392,7 @@ class TestEvaluate:
 
     def test_empty_test_rejected(self):
         test = self._test_set([0])
-        empty = test.with_trials([])
+        empty = test.subset([])
         with pytest.raises(ValueError):
             evaluate(self._const_model(), None, empty, 1.0, 0.5)
 
@@ -408,9 +427,9 @@ class TestDenseEvaluate:
 
     def _trials(self, n):
         rng = np.random.default_rng(5)
-        trials = [Epoch(rng.normal(size=(3, self.SAMPLES)).astype(np.float32), i % 4, "S",
-                        self.FS) for i in range(n)]
-        return TrialSet(trials, ["a", "b", "c"], self.FS, [f"k{i}" for i in range(4)])
+        data = rng.normal(size=(n, 3, self.SAMPLES)).astype(np.float32)
+        return TrialSet(data, np.arange(n) % 4, "S", ["a", "b", "c"], self.FS,
+                        [f"k{i}" for i in range(4)])
 
     def test_matches_per_crop_predictions_across_chunks(self):
         class CropsOnly:  # exposes predict_proba alone, so it is given crops
@@ -447,8 +466,7 @@ class TestDenseEvaluate:
 class TestNonFinite:
     def test_nan_training_data_aborts_with_epoch_and_step(self):
         split = tiny_split()
-        for trial in split.train["S01"].trials:
-            trial.data[0, 3] = np.nan
+        split.train["S01"].data[:, 0, 3] = np.nan
         with pytest.raises(FloatingPointError, match="epoch 1, step 1: non-finite loss"):
             train("scsn", split, tiny_cfg())
 
