@@ -20,8 +20,6 @@ from .datasets import (
     synth_multisubject,
 )
 from .mmd import (
-    KernelSpec,
-    MmdConfig,
     bandwidth_mean_l2,
     layered_class_mmd,
     mmd2_biased,
@@ -64,8 +62,7 @@ __all__ = [
     "ContainerFormatError", "Epoch", "Split", "SplitSpec", "SubjectDataset", "TrialSet",
     "balanced_upsample", "batch_iter", "load_trialset", "make_splits", "save_trialset",
     "synth_multisubject",
-    "KernelSpec", "MmdConfig", "bandwidth_mean_l2", "layered_class_mmd", "mmd2_biased",
-    "transfer_loss",
+    "bandwidth_mean_l2", "layered_class_mmd", "mmd2_biased", "transfer_loss",
     "BaselineConfig", "ScsnConfig", "build_baseline", "build_scsn", "forward_infer",
     "forward_train", "load_checkpoint", "save_checkpoint",
     "band_power_map", "bandpass_filter", "crop_trials", "crop_trialset", "notch_filter",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import shlex
 import sys
@@ -47,8 +48,10 @@ def _checked(convert, bad, problem: str):
 
 _positive_int = _checked(int, lambda v: v < 1, "is not a positive integer")
 _nonnegative_int = _checked(int, lambda v: v < 0, "is negative")
-_positive_float = _checked(float, lambda v: v <= 0, "is not positive")
-_nonnegative_float = _checked(float, lambda v: v < 0, "is negative")
+_positive_float = _checked(float, lambda v: not (math.isfinite(v) and v > 0),
+                           "is not finite and positive")
+_nonnegative_float = _checked(float, lambda v: not (math.isfinite(v) and v >= 0),
+                              "is not finite and nonnegative")
 _unit_float = _checked(float, lambda v: not 0.0 <= v <= 1.0, "is outside [0, 1]")
 
 
@@ -223,6 +226,16 @@ def cmd_preprocess(ns, parser) -> int:
     return 0
 
 
+def _train_config(ns, seed: int) -> TrainConfig:
+    return TrainConfig(
+        lr=ns.lr, max_epochs=ns.epochs, patience=ns.patience,
+        lam=getattr(ns, "lambda"), batch_per_branch=ns.batch,
+        win_s=ns.win, overlap_s=ns.overlap, seed=seed,
+        temporal_filters=ns.temporal_filters, temporal_kernel=ns.temporal_kernel,
+        pool_width=ns.pool_width, pool_stride=ns.pool_stride, dropout=ns.dropout,
+        common_fc_dims=ns.common_dims, separate_fc_dims=ns.separate_dims)
+
+
 def cmd_train(ns, parser) -> int:
     if ns.model in ("scsn", "scsn-mmd") and ns.regime == "single":
         parser.error("multi-branch models require --regime multi (need at least 2 subjects)")
@@ -235,14 +248,8 @@ def cmd_train(ns, parser) -> int:
     n_train = sum(len(ts) for ts in split.train.values())
     print(f"split: train={n_train} val={len(split.val)} test={len(split.test)}")
 
-    cfg = TrainConfig(
-        lr=ns.lr, max_epochs=ns.epochs, patience=ns.patience,
-        lam=getattr(ns, "lambda"), batch_per_branch=ns.batch,
-        win_s=ns.win, overlap_s=ns.overlap, seed=seed,
-        temporal_filters=ns.temporal_filters, temporal_kernel=ns.temporal_kernel,
-        pool_width=ns.pool_width, pool_stride=ns.pool_stride, dropout=ns.dropout,
-        common_fc_dims=ns.common_dims, separate_fc_dims=ns.separate_dims)
-    model, report = train(ns.model.replace("-", "_"), split, cfg, regime=ns.regime)
+    model, report = train(ns.model.replace("-", "_"), split, _train_config(ns, seed),
+                          regime=ns.regime)
 
     ckpt = out / "model.ckpt"
     save_checkpoint(model, ckpt, meta={
@@ -395,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preprocess)
 
+    defaults = TrainConfig()  # what the train flags and the crop flags default to
     # the split and crop flags that train and eval share
     split = argparse.ArgumentParser(add_help=False)
     split.add_argument("--data", required=True)
@@ -402,25 +410,25 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("--calib", type=_nonnegative_int, default=120)
     split.add_argument("--val", type=_range_pair, default=(120, 144))
     split.add_argument("--test", type=_range_pair, default=(144, 288))
-    split.add_argument("--win", type=_positive_float, default=2.0)
-    split.add_argument("--overlap", type=_nonnegative_float, default=1.9)
+    split.add_argument("--win", type=_positive_float, default=defaults.win_s)
+    split.add_argument("--overlap", type=_nonnegative_float, default=defaults.overlap_s)
 
     p = sub.add_parser("train", parents=[split], help="train a decoder on a split")
     p.add_argument("--model", choices=("baseline", "scsn", "scsn-mmd"), required=True)
     p.add_argument("--regime", choices=("single", "multi"), default="multi")
-    p.add_argument("--lambda", type=_nonnegative_float, default=1.0,
+    p.add_argument("--lambda", type=_nonnegative_float, default=defaults.lam,
                    help="balance of the discrepancy term (scsn-mmd)")
-    p.add_argument("--batch", type=_positive_int, default=30)
-    p.add_argument("--epochs", type=_positive_int, default=200)
-    p.add_argument("--patience", type=_positive_int, default=20)
-    p.add_argument("--lr", type=_positive_float, default=1e-3)
-    p.add_argument("--temporal-filters", type=_positive_int, default=40)
-    p.add_argument("--temporal-kernel", type=_positive_int, default=25)
-    p.add_argument("--pool-width", type=_positive_int, default=75)
-    p.add_argument("--pool-stride", type=_positive_int, default=15)
-    p.add_argument("--dropout", type=_unit_float, default=0.5)
-    p.add_argument("--common-dims", type=_dims, default=(128, 128, 128))
-    p.add_argument("--separate-dims", type=_dims, default=(64, 64, 64))
+    p.add_argument("--batch", type=_positive_int, default=defaults.batch_per_branch)
+    p.add_argument("--epochs", type=_positive_int, default=defaults.max_epochs)
+    p.add_argument("--patience", type=_positive_int, default=defaults.patience)
+    p.add_argument("--lr", type=_positive_float, default=defaults.lr)
+    p.add_argument("--temporal-filters", type=_positive_int, default=defaults.temporal_filters)
+    p.add_argument("--temporal-kernel", type=_positive_int, default=defaults.temporal_kernel)
+    p.add_argument("--pool-width", type=_positive_int, default=defaults.pool_width)
+    p.add_argument("--pool-stride", type=_positive_int, default=defaults.pool_stride)
+    p.add_argument("--dropout", type=_unit_float, default=defaults.dropout)
+    p.add_argument("--common-dims", type=_dims, default=defaults.common_fc_dims)
+    p.add_argument("--separate-dims", type=_dims, default=defaults.separate_fc_dims)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--subjects-note", default=SUBJECTS_NOTE,
                    help="informational record of the recommended subject subset")

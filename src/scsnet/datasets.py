@@ -142,12 +142,15 @@ def save_trialset(trial_set: TrialSet, path) -> None:
 
 def read_fields(text: str, source, error=ValueError) -> dict[str, str]:
     """The `name=value` lines of a header or run summary; a non-blank line
-    without `=` raises `error` naming `source` and the line."""
+    without `=`, or a name given twice, raises `error` naming `source` and
+    the line or field."""
     fields = {}
-    for line in text.splitlines():
+    for line in filter(None, text.splitlines()):
         name, eq, value = line.partition("=")
-        if line and not eq:
+        if not eq:
             raise error(f"{source}: line {line!r} is not name=value")
+        if name in fields:
+            raise error(f"{source}: field {name} is given twice")
         fields[name] = value
     return fields
 
@@ -256,6 +259,8 @@ def make_splits(datasets: list[SubjectDataset], spec: SplitSpec) -> Split:
     for ds in datasets:
         if ds.subject_id in by_id:
             raise ValueError(f"duplicate subject id {ds.subject_id!r}")
+        if not ds.sessions:
+            raise ValueError(f"subject {ds.subject_id!r} has no sessions")
         by_id[ds.subject_id] = ds
     if spec.target_subject not in by_id:
         raise ValueError(f"target subject {spec.target_subject!r} not in datasets")
@@ -265,13 +270,16 @@ def make_splits(datasets: list[SubjectDataset], spec: SplitSpec) -> Split:
 
     train: dict[str, TrialSet] = {}
     target = by_id[spec.target_subject]
-    for ds in datasets:
-        if not ds.sessions:
-            raise ValueError(f"subject {ds.subject_id!r} has no sessions")
-        if ds.subject_id != spec.target_subject:
-            train[ds.subject_id] = ds.sessions[0]
-
     session1 = target.sessions[0]
+    for ds in datasets:
+        if ds.subject_id == spec.target_subject:
+            continue
+        for name in ("channel_names", "fs", "class_names"):
+            if getattr(ds.sessions[0], name) != getattr(session1, name):
+                raise ValueError(f"subject {ds.subject_id!r}: session 1 differs from the "
+                                 f"target {spec.target_subject!r} in {name}")
+        train[ds.subject_id] = ds.sessions[0]
+
     if needs_session2:
         if len(target.sessions) < 2:
             raise ValueError("split spec references the target's second session")
@@ -462,7 +470,7 @@ def batch_iter(train: dict[str, Sized], batch_per_branch: int, seed: int):
     small = min(sizes.values())
     if small < batch_per_branch:
         raise ValueError(
-            f"smallest pool ({small}) is below batch_per_branch ({batch_per_branch})")
+            f"smallest pool ({small}) is below the batch size ({batch_per_branch})")
     rng = np.random.default_rng(seed)
     perms = {s: rng.permutation(sizes[s]) for s in subjects}
     for b in range(small // batch_per_branch):

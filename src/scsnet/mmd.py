@@ -7,47 +7,15 @@ deep feature layers, and the combined classification + discrepancy loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .autodiff import Tensor, add, add_n, as_tensor, make_node, scale, take_rows
 
-MEAN_L2 = "mean_pairwise_l2"
-FIXED = "fixed"
-
-DEFAULT_LAYER_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 2.0)
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """RBF kernel with variance sigma2, either fixed or batch-derived."""
-
-    sigma2: float | None = None
-    bandwidth_rule: str = MEAN_L2
-
-    def __post_init__(self):
-        if self.bandwidth_rule not in (MEAN_L2, FIXED):
-            raise ValueError(f"unknown bandwidth rule: {self.bandwidth_rule!r}")
-        if self.bandwidth_rule == FIXED:
-            if self.sigma2 is None or self.sigma2 <= 0:
-                raise ValueError("fixed-bandwidth kernel needs sigma2 > 0")
-        elif self.sigma2 is not None and self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive when given")
-
-
-@dataclass(frozen=True)
-class MmdConfig:
-    """Weighting of the discrepancy term across layers and classes."""
-
-    layer_weights: tuple[float, ...] = DEFAULT_LAYER_WEIGHTS
-    class_matched: bool = True
-    kernel: KernelSpec = field(default_factory=KernelSpec)
-
-    def __post_init__(self):
-        if abs(sum(self.layer_weights) - 1.0) > 1e-9:
-            raise ValueError("layer_weights must sum to 1")
+# weights of the three deep feature layers in the discrepancy term
+LAYER_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 2.0)
 
 
 def _rows(x) -> np.ndarray:
@@ -74,27 +42,28 @@ def bandwidth_mean_l2(x, y) -> float:
     return mean_dist if mean_dist > 0.0 else 1.0
 
 
-def _resolve_sigma2(xv: np.ndarray, yv: np.ndarray, kernel: KernelSpec) -> float:
-    if kernel.bandwidth_rule == FIXED:
-        return float(kernel.sigma2)
-    return bandwidth_mean_l2(xv, yv)
+def _check_sigma2(sigma2: float | None) -> None:
+    if sigma2 is not None and not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"sigma2 must be finite and positive, got {sigma2!r}")
 
 
-def mmd2_biased(x, y, kernel: KernelSpec | None = None) -> Tensor:
+def mmd2_biased(x, y, sigma2: float | None = None) -> Tensor:
     """Biased squared MMD between two batches of feature rows.
 
     (1/m^2) sum k(x,x') + (1/n^2) sum k(y,y') - (2/mn) sum k(x,y) with
-    k(a,b) = exp(-||a-b||^2 / (2 sigma2)). The bandwidth is treated as a
-    constant: no gradient flows through sigma2.
+    k(a,b) = exp(-||a-b||^2 / (2 sigma2)). Without `sigma2` the kernel
+    variance is `bandwidth_mean_l2` of the two batches. The bandwidth is
+    treated as a constant: no gradient flows through sigma2.
     """
+    _check_sigma2(sigma2)
     x, y = as_tensor(x), as_tensor(y)
     xv, yv = _rows(x), _rows(y)
     if xv.shape[0] == 0 or yv.shape[0] == 0:
         raise ValueError("mmd2_biased requires non-empty feature sets")
     if xv.shape[1] != yv.shape[1]:
         raise ValueError(f"dimension mismatch: {xv.shape[1]} vs {yv.shape[1]}")
-    kernel = kernel or KernelSpec()
-    sigma2 = _resolve_sigma2(xv, yv, kernel)
+    if sigma2 is None:
+        sigma2 = bandwidth_mean_l2(xv, yv)
 
     m, n = xv.shape[0], yv.shape[0]
     k_xx = np.exp(cdist(xv, xv, "sqeuclidean") / (-2.0 * sigma2))
@@ -121,20 +90,19 @@ def mmd2_biased(x, y, kernel: KernelSpec | None = None) -> Tensor:
 
 
 def layered_class_mmd(target_feats, source_feats, target_labels, source_labels,
-                      cfg: MmdConfig | None = None) -> Tensor:
+                      sigma2: float | None = None) -> Tensor:
     """Layer-weighted, class-matched discrepancy across the three deep layers.
 
-    Per layer: the mean of mmd2_biased over every class present in both
-    batches (feature rows restricted to that class), or the whole-batch
-    mmd2_biased when class matching is off. The per-layer values are combined
-    with the config's layer weights. Returns a constant 0 when class matching
-    finds no shared class.
+    Per layer: the mean of mmd2_biased (with `sigma2`) over every class
+    present in both batches, feature rows restricted to that class. The
+    per-layer values are combined with LAYER_WEIGHTS. Returns a constant 0
+    when the batches share no class.
     """
-    cfg = cfg or MmdConfig()
+    _check_sigma2(sigma2)
     target_feats = [as_tensor(f) for f in target_feats]
     source_feats = [as_tensor(f) for f in source_feats]
-    if len(target_feats) != len(cfg.layer_weights) or len(source_feats) != len(cfg.layer_weights):
-        raise ValueError(f"expected {len(cfg.layer_weights)} feature layers per side")
+    if len(target_feats) != len(LAYER_WEIGHTS) or len(source_feats) != len(LAYER_WEIGHTS):
+        raise ValueError(f"expected {len(LAYER_WEIGHTS)} feature layers per side")
     t_labels = np.asarray(target_labels)
     s_labels = np.asarray(source_labels)
     for feats, labels, side in ((target_feats, t_labels, "target"),
@@ -143,26 +111,23 @@ def layered_class_mmd(target_feats, source_feats, target_labels, source_labels,
             if _rows(f).shape[0] != labels.shape[0]:
                 raise ValueError(f"{side} labels do not align with feature rows")
 
-    if cfg.class_matched:
-        shared = sorted(set(t_labels.tolist()) & set(s_labels.tolist()))
-        if not shared:
-            return Tensor(np.asarray(0.0))
-        groups = [(np.flatnonzero(t_labels == c), np.flatnonzero(s_labels == c)) for c in shared]
-    else:
-        groups = [(np.arange(t_labels.shape[0]), np.arange(s_labels.shape[0]))]
+    shared = sorted(set(t_labels.tolist()) & set(s_labels.tolist()))
+    if not shared:
+        return Tensor(np.asarray(0.0))
+    groups = [(np.flatnonzero(t_labels == c), np.flatnonzero(s_labels == c)) for c in shared]
 
     per_layer = []
     for t_f, s_f in zip(target_feats, source_feats):
-        terms = [mmd2_biased(take_rows(t_f, ti), take_rows(s_f, si), cfg.kernel)
+        terms = [mmd2_biased(take_rows(t_f, ti), take_rows(s_f, si), sigma2)
                  for ti, si in groups]
         per_layer.append(scale(add_n(terms), 1.0 / len(terms)))
-    return add_n([scale(layer, w) for layer, w in zip(per_layer, cfg.layer_weights)])
+    return add_n([scale(layer, w) for layer, w in zip(per_layer, LAYER_WEIGHTS)])
 
 
 def transfer_loss(classification_loss, per_source_mmd, lam: float) -> Tensor:
     """Classification loss plus lam times the summed per-source MMD terms."""
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
     lc = as_tensor(classification_loss)
     per_source_mmd = list(per_source_mmd)
     if not per_source_mmd:

@@ -8,6 +8,7 @@ all derive from disjoint streams of the one configured seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -17,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .datasets import Split, TrialSet, balanced_duplicates, batch_iter
-from .mmd import MmdConfig, layered_class_mmd, transfer_loss
+from .mmd import layered_class_mmd, transfer_loss
 from .models import (
     BaselineConfig,
     BaselineModel,
@@ -40,15 +41,17 @@ _DROPOUT_KEY = 10
 _EPOCH_KEY = 11
 _UPSAMPLE_KEY = 12
 
+# Adam's moment decay rates and the guard added to its denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer, schedule, batching, cropping, and architecture knobs."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_epochs: int = 200
     patience: int = 20
     lam: float = 1.0
@@ -65,12 +68,12 @@ class TrainConfig:
     separate_fc_dims: tuple[int, ...] = (64, 64, 64)
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if not 1 <= self.patience <= self.max_epochs:
             raise ValueError("patience must lie in [1, max_epochs]")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
         if self.batch_per_branch < 1:
             raise ValueError("batch_per_branch must be positive")
 
@@ -133,7 +136,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray | None],
               state: AdamState, cfg: TrainConfig) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update, in place; absent grads count as zero."""
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, tensor in params.items():
         g = grads.get(name)
         if g is None:
@@ -144,7 +147,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray | None],
         v = state.v[name] = b2 * state.v[name] + (1 - b2) * (g * g)
         m_hat = m / (1 - b1 ** state.t)
         v_hat = v / (1 - b2 ** state.t)
-        tensor.values = tensor.values - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        tensor.values = tensor.values - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -313,28 +316,28 @@ def _descend(loss: ad.Tensor, model, state: AdamState, cfg: TrainConfig,
 # so its batch, outputs and graph are freed before the next step starts.
 
 
-def _baseline_step(model, state, cfg, where, drop_rng, pool: CropPool, rows
-                   ) -> tuple[float, float]:
-    """One baseline step on the crops `rows` of `pool`: (loss, 0.0)."""
+def _baseline_step(model, state, cfg, where, drop_rng,
+                   picks: list[tuple[CropPool, np.ndarray]]) -> tuple[float, float]:
+    """One baseline step on the crops `picks` gives its one pool: (loss, 0.0)."""
+    [(pool, rows)] = picks
     x, y = pool.batch(rows)
     logits = model.forward(x, training=True, dropout_rng=drop_rng)
     return _descend(ad.softmax_xent(logits, y)[0], model, state, cfg, where), 0.0
 
 
 def _scsn_step(model, state, cfg, where, drop_rng, picks: list[tuple[CropPool, np.ndarray]],
-               mmd_cfg: MmdConfig | None) -> tuple[float, float]:
+               with_mmd: bool) -> tuple[float, float]:
     """One SCSN step on the crops `picks` gives each branch: (loss, summed
-    MMD). Without `mmd_cfg` the loss is the cross-entropy alone."""
+    MMD). Without `with_mmd` the loss is the cross-entropy alone."""
     batch = {i: pool.batch(rows) for i, (pool, rows) in enumerate(picks)}
     out = forward_train(model, batch, dropout_rng=drop_rng)
     n = len(batch)
     ce = ad.scale(ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0] for i in range(n)]),
                   1.0 / n)
-    if mmd_cfg is None:
+    if not with_mmd:
         return _descend(ce, model, state, cfg, where), 0.0
     target = model.cfg.target_index
-    terms = [layered_class_mmd(out[target][1], out[i][1], batch[target][1], batch[i][1],
-                               mmd_cfg)
+    terms = [layered_class_mmd(out[target][1], out[i][1], batch[target][1], batch[i][1])
              for i in range(n) if i != target]
     mmd = float(sum(t.item() for t in terms))
     return _descend(transfer_loss(ce, terms, cfg.lam), model, state, cfg, where), mmd
@@ -377,19 +380,20 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
     )
     val_y = split.val.labels()[:, None]
     drop_rng = dropout_stream(cfg.seed)
-    mmd_cfg = MmdConfig() if kind == "scsn_mmd" and cfg.lam > 0 else None
     report = TrainReport(kind, regime, split.target_subject)
 
     if kind == "baseline":
         subjects = [split.target_subject] if regime == "single" else sorted(split.train)
-        pool = crop_pool([split.train[s] for s in subjects], cfg.win_s, cfg.overlap_s)
+        # every pooled subject's crops in one pool, batched as one branch
+        pools = {"pooled": crop_pool([split.train[s] for s in subjects], cfg.win_s,
+                                     cfg.overlap_s)}
         batch_size = cfg.batch_per_branch * len(subjects)
-        if len(pool) < batch_size:
-            raise ValueError(f"training pool ({len(pool)}) is below the batch size ({batch_size})")
         model = build_baseline(base, cfg.seed)
         branch = None
+        step_fn = _baseline_step
     else:
         subjects, pools = scsn_pools(split, cfg)
+        batch_size = cfg.batch_per_branch
         target_idx = subjects.index(split.target_subject)
         model = build_scsn(
             ScsnConfig(base=base, n_subjects=len(subjects), target_index=target_idx,
@@ -397,26 +401,17 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
                        separate_fc_dims=tuple(cfg.separate_fc_dims)),
             cfg.seed)
         branch = target_idx
+        step_fn = functools.partial(_scsn_step, with_mmd=kind == "scsn_mmd" and cfg.lam > 0)
     state = AdamState(model.params)
 
     best_acc, best_epoch, best_snapshot = -1.0, 0, model.params.snapshot()
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
         steps: list[tuple[float, float]] = []
-        if kind == "baseline":
-            order = np.random.default_rng(epoch_batch_seed(cfg.seed, epoch)).permutation(len(pool))
-            for b in range(len(pool) // batch_size):
-                steps.append(_baseline_step(model, state, cfg, (epoch, b + 1), drop_rng,
-                                            pool, order[b * batch_size:(b + 1) * batch_size]))
-        else:
-            for step, picks in enumerate(batch_iter(pools, cfg.batch_per_branch,
-                                                    epoch_batch_seed(cfg.seed, epoch)),
-                                         start=1):
-                steps.append(_scsn_step(model, state, cfg, (epoch, step), drop_rng,
-                                        [(pools[s], picks[s]) for s in subjects], mmd_cfg))
-        if not steps:
-            raise ValueError("no full batch fits the training pools")
-
+        batches = batch_iter(pools, batch_size, epoch_batch_seed(cfg.seed, epoch))
+        for step, rows in enumerate(batches, start=1):
+            steps.append(step_fn(model, state, cfg, (epoch, step), drop_rng,
+                                 [(pools[s], rows[s]) for s in sorted(pools)]))
         step_losses, step_mmds = zip(*steps)
         report.train_loss.append(float(np.mean(step_losses)))
         report.train_mmd_loss.append(float(np.mean(step_mmds)))

@@ -15,8 +15,7 @@ import pytest
 from scsnet import autodiff as ad
 from scsnet.cli import main as cli_main
 from scsnet.datasets import Epoch, SplitSpec, SubjectDataset, TrialSet, make_splits
-from scsnet.mmd import FIXED, KernelSpec, MmdConfig, bandwidth_mean_l2, layered_class_mmd, \
-    mmd2_biased, transfer_loss
+from scsnet.mmd import bandwidth_mean_l2, layered_class_mmd, mmd2_biased, transfer_loss
 from scsnet.models import BaselineConfig, ScsnConfig, build_scsn, forward_infer, forward_train
 from scsnet.preprocessing import bandpass_filter, crop_trials, notch_filter
 from tests.conftest import BENCH_SEEDS
@@ -81,13 +80,12 @@ def _scsn_mmd_loss_case(seed):
     model = build_scsn(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1000)
     batch = {i: (rng.normal(size=(3, 2, 12)), np.array([0, 1, 0])) for i in range(2)}
-    mmd_cfg = MmdConfig(kernel=KernelSpec(sigma2=1.5, bandwidth_rule=FIXED))
 
     def loss():
         out = forward_train(model, batch)
         ce = ad.scale(ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0]
                                 for i in range(2)]), 0.5)
-        disc = layered_class_mmd(out[0][1], out[1][1], batch[0][1], batch[1][1], mmd_cfg)
+        disc = layered_class_mmd(out[0][1], out[1][1], batch[0][1], batch[1][1], 1.5)
         return transfer_loss(ce, [disc], 1.0)
 
     return loss, [model.params[n] for n in model.params.names()]

@@ -9,6 +9,7 @@ import pytest
 from scsnet import cli
 from scsnet.cli import build_parser, main, read_manifest, replay_args, sha256_file
 from scsnet.datasets import load_trialset
+from scsnet.training import TrainConfig
 
 SYNTH = ["synth", "--subjects", "2", "--sessions", "2", "--trials", "12",
          "--channels", "3", "--fs", "32", "--duration", "1.0", "--classes", "2",
@@ -160,6 +161,20 @@ class TestTrain:
             main(["train", "--data", str(data_dir), "--model", "scsn",
                   "--regime", "single", *TRAIN_FLAGS, "--out", str(tmp_path / "x")])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--lambda", "nan"), ("--lr", "nan"),
+                                             ("--lr", "inf")])
+    def test_non_finite_rate_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(tmp_path), "--model", "scsn-mmd", *TRAIN_FLAGS,
+                  flag, value, "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert f"{value} is not finite" in capsys.readouterr().err
+
+    def test_default_flags_build_the_default_config(self):
+        ns = build_parser().parse_args(["train", "--data", "d", "--target", "S01",
+                                        "--model", "scsn", "--out", "o"])
+        assert cli._train_config(ns, 0) == TrainConfig(seed=0)
 
     def test_lambda_zero_matches_plain_scsn(self, data_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

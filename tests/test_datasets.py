@@ -137,6 +137,14 @@ class TestContainer:
         with pytest.raises(ContainerFormatError, match="class_names"):
             load_trialset(path)
 
+    def test_repeated_field_rejected(self, tmp_path):
+        path = tmp_path / "set.tsc"
+        save_trialset(random_trialset(), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"fs_hz=250.0\n", b"fs_hz=250.0\nfs_hz=100.0\n"))
+        with pytest.raises(ContainerFormatError, match=f"{path}: field fs_hz is given twice"):
+            load_trialset(path)
+
 
 def subjects_with_sessions(spec):
     """spec: list of (subject_id, [session_sizes]). Every sample of trial i
@@ -196,6 +204,17 @@ class TestMakeSplits:
             datasets[0].sessions[1] = replace(second, **{field: value})
         with pytest.raises(ValueError, match=f"subject 'T': sessions 1 and 2 differ in {field}"):
             make_splits(datasets, SplitSpec("T", 5, (5, 9), (9, 20)))
+
+    @pytest.mark.parametrize("field", ["channel_names", "fs", "class_names"])
+    def test_source_layout_mismatch_named(self, field):
+        datasets = synth_multisubject(3, 2, 8, 4, 64.0, 1.0, 2, 0.5, 5.0, seed=3)
+        first = datasets[1].sessions[0]
+        changed = {"channel_names": first.channel_names[::-1], "fs": 128.0,
+                   "class_names": first.class_names[::-1]}[field]
+        datasets[1].sessions[0] = replace(first, **{field: changed})
+        with pytest.raises(ValueError, match=f"subject 'S02': session 1 differs from the "
+                                             f"target 'S01' in {field}"):
+            make_splits(datasets, SplitSpec("S01", 2, (2, 4), (4, 8)))
 
     def test_range_overflow(self):
         datasets = subjects_with_sessions([("T", [8, 20])])

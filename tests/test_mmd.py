@@ -5,9 +5,7 @@ import pytest
 
 from scsnet import autodiff as ad
 from scsnet.mmd import (
-    FIXED,
-    KernelSpec,
-    MmdConfig,
+    LAYER_WEIGHTS,
     bandwidth_mean_l2,
     layered_class_mmd,
     mmd2_biased,
@@ -77,10 +75,18 @@ class TestMmd2Biased:
         x = rng.standard_normal((20, 3))
         y = rng.standard_normal((20, 3)) + 0.5
         sigma2 = bandwidth_mean_l2(x, y)
-        got = mmd2_biased(x, y, KernelSpec(sigma2=sigma2, bandwidth_rule=FIXED)).item()
+        got = mmd2_biased(x, y, sigma2).item()
         assert abs(got - naive_mmd2(x, y, sigma2)) < 1e-12
         # and via the batch-derived bandwidth path
         assert abs(mmd2_biased(x, y).item() - naive_mmd2(x, y, sigma2)) < 1e-12
+
+    def test_given_sigma2_overrides_the_bandwidth_rule(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((5, 3))
+        y = rng.standard_normal((6, 3))
+        fixed = mmd2_biased(x, y, 2.0).item()
+        assert abs(fixed - naive_mmd2(x, y, 2.0)) < 1e-12
+        assert abs(fixed - naive_mmd2(x, y, bandwidth_mean_l2(x, y))) > 1e-3
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
@@ -101,14 +107,13 @@ class TestMmd2Biased:
 
     def test_monotone_in_mean_gap(self):
         rng = np.random.default_rng(4)
-        kernel = KernelSpec(sigma2=4.0, bandwidth_rule=FIXED)
         means = []
         for gap in (0.0, 1.0, 2.0, 4.0):
             vals = []
             for _ in range(20):
                 x = rng.standard_normal((30, 2))
                 y = rng.standard_normal((30, 2)) + gap
-                vals.append(mmd2_biased(x, y, kernel).item())
+                vals.append(mmd2_biased(x, y, 4.0).item())
             means.append(np.mean(vals))
         assert means[0] <= means[1] <= means[2] <= means[3]
 
@@ -116,10 +121,9 @@ class TestMmd2Biased:
         rng = np.random.default_rng(5)
         x = ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         y = ad.Tensor(rng.standard_normal((5, 3)), requires_grad=True)
-        kernel = KernelSpec(sigma2=1.7, bandwidth_rule=FIXED)
 
         def loss():
-            return mmd2_biased(x, y, kernel)
+            return mmd2_biased(x, y, 1.7)
 
         assert ad.grad_check(loss, [x, y], eps=1e-5) < 1e-4
 
@@ -130,10 +134,9 @@ class TestMmd2Biased:
         x = ad.Tensor(rng.standard_normal((4, 2)) * 2.0, requires_grad=True)
         y = ad.Tensor(rng.standard_normal((4, 2)) + 1.0, requires_grad=True)
         sigma2 = bandwidth_mean_l2(x.values, y.values)
-        kernel = KernelSpec(sigma2=sigma2, bandwidth_rule=FIXED)
 
         def loss():
-            return mmd2_biased(x, y, kernel)
+            return mmd2_biased(x, y, sigma2)
 
         assert ad.grad_check(loss, [x, y], eps=1e-5) < 1e-4
 
@@ -158,22 +161,30 @@ class TestLayeredClassMmd:
         got = layered_class_mmd(feats, [f.copy() for f in feats], labels, labels.copy())
         assert abs(got.item()) <= 1e-12
 
-    def test_hand_composition(self):
+    def _hand_composition(self, sigma2):
         rng = np.random.default_rng(9)
         t_labels = np.array([0, 0, 1, 1])
         s_labels = np.array([1, 0, 1, 0])
         t_feats = self._three_layers(rng, 4)
         s_feats = [f + 0.5 for f in self._three_layers(rng, 4)]
-        got = layered_class_mmd(t_feats, s_feats, t_labels, s_labels).item()
+        got = layered_class_mmd(t_feats, s_feats, t_labels, s_labels, sigma2).item()
 
         weights = (1 / 6, 1 / 3, 1 / 2)
+        assert LAYER_WEIGHTS == weights
         want = 0.0
         for w, tf, sf in zip(weights, t_feats, s_feats):
             per_class = []
             for c in (0, 1):
-                per_class.append(mmd2_biased(tf[t_labels == c], sf[s_labels == c]).item())
+                per_class.append(
+                    mmd2_biased(tf[t_labels == c], sf[s_labels == c], sigma2).item())
             want += w * np.mean(per_class)
         assert abs(got - want) < 1e-12
+
+    def test_hand_composition(self):
+        self._hand_composition(None)
+
+    def test_hand_composition_with_given_sigma2(self):
+        self._hand_composition(2.0)
 
     def test_no_shared_class_is_zero(self):
         rng = np.random.default_rng(10)
@@ -188,27 +199,15 @@ class TestLayeredClassMmd:
         with pytest.raises(ValueError):
             layered_class_mmd(feats[:2], feats[:2], np.zeros(3), np.zeros(3))
 
-    def test_unmatched_uses_whole_batches(self):
-        rng = np.random.default_rng(12)
-        t_feats = self._three_layers(rng, 5)
-        s_feats = self._three_layers(rng, 7)
-        cfg = MmdConfig(class_matched=False)
-        got = layered_class_mmd(t_feats, s_feats, np.zeros(5), np.ones(7), cfg).item()
-        want = sum(w * mmd2_biased(tf, sf).item()
-                   for w, tf, sf in zip(cfg.layer_weights, t_feats, s_feats))
-        assert abs(got - want) < 1e-12
-
     def test_gradient_flows_to_features(self):
         rng = np.random.default_rng(13)
         t_feats = [ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True) for _ in range(3)]
         s_feats = [ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True) for _ in range(3)]
         t_labels = np.array([0, 1, 0, 1])
         s_labels = np.array([0, 0, 1, 1])
-        kernel = KernelSpec(sigma2=2.0, bandwidth_rule=FIXED)
-        cfg = MmdConfig(kernel=kernel)
 
         def loss():
-            return layered_class_mmd(t_feats, s_feats, t_labels, s_labels, cfg)
+            return layered_class_mmd(t_feats, s_feats, t_labels, s_labels, 2.0)
 
         assert ad.grad_check(loss, t_feats + s_feats, eps=1e-5) < 1e-4
 
@@ -225,27 +224,28 @@ class TestTransferLoss:
         assert abs(transfer_loss(lc, mmds, 1.0).item() - 1.5) < 1e-15
 
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            transfer_loss(ad.Tensor(np.asarray(1.0)), [], -0.1)
+        for lam in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="lam"):
+                transfer_loss(ad.Tensor(np.asarray(1.0)), [], lam)
 
     def test_gradient_through_both_terms(self):
         rng = np.random.default_rng(14)
         x = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         y = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         logits = ad.Tensor(rng.standard_normal(3), requires_grad=True)
-        kernel = KernelSpec(sigma2=1.0, bandwidth_rule=FIXED)
 
         def loss():
             lc, _ = ad.softmax_xent(logits, 1)
-            return transfer_loss(lc, [mmd2_biased(x, y, kernel)], 0.7)
+            return transfer_loss(lc, [mmd2_biased(x, y, 1.0)], 0.7)
 
         assert ad.grad_check(loss, [x, y, logits], eps=1e-5) < 1e-4
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MmdConfig(layer_weights=(0.5, 0.5, 0.5))
-    with pytest.raises(ValueError):
-        KernelSpec(bandwidth_rule=FIXED)
-    with pytest.raises(ValueError):
-        KernelSpec(sigma2=-2.0)
+    x = np.zeros((2, 3))
+    labels = np.zeros(2)
+    for sigma2 in (-2.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma2"):
+            mmd2_biased(x, x + 1.0, sigma2)
+        with pytest.raises(ValueError, match="sigma2"):
+            layered_class_mmd([x] * 3, [x] * 3, labels, labels, sigma2)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from scsnet import autodiff as ad
-from scsnet.mmd import FIXED, KernelSpec, MmdConfig, layered_class_mmd, transfer_loss
+from scsnet.mmd import layered_class_mmd, transfer_loss
 from scsnet.models import (
     BaselineConfig,
     ScsnConfig,
@@ -217,14 +217,12 @@ def test_end_to_end_gradient_check_tiny_scsn():
     model = build_scsn(cfg, seed=11)
     rng = np.random.default_rng(12)
     batch = {i: (rng.normal(size=(3, 2, 12)), np.array([0, 1, 0])) for i in range(2)}
-    kernel = KernelSpec(sigma2=1.5, bandwidth_rule=FIXED)
-    mmd_cfg = MmdConfig(kernel=kernel)
 
     def loss():
         out = forward_train(model, batch)
         ce = ad.scale(ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0]
                                 for i in range(2)]), 0.5)
-        disc = layered_class_mmd(out[0][1], out[1][1], batch[0][1], batch[1][1], mmd_cfg)
+        disc = layered_class_mmd(out[0][1], out[1][1], batch[0][1], batch[1][1], 1.5)
         return transfer_loss(ce, [disc], 1.0)
 
     wrt = [model.params[n] for n in model.params.names()]
@@ -334,7 +332,8 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("corrupt", ["duplicate_block", "trailing_line", "header_value"])
+    @pytest.mark.parametrize("corrupt", ["duplicate_block", "trailing_line", "header_value",
+                                         "header_repeat"])
     def test_malformed_blocks_rejected(self, tmp_path, corrupt):
         model = build_baseline(TINY, seed=17)
         path = tmp_path / "model.ckpt"
@@ -352,10 +351,14 @@ class TestCheckpoint:
             blob = header + b"".join([blocks[-1]] + blocks[1:])
         elif corrupt == "header_value":
             blob = blob.replace(b"\ntemporal_filters=", b"\ntemporal_filters=x", 1)
+        elif corrupt == "header_repeat":
+            blob = blob.replace(b"\ntemporal_filters=", b"\ntemporal_filters=9\ntemporal_filters=",
+                                1)
         else:
             blob += b"a=b\n"
         path.write_bytes(blob)
-        match = "temporal_filters='x" if corrupt == "header_value" else None
+        match = {"header_value": "temporal_filters='x",
+                 "header_repeat": "field temporal_filters is given twice"}.get(corrupt)
         with pytest.raises(ValueError, match=match):
             load_checkpoint(path)
 

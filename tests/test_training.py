@@ -18,7 +18,7 @@ from scsnet.datasets import (
     save_trialset,
     synth_multisubject,
 )
-from scsnet.mmd import MmdConfig, layered_class_mmd, transfer_loss
+from scsnet.mmd import layered_class_mmd, transfer_loss
 from scsnet.models import (
     BaselineConfig,
     ModelParams,
@@ -100,6 +100,14 @@ class TestAdam:
             adam_step(params, {"w": np.zeros((2, 2))}, AdamState(params), TrainConfig())
 
 
+@pytest.mark.parametrize("field, value", [("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+                                          ("lam", -1.0), ("lam", float("nan")),
+                                          ("lam", float("inf"))])
+def test_train_config_rejects_bad_rates(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
 class TestTrainBasics:
     def test_deterministic_given_seed(self):
         split = tiny_split()
@@ -177,7 +185,6 @@ class TestMmdLogMatchesRecomputation:
                                       separate_fc_dims=cfg.separate_fc_dims), cfg.seed)
         state = AdamState(model.params)
         arrays = {s: (pools[s].data_array(np.float64), pools[s].labels()) for s in subjects}
-        mmd_cfg = MmdConfig()
         from scsnet.datasets import batch_iter
 
         step_mmds = []
@@ -186,7 +193,7 @@ class TestMmdLogMatchesRecomputation:
                      for i, s in enumerate(subjects)}
             out = forward_train(model, batch)
             terms = [layered_class_mmd(out[target_idx][1], out[i][1],
-                                       batch[target_idx][1], batch[i][1], mmd_cfg)
+                                       batch[target_idx][1], batch[i][1])
                      for i in range(len(subjects)) if i != target_idx]
             step_mmds.append(sum(t.item() for t in terms))
             ce = ad.scale(ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0]
@@ -319,8 +326,8 @@ class TestStepMemory:
             batch = {i: pools[s].batch(rows) for i, s in enumerate(subjects)}
             out = forward_train(model, batch, dropout_rng=np.random.default_rng(0))
             ce = ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0] for i in batch])
-            terms = [layered_class_mmd(out[0][1], out[i][1], batch[0][1], batch[i][1],
-                                       MmdConfig()) for i in (1, 2)]
+            terms = [layered_class_mmd(out[0][1], out[i][1], batch[0][1], batch[i][1])
+                     for i in (1, 2)]
             transfer_loss(ce, terms, 1.0).backward()
             step = tracemalloc.get_traced_memory()[1]
         finally:
