@@ -1,9 +1,9 @@
 """Dense float64 tensors with reverse-mode gradients.
 
 Implements exactly the operation set the decoders in this package need:
-temporal and spatial convolutions (apart, and fused into one), mean pooling,
-affine layers, square/log/tanh activations, dropout, and a softmax
-cross-entropy head.
+temporal and spatial convolutions, mean pooling, affine layers,
+square/log/tanh activations, dropout, a softmax cross-entropy head, and the
+convs, square, pool and log fused into one log-power op for training.
 Every op accepts either a single sample or a batch with one leading axis.
 No broadcasting beyond that, no GPU, no general-purpose graph surgery.
 """
@@ -137,6 +137,22 @@ def _scatter_windows(target: np.ndarray, windowed: np.ndarray, stride: int) -> N
         slab[..., :(n_out - 1) * stride + 1:stride, :] += windowed[..., j:j + block]
 
 
+def _check_pool(width, stride, extent: int) -> None:
+    if not isinstance(width, int) or width < 1 or not isinstance(stride, int) or stride < 1:
+        raise ValueError("width and stride must be positive integers")
+    if width > extent:
+        raise ValueError(f"pool width {width} exceeds time extent {extent}")
+
+
+def _pool_matrix(n_out: int, t: int, width: int, stride: int) -> np.ndarray:
+    # mean pooling over t samples is the fixed [n_out, t] matrix P with
+    # 1/width on each window, so its input gradient is g @ P
+    pool = np.zeros((n_out, t))
+    rows = np.arange(n_out)[:, None]
+    pool[rows, rows * stride + np.arange(width)] = 1.0 / width
+    return pool
+
+
 def conv_time(x, kernels, stride: int = 1) -> Tensor:
     """Valid 1-d convolution along the time axis, one kernel bank shared by
     all channels.
@@ -231,16 +247,23 @@ def conv_space(x, weights) -> Tensor:
     return make_node(out if batched else out[0], (x, weights), backward)
 
 
-def conv_time_space(x, kernels, weights) -> Tensor:
-    """conv_space(conv_time(x, kernels, 1), weights) as one convolution.
+def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int) -> Tensor:
+    """log_clipped(mean_pool(square(conv_space(conv_time(x, kernels, 1),
+    weights)), pool_width, pool_stride)) as one op: Shallow ConvNet's
+    log-power block.
 
-    No nonlinearity separates the two, so they are one valid convolution
-    with the effective kernel W[o, c, k] = sum_f weights[o, f, c] *
-    kernels[f, k], run as an im2col matmul per sample; the [F, C, T']
-    temporal-conv output is never formed. Shapes and input checks are those
-    of the two-op chain: x [channels, time] or batched, kernels [n_filters,
-    k], weights [n_out, n_filters, channels]; output [n_out, time'] (batched:
-    [batch, n_out, time']) with time' = time - k + 1.
+    No nonlinearity separates the two convs, so they are one valid
+    convolution with the effective kernel W[o, c, k] = sum_f weights[o, f,
+    c] * kernels[f, k], run as an im2col matmul per sample; the [F, C, T']
+    temporal-conv output is never formed. Each sample is squared and pooled
+    straight after its matmul, so the op keeps only the conv output and the
+    pooled power, never the squared batch. The square, pool and log (and
+    their gradients) do the separate ops' arithmetic in the same order, so
+    they add no rounding of their own.
+    Shapes and input checks are the chain's: x [channels, time] or batched,
+    kernels [n_filters, k], weights [n_out, n_filters, channels]; output
+    [n_out, pooled] (batched: [batch, n_out, pooled]) with pooled =
+    floor((time - k + 1 - pool_width) / pool_stride) + 1.
     """
     x, kernels, weights = as_tensor(x), as_tensor(kernels), as_tensor(weights)
     if kernels.ndim != 2:
@@ -256,8 +279,10 @@ def conv_time_space(x, kernels, weights) -> Tensor:
         raise ValueError(
             f"weight extents {weights.values.shape[1:]} do not match input "
             f"filter/channel extents {(f, c)}")
-
     o, t_out = weights.values.shape[0], t - k + 1
+    _check_pool(pool_width, pool_stride, t_out)
+
+    n_pool = (t_out - pool_width) // pool_stride + 1
     w_eff = np.einsum("ofc,fk->ock", weights.values, kernels.values).reshape(o, c * k)
     windows = sliding_window_view(xb, k, axis=-1).transpose(0, 1, 3, 2)  # [B, C, k, T']
 
@@ -266,30 +291,44 @@ def conv_time_space(x, kernels, weights) -> Tensor:
         return cols.reshape(c * k, t_out)
 
     cols = np.empty((c, k, t_out))
-    out = np.empty((b, o, t_out))
+    h = np.empty((b, o, t_out))
+    pooled = np.empty((b, o, n_pool))
+    power = np.empty((o, t_out))  # one crop's square, read through its pool windows
+    power_windows = sliding_window_view(power, pool_width, axis=-1)[:, ::pool_stride, :]
     for i in range(b):
-        np.matmul(w_eff, im2col(i, cols), out=out[i])
+        np.matmul(w_eff, im2col(i, cols), out=h[i])
+        np.multiply(h[i], h[i], out=power)
+        np.add.reduce(power_windows, axis=-1, out=pooled[i])
+    pooled /= pool_width  # np.mean's sum, then divide: mean_pool's value to the bit
+    out = np.log(np.maximum(pooled, LOG_FLOOR))
 
     def backward(gout):
         g = gout if batched else gout[None]
+        live = pooled > LOG_FLOOR
+        gp = np.where(live, g / np.where(live, pooled, 1.0), 0.0)
+        pool = _pool_matrix(n_pool, t_out, pool_width, pool_stride)
+        need_params = kernels.requires_grad or weights.requires_grad
         gx = gk = gw = None
-        if kernels.requires_grad or weights.requires_grad:
+        if need_params:
             cols = np.empty((c, k, t_out))
             g_eff = np.zeros((o, c * k))
-            for i in range(b):
-                g_eff += g[i] @ im2col(i, cols).T
+        if x.requires_grad:
+            gx = np.zeros_like(xb)
+        for i in range(b):
+            gh = 2.0 * h[i] * (gp[i] @ pool)
+            if need_params:
+                g_eff += gh @ im2col(i, cols).T
+            if x.requires_grad:
+                spread = (w_eff.T @ gh).reshape(c, k, t_out)
+                _scatter_windows(gx[i], spread.transpose(0, 2, 1), 1)
+        if need_params:
             g_eff = g_eff.reshape(o, c, k)
             if kernels.requires_grad:
                 gk = np.einsum("ock,ofc->fk", g_eff, weights.values)
             if weights.requires_grad:
                 gw = np.einsum("ock,fk->ofc", g_eff, kernels.values)
-        if x.requires_grad:
-            gx = np.zeros_like(xb)
-            for i in range(b):
-                spread = (w_eff.T @ g[i]).reshape(c, k, t_out)
-                _scatter_windows(gx[i], spread.transpose(0, 2, 1), 1)
-            if not batched:
-                gx = gx[0]
+        if x.requires_grad and not batched:
+            gx = gx[0]
         return gx, gk, gw
 
     return make_node(out if batched else out[0], (x, kernels, weights), backward)
@@ -302,23 +341,15 @@ def mean_pool(x, width: int, stride: int) -> Tensor:
     stride) + 1.
     """
     x = as_tensor(x)
-    if not isinstance(width, int) or width < 1 or not isinstance(stride, int) or stride < 1:
-        raise ValueError("width and stride must be positive integers")
     xb, batched = _with_batch(x.values, 2)
-    if width > xb.shape[-1]:
-        raise ValueError(f"pool width {width} exceeds time extent {xb.shape[-1]}")
+    _check_pool(width, stride, xb.shape[-1])
 
     windows = sliding_window_view(xb, width, axis=-1)[..., ::stride, :]
     out = windows.mean(axis=-1)
 
     def backward(gout):
-        # the pool is the fixed [T', T] matrix P with 1/width on each window,
-        # so its input gradient is g @ P
-        n_out, t = out.shape[-1], xb.shape[-1]
-        pool = np.zeros((n_out, t))
-        rows = np.arange(n_out)[:, None]
-        pool[rows, rows * stride + np.arange(width)] = 1.0 / width
-        gx = (gout.reshape(-1, n_out) @ pool).reshape(x.shape)
+        pool = _pool_matrix(out.shape[-1], xb.shape[-1], width, stride)
+        gx = (gout.reshape(-1, pool.shape[0]) @ pool).reshape(x.shape)
         return (gx,)
 
     return make_node(out if batched else out[0], (x,), backward)

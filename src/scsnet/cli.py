@@ -53,6 +53,7 @@ _positive_float = _checked(float, lambda v: not (math.isfinite(v) and v > 0),
 _nonnegative_float = _checked(float, lambda v: not (math.isfinite(v) and v >= 0),
                               "is not finite and nonnegative")
 _unit_float = _checked(float, lambda v: not 0.0 <= v <= 1.0, "is outside [0, 1]")
+_dropout_rate = _checked(float, lambda v: not 0.0 <= v < 1.0, "is outside [0, 1)")
 
 
 def _range_pair(text: str) -> tuple[int, int]:
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temporal-kernel", type=_positive_int, default=defaults.temporal_kernel)
     p.add_argument("--pool-width", type=_positive_int, default=defaults.pool_width)
     p.add_argument("--pool-stride", type=_positive_int, default=defaults.pool_stride)
-    p.add_argument("--dropout", type=_unit_float, default=defaults.dropout)
+    p.add_argument("--dropout", type=_dropout_rate, default=defaults.dropout)
     p.add_argument("--common-dims", type=_dims, default=defaults.common_fc_dims)
     p.add_argument("--separate-dims", type=_dims, default=defaults.separate_fc_dims)
     p.add_argument("--seed", type=int, default=None)

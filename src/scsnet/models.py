@@ -76,6 +76,8 @@ class ScsnConfig:
             raise ValueError("SCSN needs at least 2 subjects")
         if not 0 <= self.target_index < self.n_subjects:
             raise ValueError("target_index out of range")
+        if not self.common_fc_dims:
+            raise ValueError("common_fc_dims needs at least one layer: the shared block")
         if len(self.separate_fc_dims) != 3:
             raise ValueError("separate_fc_dims must have exactly 3 entries")
         if any(d < 1 for d in self.common_fc_dims + self.separate_fc_dims):
@@ -194,21 +196,18 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
                        + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
     kernels, weights = params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"]
     if training:
-        h = ad.conv_time_space(x, kernels, weights)
+        h = ad.conv_log_power(x, kernels, weights, cfg.pool_width, step)
     else:
-        # Inference runs the two-op chain, each op as per-sample matmuls
+        # Inference runs the five-op chain, the convs as per-sample matmuls
         # (conv_time writes [F, C, T'] straight from one kernel-bank matmul,
-        # conv_space is one [O, F*C] @ [F*C, T'] matmul); at a one-trial
-        # decode the chain takes about 1.25x the fused op's time (ROADMAP
-        # item 2). It stays because the traced benchmark (perfbench/tracer.py,
-        # perfbench/metrics.py) derives autodiff.conv_time.useful_frac and
-        # autodiff.conv.gflops from work counters that only conv_time and
-        # conv_space feed. This branch can go once a benchmark change traces
-        # conv_time_space and reads those two metrics from its counters.
+        # conv_space is one [O, F*C] @ [F*C, T'] matmul). It stays because the
+        # traced benchmark (perfbench/tracer.py, perfbench/metrics.py) derives
+        # autodiff.conv_time.useful_frac and autodiff.conv.gflops from work
+        # counters that only conv_time and conv_space feed. ROADMAP item 5's
+        # switch, once a benchmark change traces conv_log_power, is to call
+        # conv_log_power here too and drop this branch.
         h = ad.conv_space(ad.conv_time(x, kernels, 1), weights)
-    h = ad.square(h)
-    h = ad.mean_pool(h, cfg.pool_width, step)
-    h = ad.log_clipped(h)
+        h = ad.log_clipped(ad.mean_pool(ad.square(h), cfg.pool_width, step))
     if windows is not None:
         feats = np.moveaxis(h.values[:, :, windows], 2, 1)  # [trials, crops, F, P]
         h = ad.Tensor(feats.reshape((-1,) + feats.shape[2:]))

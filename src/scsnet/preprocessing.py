@@ -10,6 +10,7 @@ so a sample does not depend on which trials share its block.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -84,6 +85,10 @@ class CropGeometry:
 def crop_geometry(n_samples: int, fs: float, win_s: float, overlap_s: float) -> CropGeometry:
     """The crops of a trial of `n_samples` at `fs` for a window of `win_s`
     seconds that overlaps the next by `overlap_s` seconds."""
+    if not math.isfinite(win_s):
+        raise ValueError(f"window of {win_s} s is not finite")
+    if not (math.isfinite(overlap_s) and overlap_s >= 0):
+        raise ValueError(f"overlap of {overlap_s} s is not finite and nonnegative")
     if overlap_s >= win_s:
         raise ValueError("overlap must be shorter than the window")
     width = _samples(win_s, fs, "window")

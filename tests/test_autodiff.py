@@ -215,30 +215,56 @@ class TestConvSpace:
             assert_rel_close(g, v.reshape(g.shape))
 
 
+def five_op_chain(x, kernels, weights, pool_width, pool_stride):
+    """The ops conv_log_power fuses, one graph node each."""
+    h = ad.conv_space(ad.conv_time(x, kernels, 1), weights)
+    return ad.log_clipped(ad.mean_pool(ad.square(h), pool_width, pool_stride))
+
+
 class TestConvTimeSpace:
+    """conv_log_power: the fused temporal and spatial conv, with the square,
+    mean pool and log that follow it in the shallow block."""
+
     @staticmethod
-    def _grads(op, x, k, w):
+    def _grads(op, x, k, w, pool_width, pool_stride):
         for t in (x, k, w):
             t.zero_grad()
-        out = op(x, k, w)
+        out = op(x, k, w, pool_width, pool_stride)
         ad.tsum(ad.square(out)).backward()
         return out.values, x.grad, k.grad, w.grad
 
     @given(batch=st.none() | st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
-           o=st.integers(1, 4), k=st.integers(1, 8), extra=st.integers(0, 12),
+           o=st.integers(1, 4), k=st.integers(1, 8), pool_width=st.integers(1, 10),
+           pool_stride=st.integers(1, 6), slack=st.integers(0, 12), zero_crop=st.booleans(),
            seed=st.integers(0, 2 ** 16))
+    @example(batch=3, c=2, f=3, o=2, k=5, pool_width=4, pool_stride=3, slack=7,
+             zero_crop=False, seed=0)                                     # stride > 1
+    @example(batch=2, c=3, f=2, o=3, k=4, pool_width=9, pool_stride=2, slack=0,
+             zero_crop=False, seed=1)                                     # width == T'
+    @example(batch=3, c=2, f=2, o=2, k=3, pool_width=3, pool_stride=2, slack=5,
+             zero_crop=True, seed=2)                                      # pooled below the floor
+    @example(batch=None, c=3, f=2, o=2, k=4, pool_width=5, pool_stride=2, slack=4,
+             zero_crop=False, seed=3)                                     # unbatched
     @settings(max_examples=60, deadline=None)
-    def test_matches_two_op_chain(self, batch, c, f, o, k, extra, seed):
+    def test_matches_five_op_chain(self, batch, c, f, o, k, pool_width, pool_stride, slack,
+                                   zero_crop, seed):
         rng = np.random.default_rng(seed)
         lead = () if batch is None else (batch,)
-        x = ad.Tensor(rng.normal(size=(*lead, c, k + extra)), requires_grad=True)
+        values = rng.normal(size=(*lead, c, k - 1 + pool_width + slack))
+        first = () if batch is None else 0  # index of the first crop
+        if zero_crop:
+            values[first] = 0.0
+        x = ad.Tensor(values, requires_grad=True)
         kern = ad.Tensor(rng.normal(size=(f, k)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(o, f, c)), requires_grad=True)
-        want = self._grads(lambda x, k, w: ad.conv_space(ad.conv_time(x, k, 1), w), x, kern, w)
-        got = self._grads(ad.conv_time_space, x, kern, w)
-        assert got[0].shape == (*lead, o, extra + 1)
+        want = self._grads(five_op_chain, x, kern, w, pool_width, pool_stride)
+        got = self._grads(ad.conv_log_power, x, kern, w, pool_width, pool_stride)
+        assert got[0].shape == (*lead, o, slack // pool_stride + 1)
         for g, v in zip(got, want):
             assert_rel_close(g, v)
+        if zero_crop:
+            assert np.all(got[0][first] == np.log(ad.LOG_FLOOR))
+            assert not np.any(got[1][first])
 
     def test_gradient_check(self):
         rng = np.random.default_rng(12)
@@ -247,22 +273,25 @@ class TestConvTimeSpace:
         w = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
 
         def loss():
-            return ad.tsum(ad.square(ad.conv_time_space(x, k, w)))
+            return ad.tsum(ad.square(ad.conv_log_power(x, k, w, 3, 2)))
 
         assert ad.grad_check(loss, [x, k, w], eps=1e-5) < 1e-4
 
-    @pytest.mark.parametrize("x_shape,k_shape,w_shape", [
-        ((2, 4), (1, 5), (1, 1, 2)),
-        ((2, 3, 9), (2, 3), (4, 2, 2)),
-        ((3, 9), (2, 3), (4, 3, 3)),
-        ((3, 9), (2, 3), (2, 3)),
-    ], ids=["kernel-longer-than-signal", "channel-extent", "filter-extent", "weights-not-3d"])
-    def test_rejects_what_the_chain_rejects(self, x_shape, k_shape, w_shape):
+    @pytest.mark.parametrize("x_shape,k_shape,w_shape,pool", [
+        ((2, 4), (1, 5), (1, 1, 2), (1, 1)),
+        ((2, 3, 9), (2, 3), (4, 2, 2), (1, 1)),
+        ((3, 9), (2, 3), (4, 3, 3), (1, 1)),
+        ((3, 9), (2, 3), (2, 3), (1, 1)),
+        ((3, 9), (2, 3), (4, 2, 3), (8, 1)),
+        ((3, 9), (2, 3), (4, 2, 3), (2, 0)),
+    ], ids=["kernel-longer-than-signal", "channel-extent", "filter-extent", "weights-not-3d",
+            "pool-wider-than-conv-output", "pool-stride-zero"])
+    def test_rejects_what_the_chain_rejects(self, x_shape, k_shape, w_shape, pool):
         x, k, w = np.zeros(x_shape), np.zeros(k_shape), np.zeros(w_shape)
         with pytest.raises(ValueError) as chain:
-            ad.conv_space(ad.conv_time(x, k, 1), w)
+            five_op_chain(x, k, w, *pool)
         with pytest.raises(ValueError) as fused:
-            ad.conv_time_space(x, k, w)
+            ad.conv_log_power(x, k, w, *pool)
         assert str(fused.value) == str(chain.value)
 
 
@@ -471,8 +500,8 @@ class TestBackward:
         leaves = [x, k, w, d, b]
 
         def loss():
-            h = ad.mean_pool(ad.square(ad.conv_time_space(x, k, w)), 4, 3)
-            logits = ad.dense(ad.reshape(ad.log_clipped(h), (3, 20)), d, b)
+            h = ad.conv_log_power(x, k, w, 4, 3)
+            logits = ad.dense(ad.reshape(h, (3, 20)), d, b)
             ce, _ = ad.softmax_xent(logits, np.array([0, 1, 1]))
             return ad.add(ce, ad.scale(ad.tsum(ad.square(k)), 0.1))  # k used twice
 

@@ -171,6 +171,18 @@ class TestTrain:
         assert err.value.code == 2
         assert f"{value} is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1.0", "-0.1", "nan"])
+    def test_dropout_outside_unit_interval_is_a_usage_error(self, data_dir, tmp_path, capsys,
+                                                             monkeypatch, value):
+        loads = []
+        monkeypatch.setattr(cli, "load_trialset", lambda path: loads.append(path))
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
+                  "--dropout", value, "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert f"argument --dropout: {float(value)} is outside [0, 1)" in capsys.readouterr().err
+        assert loads == []
+
     def test_default_flags_build_the_default_config(self):
         ns = build_parser().parse_args(["train", "--data", "d", "--target", "S01",
                                         "--model", "scsn", "--out", "o"])

@@ -93,6 +93,12 @@ class TestScsnBuild:
         assert model.params.n_values() == expected
 
 
+    def test_empty_shared_block_rejected(self):
+        with pytest.raises(ValueError, match="common_fc_dims"):
+            ScsnConfig(base=TINY, n_subjects=2, target_index=0, common_fc_dims=(),
+                       separate_fc_dims=(4, 4, 4))
+
+
 class TestForwardTrain:
     def _batch(self, model, rng, n=4):
         cfg = model.cfg.base
@@ -134,21 +140,21 @@ class TestForwardTrain:
 
     def test_one_fused_conv_per_branch(self, monkeypatch):
         calls = []
-        real_fused = ad.conv_time_space
+        real_fused = ad.conv_log_power
 
-        def spy(x, kernels, weights):
-            calls.append((np.shape(x), kernels.shape, weights.shape))
-            return real_fused(x, kernels, weights)
+        def spy(x, kernels, weights, pool_width, pool_stride):
+            calls.append((np.shape(x), kernels.shape, weights.shape, pool_width, pool_stride))
+            return real_fused(x, kernels, weights, pool_width, pool_stride)
 
-        def two_op_chain(*args, **kwargs):
-            raise AssertionError("training ran conv_time or conv_space")
+        def chain_op(*args, **kwargs):
+            raise AssertionError("training ran an op of the five-op chain")
 
-        monkeypatch.setattr(ad, "conv_time_space", spy)
-        monkeypatch.setattr(ad, "conv_time", two_op_chain)
-        monkeypatch.setattr(ad, "conv_space", two_op_chain)
+        monkeypatch.setattr(ad, "conv_log_power", spy)
+        for name in ("conv_time", "conv_space", "square", "mean_pool", "log_clipped"):
+            monkeypatch.setattr(ad, name, chain_op)
         model = build_scsn(tiny_scsn_cfg(n_subjects=3), seed=0)
         forward_train(model, self._batch(model, np.random.default_rng(3)))
-        assert calls == [((4, 2, 20), (3, 5), (3, 3, 2))] * 3
+        assert calls == [((4, 2, 20), (3, 5), (3, 3, 2), 4, 3)] * 3
 
 
 class TestForwardInfer:

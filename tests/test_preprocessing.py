@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scsnet import preprocessing
 from scsnet.datasets import Epoch, TrialSet
 from scsnet.preprocessing import (
+    CropGeometry,
     band_power_map,
     bandpass_filter,
     crop_geometry,
@@ -151,6 +152,14 @@ class TestCrops:
         with pytest.raises(ValueError, match="window exceeds"):
             crop_geometry(499, 250.0, 2.0, 1.9)
 
+    @pytest.mark.parametrize("win_s,overlap_s,named", [
+        (2.0, -1.0, "overlap"), (2.0, math.nan, "overlap"), (2.0, math.inf, "overlap"),
+        (2.0, -math.inf, "overlap"), (math.nan, 1.0, "window"), (math.inf, 1.0, "window"),
+    ])
+    def test_geometry_refuses_non_finite_or_negative_seconds(self, win_s, overlap_s, named):
+        with pytest.raises(ValueError, match=named):
+            crop_geometry(1000, 250.0, win_s, overlap_s)
+
     @given(length=st.integers(2, 300), width=st.integers(1, 300), stride=st.integers(1, 20))
     @settings(max_examples=100, deadline=None)
     def test_count_formula(self, length, width, stride):
@@ -158,13 +167,18 @@ class TestCrops:
             return
         fs = 10.0
         epoch = Epoch(np.zeros((1, length)), 0, "S", fs)
-        crops = crop_trials(epoch, width / fs, (width - stride) / fs)
         # enumeration oracle
         expected, start = 0, 0
         while start + width <= length:
             expected += 1
             start += stride
-        assert len(crops) == expected == (length - width) // stride + 1
+        assert CropGeometry.of(length, width, stride).count == expected \
+            == (length - width) // stride + 1
+        if stride > width:  # a gap between crops is a negative overlap, which is refused
+            with pytest.raises(ValueError, match="overlap"):
+                crop_trials(epoch, width / fs, (width - stride) / fs)
+        else:
+            assert len(crop_trials(epoch, width / fs, (width - stride) / fs)) == expected
 
 
 def _trialset(n_channels=4, names=None, fs=250.0, trials=3, label_fn=None, seed=0):
