@@ -6,16 +6,31 @@ square/log/tanh activations, dropout, a softmax cross-entropy head, and the
 convs, square, pool and log fused into one log-power op for training.
 Every op accepts either a single sample or a batch with one leading axis.
 No broadcasting beyond that, no GPU, no general-purpose graph surgery.
+
+Every op runs on the calling thread except the log-power op, which splits
+its batch into fixed chunks of `_CHUNK` samples. When the environment pins
+BLAS to one thread, the chunks run on a private pool of one worker thread
+per usable core; otherwise they run inline. The chunking, not the worker
+count, fixes every sum's order, so results are the same to the bit either
+way. Workers run numpy and this module's private helpers only.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 LOG_FLOOR = 1e-6
+
+_CHUNK = 8  # samples per conv_log_power work item
+# OpenBLAS takes its thread count from the first of these that holds a
+# positive integer, read in this order at start-up
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class Tensor:
@@ -144,6 +159,41 @@ def _check_pool(width, stride, extent: int) -> None:
         raise ValueError(f"pool width {width} exceeds time extent {extent}")
 
 
+def _pool_size() -> int:
+    """Worker threads for conv_log_power's chunks: the usable cores when
+    BLAS is pinned to one thread, else 1. A pool on top of threaded BLAS
+    runs slower than either level of threads alone."""
+    for name in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads == 1:
+            try:
+                return len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call on this platform
+                return os.cpu_count() or 1
+        if threads > 1:
+            return 1
+    return 1
+
+
+def _map_chunks(fn: Callable[[int, int], object], n: int) -> Iterator:
+    """fn(lo, hi) for consecutive chunks [lo, hi) of at most _CHUNK of n
+    samples, yielded in chunk order. The chunks run on the worker pool when
+    there are several of them and _pool_size() is above 1, else inline."""
+    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+    workers = _pool_size()
+    if len(bounds) < 2 or workers < 2:
+        return (fn(lo, hi) for lo, hi in bounds)
+    return _executor(workers).map(fn, *zip(*bounds))
+
+
+@functools.cache
+def _executor(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="scsnet-conv")
+
+
 def _pool_matrix(n_out: int, t: int, width: int, stride: int) -> np.ndarray:
     # mean pooling over t samples is the fixed [n_out, t] matrix P with
     # 1/width on each window, so its input gradient is g @ P
@@ -260,6 +310,11 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int) -> Te
     pooled power, never the squared batch. The square, pool and log (and
     their gradients) do the separate ops' arithmetic in the same order, so
     they add no rounding of their own.
+    The batch runs in chunks of _CHUNK samples, on the worker pool when BLAS
+    is pinned to one thread (see `_pool_size`). Outputs and the input
+    gradient are per sample. The effective-kernel gradient sum_i gh_i @
+    cols_i^T is summed within each chunk, then over the chunks in order, so
+    every result is the same to the bit at any worker count.
     Shapes and input checks are the chain's: x [channels, time] or batched,
     kernels [n_filters, k], weights [n_out, n_filters, channels]; output
     [n_out, pooled] (batched: [batch, n_out, pooled]) with pooled =
@@ -290,15 +345,21 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int) -> Te
         np.copyto(cols, windows[i])
         return cols.reshape(c * k, t_out)
 
-    cols = np.empty((c, k, t_out))
     h = np.empty((b, o, t_out))
     pooled = np.empty((b, o, n_pool))
-    power = np.empty((o, t_out))  # one crop's square, read through its pool windows
-    power_windows = sliding_window_view(power, pool_width, axis=-1)[:, ::pool_stride, :]
-    for i in range(b):
-        np.matmul(w_eff, im2col(i, cols), out=h[i])
-        np.multiply(h[i], h[i], out=power)
-        np.add.reduce(power_windows, axis=-1, out=pooled[i])
+
+    def forward_chunk(lo: int, hi: int) -> None:
+        # each chunk has its own buffers and writes only its rows of h, pooled
+        cols = np.empty((c, k, t_out))
+        power = np.empty((o, t_out))  # one crop's square, read through its pool windows
+        power_windows = sliding_window_view(power, pool_width, axis=-1)[:, ::pool_stride, :]
+        for i in range(lo, hi):
+            np.matmul(w_eff, im2col(i, cols), out=h[i])
+            np.multiply(h[i], h[i], out=power)
+            np.add.reduce(power_windows, axis=-1, out=pooled[i])
+
+    for _ in _map_chunks(forward_chunk, b):
+        pass
     pooled /= pool_width  # np.mean's sum, then divide: mean_pool's value to the bit
     out = np.log(np.maximum(pooled, LOG_FLOOR))
 
@@ -308,26 +369,36 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int) -> Te
         gp = np.where(live, g / np.where(live, pooled, 1.0), 0.0)
         pool = _pool_matrix(n_pool, t_out, pool_width, pool_stride)
         need_params = kernels.requires_grad or weights.requires_grad
-        gx = gk = gw = None
-        if need_params:
-            cols = np.empty((c, k, t_out))
-            g_eff = np.zeros((o, c * k))
-        if x.requires_grad:
-            gx = np.zeros_like(xb)
-        for i in range(b):
-            gh = 2.0 * h[i] * (gp[i] @ pool)
+        gx = np.zeros_like(xb) if x.requires_grad else None
+
+        def backward_chunk(lo: int, hi: int) -> np.ndarray | None:
+            # the chunk's effective-kernel gradient partial; its input-gradient
+            # rows go straight into gx
+            part = cols = None
             if need_params:
-                g_eff += gh @ im2col(i, cols).T
-            if x.requires_grad:
-                spread = (w_eff.T @ gh).reshape(c, k, t_out)
-                _scatter_windows(gx[i], spread.transpose(0, 2, 1), 1)
+                cols = np.empty((c, k, t_out))
+                part = np.zeros((o, c * k))
+            for i in range(lo, hi):
+                gh = 2.0 * h[i] * (gp[i] @ pool)
+                if need_params:
+                    part += gh @ im2col(i, cols).T
+                if gx is not None:
+                    spread = (w_eff.T @ gh).reshape(c, k, t_out)
+                    _scatter_windows(gx[i], spread.transpose(0, 2, 1), 1)
+            return part
+
+        gk = gw = None
+        g_eff = np.zeros((o, c * k)) if need_params else None
+        for part in _map_chunks(backward_chunk, b):
+            if need_params:
+                g_eff += part
         if need_params:
             g_eff = g_eff.reshape(o, c, k)
             if kernels.requires_grad:
                 gk = np.einsum("ock,ofc->fk", g_eff, weights.values)
             if weights.requires_grad:
                 gw = np.einsum("ock,fk->ofc", g_eff, kernels.values)
-        if x.requires_grad and not batched:
+        if gx is not None and not batched:
             gx = gx[0]
         return gx, gk, gw
 

@@ -21,8 +21,9 @@ from pathlib import Path
 from .datasets import SplitSpec, SubjectDataset, load_trialset, make_splits, read_fields, \
     save_trialset, synth_multisubject
 from .models import load_checkpoint, save_checkpoint
-from .preprocessing import preprocess_trialset
-from .training import ComparisonRow, TrainConfig, evaluate, negative_transfer_report, train
+from .preprocessing import crop_geometry, preprocess_trialset
+from .training import ComparisonRow, TrainConfig, base_config, evaluate, \
+    negative_transfer_report, train
 
 CONTAINER_SUFFIX = ".tsc"
 SEED_ENV = "SCSN_SEED"
@@ -190,6 +191,25 @@ def _load_subject_datasets(data_dir: Path) -> tuple[list[SubjectDataset], list[P
     return datasets, files
 
 
+def _check_overlap(ns, parser) -> None:
+    if ns.overlap >= ns.win:
+        parser.error(f"--overlap {ns.overlap} must be shorter than --win {ns.win}")
+
+
+def _check_target_sessions(datasets: list[SubjectDataset], target: str, fits) -> None:
+    """Call `fits(session)` on each of the target's sessions, so a crop or
+    pool that does not fit its trials fails before the split is built; the
+    ValueError names the session. An unknown target is left to the split."""
+    for ds in datasets:
+        if ds.subject_id != target:
+            continue
+        for k, session in enumerate(ds.sessions, start=1):
+            try:
+                fits(session)
+            except ValueError as err:
+                raise ValueError(f"subject {target!r} session {k}: {err}") from None
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -240,17 +260,25 @@ def _train_config(ns, seed: int) -> TrainConfig:
 def cmd_train(ns, parser) -> int:
     if ns.model in ("scsn", "scsn-mmd") and ns.regime == "single":
         parser.error("multi-branch models require --regime multi (need at least 2 subjects)")
+    _check_overlap(ns, parser)
+    if ns.patience > ns.epochs:
+        parser.error(f"--patience {ns.patience} exceeds --epochs {ns.epochs}; "
+                     f"give --patience at most {ns.epochs}")
     seed = _resolve_seed(ns.seed)
+    try:
+        cfg = _train_config(ns, seed)
+    except ValueError as err:
+        parser.error(str(err))
     out = _out_dir(ns)
     datasets, files = _load_subject_datasets(Path(ns.data))
     inputs = [_hashed(path) for path in files]
+    _check_target_sessions(datasets, ns.target, lambda session: base_config(cfg, session))
     split = make_splits(datasets, SplitSpec(ns.target, ns.calib, ns.val, ns.test))
     del datasets  # sessions the split does not use are freed before training
     n_train = sum(len(ts) for ts in split.train.values())
     print(f"split: train={n_train} val={len(split.val)} test={len(split.test)}")
 
-    model, report = train(ns.model.replace("-", "_"), split, _train_config(ns, seed),
-                          regime=ns.regime)
+    model, report = train(ns.model.replace("-", "_"), split, cfg, regime=ns.regime)
 
     ckpt = out / "model.ckpt"
     save_checkpoint(model, ckpt, meta={
@@ -271,6 +299,7 @@ def cmd_train(ns, parser) -> int:
 
 
 def cmd_eval(ns, parser) -> int:
+    _check_overlap(ns, parser)
     out = _out_dir(ns)
     ckpt = Path(ns.ckpt)
     if not ckpt.exists():
@@ -279,6 +308,8 @@ def cmd_eval(ns, parser) -> int:
     inputs = [_hashed(ckpt)]
     datasets, files = _load_subject_datasets(Path(ns.data))
     inputs += [_hashed(path) for path in files]
+    _check_target_sessions(datasets, ns.target, lambda session: crop_geometry(
+        session.n_samples, session.fs, ns.win, ns.overlap))
     split = make_splits(datasets, SplitSpec(ns.target, ns.calib, ns.val, ns.test))
     del datasets  # sessions the split does not use are freed before decoding
     branch = model.cfg.target_index if model.kind == "scsn" else None

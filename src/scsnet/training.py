@@ -343,6 +343,24 @@ def _scsn_step(model, state, cfg, where, drop_rng, picks: list[tuple[CropPool, n
     return _descend(transfer_loss(ce, terms, cfg.lam), model, state, cfg, where), mmd
 
 
+def base_config(cfg: TrainConfig, trials: TrialSet) -> BaselineConfig:
+    """The shallow-block geometry `train` builds for crops of `trials`.
+    Raises ValueError when the crops do not fit the trials or the pool does
+    not fit the temporal-conv output."""
+    base = BaselineConfig(
+        n_channels=len(trials.channel_names),
+        n_samples=crop_geometry(trials.n_samples, trials.fs, cfg.win_s, cfg.overlap_s).width,
+        n_classes=len(trials.class_names),
+        temporal_filters=cfg.temporal_filters,
+        temporal_kernel=cfg.temporal_kernel,
+        pool_width=cfg.pool_width,
+        pool_stride=cfg.pool_stride,
+        dropout=cfg.dropout,
+    )
+    base.pooled_out  # validates pool feasibility
+    return base
+
+
 def train(model_kind: str, split: Split, cfg: TrainConfig,
           regime: str = "multi"):
     """Train one decoder on a split and return (model, TrainReport).
@@ -364,20 +382,7 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
         raise ValueError("early stopping needs a non-empty validation set")
 
     start = time.perf_counter()
-    any_train = split.train[split.target_subject]
-    n_classes = len(any_train.class_names)
-    n_channels = len(any_train.channel_names)
-    base = BaselineConfig(
-        n_channels=n_channels,
-        n_samples=crop_geometry(any_train.n_samples, any_train.fs, cfg.win_s,
-                                cfg.overlap_s).width,
-        n_classes=n_classes,
-        temporal_filters=cfg.temporal_filters,
-        temporal_kernel=cfg.temporal_kernel,
-        pool_width=cfg.pool_width,
-        pool_stride=cfg.pool_stride,
-        dropout=cfg.dropout,
-    )
+    base = base_config(cfg, split.train[split.target_subject])
     val_y = split.val.labels()[:, None]
     drop_rng = dropout_stream(cfg.seed)
     report = TrainReport(kind, regime, split.target_subject)

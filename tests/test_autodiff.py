@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -245,6 +247,8 @@ class TestConvTimeSpace:
              zero_crop=True, seed=2)                                      # pooled below the floor
     @example(batch=None, c=3, f=2, o=2, k=4, pool_width=5, pool_stride=2, slack=4,
              zero_crop=False, seed=3)                                     # unbatched
+    @example(batch=2 * ad._CHUNK + 3, c=3, f=2, o=3, k=5, pool_width=4, pool_stride=3,
+             slack=6, zero_crop=True, seed=4)                             # several chunks
     @settings(max_examples=60, deadline=None)
     def test_matches_five_op_chain(self, batch, c, f, o, k, pool_width, pool_stride, slack,
                                    zero_crop, seed):
@@ -293,6 +297,85 @@ class TestConvTimeSpace:
         with pytest.raises(ValueError) as fused:
             ad.conv_log_power(x, k, w, *pool)
         assert str(fused.value) == str(chain.value)
+
+
+class TestConvLogPowerPool:
+    """conv_log_power's chunks give the same bytes at any worker count, and
+    the worker count follows the BLAS thread environment."""
+
+    @given(batch=st.none() | st.integers(1, 2 * ad._CHUNK + 3), x_grad=st.booleans(),
+           zero_crop=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @example(batch=ad._CHUNK - 1, x_grad=True, zero_crop=False, seed=0)   # below a chunk
+    @example(batch=ad._CHUNK, x_grad=True, zero_crop=False, seed=1)       # one full chunk
+    @example(batch=2 * ad._CHUNK + 3, x_grad=True, zero_crop=True, seed=2)  # ragged last chunk
+    @example(batch=2 * ad._CHUNK + 3, x_grad=False, zero_crop=False, seed=3)
+    @example(batch=None, x_grad=True, zero_crop=False, seed=4)            # unbatched
+    @settings(max_examples=30, deadline=None)
+    def test_same_bytes_at_every_pool_size(self, batch, x_grad, zero_crop, seed):
+        rng = np.random.default_rng(seed)
+        lead = () if batch is None else (batch,)
+        values = rng.normal(size=(*lead, 3, 20))
+        if zero_crop:
+            values[() if batch is None else batch // 2] = 0.0
+        kern, w = rng.normal(size=(2, 5)), rng.normal(size=(3, 2, 3))
+        results = []
+        for size in (1, 2, 3):
+            x = ad.Tensor(values, requires_grad=x_grad)
+            k, wt = ad.Tensor(kern, requires_grad=True), ad.Tensor(w, requires_grad=True)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ad, "_pool_size", lambda: size)
+                out = ad.conv_log_power(x, k, wt, 4, 3)
+                ad.tsum(ad.square(out)).backward()
+            results.append([a.tobytes() for a in (out.values, k.grad, wt.grad)]
+                           + [x.grad.tobytes() if x_grad else x.grad])
+        assert results[0] == results[1] == results[2]
+
+    def test_same_bytes_under_fast_thread_switching(self, monkeypatch):
+        # more workers than cores and a thread switch every microsecond: a
+        # chunk that wrote outside its own rows, or partial gradients summed
+        # in completion order, would change bytes between repeats
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(5 * ad._CHUNK + 1, 3, 20))
+        kern, w = rng.normal(size=(2, 5)), rng.normal(size=(3, 2, 3))
+
+        def run():
+            x = ad.Tensor(values, requires_grad=True)
+            k, wt = ad.Tensor(kern, requires_grad=True), ad.Tensor(w, requires_grad=True)
+            out = ad.conv_log_power(x, k, wt, 4, 3)
+            ad.tsum(ad.square(out)).backward()
+            return [a.tobytes() for a in (out.values, x.grad, k.grad, wt.grad)]
+
+        monkeypatch.setattr(ad, "_pool_size", lambda: 1)
+        want = run()
+        monkeypatch.setattr(ad, "_pool_size", lambda: 2 * (os.cpu_count() or 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                assert run() == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @pytest.mark.parametrize("env, pinned", [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+        ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, True),   # empty reads as unset
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, False),
+    ], ids=["unset", "openblas-1", "openblas-2-omp-1", "omp-1", "goto-1-omp-4",
+            "openblas-empty-omp-1", "openblas-0-omp-2"])
+    def test_pool_size_follows_blas_threads(self, monkeypatch, env, pinned):
+        for name in self.BLAS_VARS:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+            else os.cpu_count()
+        assert ad._pool_size() == (cores if pinned else 1)
 
 
 class TestMeanPool:

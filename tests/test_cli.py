@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from scsnet import autodiff as ad
 from scsnet import cli
 from scsnet.cli import build_parser, main, read_manifest, replay_args, sha256_file
 from scsnet.datasets import load_trialset
@@ -183,6 +184,68 @@ class TestTrain:
         assert f"argument --dropout: {float(value)} is outside [0, 1)" in capsys.readouterr().err
         assert loads == []
 
+    def test_patience_beyond_epochs_is_a_usage_error(self, data_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        # --patience defaults to 20, so a short run without it is refused
+        # before any session loads
+        loads = []
+        monkeypatch.setattr(cli, "load_trialset", lambda path: loads.append(path))
+        flags = TRAIN_FLAGS[:TRAIN_FLAGS.index("--patience")] \
+            + TRAIN_FLAGS[TRAIN_FLAGS.index("--patience") + 2:]
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(data_dir), "--model", "scsn", *flags,
+                  "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert "--patience 20 exceeds --epochs 3" in capsys.readouterr().err
+        assert loads == []
+
+    @pytest.mark.parametrize("overlap", ["1.0", "1.5"])
+    def test_overlap_not_shorter_than_window_is_a_usage_error(self, data_dir, tmp_path,
+                                                              capsys, monkeypatch, overlap):
+        loads = []
+        monkeypatch.setattr(cli, "load_trialset", lambda path: loads.append(path))
+        train_argv = ["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
+                      "--overlap", overlap, "--out", str(tmp_path / "x")]
+        eval_argv = ["eval", "--ckpt", str(tmp_path / "c"), "--data", str(data_dir),
+                     "--target", "S01", "--win", "1.0", "--overlap", overlap,
+                     "--out", str(tmp_path / "y")]
+        for argv in (train_argv, eval_argv):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, argv[0]
+            assert f"--overlap {float(overlap)} must be shorter than --win 1.0" \
+                in capsys.readouterr().err
+        assert loads == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--win", "2.0"], "window exceeds the trial duration"),
+        (["--pool-width", "29"], "pool width 29 exceeds the temporal-conv output (28 samples)"),
+    ], ids=["win-longer-than-trials", "pool-beyond-conv-output"])
+    def test_crop_and_pool_that_do_not_fit_fail_before_the_split(
+            self, data_dir, tmp_path, capsys, monkeypatch, flags, message):
+        splits = []
+        monkeypatch.setattr(cli, "make_splits", lambda *args: splits.append(args))
+        code = main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
+                     *flags, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"error: subject 'S01' session 1: {message}" in capsys.readouterr().err
+        assert splits == []
+
+    def test_eval_window_longer_than_trials_fails_before_the_split(
+            self, data_dir, tmp_path, capsys, monkeypatch):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--model", "baseline",
+                     "--regime", "single", *TRAIN_FLAGS, "--out", str(run)]) == 0
+        splits = []
+        monkeypatch.setattr(cli, "make_splits", lambda *args: splits.append(args))
+        code = main(["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(data_dir),
+                     "--target", "S01", "--win", "2.0", "--overlap", "1.0",
+                     "--out", str(tmp_path / "y")])
+        assert code == 1
+        assert "error: subject 'S01' session 1: window exceeds the trial duration" \
+            in capsys.readouterr().err
+        assert splits == []
+
     def test_default_flags_build_the_default_config(self):
         ns = build_parser().parse_args(["train", "--data", "d", "--target", "S01",
                                         "--model", "scsn", "--out", "o"])
@@ -335,6 +398,40 @@ class TestRerun:
         err = capsys.readouterr().err
         assert str(raw) in err and "S01_s1.tsc" not in err
         assert not fresh.exists()
+
+
+@pytest.mark.parametrize("model", [["--model", "scsn-mmd", "--lambda", "1"],
+                                   ["--model", "baseline", "--regime", "multi"]],
+                         ids=["scsn-mmd", "baseline-multi"])
+def test_outputs_do_not_depend_on_the_conv_worker_count(tmp_path, monkeypatch, model):
+    # batches of 12 crops per branch (24 pooled for the baseline) span
+    # several conv_log_power chunks, so size 2 runs them on the worker pool
+    data = tmp_path / "data"
+    assert main(["synth", "--subjects", "2", "--sessions", "2", "--trials", "12",
+                 "--channels", "3", "--fs", "32", "--duration", "2.0", "--classes", "2",
+                 "--seed", "7", "--out", str(data)]) == 0
+    flags = ["--target", "S01", "--calib", "4", "--val", "4:8", "--test", "8:12",
+             "--win", "1.0", "--overlap", "0.75", "--batch", "12", "--epochs", "2",
+             "--patience", "2", "--temporal-filters", "2", "--temporal-kernel", "5",
+             "--pool-width", "4", "--pool-stride", "3", "--common-dims", "4,4,4",
+             "--separate-dims", "3,3,3", "--seed", "1"]
+    pooled = []
+    real_executor = ad._executor
+
+    def executor(workers):
+        pooled.append(workers)
+        return real_executor(workers)
+
+    monkeypatch.setattr(ad, "_executor", executor)
+    outputs = {}
+    for size in (1, 2):
+        monkeypatch.setattr(ad, "_pool_size", lambda size=size: size)
+        out = tmp_path / f"run{size}"
+        assert main(["train", "--data", str(data), *model, *flags, "--out", str(out)]) == 0
+        outputs[size] = {name: (out / name).read_bytes()
+                         for name in ("model.ckpt", "report.csv", "summary.txt")}
+    assert pooled and set(pooled) == {2}
+    assert outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("argv", NON_DEFAULT_ARGV, ids=lambda argv: argv[0])
