@@ -7,17 +7,21 @@ convs, square, pool and log fused into one log-power op for training.
 Every op accepts either a single sample or a batch with one leading axis.
 No broadcasting beyond that, no GPU, no general-purpose graph surgery.
 
-Every op runs on the calling thread except the log-power op, which splits
-its batch into fixed chunks of `_CHUNK` samples. When the environment pins
-BLAS to one thread, the chunks run on a private pool of one worker thread
-per usable core; otherwise they run inline. The chunking, not the worker
-count, fixes every sum's order, so results are the same to the bit either
-way. Workers run numpy and this module's private helpers only.
+The log-power op also takes whole trials with per-crop onsets: crops of
+one trial that overlap or touch are convolved as one segment, so shared
+samples are convolved once. Every op runs on the calling thread except the
+log-power op, which splits its segments into work items, cut once they
+hold `_CHUNK` crops. When the environment pins BLAS to one thread, the
+items run on a private pool of one worker thread per usable core;
+otherwise they run inline. The crops, not the worker count, fix the items and so every sum's
+order, so results are the same to the bit either way. Workers run numpy and
+this module's private helpers only.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, Sequence
@@ -27,10 +31,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 LOG_FLOOR = 1e-6
 
-_CHUNK = 8  # samples per conv_log_power work item
+_CHUNK = 8  # crops at which a conv_log_power work item is cut
 # OpenBLAS takes its thread count from the first of these that holds a
 # positive integer, read in this order at start-up
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class Tensor:
@@ -163,7 +167,7 @@ def _pool_size() -> int:
     """Worker threads for conv_log_power's chunks: the usable cores when
     BLAS is pinned to one thread, else 1. A pool on top of threaded BLAS
     runs slower than either level of threads alone."""
-    for name in _BLAS_THREAD_VARS:
+    for name in BLAS_THREAD_VARS:
         try:
             threads = int(os.environ.get(name, ""))
         except ValueError:
@@ -178,11 +182,10 @@ def _pool_size() -> int:
     return 1
 
 
-def _map_chunks(fn: Callable[[int, int], object], n: int) -> Iterator:
-    """fn(lo, hi) for consecutive chunks [lo, hi) of at most _CHUNK of n
-    samples, yielded in chunk order. The chunks run on the worker pool when
-    there are several of them and _pool_size() is above 1, else inline."""
-    bounds = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+def _map_chunks(fn: Callable[[int, int], object], bounds: list[tuple[int, int]]) -> Iterator:
+    """fn(lo, hi) for each chunk of `bounds`, yielded in chunk order. The
+    chunks run on the worker pool when there are several of them and
+    _pool_size() is above 1, else inline."""
     workers = _pool_size()
     if len(bounds) < 2 or workers < 2:
         return (fn(lo, hi) for lo, hi in bounds)
@@ -297,68 +300,137 @@ def conv_space(x, weights) -> Tensor:
     return make_node(out if batched else out[0], (x, weights), backward)
 
 
-def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int) -> Tensor:
+def _check_crops(crops, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    trial, onset, width = crops
+    trial, onset = np.asarray(trial), np.asarray(onset)
+    if len(shape) != 3:
+        raise ValueError("whole-trial input must be [trials, channels, samples]")
+    if not isinstance(width, (int, np.integer)) or width < 1:
+        raise ValueError("crop width must be a positive integer")
+    if (trial.ndim != 1 or trial.shape != onset.shape or not len(trial)
+            or trial.dtype.kind not in "iu" or onset.dtype.kind not in "iu"):
+        raise ValueError("crop trials and onsets must be equal-length, non-empty integer vectors")
+    if trial.min() < 0 or trial.max() >= shape[0]:
+        raise ValueError(f"crop trial index outside [0, {shape[0]})")
+    if onset.min() < 0 or onset.max() + width > shape[-1]:
+        raise ValueError(f"crop window outside the {shape[-1]} samples of a trial")
+    return trial, onset, int(width)
+
+
+def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
+                   crops: tuple | None = None) -> Tensor:
     """log_clipped(mean_pool(square(conv_space(conv_time(x, kernels, 1),
     weights)), pool_width, pool_stride)) as one op: Shallow ConvNet's
     log-power block.
 
     No nonlinearity separates the two convs, so they are one valid
     convolution with the effective kernel W[o, c, k] = sum_f weights[o, f,
-    c] * kernels[f, k], run as an im2col matmul per sample; the [F, C, T']
-    temporal-conv output is never formed. Each sample is squared and pooled
-    straight after its matmul, so the op keeps only the conv output and the
-    pooled power, never the squared batch. The square, pool and log (and
-    their gradients) do the separate ops' arithmetic in the same order, so
-    they add no rounding of their own.
-    The batch runs in chunks of _CHUNK samples, on the worker pool when BLAS
-    is pinned to one thread (see `_pool_size`). Outputs and the input
-    gradient are per sample. The effective-kernel gradient sum_i gh_i @
-    cols_i^T is summed within each chunk, then over the chunks in order, so
-    every result is the same to the bit at any worker count.
+    c] * kernels[f, k], run as an im2col matmul; the [F, C, T'] temporal-conv
+    output is never formed. The square, pool and log (and their gradients)
+    do the separate ops' arithmetic in the same order, so they add no
+    rounding of their own, and the op keeps only the conv output and the
+    pooled power, never the squared batch.
+
+    By default each row of x is one crop. Given `crops` = (trial, onset,
+    width), x holds whole trials [trials, channels, samples] and crop r is
+    x[trial[r], :, onset[r]:onset[r] + width]. The crops of one trial whose
+    windows overlap or touch form a segment, which gets one im2col and one
+    matmul; each crop's conv output is a column slice of its segment's, so
+    samples that crops share are convolved once. Outputs follow the crops'
+    row order. The backward pass gives each segment one effective-kernel
+    partial gh_seg @ cols_seg^T, gh_seg summing its crops' gradients in
+    (trial, onset) order, and one input-gradient scatter into its own span.
+    A crop alone in its segment gets exactly the matmul of a crop row; a
+    crop inside a longer segment may differ from it in the last bits, as
+    BLAS computes a matrix's edge columns with other kernels.
+
+    Work items are whole segments in (trial, onset) order, cut once they
+    hold _CHUNK crops; they run on the worker pool when BLAS is pinned to
+    one thread (see `_pool_size`). The effective-kernel gradient is summed
+    within each item, then over the items in order. The crops alone fix the
+    items, so every result is the same to the bit at any worker count.
     Shapes and input checks are the chain's: x [channels, time] or batched,
     kernels [n_filters, k], weights [n_out, n_filters, channels]; output
-    [n_out, pooled] (batched: [batch, n_out, pooled]) with pooled =
-    floor((time - k + 1 - pool_width) / pool_stride) + 1.
+    [n_out, pooled] (batched: [crops, n_out, pooled]) with pooled =
+    floor((width - k + 1 - pool_width) / pool_stride) + 1, width being the
+    crop width (by default the time extent).
     """
     x, kernels, weights = as_tensor(x), as_tensor(kernels), as_tensor(weights)
     if kernels.ndim != 2:
         raise ValueError("kernels must have shape [n_filters, k]")
-    xb, batched = _with_batch(x.values, 2)
+    if crops is None:
+        xb, batched = _with_batch(x.values, 2)
+        b, width = len(xb), xb.shape[-1]
+        trial, onset = np.arange(b), np.zeros(b, dtype=np.intp)
+    else:
+        xb, batched = x.values, True
+        trial, onset, width = _check_crops(crops, xb.shape)
+        b = len(trial)
     f, k = kernels.values.shape
-    if k > xb.shape[-1]:
-        raise ValueError(f"kernel length {k} exceeds signal length {xb.shape[-1]}")
+    if k > width:
+        raise ValueError(f"kernel length {k} exceeds signal length {width}")
     if weights.ndim != 3:
         raise ValueError("weights must have shape [n_out, n_filters, channels]")
-    b, c, t = xb.shape
+    c = xb.shape[1]
     if weights.values.shape[1:] != (f, c):
         raise ValueError(
             f"weight extents {weights.values.shape[1:]} do not match input "
             f"filter/channel extents {(f, c)}")
-    o, t_out = weights.values.shape[0], t - k + 1
+    o, t_out = weights.values.shape[0], width - k + 1
     _check_pool(pool_width, pool_stride, t_out)
 
+    # segments: runs of crops, sorted by (trial, onset), that overlap or touch
+    order = np.lexsort((onset, trial))
+    s_trial, s_onset = trial[order], onset[order]
+    breaks = (s_trial[1:] != s_trial[:-1]) | (s_onset[1:] > s_onset[:-1] + width)
+    # segment s holds the sorted crops first[s]:first[s + 1]
+    first = [0, *(np.flatnonzero(breaks) + 1).tolist(), b] if b else [0]
+    rows, s_trial, s_onset = order.tolist(), s_trial.tolist(), s_onset.tolist()
+    # (trial, start, conv output columns, first crop, end crop) per segment
+    segs = [(s_trial[i], s_onset[i], s_onset[j - 1] - s_onset[i] + t_out, i, j)
+            for i, j in zip(first, first[1:])]
+    # work items: segments lo..s - 1, cut once they hold _CHUNK crops
+    bounds, lo = [], 0
+    for s in range(1, len(segs) + 1):
+        if first[s] - first[lo] >= _CHUNK or s == len(segs):
+            bounds.append((lo, s))
+            lo = s
+
     n_pool = (t_out - pool_width) // pool_stride + 1
-    w_eff = np.einsum("ofc,fk->ock", weights.values, kernels.values).reshape(o, c * k)
-    windows = sliding_window_view(xb, k, axis=-1).transpose(0, 1, 3, 2)  # [B, C, k, T']
-
-    def im2col(i: int, cols: np.ndarray) -> np.ndarray:
-        np.copyto(cols, windows[i])
-        return cols.reshape(c * k, t_out)
-
-    h = np.empty((b, o, t_out))
+    w_eff = (weights.values.transpose(0, 2, 1) @ kernels.values).reshape(o, c * k)
+    windows = sliding_window_view(xb, k, axis=-1).transpose(0, 1, 3, 2)  # [N, C, k, T']
+    # each segment's [O, n] conv output, as views of one buffer the calling
+    # thread allocates: buffers that worker threads allocate and this thread
+    # frees cost glibc about 1,000 page faults per bench-shape step
+    h_at = [0, *itertools.accumulate(o * seg[2] for seg in segs)]
+    h_flat = np.empty(h_at[-1])
+    h = [h_flat[a:z].reshape(o, -1) for a, z in zip(h_at, h_at[1:])]
     pooled = np.empty((b, o, n_pool))
 
+    def im2col_views(lo: int, hi: int) -> dict[int, np.ndarray]:
+        # [C, k, n] views, one per segment width n of the chunk, onto the
+        # front of one buffer of the chunk's own
+        widths = {seg[2] for seg in segs[lo:hi]}
+        buf = np.empty(c * k * max(widths))
+        return {n: buf[:c * k * n].reshape(c, k, n) for n in widths}
+
     def forward_chunk(lo: int, hi: int) -> None:
-        # each chunk has its own buffers and writes only its rows of h, pooled
-        cols = np.empty((c, k, t_out))
+        # each chunk has its own buffers and writes only its segments of h
+        # and its crops' rows of pooled
+        cols_of = im2col_views(lo, hi)
         power = np.empty((o, t_out))  # one crop's square, read through its pool windows
         power_windows = sliding_window_view(power, pool_width, axis=-1)[:, ::pool_stride, :]
-        for i in range(lo, hi):
-            np.matmul(w_eff, im2col(i, cols), out=h[i])
-            np.multiply(h[i], h[i], out=power)
-            np.add.reduce(power_windows, axis=-1, out=pooled[i])
+        for s, (t, start, n, i, j) in enumerate(segs[lo:hi], lo):
+            cols = cols_of[n]
+            np.copyto(cols, windows[t, :, :, start:start + n])
+            hs = h[s]
+            np.matmul(w_eff, cols.reshape(c * k, n), out=hs)
+            for i in range(i, j):
+                crop = hs if n == t_out else hs[:, s_onset[i] - start:s_onset[i] - start + t_out]
+                np.multiply(crop, crop, out=power)
+                np.add.reduce(power_windows, axis=-1, out=pooled[rows[i]])
 
-    for _ in _map_chunks(forward_chunk, b):
+    for _ in _map_chunks(forward_chunk, bounds):
         pass
     pooled /= pool_width  # np.mean's sum, then divide: mean_pool's value to the bit
     out = np.log(np.maximum(pooled, LOG_FLOOR))
@@ -372,32 +444,42 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int) -> Te
         gx = np.zeros_like(xb) if x.requires_grad else None
 
         def backward_chunk(lo: int, hi: int) -> np.ndarray | None:
-            # the chunk's effective-kernel gradient partial; its input-gradient
-            # rows go straight into gx
-            part = cols = None
+            # the chunk's effective-kernel gradient partial; its segments'
+            # input gradients go straight into their disjoint spans of gx
+            part = cols_of = None
             if need_params:
-                cols = np.empty((c, k, t_out))
+                cols_of = im2col_views(lo, hi)
                 part = np.zeros((o, c * k))
-            for i in range(lo, hi):
-                gh = 2.0 * h[i] * (gp[i] @ pool)
+            for s, (t, start, n, i, j) in enumerate(segs[lo:hi], lo):
+                # the gradient at the segment's conv output: its crops'
+                # 2 h (gp @ P), summed in (trial, onset) order
+                if n == t_out and j - i == 1:
+                    gh = 2.0 * h[s] * (gp[rows[i]] @ pool)
+                else:
+                    gh = np.zeros_like(h[s])
+                    for i in range(i, j):
+                        span = slice(s_onset[i] - start, s_onset[i] - start + t_out)
+                        gh[:, span] += 2.0 * h[s][:, span] * (gp[rows[i]] @ pool)
                 if need_params:
-                    part += gh @ im2col(i, cols).T
+                    cols = cols_of[n]
+                    np.copyto(cols, windows[t, :, :, start:start + n])
+                    part += gh @ cols.reshape(c * k, n).T
                 if gx is not None:
-                    spread = (w_eff.T @ gh).reshape(c, k, t_out)
-                    _scatter_windows(gx[i], spread.transpose(0, 2, 1), 1)
+                    spread = (w_eff.T @ gh).reshape(c, k, n).transpose(0, 2, 1)
+                    _scatter_windows(gx[t, :, start:start + n + k - 1], spread, 1)
             return part
 
         gk = gw = None
         g_eff = np.zeros((o, c * k)) if need_params else None
-        for part in _map_chunks(backward_chunk, b):
+        for part in _map_chunks(backward_chunk, bounds):
             if need_params:
                 g_eff += part
         if need_params:
             g_eff = g_eff.reshape(o, c, k)
             if kernels.requires_grad:
-                gk = np.einsum("ock,ofc->fk", g_eff, weights.values)
+                gk = weights.values.transpose(1, 0, 2).reshape(f, o * c) @ g_eff.reshape(o * c, k)
             if weights.requires_grad:
-                gw = np.einsum("ock,fk->ofc", g_eff, kernels.values)
+                gw = (g_eff @ kernels.values.T).transpose(0, 2, 1)
         if gx is not None and not batched:
             gx = gx[0]
         return gx, gk, gw

@@ -1,10 +1,12 @@
 """Command-line pipeline: synthesize, preprocess, train, evaluate, report.
 
 Every command writes its outputs under --out together with a manifest.txt
-recording the resolved flags, the seed, and sha256 checksums of all inputs
-and outputs; `rerun` checks that the recorded inputs are unchanged, replays
-the manifest into a fresh directory, and verifies that the outputs come back
-byte-identical.
+recording the resolved flags, the seed, the BLAS thread setting, and sha256
+checksums of all inputs and outputs; `rerun` checks that the recorded inputs
+are unchanged, replays the manifest into a fresh directory, and verifies
+that the outputs come back byte-identical. Outputs are byte-exact only under
+the BLAS thread setting they were made with, so a mismatch under another
+setting names both.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .autodiff import BLAS_THREAD_VARS
 from .datasets import SplitSpec, SubjectDataset, load_trialset, make_splits, read_fields, \
     save_trialset, synth_multisubject
 from .models import load_checkpoint, save_checkpoint
@@ -100,6 +103,11 @@ def _hashed(path: Path) -> tuple[Path, str]:
     return path, sha256_file(path)
 
 
+def blas_threads() -> str:
+    """The BLAS thread variables as NAME=value words, empty when unset."""
+    return " ".join(f"{name}={os.environ.get(name, '')}" for name in BLAS_THREAD_VARS)
+
+
 def write_manifest(out_dir: Path, command: str, args: list[str], seed: int | None,
                    inputs: list[tuple[Path, str]], outputs: list[Path],
                    extras: dict[str, str] | None = None) -> Path:
@@ -107,6 +115,7 @@ def write_manifest(out_dir: Path, command: str, args: list[str], seed: int | Non
         f"command={command}",
         f"timestamp={datetime.now(timezone.utc).isoformat()}",
         f"args={shlex.join(args)}",
+        f"blas_threads={blas_threads()}",
     ]
     if seed is not None:
         lines.append(f"seed={seed}")
@@ -392,6 +401,10 @@ def cmd_rerun(ns, parser) -> int:
         print(f"{status}\t{name}")
     if mismatched:
         print(f"{len(mismatched)} output(s) differ from the manifest", file=sys.stderr)
+        recorded, now = manifest.get("blas_threads"), blas_threads()
+        if recorded is not None and recorded != now:
+            print(f"the run was made with BLAS threads {recorded!r} and replayed with {now!r};"
+                  " outputs are byte-exact only under the recorded setting", file=sys.stderr)
         return 1
     return 0
 

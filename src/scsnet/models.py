@@ -168,18 +168,25 @@ def _init_dense_chain(params: ModelParams, rng, prefix: str, group: str,
 
 
 def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
-                     training: bool, dropout_rng, crop_stride: int | None = None
-                     ) -> ad.Tensor:
+                     training: bool, dropout_rng, crop_stride: int | None = None,
+                     crops: tuple[np.ndarray, np.ndarray] | None = None) -> ad.Tensor:
     """Pooled log-power features of crops [[batch,] channels, n_samples].
 
-    Given `crop_stride`, x holds whole trials [trials, channels, samples]
-    instead, and the result holds the features of every crop of every trial
-    (n_samples wide, one every crop_stride samples), trial-major. Conv and
-    square act locally in time, so each trial's covered span runs through
-    them once; pooling at the stride g = gcd(crop_stride, pool_stride) then
-    yields every pooling window of every crop, and the crop read-out is a
-    gather. That read-out is not differentiated: inference only.
+    Given `crops` = (trial, onset), x holds whole trials (or the spans of
+    them that the crops cover) [trials, channels, samples] and row r of the
+    result is the crop x[trial[r], :, onset[r]:onset[r] + n_samples]; the
+    fused op convolves the samples that crops share once. Training only.
+
+    Given `crop_stride`, x holds whole trials too, and the result holds the
+    features of every crop of every trial (n_samples wide, one every
+    crop_stride samples), trial-major. Conv and square act locally in time,
+    so each trial's covered span runs through them once; pooling at the
+    stride g = gcd(crop_stride, pool_stride) then yields every pooling window
+    of every crop, and the crop read-out is a gather. That read-out is not
+    differentiated: inference only.
     """
+    if crops is not None and not training:
+        raise ValueError("crop onsets are for training only")
     step, windows = cfg.pool_stride, None
     if crop_stride is not None:
         if training:
@@ -196,7 +203,8 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
                        + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
     kernels, weights = params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"]
     if training:
-        h = ad.conv_log_power(x, kernels, weights, cfg.pool_width, step)
+        h = ad.conv_log_power(x, kernels, weights, cfg.pool_width, step,
+                              None if crops is None else (*crops, cfg.n_samples))
     else:
         # Inference runs the five-op chain, the convs as per-sample matmuls
         # (conv_time writes [F, C, T'] straight from one kernel-bank matmul,
@@ -242,8 +250,9 @@ class BaselineModel:
         self.params = params
 
     def forward(self, x, training: bool = False, dropout_rng=None,
-                crop_stride: int | None = None) -> ad.Tensor:
-        h = _shallow_forward(x, self.params, self.cfg, "", training, dropout_rng, crop_stride)
+                crop_stride: int | None = None, crops=None) -> ad.Tensor:
+        h = _shallow_forward(x, self.params, self.cfg, "", training, dropout_rng, crop_stride,
+                             crops)
         return ad.dense(h, self.params["classifier.weight"], self.params["classifier.bias"])
 
     def predict_proba(self, x, branch: int | None = None,
@@ -266,12 +275,13 @@ class ScsnModel:
         return self.cfg.n_subjects
 
     def branch_forward(self, x, branch: int, training: bool = False, dropout_rng=None,
-                       crop_stride: int | None = None) -> tuple[ad.Tensor, list[ad.Tensor]]:
+                       crop_stride: int | None = None, crops=None
+                       ) -> tuple[ad.Tensor, list[ad.Tensor]]:
         if not 0 <= branch < self.cfg.n_subjects:
             raise ValueError(f"branch {branch} out of range")
         prefix = f"subject{branch}."
         h = _shallow_forward(x, self.params, self.cfg.base, prefix, training, dropout_rng,
-                             crop_stride)
+                             crop_stride, crops)
         h = _dense_chain_forward(h, self.params, "common.", len(self.cfg.common_fc_dims))
         feats: list[ad.Tensor] = []
         h = _dense_chain_forward(h, self.params, f"{prefix}sep.",
@@ -321,14 +331,18 @@ def build_scsn(cfg: ScsnConfig, seed: int) -> ScsnModel:
 def forward_train(model: ScsnModel, batch: dict, dropout_rng=None
                   ) -> dict[int, tuple[ad.Tensor, list[ad.Tensor]]]:
     """Run every branch's sub-batch through its own path plus the shared
-    block; returns {branch: (logits, three deep-layer activations)}."""
+    block; returns {branch: (logits, three deep-layer activations)}.
+
+    A sub-batch is (crops, labels), or (trials, labels, (trial, onset)) with
+    the crops given as onsets into whole trials (see `_shallow_forward`)."""
     missing = [i for i in range(model.n_subjects) if i not in batch]
     if missing:
         raise ValueError(f"batch is missing sub-batches for branches {missing}")
     out = {}
     for i in range(model.n_subjects):
-        x, _ = batch[i]
-        out[i] = model.branch_forward(x, i, training=True, dropout_rng=dropout_rng)
+        x, _, *crops = batch[i]
+        out[i] = model.branch_forward(x, i, training=True, dropout_rng=dropout_rng,
+                                      crops=crops[0] if crops else None)
     return out
 
 

@@ -270,6 +270,14 @@ class TestConvTimeSpace:
             assert np.all(got[0][first] == np.log(ad.LOG_FLOOR))
             assert not np.any(got[1][first])
 
+    def test_empty_batch(self):
+        x = ad.Tensor(np.zeros((0, 3, 11)), requires_grad=True)
+        k, w = ad.Tensor(np.ones((2, 4)), requires_grad=True), np.ones((3, 2, 3))
+        out = ad.conv_log_power(x, k, w, 3, 2)
+        assert out.shape == five_op_chain(x, k, w, 3, 2).shape == (0, 3, 3)
+        ad.tsum(out).backward()
+        assert x.grad.shape == (0, 3, 11) and not np.any(k.grad)
+
     def test_gradient_check(self):
         rng = np.random.default_rng(12)
         x = ad.Tensor(rng.normal(size=(2, 3, 11)), requires_grad=True)
@@ -299,24 +307,101 @@ class TestConvTimeSpace:
         assert str(fused.value) == str(chain.value)
 
 
+class TestConvLogPowerOnsets:
+    """conv_log_power on whole trials with per-crop onsets against the same
+    op on the crops gathered into an array, one crop per row."""
+
+    N_TRIALS, SAMPLES, WIDTH = 3, 40, 12
+
+    @staticmethod
+    def _run(values, crops):
+        rng = np.random.default_rng(7)
+        x = ad.Tensor(values, requires_grad=True)
+        k = ad.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
+        out = ad.conv_log_power(x, k, w, 4, 3, crops)
+        ad.tsum(ad.square(out)).backward()
+        return out.values, x.grad, k.grad, w.grad
+
+    @given(pairs=st.lists(st.tuples(st.integers(0, N_TRIALS - 1),
+                                    st.integers(0, SAMPLES - WIDTH)),
+                          min_size=1, max_size=2 * ad._CHUNK + 3),
+           seed=st.integers(0, 2 ** 16))
+    @example(pairs=[(1, 7)], seed=0)                                   # one crop
+    @example(pairs=[(0, 4), (2, 0), (0, 4), (0, 4)], seed=1)           # duplicates
+    @example(pairs=[(0, 10), (1, 2), (0, 3), (0, 6)], seed=2)          # overlapping, unsorted
+    @example(pairs=[(2, 24), (2, 0), (2, 12)], seed=3)                 # touching
+    @example(pairs=[(1, 20), (1, 0), (1, 3)], seed=4)                  # two segments of a trial
+    @example(pairs=[(i % 3, 4 * i % 29) for i in range(ad._CHUNK - 1)], seed=5)
+    @example(pairs=[(i % 2, 3 * i) for i in range(ad._CHUNK)], seed=6)
+    @example(pairs=[(i % 3, 5 * i % 29) for i in range(2 * ad._CHUNK + 3)], seed=7)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_gathered_crops(self, pairs, seed):
+        values = np.random.default_rng(seed).normal(size=(self.N_TRIALS, 3, self.SAMPLES))
+        trial, onset = (np.array(v) for v in zip(*pairs))
+        gathered = np.stack([values[t, :, o:o + self.WIDTH] for t, o in pairs])
+        got = self._run(values, (trial, onset, self.WIDTH))
+        want = self._run(gathered, None)
+        assert_rel_close(got[0], want[0])
+        # a crop that overlaps or touches no other crop of its trial is
+        # convolved by the very matmul its row gets
+        alone = [not any(t == u and abs(o - p) <= self.WIDTH
+                         for j, (u, p) in enumerate(pairs) if j != i)
+                 for i, (t, o) in enumerate(pairs)]
+        assert got[0][alone].tobytes() == want[0][alone].tobytes()
+        scattered = np.zeros_like(values)
+        for r, (t, o) in enumerate(pairs):
+            scattered[t, :, o:o + self.WIDTH] += want[1][r]
+        assert_rel_close(got[1], scattered)
+        assert_rel_close(got[2], want[2])
+        assert_rel_close(got[3], want[3])
+
+    @pytest.mark.parametrize("crops, message", [
+        (([0], [0, 1], 12), "equal-length"),
+        (([], [], 12), "non-empty"),
+        (([0.0], [0], 12), "integer"),
+        (([3], [0], 12), "trial index"),
+        (([0], [-1], 12), "outside the 40 samples"),
+        (([0], [29], 12), "outside the 40 samples"),
+        (([0], [0], 0), "width"),
+    ], ids=["lengths", "empty", "float-trial", "trial-range", "negative-onset", "past-the-end",
+            "zero-width"])
+    def test_rejects_bad_crops(self, crops, message):
+        values = np.zeros((self.N_TRIALS, 3, self.SAMPLES))
+        with pytest.raises(ValueError, match=message):
+            ad.conv_log_power(values, np.zeros((2, 5)), np.zeros((3, 2, 3)), 4, 3, crops)
+
+
 class TestConvLogPowerPool:
     """conv_log_power's chunks give the same bytes at any worker count, and
     the worker count follows the BLAS thread environment."""
 
     @given(batch=st.none() | st.integers(1, 2 * ad._CHUNK + 3), x_grad=st.booleans(),
-           zero_crop=st.booleans(), seed=st.integers(0, 2 ** 16))
-    @example(batch=ad._CHUNK - 1, x_grad=True, zero_crop=False, seed=0)   # below a chunk
-    @example(batch=ad._CHUNK, x_grad=True, zero_crop=False, seed=1)       # one full chunk
-    @example(batch=2 * ad._CHUNK + 3, x_grad=True, zero_crop=True, seed=2)  # ragged last chunk
-    @example(batch=2 * ad._CHUNK + 3, x_grad=False, zero_crop=False, seed=3)
-    @example(batch=None, x_grad=True, zero_crop=False, seed=4)            # unbatched
+           zero_crop=st.booleans(), onsets=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @example(batch=ad._CHUNK - 1, x_grad=True, zero_crop=False, onsets=False, seed=0)  # below
+    @example(batch=ad._CHUNK, x_grad=True, zero_crop=False, onsets=False, seed=1)  # one chunk
+    @example(batch=2 * ad._CHUNK + 3, x_grad=True, zero_crop=True, onsets=False,
+             seed=2)                                                          # ragged last chunk
+    @example(batch=2 * ad._CHUNK + 3, x_grad=False, zero_crop=False, onsets=False, seed=3)
+    @example(batch=None, x_grad=True, zero_crop=False, onsets=False, seed=4)  # unbatched
+    @example(batch=2 * ad._CHUNK + 3, x_grad=True, zero_crop=True, onsets=True,
+             seed=5)                                                          # shared trials
+    @example(batch=ad._CHUNK - 1, x_grad=False, zero_crop=False, onsets=True, seed=6)
     @settings(max_examples=30, deadline=None)
-    def test_same_bytes_at_every_pool_size(self, batch, x_grad, zero_crop, seed):
+    def test_same_bytes_at_every_pool_size(self, batch, x_grad, zero_crop, onsets, seed):
         rng = np.random.default_rng(seed)
-        lead = () if batch is None else (batch,)
-        values = rng.normal(size=(*lead, 3, 20))
-        if zero_crop:
-            values[() if batch is None else batch // 2] = 0.0
+        crops = None
+        if onsets:  # crops of 20 samples drawn from three 44-sample trials
+            n = batch or 1
+            crops = (rng.integers(3, size=n), rng.integers(25, size=n), 20)
+            values = rng.normal(size=(3, 3, 44))
+            if zero_crop:
+                values[crops[0][n // 2]] = 0.0
+        else:
+            lead = () if batch is None else (batch,)
+            values = rng.normal(size=(*lead, 3, 20))
+            if zero_crop:
+                values[() if batch is None else batch // 2] = 0.0
         kern, w = rng.normal(size=(2, 5)), rng.normal(size=(3, 2, 3))
         results = []
         for size in (1, 2, 3):
@@ -324,7 +409,7 @@ class TestConvLogPowerPool:
             k, wt = ad.Tensor(kern, requires_grad=True), ad.Tensor(w, requires_grad=True)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ad, "_pool_size", lambda: size)
-                out = ad.conv_log_power(x, k, wt, 4, 3)
+                out = ad.conv_log_power(x, k, wt, 4, 3, crops)
                 ad.tsum(ad.square(out)).backward()
             results.append([a.tobytes() for a in (out.values, k.grad, wt.grad)]
                            + [x.grad.tobytes() if x_grad else x.grad])

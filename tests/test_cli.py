@@ -363,6 +363,40 @@ class TestRerun:
         assert code == 1
         assert "MISMATCH" in capsys.readouterr().out
 
+    BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    def test_manifest_records_the_blas_thread_setting(self, tmp_path, monkeypatch):
+        for name in self.BLAS_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert main(SYNTH + ["--out", str(tmp_path / "data")]) == 0
+        assert read_manifest(tmp_path / "data" / "manifest.txt")["blas_threads"] == \
+            "OPENBLAS_NUM_THREADS=1 GOTO_NUM_THREADS= OMP_NUM_THREADS="
+
+    @pytest.mark.parametrize("recorded, hinted", [
+        ("OPENBLAS_NUM_THREADS=1 GOTO_NUM_THREADS= OMP_NUM_THREADS=", True),
+        ("OPENBLAS_NUM_THREADS=2 GOTO_NUM_THREADS= OMP_NUM_THREADS=", False),
+    ], ids=["other-setting", "same-setting"])
+    def test_mismatch_names_a_changed_blas_setting(self, data_dir, tmp_path, monkeypatch,
+                                                    capsys, recorded, hinted):
+        for name in self.BLAS_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        manifest = data_dir / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        out_at = next(i for i, line in enumerate(lines) if line.startswith("output="))
+        lines[out_at] = lines[out_at].split("\t")[0] + "\t" + "0" * 64
+        lines = [f"blas_threads={recorded}" if line.startswith("blas_threads=") else line
+                 for line in lines]
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["rerun", str(manifest), "--out", str(tmp_path / "fresh")]) == 1
+        err = capsys.readouterr().err
+        assert "1 output(s) differ from the manifest" in err
+        hint = (f"made with BLAS threads {recorded!r} and replayed with "
+                "'OPENBLAS_NUM_THREADS=2 GOTO_NUM_THREADS= OMP_NUM_THREADS='")
+        assert (hint in err) == hinted, err
+
     def test_inputs_hashed_when_loaded(self, data_dir, tmp_path, monkeypatch, capsys):
         # a container replaced while training runs: the manifest keeps the
         # digest of the bytes the model was trained on

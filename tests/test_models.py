@@ -142,9 +142,10 @@ class TestForwardTrain:
         calls = []
         real_fused = ad.conv_log_power
 
-        def spy(x, kernels, weights, pool_width, pool_stride):
-            calls.append((np.shape(x), kernels.shape, weights.shape, pool_width, pool_stride))
-            return real_fused(x, kernels, weights, pool_width, pool_stride)
+        def spy(x, kernels, weights, pool_width, pool_stride, crops=None):
+            calls.append((np.shape(x), kernels.shape, weights.shape, pool_width, pool_stride,
+                          crops))
+            return real_fused(x, kernels, weights, pool_width, pool_stride, crops)
 
         def chain_op(*args, **kwargs):
             raise AssertionError("training ran an op of the five-op chain")
@@ -154,7 +155,7 @@ class TestForwardTrain:
             monkeypatch.setattr(ad, name, chain_op)
         model = build_scsn(tiny_scsn_cfg(n_subjects=3), seed=0)
         forward_train(model, self._batch(model, np.random.default_rng(3)))
-        assert calls == [((4, 2, 20), (3, 5), (3, 3, 2), 4, 3)] * 3
+        assert calls == [((4, 2, 20), (3, 5), (3, 3, 2), 4, 3, None)] * 3
 
 
 class TestForwardInfer:

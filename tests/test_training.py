@@ -13,6 +13,7 @@ from scsnet.datasets import (
     SubjectDataset,
     TrialSet,
     balanced_upsample,
+    batch_iter,
     load_trialset,
     make_splits,
     save_trialset,
@@ -185,7 +186,6 @@ class TestMmdLogMatchesRecomputation:
                                       separate_fc_dims=cfg.separate_fc_dims), cfg.seed)
         state = AdamState(model.params)
         arrays = {s: (pools[s].data_array(np.float64), pools[s].labels()) for s in subjects}
-        from scsnet.datasets import batch_iter
 
         step_mmds = []
         for picks in batch_iter(pools, cfg.batch_per_branch, epoch_batch_seed(cfg.seed, 1)):
@@ -241,6 +241,42 @@ class TestCropPool:
         assert pool.data_array().tobytes() == crops.data_array(np.float64).tobytes()
         np.testing.assert_array_equal(pool.labels(), crops.labels())
 
+    @settings(max_examples=40, deadline=None)
+    @given(n_trials=st.integers(1, 6), width=st.integers(1, 10), extra=st.integers(0, 20),
+           stride=st.integers(1, 5), n_picks=st.integers(1, 30), seed=st.integers(0, 2**16))
+    @example(n_trials=2, width=6, extra=12, stride=4, n_picks=9, seed=1)   # shared trials
+    @example(n_trials=3, width=5, extra=17, stride=1, n_picks=3, seed=2)   # shifted to fit
+    def test_gather_holds_every_crop(self, n_trials, width, extra, stride, n_picks, seed):
+        assume(stride <= width)
+        ts = labeled_trialset(n_trials, 2, width + extra, seed=seed)
+        pool = crop_pool([ts], width / 10.0, (width - stride) / 10.0)
+        picks = np.random.default_rng(seed).integers(len(pool), size=n_picks)
+        x, y, (trial, onset) = pool.gather(picks)
+        crops = pool.batch(picks)[0]
+        assert x.dtype == np.float64 and len(x) == len(np.unique(pool.trial[picks]))
+        for r in range(n_picks):
+            assert x[trial[r], :, onset[r]:onset[r] + width].tobytes() == crops[r].tobytes()
+        np.testing.assert_array_equal(y, pool.labels()[picks])
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_trials=st.integers(1, 8), width=st.integers(1, 10), extra=st.integers(0, 20),
+           stride=st.integers(1, 5), seed=st.integers(0, 2**16))
+    def test_gather_is_the_crop_array_when_no_trial_is_shared(self, n_trials, width, extra,
+                                                               stride, seed):
+        assume(stride <= width)
+        ts = labeled_trialset(n_trials, 2, width + extra, seed=seed)
+        pool = crop_pool([ts], width / 10.0, (width - stride) / 10.0)
+        rng = np.random.default_rng(seed)
+        # one crop of each trial, trials in shuffled order
+        picks = np.array([rng.choice(np.flatnonzero(pool.trial == t))
+                          for t in rng.permutation(n_trials)])
+        x, y, (trial, onset) = pool.gather(picks)
+        want, want_y = pool.batch(picks)
+        assert x.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(y, want_y)
+        np.testing.assert_array_equal(trial, np.arange(n_trials))
+        np.testing.assert_array_equal(onset, 0)
+
     def test_sets_of_different_lengths_concatenate(self):
         short, long = labeled_trialset(3, 2, 14, seed=3), labeled_trialset(2, 2, 23, seed=4)
         pool = crop_pool([short, long], 0.8, 0.5)
@@ -265,6 +301,40 @@ class TestCropPool:
         got = crop_pool([ts], 0.5, 0.2).upsampled(target, np.random.SeedSequence(seed))
         assert got.data_array().tobytes() == want.data_array(np.float64).tobytes()
         np.testing.assert_array_equal(got.labels(), want.labels())
+
+
+class TestStepGather:
+    def test_steps_see_the_crop_arrays_when_no_trial_is_shared(self, monkeypatch):
+        # 1 s windows of 1 s trials: one crop per trial, so a step's gather is
+        # its crop array unless upsampling drew one source trial twice
+        split, cfg = tiny_split(), tiny_cfg(max_epochs=1, patience=1, win_s=1.0, overlap_s=0.0)
+        seen = []
+        real = training.forward_train
+
+        def spy(model, batch, dropout_rng=None):
+            seen.append({i: (x.copy(), y.copy(), crops) for i, (x, y, crops) in batch.items()})
+            return real(model, batch, dropout_rng=dropout_rng)
+
+        monkeypatch.setattr(training, "forward_train", spy)
+        train("scsn", split, cfg)
+        subjects, pools = scsn_pools(split, cfg)
+        picks = list(batch_iter(pools, cfg.batch_per_branch, epoch_batch_seed(cfg.seed, 1)))
+        assert len(seen) == len(picks) > 1
+        distinct = 0
+        for batch, rows in zip(seen, picks):
+            for i, s in enumerate(subjects):
+                x, y, (trial, onset) = batch[i]
+                want, want_y = pools[s].batch(rows[s])
+                np.testing.assert_array_equal(y, want_y)
+                if len(set(pools[s].trial[rows[s]])) == len(rows[s]):
+                    distinct += 1
+                    assert x.tobytes() == want.tobytes()
+                    np.testing.assert_array_equal(trial, np.arange(len(want)))
+                    np.testing.assert_array_equal(onset, 0)
+                else:
+                    crops = [x[t, :, o:o + pools[s].width] for t, o in zip(trial, onset)]
+                    assert np.stack(crops).tobytes() == want.tobytes()
+        assert distinct > len(seen)  # the target's batches at least
 
 
 class TestPoolsShareLoadedTrials:
