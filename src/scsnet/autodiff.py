@@ -7,15 +7,16 @@ convs, square, pool and log fused into one log-power op for training.
 Every op accepts either a single sample or a batch with one leading axis.
 No broadcasting beyond that, no GPU, no general-purpose graph surgery.
 
-The log-power op also takes whole trials with per-crop onsets: crops of
-one trial that overlap or touch are convolved as one segment, so shared
+The log-power op takes its input as data, with no input gradient, in the
+input's own dtype. It also takes whole trials with per-crop onsets: crops
+of one trial that overlap or touch are convolved as one segment, so shared
 samples are convolved once. Every op runs on the calling thread except the
 log-power op, which splits its segments into work items, cut once they
 hold `_CHUNK` crops. When the environment pins BLAS to one thread, the
 items run on a private pool of one worker thread per usable core;
-otherwise they run inline. The crops, not the worker count, fix the items and so every sum's
-order, so results are the same to the bit either way. Workers run numpy and
-this module's private helpers only.
+otherwise they run inline. The crops, not the worker count, fix the
+items and so every sum's order, so results are the same to the bit either
+way. Workers run numpy and this module's private helpers only.
 """
 
 from __future__ import annotations
@@ -331,6 +332,11 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
     rounding of their own, and the op keeps only the conv output and the
     pooled power, never the squared batch.
 
+    x is data: an array read in place, in its own dtype, each im2col copy
+    casting its samples to float64 (float32 trials give the values of their
+    float64 cast, bit for bit). The op has no input gradient, so a Tensor
+    that requires one is refused.
+
     By default each row of x is one crop. Given `crops` = (trial, onset,
     width), x holds whole trials [trials, channels, samples] and crop r is
     x[trial[r], :, onset[r]:onset[r] + width]. The crops of one trial whose
@@ -339,10 +345,10 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
     samples that crops share are convolved once. Outputs follow the crops'
     row order. The backward pass gives each segment one effective-kernel
     partial gh_seg @ cols_seg^T, gh_seg summing its crops' gradients in
-    (trial, onset) order, and one input-gradient scatter into its own span.
-    A crop alone in its segment gets exactly the matmul of a crop row; a
-    crop inside a longer segment may differ from it in the last bits, as
-    BLAS computes a matrix's edge columns with other kernels.
+    (trial, onset) order. A crop alone in its segment gets exactly the
+    matmul of a crop row; a crop inside a longer segment may differ from it
+    in the last bits, as BLAS computes a matrix's edge columns with other
+    kernels.
 
     Work items are whole segments in (trial, onset) order, cut once they
     hold _CHUNK crops; they run on the worker pool when BLAS is pinned to
@@ -355,15 +361,19 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
     floor((width - k + 1 - pool_width) / pool_stride) + 1, width being the
     crop width (by default the time extent).
     """
-    x, kernels, weights = as_tensor(x), as_tensor(kernels), as_tensor(weights)
+    if isinstance(x, Tensor):
+        if x.requires_grad:
+            raise ValueError("conv_log_power has no input gradient: pass x as data")
+        x = x.values
+    x, kernels, weights = np.asarray(x), as_tensor(kernels), as_tensor(weights)
     if kernels.ndim != 2:
         raise ValueError("kernels must have shape [n_filters, k]")
     if crops is None:
-        xb, batched = _with_batch(x.values, 2)
+        xb, batched = _with_batch(x, 2)
         b, width = len(xb), xb.shape[-1]
         trial, onset = np.arange(b), np.zeros(b, dtype=np.intp)
     else:
-        xb, batched = x.values, True
+        xb, batched = x, True
         trial, onset, width = _check_crops(crops, xb.shape)
         b = len(trial)
     f, k = kernels.values.shape
@@ -436,20 +446,16 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
     out = np.log(np.maximum(pooled, LOG_FLOOR))
 
     def backward(gout):
+        # only built when kernels or weights track a gradient (make_node)
         g = gout if batched else gout[None]
         live = pooled > LOG_FLOOR
         gp = np.where(live, g / np.where(live, pooled, 1.0), 0.0)
         pool = _pool_matrix(n_pool, t_out, pool_width, pool_stride)
-        need_params = kernels.requires_grad or weights.requires_grad
-        gx = np.zeros_like(xb) if x.requires_grad else None
 
-        def backward_chunk(lo: int, hi: int) -> np.ndarray | None:
-            # the chunk's effective-kernel gradient partial; its segments'
-            # input gradients go straight into their disjoint spans of gx
-            part = cols_of = None
-            if need_params:
-                cols_of = im2col_views(lo, hi)
-                part = np.zeros((o, c * k))
+        def backward_chunk(lo: int, hi: int) -> np.ndarray:
+            # the chunk's effective-kernel gradient partial
+            cols_of = im2col_views(lo, hi)
+            part = np.zeros((o, c * k))
             for s, (t, start, n, i, j) in enumerate(segs[lo:hi], lo):
                 # the gradient at the segment's conv output: its crops'
                 # 2 h (gp @ P), summed in (trial, onset) order
@@ -460,31 +466,23 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
                     for i in range(i, j):
                         span = slice(s_onset[i] - start, s_onset[i] - start + t_out)
                         gh[:, span] += 2.0 * h[s][:, span] * (gp[rows[i]] @ pool)
-                if need_params:
-                    cols = cols_of[n]
-                    np.copyto(cols, windows[t, :, :, start:start + n])
-                    part += gh @ cols.reshape(c * k, n).T
-                if gx is not None:
-                    spread = (w_eff.T @ gh).reshape(c, k, n).transpose(0, 2, 1)
-                    _scatter_windows(gx[t, :, start:start + n + k - 1], spread, 1)
+                cols = cols_of[n]
+                np.copyto(cols, windows[t, :, :, start:start + n])
+                part += gh @ cols.reshape(c * k, n).T
             return part
 
-        gk = gw = None
-        g_eff = np.zeros((o, c * k)) if need_params else None
+        g_eff = np.zeros((o, c * k))
         for part in _map_chunks(backward_chunk, bounds):
-            if need_params:
-                g_eff += part
-        if need_params:
-            g_eff = g_eff.reshape(o, c, k)
-            if kernels.requires_grad:
-                gk = weights.values.transpose(1, 0, 2).reshape(f, o * c) @ g_eff.reshape(o * c, k)
-            if weights.requires_grad:
-                gw = (g_eff @ kernels.values.T).transpose(0, 2, 1)
-        if gx is not None and not batched:
-            gx = gx[0]
-        return gx, gk, gw
+            g_eff += part
+        g_eff = g_eff.reshape(o, c, k)
+        gk = gw = None
+        if kernels.requires_grad:
+            gk = weights.values.transpose(1, 0, 2).reshape(f, o * c) @ g_eff.reshape(o * c, k)
+        if weights.requires_grad:
+            gw = (g_eff @ kernels.values.T).transpose(0, 2, 1)
+        return gk, gw
 
-    return make_node(out if batched else out[0], (x, kernels, weights), backward)
+    return make_node(out if batched else out[0], (kernels, weights), backward)
 
 
 def mean_pool(x, width: int, stride: int) -> Tensor:

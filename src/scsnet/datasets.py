@@ -36,8 +36,8 @@ class Epoch:
         self.data = np.asarray(self.data)
         if self.data.ndim != 2:
             raise ValueError("epoch data must be [channels, samples]")
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ValueError(f"fs must be finite and positive, got {self.fs!r}")
         if self.label < 0:
             raise ValueError("label must be a nonnegative class index")
 
@@ -72,8 +72,8 @@ class TrialSet:
             raise ValueError("label must hold one class index per trial")
         if np.any((self.label < 0) | (self.label >= len(self.class_names))):
             raise ValueError("labels must index class_names")
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ValueError(f"fs must be finite and positive, got {self.fs!r}")
 
     def __len__(self) -> int:
         return len(self.data)
@@ -111,9 +111,17 @@ def _check_name(kind: str, name: str) -> None:
         raise ValueError(f"{kind} {name!r} may not contain commas or newlines")
 
 
+def _check_finite_trials(data: np.ndarray, path, error) -> None:
+    finite = np.isfinite(data).all(axis=(1, 2))
+    if not finite.all():
+        raise error(f"{path}: trial {int(np.argmin(finite))} holds non-finite samples")
+
+
 def save_trialset(trial_set: TrialSet, path) -> None:
     """Write one TrialSet: text header, blank line, uint8 labels, float32
-    little-endian payload in [trial][channel][sample] order."""
+    little-endian payload in [trial][channel][sample] order. Non-finite
+    samples, which `load_trialset` refuses, are refused here too, naming the
+    file and the trial, before the file is opened."""
     _check_name("subject id", trial_set.subject_id)
     for name in trial_set.channel_names:
         _check_name("channel name", name)
@@ -122,6 +130,8 @@ def save_trialset(trial_set: TrialSet, path) -> None:
     labels = trial_set.labels()
     if labels.size and labels.max() > 255:
         raise ValueError("labels above 255 do not fit the container format")
+    payload = np.ascontiguousarray(trial_set.data, dtype="<f4")
+    _check_finite_trials(payload, path, ValueError)
 
     header = (
         f"format_version={FORMAT_VERSION}\n"
@@ -137,7 +147,7 @@ def save_trialset(trial_set: TrialSet, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(labels.astype(np.uint8).tobytes())
-        fh.write(np.ascontiguousarray(trial_set.data, dtype="<f4").data)
+        fh.write(payload.data)
 
 
 def read_fields(text: str, source, error=ValueError) -> dict[str, str]:
@@ -210,10 +220,7 @@ def load_trialset(path) -> TrialSet:
         raise ContainerFormatError(
             f"payload holds {len(payload)} bytes, header implies {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(n_trials, n_channels, n_samples)
-    finite = np.isfinite(data).all(axis=(1, 2))
-    if not finite.all():
-        raise ContainerFormatError(
-            f"{path}: trial {int(np.argmin(finite))} holds non-finite samples")
+    _check_finite_trials(data, path, ContainerFormatError)
     if labels.size and int(labels.max()) >= len(class_names):
         raise ContainerFormatError("label block references a class beyond class_names")
 
@@ -381,8 +388,9 @@ def synth_multisubject(n_subjects: int, n_sessions: int, n_trials: int,
                         ("n_classes", n_classes)):
         if value < 1:
             raise ValueError(f"{name} must be positive")
-    if fs <= 0 or duration_s <= 0 or snr <= 0:
-        raise ValueError("fs, duration_s and snr must be positive")
+    for name, value in (("fs", fs), ("duration_s", duration_s), ("snr", snr)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if not 0.0 <= shift_strength <= 1.0:
         raise ValueError("shift_strength must lie in [0, 1]")
 

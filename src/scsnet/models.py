@@ -172,10 +172,10 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
                      crops: tuple[np.ndarray, np.ndarray] | None = None) -> ad.Tensor:
     """Pooled log-power features of crops [[batch,] channels, n_samples].
 
-    Given `crops` = (trial, onset), x holds whole trials (or the spans of
-    them that the crops cover) [trials, channels, samples] and row r of the
-    result is the crop x[trial[r], :, onset[r]:onset[r] + n_samples]; the
-    fused op convolves the samples that crops share once. Training only.
+    Given `crops` = (trial, onset), x holds whole trials [trials, channels,
+    samples], read in place in their own dtype, and row r of the result is
+    the crop x[trial[r], :, onset[r]:onset[r] + n_samples]; the fused op
+    convolves the samples that crops share once. Training only.
 
     Given `crop_stride`, x holds whole trials too, and the result holds the
     features of every crop of every trial (n_samples wide, one every
@@ -334,7 +334,9 @@ def forward_train(model: ScsnModel, batch: dict, dropout_rng=None
     block; returns {branch: (logits, three deep-layer activations)}.
 
     A sub-batch is (crops, labels), or (trials, labels, (trial, onset)) with
-    the crops given as onsets into whole trials (see `_shallow_forward`)."""
+    the crops given as onsets into whole trials, such as a crop pool's own
+    trial array (see `_shallow_forward`). Either array is data: it is read
+    in place and gets no gradient."""
     missing = [i for i in range(model.n_subjects) if i not in batch]
     if missing:
         raise ValueError(f"batch is missing sub-batches for branches {missing}")

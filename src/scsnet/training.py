@@ -178,10 +178,9 @@ class CropPool:
     Crop r is `trials[trial[r], :, onset[r]:onset[r] + width]` with label
     `label[r]`. Rows run in `crop_trialset` order (trial-major, then by
     onset) followed by any upsampled duplicates; duplicates share the trial
-    array. The pool reads like a cropped TrialSet (len, labels, data_array,
-    n_samples, channel_names, class_names) without holding one copy per crop.
-    Training steps take `gather`, which copies each distinct trial of a batch
-    once, over the span its crops cover, rather than each crop.
+    array. No crop is copied: training steps hand `trials` itself, with the
+    picked rows' trials and onsets, to the shallow block, which reads the
+    crops in place.
     """
 
     trials: np.ndarray  # [trials, channels, samples], the trials' own dtype
@@ -189,50 +188,10 @@ class CropPool:
     onset: np.ndarray
     label: np.ndarray
     width: int
-    channel_names: list[str]
     class_names: list[str]
 
     def __len__(self) -> int:
         return len(self.trial)
-
-    @property
-    def n_samples(self) -> int:
-        return self.width
-
-    def labels(self) -> np.ndarray:
-        return self.label.copy()
-
-    def batch(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """The crops of `rows` as float64 [rows, channels, width], with labels."""
-        windows = sliding_window_view(self.trials, self.width, axis=-1)
-        return windows[self.trial[rows], :, self.onset[rows]].astype(np.float64), self.label[rows]
-
-    def gather(self, rows) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-        """The crops of `rows` as (spans, labels, (trial, onset)).
-
-        `spans` is float64 [distinct trials, channels, span], the distinct
-        trials in order of first appearance and span the widest extent the
-        crops of one trial cover. Each trial's window starts at its first
-        onset, or at samples - span if that is earlier, so it fits the
-        trial; crop r is spans[trial[r], :, onset[r]:onset[r] + width].
-        When no two rows share a trial this is `batch(rows)` with onsets 0.
-        """
-        trial, onset = self.trial[rows], self.onset[rows]
-        distinct, seen_at, inverse = np.unique(trial, return_index=True, return_inverse=True)
-        by_appearance = np.argsort(seen_at)
-        trial = np.argsort(by_appearance)[inverse]  # index into the gathered trials
-        lo = np.full(len(distinct), self.trials.shape[-1])
-        hi = np.zeros_like(lo)
-        np.minimum.at(lo, trial, onset)
-        np.maximum.at(hi, trial, onset)
-        span = int((hi - lo).max()) + self.width
-        start = np.minimum(lo, self.trials.shape[-1] - span)
-        windows = sliding_window_view(self.trials, span, axis=-1)
-        spans = windows[distinct[by_appearance], :, start].astype(np.float64)
-        return spans, self.label[rows], (trial, onset - start[trial])
-
-    def data_array(self, dtype=np.float64) -> np.ndarray:
-        return self.batch(slice(None))[0].astype(dtype, copy=False)
 
     def upsampled(self, target_size: int, seed) -> "CropPool":
         """The pool plus its `balanced_duplicates` rows, as `balanced_upsample`
@@ -267,8 +226,7 @@ def crop_pool(sets: list[TrialSet], win_s: float, overlap_s: float) -> CropPool:
     onset = np.concatenate([np.tile(np.arange(geo.count) * geo.stride, len(ts))
                             for ts, geo in zip(sets, geos)])
     label = np.concatenate([ts.label for ts in sets])[trial]
-    return CropPool(trials, trial, onset, label, geos[0].width, list(sets[0].channel_names),
-                    list(sets[0].class_names))
+    return CropPool(trials, trial, onset, label, geos[0].width, list(sets[0].class_names))
 
 
 def scsn_pools(split: Split, cfg: TrainConfig) -> tuple[list[str], dict[str, CropPool]]:
@@ -338,24 +296,26 @@ def _descend(loss: ad.Tensor, model, state: AdamState, cfg: TrainConfig,
     return value
 
 
-# A step gathers its own batch and returns only the floats the report logs,
-# so its batch, outputs and graph are freed before the next step starts.
+# A step reads its crops straight from its pools' trials and returns only
+# the floats the report logs, so its outputs and graph are freed before the
+# next step starts.
 
 
 def _baseline_step(model, state, cfg, where, drop_rng,
                    picks: list[tuple[CropPool, np.ndarray]]) -> tuple[float, float]:
     """One baseline step on the crops `picks` gives its one pool: (loss, 0.0)."""
     [(pool, rows)] = picks
-    x, y, crops = pool.gather(rows)
-    logits = model.forward(x, training=True, dropout_rng=drop_rng, crops=crops)
-    return _descend(ad.softmax_xent(logits, y)[0], model, state, cfg, where), 0.0
+    logits = model.forward(pool.trials, training=True, dropout_rng=drop_rng,
+                           crops=(pool.trial[rows], pool.onset[rows]))
+    return _descend(ad.softmax_xent(logits, pool.label[rows])[0], model, state, cfg, where), 0.0
 
 
 def _scsn_step(model, state, cfg, where, drop_rng, picks: list[tuple[CropPool, np.ndarray]],
                with_mmd: bool) -> tuple[float, float]:
     """One SCSN step on the crops `picks` gives each branch: (loss, summed
     MMD). Without `with_mmd` the loss is the cross-entropy alone."""
-    batch = {i: pool.gather(rows) for i, (pool, rows) in enumerate(picks)}
+    batch = {i: (pool.trials, pool.label[rows], (pool.trial[rows], pool.onset[rows]))
+             for i, (pool, rows) in enumerate(picks)}
     out = forward_train(model, batch, dropout_rng=drop_rng)
     n = len(batch)
     ce = ad.scale(ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0] for i in range(n)]),

@@ -229,11 +229,11 @@ class TestConvTimeSpace:
 
     @staticmethod
     def _grads(op, x, k, w, pool_width, pool_stride):
-        for t in (x, k, w):
+        for t in (k, w):
             t.zero_grad()
         out = op(x, k, w, pool_width, pool_stride)
         ad.tsum(ad.square(out)).backward()
-        return out.values, x.grad, k.grad, w.grad
+        return out.values, k.grad, w.grad
 
     @given(batch=st.none() | st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
            o=st.integers(1, 4), k=st.integers(1, 8), pool_width=st.integers(1, 10),
@@ -258,36 +258,34 @@ class TestConvTimeSpace:
         first = () if batch is None else 0  # index of the first crop
         if zero_crop:
             values[first] = 0.0
-        x = ad.Tensor(values, requires_grad=True)
         kern = ad.Tensor(rng.normal(size=(f, k)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(o, f, c)), requires_grad=True)
-        want = self._grads(five_op_chain, x, kern, w, pool_width, pool_stride)
-        got = self._grads(ad.conv_log_power, x, kern, w, pool_width, pool_stride)
+        want = self._grads(five_op_chain, values, kern, w, pool_width, pool_stride)
+        got = self._grads(ad.conv_log_power, values, kern, w, pool_width, pool_stride)
         assert got[0].shape == (*lead, o, slack // pool_stride + 1)
         for g, v in zip(got, want):
             assert_rel_close(g, v)
         if zero_crop:
             assert np.all(got[0][first] == np.log(ad.LOG_FLOOR))
-            assert not np.any(got[1][first])
 
     def test_empty_batch(self):
-        x = ad.Tensor(np.zeros((0, 3, 11)), requires_grad=True)
+        x = np.zeros((0, 3, 11))
         k, w = ad.Tensor(np.ones((2, 4)), requires_grad=True), np.ones((3, 2, 3))
         out = ad.conv_log_power(x, k, w, 3, 2)
         assert out.shape == five_op_chain(x, k, w, 3, 2).shape == (0, 3, 3)
         ad.tsum(out).backward()
-        assert x.grad.shape == (0, 3, 11) and not np.any(k.grad)
+        assert not np.any(k.grad)
 
     def test_gradient_check(self):
         rng = np.random.default_rng(12)
-        x = ad.Tensor(rng.normal(size=(2, 3, 11)), requires_grad=True)
+        x = rng.normal(size=(2, 3, 11))
         k = ad.Tensor(rng.normal(size=(2, 4)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
 
         def loss():
             return ad.tsum(ad.square(ad.conv_log_power(x, k, w, 3, 2)))
 
-        assert ad.grad_check(loss, [x, k, w], eps=1e-5) < 1e-4
+        assert ad.grad_check(loss, [k, w], eps=1e-5) < 1e-4
 
     @pytest.mark.parametrize("x_shape,k_shape,w_shape,pool", [
         ((2, 4), (1, 5), (1, 1, 2), (1, 1)),
@@ -316,12 +314,11 @@ class TestConvLogPowerOnsets:
     @staticmethod
     def _run(values, crops):
         rng = np.random.default_rng(7)
-        x = ad.Tensor(values, requires_grad=True)
         k = ad.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
-        out = ad.conv_log_power(x, k, w, 4, 3, crops)
+        out = ad.conv_log_power(values, k, w, 4, 3, crops)
         ad.tsum(ad.square(out)).backward()
-        return out.values, x.grad, k.grad, w.grad
+        return out.values, k.grad, w.grad
 
     @given(pairs=st.lists(st.tuples(st.integers(0, N_TRIALS - 1),
                                     st.integers(0, SAMPLES - WIDTH)),
@@ -349,12 +346,33 @@ class TestConvLogPowerOnsets:
                          for j, (u, p) in enumerate(pairs) if j != i)
                  for i, (t, o) in enumerate(pairs)]
         assert got[0][alone].tobytes() == want[0][alone].tobytes()
-        scattered = np.zeros_like(values)
-        for r, (t, o) in enumerate(pairs):
-            scattered[t, :, o:o + self.WIDTH] += want[1][r]
-        assert_rel_close(got[1], scattered)
+        assert_rel_close(got[1], want[1])
         assert_rel_close(got[2], want[2])
-        assert_rel_close(got[3], want[3])
+
+    @given(pairs=st.lists(st.tuples(st.integers(0, N_TRIALS - 1),
+                                    st.integers(0, SAMPLES - WIDTH)),
+                          min_size=1, max_size=2 * ad._CHUNK + 3),
+           onsets=st.booleans(), seed=st.integers(0, 2 ** 16))
+    @example(pairs=[(0, 10), (1, 2), (0, 3), (0, 6)], onsets=True, seed=0)
+    @example(pairs=[(i % 3, 5 * i % 29) for i in range(2 * ad._CHUNK + 3)], onsets=True,
+             seed=1)
+    @example(pairs=[(2, 0)], onsets=False, seed=2)
+    @settings(max_examples=40, deadline=None)
+    def test_reads_float32_data_as_its_float64_cast(self, pairs, onsets, seed):
+        values = np.random.default_rng(seed).normal(
+            size=(self.N_TRIALS, 3, self.SAMPLES)).astype(np.float32)
+        trial, onset = (np.array(v) for v in zip(*pairs))
+        if onsets:
+            crops = (trial, onset, self.WIDTH)
+        else:  # crop rows: the trials themselves, picked by `trial`
+            values, crops = values[trial], None
+        got = self._run(values, crops)
+        want = self._run(values.astype(np.float64), crops)
+        for g, v in zip(got, want):
+            assert g.dtype == np.float64 and g.tobytes() == v.tobytes()
+        k, w = np.zeros((2, 5)), np.zeros((3, 2, 3))
+        with pytest.raises(ValueError, match="no input gradient"):
+            ad.conv_log_power(ad.Tensor(values, requires_grad=True), k, w, 4, 3, crops)
 
     @pytest.mark.parametrize("crops, message", [
         (([0], [0, 1], 12), "equal-length"),
@@ -376,19 +394,17 @@ class TestConvLogPowerPool:
     """conv_log_power's chunks give the same bytes at any worker count, and
     the worker count follows the BLAS thread environment."""
 
-    @given(batch=st.none() | st.integers(1, 2 * ad._CHUNK + 3), x_grad=st.booleans(),
+    @given(batch=st.none() | st.integers(1, 2 * ad._CHUNK + 3),
            zero_crop=st.booleans(), onsets=st.booleans(), seed=st.integers(0, 2 ** 16))
-    @example(batch=ad._CHUNK - 1, x_grad=True, zero_crop=False, onsets=False, seed=0)  # below
-    @example(batch=ad._CHUNK, x_grad=True, zero_crop=False, onsets=False, seed=1)  # one chunk
-    @example(batch=2 * ad._CHUNK + 3, x_grad=True, zero_crop=True, onsets=False,
-             seed=2)                                                          # ragged last chunk
-    @example(batch=2 * ad._CHUNK + 3, x_grad=False, zero_crop=False, onsets=False, seed=3)
-    @example(batch=None, x_grad=True, zero_crop=False, onsets=False, seed=4)  # unbatched
-    @example(batch=2 * ad._CHUNK + 3, x_grad=True, zero_crop=True, onsets=True,
-             seed=5)                                                          # shared trials
-    @example(batch=ad._CHUNK - 1, x_grad=False, zero_crop=False, onsets=True, seed=6)
+    @example(batch=ad._CHUNK - 1, zero_crop=False, onsets=False, seed=0)      # below
+    @example(batch=ad._CHUNK, zero_crop=False, onsets=False, seed=1)          # one chunk
+    @example(batch=2 * ad._CHUNK + 3, zero_crop=True, onsets=False, seed=2)   # ragged last chunk
+    @example(batch=2 * ad._CHUNK + 3, zero_crop=False, onsets=False, seed=3)
+    @example(batch=None, zero_crop=False, onsets=False, seed=4)               # unbatched
+    @example(batch=2 * ad._CHUNK + 3, zero_crop=True, onsets=True, seed=5)    # shared trials
+    @example(batch=ad._CHUNK - 1, zero_crop=False, onsets=True, seed=6)
     @settings(max_examples=30, deadline=None)
-    def test_same_bytes_at_every_pool_size(self, batch, x_grad, zero_crop, onsets, seed):
+    def test_same_bytes_at_every_pool_size(self, batch, zero_crop, onsets, seed):
         rng = np.random.default_rng(seed)
         crops = None
         if onsets:  # crops of 20 samples drawn from three 44-sample trials
@@ -405,14 +421,12 @@ class TestConvLogPowerPool:
         kern, w = rng.normal(size=(2, 5)), rng.normal(size=(3, 2, 3))
         results = []
         for size in (1, 2, 3):
-            x = ad.Tensor(values, requires_grad=x_grad)
             k, wt = ad.Tensor(kern, requires_grad=True), ad.Tensor(w, requires_grad=True)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ad, "_pool_size", lambda: size)
-                out = ad.conv_log_power(x, k, wt, 4, 3, crops)
+                out = ad.conv_log_power(values, k, wt, 4, 3, crops)
                 ad.tsum(ad.square(out)).backward()
-            results.append([a.tobytes() for a in (out.values, k.grad, wt.grad)]
-                           + [x.grad.tobytes() if x_grad else x.grad])
+            results.append([a.tobytes() for a in (out.values, k.grad, wt.grad)])
         assert results[0] == results[1] == results[2]
 
     def test_same_bytes_under_fast_thread_switching(self, monkeypatch):
@@ -424,11 +438,10 @@ class TestConvLogPowerPool:
         kern, w = rng.normal(size=(2, 5)), rng.normal(size=(3, 2, 3))
 
         def run():
-            x = ad.Tensor(values, requires_grad=True)
             k, wt = ad.Tensor(kern, requires_grad=True), ad.Tensor(w, requires_grad=True)
-            out = ad.conv_log_power(x, k, wt, 4, 3)
+            out = ad.conv_log_power(values, k, wt, 4, 3)
             ad.tsum(ad.square(out)).backward()
-            return [a.tobytes() for a in (out.values, x.grad, k.grad, wt.grad)]
+            return [a.tobytes() for a in (out.values, k.grad, wt.grad)]
 
         monkeypatch.setattr(ad, "_pool_size", lambda: 1)
         want = run()
@@ -660,12 +673,12 @@ class TestBackward:
 
     def test_only_leaves_keep_gradients(self):
         rng = np.random.default_rng(12)
-        x = ad.Tensor(rng.normal(size=(3, 2, 20)), requires_grad=True)
+        x = rng.normal(size=(3, 2, 20))  # data: conv_log_power has no input gradient
         k = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(4, 3, 2)), requires_grad=True)
         d = ad.Tensor(rng.normal(size=(2, 4 * 5)), requires_grad=True)
         b = ad.Tensor(rng.normal(size=2), requires_grad=True)
-        leaves = [x, k, w, d, b]
+        leaves = [k, w, d, b]
 
         def loss():
             h = ad.conv_log_power(x, k, w, 4, 3)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from scsnet.datasets import (
     ContainerFormatError,
+    Epoch,
     SplitSpec,
     SubjectDataset,
     TrialSet,
@@ -43,6 +44,13 @@ class TestTrialSet:
                            (dict(fs=0.0), "fs")):
             with pytest.raises(ValueError, match=match):
                 TrialSet(**{**ok, **bad})
+
+    @pytest.mark.parametrize("fs", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_fs(self, fs):
+        with pytest.raises(ValueError, match="fs must be finite"):
+            TrialSet(np.zeros((3, 2, 5), np.float32), [0, 1, 0], "S", ["a", "b"], fs, ["x", "y"])
+        with pytest.raises(ValueError, match="fs must be finite"):
+            Epoch(np.zeros((2, 5)), 0, "S", fs)
 
     def test_keeps_the_given_dtype_and_subsets_rows(self):
         ts = random_trialset(n_trials=5)
@@ -102,11 +110,27 @@ class TestContainer:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected(self, tmp_path, bad):
         ts = random_trialset(seed=3)
-        ts.data[4, 1, 7] = bad
         path = tmp_path / "set.tsc"
         save_trialset(ts, path)
+        # save refuses the sample, so write it into the payload of trial 4
+        blob = bytearray(path.read_bytes())
+        at = len(blob) - ts.data.nbytes + 4 * np.ravel_multi_index((4, 1, 7), ts.data.shape)
+        blob[at:at + 4] = np.float32(bad).astype("<f4").tobytes()
+        path.write_bytes(bytes(blob))
         with pytest.raises(ContainerFormatError, match=r"set\.tsc: trial 4 "):
             load_trialset(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_save_refuses_non_finite_samples(self, tmp_path, bad):
+        # 1e39 is finite in float64 but overflows the float32 payload
+        ts = random_trialset(seed=3)
+        ts = replace(ts, data=ts.data.astype(np.float64))
+        ts.data[4, 1, 7] = bad
+        path = tmp_path / "set.tsc"
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match=r"set\.tsc: trial 4 holds non-finite"):
+            save_trialset(ts, path)
+        assert not path.exists()
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -273,6 +297,14 @@ class TestSynth:
             synth_multisubject(0, 1, 4, 2, 64.0, 1.0, 2, 0.0, 1.0, seed=0)
         with pytest.raises(ValueError):
             synth_multisubject(1, 1, 4, 2, 64.0, 1.0, 2, 1.5, 1.0, seed=0)
+
+    @pytest.mark.parametrize("name", ["fs", "duration_s", "snr"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_named(self, name, value):
+        args = dict(n_subjects=1, n_sessions=1, n_trials=4, n_channels=2, fs=64.0,
+                    duration_s=1.0, n_classes=2, shift_strength=0.0, snr=1.0, seed=0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            synth_multisubject(**{**args, name: value})
 
 
 class TestBalancedUpsample:

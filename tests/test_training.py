@@ -176,7 +176,7 @@ class TestMmdLogMatchesRecomputation:
         target_idx = subjects.index(split.target_subject)
         any_pool = pools[split.target_subject]
         base = BaselineConfig(
-            n_channels=len(any_pool.channel_names), n_samples=any_pool.n_samples,
+            n_channels=any_pool.trials.shape[1], n_samples=any_pool.width,
             n_classes=len(any_pool.class_names), temporal_filters=cfg.temporal_filters,
             temporal_kernel=cfg.temporal_kernel, pool_width=cfg.pool_width,
             pool_stride=cfg.pool_stride, dropout=cfg.dropout)
@@ -185,7 +185,7 @@ class TestMmdLogMatchesRecomputation:
                                       common_fc_dims=cfg.common_fc_dims,
                                       separate_fc_dims=cfg.separate_fc_dims), cfg.seed)
         state = AdamState(model.params)
-        arrays = {s: (pools[s].data_array(np.float64), pools[s].labels()) for s in subjects}
+        arrays = {s: (crop_rows(pools[s]), pools[s].label) for s in subjects}
 
         step_mmds = []
         for picks in batch_iter(pools, cfg.batch_per_branch, epoch_batch_seed(cfg.seed, 1)):
@@ -203,6 +203,12 @@ class TestMmdLogMatchesRecomputation:
             adam_step(model.params, {n: t.grad for n, t in model.params.items()}, state, cfg)
             model.params.zero_grad()
         assert abs(report.train_mmd_loss[0] - float(np.mean(step_mmds))) < 1e-12
+
+
+def crop_rows(pool, rows=slice(None)):
+    """The crops `rows` of `pool`, copied one at a time: trials[t, :, o:o + width]."""
+    return np.stack([pool.trials[t, :, o:o + pool.width]
+                     for t, o in zip(pool.trial[rows], pool.onset[rows])])
 
 
 def labeled_trialset(n_trials, n_channels, n_samples, n_classes=2, fs=10.0, seed=0):
@@ -233,57 +239,19 @@ class TestCropPool:
         pool = crop_pool([ts], win_s, overlap_s)
         crops = crop_trialset(ts, win_s, overlap_s)
         picks = np.random.default_rng(seed).integers(len(crops), size=n_picks)
-        x, y = pool.batch(picks)
-        assert (len(pool), pool.n_samples) == (len(crops), crops.n_samples)
-        assert x.dtype == np.float64
-        assert x.tobytes() == crops.data_array(np.float64)[picks].tobytes()
-        np.testing.assert_array_equal(y, crops.labels()[picks])
-        assert pool.data_array().tobytes() == crops.data_array(np.float64).tobytes()
-        np.testing.assert_array_equal(pool.labels(), crops.labels())
-
-    @settings(max_examples=40, deadline=None)
-    @given(n_trials=st.integers(1, 6), width=st.integers(1, 10), extra=st.integers(0, 20),
-           stride=st.integers(1, 5), n_picks=st.integers(1, 30), seed=st.integers(0, 2**16))
-    @example(n_trials=2, width=6, extra=12, stride=4, n_picks=9, seed=1)   # shared trials
-    @example(n_trials=3, width=5, extra=17, stride=1, n_picks=3, seed=2)   # shifted to fit
-    def test_gather_holds_every_crop(self, n_trials, width, extra, stride, n_picks, seed):
-        assume(stride <= width)
-        ts = labeled_trialset(n_trials, 2, width + extra, seed=seed)
-        pool = crop_pool([ts], width / 10.0, (width - stride) / 10.0)
-        picks = np.random.default_rng(seed).integers(len(pool), size=n_picks)
-        x, y, (trial, onset) = pool.gather(picks)
-        crops = pool.batch(picks)[0]
-        assert x.dtype == np.float64 and len(x) == len(np.unique(pool.trial[picks]))
-        for r in range(n_picks):
-            assert x[trial[r], :, onset[r]:onset[r] + width].tobytes() == crops[r].tobytes()
-        np.testing.assert_array_equal(y, pool.labels()[picks])
-
-    @settings(max_examples=25, deadline=None)
-    @given(n_trials=st.integers(1, 8), width=st.integers(1, 10), extra=st.integers(0, 20),
-           stride=st.integers(1, 5), seed=st.integers(0, 2**16))
-    def test_gather_is_the_crop_array_when_no_trial_is_shared(self, n_trials, width, extra,
-                                                               stride, seed):
-        assume(stride <= width)
-        ts = labeled_trialset(n_trials, 2, width + extra, seed=seed)
-        pool = crop_pool([ts], width / 10.0, (width - stride) / 10.0)
-        rng = np.random.default_rng(seed)
-        # one crop of each trial, trials in shuffled order
-        picks = np.array([rng.choice(np.flatnonzero(pool.trial == t))
-                          for t in rng.permutation(n_trials)])
-        x, y, (trial, onset) = pool.gather(picks)
-        want, want_y = pool.batch(picks)
-        assert x.tobytes() == want.tobytes()
-        np.testing.assert_array_equal(y, want_y)
-        np.testing.assert_array_equal(trial, np.arange(n_trials))
-        np.testing.assert_array_equal(onset, 0)
+        assert (len(pool), pool.width) == (len(crops), crops.n_samples)
+        assert crop_rows(pool, picks).tobytes() == crops.data[picks].tobytes()
+        np.testing.assert_array_equal(pool.label[picks], crops.label[picks])
+        assert crop_rows(pool).tobytes() == crops.data.tobytes()
+        np.testing.assert_array_equal(pool.label, crops.label)
 
     def test_sets_of_different_lengths_concatenate(self):
         short, long = labeled_trialset(3, 2, 14, seed=3), labeled_trialset(2, 2, 23, seed=4)
         pool = crop_pool([short, long], 0.8, 0.5)
         crops = [crop_trialset(ts, 0.8, 0.5) for ts in (short, long)]
-        want = np.concatenate([c.data_array(np.float64) for c in crops])
-        assert pool.data_array().tobytes() == want.tobytes()
-        np.testing.assert_array_equal(pool.labels(), np.concatenate([c.labels() for c in crops]))
+        want = np.concatenate([c.data for c in crops])
+        assert crop_rows(pool).tobytes() == want.tobytes()
+        np.testing.assert_array_equal(pool.label, np.concatenate([c.label for c in crops]))
 
     def test_mismatched_crop_widths_rejected(self):
         a, b = labeled_trialset(2, 1, 20), labeled_trialset(2, 1, 40, fs=20.0)
@@ -299,42 +267,74 @@ class TestCropPool:
         target = n_classes * int(np.bincount(crops.labels()).max()) + grow
         want = balanced_upsample(crops, target, np.random.SeedSequence(seed))
         got = crop_pool([ts], 0.5, 0.2).upsampled(target, np.random.SeedSequence(seed))
-        assert got.data_array().tobytes() == want.data_array(np.float64).tobytes()
-        np.testing.assert_array_equal(got.labels(), want.labels())
+        assert crop_rows(got).tobytes() == want.data.tobytes()
+        np.testing.assert_array_equal(got.label, want.label)
 
 
-class TestStepGather:
-    def test_steps_see_the_crop_arrays_when_no_trial_is_shared(self, monkeypatch):
-        # 1 s windows of 1 s trials: one crop per trial, so a step's gather is
-        # its crop array unless upsampling drew one source trial twice
-        split, cfg = tiny_split(), tiny_cfg(max_epochs=1, patience=1, win_s=1.0, overlap_s=0.0)
+class TestStepsReadPoolTrials:
+    """A step hands its pools' own trial arrays to the shallow block, with
+    the picked rows' trials and onsets: no crop or span is copied."""
+
+    @staticmethod
+    def _reference_crops(split, cfg, subjects):
+        # each branch pool's rows as a cropped TrialSet, upsampled as the pool is
+        crops = {s: crop_trialset(split.train[s], cfg.win_s, cfg.overlap_s) for s in subjects}
+        target_n = len(crops[split.target_subject])
+        for j, s in enumerate(subjects):
+            if len(crops[s]) < target_n:
+                crops[s] = balanced_upsample(crops[s], target_n, training.upsample_seed(cfg.seed, j))
+        return crops
+
+    @staticmethod
+    def _check_crops(x, trial, onset, want, rows):
+        width = want.n_samples
+        assert x.dtype == np.float32
+        for r, row in enumerate(rows):
+            assert x[trial[r], :, onset[r]:onset[r] + width].tobytes() == want.data[row].tobytes()
+
+    def test_scsn_steps_read_the_branch_trials(self, monkeypatch):
+        # 0.5 s windows every 0.25 s of 1 s trials: 3 overlapping crops per trial
+        split, cfg = tiny_split(), tiny_cfg(max_epochs=1, patience=1, win_s=0.5, overlap_s=0.25)
         seen = []
         real = training.forward_train
 
         def spy(model, batch, dropout_rng=None):
-            seen.append({i: (x.copy(), y.copy(), crops) for i, (x, y, crops) in batch.items()})
+            seen.append(batch)
             return real(model, batch, dropout_rng=dropout_rng)
 
         monkeypatch.setattr(training, "forward_train", spy)
         train("scsn", split, cfg)
         subjects, pools = scsn_pools(split, cfg)
+        want = self._reference_crops(split, cfg, subjects)
         picks = list(batch_iter(pools, cfg.batch_per_branch, epoch_batch_seed(cfg.seed, 1)))
         assert len(seen) == len(picks) > 1
-        distinct = 0
         for batch, rows in zip(seen, picks):
             for i, s in enumerate(subjects):
                 x, y, (trial, onset) = batch[i]
-                want, want_y = pools[s].batch(rows[s])
-                np.testing.assert_array_equal(y, want_y)
-                if len(set(pools[s].trial[rows[s]])) == len(rows[s]):
-                    distinct += 1
-                    assert x.tobytes() == want.tobytes()
-                    np.testing.assert_array_equal(trial, np.arange(len(want)))
-                    np.testing.assert_array_equal(onset, 0)
-                else:
-                    crops = [x[t, :, o:o + pools[s].width] for t, o in zip(trial, onset)]
-                    assert np.stack(crops).tobytes() == want.tobytes()
-        assert distinct > len(seen)  # the target's batches at least
+                assert x is split.train[s].data, s
+                np.testing.assert_array_equal(y, want[s].label[rows[s]])
+                self._check_crops(x, trial, onset, want[s], rows[s])
+
+    def test_baseline_steps_read_the_pooled_trials(self, monkeypatch):
+        split, cfg = tiny_split(), tiny_cfg(max_epochs=1, patience=1, win_s=0.5, overlap_s=0.25)
+        seen = []
+        real = training.BaselineModel.forward
+
+        def spy(model, x, **kwargs):
+            if kwargs.get("training"):
+                seen.append((x, kwargs["crops"]))
+            return real(model, x, **kwargs)
+
+        monkeypatch.setattr(training.BaselineModel, "forward", spy)
+        train("baseline", split, cfg, regime="single")
+        pool = crop_pool([split.train["S01"]], cfg.win_s, cfg.overlap_s)
+        want = crop_trialset(split.train["S01"], cfg.win_s, cfg.overlap_s)
+        picks = list(batch_iter({"pooled": pool}, cfg.batch_per_branch,
+                                epoch_batch_seed(cfg.seed, 1)))
+        assert len(seen) == len(picks) > 1
+        for (x, (trial, onset)), rows in zip(seen, picks):
+            assert x is split.train["S01"].data
+            self._check_crops(x, trial, onset, want, rows["pooled"])
 
 
 class TestPoolsShareLoadedTrials:
@@ -394,7 +394,8 @@ class TestStepMemory:
         rows = np.arange(cfg.batch_per_branch)
         tracemalloc.start()
         try:
-            batch = {i: pools[s].batch(rows) for i, s in enumerate(subjects)}
+            batch = {i: (crop_rows(pools[s], rows).astype(np.float64), pools[s].label[rows])
+                     for i, s in enumerate(subjects)}
             out = forward_train(model, batch, dropout_rng=np.random.default_rng(0))
             ce = ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0] for i in batch])
             terms = [layered_class_mmd(out[0][1], out[i][1], batch[0][1], batch[i][1])
