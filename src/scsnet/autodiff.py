@@ -10,19 +10,24 @@ No broadcasting beyond that, no GPU, no general-purpose graph surgery.
 The log-power op takes its input as data, with no input gradient, in the
 input's own dtype. It also takes whole trials with per-crop onsets: crops
 of one trial that overlap or touch are convolved as one segment, so shared
-samples are convolved once. Every op runs on the calling thread except the
-log-power op, which splits its segments into work items, cut once they
-hold `_CHUNK` crops. When the environment pins BLAS to one thread, the
-items run on a private pool of one worker thread per usable core;
-otherwise they run inline. The crops, not the worker count, fix the
-items and so every sum's order, so results are the same to the bit either
-way. Workers run numpy and this module's private helpers only.
+samples are convolved once. One log-power node can hold several
+branches, each with its own input and parameters, as SCSN's per-subject
+shallow blocks are. Every op runs on the calling thread except the
+log-power op, which splits each branch's segments into work items, cut
+once they hold `_CHUNK` crops, and runs every branch's items through one
+map forward and one backward. When the environment pins BLAS to one
+thread, the items run on a private pool of one worker thread per usable
+core; otherwise they run inline. The crops, not the worker count or the
+other branches, fix the items and so every sum's order, so results are
+the same to the bit either way. Workers run numpy and this module's
+private helpers only.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, Sequence
@@ -105,21 +110,27 @@ class Tensor:
 
         grads: dict[int, np.ndarray] = {id(self): np.ones((), dtype=np.float64)}
         for node in reversed(order):
-            gout = grads.pop(id(node), None)
-            if gout is None:
-                continue
-            if node._backward is None:
-                node.grad = gout.copy() if node.grad is None else node.grad + gout
-                continue
-            parent_grads = node._backward(gout)
-            for parent, pgrad in zip(node._parents, parent_grads):
-                if pgrad is None or not parent.requires_grad:
-                    continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pgrad if acc is None else acc + pgrad
+            _pass_on(node, grads)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+def _pass_on(node: Tensor, grads: dict[int, np.ndarray]) -> None:
+    """One node's turn in `Tensor.backward`: pop its gradient from `grads`
+    and keep it (a leaf) or hand it on to its parents. A function of its
+    own, so that no gradient outlives the turn in a loop variable."""
+    gout = grads.pop(id(node), None)
+    if gout is None:
+        return
+    if node._backward is None:
+        node.grad = gout.copy() if node.grad is None else node.grad + gout
+        return
+    for parent, pgrad in zip(node._parents, node._backward(gout)):
+        if pgrad is None or not parent.requires_grad:
+            continue
+        acc = grads.get(id(parent))
+        grads[id(parent)] = pgrad if acc is None else acc + pgrad
 
 
 def as_tensor(x) -> Tensor:
@@ -318,11 +329,43 @@ def _check_crops(crops, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray,
     return trial, onset, int(width)
 
 
+def _log_power_input(x, kernels, weights, crops, pool_width, pool_stride) -> tuple:
+    """One branch of conv_log_power, checked in the five-op chain's order
+    and with its messages: (x as [N, C, T], batched, trial, onset, crop
+    width, kernels, weights)."""
+    if isinstance(x, Tensor):
+        if x.requires_grad:
+            raise ValueError("conv_log_power has no input gradient: pass x as data")
+        x = x.values
+    x, kernels, weights = np.asarray(x), as_tensor(kernels), as_tensor(weights)
+    if kernels.ndim != 2:
+        raise ValueError("kernels must have shape [n_filters, k]")
+    if crops is None:
+        xb, batched = _with_batch(x, 2)
+        b, width = len(xb), xb.shape[-1]
+        trial, onset = np.arange(b), np.zeros(b, dtype=np.intp)
+    else:
+        xb, batched = x, True
+        trial, onset, width = _check_crops(crops, xb.shape)
+    f, k = kernels.values.shape
+    if k > width:
+        raise ValueError(f"kernel length {k} exceeds signal length {width}")
+    if weights.ndim != 3:
+        raise ValueError("weights must have shape [n_out, n_filters, channels]")
+    c = xb.shape[1]
+    if weights.values.shape[1:] != (f, c):
+        raise ValueError(
+            f"weight extents {weights.values.shape[1:]} do not match input "
+            f"filter/channel extents {(f, c)}")
+    _check_pool(pool_width, pool_stride, width - k + 1)
+    return xb, batched, trial, onset, width, kernels, weights
+
+
 def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
                    crops: tuple | None = None) -> Tensor:
     """log_clipped(mean_pool(square(conv_space(conv_time(x, kernels, 1),
     weights)), pool_width, pool_stride)) as one op: Shallow ConvNet's
-    log-power block.
+    log-power block. This is `conv_log_power_branches` with one branch.
 
     No nonlinearity separates the two convs, so they are one valid
     convolution with the effective kernel W[o, c, k] = sum_f weights[o, f,
@@ -342,9 +385,11 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
     x[trial[r], :, onset[r]:onset[r] + width]. The crops of one trial whose
     windows overlap or touch form a segment, which gets one im2col and one
     matmul; each crop's conv output is a column slice of its segment's, so
-    samples that crops share are convolved once. Outputs follow the crops'
-    row order. The backward pass gives each segment one effective-kernel
-    partial gh_seg @ cols_seg^T, gh_seg summing its crops' gradients in
+    samples that crops share are convolved once. Each segment is squared
+    once and every crop is pooled from views of that square. Outputs
+    follow the crops' row order. The backward pass takes the log's gradient
+    gp one work item at a time and gives each segment one effective-kernel
+    partial gh_seg @ cols_seg^T, gh_seg summing its crops' 2 h (gp @ P) in
     (trial, onset) order. A crop alone in its segment gets exactly the
     matmul of a crop row; a crop inside a longer segment may differ from it
     in the last bits, as BLAS computes a matrix's edge columns with other
@@ -361,128 +406,178 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
     floor((width - k + 1 - pool_width) / pool_stride) + 1, width being the
     crop width (by default the time extent).
     """
-    if isinstance(x, Tensor):
-        if x.requires_grad:
-            raise ValueError("conv_log_power has no input gradient: pass x as data")
-        x = x.values
-    x, kernels, weights = np.asarray(x), as_tensor(kernels), as_tensor(weights)
-    if kernels.ndim != 2:
-        raise ValueError("kernels must have shape [n_filters, k]")
-    if crops is None:
-        xb, batched = _with_batch(x, 2)
-        b, width = len(xb), xb.shape[-1]
-        trial, onset = np.arange(b), np.zeros(b, dtype=np.intp)
-    else:
-        xb, batched = x, True
-        trial, onset, width = _check_crops(crops, xb.shape)
-        b = len(trial)
-    f, k = kernels.values.shape
-    if k > width:
-        raise ValueError(f"kernel length {k} exceeds signal length {width}")
-    if weights.ndim != 3:
-        raise ValueError("weights must have shape [n_out, n_filters, channels]")
-    c = xb.shape[1]
-    if weights.values.shape[1:] != (f, c):
-        raise ValueError(
-            f"weight extents {weights.values.shape[1:]} do not match input "
-            f"filter/channel extents {(f, c)}")
-    o, t_out = weights.values.shape[0], width - k + 1
-    _check_pool(pool_width, pool_stride, t_out)
+    return conv_log_power_branches([(x, kernels, weights, crops)], pool_width, pool_stride)[0]
 
-    # segments: runs of crops, sorted by (trial, onset), that overlap or touch
-    order = np.lexsort((onset, trial))
-    s_trial, s_onset = trial[order], onset[order]
-    breaks = (s_trial[1:] != s_trial[:-1]) | (s_onset[1:] > s_onset[:-1] + width)
-    # segment s holds the sorted crops first[s]:first[s + 1]
-    first = [0, *(np.flatnonzero(breaks) + 1).tolist(), b] if b else [0]
-    rows, s_trial, s_onset = order.tolist(), s_trial.tolist(), s_onset.tolist()
-    # (trial, start, conv output columns, first crop, end crop) per segment
-    segs = [(s_trial[i], s_onset[i], s_onset[j - 1] - s_onset[i] + t_out, i, j)
-            for i, j in zip(first, first[1:])]
-    # work items: segments lo..s - 1, cut once they hold _CHUNK crops
-    bounds, lo = [], 0
-    for s in range(1, len(segs) + 1):
-        if first[s] - first[lo] >= _CHUNK or s == len(segs):
-            bounds.append((lo, s))
-            lo = s
 
+def _rows(x: Tensor, key) -> Tensor:
+    """x.values[key] (a slice of rows, or one row) as a view; the gradient
+    is zero outside it."""
+    def backward(gout):
+        gx = np.zeros_like(x.values)
+        gx[key] = gout
+        return (gx,)
+
+    return make_node(x.values[key], (x,), backward)
+
+
+def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
+                            pool_stride: int) -> list[Tensor]:
+    """`conv_log_power` of several branches as one graph node, whose work
+    items go through one worker-pool map forward and one backward.
+
+    Each branch is (x, kernels, weights, crops) in either of conv_log_power's
+    forms, with its own parameters; all branches share the kernel and
+    weight shapes and the crop width. A branch's segments and work items
+    are cut exactly as conv_log_power cuts them for that branch alone, and
+    no item mixes branches, so every value and gradient equals the
+    branch's own conv_log_power to the bit. The node's rows are the
+    branches' outputs, branch-major, and its parents are every branch's
+    kernels and weights. A branch whose rows get an all-zero gradient runs
+    no backward items and leaves its parameters without a gradient, as if
+    its output were unused. Returns each branch's output: the node itself
+    for one branch, else a view of the branch's rows.
+    """
+    if not branches:
+        raise ValueError("conv_log_power needs at least one branch")
+    inputs = [_log_power_input(*branch, pool_width, pool_stride) for branch in branches]
+    *_, width, kernels, weights = inputs[0]
+    if any((wd, kn.shape, wt.shape) != (width, kernels.shape, weights.shape)
+           for *_, wd, kn, wt in inputs):
+        raise ValueError("branches must share kernel and weight shapes and the crop width")
+    (f, k), (o, _, c) = kernels.shape, weights.shape
+    t_out = width - k + 1
     n_pool = (t_out - pool_width) // pool_stride + 1
-    w_eff = (weights.values.transpose(0, 2, 1) @ kernels.values).reshape(o, c * k)
-    windows = sliding_window_view(xb, k, axis=-1).transpose(0, 1, 3, 2)  # [N, C, k, T']
+    span = (n_pool - 1) * pool_stride + 1  # columns from a crop's first pool window to its last
+
+    # per crop, in (branch, trial, onset) order: its output row and its
+    # column in its segment; per segment: (branch, trial, start, conv output
+    # columns, first crop, end crop); per work item: its segments lo:hi,
+    # all of one branch, cut once they hold _CHUNK crops
+    rows: list[int] = []
+    offset: list[int] = []
+    segs: list[tuple[int, int, int, int, int, int]] = []
+    bounds: list[tuple[int, int]] = []
+    windows, w_eff, row_at, seg_at = [], [], [0], [0]
+    for br, (xb, _, trial, onset, _, kern, wts) in enumerate(inputs):
+        # segments: runs of the branch's crops, sorted by (trial, onset),
+        # that overlap or touch
+        order = np.lexsort((onset, trial))
+        s_trial, s_onset = trial[order], onset[order]
+        breaks = (s_trial[1:] != s_trial[:-1]) | (s_onset[1:] > s_onset[:-1] + width)
+        first = [0, *(np.flatnonzero(breaks) + 1).tolist(), len(order)] if len(order) else [0]
+        s_trial, s_onset, base = s_trial.tolist(), s_onset.tolist(), row_at[-1]
+        lo = len(segs)
+        for i, j in zip(first, first[1:]):
+            start = s_onset[i]
+            segs.append((br, s_trial[i], start, s_onset[j - 1] - start + t_out, base + i, base + j))
+            offset += [on - start for on in s_onset[i:j]]
+            if segs[-1][5] - segs[lo][4] >= _CHUNK or j == len(order):
+                bounds.append((lo, len(segs)))
+                lo = len(segs)
+        rows += (order + base).tolist()
+        row_at.append(base + len(order))
+        seg_at.append(len(segs))
+        windows.append(sliding_window_view(xb, k, axis=-1).transpose(0, 1, 3, 2))  # [N, C, k, T']
+        w_eff.append((wts.values.transpose(0, 2, 1) @ kern.values).reshape(o, c * k))
+
     # each segment's [O, n] conv output, as views of one buffer the calling
     # thread allocates: buffers that worker threads allocate and this thread
     # frees cost glibc about 1,000 page faults per bench-shape step
-    h_at = [0, *itertools.accumulate(o * seg[2] for seg in segs)]
+    h_at = [0, *itertools.accumulate(o * seg[3] for seg in segs)]
     h_flat = np.empty(h_at[-1])
     h = [h_flat[a:z].reshape(o, -1) for a, z in zip(h_at, h_at[1:])]
-    pooled = np.empty((b, o, n_pool))
+    pooled = np.empty((row_at[-1], o, n_pool))
 
-    def im2col_views(lo: int, hi: int) -> dict[int, np.ndarray]:
-        # [C, k, n] views, one per segment width n of the chunk, onto the
-        # front of one buffer of the chunk's own
-        widths = {seg[2] for seg in segs[lo:hi]}
-        buf = np.empty(c * k * max(widths))
-        return {n: buf[:c * k * n].reshape(c, k, n) for n in widths}
+    def views(lo: int, hi: int, lead: tuple[int, ...]) -> dict[int, np.ndarray]:
+        # [*lead, n] views, one per segment width n of the item, onto the
+        # front of one buffer of the item's own
+        widths = {seg[3] for seg in segs[lo:hi]}
+        size = math.prod(lead)
+        buf = np.empty(size * max(widths))
+        return {n: buf[:size * n].reshape(*lead, n) for n in widths}
 
-    def forward_chunk(lo: int, hi: int) -> None:
-        # each chunk has its own buffers and writes only its segments of h
+    def forward_item(lo: int, hi: int) -> None:
+        # each item has its own buffers and writes only its segments of h
         # and its crops' rows of pooled
-        cols_of = im2col_views(lo, hi)
-        power = np.empty((o, t_out))  # one crop's square, read through its pool windows
-        power_windows = sliding_window_view(power, pool_width, axis=-1)[:, ::pool_stride, :]
-        for s, (t, start, n, i, j) in enumerate(segs[lo:hi], lo):
+        br = segs[lo][0]
+        cols_of = views(lo, hi, (c, k))
+        # each width's square buffer, read through its pool windows
+        square_of = {n: (sq, sliding_window_view(sq, pool_width, axis=-1))
+                     for n, sq in views(lo, hi, (o,)).items()}
+        for s, (_, t, start, n, i, j) in enumerate(segs[lo:hi], lo):
             cols = cols_of[n]
-            np.copyto(cols, windows[t, :, :, start:start + n])
-            hs = h[s]
-            np.matmul(w_eff, cols.reshape(c * k, n), out=hs)
+            np.copyto(cols, windows[br][t, :, :, start:start + n])
+            np.matmul(w_eff[br], cols.reshape(c * k, n), out=h[s])
+            sq, sq_windows = square_of[n]
+            np.multiply(h[s], h[s], out=sq)
             for i in range(i, j):
-                crop = hs if n == t_out else hs[:, s_onset[i] - start:s_onset[i] - start + t_out]
-                np.multiply(crop, crop, out=power)
-                np.add.reduce(power_windows, axis=-1, out=pooled[rows[i]])
+                np.add.reduce(sq_windows[:, offset[i]:offset[i] + span:pool_stride], axis=-1,
+                              out=pooled[rows[i]])
 
-    for _ in _map_chunks(forward_chunk, bounds):
+    for _ in _map_chunks(forward_item, bounds):
         pass
     pooled /= pool_width  # np.mean's sum, then divide: mean_pool's value to the bit
     out = np.log(np.maximum(pooled, LOG_FLOOR))
 
     def backward(gout):
-        # only built when kernels or weights track a gradient (make_node)
-        g = gout if batched else gout[None]
-        live = pooled > LOG_FLOOR
-        gp = np.where(live, g / np.where(live, pooled, 1.0), 0.0)
+        # only built when some kernels or weights track a gradient (make_node)
+        g = gout.reshape(pooled.shape)
+        live = [(kern.requires_grad or wts.requires_grad) and g[a:z].any()
+                for (*_, kern, wts), a, z in zip(inputs, row_at, row_at[1:])]
         pool = _pool_matrix(n_pool, t_out, pool_width, pool_stride)
 
-        def backward_chunk(lo: int, hi: int) -> np.ndarray:
-            # the chunk's effective-kernel gradient partial
-            cols_of = im2col_views(lo, hi)
+        def backward_item(lo: int, hi: int) -> np.ndarray:
+            # the item's effective-kernel gradient partial
+            br, first = segs[lo][0], segs[lo][4]
+            # the log's gradient for the item's crops only: no full-batch
+            # array is held while the im2col buffers are
+            item = rows[first:segs[hi - 1][5]]
+            gi, p = g[item], pooled[item]
+            nonzero = p > LOG_FLOOR
+            gp = np.where(nonzero, gi / np.where(nonzero, p, 1.0), 0.0)
+            cols_of = views(lo, hi, (c, k))
             part = np.zeros((o, c * k))
-            for s, (t, start, n, i, j) in enumerate(segs[lo:hi], lo):
+            for s, (_, t, start, n, i, j) in enumerate(segs[lo:hi], lo):
                 # the gradient at the segment's conv output: its crops'
                 # 2 h (gp @ P), summed in (trial, onset) order
                 if n == t_out and j - i == 1:
-                    gh = 2.0 * h[s] * (gp[rows[i]] @ pool)
+                    gh = 2.0 * h[s] * (gp[i - first] @ pool)
                 else:
                     gh = np.zeros_like(h[s])
                     for i in range(i, j):
-                        span = slice(s_onset[i] - start, s_onset[i] - start + t_out)
-                        gh[:, span] += 2.0 * h[s][:, span] * (gp[rows[i]] @ pool)
+                        crop = slice(offset[i], offset[i] + t_out)
+                        gh[:, crop] += 2.0 * h[s][:, crop] * (gp[i - first] @ pool)
                 cols = cols_of[n]
-                np.copyto(cols, windows[t, :, :, start:start + n])
+                np.copyto(cols, windows[br][t, :, :, start:start + n])
                 part += gh @ cols.reshape(c * k, n).T
             return part
 
-        g_eff = np.zeros((o, c * k))
-        for part in _map_chunks(backward_chunk, bounds):
+        # each branch's effective-kernel gradient sums its items' partials in
+        # order, then is chained to its kernels and weights
+        grads: list[np.ndarray | None] = [None] * (2 * len(inputs))
+        items = [(lo, hi) for lo, hi in bounds if live[segs[lo][0]]]
+        for (lo, hi), part in zip(items, _map_chunks(backward_item, items)):
+            br = segs[lo][0]
+            if lo == seg_at[br]:
+                g_eff = np.zeros((o, c * k))
             g_eff += part
-        g_eff = g_eff.reshape(o, c, k)
-        gk = gw = None
-        if kernels.requires_grad:
-            gk = weights.values.transpose(1, 0, 2).reshape(f, o * c) @ g_eff.reshape(o * c, k)
-        if weights.requires_grad:
-            gw = (g_eff @ kernels.values.T).transpose(0, 2, 1)
-        return gk, gw
+            if hi < seg_at[br + 1]:
+                continue
+            *_, kern, wts = inputs[br]
+            ge = g_eff.reshape(o, c, k)
+            if kern.requires_grad:
+                grads[2 * br] = (wts.values.transpose(1, 0, 2).reshape(f, o * c)
+                                 @ ge.reshape(o * c, k))
+            if wts.requires_grad:
+                grads[2 * br + 1] = (ge @ kern.values.T).transpose(0, 2, 1)
+        return grads
 
-    return make_node(out if batched else out[0], (kernels, weights), backward)
+    parents = [t for *_, kern, wts in inputs for t in (kern, wts)]
+    if len(inputs) == 1:
+        return [make_node(out if inputs[0][1] else out[0], parents, backward)]
+    node = make_node(out, parents, backward)
+    return [_rows(node, slice(a, z) if batched else a)
+            for (_, batched, *_), a, z in zip(inputs, row_at, row_at[1:])]
 
 
 def mean_pool(x, width: int, stride: int) -> Tensor:
@@ -579,12 +674,14 @@ def dropout(x, rate: float, rng: np.random.Generator | None = None,
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an explicit generator")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    # the graph keeps the boolean mask (1 byte per value, not 8) and each
+    # pass rebuilds the float mask from it
+    keep = rng.random(x.shape) >= rate
 
     def backward(gout):
-        return (gout * mask,)
+        return (gout * (keep / (1.0 - rate)),)
 
-    return make_node(x.values * mask, (x,), backward)
+    return make_node(x.values * (keep / (1.0 - rate)), (x,), backward)
 
 
 def reshape(x, shape: tuple[int, ...]) -> Tensor:

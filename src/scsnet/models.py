@@ -167,6 +167,17 @@ def _init_dense_chain(params: ModelParams, rng, prefix: str, group: str,
     return in_dim
 
 
+def _train_log_power(params: ModelParams, cfg: BaselineConfig,
+                     inputs: list[tuple[str, object, tuple | None]]) -> list[ad.Tensor]:
+    """Training-mode pooled log-power features of each (prefix, x, crops)
+    input, all from one `conv_log_power_branches` node: x holds crops, or
+    whole trials with the crops' (trial, onset) as in `_shallow_forward`."""
+    return ad.conv_log_power_branches(
+        [(x, params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"],
+          None if crops is None else (*crops, cfg.n_samples)) for prefix, x, crops in inputs],
+        cfg.pool_width, cfg.pool_stride)
+
+
 def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
                      training: bool, dropout_rng, crop_stride: int | None = None,
                      crops: tuple[np.ndarray, np.ndarray] | None = None) -> ad.Tensor:
@@ -203,8 +214,7 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
                        + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
     kernels, weights = params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"]
     if training:
-        h = ad.conv_log_power(x, kernels, weights, cfg.pool_width, step,
-                              None if crops is None else (*crops, cfg.n_samples))
+        [h] = _train_log_power(params, cfg, [(prefix, x, crops)])
     else:
         # Inference runs the five-op chain, the convs as per-sample matmuls
         # (conv_time writes [F, C, T'] straight from one kernel-bank matmul,
@@ -219,6 +229,11 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
     if windows is not None:
         feats = np.moveaxis(h.values[:, :, windows], 2, 1)  # [trials, crops, F, P]
         h = ad.Tensor(feats.reshape((-1,) + feats.shape[2:]))
+    return _shallow_head(h, cfg, training, dropout_rng)
+
+
+def _shallow_head(h: ad.Tensor, cfg: BaselineConfig, training: bool, dropout_rng) -> ad.Tensor:
+    """Dropout on pooled log-power features, then one flat row per crop."""
     h = ad.dropout(h, cfg.dropout, dropout_rng, training=training)
     batch = h.shape[0] if h.ndim == 3 else None
     flat = (cfg.feature_dim,) if batch is None else (batch, cfg.feature_dim)
@@ -279,11 +294,16 @@ class ScsnModel:
                        ) -> tuple[ad.Tensor, list[ad.Tensor]]:
         if not 0 <= branch < self.cfg.n_subjects:
             raise ValueError(f"branch {branch} out of range")
-        prefix = f"subject{branch}."
-        h = _shallow_forward(x, self.params, self.cfg.base, prefix, training, dropout_rng,
-                             crop_stride, crops)
+        h = _shallow_forward(x, self.params, self.cfg.base, f"subject{branch}.", training,
+                             dropout_rng, crop_stride, crops)
+        return self._deep_forward(h, branch)
+
+    def _deep_forward(self, h: ad.Tensor, branch: int) -> tuple[ad.Tensor, list[ad.Tensor]]:
+        """Shared block, the branch's deep layers and its classifier on the
+        branch's shallow features: (logits, three deep-layer activations)."""
         h = _dense_chain_forward(h, self.params, "common.", len(self.cfg.common_fc_dims))
         feats: list[ad.Tensor] = []
+        prefix = f"subject{branch}."
         h = _dense_chain_forward(h, self.params, f"{prefix}sep.",
                                  len(self.cfg.separate_fc_dims), collect=feats)
         logits = ad.dense(h, self.params[f"{prefix}classifier.weight"],
@@ -336,16 +356,19 @@ def forward_train(model: ScsnModel, batch: dict, dropout_rng=None
     A sub-batch is (crops, labels), or (trials, labels, (trial, onset)) with
     the crops given as onsets into whole trials, such as a crop pool's own
     trial array (see `_shallow_forward`). Either array is data: it is read
-    in place and gets no gradient."""
+    in place and gets no gradient. Every branch's shallow block runs in one
+    `conv_log_power_branches` node; each branch then takes its rows and runs
+    dropout and its dense layers, in branch order, so dropout draws its
+    masks as `branch_forward` would, branch by branch."""
     missing = [i for i in range(model.n_subjects) if i not in batch]
     if missing:
         raise ValueError(f"batch is missing sub-batches for branches {missing}")
-    out = {}
-    for i in range(model.n_subjects):
-        x, _, *crops = batch[i]
-        out[i] = model.branch_forward(x, i, training=True, dropout_rng=dropout_rng,
-                                      crops=crops[0] if crops else None)
-    return out
+    base = model.cfg.base
+    hs = _train_log_power(model.params, base, [
+        (f"subject{i}.", batch[i][0], batch[i][2] if len(batch[i]) > 2 else None)
+        for i in range(model.n_subjects)])
+    return {i: model._deep_forward(_shallow_head(h, base, True, dropout_rng), i)
+            for i, h in enumerate(hs)}
 
 
 def forward_infer(model, x, branch: int | None = None,

@@ -134,20 +134,31 @@ class AdamState:
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray | None],
               state: AdamState, cfg: TrainConfig) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update, in place; absent grads count as zero."""
+    """One bias-corrected Adam update; absent grads count as zero.
+
+    Every gradient's shape is checked before anything changes, so a refused
+    step leaves the parameters and the state as they were. The moments and
+    the parameter values are then updated in place."""
+    for name, tensor in params.items():
+        g = grads.get(name)
+        if g is not None and g.shape != tensor.shape:
+            raise ValueError(f"gradient shape mismatch for {name!r}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, tensor in params.items():
         g = grads.get(name)
         if g is None:
             g = 0.0
-        elif g.shape != tensor.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}")
-        m = state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        v = state.v[name] = b2 * state.v[name] + (1 - b2) * (g * g)
-        m_hat = m / (1 - b1 ** state.t)
-        v_hat = v / (1 - b2 ** state.t)
-        tensor.values = tensor.values - cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * (g * g)
+        # values -= lr * m_hat / (sqrt(v_hat) + eps), one operation at a time
+        step = m / (1 - b1 ** state.t)
+        step *= cfg.lr
+        step /= np.sqrt(v / (1 - b2 ** state.t)) + ADAM_EPS
+        tensor.values -= step
     return params, state
 
 

@@ -476,6 +476,101 @@ class TestConvLogPowerPool:
         assert ad._pool_size() == (cores if pinned else 1)
 
 
+class TestConvLogPowerBranches:
+    """conv_log_power_branches: several branches as one node against each
+    branch's own conv_log_power."""
+
+    SAMPLES, WIDTH = 40, 12
+
+    @classmethod
+    def _branch(cls, rng, n, onsets, float32, zero_crop):
+        """(x, kernel values, weight values, crops) of one branch of n crops
+        with 3 channels, 2 filters of 5 taps and 3 outputs."""
+        if onsets:  # crops of whole trials, some of them sharing samples
+            x = rng.normal(size=(3, 3, cls.SAMPLES))
+            crops = (rng.integers(3, size=n), rng.integers(cls.SAMPLES - cls.WIDTH + 1, size=n),
+                     cls.WIDTH)
+        else:
+            x, crops = rng.normal(size=(n, 3, cls.WIDTH)), None
+        if zero_crop:  # pooled below the log's floor
+            x[0 if crops is None else crops[0][0]] = 0.0
+        if float32:
+            x = x.astype(np.float32)
+        return x, rng.normal(size=(2, 5)), rng.normal(size=(3, 2, 3)), crops
+
+    @staticmethod
+    def _leaves(branch):
+        x, kern, w, crops = branch
+        return x, ad.Tensor(kern, requires_grad=True), ad.Tensor(w, requires_grad=True), crops
+
+    @given(specs=st.lists(st.tuples(st.integers(1, 2 * ad._CHUNK + 3), st.booleans(),
+                                    st.booleans(), st.booleans()),
+                          min_size=1, max_size=5),
+           seed=st.integers(0, 2 ** 16))
+    @example(specs=[(1, False, False, False)], seed=0)                      # one branch, one crop
+    @example(specs=[(30, True, True, False), (1, True, False, False), (7, False, False, True),
+                    (2 * ad._CHUNK + 3, True, False, True), (8, False, True, False)], seed=1)
+    @example(specs=[(1, True, True, True), (1, False, False, False)], seed=2)
+    @settings(max_examples=40, deadline=None)
+    def test_node_is_the_per_branch_calls(self, specs, seed):
+        rng = np.random.default_rng(seed)
+        branches = [self._branch(rng, *spec) for spec in specs]
+        want = []
+        for branch in branches:
+            x, k, w, crops = self._leaves(branch)
+            out = ad.conv_log_power(x, k, w, 4, 3, crops)
+            ad.tsum(ad.square(out)).backward()
+            want.append([out.values.tobytes(), k.grad.tobytes(), w.grad.tobytes()])
+        for size in (1, 2, 3):
+            leaves = [self._leaves(branch) for branch in branches]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ad, "_pool_size", lambda: size)
+                outs = ad.conv_log_power_branches(leaves, 4, 3)
+                ad.add_n([ad.tsum(ad.square(out)) for out in outs]).backward()
+            node = outs[0] if len(outs) == 1 else outs[0]._parents[0]
+            assert all(len(outs) == 1 or out._parents == (node,) for out in outs)
+            assert node._parents == tuple(t for _, k, w, _ in leaves for t in (k, w))
+            assert node.values.tobytes() == b"".join(v for v, _, _ in want)
+            assert [[out.values.tobytes(), k.grad.tobytes(), w.grad.tobytes()]
+                    for out, (_, k, w, _) in zip(outs, leaves)] == want
+
+    def test_unbatched_branch_gets_its_row(self):
+        rng = np.random.default_rng(3)
+        rows = self._branch(rng, 4, False, False, False)
+        single = (rows[0][2], *rows[1:])  # [channels, time]: one crop, unbatched
+        outs = ad.conv_log_power_branches([self._leaves(rows), self._leaves(single)], 4, 3)
+        alone = ad.conv_log_power(*self._leaves(single)[:3], 4, 3)
+        assert outs[0].shape == (4, 3, 2) and outs[1].shape == alone.shape == (3, 2)
+        assert outs[1].values.tobytes() == alone.values.tobytes()
+
+    def test_branch_without_gradient_gets_none(self):
+        # branch 0 is unused, branch 2 is used with a zero weight: neither
+        # gets a gradient, and branch 1's is its own call's
+        rng = np.random.default_rng(4)
+        branches = [self._branch(rng, n, onsets, False, False)
+                    for n, onsets in ((5, True), (9, False), (3, True))]
+        leaves = [self._leaves(branch) for branch in branches]
+        outs = ad.conv_log_power_branches(leaves, 4, 3)
+        ad.add(ad.tsum(ad.square(outs[1])), ad.scale(ad.tsum(outs[2]), 0.0)).backward()
+        x, k, w, crops = self._leaves(branches[1])
+        ad.tsum(ad.square(ad.conv_log_power(x, k, w, 4, 3, crops))).backward()
+        assert leaves[1][1].grad.tobytes() == k.grad.tobytes()
+        assert leaves[1][2].grad.tobytes() == w.grad.tobytes()
+        assert all(t.grad is None for i in (0, 2) for t in leaves[i][1:3])
+
+    def test_refuses_branches_of_other_shapes(self):
+        rng = np.random.default_rng(5)
+        a, b = (self._leaves(self._branch(rng, 2, False, False, False)) for _ in range(2))
+        with pytest.raises(ValueError, match="at least one branch"):
+            ad.conv_log_power_branches([], 4, 3)
+        other_kernels = (b[0], ad.Tensor(np.zeros((2, 4))), b[2], b[3])
+        with pytest.raises(ValueError, match="share kernel and weight shapes"):
+            ad.conv_log_power_branches([a, other_kernels], 4, 3)
+        other_width = (b[0], b[1], b[2], ([0], [0], 11))
+        with pytest.raises(ValueError, match="share kernel and weight shapes"):
+            ad.conv_log_power_branches([a, other_width], 4, 3)
+
+
 class TestMeanPool:
     def test_constant_input(self):
         out = ad.mean_pool(np.full((2, 10), 3.5), 4, 2)

@@ -138,24 +138,25 @@ class TestForwardTrain:
         out = forward_train(model, {0: (x, np.zeros(3, int)), 1: (x, np.zeros(3, int))})
         np.testing.assert_array_equal(out[0][0].values, out[1][0].values)
 
-    def test_one_fused_conv_per_branch(self, monkeypatch):
+    def test_one_fused_call_per_step(self, monkeypatch):
         calls = []
-        real_fused = ad.conv_log_power
+        real_fused = ad.conv_log_power_branches
 
-        def spy(x, kernels, weights, pool_width, pool_stride, crops=None):
-            calls.append((np.shape(x), kernels.shape, weights.shape, pool_width, pool_stride,
-                          crops))
-            return real_fused(x, kernels, weights, pool_width, pool_stride, crops)
+        def spy(branches, pool_width, pool_stride):
+            calls.append(([(np.shape(x), kernels.shape, weights.shape, crops)
+                           for x, kernels, weights, crops in branches], pool_width, pool_stride))
+            return real_fused(branches, pool_width, pool_stride)
 
-        def chain_op(*args, **kwargs):
-            raise AssertionError("training ran an op of the five-op chain")
+        def other_op(*args, **kwargs):
+            raise AssertionError("training ran a per-branch op or an op of the five-op chain")
 
-        monkeypatch.setattr(ad, "conv_log_power", spy)
-        for name in ("conv_time", "conv_space", "square", "mean_pool", "log_clipped"):
-            monkeypatch.setattr(ad, name, chain_op)
+        monkeypatch.setattr(ad, "conv_log_power_branches", spy)
+        for name in ("conv_log_power", "conv_time", "conv_space", "square", "mean_pool",
+                     "log_clipped"):
+            monkeypatch.setattr(ad, name, other_op)
         model = build_scsn(tiny_scsn_cfg(n_subjects=3), seed=0)
         forward_train(model, self._batch(model, np.random.default_rng(3)))
-        assert calls == [((4, 2, 20), (3, 5), (3, 3, 2), 4, 3, None)] * 3
+        assert calls == [([((4, 2, 20), (3, 5), (3, 3, 2), None)] * 3, 4, 3)]
 
 
 class TestForwardInfer:

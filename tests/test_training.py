@@ -100,6 +100,72 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(params, {"w": np.zeros((2, 2))}, AdamState(params), TrainConfig())
 
+    def test_refused_step_changes_nothing(self):
+        # the bad gradient is the second parameter's: a step that updated as
+        # it checked would already have moved the first
+        params = ModelParams()
+        params.add("a", ad.Tensor(np.array([1.0, -2.0]), requires_grad=True), "model")
+        params.add("b", ad.Tensor(np.array([0.5, 0.25, 3.0]), requires_grad=True), "model")
+        state = AdamState(params)
+        adam_step(params, {"a": np.array([0.3, -0.1]), "b": np.ones(3)}, state,
+                  TrainConfig(lr=0.1))
+        before = [(t.values.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
+                  for n, t in params.items()]
+        with pytest.raises(ValueError, match="'b'"):
+            adam_step(params, {"a": np.ones(2), "b": np.ones((3, 1))}, state,
+                      TrainConfig(lr=0.1))
+        assert state.t == 1
+        assert [(t.values.tobytes(), state.m[n].tobytes(), state.v[n].tobytes())
+                for n, t in params.items()] == before
+
+    @staticmethod
+    def _reference_step(values, m, v, t, grads, lr):
+        """Out-of-place Adam, as one expression per array; returns new dicts."""
+        b1, b2 = training.ADAM_BETA1, training.ADAM_BETA2
+        out_values, out_m, out_v = {}, {}, {}
+        for name in values:
+            g = grads.get(name)
+            g = 0.0 if g is None else g
+            out_m[name] = b1 * m[name] + (1 - b1) * g
+            out_v[name] = b2 * v[name] + (1 - b2) * (g * g)
+            m_hat = out_m[name] / (1 - b1 ** t)
+            v_hat = out_v[name] / (1 - b2 ** t)
+            out_values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+        return out_values, out_m, out_v
+
+    @given(shapes=st.lists(st.lists(st.integers(1, 4), max_size=3), min_size=1, max_size=4),
+           steps=st.integers(1, 30), lr=st.sampled_from([1e-3, 0.01, 0.5]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_in_place_update_matches_out_of_place_bytes(self, shapes, steps, lr, seed):
+        rng = np.random.default_rng(seed)
+        params = ModelParams()
+        for i, shape in enumerate(shapes):
+            params.add(f"p{i}", ad.Tensor(rng.normal(size=shape), requires_grad=True), "model")
+        state = AdamState(params)
+        values = {n: t.values.copy() for n, t in params.items()}
+        m = {n: np.zeros_like(v) for n, v in values.items()}
+        v = {n: np.zeros_like(x) for n, x in values.items()}
+        arrays = [t.values for _, t in params.items()]
+        for t in range(1, steps + 1):
+            # each gradient absent (None or no key) about one time in three
+            grads = {}
+            for name, value in values.items():
+                draw = rng.integers(3)
+                if draw == 1:
+                    grads[name] = None
+                elif draw == 2:
+                    grads[name] = rng.normal(size=value.shape) * 10.0 ** rng.integers(-6, 3)
+            adam_step(params, grads, state, TrainConfig(lr=lr))
+            values, m, v = self._reference_step(values, m, v, t, grads, lr)
+        assert state.t == steps
+        for name, tensor in params.items():
+            assert tensor.values.tobytes() == values[name].tobytes()
+            assert state.m[name].tobytes() == m[name].tobytes()
+            assert state.v[name].tobytes() == v[name].tobytes()
+        # in place: every parameter keeps the array it started with
+        assert all(t.values is a for (_, t), a in zip(params.items(), arrays))
+
 
 @pytest.mark.parametrize("field, value", [("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
                                           ("lam", -1.0), ("lam", float("nan")),
