@@ -12,15 +12,22 @@ input's own dtype. It also takes whole trials with per-crop onsets: crops
 of one trial that overlap or touch are convolved as one segment, so shared
 samples are convolved once. One log-power node can hold several
 branches, each with its own input and parameters, as SCSN's per-subject
-shallow blocks are. Every op runs on the calling thread except the
-log-power op, which splits each branch's segments into work items, cut
-once they hold `_CHUNK` crops, and runs every branch's items through one
-map forward and one backward. When the environment pins BLAS to one
-thread, the items run on a private pool of one worker thread per usable
-core; otherwise they run inline. The crops, not the worker count or the
-other branches, fix the items and so every sum's order, so results are
-the same to the bit either way. Workers run numpy and this module's
-private helpers only.
+shallow blocks are.
+
+Every op runs on the calling thread except three. The log-power op
+splits each branch's segments into work items, cut once they hold
+`_CHUNK` crops, and maps every branch's items once forward and once
+backward. The forward passes of conv_time and conv_space cut one sample's
+matmul of at least `_SPLIT` multiply-adds into `_BLOCKS` column blocks,
+conv_time by channel and conv_space by time at multiples of 8, which the
+calling thread shares out with the pool's workers; a block writes into
+the op's output and allocates nothing. When the environment pins BLAS to
+one thread, the items and blocks run on a private pool of one worker
+thread per usable core; otherwise they run inline. The crops, or one
+sample's operand shapes, fix the items and blocks and so every sum's
+order, never the worker count, the batch size or the other branches, so
+results are the same to the bit either way. Workers run numpy and this
+module's private helpers only.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ import functools
 import itertools
 import math
 import os
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -38,6 +47,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 LOG_FLOOR = 1e-6
 
 _CHUNK = 8  # crops at which a conv_log_power work item is cut
+# multiply-adds from which conv_time's and conv_space's per-sample matmul is
+# cut into _BLOCKS column blocks
+_SPLIT = 1 << 21
+_BLOCKS = 4
 # OpenBLAS takes its thread count from the first of these that holds a
 # positive integer, read in this order at start-up
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -204,6 +217,48 @@ def _map_chunks(fn: Callable[[int, int], object], bounds: list[tuple[int, int]])
     return _executor(workers).map(fn, *zip(*bounds))
 
 
+def _column_blocks(fn: Callable[[int, int], None], n: int, align: int = 1) -> None:
+    """fn(lo, hi) for each of the _BLOCKS column blocks lo:hi, cut at
+    multiples of `align`, that cover the n columns of one sample's matmul.
+    The calling thread and up to _pool_size() - 1 pool workers take the
+    blocks in order, each as it comes free, so a worker that starts late
+    delays nothing: the calling thread runs whatever is left. Each fn
+    writes only its own columns of buffers the caller allocated; n alone
+    fixes the blocks, so results are the same to the bit at any worker
+    count."""
+    step = -(-n // (_BLOCKS * align)) * align
+    blocks: queue.SimpleQueue = queue.SimpleQueue()
+    for lo in range(0, n, step):
+        blocks.put((lo, min(lo + step, n)))
+    count, done, errors = blocks.qsize(), threading.Semaphore(0), []
+    # emptied once every block is done: a worker that starts later must not
+    # keep fn, and the arrays it holds, alive past this call
+    job = [fn]
+
+    def drain() -> None:
+        while True:
+            try:
+                lo, hi = blocks.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                job[0](lo, hi)
+            except BaseException as err:  # raised on the calling thread below
+                errors.append(err)
+            finally:
+                done.release()
+
+    workers = _pool_size()
+    for _ in range(min(workers, count) - 1):
+        _executor(workers).submit(drain)
+    drain()
+    for _ in range(count):
+        done.acquire()
+    job.clear()
+    if errors:
+        raise errors[0]
+
+
 @functools.cache
 def _executor(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="scsnet-conv")
@@ -246,11 +301,22 @@ def conv_time(x, kernels, stride: int = 1) -> Tensor:
         return cols.reshape(k, c * t_out)
 
     # one [F, k] @ [k, C*T'] matmul per sample, written straight into its
-    # [F, C, T'] slab of the output
+    # [F, C, T'] slab of the output; from _SPLIT multiply-adds on it is cut
+    # by channel, each block copying its own channels' columns
     cols = np.empty((k, c, t_out))
     out = np.empty((b, f, c, t_out))
+    split = f * k * c * t_out >= _SPLIT
     for i in range(b):
-        np.matmul(kernels.values, im2col(i, cols), out=out[i].reshape(f, c * t_out))
+        if not split:
+            np.matmul(kernels.values, im2col(i, cols), out=out[i].reshape(f, c * t_out))
+            continue
+
+        def block(lo: int, hi: int, i: int = i) -> None:
+            np.copyto(cols[:, lo:hi], windows[i][:, lo:hi])
+            np.matmul(kernels.values, cols[:, lo:hi].reshape(k, (hi - lo) * t_out),
+                      out=out[i, :, lo:hi].reshape(f, (hi - lo) * t_out))
+
+        _column_blocks(block, c)
 
     def backward(gout):
         g = gout if batched else gout[None]
@@ -290,7 +356,15 @@ def conv_space(x, weights) -> Tensor:
     b, t = xb.shape[0], xb.shape[-1]
     w2 = weights.values.reshape(o, f * c)
     x2 = xb.reshape(b, f * c, t)
-    out = np.matmul(w2, x2)  # one [O, F*C] @ [F*C, T'] matmul per sample
+    if o * f * c * t < _SPLIT:
+        out = np.matmul(w2, x2)  # one [O, F*C] @ [F*C, T'] matmul per sample
+    else:  # the same, each cut into blocks of T' columns
+        out = np.empty((b, o, t))
+        for i in range(b):
+            def block(lo: int, hi: int, i: int = i) -> None:
+                np.matmul(w2, x2[i, :, lo:hi], out=out[i, :, lo:hi])
+
+            _column_blocks(block, t, 8)
 
     def backward(gout):
         g = gout if batched else gout[None]

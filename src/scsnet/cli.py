@@ -81,7 +81,10 @@ def _dims(text: str) -> tuple[int, ...]:
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
-    return int(os.environ.get(SEED_ENV, "0"))
+    text = os.environ.get(SEED_ENV, "0")
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{SEED_ENV}={text!r} is not a nonnegative integer")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +134,19 @@ def write_manifest(out_dir: Path, command: str, args: list[str], seed: int | Non
 
 
 def read_manifest(path: Path) -> dict:
+    """A manifest's fields, with its `input=` and `output=` lines as lists of
+    (name, digest) under "inputs" and "outputs"; any other field given twice
+    is refused, naming the manifest and the field."""
     info = {"inputs": [], "outputs": []}
+    fields = []
     for line in path.read_text(encoding="utf-8").splitlines():
         key, _, value = line.partition("=")
-        if key == "input":
+        if key in ("input", "output"):
             name, _, digest = value.partition("\t")
-            info["inputs"].append((name, digest))
-        elif key == "output":
-            name, _, digest = value.partition("\t")
-            info["outputs"].append((name, digest))
+            info[key + "s"].append((name, digest))
         else:
-            info[key] = value
+            fields.append(line)
+    info.update(read_fields("\n".join(fields), path))
     return info
 
 
@@ -432,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subject shift strength in [0, 1]")
     p.add_argument("--snr", type=_positive_float, default=5.0,
                    help="signal-to-noise power ratio")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_nonnegative_int, default=None,
                    help=f"default: ${SEED_ENV} or 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -474,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=_dropout_rate, default=defaults.dropout)
     p.add_argument("--common-dims", type=_dims, default=defaults.common_fc_dims)
     p.add_argument("--separate-dims", type=_dims, default=defaults.separate_fc_dims)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--subjects-note", default=SUBJECTS_NOTE,
                    help="informational record of the recommended subject subset")
     p.add_argument("--out", required=True)

@@ -218,8 +218,11 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
     else:
         # Inference runs the five-op chain, the convs as per-sample matmuls
         # (conv_time writes [F, C, T'] straight from one kernel-bank matmul,
-        # conv_space is one [O, F*C] @ [F*C, T'] matmul). It stays because the
-        # traced benchmark (perfbench/tracer.py, perfbench/metrics.py) derives
+        # conv_space is one [O, F*C] @ [F*C, T'] matmul). At the paper
+        # geometry each matmul is cut into column blocks, which run on the
+        # worker pool when BLAS is pinned (autodiff._SPLIT); the bench-shape
+        # ones stay whole. The chain stays because the traced benchmark
+        # (perfbench/tracer.py, perfbench/metrics.py) derives
         # autodiff.conv_time.useful_frac and autodiff.conv.gflops from work
         # counters that only conv_time and conv_space feed. ROADMAP item 5's
         # switch, once a benchmark change traces conv_log_power, is to call

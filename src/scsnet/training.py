@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam!r}")
         if self.batch_per_branch < 1:
             raise ValueError("batch_per_branch must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
 
 
 @dataclass

@@ -217,6 +217,117 @@ class TestConvSpace:
             assert_rel_close(g, v.reshape(g.shape))
 
 
+class TestConvColumnBlocks:
+    """conv_time's and conv_space's forward matmul of one sample, cut into
+    column blocks from ad._SPLIT multiply-adds on: the same bytes at any
+    worker count, and the values of one unsplit matmul."""
+
+    PAPER = (22, 1000, 40, 25)  # channels, samples, filters, taps of a train-paper decode
+
+    @staticmethod
+    def _forward(x, kern, w):
+        ct = ad.conv_time(x, kern, 1)
+        return ct.values, ad.conv_space(ct, w).values
+
+    @staticmethod
+    def _unsplit(x, kern, w):
+        """conv_time's and conv_space's outputs of a batched input from one
+        kernel-bank matmul and one spatial matmul per sample."""
+        (f, k), o = kern.shape, w.shape[0]
+        b, c, t = x.shape
+        t_out = t - k + 1
+        cols = sliding_window_view(x, k, axis=-1).transpose(0, 3, 1, 2)  # [B, k, C, T']
+        ct = np.stack([kern @ np.ascontiguousarray(cols[i]).reshape(k, c * t_out)
+                       for i in range(b)]).reshape(b, f, c, t_out)
+        cs = np.stack([w.reshape(o, f * c) @ ct[i].reshape(f * c, t_out) for i in range(b)])
+        return ct, cs
+
+    def _paper_operands(self, seed, samples=None):
+        c, t, f, k = self.PAPER
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(1, c, samples or t)), rng.normal(size=(f, k)),
+                rng.normal(size=(f, f, c)))
+
+    @given(batch=st.none() | st.integers(1, 3), c=st.integers(1, 9), t_out=st.integers(1, 40),
+           f=st.integers(1, 5), k=st.integers(1, 7), o=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 16))
+    @example(batch=2, c=9, t_out=17, f=3, k=5, o=2, seed=0)   # ragged channel and column blocks
+    @example(batch=None, c=1, t_out=1, f=1, k=1, o=1, seed=1)
+    @settings(max_examples=30, deadline=None)
+    def test_same_bytes_at_every_pool_size(self, batch, c, t_out, f, k, o, seed):
+        rng = np.random.default_rng(seed)
+        lead = () if batch is None else (batch,)
+        x = rng.normal(size=(*lead, c, t_out + k - 1))
+        kern, w = rng.normal(size=(f, k)), rng.normal(size=(o, f, c))
+        results = []
+        for size in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ad, "_SPLIT", 1)  # every product is cut
+                mp.setattr(ad, "_pool_size", lambda: size)
+                results.append([a.tobytes() for a in self._forward(x, kern, w)])
+        assert results[0] == results[1] == results[2]
+        ct, cs = self._forward(x, kern, w)
+        want_ct, want_cs = self._unsplit(x[None] if batch is None else x, kern, w)
+        assert_rel_close(ct, want_ct[0] if batch is None else want_ct)
+        assert_rel_close(cs, want_cs[0] if batch is None else want_cs)
+
+    def test_paper_decode_is_the_unsplit_matmul(self, monkeypatch):
+        x, kern, w = self._paper_operands(0)
+        c, t, f, k = self.PAPER
+        t_out = t - k + 1
+        assert f * k * c * t_out >= ad._SPLIT and w.shape[0] * f * c * t_out >= ad._SPLIT
+        workers = []
+        real_executor = ad._executor
+
+        def executor(n):
+            workers.append(n)
+            return real_executor(n)
+
+        monkeypatch.setattr(ad, "_executor", executor)
+        want = [a.tobytes() for a in self._unsplit(x, kern, w)]
+        for size in (1, 2):
+            monkeypatch.setattr(ad, "_pool_size", lambda size=size: size)
+            assert [a.tobytes() for a in self._forward(x, kern, w)] == want
+        assert workers == [2, 2]  # one map per op at two workers, none inline
+
+    def test_same_bytes_under_fast_thread_switching(self, monkeypatch):
+        # more workers than cores and a thread switch every microsecond: a
+        # block that wrote outside its own columns would change bytes
+        x, kern, w = self._paper_operands(2)
+        monkeypatch.setattr(ad, "_pool_size", lambda: 1)
+        want = [a.tobytes() for a in self._forward(x, kern, w)]
+        monkeypatch.setattr(ad, "_pool_size", lambda: 2 * (os.cpu_count() or 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert [a.tobytes() for a in self._forward(x, kern, w)] == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_each_column_once_and_a_block_error_raised(self, monkeypatch, size):
+        monkeypatch.setattr(ad, "_BLOCKS", 4)
+        monkeypatch.setattr(ad, "_pool_size", lambda: size)
+        seen = []
+
+        def fn(lo, hi):
+            seen.append((lo, hi))
+            if lo == 32:
+                raise ValueError("block 32:64")
+
+        with pytest.raises(ValueError, match="block 32:64"):
+            ad._column_blocks(fn, 97, 8)
+        assert sorted(seen) == [(0, 32), (32, 64), (64, 96), (96, 97)]
+
+    def test_ragged_columns_agree_with_the_unsplit_matmul(self, monkeypatch):
+        # T' = 979 is no multiple of 8: the last column block is ragged
+        x, kern, w = self._paper_operands(1, samples=1003)
+        monkeypatch.setattr(ad, "_pool_size", lambda: 2)
+        for got, want in zip(self._forward(x, kern, w), self._unsplit(x, kern, w)):
+            assert_rel_close(got, want)
+
+
 def five_op_chain(x, kernels, weights, pool_width, pool_stride):
     """The ops conv_log_power fuses, one graph node each."""
     h = ad.conv_space(ad.conv_time(x, kernels, 1), weights)

@@ -75,6 +75,26 @@ class TestSynth:
         for name in ("S01_s1.tsc", "S02_s2.tsc"):
             assert (data_dir / name).read_bytes() == (again / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        loads = []
+        monkeypatch.setattr(cli, "load_trialset", lambda path: loads.append(path))
+        argv = (SYNTH if command == "synth" else
+                ["train", "--data", str(tmp_path), "--model", "scsn", *TRAIN_FLAGS])
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--seed", "-3", "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert "argument --seed: -3 is negative" in capsys.readouterr().err
+        assert loads == [] and not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])
+    def test_malformed_env_seed_is_named(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("SCSN_SEED", value)
+        flags = [f for f in SYNTH if f not in ("--seed", "7")]
+        assert main(flags + ["--out", str(tmp_path / "x")]) == 1
+        assert f"error: SCSN_SEED={value!r} is not a nonnegative integer" \
+            in capsys.readouterr().err
+
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCSN_SEED", "7")
         flags = [f for f in SYNTH if f not in ("--seed", "7")]
@@ -362,6 +382,25 @@ class TestRerun:
         code = main(["rerun", str(manifest), "--out", str(tmp_path / "fresh")])
         assert code == 1
         assert "MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("field", ["args", "command", "seed", "blas_threads"])
+    def test_rerun_refuses_a_repeated_field(self, data_dir, tmp_path, capsys, field):
+        # a second line of the field, changed: before, the later one won
+        manifest = data_dir / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        line = next(line for line in lines if line.startswith(f"{field}="))
+        again = line.replace("--seed 7", "--seed 8") if field == "args" else line + "x"
+        manifest.write_text("\n".join([*lines, again]) + "\n")
+        fresh = tmp_path / "fresh"
+        assert main(["rerun", str(manifest), "--out", str(fresh)]) == 1
+        assert f"error: {manifest}: field {field} is given twice" in capsys.readouterr().err
+        assert not fresh.exists()
+
+    def test_manifest_keeps_every_input_and_output_line(self, data_dir):
+        info = read_manifest(data_dir / "manifest.txt")
+        assert [name for name, _ in info["outputs"]] == \
+            ["S01_s1.tsc", "S01_s2.tsc", "S02_s1.tsc", "S02_s2.tsc"]
+        assert info["command"] == "synth" and info["seed"] == "7"
 
     BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 

@@ -175,6 +175,12 @@ def test_train_config_rejects_bad_rates(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, -3])
+def test_train_config_rejects_a_negative_seed(seed):
+    with pytest.raises(ValueError, match=f"seed must be nonnegative, got {seed}"):
+        TrainConfig(seed=seed)
+
+
 class TestTrainBasics:
     def test_deterministic_given_seed(self):
         split = tiny_split()
@@ -606,6 +612,67 @@ class TestDenseEvaluate:
         evaluate(self._model(), 0, self._trials(30), self.WIN, self.OVERLAP)
         assert shapes == [(per_chunk, 3, self.COVERED), (per_chunk, 3, self.COVERED),
                           (30 - 2 * per_chunk, 3, self.COVERED)]
+
+
+class TestSplitDecode:
+    """A one-trial decode at the paper geometry cuts its conv matmuls into
+    column blocks (autodiff._SPLIT); at the acceptance geometry it does not."""
+
+    PAPER = dict(channels=22, fs=250.0, samples=1000, win=2.0, overlap=1.9,
+                 base=dict(n_samples=500))
+    BENCH = dict(channels=8, fs=128.0, samples=256, win=2.0, overlap=1.0,
+                 base=dict(n_samples=256, temporal_filters=16))
+
+    @staticmethod
+    def _decoder(shape, n_trials):
+        base = BaselineConfig(n_channels=shape["channels"], n_classes=4, **shape["base"])
+        model = build_scsn(ScsnConfig(base=base, n_subjects=2, target_index=0,
+                                      common_fc_dims=(8, 8, 8), separate_fc_dims=(6, 6, 6)),
+                           seed=2)
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(n_trials, shape["channels"], shape["samples"]))
+        trials = TrialSet(data.astype(np.float32), np.arange(n_trials) % 4, "S",
+                          [f"c{i}" for i in range(shape["channels"])], shape["fs"],
+                          [f"k{i}" for i in range(4)])
+        return model, trials
+
+    @staticmethod
+    def _spy_executor(monkeypatch) -> list:
+        workers = []
+        real_executor = ad._executor
+
+        def executor(n):
+            workers.append(n)
+            return real_executor(n)
+
+        monkeypatch.setattr(ad, "_executor", executor)
+        return workers
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_per_trial_decisions_are_the_whole_set_ones(self, monkeypatch, size):
+        workers = self._spy_executor(monkeypatch)
+        monkeypatch.setattr(ad, "_pool_size", lambda: size)
+        shape = self.PAPER
+        model, trials = self._decoder(shape, 7)
+        whole = _predict_crops(model, 0, trials, shape["win"], shape["overlap"])
+        assert whole.shape == (7, 21)
+        for i in range(len(trials)):
+            one = trials.subset([i])
+            assert (_predict_crops(model, 0, one, shape["win"], shape["overlap"])
+                    == whole[i]).all()
+            assert evaluate(model, 0, one, shape["win"], shape["overlap"]) == \
+                (float(np.mean(whole[i] == i % 4)),
+                 float(np.bincount(whole[i], minlength=4).argmax() == i % 4))
+        assert set(workers) == (set() if size == 1 else {2})
+
+    def test_acceptance_shape_decode_never_reaches_the_pool(self, monkeypatch):
+        workers = self._spy_executor(monkeypatch)
+        monkeypatch.setattr(ad, "_pool_size", lambda: 2)
+        for shape, pooled in ((self.BENCH, []), (self.PAPER, [2, 2])):
+            model, trials = self._decoder(shape, 1)
+            evaluate(model, 0, trials, shape["win"], shape["overlap"])
+            assert workers == pooled
+            workers.clear()
 
 
 class TestNonFinite:
