@@ -14,20 +14,20 @@ samples are convolved once. One log-power node can hold several
 branches, each with its own input and parameters, as SCSN's per-subject
 shallow blocks are.
 
-Every op runs on the calling thread except three. The log-power op
-splits each branch's segments into work items, cut once they hold
-`_CHUNK` crops, and maps every branch's items once forward and once
-backward. The forward passes of conv_time and conv_space cut one sample's
-matmul of at least `_SPLIT` multiply-adds into `_BLOCKS` column blocks,
-conv_time by channel and conv_space by time at multiples of 8, which the
-calling thread shares out with the pool's workers; a block writes into
-the op's output and allocates nothing. When the environment pins BLAS to
-one thread, the items and blocks run on a private pool of one worker
-thread per usable core; otherwise they run inline. The crops, or one
-sample's operand shapes, fix the items and blocks and so every sum's
-order, never the worker count, the batch size or the other branches, so
-results are the same to the bit either way. Workers run numpy and this
-module's private helpers only.
+Every op runs on the calling thread except three, whose work is a fixed
+list of items that `_run_items` schedules. The log-power op splits each
+branch's segments into work items, cut once they hold `_CHUNK` crops, and
+runs every branch's items once forward and once backward. The forward
+passes of conv_time and conv_space cut one sample's matmul of at least
+`_SPLIT` multiply-adds into `_BLOCKS` column blocks, conv_time by channel
+and conv_space by time at multiples of 8; a block writes into the op's
+output and allocates nothing. The calling thread takes the items from one
+queue, joined, when the environment pins BLAS to one thread, by a private
+pool of one worker per further usable core. The crops, or one sample's
+operand shapes, fix the items and so every sum's order, never the worker
+count, the batch size or the other branches, so results are the same to
+the bit either way. Workers run numpy and this module's private helpers
+only.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import os
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -189,9 +189,9 @@ def _check_pool(width, stride, extent: int) -> None:
 
 
 def _pool_size() -> int:
-    """Worker threads for conv_log_power's chunks: the usable cores when
-    BLAS is pinned to one thread, else 1. A pool on top of threaded BLAS
-    runs slower than either level of threads alone."""
+    """Threads that run `_run_items`'s items, the calling thread included:
+    the usable cores when BLAS is pinned to one thread, else 1. A pool on
+    top of threaded BLAS runs slower than either level of threads alone."""
     for name in BLAS_THREAD_VARS:
         try:
             threads = int(os.environ.get(name, ""))
@@ -207,56 +207,55 @@ def _pool_size() -> int:
     return 1
 
 
-def _map_chunks(fn: Callable[[int, int], object], bounds: list[tuple[int, int]]) -> Iterator:
-    """fn(lo, hi) for each chunk of `bounds`, yielded in chunk order. The
-    chunks run on the worker pool when there are several of them and
-    _pool_size() is above 1, else inline."""
-    workers = _pool_size()
-    if len(bounds) < 2 or workers < 2:
-        return (fn(lo, hi) for lo, hi in bounds)
-    return _executor(workers).map(fn, *zip(*bounds))
-
-
-def _column_blocks(fn: Callable[[int, int], None], n: int, align: int = 1) -> None:
-    """fn(lo, hi) for each of the _BLOCKS column blocks lo:hi, cut at
-    multiples of `align`, that cover the n columns of one sample's matmul.
-    The calling thread and up to _pool_size() - 1 pool workers take the
-    blocks in order, each as it comes free, so a worker that starts late
-    delays nothing: the calling thread runs whatever is left. Each fn
-    writes only its own columns of buffers the caller allocated; n alone
-    fixes the blocks, so results are the same to the bit at any worker
-    count."""
+def _column_bounds(n: int, align: int = 1) -> list[tuple[int, int]]:
+    """The _BLOCKS column blocks lo:hi, cut at multiples of `align`, that
+    cover the n columns of one sample's matmul: n alone fixes them."""
     step = -(-n // (_BLOCKS * align)) * align
-    blocks: queue.SimpleQueue = queue.SimpleQueue()
-    for lo in range(0, n, step):
-        blocks.put((lo, min(lo + step, n)))
-    count, done, errors = blocks.qsize(), threading.Semaphore(0), []
-    # emptied once every block is done: a worker that starts later must not
-    # keep fn, and the arrays it holds, alive past this call
-    job = [fn]
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _run_items(fn: Callable[[int, int], object], bounds: Sequence[tuple[int, int]]) -> list:
+    """[fn(lo, hi) for lo, hi in bounds], each item's result in its slot.
+
+    The calling thread and up to _pool_size() - 1 pool workers take the
+    items from one queue, in order, so a worker that starts late, or never
+    (in a process forked after the pool started), delays nothing: the
+    calling thread runs whatever is left. The caller waits for every item,
+    then re-raises the first item's error. Each fn writes only its own part
+    of any buffer the caller allocated, and the items alone fix the work,
+    so results are the same to the bit at any worker count."""
+    todo: queue.SimpleQueue = queue.SimpleQueue()
+    for item in enumerate(bounds):
+        todo.put(item)
+    done = threading.Semaphore(0)
+    # fn, the results and the errors by item; emptied once every item is
+    # done, so a worker that starts later keeps none of them alive
+    job = [fn, [None] * len(bounds), {}]
 
     def drain() -> None:
         while True:
             try:
-                lo, hi = blocks.get_nowait()
+                i, (lo, hi) = todo.get_nowait()
             except queue.Empty:
                 return
             try:
-                job[0](lo, hi)
+                job[1][i] = job[0](lo, hi)
             except BaseException as err:  # raised on the calling thread below
-                errors.append(err)
+                job[2][i] = err
             finally:
                 done.release()
 
     workers = _pool_size()
-    for _ in range(min(workers, count) - 1):
+    for _ in range(min(workers, len(bounds)) - 1):
         _executor(workers).submit(drain)
     drain()
-    for _ in range(count):
+    for _ in bounds:
         done.acquire()
+    _, results, errors = job
     job.clear()
     if errors:
-        raise errors[0]
+        raise errors[min(errors)]
+    return results
 
 
 @functools.cache
@@ -316,7 +315,7 @@ def conv_time(x, kernels, stride: int = 1) -> Tensor:
             np.matmul(kernels.values, cols[:, lo:hi].reshape(k, (hi - lo) * t_out),
                       out=out[i, :, lo:hi].reshape(f, (hi - lo) * t_out))
 
-        _column_blocks(block, c)
+        _run_items(block, _column_bounds(c))
 
     def backward(gout):
         g = gout if batched else gout[None]
@@ -364,7 +363,7 @@ def conv_space(x, weights) -> Tensor:
             def block(lo: int, hi: int, i: int = i) -> None:
                 np.matmul(w2, x2[i, :, lo:hi], out=out[i, :, lo:hi])
 
-            _column_blocks(block, t, 8)
+            _run_items(block, _column_bounds(t, 8))
 
     def backward(gout):
         g = gout if batched else gout[None]
@@ -470,8 +469,8 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
     kernels.
 
     Work items are whole segments in (trial, onset) order, cut once they
-    hold _CHUNK crops; they run on the worker pool when BLAS is pinned to
-    one thread (see `_pool_size`). The effective-kernel gradient is summed
+    hold _CHUNK crops; `_run_items` runs them, on the worker pool too when
+    BLAS is pinned to one thread. The effective-kernel gradient is summed
     within each item, then over the items in order. The crops alone fix the
     items, so every result is the same to the bit at any worker count.
     Shapes and input checks are the chain's: x [channels, time] or batched,
@@ -497,7 +496,7 @@ def _rows(x: Tensor, key) -> Tensor:
 def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
                             pool_stride: int) -> list[Tensor]:
     """`conv_log_power` of several branches as one graph node, whose work
-    items go through one worker-pool map forward and one backward.
+    items go through one `_run_items` call forward and one backward.
 
     Each branch is (x, kernels, weights, crops) in either of conv_log_power's
     forms, with its own parameters; all branches share the kernel and
@@ -588,8 +587,7 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
                 np.add.reduce(sq_windows[:, offset[i]:offset[i] + span:pool_stride], axis=-1,
                               out=pooled[rows[i]])
 
-    for _ in _map_chunks(forward_item, bounds):
-        pass
+    _run_items(forward_item, bounds)
     pooled /= pool_width  # np.mean's sum, then divide: mean_pool's value to the bit
     out = np.log(np.maximum(pooled, LOG_FLOOR))
 
@@ -630,7 +628,7 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
         # order, then is chained to its kernels and weights
         grads: list[np.ndarray | None] = [None] * (2 * len(inputs))
         items = [(lo, hi) for lo, hi in bounds if live[segs[lo][0]]]
-        for (lo, hi), part in zip(items, _map_chunks(backward_item, items)):
+        for (lo, hi), part in zip(items, _run_items(backward_item, items)):
             br = segs[lo][0]
             if lo == seg_at[br]:
                 g_eff = np.zeros((o, c * k))

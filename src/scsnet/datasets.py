@@ -85,9 +85,6 @@ class TrialSet:
     def labels(self) -> np.ndarray:
         return self.label.copy()
 
-    def data_array(self, dtype=np.float64) -> np.ndarray:
-        return self.data.astype(dtype)
-
     def subset(self, indices) -> "TrialSet":
         """The rows `indices`; a slice gives views of this set's arrays."""
         rows = indices if isinstance(indices, slice) else np.asarray(indices, dtype=np.intp)

@@ -219,8 +219,9 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
         # Inference runs the five-op chain, the convs as per-sample matmuls
         # (conv_time writes [F, C, T'] straight from one kernel-bank matmul,
         # conv_space is one [O, F*C] @ [F*C, T'] matmul). At the paper
-        # geometry each matmul is cut into column blocks, which run on the
-        # worker pool when BLAS is pinned (autodiff._SPLIT); the bench-shape
+        # geometry each matmul is cut into column blocks, which the calling
+        # thread shares with the worker pool when BLAS is pinned
+        # (autodiff._SPLIT, autodiff._run_items); the bench-shape
         # ones stay whole. The chain stays because the traced benchmark
         # (perfbench/tracer.py, perfbench/metrics.py) derives
         # autodiff.conv_time.useful_frac and autodiff.conv.gflops from work

@@ -1,7 +1,11 @@
+import functools
 import math
 import os
+import signal
 import sys
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -307,18 +311,62 @@ class TestConvColumnBlocks:
 
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_each_column_once_and_a_block_error_raised(self, monkeypatch, size):
+        # ad._run_items: every block runs once, results come back in block
+        # order although the earlier blocks finish last, and a block's error
+        # reaches the caller only once every other block has finished
         monkeypatch.setattr(ad, "_BLOCKS", 4)
         monkeypatch.setattr(ad, "_pool_size", lambda: size)
-        seen = []
+        bounds = ad._column_bounds(97, 8)
+        assert bounds == [(0, 32), (32, 64), (64, 96), (96, 97)]
+        seen, finished = [], []
 
-        def fn(lo, hi):
+        def fn(lo, hi, fail=None):
             seen.append((lo, hi))
-            if lo == 32:
-                raise ValueError("block 32:64")
+            if lo == fail:
+                raise ValueError(f"block {lo}:{hi}")
+            time.sleep(5e-3 * (len(bounds) - bounds.index((lo, hi))))
+            finished.append((lo, hi))
+            return lo, hi
 
+        assert ad._run_items(fn, bounds) == bounds
+        assert sorted(seen) == sorted(finished) == bounds
+        seen.clear()
+        finished.clear()
         with pytest.raises(ValueError, match="block 32:64"):
-            ad._column_blocks(fn, 97, 8)
-        assert sorted(seen) == [(0, 32), (32, 64), (64, 96), (96, 97)]
+            ad._run_items(functools.partial(fn, fail=32), bounds)
+        assert sorted(seen) == bounds
+        assert sorted(finished) == [(0, 32), (64, 96), (96, 97)]
+
+    def test_a_late_worker_keeps_nothing_alive(self, monkeypatch):
+        # a worker that starts after the last item finds the job emptied: it
+        # holds neither fn, nor the array fn closes over, nor the results
+        submitted = []
+
+        class Executor:
+            def submit(self, fn):
+                submitted.append(fn)
+
+        monkeypatch.setattr(ad, "_executor", lambda workers: Executor())
+        monkeypatch.setattr(ad, "_pool_size", lambda: 2)
+        ran = []
+
+        def items_of(held):
+            def fn(lo, hi):
+                ran.append((lo, hi))
+                return held[lo:hi] * 2.0
+            return fn
+
+        held = np.arange(4.0)
+        held_ref, fn = weakref.ref(held), items_of(held)
+        del held
+        results = ad._run_items(fn, [(0, 2), (2, 4)])
+        assert [r.tolist() for r in results] == [[0.0, 2.0], [4.0, 6.0]]
+        result_ref = weakref.ref(results[0])
+        del fn, results
+        assert held_ref() is None and result_ref() is None
+        assert len(submitted) == 1 and ran == [(0, 2), (2, 4)]
+        submitted[0]()  # the late worker
+        assert ran == [(0, 2), (2, 4)]
 
     def test_ragged_columns_agree_with_the_unsplit_matmul(self, monkeypatch):
         # T' = 979 is no multiple of 8: the last column block is ragged
@@ -564,6 +612,38 @@ class TestConvLogPowerPool:
                 assert run() == want
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_forked_child_runs_every_item(self, monkeypatch):
+        # a child forked after the pool has started has none of its worker
+        # threads: the calling thread must still run every item
+        monkeypatch.setattr(ad, "_pool_size", lambda: 2)
+        rng = np.random.default_rng(6)
+        values = rng.normal(size=(3 * ad._CHUNK, 3, 20))
+        kern, w = rng.normal(size=(2, 5)), rng.normal(size=(3, 2, 3))
+
+        def run():
+            k, wt = ad.Tensor(kern, requires_grad=True), ad.Tensor(w, requires_grad=True)
+            out = ad.conv_log_power(values, k, wt, 4, 3)
+            ad.tsum(ad.square(out)).backward()
+            return [a.tobytes() for a in (out.values, k.grad, wt.grad)]
+
+        want = run()  # starts the pool
+        pid = os.fork()
+        if pid == 0:  # the child leaves through os._exit: no pytest teardown
+            code = 1
+            try:
+                code = 0 if run() == want else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child was still running its step after 60 s")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
     BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 

@@ -55,7 +55,6 @@ class TestTrialSet:
     def test_keeps_the_given_dtype_and_subsets_rows(self):
         ts = random_trialset(n_trials=5)
         assert ts.data.dtype == np.float32 and ts.label.dtype == np.int64
-        assert ts.data_array().dtype == np.float64
         part = ts.subset([3, 1])
         np.testing.assert_array_equal(part.data, ts.data[[3, 1]])
         np.testing.assert_array_equal(part.labels(), ts.labels()[[3, 1]])
@@ -76,7 +75,7 @@ class TestContainer:
         assert back.class_names == ts.class_names
         assert back.fs == ts.fs
         np.testing.assert_array_equal(back.labels(), ts.labels())
-        np.testing.assert_array_equal(back.data_array(np.float32), ts.data_array(np.float32))
+        np.testing.assert_array_equal(back.data.astype(np.float32), ts.data.astype(np.float32))
         assert back.subject_id == "S01"
         assert back.data.dtype == np.float32 and back.data.shape == ts.data.shape
 
@@ -96,7 +95,7 @@ class TestContainer:
         path = tmp_path_factory.mktemp("rt") / "set.tsc"
         save_trialset(ts, path)
         back = load_trialset(path)
-        np.testing.assert_array_equal(back.data_array(np.float32), ts.data_array(np.float32))
+        np.testing.assert_array_equal(back.data.astype(np.float32), ts.data.astype(np.float32))
         np.testing.assert_array_equal(back.labels(), ts.labels())
 
     def test_truncated_payload(self, tmp_path):
@@ -263,8 +262,8 @@ class TestSynth:
         b = synth_multisubject(2, 2, 8, 4, 64.0, 1.0, 2, 0.5, 5.0, seed=7)
         for da, db in zip(a, b):
             for sa, sb in zip(da.sessions, db.sessions):
-                np.testing.assert_array_equal(sa.data_array(np.float32),
-                                              sb.data_array(np.float32))
+                np.testing.assert_array_equal(sa.data.astype(np.float32),
+                                              sb.data.astype(np.float32))
                 np.testing.assert_array_equal(sa.labels(), sb.labels())
 
     def test_shapes(self):
@@ -344,7 +343,7 @@ class TestBalancedUpsample:
         a = balanced_upsample(ts, 30, seed=9)
         b = balanced_upsample(ts, 30, seed=9)
         np.testing.assert_array_equal(a.labels(), b.labels())
-        np.testing.assert_array_equal(a.data_array(), b.data_array())
+        np.testing.assert_array_equal(a.data.astype(np.float64), b.data.astype(np.float64))
 
     def test_absent_class_rejected(self):
         with pytest.raises(ValueError, match="class1"):

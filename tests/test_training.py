@@ -452,7 +452,7 @@ class TestStepMemory:
         data = synth_multisubject(3, 2, 16, 22, 100.0, 4.0, 4, 0.5, 5.0, seed=2)
         split = make_splits(data, SplitSpec("S01", 4, (4, 6), (6, 8)))
         cfg = tiny_cfg(max_epochs=1, patience=1, lam=1.0, win_s=2.0, overlap_s=1.9)
-        trial_bytes = 4 * sum(ts.data_array(np.float32).size for ts in split.train.values())
+        trial_bytes = 4 * sum(ts.data.astype(np.float32).size for ts in split.train.values())
 
         tracemalloc.start()
         try:
@@ -487,7 +487,7 @@ class TestSeparableTask:
 
         # linear oracle: least squares on per-channel variance features
         def variance_features(ts):
-            x = ts.data_array()
+            x = ts.data.astype(np.float64)
             return np.concatenate([x.var(axis=2), np.ones((len(x), 1))], axis=1)
 
         train_x = variance_features(split.train["S01"])
