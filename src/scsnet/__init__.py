@@ -23,6 +23,7 @@ from .mmd import (
     bandwidth_mean_l2,
     layered_class_mmd,
     mmd2_biased,
+    multi_source_mmd,
     transfer_loss,
 )
 from .models import (
@@ -62,7 +63,8 @@ __all__ = [
     "ContainerFormatError", "Epoch", "Split", "SplitSpec", "SubjectDataset", "TrialSet",
     "balanced_upsample", "batch_iter", "load_trialset", "make_splits", "save_trialset",
     "synth_multisubject",
-    "bandwidth_mean_l2", "layered_class_mmd", "mmd2_biased", "transfer_loss",
+    "bandwidth_mean_l2", "layered_class_mmd", "mmd2_biased", "multi_source_mmd",
+    "transfer_loss",
     "BaselineConfig", "ScsnConfig", "build_baseline", "build_scsn", "forward_infer",
     "forward_train", "load_checkpoint", "save_checkpoint",
     "band_power_map", "bandpass_filter", "crop_trials", "crop_trialset", "notch_filter",

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .datasets import Split, TrialSet, balanced_duplicates, batch_iter
-from .mmd import layered_class_mmd, transfer_loss
+from .mmd import multi_source_mmd, transfer_loss
 from .models import (
     BaselineConfig,
     BaselineModel,
@@ -335,11 +335,12 @@ def _scsn_step(model, state, cfg, where, drop_rng, picks: list[tuple[CropPool, n
                   1.0 / n)
     if not with_mmd:
         return _descend(ce, model, state, cfg, where), 0.0
-    target = model.cfg.target_index
-    terms = [layered_class_mmd(out[target][1], out[i][1], batch[target][1], batch[i][1])
-             for i in range(n) if i != target]
-    mmd = float(sum(t.item() for t in terms))
-    return _descend(transfer_loss(ce, terms, cfg.lam), model, state, cfg, where), mmd
+    # a non-finite batch fails here, naming the step, before the MMD sees it
+    _check_finite(ce.item(), model.params, *where)
+    disc, per_source = multi_source_mmd([out[i][1] for i in range(n)],
+                                        [batch[i][1] for i in range(n)], model.cfg.target_index)
+    mmd = float(sum(sum(terms) for terms in per_source.values()))
+    return _descend(transfer_loss(ce, [disc], cfg.lam), model, state, cfg, where), mmd
 
 
 def base_config(cfg: TrainConfig, trials: TrialSet) -> BaselineConfig:

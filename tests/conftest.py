@@ -1,11 +1,19 @@
 import time
 
+import numpy as np
 import pytest
 
 from scsnet.datasets import SplitSpec, make_splits, synth_multisubject
 from scsnet.training import TrainConfig, train
 
 BENCH_SEEDS = (0, 1, 2)
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    """Max absolute deviation within rtol of the reference's largest magnitude."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
 
 # one crop per trial (window == duration) keeps the desk-scale budget small
 BENCH_DATA = dict(n_subjects=5, n_sessions=2, n_trials=120, n_channels=8,

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from scsnet import autodiff as ad
+from tests.conftest import assert_rel_close
 
 
 def naive_conv_time(x, kernels, stride):
@@ -46,12 +47,6 @@ def naive_mean_pool(x, width, stride):
     for ti in range(t_out):
         out[:, ti] = x[:, ti * stride:ti * stride + width].mean(axis=1)
     return out
-
-
-def assert_rel_close(got, want, rtol=1e-12):
-    """Max absolute deviation within rtol of the reference's largest magnitude."""
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
 def tensordot_conv_time(xb, kernels, stride, g):

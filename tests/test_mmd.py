@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scsnet import autodiff as ad
 from scsnet.mmd import (
@@ -9,8 +11,10 @@ from scsnet.mmd import (
     bandwidth_mean_l2,
     layered_class_mmd,
     mmd2_biased,
+    multi_source_mmd,
     transfer_loss,
 )
+from tests.conftest import assert_rel_close
 
 
 def naive_mean_l2(x, y):
@@ -54,6 +58,13 @@ class TestBandwidth:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             bandwidth_mean_l2(np.zeros((2, 3)), np.zeros((2, 4)))
+
+    def test_non_finite_rows_refused_naming_the_side(self):
+        # a NaN distance used to fail `mean > 0` and fall back to 1.0
+        with pytest.raises(ValueError, match="x feature set holds non-finite"):
+            bandwidth_mean_l2([[0.0, 1.0], [np.nan, 0.0]], [[1.0, 1.0]])
+        with pytest.raises(ValueError, match="y feature set holds non-finite"):
+            bandwidth_mean_l2([[0.0, 1.0]], [[1.0, np.inf]])
 
 
 class TestMmd2Biased:
@@ -104,6 +115,14 @@ class TestMmd2Biased:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             mmd2_biased(np.zeros((0, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("sigma2", [None, 1.0])
+    def test_non_finite_rows_refused_naming_the_side(self, sigma2):
+        bad = np.array([[0.0, 1.0], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="x feature set holds non-finite"):
+            mmd2_biased(bad, [[1.0, 1.0]], sigma2)
+        with pytest.raises(ValueError, match="y feature set holds non-finite"):
+            mmd2_biased([[1.0, 1.0]], ad.Tensor([[0.0, -np.inf]]), sigma2)
 
     def test_monotone_in_mean_gap(self):
         rng = np.random.default_rng(4)
@@ -210,6 +229,142 @@ class TestLayeredClassMmd:
             return layered_class_mmd(t_feats, s_feats, t_labels, s_labels, 2.0)
 
         assert ad.grad_check(loss, t_feats + s_feats, eps=1e-5) < 1e-4
+
+
+    def test_non_integer_labels_refused(self):
+        x = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="target labels must be a vector of integers"):
+            layered_class_mmd([x] * 3, [x[:1]] * 3, [0.5, 1.0], [0])
+        with pytest.raises(ValueError, match="source 1 labels must be a vector of integers"):
+            layered_class_mmd([x] * 3, [x[:1]] * 3, [0, 1], [0.5])
+        with pytest.raises(ValueError, match="labels must be a vector of integers"):
+            layered_class_mmd([x] * 3, [x] * 3, [[0], [1]], [[0], [1]])
+
+    def test_non_finite_features_refused_naming_the_side(self):
+        rng = np.random.default_rng(15)
+        t_feats = self._three_layers(rng, 3)
+        s_feats = self._three_layers(rng, 3)
+        s_feats[1][2, 0] = np.nan
+        labels = np.array([0, 1, 0])
+        with pytest.raises(ValueError, match="source 1 layer 1 feature set holds non-finite"):
+            layered_class_mmd(t_feats, s_feats, labels, labels)
+        with pytest.raises(ValueError, match="target layer 1 feature set holds non-finite"):
+            layered_class_mmd(s_feats, t_feats, labels, labels)
+
+
+def per_source_composition(branch_feats, branch_labels, target, sigma2=None):
+    """The discrepancy as one `layered_class_mmd` per source built it before
+    the multi-source node: per source and layer, the mean over shared classes
+    of one mmd2_biased node between row gathers, weighted by the layer, then
+    summed over the sources. Returns (total, {source: per-layer terms})."""
+    t_labels = np.asarray(branch_labels[target])
+    terms, parts = [], {}
+    for s, (feats, labels) in enumerate(zip(branch_feats, branch_labels)):
+        if s == target:
+            continue
+        labels = np.asarray(labels)
+        shared = sorted(set(t_labels.tolist()) & set(labels.tolist()))
+        if not shared:
+            parts[s] = (0.0,) * len(LAYER_WEIGHTS)
+            continue
+        per_layer = []
+        for t_f, s_f, w in zip(branch_feats[target], feats, LAYER_WEIGHTS):
+            pairs = [mmd2_biased(ad.take_rows(t_f, np.flatnonzero(t_labels == c)),
+                                 ad.take_rows(s_f, np.flatnonzero(labels == c)), sigma2)
+                     for c in shared]
+            per_layer.append(ad.scale(ad.scale(ad.add_n(pairs), 1.0 / len(pairs)), w))
+        parts[s] = tuple(layer.item() for layer in per_layer)
+        terms.append(ad.add_n(per_layer))
+    total = ad.add_n(terms) if terms else ad.Tensor(np.asarray(0.0))
+    return total, parts
+
+
+def _value_and_grads(loss, feats):
+    if loss.requires_grad:
+        loss.backward()
+    grads = [np.zeros(f.shape) if f.grad is None else f.grad for layers in feats for f in layers]
+    return np.asarray(loss.item()), np.concatenate([g.ravel() for g in grads])
+
+
+# branch labels (2-5 branches, classes 0-2) and a target index other than 0
+branch_cases = st.integers(2, 5).flatmap(lambda b: st.tuples(
+    st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=6), min_size=b, max_size=b),
+    st.integers(1, b - 1)))
+
+
+class TestMultiSourceMmd:
+    """One node per layer for every source equals the per-source composition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=branch_cases, seed=st.integers(0, 2**16),
+           sigma2=st.sampled_from([None, 0.5, 3.0]), coincide=st.booleans())
+    # source 2 shares no class with the target
+    @example(case=([[0, 1], [0, 0, 1], [2, 2]], 1), seed=0, sigma2=None, coincide=False)
+    # source 2 shares only some of the target's classes
+    @example(case=([[0, 1, 2, 0], [0, 1, 1, 2], [1, 1, 3]], 1), seed=1, sigma2=None,
+             coincide=False)
+    # one row per class on both sides
+    @example(case=([[0, 1, 2], [2, 1, 0], [1, 0, 2]], 2), seed=2, sigma2=None, coincide=False)
+    # a given sigma2 for every pair
+    @example(case=([[0, 1, 0, 1], [1, 1, 0], [0, 0, 1, 2], [2, 1]], 3), seed=3, sigma2=2.0,
+             coincide=False)
+    # every class-0 row coincides, so each class-0 pair takes the 1.0 fallback
+    @example(case=([[0, 0, 1], [0, 0, 1, 1], [0, 1, 1]], 1), seed=4, sigma2=None, coincide=True)
+    @example(case=([[0, 0], [0, 0, 0], [0]], 2), seed=5, sigma2=None, coincide=True)
+    def test_matches_per_source_composition(self, case, seed, sigma2, coincide):
+        labels, target = case
+        rng = np.random.default_rng(seed)
+        widths = (3, 1, 4)
+        values = [[rng.normal(size=(len(v), d)) + rng.normal() for d in widths] for v in labels]
+        if coincide:
+            # zero rows: both paths then give exact zeros for these pairs
+            for v, layers in zip(labels, values):
+                for f in layers:
+                    f[np.asarray(v) == 0] = 0.0
+
+        def tensors():
+            return [[ad.Tensor(f.copy(), requires_grad=True) for f in layers]
+                    for layers in values]
+
+        got_feats, want_feats = tensors(), tensors()
+        got, parts = multi_source_mmd(got_feats, labels, target, sigma2)
+        want, want_parts = per_source_composition(want_feats, labels, target, sigma2)
+        got_value, got_grads = _value_and_grads(got, got_feats)
+        want_value, want_grads = _value_and_grads(want, want_feats)
+        assert_rel_close(got_value, want_value)
+        assert_rel_close(got_grads, want_grads)
+        assert sorted(parts) == sorted(want_parts) == [b for b in range(len(labels))
+                                                       if b != target]
+        assert_rel_close(np.array([parts[s] for s in sorted(parts)]),
+                         np.array([want_parts[s] for s in sorted(parts)]))
+        assert math.isclose(sum(map(sum, parts.values())), got.item(), rel_tol=1e-12)
+        for s in parts:
+            if not set(labels[s]) & set(labels[target]):
+                assert all(f.grad is None for f in got_feats[s]), s
+
+    def test_one_node_per_layer_over_every_branch(self):
+        rng = np.random.default_rng(16)
+        feats = [[ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True) for _ in range(3)]
+                 for _ in range(4)]
+        labels = [np.array([0, 1, 0, 1])] * 4
+        loss, _ = multi_source_mmd(feats, labels, 2)
+        assert len(loss._parents) == len(LAYER_WEIGHTS)
+        for layer, node in enumerate(loss._parents):
+            assert [id(p) for p in node._parents] == [id(f[layer]) for f in feats]
+
+    def test_malformed_input_refused(self):
+        x = np.zeros((2, 3))
+        labels = np.array([0, 1])
+        with pytest.raises(ValueError, match="one label vector per branch"):
+            multi_source_mmd([[x] * 3] * 3, [labels] * 2, 1)
+        with pytest.raises(ValueError, match="target index 3 outside 3 branches"):
+            multi_source_mmd([[x] * 3] * 3, [labels] * 3, 3)
+        with pytest.raises(ValueError, match="source 2 labels do not align"):
+            multi_source_mmd([[x] * 3] * 3, [labels, labels, labels[:1]], 0)
+        with pytest.raises(ValueError, match="layer 2 differs in width"):
+            multi_source_mmd([[x] * 3, [x, x, np.zeros((2, 4))]], [labels] * 2, 0)
+        with pytest.raises(ValueError, match="source 0 layer 0 feature set holds non-finite"):
+            multi_source_mmd([[np.full((2, 3), np.inf), x, x], [x] * 3], [labels] * 2, 1)
 
 
 class TestTransferLoss:

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scsnet import autodiff as ad
-from scsnet import training
+from scsnet import mmd, training
 from scsnet.datasets import (
     SplitSpec,
     SubjectDataset,
@@ -428,6 +428,30 @@ class TestPoolsShareLoadedTrials:
                 assert split.train[s] is datasets[subjects.index(s)].sessions[0]
 
 
+class TestMmdStepStructure:
+    def test_one_multi_source_node_per_step(self, monkeypatch):
+        calls = []
+        real = training.multi_source_mmd
+
+        def spy(branch_feats, branch_labels, target, sigma2=None):
+            out = real(branch_feats, branch_labels, target, sigma2)
+            calls.append((len(branch_feats), target, len(out[0]._parents)))
+            return out
+
+        def per_pair_op(*args, **kwargs):
+            raise AssertionError("an SCSN-MMD step built a per-pair MMD node or a row gather")
+
+        monkeypatch.setattr(training, "multi_source_mmd", spy)
+        monkeypatch.setattr(mmd, "mmd2_biased", per_pair_op)
+        monkeypatch.setattr(ad, "take_rows", per_pair_op)
+        split, cfg = tiny_split(), tiny_cfg(max_epochs=1, patience=1, lam=1.0)
+        _, pools = scsn_pools(split, cfg)
+        steps = len(list(batch_iter(pools, cfg.batch_per_branch, epoch_batch_seed(cfg.seed, 1))))
+        train("scsn_mmd", split, cfg)
+        assert steps > 1
+        assert calls == [(3, 0, 3)] * steps
+
+
 class TestStepMemory:
     """Training keeps the trial arrays plus one step alive, nothing more."""
 
@@ -681,6 +705,14 @@ class TestNonFinite:
         split.train["S01"].data[:, 0, 3] = np.nan
         with pytest.raises(FloatingPointError, match="epoch 1, step 1: non-finite loss"):
             train("scsn", split, tiny_cfg())
+
+    def test_nan_training_data_aborts_scsn_mmd_before_the_mmd(self):
+        # the MMD refuses non-finite features with a ValueError that names no
+        # step; the step checks its cross-entropy first
+        split = tiny_split()
+        split.train["S01"].data[:, 0, 3] = np.nan
+        with pytest.raises(FloatingPointError, match="epoch 1, step 1: non-finite loss"):
+            train("scsn_mmd", split, tiny_cfg(lam=1.0))
 
     def test_non_finite_gradient_named(self):
         params = ModelParams()
