@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,28 @@ from .datasets import read_fields
 from .preprocessing import CropGeometry
 
 CHECKPOINT_VERSION = 1
+
+
+def require_ints(cfg, *names: str) -> None:
+    """Store each named field of the frozen dataclass `cfg` as an int, or a
+    tuple of ints for a sequence field. numpy integers pass through
+    operator.index; a float, a bool or anything else without an integer
+    value is refused with a TypeError that names the field."""
+    def as_int(name: str, value) -> int:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        try:
+            return operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, (tuple, list)):
+            value = tuple(as_int(f"each of {name}", v) for v in value)
+        else:
+            value = as_int(name, value)
+        object.__setattr__(cfg, name, value)
 
 
 @dataclass(frozen=True)
@@ -35,8 +58,10 @@ class BaselineConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
-        for name in ("n_channels", "n_samples", "n_classes", "temporal_filters",
-                     "temporal_kernel", "pool_width", "pool_stride"):
+        sizes = ("n_channels", "n_samples", "n_classes", "temporal_filters",
+                 "temporal_kernel", "pool_width", "pool_stride")
+        require_ints(self, *sizes)
+        for name in sizes:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.n_classes < 2:
@@ -72,6 +97,7 @@ class ScsnConfig:
     separate_fc_dims: tuple[int, ...] = (64, 64, 64)
 
     def __post_init__(self):
+        require_ints(self, "n_subjects", "target_index", "common_fc_dims", "separate_fc_dims")
         if self.n_subjects < 2:
             raise ValueError("SCSN needs at least 2 subjects")
         if not 0 <= self.target_index < self.n_subjects:

@@ -29,6 +29,7 @@ from .models import (
     build_scsn,
     forward_infer,
     forward_train,
+    require_ints,
 )
 from .preprocessing import crop_geometry
 
@@ -68,6 +69,9 @@ class TrainConfig:
     separate_fc_dims: tuple[int, ...] = (64, 64, 64)
 
     def __post_init__(self):
+        require_ints(self, "max_epochs", "patience", "batch_per_branch", "seed",
+                     "temporal_filters", "temporal_kernel", "pool_width", "pool_stride",
+                     "common_fc_dims", "separate_fc_dims")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
         if not 1 <= self.patience <= self.max_epochs:

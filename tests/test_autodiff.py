@@ -544,6 +544,52 @@ class TestConvLogPowerOnsets:
             ad.conv_log_power(values, np.zeros((2, 5)), np.zeros((3, 2, 3)), 4, 3, crops)
 
 
+class TestConvLogPowerGrid:
+    """conv_log_power on onsets that share a pool grid step g > 1 with the
+    pool width and stride, so a segment of several crops sums its windows on
+    that grid once: against the gathered crops, at every pool size."""
+
+    SAMPLES, WIDTH = 70, 30
+
+    @staticmethod
+    def _run(values, crops, pool, size):
+        rng = np.random.default_rng(8)
+        k = ad.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+        w = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_pool_size", lambda: size)
+            out = ad.conv_log_power(values, k, w, *pool, crops)
+            ad.tsum(ad.square(out)).backward()
+        return out.values, k.grad, w.grad
+
+    # (pool width, pool stride, onset unit): g = 3, 5, and 2 or 4
+    POOLS = [(6, 3, 3), (15, 5, 5), (8, 4, 2)]
+
+    @pytest.mark.parametrize("pool_width, pool_stride, unit", POOLS,
+                             ids=[f"pool{w}-{s}-onsets{u}" for w, s, u in POOLS])
+    @given(pairs=st.lists(st.tuples(st.integers(0, 2), st.integers(0, SAMPLES - WIDTH)),
+                          min_size=1, max_size=2 * ad._CHUNK + 3),
+           seed=st.integers(0, 2 ** 16))
+    @example(pairs=[(0, 30), (0, 15), (1, 0), (0, 30), (0, 15)], seed=0)  # duplicates
+    @example(pairs=[(2, 30), (2, 0), (2, 15)], seed=1)                  # overlapping, unsorted
+    @example(pairs=[(1, 0), (1, 30), (0, 10)], seed=2)                  # touching
+    @example(pairs=[(i % 3, (13 * i) % 41) for i in range(2 * ad._CHUNK + 3)], seed=3)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_gathered_crops(self, pool_width, pool_stride, unit, pairs, seed):
+        pairs = [(t, o - o % unit) for t, o in pairs]  # onsets on multiples of the unit
+        values = np.random.default_rng(seed).normal(size=(3, 3, self.SAMPLES))
+        trial, onset = (np.array(v) for v in zip(*pairs))
+        crops = (trial, onset, self.WIDTH)
+        pool = (pool_width, pool_stride)
+        gathered = np.stack([values[t, :, o:o + self.WIDTH] for t, o in pairs])
+        want = self._run(gathered, None, pool, 1)
+        got = [self._run(values, crops, pool, size) for size in (1, 2, 3)]
+        for g, v in zip(got[0], want):
+            assert_rel_close(g, v)
+        assert ([[a.tobytes() for a in run] for run in got[1:]]
+                == 2 * [[a.tobytes() for a in got[0]]])
+
+
 class TestConvLogPowerPool:
     """conv_log_power's chunks give the same bytes at any worker count, and
     the worker count follows the BLAS thread environment."""
@@ -834,6 +880,46 @@ class TestScatterWindows:
         want = np.zeros_like(x.values)
         loop_scatter_windows(want, np.repeat((gout / width)[..., None], width, axis=-1), stride)
         assert_rel_close(got, want)
+
+
+class TestWindowSums:
+    """_window_sums against direct per-window sums, and _window_spread as
+    its adjoint."""
+
+    @given(g=st.integers(1, 6), w=st.integers(1, 20), slack=st.integers(0, 40),
+           lead=st.lists(st.integers(1, 3), max_size=2), times=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @example(g=1, w=15, slack=30, lead=[2], times=False, seed=0)       # g = 1
+    @example(g=5, w=15, slack=41, lead=[3], times=True, seed=1)        # the paper's pool 75
+    @example(g=4, w=1, slack=13, lead=[2, 2], times=False, seed=2)     # width equal to stride
+    @example(g=3, w=7, slack=0, lead=[], times=True, seed=3)           # a single window
+    @example(g=2, w=8, slack=1, lead=[1], times=False, seed=4)         # one sample past the grid
+    @settings(max_examples=200, deadline=None)
+    def test_sums_and_adjoint(self, g, w, slack, lead, times, seed):
+        rng = np.random.default_rng(seed)
+        width, n = g * w, g * w + slack
+        a = rng.normal(size=(*lead, n))
+        sums = ad._window_sums(a, width, g)
+        starts = range(0, n - width + 1, g)
+        want = np.stack([a[..., m:m + width].sum(-1) for m in starts], axis=-1)
+        assert_rel_close(sums, want)
+
+        grid = rng.normal(size=sums.shape)
+        spread = np.full(a.shape, np.nan)  # every sample must be written
+        assert ad._window_spread(grid, width, g, spread) is spread
+        # <spread(G), a> = <G, sums(a)>, against the sum of the terms' sizes
+        lhs, rhs = np.sum(spread * a), np.sum(grid * want)
+        terms = np.sum(np.abs(grid) * ad._window_sums(np.abs(a), width, g))
+        assert abs(lhs - rhs) <= 1e-12 * terms
+        # each sample's gradient is the grid summed over the windows that hold it
+        direct = np.zeros(a.shape)
+        for m, start in enumerate(starts):
+            direct[..., start:start + width] += grid[..., m:m + 1]
+        assert_rel_close(spread, direct)
+        if times:  # the spread, times a factor per sample
+            scale = rng.normal(size=a.shape)
+            scaled = ad._window_spread(grid, width, g, np.full(a.shape, np.nan), scale)
+            assert scaled.tobytes() == (spread * scale).tobytes()
 
 
 class TestDense:

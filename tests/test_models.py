@@ -65,6 +65,23 @@ class TestBaselineBuild:
         bound = np.sqrt(6.0 / (TINY.temporal_kernel + TINY.temporal_filters))
         assert np.all(np.abs(k) <= bound)
 
+    @pytest.mark.parametrize("field, value", [("pool_width", 7.5), ("temporal_filters", 2.0),
+                                              ("n_classes", True), ("pool_stride", "3")])
+    def test_refuses_a_non_integer_size(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            BaselineConfig(**{"n_channels": 2, "n_samples": 100, "n_classes": 2, field: value})
+
+    def test_numpy_integer_sizes_build_and_pool(self):
+        cfg = BaselineConfig(n_channels=np.int64(2), n_samples=np.int32(100), n_classes=2,
+                             temporal_filters=3, pool_width=np.int64(75), pool_stride=np.int8(15))
+        assert type(cfg.pool_width) is type(cfg.n_channels) is int
+        model = build_baseline(cfg, seed=0)
+        x = np.random.default_rng(1).normal(size=(2, 2, 100))
+        assert model.predict_proba(x).shape == (2, 2)
+        assert ad.conv_log_power(x, model.params["temporal.kernels"],
+                                 model.params["spatial.weights"], cfg.pool_width,
+                                 cfg.pool_stride).shape == (2, 3, cfg.pooled_out)
+
 
 class TestScsnBuild:
     def test_parameter_groups(self):

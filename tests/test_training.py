@@ -181,6 +181,22 @@ def test_train_config_rejects_a_negative_seed(seed):
         TrainConfig(seed=seed)
 
 
+@pytest.mark.parametrize("field, value", [("batch_per_branch", 2.5), ("max_epochs", 2.5),
+                                          ("patience", True), ("seed", np.float64(1.0)),
+                                          ("pool_width", 7.5), ("common_fc_dims", (8, 8.0, 8))])
+def test_train_config_refuses_a_non_integer_size(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_stores_numpy_integers_as_int():
+    cfg = TrainConfig(max_epochs=np.int64(5), patience=np.int32(2), seed=np.uint8(3),
+                      separate_fc_dims=[np.int16(4)] * 3)
+    assert (cfg.max_epochs, cfg.patience, cfg.seed) == (5, 2, 3)
+    assert type(cfg.max_epochs) is type(cfg.seed) is int
+    assert cfg.separate_fc_dims == (4, 4, 4) and type(cfg.separate_fc_dims[0]) is int
+
+
 class TestTrainBasics:
     def test_deterministic_given_seed(self):
         split = tiny_split()
