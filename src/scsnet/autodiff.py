@@ -47,6 +47,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 LOG_FLOOR = 1e-6
 
 _CHUNK = 8  # crops at which a conv_log_power work item is cut
+_POOL_SAMPLES = 1 << 15  # input samples mean_pool sums at a time
 # multiply-adds from which conv_time's and conv_space's per-sample matmul is
 # cut into _BLOCKS column blocks
 _SPLIT = 1 << 21
@@ -687,7 +688,9 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
             gi, p = g[item], pooled[item]
             nonzero = p > LOG_FLOOR
             gp = np.where(nonzero, gi / np.where(nonzero, p, 1.0), 0.0)
-            cols_of, gh_of = views(lo, hi, (c, k)), views(lo, hi, (o,))
+            cols_of = views(lo, hi, (c, k))
+            if any(seg[3] != t_out for seg in segs[lo:hi]):  # a segment of several onsets
+                gh_of = views(lo, hi, (o,))
             part = np.zeros((o, c * k))
             for s, (_, t, start, n, i, j) in enumerate(segs[lo:hi], lo):
                 # the gradient at the segment's conv output
@@ -743,25 +746,30 @@ def mean_pool(x, width: int, stride: int) -> Tensor:
     """Mean over sliding windows along the last axis.
 
     x: [features, time] or batched. Output time' = floor((time - width) /
-    stride) + 1. The windows start on multiples of g = gcd(width, stride):
-    the sums of every window on that grid come from blocks of g samples
-    (`_window_sums`), the output takes every (stride / g)-th and divides by
-    width, and the gradient spreads back through the same grid
-    (`_window_spread`). Within 1e-12 relative of each window's own mean.
+    stride) + 1. The windows start on multiples of g = gcd(width, stride).
+    A few batch entries at a time (up to _POOL_SAMPLES samples, at least
+    one entry), the sums of every window on that grid come from blocks of g
+    samples (`_window_sums`), and the output takes every (stride / g)-th and
+    divides by width. Within 1e-12 relative of each window's own mean. The
+    gradient is gout @ P, P being the [time', time] pooling matrix.
     """
     x = as_tensor(x)
     xb, batched = _with_batch(x.values, 2)
     _check_pool(width, stride, xb.shape[-1])
 
     g = math.gcd(width, stride)
-    sums = _window_sums(xb, width, g)
-    out, grid_shape = sums[..., ::stride // g] / width, sums.shape
+    out = np.empty(xb.shape[:-1] + ((xb.shape[-1] - width) // stride + 1,))
+    # the window sums' temporaries stay small next to x
+    per = max(1, _POOL_SAMPLES // math.prod(xb.shape[1:]))
+    for a in range(0, len(xb), per):
+        sums = _window_sums(xb[a:a + per], width, g)
+        np.divide(sums[..., ::stride // g], width, out=out[a:a + per])
+    n_out = out.shape[-1]
 
     def backward(gout):
-        grid = np.zeros(grid_shape)
-        grid[..., ::stride // g] = gout.reshape(out.shape) / width
-        gx = _window_spread(grid, width, g, np.empty(xb.shape))
-        return (gx.reshape(x.shape),)
+        pool = _pool_matrix(n_out, xb.shape[-1], width, stride)
+        gx = (gout.reshape(-1, n_out) @ pool).reshape(x.shape)
+        return (gx,)
 
     return make_node(out if batched else out[0], (x,), backward)
 

@@ -21,7 +21,7 @@ def test_head_against_head_at_tiny_shapes(capsys):
     spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
-    assert ab.main(["--base", "HEAD", "--size", "tiny", "--rounds", "2", "--decodes", "2"]) == 0
+    assert ab.main(["--base", "HEAD", "--size", "tiny", "--rounds", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("base HEAD against the working tree, size tiny")
     rows = {line.split()[0]: line.split() for line in lines[2:]}

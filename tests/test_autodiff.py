@@ -845,6 +845,16 @@ class TestMeanPool:
         ad._scatter_windows(want, spread, stride)
         assert_rel_close(got, want)
 
+    @pytest.mark.parametrize("width,stride", [(75, 15), (7, 3)])
+    def test_batch_pooled_a_few_entries_at_a_time(self, monkeypatch, width, stride):
+        # the same bytes whether the batch is summed at once or entry by entry
+        x = np.random.default_rng(width).normal(size=(5, 3, 2 * width + 4 * stride))
+        whole = ad.mean_pool(x, width, stride).values
+        monkeypatch.setattr(ad, "_POOL_SAMPLES", 2 * x[0].size - 1)
+        parts = ad.mean_pool(x, width, stride).values
+        assert parts.tobytes() == whole.tobytes()
+        assert_rel_close(parts, np.stack([naive_mean_pool(row, width, stride) for row in x]))
+
 
 def loop_scatter_windows(target, windowed, stride):
     """The per-offset loop `_scatter_windows` replaces: one strided add per

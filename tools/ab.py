@@ -4,13 +4,13 @@
 
 The script exports `src/scsnet` at `--base` with a local `git archive` into a
 temporary directory and imports it as `scsnet_base`, next to the working
-tree's `src/scsnet`. Each side builds the same split from the same seed,
+tree's `src/scsnet`. Each side builds the same split from seed 0,
 then the rounds alternate the two sides, the first side switching every
 round:
 
 - `train`: one `train("scsn_mmd", split, cfg)` call, one epoch;
-- `decode`: the median of `--decodes` one-trial `evaluate` calls with the
-  target branch of the model that side trained last.
+- `decode`: the median of 20 one-trial `evaluate` calls with the target
+  branch of the model that side trained last.
 
 For each case it prints each side's median and interquartile range over the
 rounds, the ratio change / base of the medians, and in how many rounds the
@@ -37,6 +37,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+SEED = 0
+DECODES = 20  # one-trial decodes per round
 
 SIZES = {
     "paper": dict(data=dict(n_channels=22, fs=250.0, duration_s=4.0, n_trials=4),
@@ -63,13 +65,13 @@ def export(rev: str, into: Path, name: str) -> Path:
 class Side:
     """One revision of the package with its split, config and decode trials."""
 
-    def __init__(self, pkg, size: str, seed: int):
+    def __init__(self, pkg, size: str):
         self.pkg = pkg
         shape = SIZES[size]
         data = pkg.synth_multisubject(n_subjects=5, n_sessions=2, n_classes=4,
-                                      shift_strength=0.7, snr=3.0, seed=seed, **shape["data"])
+                                      shift_strength=0.7, snr=3.0, seed=SEED, **shape["data"])
         self.split = pkg.make_splits(data, pkg.SplitSpec("S01", 1, (1, 2), (2, 4)))
-        self.cfg = pkg.TrainConfig(max_epochs=1, patience=1, lam=1.0, seed=seed, **shape["cfg"])
+        self.cfg = pkg.TrainConfig(max_epochs=1, patience=1, lam=1.0, seed=SEED, **shape["cfg"])
         test = self.split.test
         self.trials = [test.subset([i]) for i in range(len(test))]
         self.model = None
@@ -79,9 +81,9 @@ class Side:
         self.model, _ = self.pkg.train("scsn_mmd", self.split, self.cfg)
         return time.perf_counter() - start
 
-    def decode(self, n: int) -> float:
+    def decode(self) -> float:
         times = []
-        for i in range(n):
+        for i in range(DECODES):
             start = time.perf_counter()
             self.pkg.evaluate(self.model, self.model.cfg.target_index,
                               self.trials[i % len(self.trials)], self.cfg.win_s,
@@ -97,7 +99,7 @@ def iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def compare(base: Side, change: Side, rounds: int, decodes: int) -> dict[str, dict]:
+def compare(base: Side, change: Side, rounds: int) -> dict[str, dict]:
     """Alternate the two sides for `rounds` rounds; per case, the seconds
     each side took in each round."""
     runs = {case: {"base": [], "change": []} for case in ("train", "decode")}
@@ -105,7 +107,7 @@ def compare(base: Side, change: Side, rounds: int, decodes: int) -> dict[str, di
         order = [("base", base), ("change", change)]
         for label, side in order if r % 2 == 0 else order[::-1]:
             runs["train"][label].append(side.train())
-            runs["decode"][label].append(side.decode(decodes))
+            runs["decode"][label].append(side.decode())
     return runs
 
 
@@ -127,11 +129,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--size", choices=sorted(SIZES), default="paper")
     parser.add_argument("--rounds", type=int, default=12)
-    parser.add_argument("--decodes", type=int, default=20, help="one-trial decodes per round")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.decodes < 1:
-        parser.error("--rounds and --decodes must be positive")
+    if args.rounds < 1:
+        parser.error("--rounds must be positive")
     if "numpy" not in sys.modules and not any(os.environ.get(v) for v in BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads BLAS
     with tempfile.TemporaryDirectory(prefix="scsnet-ab-") as tmp:
@@ -139,13 +139,13 @@ def main(argv: list[str] | None = None) -> int:
         sys.path.insert(0, tmp)
         sys.path.insert(0, str(ROOT / "src"))
         try:
-            base = Side(importlib.import_module("scsnet_base"), args.size, args.seed)
-            change = Side(importlib.import_module("scsnet"), args.size, args.seed)
+            base = Side(importlib.import_module("scsnet_base"), args.size)
+            change = Side(importlib.import_module("scsnet"), args.size)
         finally:
             sys.path.remove(tmp)
             sys.path.remove(str(ROOT / "src"))
-        runs = compare(base, change, args.rounds, args.decodes)
-    print(f"base {args.base} against the working tree, size {args.size}, seed {args.seed}, "
+        runs = compare(base, change, args.rounds)
+    print(f"base {args.base} against the working tree, size {args.size}, "
           f"{args.rounds} rounds")
     print("\n".join(summary(runs)))
     return 0
