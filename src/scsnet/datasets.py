@@ -103,7 +103,10 @@ class SubjectDataset:
 # container format
 
 
-def _check_name(kind: str, name: str) -> None:
+def _check_name(kind: str, name: str, may_be_empty: bool = False) -> None:
+    # a lone empty channel or class name would be written as an empty list
+    if not (name or may_be_empty):
+        raise ValueError(f"{kind} may not be empty")
     if "," in name or "\n" in name:
         raise ValueError(f"{kind} {name!r} may not contain commas or newlines")
 
@@ -119,7 +122,7 @@ def save_trialset(trial_set: TrialSet, path) -> None:
     little-endian payload in [trial][channel][sample] order. Non-finite
     samples, which `load_trialset` refuses, are refused here too, naming the
     file and the trial, before the file is opened."""
-    _check_name("subject id", trial_set.subject_id)
+    _check_name("subject id", trial_set.subject_id, may_be_empty=True)
     for name in trial_set.channel_names:
         _check_name("channel name", name)
     for name in trial_set.class_names:

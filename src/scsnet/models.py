@@ -6,6 +6,8 @@ separate-common-separate network (SCSN) where each subject owns the shallow
 extractor, the three deep feature layers, and the classifier, while a
 three-layer dense block in between is shared by everyone. The three deep
 per-subject layers expose their activations for discrepancy regularization.
+`forward_train` is the training forward of both models, the baseline being
+the one-branch case; the models' own methods are inference-only.
 """
 
 from __future__ import annotations
@@ -193,41 +195,21 @@ def _init_dense_chain(params: ModelParams, rng, prefix: str, group: str,
     return in_dim
 
 
-def _train_log_power(params: ModelParams, cfg: BaselineConfig,
-                     inputs: list[tuple[str, object, tuple | None]]) -> list[ad.Tensor]:
-    """Training-mode pooled log-power features of each (prefix, x, crops)
-    input, all from one `conv_log_power_branches` node: x holds crops, or
-    whole trials with the crops' (trial, onset) as in `_shallow_forward`."""
-    return ad.conv_log_power_branches(
-        [(x, params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"],
-          None if crops is None else (*crops, cfg.n_samples)) for prefix, x, crops in inputs],
-        cfg.pool_width, cfg.pool_stride)
-
-
 def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
-                     training: bool, dropout_rng, crop_stride: int | None = None,
-                     crops: tuple[np.ndarray, np.ndarray] | None = None) -> ad.Tensor:
-    """Pooled log-power features of crops [[batch,] channels, n_samples].
+                     crop_stride: int | None = None) -> ad.Tensor:
+    """Inference-mode pooled log-power features of crops [[batch,] channels,
+    n_samples], one flat row per crop (dropout is the identity here).
 
-    Given `crops` = (trial, onset), x holds whole trials [trials, channels,
-    samples], read in place in their own dtype, and row r of the result is
-    the crop x[trial[r], :, onset[r]:onset[r] + n_samples]; the fused op
-    convolves the samples that crops share once. Training only.
-
-    Given `crop_stride`, x holds whole trials too, and the result holds the
-    features of every crop of every trial (n_samples wide, one every
-    crop_stride samples), trial-major. Conv and square act locally in time,
-    so each trial's covered span runs through them once; pooling at the
-    stride g = gcd(crop_stride, pool_stride) then yields every pooling window
-    of every crop, and the crop read-out is a gather. That read-out is not
-    differentiated: inference only.
+    Given `crop_stride`, x holds whole trials [trials, channels, samples]
+    instead, and the result holds the features of every crop of every trial
+    (n_samples wide, one every crop_stride samples), trial-major. Conv and
+    square act locally in time, so each trial's covered span runs through
+    them once; pooling at the stride g = gcd(crop_stride, pool_stride) then
+    yields every pooling window of every crop, and the crop read-out is a
+    gather. Training runs `forward_train` instead.
     """
-    if crops is not None and not training:
-        raise ValueError("crop onsets are for training only")
     step, windows = cfg.pool_stride, None
     if crop_stride is not None:
-        if training:
-            raise ValueError("the whole-trial crop read-out is inference-only")
         x = np.asarray(x)
         if x.ndim != 3:
             raise ValueError("whole-trial input must be [trials, channels, samples]")
@@ -239,35 +221,23 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
             windows = (np.arange(geo.count)[:, None] * crop_stride
                        + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
     kernels, weights = params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"]
-    if training:
-        [h] = _train_log_power(params, cfg, [(prefix, x, crops)])
-    else:
-        # Inference runs the five-op chain, the convs as per-sample matmuls
-        # (conv_time writes [F, C, T'] straight from one kernel-bank matmul,
-        # conv_space is one [O, F*C] @ [F*C, T'] matmul). At the paper
-        # geometry each matmul is cut into column blocks, which the calling
-        # thread shares with the worker pool when BLAS is pinned
-        # (autodiff._SPLIT, autodiff._run_items); the bench-shape
-        # ones stay whole. The chain stays because the traced benchmark
-        # (perfbench/tracer.py, perfbench/metrics.py) derives
-        # autodiff.conv_time.useful_frac and autodiff.conv.gflops from work
-        # counters that only conv_time and conv_space feed. ROADMAP item 5's
-        # switch, once a benchmark change traces conv_log_power, is to call
-        # conv_log_power here too and drop this branch.
-        h = ad.conv_space(ad.conv_time(x, kernels, 1), weights)
-        h = ad.log_clipped(ad.mean_pool(ad.square(h), cfg.pool_width, step))
+    # Inference runs the five-op chain, the convs as per-sample matmuls
+    # (conv_time writes [F, C, T'] straight from one kernel-bank matmul,
+    # conv_space is one [O, F*C] @ [F*C, T'] matmul). At the paper geometry
+    # each matmul is cut into column blocks, which the calling thread shares
+    # with the worker pool when BLAS is pinned (autodiff._SPLIT,
+    # autodiff._run_items); the bench-shape ones stay whole. The chain stays
+    # because the traced benchmark (perfbench/tracer.py, perfbench/metrics.py)
+    # derives autodiff.conv_time.useful_frac and autodiff.conv.gflops from
+    # work counters that only conv_time and conv_space feed. ROADMAP item 5's
+    # switch, once a benchmark change traces conv_log_power, is to call
+    # conv_log_power here instead.
+    h = ad.conv_space(ad.conv_time(x, kernels, 1), weights)
+    h = ad.log_clipped(ad.mean_pool(ad.square(h), cfg.pool_width, step))
     if windows is not None:
         feats = np.moveaxis(h.values[:, :, windows], 2, 1)  # [trials, crops, F, P]
         h = ad.Tensor(feats.reshape((-1,) + feats.shape[2:]))
-    return _shallow_head(h, cfg, training, dropout_rng)
-
-
-def _shallow_head(h: ad.Tensor, cfg: BaselineConfig, training: bool, dropout_rng) -> ad.Tensor:
-    """Dropout on pooled log-power features, then one flat row per crop."""
-    h = ad.dropout(h, cfg.dropout, dropout_rng, training=training)
-    batch = h.shape[0] if h.ndim == 3 else None
-    flat = (cfg.feature_dim,) if batch is None else (batch, cfg.feature_dim)
-    return ad.reshape(h, flat)
+    return ad.reshape(h, h.shape[:-2] + (cfg.feature_dim,))
 
 
 def _dense_chain_forward(h, params: ModelParams, prefix: str, n_layers: int,
@@ -294,15 +264,14 @@ class BaselineModel:
         self.cfg = cfg
         self.params = params
 
-    def forward(self, x, training: bool = False, dropout_rng=None,
-                crop_stride: int | None = None, crops=None) -> ad.Tensor:
-        h = _shallow_forward(x, self.params, self.cfg, "", training, dropout_rng, crop_stride,
-                             crops)
-        return ad.dense(h, self.params["classifier.weight"], self.params["classifier.bias"])
+    def _head(self, h: ad.Tensor, branch: int) -> tuple[ad.Tensor, list[ad.Tensor]]:
+        """The classifier on shallow features: (logits, no deep layers)."""
+        return ad.dense(h, self.params["classifier.weight"], self.params["classifier.bias"]), []
 
     def predict_proba(self, x, branch: int | None = None,
                       crop_stride: int | None = None) -> np.ndarray:
-        return _softmax_probs(self.forward(x, training=False, crop_stride=crop_stride).values)
+        logits, _ = self._head(_shallow_forward(x, self.params, self.cfg, "", crop_stride), 0)
+        return _softmax_probs(logits.values)
 
 
 class ScsnModel:
@@ -319,16 +288,7 @@ class ScsnModel:
     def n_subjects(self) -> int:
         return self.cfg.n_subjects
 
-    def branch_forward(self, x, branch: int, training: bool = False, dropout_rng=None,
-                       crop_stride: int | None = None, crops=None
-                       ) -> tuple[ad.Tensor, list[ad.Tensor]]:
-        if not 0 <= branch < self.cfg.n_subjects:
-            raise ValueError(f"branch {branch} out of range")
-        h = _shallow_forward(x, self.params, self.cfg.base, f"subject{branch}.", training,
-                             dropout_rng, crop_stride, crops)
-        return self._deep_forward(h, branch)
-
-    def _deep_forward(self, h: ad.Tensor, branch: int) -> tuple[ad.Tensor, list[ad.Tensor]]:
+    def _head(self, h: ad.Tensor, branch: int) -> tuple[ad.Tensor, list[ad.Tensor]]:
         """Shared block, the branch's deep layers and its classifier on the
         branch's shallow features: (logits, three deep-layer activations)."""
         h = _dense_chain_forward(h, self.params, "common.", len(self.cfg.common_fc_dims))
@@ -341,7 +301,10 @@ class ScsnModel:
         return logits, feats
 
     def predict_proba(self, x, branch: int, crop_stride: int | None = None) -> np.ndarray:
-        logits, _ = self.branch_forward(x, branch, training=False, crop_stride=crop_stride)
+        if not 0 <= branch < self.cfg.n_subjects:
+            raise ValueError(f"branch {branch} out of range")
+        h = _shallow_forward(x, self.params, self.cfg.base, f"subject{branch}.", crop_stride)
+        logits, _ = self._head(h, branch)
         return _softmax_probs(logits.values)
 
 
@@ -378,27 +341,39 @@ def build_scsn(cfg: ScsnConfig, seed: int) -> ScsnModel:
     return ScsnModel(cfg, params)
 
 
-def forward_train(model: ScsnModel, batch: dict, dropout_rng=None
+def forward_train(model, batch: dict, dropout_rng=None
                   ) -> dict[int, tuple[ad.Tensor, list[ad.Tensor]]]:
-    """Run every branch's sub-batch through its own path plus the shared
-    block; returns {branch: (logits, three deep-layer activations)}.
+    """Training-mode forward of every branch's sub-batch; returns {branch:
+    (logits, deep-layer activations)}. An SCSN branch runs its own path plus
+    the shared block; a baseline is the one branch 0, with no deep layers.
 
-    A sub-batch is (crops, labels), or (trials, labels, (trial, onset)) with
-    the crops given as onsets into whole trials, such as a crop pool's own
-    trial array (see `_shallow_forward`). Either array is data: it is read
-    in place and gets no gradient. Every branch's shallow block runs in one
-    `conv_log_power_branches` node; each branch then takes its rows and runs
-    dropout and its dense layers, in branch order, so dropout draws its
-    masks as `branch_forward` would, branch by branch."""
-    missing = [i for i in range(model.n_subjects) if i not in batch]
+    A sub-batch is (crops, labels), or (trials, labels, (trial, onset)): then
+    x holds whole trials [trials, channels, samples], such as a crop pool's
+    own trial array, and row r is the crop x[trial[r], :, onset[r]:onset[r] +
+    n_samples]. Either array is data: it is read in place, in its own dtype,
+    and gets no gradient. Every branch's shallow block runs in one
+    `conv_log_power_branches` node, which convolves the samples that crops
+    share once; each branch then takes its rows and runs dropout and its
+    dense layers, in branch order, so dropout draws its masks branch by
+    branch."""
+    if isinstance(model, ScsnModel):
+        base, prefixes = model.cfg.base, [f"subject{i}." for i in range(model.n_subjects)]
+    else:
+        base, prefixes = model.cfg, [""]
+    missing = [i for i in range(len(prefixes)) if i not in batch]
     if missing:
         raise ValueError(f"batch is missing sub-batches for branches {missing}")
-    base = model.cfg.base
-    hs = _train_log_power(model.params, base, [
-        (f"subject{i}.", batch[i][0], batch[i][2] if len(batch[i]) > 2 else None)
-        for i in range(model.n_subjects)])
-    return {i: model._deep_forward(_shallow_head(h, base, True, dropout_rng), i)
-            for i, h in enumerate(hs)}
+    hs = ad.conv_log_power_branches(
+        [(batch[i][0], model.params[f"{prefix}temporal.kernels"],
+          model.params[f"{prefix}spatial.weights"],
+          (*batch[i][2], base.n_samples) if len(batch[i]) > 2 else None)
+         for i, prefix in enumerate(prefixes)],
+        base.pool_width, base.pool_stride)
+    out = {}
+    for i, h in enumerate(hs):
+        h = ad.dropout(h, base.dropout, dropout_rng, training=True)
+        out[i] = model._head(ad.reshape(h, h.shape[:-2] + (base.feature_dim,)), i)
+    return out
 
 
 def forward_infer(model, x, branch: int | None = None,
@@ -451,6 +426,8 @@ def save_checkpoint(model, path, meta: dict[str, str] | None = None) -> None:
     parameter blocks; round-trips bit-exactly."""
     lines = [f"checkpoint_version={CHECKPOINT_VERSION}"] + _config_lines(model)
     for key, value in (meta or {}).items():
+        if not key or "=" in key:
+            raise ValueError(f"meta key {key!r} must be non-empty and free of '='")
         if "\n" in key or "\n" in str(value):
             raise ValueError("meta entries may not contain newlines")
         lines.append(f"meta.{key}={value}")

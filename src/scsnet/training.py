@@ -8,7 +8,6 @@ all derive from disjoint streams of the one configured seed.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -318,19 +317,11 @@ def _descend(loss: ad.Tensor, model, state: AdamState, cfg: TrainConfig,
 # next step starts.
 
 
-def _baseline_step(model, state, cfg, where, drop_rng,
-                   picks: list[tuple[CropPool, np.ndarray]]) -> tuple[float, float]:
-    """One baseline step on the crops `picks` gives its one pool: (loss, 0.0)."""
-    [(pool, rows)] = picks
-    logits = model.forward(pool.trials, training=True, dropout_rng=drop_rng,
-                           crops=(pool.trial[rows], pool.onset[rows]))
-    return _descend(ad.softmax_xent(logits, pool.label[rows])[0], model, state, cfg, where), 0.0
-
-
-def _scsn_step(model, state, cfg, where, drop_rng, picks: list[tuple[CropPool, np.ndarray]],
-               with_mmd: bool) -> tuple[float, float]:
-    """One SCSN step on the crops `picks` gives each branch: (loss, summed
-    MMD). Without `with_mmd` the loss is the cross-entropy alone."""
+def _step(model, state, cfg, where, drop_rng, picks: list[tuple[CropPool, np.ndarray]],
+          with_mmd: bool) -> tuple[float, float]:
+    """One step on the crops `picks` gives each branch, a baseline's one
+    branch being its pooled crops: (loss, summed MMD). The cross-entropy is
+    the mean over branches; without `with_mmd` it is the whole loss."""
     batch = {i: (pool.trials, pool.label[rows], (pool.trial[rows], pool.onset[rows]))
              for i, (pool, rows) in enumerate(picks)}
     out = forward_train(model, batch, dropout_rng=drop_rng)
@@ -399,18 +390,16 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
         batch_size = cfg.batch_per_branch * len(subjects)
         model = build_baseline(base, cfg.seed)
         branch = None
-        step_fn = _baseline_step
     else:
         subjects, pools = scsn_pools(split, cfg)
         batch_size = cfg.batch_per_branch
-        target_idx = subjects.index(split.target_subject)
+        branch = subjects.index(split.target_subject)
         model = build_scsn(
-            ScsnConfig(base=base, n_subjects=len(subjects), target_index=target_idx,
+            ScsnConfig(base=base, n_subjects=len(subjects), target_index=branch,
                        common_fc_dims=tuple(cfg.common_fc_dims),
                        separate_fc_dims=tuple(cfg.separate_fc_dims)),
             cfg.seed)
-        branch = target_idx
-        step_fn = functools.partial(_scsn_step, with_mmd=kind == "scsn_mmd" and cfg.lam > 0)
+    with_mmd = kind == "scsn_mmd" and cfg.lam > 0
     state = AdamState(model.params)
 
     best_acc, best_epoch, best_snapshot = -1.0, 0, model.params.snapshot()
@@ -419,8 +408,8 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
         steps: list[tuple[float, float]] = []
         batches = batch_iter(pools, batch_size, epoch_batch_seed(cfg.seed, epoch))
         for step, rows in enumerate(batches, start=1):
-            steps.append(step_fn(model, state, cfg, (epoch, step), drop_rng,
-                                 [(pools[s], rows[s]) for s in sorted(pools)]))
+            steps.append(_step(model, state, cfg, (epoch, step), drop_rng,
+                               [(pools[s], rows[s]) for s in sorted(pools)], with_mmd))
         step_losses, step_mmds = zip(*steps)
         report.train_loss.append(float(np.mean(step_losses)))
         report.train_mmd_loss.append(float(np.mean(step_mmds)))

@@ -131,6 +131,16 @@ class TestContainer:
             save_trialset(ts, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("field", ["channel_names", "class_names"])
+    def test_save_refuses_an_empty_name(self, tmp_path, field):
+        # a lone "" would load back as an empty list of names
+        ts = random_trialset(n_channels=1, n_classes=1)
+        ts = replace(ts, **{field: [""]})
+        path = tmp_path / "set.tsc"
+        with pytest.raises(ValueError, match=f"{field[:-1].replace('_', ' ')} may not be empty"):
+            save_trialset(ts, path)
+        assert not path.exists()
+
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_every_strict_prefix_rejected(self, data, tmp_path_factory):

@@ -155,7 +155,8 @@ class TestForwardTrain:
         out = forward_train(model, {0: (x, np.zeros(3, int)), 1: (x, np.zeros(3, int))})
         np.testing.assert_array_equal(out[0][0].values, out[1][0].values)
 
-    def test_one_fused_call_per_step(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["baseline", "scsn"])
+    def test_one_fused_call_per_step(self, monkeypatch, kind):
         calls = []
         real_fused = ad.conv_log_power_branches
 
@@ -171,9 +172,14 @@ class TestForwardTrain:
         for name in ("conv_log_power", "conv_time", "conv_space", "square", "mean_pool",
                      "log_clipped"):
             monkeypatch.setattr(ad, name, other_op)
-        model = build_scsn(tiny_scsn_cfg(n_subjects=3), seed=0)
-        forward_train(model, self._batch(model, np.random.default_rng(3)))
-        assert calls == [([((4, 2, 20), (3, 5), (3, 3, 2), None)] * 3, 4, 3)]
+        if kind == "baseline":  # the one branch 0
+            model, n = build_baseline(TINY, seed=0), 1
+        else:
+            model, n = build_scsn(tiny_scsn_cfg(n_subjects=3), seed=0), 3
+        rng = np.random.default_rng(3)
+        forward_train(model, {i: (rng.normal(size=(4, 2, 20)), rng.integers(2, size=4))
+                              for i in range(n)})
+        assert calls == [([((4, 2, 20), (3, 5), (3, 3, 2), None)] * n, 4, 3)]
 
 
 class TestForwardInfer:
@@ -194,12 +200,13 @@ class TestForwardInfer:
     def test_matches_training_mode_without_dropout(self):
         model = build_scsn(tiny_scsn_cfg(dropout=0.0), seed=5)
         x = np.random.default_rng(6).normal(size=(4, 2, 20))
-        logits, _ = model.branch_forward(x, 0, training=True,
-                                         dropout_rng=np.random.default_rng(0))
-        shifted = logits.values - logits.values.max(axis=1, keepdims=True)
-        expected = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        got = forward_infer(model, x, 0)
-        assert np.max(np.abs(got - expected)) <= 1e-12
+        out = forward_train(model, {0: (x, np.zeros(4, int)), 1: (x, np.zeros(4, int))},
+                            dropout_rng=np.random.default_rng(0))
+        for branch, (logits, _) in out.items():
+            shifted = logits.values - logits.values.max(axis=1, keepdims=True)
+            expected = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+            got = forward_infer(model, x, branch)
+            assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_branch_out_of_range(self):
         model = build_scsn(tiny_scsn_cfg(), seed=0)
@@ -311,12 +318,6 @@ class TestDenseCropInference:
         with pytest.raises(ValueError, match="trials"):
             forward_infer(model, np.zeros((2, 40)), crop_stride=5)
 
-    def test_read_out_is_inference_only(self):
-        model = build_baseline(TINY, seed=26)
-        with pytest.raises(ValueError, match="inference"):
-            model.forward(np.zeros((1, 2, 40)), training=True,
-                          dropout_rng=np.random.default_rng(0), crop_stride=5)
-
 
 class TestCheckpoint:
     def test_baseline_round_trip(self, tmp_path):
@@ -329,6 +330,14 @@ class TestCheckpoint:
         for name in model.params.names():
             np.testing.assert_array_equal(back.params[name].values,
                                           model.params[name].values)
+
+    @pytest.mark.parametrize("key", ["", "a=b"])
+    def test_refuses_a_meta_key_that_would_not_round_trip(self, tmp_path, key):
+        # "meta.a=b=c" would load back as {"a": "b=c"}
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match=f"meta key {key!r}"):
+            save_checkpoint(build_baseline(TINY, seed=13), path, meta={key: "c"})
+        assert not path.exists()
 
     def test_scsn_round_trip_bit_exact(self, tmp_path):
         # every config field away from its default and from the tiny config

@@ -380,9 +380,8 @@ class TestStepsReadPoolTrials:
         for r, row in enumerate(rows):
             assert x[trial[r], :, onset[r]:onset[r] + width].tobytes() == want.data[row].tobytes()
 
-    def test_scsn_steps_read_the_branch_trials(self, monkeypatch):
-        # 0.5 s windows every 0.25 s of 1 s trials: 3 overlapping crops per trial
-        split, cfg = tiny_split(), tiny_cfg(max_epochs=1, patience=1, win_s=0.5, overlap_s=0.25)
+    @staticmethod
+    def _spy_batches(monkeypatch) -> list[dict]:
         seen = []
         real = training.forward_train
 
@@ -391,6 +390,12 @@ class TestStepsReadPoolTrials:
             return real(model, batch, dropout_rng=dropout_rng)
 
         monkeypatch.setattr(training, "forward_train", spy)
+        return seen
+
+    def test_scsn_steps_read_the_branch_trials(self, monkeypatch):
+        # 0.5 s windows every 0.25 s of 1 s trials: 3 overlapping crops per trial
+        split, cfg = tiny_split(), tiny_cfg(max_epochs=1, patience=1, win_s=0.5, overlap_s=0.25)
+        seen = self._spy_batches(monkeypatch)
         train("scsn", split, cfg)
         subjects, pools = scsn_pools(split, cfg)
         want = self._reference_crops(split, cfg, subjects)
@@ -405,23 +410,18 @@ class TestStepsReadPoolTrials:
 
     def test_baseline_steps_read_the_pooled_trials(self, monkeypatch):
         split, cfg = tiny_split(), tiny_cfg(max_epochs=1, patience=1, win_s=0.5, overlap_s=0.25)
-        seen = []
-        real = training.BaselineModel.forward
-
-        def spy(model, x, **kwargs):
-            if kwargs.get("training"):
-                seen.append((x, kwargs["crops"]))
-            return real(model, x, **kwargs)
-
-        monkeypatch.setattr(training.BaselineModel, "forward", spy)
+        seen = self._spy_batches(monkeypatch)
         train("baseline", split, cfg, regime="single")
         pool = crop_pool([split.train["S01"]], cfg.win_s, cfg.overlap_s)
         want = crop_trialset(split.train["S01"], cfg.win_s, cfg.overlap_s)
         picks = list(batch_iter({"pooled": pool}, cfg.batch_per_branch,
                                 epoch_batch_seed(cfg.seed, 1)))
         assert len(seen) == len(picks) > 1
-        for (x, (trial, onset)), rows in zip(seen, picks):
+        for batch, rows in zip(seen, picks):
+            assert list(batch) == [0]  # the baseline is the one branch 0
+            x, y, (trial, onset) = batch[0]
             assert x is split.train["S01"].data
+            np.testing.assert_array_equal(y, want.label[rows["pooled"]])
             self._check_crops(x, trial, onset, want, rows["pooled"])
 
 

@@ -16,9 +16,12 @@ For each case it prints each side's median and interquartile range over the
 rounds, the ratio change / base of the medians, and in how many rounds the
 change was faster. `--size paper` is the train-paper geometry of
 `perfbench/workloads.py` (22 channels, 250 Hz, 4 s trials of 21 crops, 40
-filters, pool 75/15, 5 subjects, lambda 1); `--size tiny` is its smoke-test
-shape. When no BLAS thread variable is set and numpy is not loaded yet,
-the script pins BLAS to one thread, as the benchmark does.
+filters, pool 75/15, 5 subjects, lambda 1); `--size bench` is cli-bench's
+acceptance shape (8 channels, 128 Hz, 120 trials per session of 2 s with
+one 2 s crop each, 16 filters, dense widths 48/24, batch 30, split 40 /
+40:60 / 60:120); `--size tiny` is train-paper's smoke-test shape. When no
+BLAS thread variable is set and numpy is not loaded yet, the script pins
+BLAS to one thread, as the benchmark does.
 """
 
 from __future__ import annotations
@@ -40,12 +43,21 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 SEED = 0
 DECODES = 20  # one-trial decodes per round
 
+# split: (calibration trials, validation range, test range) of the target's
+# second session
 SIZES = {
     "paper": dict(data=dict(n_channels=22, fs=250.0, duration_s=4.0, n_trials=4),
+                  split=(1, (1, 2), (2, 4)),
                   cfg=dict(batch_per_branch=30, win_s=2.0, overlap_s=1.9, temporal_filters=40,
                            temporal_kernel=25, pool_width=75, pool_stride=15,
                            common_fc_dims=(128, 128, 128), separate_fc_dims=(64, 64, 64))),
+    "bench": dict(data=dict(n_channels=8, fs=128.0, duration_s=2.0, n_trials=120),
+                  split=(40, (40, 60), (60, 120)),
+                  cfg=dict(batch_per_branch=30, win_s=2.0, overlap_s=1.0, temporal_filters=16,
+                           temporal_kernel=25, pool_width=75, pool_stride=15,
+                           common_fc_dims=(48, 48, 48), separate_fc_dims=(24, 24, 24))),
     "tiny": dict(data=dict(n_channels=4, fs=64.0, duration_s=2.0, n_trials=4),
+                 split=(1, (1, 2), (2, 4)),
                  cfg=dict(batch_per_branch=5, win_s=1.0, overlap_s=0.75, temporal_filters=3,
                           temporal_kernel=9, pool_width=16, pool_stride=8,
                           common_fc_dims=(8, 8, 8), separate_fc_dims=(4, 4, 4))),
@@ -70,7 +82,7 @@ class Side:
         shape = SIZES[size]
         data = pkg.synth_multisubject(n_subjects=5, n_sessions=2, n_classes=4,
                                       shift_strength=0.7, snr=3.0, seed=SEED, **shape["data"])
-        self.split = pkg.make_splits(data, pkg.SplitSpec("S01", 1, (1, 2), (2, 4)))
+        self.split = pkg.make_splits(data, pkg.SplitSpec("S01", *shape["split"]))
         self.cfg = pkg.TrainConfig(max_epochs=1, patience=1, lam=1.0, seed=SEED, **shape["cfg"])
         test = self.split.test
         self.trials = [test.subset([i]) for i in range(len(test))]
