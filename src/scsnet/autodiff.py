@@ -837,16 +837,13 @@ def tanh(x) -> Tensor:
     return make_node(out, (x,), backward)
 
 
-def dropout(x, rate: float, rng: np.random.Generator | None = None,
-            training: bool = True) -> Tensor:
-    """Inverted dropout. Identity when rate == 0 or in inference mode."""
+def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout, drawing its mask from `rng`. Identity when rate == 0."""
     x = as_tensor(x)
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an explicit generator")
     # the graph keeps the boolean mask (1 byte per value, not 8) and each
     # pass rebuilds the float mask from it
     keep = rng.random(x.shape) >= rate

@@ -21,8 +21,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .autodiff import BLAS_THREAD_VARS
-from .datasets import SplitSpec, SubjectDataset, load_trialset, make_splits, read_fields, \
-    save_trialset, synth_multisubject
+from .datasets import SplitSpec, SubjectDataset, format_fields, load_trialset, make_splits, \
+    read_fields, save_trialset, synth_multisubject
 from .models import load_checkpoint, save_checkpoint
 from .preprocessing import crop_geometry, preprocess_trialset
 from .training import ComparisonRow, TrainConfig, base_config, evaluate, \
@@ -114,22 +114,15 @@ def blas_threads() -> str:
 def write_manifest(out_dir: Path, command: str, args: list[str], seed: int | None,
                    inputs: list[tuple[Path, str]], outputs: list[Path],
                    extras: dict[str, str] | None = None) -> Path:
-    lines = [
-        f"command={command}",
-        f"timestamp={datetime.now(timezone.utc).isoformat()}",
-        f"args={shlex.join(args)}",
-        f"blas_threads={blas_threads()}",
-    ]
+    fields = [("command", command), ("timestamp", datetime.now(timezone.utc).isoformat()),
+              ("args", shlex.join(args)), ("blas_threads", blas_threads())]
     if seed is not None:
-        lines.append(f"seed={seed}")
-    for key, value in (extras or {}).items():
-        lines.append(f"{key}={value}")
-    for path, digest in inputs:
-        lines.append(f"input={path}\t{digest}")
-    for path in outputs:
-        lines.append(f"output={path.name}\t{sha256_file(path)}")
+        fields.append(("seed", seed))
+    fields += (extras or {}).items()
+    fields += [("input", f"{path}\t{digest}") for path, digest in inputs]
+    fields += [("output", f"{path.name}\t{sha256_file(path)}") for path in outputs]
     manifest = out_dir / "manifest.txt"
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    manifest.write_text(format_fields(fields), encoding="utf-8")
     return manifest
 
 
@@ -331,10 +324,10 @@ def cmd_eval(ns, parser) -> int:
     print(f"crop_accuracy={crop_acc!r}")
     print(f"trial_accuracy={trial_acc!r}")
     summary = out / "summary.txt"
-    summary.write_text(
-        f"model={meta.get('model', model.kind)}\nregime={meta.get('regime', '')}\n"
-        f"target_subject={ns.target}\ntest_crop_accuracy={crop_acc!r}\n"
-        f"test_trial_accuracy={trial_acc!r}\n", encoding="utf-8")
+    summary.write_text(format_fields([
+        ("model", meta.get("model", model.kind)), ("regime", meta.get("regime", "")),
+        ("target_subject", ns.target), ("test_crop_accuracy", repr(crop_acc)),
+        ("test_trial_accuracy", repr(trial_acc))]), encoding="utf-8")
     write_manifest(out, "eval", replay_args(ns, parser), None, inputs, [summary])
     return 0
 
@@ -508,9 +501,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        # a flag value that the manifest's args= line cannot hold fails before any work
+        format_fields([("args", shlex.join(replay_args(ns, parser)))])
         return ns.func(ns, parser)
-    except SystemExit:
-        raise
     except Exception as err:  # runtime failure -> exit 1, message on stderr
         print(f"error: {err}", file=sys.stderr)
         return 1

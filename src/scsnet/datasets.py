@@ -1,4 +1,5 @@
-"""Trial containers, the on-disk dataset format, synthetic multi-subject
+"""Trial containers, the on-disk dataset format, the `name=value` codec of
+every header and summary the package writes, synthetic multi-subject
 generation, the train/val/test split protocol, balanced upsampling, and
 multi-branch batch iteration.
 
@@ -100,15 +101,59 @@ class SubjectDataset:
 
 
 # ---------------------------------------------------------------------------
-# container format
+# name=value headers and the container format
+
+
+def format_fields(pairs) -> str:
+    """One `name=value` line per (name, value) pair, in order: the only writer
+    of the lines `read_fields` reads. Names may repeat. An empty name or one
+    holding `=`, or a line that `str.splitlines` would cut or that is not
+    UTF-8 text, raises a ValueError naming the field."""
+    lines = []
+    for name, value in pairs:
+        line = f"{name}={value}"
+        if not name or "=" in name:
+            raise ValueError(f"field name {name!r} must be non-empty and free of '='")
+        if line.splitlines() != [line] or line.encode("utf-8", "replace").decode() != line:
+            raise ValueError(f"field {name!r} may not hold a line break or non-UTF-8 text: "
+                             f"{line!r}")
+        lines.append(f"{line}\n")
+    return "".join(lines)
+
+
+def read_fields(text: str, source, error=ValueError) -> dict[str, str]:
+    """The `name=value` lines of a header or run summary; a non-blank line
+    without `=`, or a name given twice, raises `error` naming `source` and
+    the line or field."""
+    fields = {}
+    for line in filter(None, text.splitlines()):
+        name, eq, value = line.partition("=")
+        if not eq:
+            raise error(f"{source}: line {line!r} is not name=value")
+        if name in fields:
+            raise error(f"{source}: field {name} is given twice")
+        fields[name] = value
+    return fields
+
+
+def read_header(blob: bytes, source, error=ValueError) -> tuple[dict[str, str], int]:
+    """The fields of a binary file's header, which a blank line ends, and the
+    offset of the payload after it; a malformed header raises `error`."""
+    end = blob.find(b"\n\n")
+    if end < 0:
+        raise error(f"{source}: header not terminated by a blank line")
+    try:
+        return read_fields(blob[:end].decode("utf-8"), source, error), end + 2
+    except UnicodeDecodeError:
+        raise error(f"{source}: header is not valid UTF-8") from None
 
 
 def _check_name(kind: str, name: str, may_be_empty: bool = False) -> None:
     # a lone empty channel or class name would be written as an empty list
     if not (name or may_be_empty):
         raise ValueError(f"{kind} may not be empty")
-    if "," in name or "\n" in name:
-        raise ValueError(f"{kind} {name!r} may not contain commas or newlines")
+    if "," in name:
+        raise ValueError(f"{kind} {name!r} may not contain commas")
 
 
 def _check_finite_trials(data: np.ndarray, path, error) -> None:
@@ -127,42 +172,20 @@ def save_trialset(trial_set: TrialSet, path) -> None:
         _check_name("channel name", name)
     for name in trial_set.class_names:
         _check_name("class name", name)
+    header = format_fields([
+        ("format_version", FORMAT_VERSION), ("fs_hz", repr(trial_set.fs)),
+        ("n_trials", len(trial_set)), ("n_channels", len(trial_set.channel_names)),
+        ("n_samples", trial_set.n_samples), ("channel_names", ",".join(trial_set.channel_names)),
+        ("class_names", ",".join(trial_set.class_names)), ("subject_id", trial_set.subject_id)])
     labels = trial_set.labels()
     if labels.size and labels.max() > 255:
         raise ValueError("labels above 255 do not fit the container format")
     payload = np.ascontiguousarray(trial_set.data, dtype="<f4")
     _check_finite_trials(payload, path, ValueError)
-
-    header = (
-        f"format_version={FORMAT_VERSION}\n"
-        f"fs_hz={trial_set.fs!r}\n"
-        f"n_trials={len(trial_set)}\n"
-        f"n_channels={len(trial_set.channel_names)}\n"
-        f"n_samples={trial_set.n_samples}\n"
-        f"channel_names={','.join(trial_set.channel_names)}\n"
-        f"class_names={','.join(trial_set.class_names)}\n"
-        f"subject_id={trial_set.subject_id}\n"
-        "\n"
-    )
     with open(path, "wb") as fh:
-        fh.write(header.encode("utf-8"))
+        fh.write(f"{header}\n".encode("utf-8"))
         fh.write(labels.astype(np.uint8).tobytes())
         fh.write(payload.data)
-
-
-def read_fields(text: str, source, error=ValueError) -> dict[str, str]:
-    """The `name=value` lines of a header or run summary; a non-blank line
-    without `=`, or a name given twice, raises `error` naming `source` and
-    the line or field."""
-    fields = {}
-    for line in filter(None, text.splitlines()):
-        name, eq, value = line.partition("=")
-        if not eq:
-            raise error(f"{source}: line {line!r} is not name=value")
-        if name in fields:
-            raise error(f"{source}: field {name} is given twice")
-        fields[name] = value
-    return fields
 
 
 def _parse_int(fields: dict, key: str) -> int:
@@ -181,15 +204,7 @@ def load_trialset(path) -> TrialSet:
     Non-finite samples are rejected, naming the file and the trial."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    sep = blob.find(b"\n\n")
-    if sep < 0:
-        raise ContainerFormatError("header not terminated by a blank line")
-    try:
-        header = blob[:sep].decode("utf-8")
-    except UnicodeDecodeError:
-        raise ContainerFormatError("header is not valid UTF-8") from None
-
-    fields = read_fields(header, path, ContainerFormatError)
+    fields, offset = read_header(blob, path, ContainerFormatError)
     for key in HEADER_KEYS:
         if key not in fields:
             raise ContainerFormatError(f"missing field {key}")
@@ -210,10 +225,10 @@ def load_trialset(path) -> TrialSet:
         raise ContainerFormatError("field channel_names does not match n_channels")
     subject_id = fields["subject_id"]
 
-    start = sep + 2 + n_trials
+    start = offset + n_trials
     if len(blob) < start:
         raise ContainerFormatError("truncated label block")
-    labels = np.frombuffer(blob[sep + 2:start], dtype=np.uint8)
+    labels = np.frombuffer(blob[offset:start], dtype=np.uint8)
     expected = n_trials * n_channels * n_samples * 4
     payload = blob[start:]
     if len(payload) != expected:

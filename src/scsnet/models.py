@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import read_fields
+from .datasets import format_fields, read_header
 from .preprocessing import CropGeometry
 
 CHECKPOINT_VERSION = 1
@@ -371,7 +371,7 @@ def forward_train(model, batch: dict, dropout_rng=None
         base.pool_width, base.pool_stride)
     out = {}
     for i, h in enumerate(hs):
-        h = ad.dropout(h, base.dropout, dropout_rng, training=True)
+        h = ad.dropout(h, base.dropout, dropout_rng)
         out[i] = model._head(ad.reshape(h, h.shape[:-2] + (base.feature_dim,)), i)
     return out
 
@@ -406,34 +406,34 @@ _SCSN_FIELDS = [(f.name, _PARSE[f.type]) for f in dataclasses.fields(ScsnConfig)
 _BASE_FIELDS = [(f.name, _PARSE[f.type]) for f in dataclasses.fields(BaselineConfig)]
 
 
-def _config_lines(model) -> list[str]:
+def _config_fields(model) -> list[tuple[str, object]]:
     if isinstance(model, ScsnModel):
         parts = [(model.cfg, _SCSN_FIELDS), (model.cfg.base, _BASE_FIELDS)]
     else:
         parts = [(model.cfg, _BASE_FIELDS)]
-    lines = [f"kind={model.kind}"]
+    fields = [("kind", model.kind)]
     for cfg, schema in parts:
         for name, _ in schema:
             value = getattr(cfg, name)
             if isinstance(value, (tuple, list)):
                 value = ",".join(str(d) for d in value)
-            lines.append(f"{name}={value}")
-    return lines
+            fields.append((name, value))
+    return fields
 
 
 def save_checkpoint(model, path, meta: dict[str, str] | None = None) -> None:
     """Config echo as key=value lines, then named little-endian float64
     parameter blocks; round-trips bit-exactly."""
-    lines = [f"checkpoint_version={CHECKPOINT_VERSION}"] + _config_lines(model)
-    for key, value in (meta or {}).items():
+    meta = meta or {}
+    for key in meta:
         if not key or "=" in key:
             raise ValueError(f"meta key {key!r} must be non-empty and free of '='")
-        if "\n" in key or "\n" in str(value):
-            raise ValueError("meta entries may not contain newlines")
-        lines.append(f"meta.{key}={value}")
-    lines.append(f"param_count={len(model.params.names())}")
+    header = format_fields(
+        [("checkpoint_version", CHECKPOINT_VERSION), *_config_fields(model),
+         *((f"meta.{key}", value) for key, value in meta.items()),
+         ("param_count", len(model.params.names()))])
     with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n\n").encode("utf-8"))
+        fh.write(f"{header}\n".encode("utf-8"))
         for name, tensor in model.params.items():
             shape = ",".join(str(d) for d in tensor.shape)
             group = model.params.group_of(name)
@@ -445,10 +445,7 @@ def load_checkpoint(path):
     """Rebuild the model and the stored metadata from a checkpoint file."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    sep = blob.find(b"\n\n")
-    if sep < 0:
-        raise ValueError("checkpoint header not terminated by a blank line")
-    fields = read_fields(blob[:sep].decode("utf-8"), path)
+    fields, offset = read_header(blob, path)
     if fields.get("checkpoint_version") != str(CHECKPOINT_VERSION):
         raise ValueError("unsupported checkpoint version")
     meta = {k[len("meta."):]: v for k, v in fields.items() if k.startswith("meta.")}
@@ -472,7 +469,6 @@ def load_checkpoint(path):
     else:
         raise ValueError(f"unknown model kind {fields.get('kind')!r}")
 
-    offset = sep + 2
     seen: set[str] = set()
     while offset < len(blob):
         eol = blob.find(b"\n", offset)

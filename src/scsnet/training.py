@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
-from .datasets import Split, TrialSet, balanced_duplicates, batch_iter
+from .datasets import Split, TrialSet, balanced_duplicates, batch_iter, format_fields
 from .mmd import multi_source_mmd, transfer_loss
 from .models import (
     BaselineConfig,
@@ -111,17 +111,16 @@ class TrainReport:
 
     def to_summary_text(self) -> str:
         # wall time deliberately excluded so reruns are byte-identical
-        lines = [
-            f"model_kind={self.model_kind}",
-            f"regime={self.regime}",
-            f"target_subject={self.target_subject}",
-            f"epochs_run={self.epochs_run}",
-            f"best_epoch={self.best_epoch}",
-            f"best_val_accuracy={max(self.val_accuracy)!r}",
-            f"test_crop_accuracy={self.test_crop_accuracy!r}",
-            f"test_trial_accuracy={self.test_trial_accuracy!r}",
-        ]
-        return "\n".join(lines) + "\n"
+        return format_fields([
+            ("model_kind", self.model_kind),
+            ("regime", self.regime),
+            ("target_subject", self.target_subject),
+            ("epochs_run", self.epochs_run),
+            ("best_epoch", self.best_epoch),
+            ("best_val_accuracy", repr(max(self.val_accuracy))),
+            ("test_crop_accuracy", repr(self.test_crop_accuracy)),
+            ("test_trial_accuracy", repr(self.test_trial_accuracy)),
+        ])
 
 
 # ---------------------------------------------------------------------------

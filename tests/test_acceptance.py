@@ -64,7 +64,7 @@ def _layer_op_cases(rng):
     xdr = ad.Tensor(rng.normal(size=6), requires_grad=True)
     mask_seed = int(rng.integers(1 << 31))
     yield "dropout", (lambda: ad.tsum(ad.square(
-        ad.dropout(xdr, 0.5, np.random.default_rng(mask_seed), training=True)))), [xdr]
+        ad.dropout(xdr, 0.5, np.random.default_rng(mask_seed))))), [xdr]
 
     xe = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     labels = rng.integers(4, size=3)

@@ -1143,17 +1143,13 @@ class TestActivationsAndDropout:
 
     def test_dropout_rate_zero_identity(self):
         x = ad.Tensor(np.arange(4.0), requires_grad=True)
-        out = ad.dropout(x, 0.0, np.random.default_rng(0), training=True)
+        out = ad.dropout(x, 0.0, np.random.default_rng(0))
         assert out is x
-
-    def test_dropout_inference_identity(self):
-        x = ad.Tensor(np.arange(4.0))
-        assert ad.dropout(x, 0.5, training=False) is x
 
     def test_dropout_mask_semantics(self):
         rng = np.random.default_rng(9)
         x = ad.Tensor(np.ones(1000), requires_grad=True)
-        out = ad.dropout(x, 0.5, rng, training=True)
+        out = ad.dropout(x, 0.5, rng)
         vals = np.unique(out.values)
         assert set(vals).issubset({0.0, 2.0})
         ad.tsum(out).backward()
@@ -1164,7 +1160,7 @@ class TestActivationsAndDropout:
 
         def loss():
             rng = np.random.default_rng(1234)
-            return ad.tsum(ad.square(ad.dropout(x, 0.5, rng, training=True)))
+            return ad.tsum(ad.square(ad.dropout(x, 0.5, rng)))
 
         assert ad.grad_check(loss, [x], eps=1e-5) < 1e-4
 

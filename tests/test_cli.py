@@ -396,6 +396,24 @@ class TestRerun:
         assert f"error: {manifest}: field {field} is given twice" in capsys.readouterr().err
         assert not fresh.exists()
 
+    def test_manifest_refuses_a_field_that_would_not_read_back(self, tmp_path):
+        # this args= line was written, and then read back with a second seed field
+        with pytest.raises(ValueError, match="field 'args' may not hold a line break"):
+            cli.write_manifest(tmp_path, "train", ["--subjects-note", "a\rseed=9"], 1, [], [])
+        assert not (tmp_path / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("note", ["a\rseed=9", "a\u2028b", "a\udcffb"],
+                             ids=["carriage-return", "line-separator", "not-utf8"])
+    def test_a_flag_the_manifest_cannot_hold_fails_before_any_load(
+            self, data_dir, tmp_path, capsys, monkeypatch, note):
+        loads = []
+        monkeypatch.setattr(cli, "load_trialset", lambda path: loads.append(path))
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
+                     "--subjects-note", note, "--out", str(run)]) == 1
+        assert "error: field 'args' " in capsys.readouterr().err
+        assert loads == [] and not run.exists()
+
     def test_manifest_keeps_every_input_and_output_line(self, data_dir):
         info = read_manifest(data_dir / "manifest.txt")
         assert [name for name, _ in info["outputs"]] == \

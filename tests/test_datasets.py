@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,11 @@ from scsnet.datasets import (
     balanced_duplicates,
     balanced_upsample,
     batch_iter,
+    format_fields,
     load_trialset,
     make_splits,
+    read_fields,
+    read_header,
     save_trialset,
     subject_mixing_matrix,
     synth_multisubject,
@@ -63,6 +67,66 @@ class TestTrialSet:
         view = ts.subset(slice(1, 4))
         np.testing.assert_array_equal(view.labels(), ts.labels()[1:4])
         assert np.shares_memory(view.data, ts.data)
+
+
+# every line boundary of str.splitlines
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# text that often holds what format_fields refuses
+FIELD_TEXT = st.text(st.characters() | st.sampled_from(LINE_BREAKS + "="), max_size=8)
+
+
+class TestFieldCodec:
+    @given(fields=st.dictionaries(FIELD_TEXT, FIELD_TEXT, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_every_accepted_list_reads_back(self, fields):
+        pairs = list(fields.items())
+        try:
+            text = format_fields(pairs)
+        except ValueError:
+            assert any(not name or "=" in name or set(name + value) & set(LINE_BREAKS)
+                       for name, value in pairs)
+            return
+        assert read_fields(text, "header") == fields
+
+    @given(name=st.text(st.characters(exclude_characters=LINE_BREAKS + "="), min_size=1,
+                        max_size=6),
+           value=st.text(st.characters(exclude_characters=LINE_BREAKS), max_size=6),
+           brk=st.sampled_from(LINE_BREAKS), in_name=st.booleans(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_refuses_every_line_break_in_a_name_or_a_value(self, name, value, brk, in_name,
+                                                           data):
+        where = name if in_name else value
+        at = data.draw(st.integers(0, len(where)))
+        where = where[:at] + brk + where[at:]
+        if in_name:
+            name = where
+        else:
+            value = where
+        with pytest.raises(ValueError, match=f"field {re.escape(repr(name))} may not hold a "
+                                             "line break"):
+            format_fields([("ok", "1"), (name, value)])
+
+    @pytest.mark.parametrize("name", ["", "a=b"])
+    def test_refuses_a_name_that_would_not_read_back(self, name):
+        with pytest.raises(ValueError, match=f"field name {re.escape(repr(name))}"):
+            format_fields([(name, "v")])
+
+    def test_refuses_text_that_is_not_utf8(self):
+        # a command-line byte that is not UTF-8 reaches Python as a lone surrogate
+        with pytest.raises(ValueError, match="field 'args' may not hold a line break or "
+                                             "non-UTF-8 text"):
+            format_fields([("args", "--out \udcff")])
+
+    def test_repeated_names_and_values_are_written_in_order(self):
+        assert format_fields([("input", "a\t1"), ("n", 3), ("input", "b\t2")]) == \
+            "input=a\t1\nn=3\ninput=b\t2\n"
+
+    def test_header_reader_names_the_source(self):
+        assert read_header(b"a=1\nb=\n\npayload", "f.bin") == ({"a": "1", "b": ""}, 8)
+        with pytest.raises(ContainerFormatError, match="f.bin: header not terminated"):
+            read_header(b"a=1\n", "f.bin", ContainerFormatError)
+        with pytest.raises(ContainerFormatError, match="f.bin: header is not valid UTF-8"):
+            read_header(b"a=\xff\n\n", "f.bin", ContainerFormatError)
 
 
 class TestContainer:
@@ -138,6 +202,17 @@ class TestContainer:
         ts = replace(ts, **{field: [""]})
         path = tmp_path / "set.tsc"
         with pytest.raises(ValueError, match=f"{field[:-1].replace('_', ' ')} may not be empty"):
+            save_trialset(ts, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field, value", [("subject_id", "S\x85extra=1"),
+                                              ("channel_names", ["a\u2028b"]),
+                                              ("class_names", ["x", "y\rfs_hz=5"])])
+    def test_save_refuses_a_name_that_would_not_read_back(self, tmp_path, field, value):
+        # "S\x85extra=1" loaded back as the subject "S" with an extra field
+        ts = replace(random_trialset(n_channels=1, n_classes=2), **{field: value})
+        path = tmp_path / "set.tsc"
+        with pytest.raises(ValueError, match=f"field '{field}' may not hold a line break"):
             save_trialset(ts, path)
         assert not path.exists()
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -338,6 +340,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"meta key {key!r}"):
             save_checkpoint(build_baseline(TINY, seed=13), path, meta={key: "c"})
         assert not path.exists()
+
+    @pytest.mark.parametrize("meta", [{"note": "a\rx=y"}, {"note\u2029x": "y"}])
+    def test_refuses_a_meta_entry_that_would_not_read_back(self, tmp_path, meta):
+        # {"note": "a\rx=y"} loaded back as {"note": "a"}
+        path = tmp_path / "model.ckpt"
+        name = re.escape(repr(f"meta.{next(iter(meta))}"))
+        with pytest.raises(ValueError, match=f"field {name} may not hold a line break"):
+            save_checkpoint(build_baseline(TINY, seed=13), path, meta=meta)
+        assert not path.exists()
+
+    def test_header_that_is_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_baseline(TINY, seed=13), path, meta={"note": "a"})
+        path.write_bytes(path.read_bytes().replace(b"meta.note=a", b"meta.note=\xff"))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: header is not valid UTF-8"):
+            load_checkpoint(path)
 
     def test_scsn_round_trip_bit_exact(self, tmp_path):
         # every config field away from its default and from the tiny config

@@ -33,6 +33,7 @@ from scsnet.training import (
     AdamState,
     ComparisonRow,
     TrainConfig,
+    TrainReport,
     adam_step,
     crop_pool,
     epoch_batch_seed,
@@ -792,3 +793,9 @@ def test_report_serialization_round_readable():
     summary = report.to_summary_text()
     assert f"best_epoch={report.best_epoch}" in summary
     assert "wall_time" not in summary
+
+
+def test_summary_refuses_a_field_that_would_not_read_back():
+    report = TrainReport("scsn", "multi", "S01\u2028best_epoch=9", val_accuracy=[0.5])
+    with pytest.raises(ValueError, match="field 'target_subject' may not hold a line break"):
+        report.to_summary_text()

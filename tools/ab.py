@@ -8,18 +8,21 @@ tree's `src/scsnet`. Each side builds the same split from seed 0,
 then the rounds alternate the two sides, the first side switching every
 round:
 
-- `train`: one `train("scsn_mmd", split, cfg)` call, one epoch;
+- `train`: the size's trainings, one epoch each: `train(kind, split, cfg,
+  regime=regime)` for each (kind, regime) of its `trainings` in `SIZES`;
 - `decode`: the median of 20 one-trial `evaluate` calls with the target
-  branch of the model that side trained last.
+  branch of the scsn_mmd model that side trained last.
 
 For each case it prints each side's median and interquartile range over the
 rounds, the ratio change / base of the medians, and in how many rounds the
 change was faster. `--size paper` is the train-paper geometry of
 `perfbench/workloads.py` (22 channels, 250 Hz, 4 s trials of 21 crops, 40
-filters, pool 75/15, 5 subjects, lambda 1); `--size bench` is cli-bench's
-acceptance shape (8 channels, 128 Hz, 120 trials per session of 2 s with
-one 2 s crop each, 16 filters, dense widths 48/24, batch 30, split 40 /
-40:60 / 60:120); `--size tiny` is train-paper's smoke-test shape. When no
+filters, pool 75/15, 5 subjects, lambda 1), training scsn_mmd; `--size
+bench` is cli-bench's acceptance shape (8 channels, 128 Hz, 120 trials per
+session of 2 s with one 2 s crop each, 16 filters, dense widths 48/24,
+batch 30, split 40 / 40:60 / 60:120), training what cli-bench trains:
+baseline single and multi, scsn and scsn_mmd; `--size tiny` is
+train-paper's smoke-test shape, training scsn_mmd. When no
 BLAS thread variable is set and numpy is not loaded yet, the script pins
 BLAS to one thread, as the benchmark does.
 """
@@ -44,20 +47,23 @@ SEED = 0
 DECODES = 20  # one-trial decodes per round
 
 # split: (calibration trials, validation range, test range) of the target's
-# second session
+# second session; trainings: the (kind, regime) pairs the train case runs
+MMD_ONLY = (("scsn_mmd", "multi"),)
 SIZES = {
     "paper": dict(data=dict(n_channels=22, fs=250.0, duration_s=4.0, n_trials=4),
-                  split=(1, (1, 2), (2, 4)),
+                  split=(1, (1, 2), (2, 4)), trainings=MMD_ONLY,
                   cfg=dict(batch_per_branch=30, win_s=2.0, overlap_s=1.9, temporal_filters=40,
                            temporal_kernel=25, pool_width=75, pool_stride=15,
                            common_fc_dims=(128, 128, 128), separate_fc_dims=(64, 64, 64))),
     "bench": dict(data=dict(n_channels=8, fs=128.0, duration_s=2.0, n_trials=120),
                   split=(40, (40, 60), (60, 120)),
+                  trainings=(("baseline", "single"), ("baseline", "multi"), ("scsn", "multi"),
+                             ("scsn_mmd", "multi")),
                   cfg=dict(batch_per_branch=30, win_s=2.0, overlap_s=1.0, temporal_filters=16,
                            temporal_kernel=25, pool_width=75, pool_stride=15,
                            common_fc_dims=(48, 48, 48), separate_fc_dims=(24, 24, 24))),
     "tiny": dict(data=dict(n_channels=4, fs=64.0, duration_s=2.0, n_trials=4),
-                 split=(1, (1, 2), (2, 4)),
+                 split=(1, (1, 2), (2, 4)), trainings=MMD_ONLY,
                  cfg=dict(batch_per_branch=5, win_s=1.0, overlap_s=0.75, temporal_filters=3,
                           temporal_kernel=9, pool_width=16, pool_stride=8,
                           common_fc_dims=(8, 8, 8), separate_fc_dims=(4, 4, 4))),
@@ -84,13 +90,17 @@ class Side:
                                       shift_strength=0.7, snr=3.0, seed=SEED, **shape["data"])
         self.split = pkg.make_splits(data, pkg.SplitSpec("S01", *shape["split"]))
         self.cfg = pkg.TrainConfig(max_epochs=1, patience=1, lam=1.0, seed=SEED, **shape["cfg"])
+        self.trainings = shape["trainings"]
         test = self.split.test
         self.trials = [test.subset([i]) for i in range(len(test))]
         self.model = None
 
     def train(self) -> float:
         start = time.perf_counter()
-        self.model, _ = self.pkg.train("scsn_mmd", self.split, self.cfg)
+        for kind, regime in self.trainings:
+            model, _ = self.pkg.train(kind, self.split, self.cfg, regime=regime)
+            if kind == "scsn_mmd":
+                self.model = model
         return time.perf_counter() - start
 
     def decode(self) -> float:
