@@ -37,14 +37,12 @@ from .models import (
     save_checkpoint,
 )
 from .preprocessing import (
-    band_power_map,
     bandpass_filter,
     crop_trials,
     crop_trialset,
     notch_filter,
     preprocess_trialset,
     select_channels,
-    write_band_power_csv,
 )
 from .training import (
     ComparisonRow,
@@ -67,8 +65,8 @@ __all__ = [
     "transfer_loss",
     "BaselineConfig", "ScsnConfig", "build_baseline", "build_scsn", "forward_infer",
     "forward_train", "load_checkpoint", "save_checkpoint",
-    "band_power_map", "bandpass_filter", "crop_trials", "crop_trialset", "notch_filter",
-    "preprocess_trialset", "select_channels", "write_band_power_csv",
+    "bandpass_filter", "crop_trials", "crop_trialset", "notch_filter", "preprocess_trialset",
+    "select_channels",
     "ComparisonRow", "TrainConfig", "TrainReport", "adam_step", "evaluate",
     "negative_transfer_report", "train",
     "__version__",

@@ -814,14 +814,14 @@ def square(x) -> Tensor:
     return make_node(v * v, (x,), backward)
 
 
-def log_clipped(x, floor: float = LOG_FLOOR) -> Tensor:
-    """log(max(x, floor)); the clipped region has zero gradient."""
+def log_clipped(x) -> Tensor:
+    """log(max(x, LOG_FLOOR)); the clipped region has zero gradient."""
     x = as_tensor(x)
     v = x.values
-    out = np.log(np.maximum(v, floor))
+    out = np.log(np.maximum(v, LOG_FLOOR))
 
     def backward(gout):
-        live = v > floor
+        live = v > LOG_FLOOR
         return (np.where(live, gout / np.where(live, v, 1.0), 0.0),)
 
     return make_node(out, (x,), backward)

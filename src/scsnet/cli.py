@@ -144,7 +144,7 @@ def read_manifest(path: Path) -> dict:
 
 
 # how a parsed value of a custom flag type reads back on the command line
-_RENDER = {_range_pair: lambda pair: f"{pair[0]}:{pair[1]}",
+_RENDER = {_range_pair: lambda pair: ":".join(str(d) for d in pair),
            _dims: lambda dims: ",".join(str(d) for d in dims)}
 
 
@@ -152,8 +152,9 @@ def replay_args(ns, parser: argparse.ArgumentParser) -> list[str]:
     """The flags of `ns.command` as an argv that parses back to `ns`.
 
     Walks the command's option actions in declaration order, so every flag is
-    recorded, defaults included. The seed is recorded resolved; flags whose
-    value is None are left out."""
+    recorded, defaults included: a single-valued flag as `--flag=value`, a
+    list flag as the flag and its values. The seed is recorded resolved;
+    flags whose value is None are left out."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     args = []
     for action in sub.choices[ns.command]._actions:
@@ -162,10 +163,23 @@ def replay_args(ns, parser: argparse.ArgumentParser) -> list[str]:
             value = _resolve_seed(value)
         if not action.option_strings or value is None:
             continue
-        render = _RENDER.get(action.type, str)
-        values = value if action.nargs == "+" else [value]
-        args += [action.option_strings[0], *(render(v) for v in values)]
+        render, flag = _RENDER.get(action.type, str), action.option_strings[0]
+        args += ([flag, *map(render, value)] if action.nargs == "+"
+                 else [f"{flag}={render(value)}"])
     return args
+
+
+def _check_replay(ns, parser: argparse.ArgumentParser) -> None:
+    """Refuse flags the manifest's `args=` line cannot hold or replay to `ns`."""
+    args = replay_args(ns, parser)
+    format_fields([("args", shlex.join(args))])
+    try:
+        back = vars(parser.parse_args([ns.command, *args]))
+    except SystemExit:  # argparse has printed why
+        raise ValueError(f"the recorded flags {shlex.join(args)} do not parse back") from None
+    want = vars(ns) | ({"seed": _resolve_seed(ns.seed)} if "seed" in back else {})
+    if differ := [dest for dest, value in back.items() if value != want[dest]]:
+        raise ValueError(f"flag(s) {', '.join(differ)} would not replay from {shlex.join(args)}")
 
 
 def _out_dir(ns) -> Path:
@@ -336,12 +350,13 @@ def _summary_row(path: Path, key: str) -> ComparisonRow:
     """The comparison row of one run's summary.txt; a malformed summary
     raises a ValueError naming the file and the field."""
     fields = read_fields(path.read_text(encoding="utf-8"), path)
-    for name in ("regime", "target_subject", key):
-        if name not in fields:
+    fields.setdefault("model_kind", fields.get("model"))  # eval's summary names it `model`
+    for name in ("model_kind", "regime", "target_subject", key):
+        if fields.get(name) is None:
             raise ValueError(f"{path}: field {name} is missing")
-    model = fields.get("model_kind", fields.get("model", "unknown")).replace("_", "-")
     try:
-        return ComparisonRow(model, fields["regime"], fields["target_subject"], float(fields[key]))
+        return ComparisonRow(fields["model_kind"].replace("_", "-"), fields["regime"],
+                             fields["target_subject"], float(fields[key]))
     except ValueError as err:
         raise ValueError(f"{path}: {err} (regime={fields['regime']!r}, "
                          f"{key}={fields[key]!r})") from None
@@ -381,12 +396,8 @@ def cmd_rerun(ns, parser) -> int:
         print(f"input differs from the manifest: {name}", file=sys.stderr)
     if drifted:
         return 1
-    args = list(stored)
-    if "--out" in args:
-        args[args.index("--out") + 1] = str(ns.out)
-    else:
-        args += ["--out", str(ns.out)]
-    code = main([command, *args])
+    # argparse keeps the last --out, so this one replaces the recorded one
+    code = main([command, *stored, f"--out={ns.out}"])
     if code != 0:
         return code
     out = Path(ns.out)
@@ -501,8 +512,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        # a flag value that the manifest's args= line cannot hold fails before any work
-        format_fields([("args", shlex.join(replay_args(ns, parser)))])
+        if ns.command != "rerun":  # every other command writes a manifest
+            _check_replay(ns, parser)
         return ns.func(ns, parser)
     except Exception as err:  # runtime failure -> exit 1, message on stderr
         print(f"error: {err}", file=sys.stderr)

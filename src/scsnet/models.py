@@ -129,9 +129,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> ad.Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def names(self) -> list[str]:
         return list(self._tensors)
 
@@ -421,9 +418,15 @@ def _config_fields(model) -> list[tuple[str, object]]:
     return fields
 
 
+def _block_line(params: ModelParams, name: str) -> bytes:
+    """The line that opens parameter `name`'s block in a checkpoint."""
+    shape = ",".join(str(d) for d in params[name].shape)
+    return f"param={name} shape={shape} group={params.group_of(name)}\n".encode("utf-8")
+
+
 def save_checkpoint(model, path, meta: dict[str, str] | None = None) -> None:
-    """Config echo as key=value lines, then named little-endian float64
-    parameter blocks; round-trips bit-exactly."""
+    """Config echo as key=value lines, then per parameter, in the model's order,
+    its `_block_line` and little-endian float64 values; round-trips bit-exactly."""
     meta = meta or {}
     for key in meta:
         if not key or "=" in key:
@@ -435,19 +438,19 @@ def save_checkpoint(model, path, meta: dict[str, str] | None = None) -> None:
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode("utf-8"))
         for name, tensor in model.params.items():
-            shape = ",".join(str(d) for d in tensor.shape)
-            group = model.params.group_of(name)
-            fh.write(f"param={name} shape={shape} group={group}\n".encode("utf-8"))
+            fh.write(_block_line(model.params, name))
             fh.write(tensor.values.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
-    """Rebuild the model and the stored metadata from a checkpoint file."""
+    """Rebuild the model and the stored metadata from a checkpoint file whose
+    blocks are, byte for byte, those `save_checkpoint` writes for that model."""
     with open(path, "rb") as fh:
         blob = fh.read()
     fields, offset = read_header(blob, path)
     if fields.get("checkpoint_version") != str(CHECKPOINT_VERSION):
-        raise ValueError("unsupported checkpoint version")
+        raise ValueError(f"{path}: unsupported checkpoint_version "
+                         f"{fields.get('checkpoint_version')!r}")
     meta = {k[len("meta."):]: v for k, v in fields.items() if k.startswith("meta.")}
 
     def read(schema):
@@ -456,7 +459,7 @@ def load_checkpoint(path):
             try:
                 values[name] = parse(fields[name])
             except KeyError:
-                raise ValueError(f"checkpoint header lacks {name!r}") from None
+                raise ValueError(f"{path}: field {name} is missing") from None
             except ValueError:
                 raise ValueError(f"{path}: field {name}={fields[name]!r} does not parse") from None
         return values
@@ -467,40 +470,23 @@ def load_checkpoint(path):
     elif fields.get("kind") == "scsn":
         model = build_scsn(ScsnConfig(base=base, **read(_SCSN_FIELDS)), seed=0)
     else:
-        raise ValueError(f"unknown model kind {fields.get('kind')!r}")
+        raise ValueError(f"{path}: unknown model kind {fields.get('kind')!r}")
 
-    seen: set[str] = set()
-    while offset < len(blob):
-        eol = blob.find(b"\n", offset)
-        if eol < 0:
-            raise ValueError(f"truncated parameter block header at byte {offset}")
-        try:
-            parts = dict(p.split("=", 1) for p in blob[offset:eol].decode("utf-8").split(" "))
-            name = parts["param"]
-            shape = tuple(int(d) for d in parts["shape"].split(",")) if parts["shape"] else ()
-        except (ValueError, KeyError):
-            raise ValueError(f"malformed parameter block header at byte {offset}") from None
-        if name not in model.params:
-            raise ValueError(f"unexpected parameter {name!r} at byte {offset}")
-        if name in seen:
-            raise ValueError(f"duplicate parameter {name!r} at byte {offset}")
-        tensor = model.params[name]
-        if tensor.shape != shape:
-            raise ValueError(f"parameter {name!r} has shape {shape}, expected {tensor.shape}")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-        start = eol + 1
-        if start + nbytes > len(blob):
-            raise ValueError(f"truncated data for parameter {name!r}")
-        values = np.frombuffer(blob[start:start + nbytes], dtype="<f8").reshape(shape)
+    for name, tensor in model.params.items():
+        line = _block_line(model.params, name)
+        if blob[offset:offset + len(line)] != line:
+            raise ValueError(f"{path}: expected {line.decode('utf-8')[:-1]!r} at byte {offset}")
+        start = offset + len(line)
+        offset = start + 8 * tensor.size
+        if offset > len(blob):
+            raise ValueError(f"{path}: truncated data for parameter {name!r} at byte {start}")
+        values = np.frombuffer(blob[start:offset], dtype="<f8").reshape(tensor.shape)
         if not np.isfinite(values).all():
-            raise ValueError(f"parameter {name!r} holds non-finite values")
+            raise ValueError(f"{path}: parameter {name!r} holds non-finite values")
         tensor.values = values.copy()
-        offset = start + nbytes
-        seen.add(name)
-    missing = [name for name in model.params.names() if name not in seen]
-    if missing:
-        raise ValueError(f"checkpoint lacks parameters {missing}")
-    if fields.get("param_count") != str(len(seen)):
-        raise ValueError(f"checkpoint lists {fields.get('param_count')} parameters, "
-                         f"found {len(seen)}")
+    if offset != len(blob):
+        raise ValueError(f"{path}: bytes follow the last parameter block at byte {offset}")
+    if fields.get("param_count") != str(len(model.params.names())):
+        raise ValueError(f"{path}: param_count={fields.get('param_count')!r} does not match "
+                         f"the model's {len(model.params.names())} parameters")
     return model, meta

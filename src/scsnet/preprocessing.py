@@ -1,5 +1,5 @@
-"""Trial preprocessing: notch and bandpass filtering, crop generation,
-channel selection, and per-class band-power tables.
+"""Trial preprocessing: notch and bandpass filtering, crop generation and
+channel selection.
 
 Filters are zero-phase (forward-backward) IIR designs applied along the time
 axis, the offline convention for this kind of data; a causal deployment
@@ -11,7 +11,6 @@ so a sample does not depend on which trials share its block.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -121,42 +120,6 @@ def select_channels(trial_set: TrialSet, names: list[str]) -> TrialSet:
         raise KeyError(f"unknown channel(s): {', '.join(missing)}")
     idx = [trial_set.channel_names.index(n) for n in names]
     return replace(trial_set, data=trial_set.data[:, idx], channel_names=names)
-
-
-def band_power_map(trial_set: TrialSet, band_low: float, band_high: float
-                   ) -> list[tuple[str, str, float]]:
-    """Per-class, per-channel average band power in dB.
-
-    Each trial is bandpassed to [band_low, band_high] (in blocks of whole
-    trials); power is the mean squared amplitude across that class's trials
-    and samples, reported as 10*log10. Classes without trials are skipped
-    with a warning. Rows are ordered by class index, then channel order.
-    """
-    if not 0.0 < band_low < band_high or band_high >= trial_set.fs / 2.0:
-        raise ValueError("band must lie strictly inside (0, fs/2)")
-    labels = trial_set.label
-    rows: list[tuple[str, str, float]] = []
-    for c, class_name in enumerate(trial_set.class_names):
-        members = trial_set.data[labels == c]
-        if not len(members):
-            warnings.warn(f"class {class_name!r} has no trials; skipped from band power map")
-            continue
-        total = np.zeros(len(trial_set.channel_names))
-        for _, block in _trial_blocks(members):
-            filtered = bandpass_filter(block, band_low, band_high, trial_set.fs)
-            for trial_power in np.mean(filtered ** 2, axis=-1):
-                total += trial_power  # summed in trial order
-        power_db = 10.0 * np.log10(total / len(members))
-        rows.extend((class_name, ch, float(p))
-                    for ch, p in zip(trial_set.channel_names, power_db))
-    return rows
-
-
-def write_band_power_csv(rows: list[tuple[str, str, float]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("class,channel,power_db\n")
-        for class_name, channel, power in rows:
-            fh.write(f"{class_name},{channel},{power:.6f}\n")
 
 
 def preprocess_trialset(trial_set: TrialSet, notch_hz: float | None = 50.0,

@@ -1,10 +1,15 @@
 import argparse
+import contextlib
 import gc
+import io
 import os
+import shlex
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scsnet import autodiff as ad
 from scsnet import cli
@@ -344,6 +349,16 @@ class TestEvalAndReport:
         err = capsys.readouterr().err
         assert str(run / "summary.txt") in err and field in err, err
 
+    def test_report_refuses_a_summary_that_names_no_model(self, tmp_path, capsys):
+        # listed as model "unknown" before
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "summary.txt").write_text(
+            "regime=multi\ntarget_subject=S01\ntest_trial_accuracy=0.5\n")
+        assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 1
+        err = capsys.readouterr().err
+        assert f"{run / 'summary.txt'}: field model_kind is missing" in err, err
+
 
 class TestRerun:
     def test_synth_rerun_verifies(self, data_dir, tmp_path, capsys):
@@ -377,7 +392,7 @@ class TestRerun:
 
     def test_rerun_detects_drift(self, data_dir, tmp_path, capsys):
         manifest = data_dir / "manifest.txt"
-        text = manifest.read_text().replace("--seed 7", "--seed 8")
+        text = manifest.read_text().replace("--seed=7", "--seed=8")
         manifest.write_text(text)
         code = main(["rerun", str(manifest), "--out", str(tmp_path / "fresh")])
         assert code == 1
@@ -389,7 +404,7 @@ class TestRerun:
         manifest = data_dir / "manifest.txt"
         lines = manifest.read_text().splitlines()
         line = next(line for line in lines if line.startswith(f"{field}="))
-        again = line.replace("--seed 7", "--seed 8") if field == "args" else line + "x"
+        again = line.replace("--seed=7", "--seed=8") if field == "args" else line + "x"
         manifest.write_text("\n".join([*lines, again]) + "\n")
         fresh = tmp_path / "fresh"
         assert main(["rerun", str(manifest), "--out", str(fresh)]) == 1
@@ -412,6 +427,54 @@ class TestRerun:
         assert main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
                      "--subjects-note", note, "--out", str(run)]) == 1
         assert "error: field 'args' " in capsys.readouterr().err
+        assert loads == [] and not run.exists()
+
+    def test_a_flag_value_that_starts_with_a_dash_replays(self, data_dir, tmp_path, capsys):
+        # recorded as "--subjects-note -x", which did not parse back
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--model", "baseline",
+                     "--regime", "single", *TRAIN_FLAGS, "--subjects-note=-x",
+                     "--out", str(run)]) == 0
+        assert "--subjects-note=-x" in read_manifest(run / "manifest.txt")["args"]
+        capsys.readouterr()
+        assert main(["rerun", str(run / "manifest.txt"), "--out", str(tmp_path / "fresh")]) == 0
+        assert capsys.readouterr().out.count("ok\t") == 3
+
+    def test_a_manifest_with_two_word_flags_replays(self, data_dir, tmp_path, capsys):
+        # the args= line as earlier versions wrote it: "--flag value"
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
+                     "--out", str(run)]) == 0
+        manifest = run / "manifest.txt"
+        info = read_manifest(manifest)
+        two_words = shlex.join(word for arg in shlex.split(info["args"])
+                               for word in arg.split("=", 1))
+        assert "--out " + shlex.quote(str(run)) in two_words
+        manifest.write_text(manifest.read_text().replace(info["args"], two_words))
+        fresh = tmp_path / "fresh"
+        capsys.readouterr()
+        assert main(["rerun", str(manifest), "--out", str(fresh)]) == 0
+        assert capsys.readouterr().out.count("ok\t") == 3
+        assert sorted(p.name for p in fresh.iterdir()) == \
+            ["manifest.txt", "model.ckpt", "report.csv", "summary.txt"]
+
+    def test_flags_that_do_not_parse_back_fail_before_any_work(self, tmp_path, capsys):
+        # "--runs=-x" is recorded as "--runs -x", the list form
+        out = tmp_path / "rep"
+        assert main(["report", "--runs=-x", "--out", str(out)]) == 1
+        assert "error: the recorded flags --runs -x " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_flag_that_would_replay_to_another_value_fails_before_any_load(
+            self, data_dir, tmp_path, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "load_trialset", lambda path: loads.append(path))
+        monkeypatch.setitem(cli._RENDER, cli._dims, lambda dims: "1")
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
+                     "--out", str(run)]) == 1
+        assert "error: flag(s) common_dims, separate_dims would not replay from " in \
+            capsys.readouterr().err
         assert loads == [] and not run.exists()
 
     def test_manifest_keeps_every_input_and_output_line(self, data_dir):
@@ -537,4 +600,55 @@ def test_replay_args_round_trip(argv):
     for action in commands[argv[0]]._actions:
         if action.option_strings and action.dest != "help":
             assert getattr(ns, action.dest) != action.default, action.dest
-            assert action.option_strings[0] in args, action.dest
+            flag = action.option_strings[0]
+            assert sum(a == flag or a.startswith(f"{flag}=") for a in args) == 1, action.dest
+
+
+# the required flags of each manifest-writing command
+REQUIRED_ARGV = {"synth": ["--out=o"], "preprocess": ["--data=d", "--out=o"],
+                 "train": ["--data=d", "--target=S01", "--model=scsn", "--out=o"],
+                 "eval": ["--ckpt=c", "--data=d", "--target=S01", "--out=o"],
+                 "report": ["--runs", "a", "--out=o"]}
+ODD_VALUES = st.one_of(st.text(max_size=8), st.sampled_from(
+    ["-x", "--out", "-1", "--", "=", "a=b", "'", '"', " a b ", "-x y", "\u00e9", "-0.0",
+     "1e-5", "0", "7", "1:2", " 1:2", "3,4", "3, 4", "a\rb", "a\u2028b"]))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_run_that_starts_replays(data):
+    # a flag value is either a usage error, or refused before any work
+    # because the args= line cannot hold it, a list value reads as a flag, or
+    # argparse dropped it ("--flag=--" stores an empty list); otherwise the
+    # recorded argv parses back to the same values
+    parser = build_parser()
+    command = data.draw(st.sampled_from(sorted(REQUIRED_ARGV)))
+    actions = [a for a in next(a for a in parser._actions
+                               if isinstance(a, argparse._SubParsersAction)
+                               ).choices[command]._actions
+               if a.option_strings and a.dest != "help"]
+    action = data.draw(st.sampled_from(actions))
+    flag = action.option_strings[0]
+    if action.nargs == "+":
+        values = data.draw(st.lists(ODD_VALUES, min_size=1, max_size=3))
+        words = data.draw(st.sampled_from([[flag, *values], [f"{flag}={values[0]}"]]))
+    else:
+        words = [f"{flag}={data.draw(ODD_VALUES)}"]
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            ns = parser.parse_args([command, *REQUIRED_ARGV[command], *words])
+    except SystemExit:
+        return  # a usage error: the run never starts
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli._check_replay(ns, parser)
+    except ValueError as err:
+        assert "may not hold a line break or non-UTF-8 text" in str(err) \
+            or "--" in words or f"{flag}=--" in words \
+            or (action.nargs == "+" and any(v.startswith("-") for v in ns.runs)), err
+        return
+    back = vars(parser.parse_args([command, *replay_args(ns, parser)]))
+    want = vars(ns)
+    if "seed" in want and want["seed"] is None:  # recorded resolved
+        want = want | {"seed": cli._resolve_seed(None)}
+    assert back == want

@@ -367,12 +367,15 @@ class TestSynth:
         assert not np.allclose(subject_mixing_matrix(3, 1, 8, 0.7), np.eye(8))
 
     def test_zero_shift_power_profiles_agree(self):
-        from scsnet.preprocessing import band_power_map
+        from scsnet.preprocessing import bandpass_filter
         data = synth_multisubject(3, 1, 64, 6, 128.0, 1.0, 2, 0.0, 10.0, seed=11)
         maps = []
         for ds in data:
-            rows = band_power_map(ds.sessions[0], 8.0, 30.0)
-            maps.append(np.array([p for _, _, p in rows]))
+            session = ds.sessions[0]
+            power = np.mean(bandpass_filter(session.data, 8.0, 30.0, session.fs) ** 2, axis=-1)
+            # per class, per channel mean 8-30 Hz power in dB
+            maps.append(np.concatenate([10.0 * np.log10(power[session.label == c].mean(axis=0))
+                                        for c in range(len(session.class_names))]))
         for other in maps[1:]:
             assert np.mean(np.abs(maps[0] - other)) < 1.0
 

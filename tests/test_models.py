@@ -384,6 +384,71 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    @staticmethod
+    def _blocks(model, blob):
+        """The header and the parameter blocks of a saved checkpoint."""
+        offset = blob.index(b"\n\n") + 2
+        header, blocks = blob[:offset], []
+        for _, tensor in model.params.items():
+            end = blob.index(b"\n", offset) + 1 + 8 * tensor.size
+            blocks.append(blob[offset:end])
+            offset = end
+        assert offset == len(blob)
+        return header, blocks
+
+    def test_blocks_follow_the_header_in_parameter_order(self, tmp_path):
+        model = build_scsn(tiny_scsn_cfg(), seed=20)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        _, blocks = self._blocks(model, path.read_bytes())
+        for (name, tensor), block in zip(model.params.items(), blocks, strict=True):
+            shape = ",".join(str(d) for d in tensor.shape)
+            line = f"param={name} shape={shape} group={model.params.group_of(name)}\n"
+            assert block == line.encode() + tensor.values.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("layout", ["another_group", "extra_key", "swapped_blocks",
+                                        "trailing_bytes"])
+    def test_refuses_a_layout_save_never_writes(self, tmp_path, layout):
+        # the first three loaded silently while blocks were matched by name
+        model = build_scsn(tiny_scsn_cfg(), seed=21)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        header, blocks = self._blocks(model, path.read_bytes())
+        first = model.params.names()[0]
+        assert blocks[0].startswith(f"param={first} shape=6,15 group=shared\n".encode())
+        where = f"expected 'param={first} shape=6,15 group=shared' at byte {len(header)}"
+        if layout == "another_group":
+            blocks[0] = blocks[0].replace(b"group=shared", b"group=subject0", 1)
+        elif layout == "extra_key":
+            blocks[0] = blocks[0].replace(b"group=shared\n", b"group=shared dtype=f8\n", 1)
+        elif layout == "swapped_blocks":
+            # subject0's and subject1's blocks, of equal shapes, trade places
+            half = (len(blocks) - 6) // 2
+            blocks[6:] = blocks[6 + half:] + blocks[6:6 + half]
+            at = len(header) + sum(len(b) for b in blocks[:6])
+            where = ("expected 'param=subject0.temporal.kernels shape=3,5 group=subject0' "
+                     f"at byte {at}")
+        else:
+            blocks.append(b"\0" * 8)
+            where = f"bytes follow the last parameter block at byte {len(path.read_bytes())}"
+        path.write_bytes(header + b"".join(blocks))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {where}')}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        (b"checkpoint_version=1", b"checkpoint_version=2", "unsupported checkpoint_version '2'"),
+        (b"\ntemporal_kernel=5", b"", "field temporal_kernel is missing"),
+        (b"kind=baseline", b"kind=cnn", "unknown model kind 'cnn'"),
+    ], ids=["version", "missing_field", "kind"])
+    def test_header_refusals_name_the_file(self, tmp_path, old, new, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_baseline(TINY, seed=22), path)
+        blob = path.read_bytes()
+        assert old in blob
+        path.write_bytes(blob.replace(old, new, 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("corrupt", ["duplicate_block", "trailing_line", "header_value",
                                          "header_repeat"])
     def test_malformed_blocks_rejected(self, tmp_path, corrupt):
@@ -394,12 +459,7 @@ class TestCheckpoint:
         if corrupt == "duplicate_block":
             # the last block written again in place of the first: the block
             # count still matches param_count
-            offset = blob.index(b"\n\n") + 2
-            header, blocks = blob[:offset], []
-            for _, tensor in model.params.items():
-                end = blob.index(b"\n", offset) + 1 + 8 * tensor.size
-                blocks.append(blob[offset:end])
-                offset = end
+            header, blocks = self._blocks(model, blob)
             blob = header + b"".join([blocks[-1]] + blocks[1:])
         elif corrupt == "header_value":
             blob = blob.replace(b"\ntemporal_filters=", b"\ntemporal_filters=x", 1)

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -12,7 +11,6 @@ from scsnet import preprocessing
 from scsnet.datasets import Epoch, TrialSet
 from scsnet.preprocessing import (
     CropGeometry,
-    band_power_map,
     bandpass_filter,
     crop_geometry,
     crop_trials,
@@ -20,7 +18,6 @@ from scsnet.preprocessing import (
     notch_filter,
     preprocess_trialset,
     select_channels,
-    write_band_power_csv,
 )
 
 FS = 250.0
@@ -222,57 +219,6 @@ class TestSelectChannels:
         np.testing.assert_array_equal(nested.data, direct.data)
 
 
-class TestBandPower:
-    def _toned_set(self, amp=1.0):
-        fs = 250.0
-        t = np.arange(500) / fs
-        rng = np.random.default_rng(1)
-        data = rng.normal(scale=0.05, size=(8, 3, 500))
-        data[::2, 1] += amp * np.sin(2 * np.pi * 10.0 * t)  # tone on C3 for class 0
-        return TrialSet(data, np.arange(8) % 2, "S01", ["Cz", "C3", "C4"], fs, ["tone", "rest"])
-
-    def test_injected_tone_dominates(self):
-        rows = band_power_map(self._toned_set(), 8.0, 30.0)
-        tone_rows = {ch: p for cls, ch, p in rows if cls == "tone"}
-        assert tone_rows["C3"] > tone_rows["Cz"]
-        assert tone_rows["C3"] > tone_rows["C4"]
-
-    def test_doubling_adds_six_db(self):
-        ts = self._toned_set()
-        doubled = replace(ts, data=ts.data * 2.0)
-        base = band_power_map(ts, 8.0, 30.0)
-        loud = band_power_map(doubled, 8.0, 30.0)
-        for (_, _, p0), (_, _, p1) in zip(base, loud):
-            assert abs((p1 - p0) - 20.0 * math.log10(2.0)) < 1e-9
-
-    def test_identical_classes_identical_maps(self):
-        fs = 250.0
-        rng = np.random.default_rng(2)
-        block = rng.normal(size=(5, 2, 500))
-        ts = TrialSet(np.concatenate([block, block]), [0] * 5 + [1] * 5, "S01", ["c0", "c1"],
-                      fs, ["x", "y"])
-        rows = band_power_map(ts, 8.0, 30.0)
-        by_class = {}
-        for cls, ch, p in rows:
-            by_class.setdefault(cls, []).append(p)
-        np.testing.assert_allclose(by_class["x"], by_class["y"], atol=1e-9)
-
-    def test_empty_class_warns_and_skips(self):
-        ts = _trialset(label_fn=lambda i: 0)  # class "b" absent
-        with pytest.warns(UserWarning, match="'b'"):
-            rows = band_power_map(ts, 8.0, 30.0)
-        assert all(cls == "a" for cls, _, _ in rows)
-
-    def test_csv_format(self, tmp_path):
-        rows = [("a", "C3", 1.23456789), ("a", "C4", -3.5)]
-        path = tmp_path / "power.csv"
-        write_band_power_csv(rows, path)
-        text = path.read_text(encoding="utf-8").splitlines()
-        assert text[0] == "class,channel,power_db"
-        assert text[1] == "a,C3,1.234568"
-        assert text[2] == "a,C4,-3.500000"
-
-
 def test_crop_trialset_order():
     fs = 250.0
     ts = TrialSet(np.repeat(np.arange(3.0), 1000).reshape(3, 1, 1000), [0, 0, 0], "S01", ["c"],
@@ -364,30 +310,6 @@ class TestBlockFiltering:
                 mock.patch.object(preprocessing, design, side_effect=real) as spy:
             preprocess_trialset(ts, notch_hz=50.0, band=(1.0, 40.0))
         assert spy.call_count == 3  # blocks of 5, 5 and 2 trials
-
-    def test_band_power_designs_once_per_block_of_a_class(self):
-        ts = _session(12, channels=2, samples=100)  # 6 trials per class
-        with mock.patch.object(preprocessing, "_FILTER_BLOCK", 4 * 2 * 100), \
-                mock.patch.object(preprocessing, "butter",
-                                  side_effect=preprocessing.butter) as spy:
-            band_power_map(ts, 8.0, 30.0)
-        assert spy.call_count == 4  # per class: blocks of 4 and 2 trials
-
-    @given(trials=st.integers(2, 9), block_trials=st.integers(1, 4), seed=st.integers(0, 99))
-    @settings(max_examples=25, deadline=None)
-    def test_band_power_matches_per_trial_sum(self, trials, block_trials, seed):
-        ts = _session(trials, channels=3, samples=100, seed=seed)
-        with mock.patch.object(preprocessing, "_FILTER_BLOCK", block_trials * 3 * 100):
-            rows = band_power_map(ts, 8.0, 30.0)
-        labels = ts.labels()
-        want = []
-        for c in range(2):
-            total = np.zeros(3)
-            members = [t for t, lab in zip(ts.data, labels) if lab == c]
-            for t in members:
-                total += np.mean(bandpass_filter(t, 8.0, 30.0, ts.fs) ** 2, axis=1)
-            want.extend(10.0 * np.log10(total / len(members)))
-        assert [p for _, _, p in rows] == [float(w) for w in want]
 
     def test_empty_set_comes_back_empty(self):
         empty = TrialSet(np.zeros((0, 3, 100), np.float32), [], "S01", ["c0", "c1", "c2"], FS,
