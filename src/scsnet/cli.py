@@ -12,6 +12,7 @@ setting names both.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -99,11 +100,13 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _hashed(path: Path) -> tuple[Path, str]:
-    """`path` with its sha256 digest. Commands hash each input as soon as
-    they have read it, so a manifest names the bytes a run used even if a
-    file changes while the run goes on."""
-    return path, sha256_file(path)
+def _load_input(load, path: Path) -> tuple[object, tuple[Path, str]]:
+    """`load(path, blob=...)` on the bytes of input `path`, and `path` with
+    the sha256 digest of those bytes. A command reads each input once and
+    hashes the bytes it parsed, so its manifest names the bytes the run used
+    even if the file changes while the run goes on."""
+    blob = Path(path).read_bytes()
+    return load(path, blob=blob), (path, hashlib.sha256(blob).hexdigest())
 
 
 def blas_threads() -> str:
@@ -195,8 +198,10 @@ def _discover_containers(data_dir: Path) -> list[Path]:
     return files
 
 
-def _load_subject_datasets(data_dir: Path) -> tuple[list[SubjectDataset], list[Path]]:
-    """Group <subject>_s<k>.tsc files into per-subject session lists."""
+def _load_subject_datasets(data_dir: Path
+                           ) -> tuple[list[SubjectDataset], list[tuple[Path, str]]]:
+    """Group <subject>_s<k>.tsc files into per-subject session lists; also
+    each file with the digest of the bytes it was loaded from."""
     files = _discover_containers(data_dir)
     grouped: dict[str, list[tuple[int, Path]]] = {}
     for path in files:
@@ -205,11 +210,14 @@ def _load_subject_datasets(data_dir: Path) -> tuple[list[SubjectDataset], list[P
         if not sep or not session.isdigit():
             raise ValueError(f"container name {path.name!r} is not <subject>_s<k>{CONTAINER_SUFFIX}")
         grouped.setdefault(subject, []).append((int(session), path))
-    datasets = []
+    datasets, inputs = [], {}
     for subject in sorted(grouped):
-        sessions = [load_trialset(p) for _, p in sorted(grouped[subject])]
+        sessions = []
+        for _, path in sorted(grouped[subject]):
+            session, inputs[path] = _load_input(load_trialset, path)
+            sessions.append(session)
         datasets.append(SubjectDataset(subject, sessions))
-    return datasets, files
+    return datasets, [inputs[path] for path in files]
 
 
 def _check_overlap(ns, parser) -> None:
@@ -256,8 +264,8 @@ def cmd_preprocess(ns, parser) -> int:
     channels = ns.channels.split(",") if ns.channels else None
     inputs, outputs = [], []
     for path in _discover_containers(Path(ns.data)):
-        ts = load_trialset(path)
-        inputs.append(_hashed(path))
+        ts, digest = _load_input(load_trialset, path)
+        inputs.append(digest)
         processed = preprocess_trialset(ts, notch_hz=ns.notch, band=(ns.low, ns.high),
                                         channels=channels)
         dest = out / path.name
@@ -291,8 +299,7 @@ def cmd_train(ns, parser) -> int:
     except ValueError as err:
         parser.error(str(err))
     out = _out_dir(ns)
-    datasets, files = _load_subject_datasets(Path(ns.data))
-    inputs = [_hashed(path) for path in files]
+    datasets, inputs = _load_subject_datasets(Path(ns.data))
     _check_target_sessions(datasets, ns.target, lambda session: base_config(cfg, session))
     split = make_splits(datasets, SplitSpec(ns.target, ns.calib, ns.val, ns.test))
     del datasets  # sessions the split does not use are freed before training
@@ -325,10 +332,8 @@ def cmd_eval(ns, parser) -> int:
     ckpt = Path(ns.ckpt)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
-    model, meta = load_checkpoint(ckpt)
-    inputs = [_hashed(ckpt)]
-    datasets, files = _load_subject_datasets(Path(ns.data))
-    inputs += [_hashed(path) for path in files]
+    (model, meta), ckpt_input = _load_input(load_checkpoint, ckpt)
+    datasets, inputs = _load_subject_datasets(Path(ns.data))
     _check_target_sessions(datasets, ns.target, lambda session: crop_geometry(
         session.n_samples, session.fs, ns.win, ns.overlap))
     split = make_splits(datasets, SplitSpec(ns.target, ns.calib, ns.val, ns.test))
@@ -342,14 +347,15 @@ def cmd_eval(ns, parser) -> int:
         ("model", meta.get("model", model.kind)), ("regime", meta.get("regime", "")),
         ("target_subject", ns.target), ("test_crop_accuracy", repr(crop_acc)),
         ("test_trial_accuracy", repr(trial_acc))]), encoding="utf-8")
-    write_manifest(out, "eval", replay_args(ns, parser), None, inputs, [summary])
+    write_manifest(out, "eval", replay_args(ns, parser), None, [ckpt_input, *inputs],
+                   [summary])
     return 0
 
 
-def _summary_row(path: Path, key: str) -> ComparisonRow:
-    """The comparison row of one run's summary.txt; a malformed summary
-    raises a ValueError naming the file and the field."""
-    fields = read_fields(path.read_text(encoding="utf-8"), path)
+def _summary_row(path: Path, key: str, *, blob: bytes) -> ComparisonRow:
+    """The comparison row of one run's summary.txt, whose bytes are `blob`;
+    a malformed summary raises a ValueError naming the file and the field."""
+    fields = read_fields(blob.decode("utf-8"), path)
     fields.setdefault("model_kind", fields.get("model"))  # eval's summary names it `model`
     for name in ("model_kind", "regime", "target_subject", key):
         if fields.get(name) is None:
@@ -371,8 +377,9 @@ def cmd_report(ns, parser) -> int:
         summary = Path(run_dir) / "summary.txt"
         if not summary.exists():
             raise FileNotFoundError(f"run summary not found: {summary}")
-        rows.append(_summary_row(summary, key))
-        inputs.append(_hashed(summary))
+        row, digest = _load_input(functools.partial(_summary_row, key=key), summary)
+        rows.append(row)
+        inputs.append(digest)
     table = negative_transfer_report(rows)
     report_csv = out / "report.csv"
     report_csv.write_text(table.to_csv_text(), encoding="utf-8")

@@ -188,56 +188,60 @@ def save_trialset(trial_set: TrialSet, path) -> None:
         fh.write(payload.data)
 
 
-def _parse_int(fields: dict, key: str) -> int:
+def _parse_int(fields: dict, key: str, path) -> int:
     try:
         value = int(fields[key])
     except ValueError:
-        raise ContainerFormatError(f"field {key} is not a decimal integer") from None
+        raise ContainerFormatError(f"{path}: field {key} is not a decimal integer") from None
     if value < 0:
-        raise ContainerFormatError(f"field {key} must be nonnegative")
+        raise ContainerFormatError(f"{path}: field {key} must be nonnegative")
     return value
 
 
-def load_trialset(path) -> TrialSet:
+def load_trialset(path, *, blob: bytes | None = None) -> TrialSet:
     """Read a container written by save_trialset; round-trips bit-exactly.
-    The set's data is one read-only float32 array over the payload.
-    Non-finite samples are rejected, naming the file and the trial."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    Given `blob`, the bytes of `path` read earlier, parse those instead of
+    reading the file. The set's data is one read-only float32 array over
+    the payload. Every refusal names the file; non-finite samples are
+    rejected, naming the trial too."""
+    if blob is None:
+        with open(path, "rb") as fh:
+            blob = fh.read()
     fields, offset = read_header(blob, path, ContainerFormatError)
     for key in HEADER_KEYS:
         if key not in fields:
-            raise ContainerFormatError(f"missing field {key}")
+            raise ContainerFormatError(f"{path}: field {key} is missing")
     if fields["format_version"] != str(FORMAT_VERSION):
-        raise ContainerFormatError(f"unsupported format_version {fields['format_version']!r}")
+        raise ContainerFormatError(
+            f"{path}: unsupported format_version {fields['format_version']!r}")
     try:
         fs = float(fields["fs_hz"])
     except ValueError:
-        raise ContainerFormatError("field fs_hz is not a number") from None
+        raise ContainerFormatError(f"{path}: field fs_hz is not a number") from None
     if not math.isfinite(fs) or fs <= 0:
-        raise ContainerFormatError("field fs_hz must be positive")
-    n_trials = _parse_int(fields, "n_trials")
-    n_channels = _parse_int(fields, "n_channels")
-    n_samples = _parse_int(fields, "n_samples")
+        raise ContainerFormatError(f"{path}: field fs_hz must be positive")
+    n_trials = _parse_int(fields, "n_trials", path)
+    n_channels = _parse_int(fields, "n_channels", path)
+    n_samples = _parse_int(fields, "n_samples", path)
     channel_names = fields["channel_names"].split(",") if fields["channel_names"] else []
     class_names = fields["class_names"].split(",") if fields["class_names"] else []
     if len(channel_names) != n_channels:
-        raise ContainerFormatError("field channel_names does not match n_channels")
+        raise ContainerFormatError(f"{path}: field channel_names does not match n_channels")
     subject_id = fields["subject_id"]
 
     start = offset + n_trials
     if len(blob) < start:
-        raise ContainerFormatError("truncated label block")
+        raise ContainerFormatError(f"{path}: truncated label block")
     labels = np.frombuffer(blob[offset:start], dtype=np.uint8)
     expected = n_trials * n_channels * n_samples * 4
     payload = blob[start:]
     if len(payload) != expected:
         raise ContainerFormatError(
-            f"payload holds {len(payload)} bytes, header implies {expected}")
+            f"{path}: payload holds {len(payload)} bytes, header implies {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(n_trials, n_channels, n_samples)
     _check_finite_trials(data, path, ContainerFormatError)
     if labels.size and int(labels.max()) >= len(class_names):
-        raise ContainerFormatError("label block references a class beyond class_names")
+        raise ContainerFormatError(f"{path}: label block references a class beyond class_names")
 
     return TrialSet(data, labels, subject_id, channel_names, fs, class_names)
 

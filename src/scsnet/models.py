@@ -24,6 +24,8 @@ from .datasets import format_fields, read_header
 from .preprocessing import CropGeometry
 
 CHECKPOINT_VERSION = 1
+# float64 values of temporal-conv output that one inference chunk may hold
+_INFER_VALUES = 1 << 19
 
 
 def require_ints(cfg, *names: str) -> None:
@@ -204,10 +206,16 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
     them once; pooling at the stride g = gcd(crop_stride, pool_stride) then
     yields every pooling window of every crop, and the crop read-out is a
     gather. Training runs `forward_train` instead.
+
+    The shallow block runs over consecutive chunks of whole trials (or
+    crops), each as large as keeps its temporal-conv output within
+    _INFER_VALUES float64 values, and at least one trial. Every op of it acts
+    on each sample alone, so the features are the same to the bit at any
+    chunk size; only each chunk's pooled rows outlive its pass.
     """
+    x = np.asarray(x)
     step, windows = cfg.pool_stride, None
     if crop_stride is not None:
-        x = np.asarray(x)
         if x.ndim != 3:
             raise ValueError("whole-trial input must be [trials, channels, samples]")
         geo = CropGeometry.of(x.shape[-1], cfg.n_samples, crop_stride)
@@ -217,24 +225,39 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
             # crop j's m-th window starts at j * crop_stride + m * pool_stride
             windows = (np.arange(geo.count)[:, None] * crop_stride
                        + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
+    elif x.ndim not in (2, 3):
+        raise ValueError("crops must be [[batch,] channels, n_samples]")
     kernels, weights = params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"]
-    # Inference runs the five-op chain, the convs as per-sample matmuls
-    # (conv_time writes [F, C, T'] straight from one kernel-bank matmul,
-    # conv_space is one [O, F*C] @ [F*C, T'] matmul). At the paper geometry
-    # each matmul is cut into column blocks, which the calling thread shares
-    # with the worker pool when BLAS is pinned (autodiff._SPLIT,
-    # autodiff._run_items); the bench-shape ones stay whole. The chain stays
-    # because the traced benchmark (perfbench/tracer.py, perfbench/metrics.py)
-    # derives autodiff.conv_time.useful_frac and autodiff.conv.gflops from
-    # work counters that only conv_time and conv_space feed. ROADMAP item 5's
-    # switch, once a benchmark change traces conv_log_power, is to call
-    # conv_log_power here instead.
-    h = ad.conv_space(ad.conv_time(x, kernels, 1), weights)
-    h = ad.log_clipped(ad.mean_pool(ad.square(h), cfg.pool_width, step))
+
+    def log_power(chunk: np.ndarray) -> np.ndarray:
+        # Inference runs the five-op chain, the convs as per-sample matmuls
+        # (conv_time writes [F, C, T'] straight from one kernel-bank matmul,
+        # conv_space is one [O, F*C] @ [F*C, T'] matmul), the float32 trials
+        # cast to float64 (exactly) as conv_time takes them in. At the paper
+        # geometry each matmul is cut into column blocks, which the calling
+        # thread shares with the worker pool when BLAS is pinned
+        # (autodiff._SPLIT, autodiff._run_items); the bench-shape ones stay
+        # whole. The chain stays because the traced benchmark
+        # (perfbench/tracer.py, perfbench/metrics.py) derives
+        # autodiff.conv_time.useful_frac and autodiff.conv.gflops from work
+        # counters that only conv_time and conv_space feed. ROADMAP item 5's
+        # switch, once a benchmark change traces conv_log_power, is to call
+        # conv_log_power here instead. The chunk's graph is freed on return.
+        h = ad.conv_space(ad.conv_time(chunk, kernels, 1), weights)
+        return ad.log_clipped(ad.mean_pool(ad.square(h), cfg.pool_width, step)).values
+
+    if x.ndim == 2:  # one crop
+        pooled = log_power(x)
+    else:
+        per_trial = cfg.temporal_filters * x.shape[1] * (x.shape[2] - cfg.temporal_kernel + 1)
+        per = max(1, _INFER_VALUES // per_trial)
+        # an empty batch still runs one (empty) chunk, for the output's shape
+        pooled = np.concatenate([log_power(x[lo:lo + per])
+                                 for lo in range(0, max(len(x), 1), per)])
     if windows is not None:
-        feats = np.moveaxis(h.values[:, :, windows], 2, 1)  # [trials, crops, F, P]
-        h = ad.Tensor(feats.reshape((-1,) + feats.shape[2:]))
-    return ad.reshape(h, h.shape[:-2] + (cfg.feature_dim,))
+        feats = np.moveaxis(pooled[:, :, windows], 2, 1)  # [trials, crops, F, P]
+        pooled = feats.reshape((-1,) + feats.shape[2:])
+    return ad.Tensor(pooled.reshape(pooled.shape[:-2] + (cfg.feature_dim,)))
 
 
 def _dense_chain_forward(h, params: ModelParams, prefix: str, n_layers: int,
@@ -442,11 +465,14 @@ def save_checkpoint(model, path, meta: dict[str, str] | None = None) -> None:
             fh.write(tensor.values.astype("<f8").tobytes())
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, *, blob: bytes | None = None):
     """Rebuild the model and the stored metadata from a checkpoint file whose
-    blocks are, byte for byte, those `save_checkpoint` writes for that model."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blocks are, byte for byte, those `save_checkpoint` writes for that model.
+    Given `blob`, the bytes of `path` read earlier, parse those instead of
+    reading the file."""
+    if blob is None:
+        with open(path, "rb") as fh:
+            blob = fh.read()
     fields, offset = read_header(blob, path)
     if fields.get("checkpoint_version") != str(CHECKPOINT_VERSION):
         raise ValueError(f"{path}: unsupported checkpoint_version "

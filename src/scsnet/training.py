@@ -275,20 +275,22 @@ def _predict_crops(model, branch, trials: TrialSet, win_s: float, overlap_s: flo
 
     The decoders of this package read a trial's crops out of one shallow
     pass over the trial (`forward_infer` with the crop stride); any other
-    model exposing `predict_proba` is given the crops themselves. Each
-    inference chunk holds whole trials: at most _INFER_CHUNK crops, and at
-    least one trial.
+    model exposing `predict_proba` is given the crops themselves, as
+    float64. Each inference chunk holds whole trials: at most _INFER_CHUNK
+    crops, and at least one trial. The decoders' shallow block cuts a chunk
+    further, to bound its temporal-conv output (`models._INFER_VALUES`).
     """
     geo = crop_geometry(trials.n_samples, trials.fs, win_s, overlap_s)
     dense = isinstance(model, (BaselineModel, ScsnModel))
     per_chunk = max(1, _INFER_CHUNK // geo.count)
     preds = np.empty((len(trials), geo.count), dtype=np.int64)
     for lo in range(0, len(trials), per_chunk):
-        x = trials.data[lo:lo + per_chunk, :, :geo.covered].astype(np.float64)
+        x = trials.data[lo:lo + per_chunk, :, :geo.covered]
         if dense:
             probs = forward_infer(model, x, branch, crop_stride=geo.stride)
         else:
-            crops = sliding_window_view(x, geo.width, axis=-1)[..., ::geo.stride, :]
+            crops = sliding_window_view(x.astype(np.float64), geo.width,
+                                        axis=-1)[..., ::geo.stride, :]
             probs = forward_infer(
                 model, np.moveaxis(crops, 2, 1).reshape(-1, x.shape[1], geo.width), branch)
         preds[lo:lo + len(x)] = probs.argmax(axis=1).reshape(len(x), geo.count)

@@ -5,6 +5,7 @@ import io
 import os
 import shlex
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,7 +84,7 @@ class TestSynth:
     @pytest.mark.parametrize("command", ["synth", "train"])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
         loads = []
-        monkeypatch.setattr(cli, "load_trialset", lambda path: loads.append(path))
+        monkeypatch.setattr(cli, "load_trialset", lambda path, **kw: loads.append(path))
         argv = (SYNTH if command == "synth" else
                 ["train", "--data", str(tmp_path), "--model", "scsn", *TRAIN_FLAGS])
         with pytest.raises(SystemExit) as err:
@@ -163,8 +164,8 @@ class TestTrain:
         loaded, alive = {}, set()
         real_load, real_train = cli.load_trialset, cli.train
 
-        def load(path):
-            ts = real_load(path)
+        def load(path, **kwargs):
+            ts = real_load(path, **kwargs)
             owner = ts.data
             while isinstance(owner.base, np.ndarray):  # views keep their owner alive
                 owner = owner.base
@@ -201,7 +202,7 @@ class TestTrain:
     def test_dropout_outside_unit_interval_is_a_usage_error(self, data_dir, tmp_path, capsys,
                                                              monkeypatch, value):
         loads = []
-        monkeypatch.setattr(cli, "load_trialset", lambda path: loads.append(path))
+        monkeypatch.setattr(cli, "load_trialset", lambda path, **kw: loads.append(path))
         with pytest.raises(SystemExit) as err:
             main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
                   "--dropout", value, "--out", str(tmp_path / "x")])
@@ -214,7 +215,7 @@ class TestTrain:
         # --patience defaults to 20, so a short run without it is refused
         # before any session loads
         loads = []
-        monkeypatch.setattr(cli, "load_trialset", lambda path: loads.append(path))
+        monkeypatch.setattr(cli, "load_trialset", lambda path, **kw: loads.append(path))
         flags = TRAIN_FLAGS[:TRAIN_FLAGS.index("--patience")] \
             + TRAIN_FLAGS[TRAIN_FLAGS.index("--patience") + 2:]
         with pytest.raises(SystemExit) as err:
@@ -228,7 +229,7 @@ class TestTrain:
     def test_overlap_not_shorter_than_window_is_a_usage_error(self, data_dir, tmp_path,
                                                               capsys, monkeypatch, overlap):
         loads = []
-        monkeypatch.setattr(cli, "load_trialset", lambda path: loads.append(path))
+        monkeypatch.setattr(cli, "load_trialset", lambda path, **kw: loads.append(path))
         train_argv = ["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
                       "--overlap", overlap, "--out", str(tmp_path / "x")]
         eval_argv = ["eval", "--ckpt", str(tmp_path / "c"), "--data", str(data_dir),
@@ -422,7 +423,7 @@ class TestRerun:
     def test_a_flag_the_manifest_cannot_hold_fails_before_any_load(
             self, data_dir, tmp_path, capsys, monkeypatch, note):
         loads = []
-        monkeypatch.setattr(cli, "load_trialset", lambda path: loads.append(path))
+        monkeypatch.setattr(cli, "load_trialset", lambda path, **kw: loads.append(path))
         run = tmp_path / "run"
         assert main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
                      "--subjects-note", note, "--out", str(run)]) == 1
@@ -468,7 +469,7 @@ class TestRerun:
     def test_a_flag_that_would_replay_to_another_value_fails_before_any_load(
             self, data_dir, tmp_path, capsys, monkeypatch):
         loads = []
-        monkeypatch.setattr(cli, "load_trialset", lambda path: loads.append(path))
+        monkeypatch.setattr(cli, "load_trialset", lambda path, **kw: loads.append(path))
         monkeypatch.setitem(cli._RENDER, cli._dims, lambda dims: "1")
         run = tmp_path / "run"
         assert main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
@@ -538,6 +539,41 @@ class TestRerun:
         err = capsys.readouterr().err
         assert f"input differs from the manifest: {raw}" in err
         assert "S01_s1.tsc" not in err
+
+    @pytest.mark.parametrize("command", ["preprocess", "train", "eval", "report"])
+    def test_manifest_names_the_bytes_each_input_was_parsed_from(self, data_dir, tmp_path,
+                                                                 monkeypatch, command):
+        # each input is rewritten as soon as its loader returns, before the
+        # command could read it again; the manifest keeps the parsed bytes'
+        # digests
+        run, out = tmp_path / "run", tmp_path / "out"
+        assert main(["train", "--data", str(data_dir), "--model", "baseline",
+                     "--regime", "single", *TRAIN_FLAGS, "--out", str(run)]) == 0
+        argv = {"preprocess": ["preprocess", "--data", str(data_dir), "--notch", "10",
+                               "--low", "1", "--high", "14"],
+                "train": ["train", "--data", str(data_dir), "--model", "baseline",
+                          "--regime", "single", *TRAIN_FLAGS],
+                "eval": ["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(data_dir),
+                         *TRAIN_FLAGS[:12]],
+                "report": ["report", "--runs", str(run)]}[command]
+        files = [*data_dir.glob("*.tsc"), run / "model.ckpt", run / "summary.txt"]
+        parsed = {str(path): sha256_file(path) for path in files}
+
+        def rewriting(load):
+            def loader(path, *args, **kwargs):
+                value = load(path, *args, **kwargs)
+                blob = Path(path).read_bytes()
+                Path(path).write_bytes(blob[:-1] + bytes([blob[-1] ^ 1]))
+                return value
+            return loader
+
+        for name in ("load_trialset", "load_checkpoint", "_summary_row"):
+            monkeypatch.setattr(cli, name, rewriting(getattr(cli, name)))
+        assert main([*argv, "--out", str(out)]) == 0
+        inputs = read_manifest(out / "manifest.txt")["inputs"]
+        assert len(inputs) == {"preprocess": 4, "train": 4, "eval": 5, "report": 1}[command]
+        for name, digest in inputs:
+            assert digest == parsed[name] != sha256_file(name), name
 
     def test_rerun_checks_inputs_first(self, data_dir, tmp_path, capsys):
         prep = tmp_path / "prep"

@@ -35,6 +35,11 @@ def random_trialset(seed=0, n_trials=6, n_channels=3, n_samples=10, n_classes=2,
                     [f"class{i}" for i in range(n_classes)])
 
 
+def _with_first_label(blob: bytes, label: int) -> bytes:
+    at = blob.index(b"\n\n") + 2  # the label block follows the header
+    return blob[:at] + bytes([label]) + blob[at + 1:]
+
+
 class TestTrialSet:
     def test_rejects_inconsistent_fields(self):
         ok = dict(data=np.zeros((3, 2, 5), np.float32), label=[0, 1, 0], subject_id="S",
@@ -251,6 +256,38 @@ class TestContainer:
         blob = path.read_bytes()
         path.write_bytes(blob.replace(b"fs_hz=250.0\n", b"fs_hz=250.0\nfs_hz=100.0\n"))
         with pytest.raises(ContainerFormatError, match=f"{path}: field fs_hz is given twice"):
+            load_trialset(path)
+
+    # (edit of a saved 6-trial, 3-channel, 10-sample container, the refusal)
+    REFUSALS = {
+        "missing_field": (lambda b: b.replace(b"class_names=class0,class1\n", b""),
+                          "field class_names is missing"),
+        "format_version": (lambda b: b.replace(b"format_version=1\n", b"format_version=9\n"),
+                           "unsupported format_version '9'"),
+        "fs_hz_text": (lambda b: b.replace(b"fs_hz=250.0", b"fs_hz=fast"),
+                       "field fs_hz is not a number"),
+        "fs_hz_zero": (lambda b: b.replace(b"fs_hz=250.0", b"fs_hz=0"),
+                       "field fs_hz must be positive"),
+        "int_text": (lambda b: b.replace(b"n_samples=10", b"n_samples=1e1"),
+                     "field n_samples is not a decimal integer"),
+        "int_negative": (lambda b: b.replace(b"n_trials=6", b"n_trials=-6"),
+                         "field n_trials must be nonnegative"),
+        "channel_names": (lambda b: b.replace(b"n_channels=3", b"n_channels=2"),
+                          "field channel_names does not match n_channels"),
+        "truncated_labels": (lambda b: b[:b.index(b"\n\n") + 5], "truncated label block"),
+        "payload_size": (lambda b: b[:-1], "payload holds 719 bytes, header implies 720"),
+        "label_range": (lambda b: _with_first_label(b, 2),
+                        "label block references a class beyond class_names"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_every_refusal_names_the_file(self, tmp_path, case):
+        edit, problem = self.REFUSALS[case]
+        path = tmp_path / "set.tsc"
+        save_trialset(random_trialset(), path)
+        blob = path.read_bytes()
+        path.write_bytes(edit(blob))
+        with pytest.raises(ContainerFormatError, match=re.escape(f"{path}: {problem}")):
             load_trialset(path)
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from scsnet import autodiff as ad
+from scsnet import models
 from scsnet.mmd import layered_class_mmd, transfer_loss
 from scsnet.models import (
     BaselineConfig,
@@ -319,6 +320,46 @@ class TestDenseCropInference:
         model = build_baseline(TINY, seed=25)
         with pytest.raises(ValueError, match="trials"):
             forward_infer(model, np.zeros((2, 40)), crop_stride=5)
+
+
+class TestInferenceChunks:
+    """The shallow block runs over chunks of whole trials (or crops) whose
+    temporal-conv output stays within models._INFER_VALUES, at least one
+    trial each; the probabilities do not depend on the chunk size."""
+
+    BASE = BaselineConfig(n_channels=3, n_samples=60, n_classes=4, temporal_filters=4,
+                          temporal_kernel=5, pool_width=10, pool_stride=4)
+
+    @pytest.mark.parametrize("kind", ["baseline", "scsn"])
+    @pytest.mark.parametrize("form", ["crops", "trials"])
+    def test_bit_identical_at_any_bound(self, monkeypatch, kind, form):
+        if kind == "baseline":
+            model, branch = build_baseline(self.BASE, seed=26), None
+        else:
+            model = build_scsn(ScsnConfig(base=self.BASE, n_subjects=2, target_index=0,
+                                          common_fc_dims=(8, 8, 8),
+                                          separate_fc_dims=(6, 6, 6)), seed=26)
+            branch = 1
+        # 7 trials of 200 samples hold 21 crops each, 60 wide, one every 7
+        samples, dense = (200, {"crop_stride": 7}) if form == "trials" else (60, {})
+        x = np.random.default_rng(27).normal(size=(7, 3, samples)).astype(np.float32)
+        per_trial = 4 * 3 * (samples - 5 + 1)
+        assert 7 * per_trial <= models._INFER_VALUES  # one chunk at the default bound
+        whole = forward_infer(model, x, branch, **dense)
+
+        chunks = []
+        real_conv = ad.conv_time
+
+        def spy(x, kernels, stride=1):
+            chunks.append(len(x))
+            return real_conv(x, kernels, stride)
+
+        monkeypatch.setattr(ad, "conv_time", spy)
+        for bound, sizes in ((1, [1] * 7), (3 * per_trial, [3, 3, 1])):
+            monkeypatch.setattr(models, "_INFER_VALUES", bound)
+            chunks.clear()
+            np.testing.assert_array_equal(forward_infer(model, x, branch, **dense), whole)
+            assert chunks == sizes
 
 
 class TestCheckpoint:

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from scsnet import autodiff as ad
-from scsnet import mmd, training
+from scsnet import mmd, models, training
 from scsnet.datasets import (
     SplitSpec,
     SubjectDataset,
@@ -649,10 +649,38 @@ class TestDenseEvaluate:
             return real_conv(x, kernels, stride)
 
         monkeypatch.setattr(ad, "conv_time", spy)
-        per_chunk = _INFER_CHUNK // self.CROPS
+        # a bound of 5 trials' temporal-conv output (4 filters, 3 channels)
+        monkeypatch.setattr(models, "_INFER_VALUES", 5 * 4 * 3 * (self.COVERED - 5 + 1))
+        assert _INFER_CHUNK // self.CROPS == 12
         evaluate(self._model(), 0, self._trials(30), self.WIN, self.OVERLAP)
-        assert shapes == [(per_chunk, 3, self.COVERED), (per_chunk, 3, self.COVERED),
-                          (30 - 2 * per_chunk, 3, self.COVERED)]
+        # the head's chunks of 12, 12 and 6 trials, each cut at 5 trials
+        assert shapes == [(n, 3, self.COVERED) for n in (5, 5, 2, 5, 5, 2, 5, 1)]
+
+    def test_peak_memory_stays_flat_in_the_trial_count(self):
+        # the acceptance shape: 8 channels, 256 samples, one crop per trial
+        base = BaselineConfig(n_channels=8, n_samples=256, n_classes=4, temporal_filters=16)
+        cfg = ScsnConfig(base=base, n_subjects=2, target_index=0,
+                         common_fc_dims=(48, 48, 48), separate_fc_dims=(24, 24, 24))
+        model = build_scsn(cfg, seed=6)
+        rng = np.random.default_rng(7)
+
+        def peak(n: int) -> int:
+            data = rng.normal(size=(n, 8, 256)).astype(np.float32)
+            test = TrialSet(data, np.arange(n) % 4, "S", [f"c{i}" for i in range(8)], 128.0,
+                            [f"k{i}" for i in range(4)])
+            evaluate(model, 0, test, 2.0, 1.0)  # warm
+            tracemalloc.start()
+            try:
+                evaluate(model, 0, test, 2.0, 1.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # past the shallow block only the head's values grow with the trials:
+        # the pooled features, its dense layers' outputs and the logits
+        head = base.feature_dim + sum(cfg.common_fc_dims) + sum(cfg.separate_fc_dims) + 4
+        assert 4 * 60 <= _INFER_CHUNK  # one head chunk either way
+        assert peak(4 * 60) - peak(60) <= 3 * 60 * 8 * head
 
 
 class TestSplitDecode:

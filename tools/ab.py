@@ -11,18 +11,21 @@ round:
 - `train`: the size's trainings, one epoch each: `train(kind, split, cfg,
   regime=regime)` for each (kind, regime) of its `trainings` in `SIZES`;
 - `decode`: the median of 20 one-trial `evaluate` calls with the target
-  branch of the scsn_mmd model that side trained last.
+  branch of the scsn_mmd model that side trained last;
+- `eval`: one `evaluate` of that model over a fixed set of 48 whole trials
+  (the test trials, repeated as needed), and `eval_peak`: the tracemalloc
+  peak of a second such call.
 
-For each case it prints each side's median and interquartile range over the
-rounds, the ratio change / base of the medians, and in how many rounds the
-change was faster. `--size paper` is the train-paper geometry of
-`perfbench/workloads.py` (22 channels, 250 Hz, 4 s trials of 21 crops, 40
-filters, pool 75/15, 5 subjects, lambda 1), training scsn_mmd; `--size
-bench` is cli-bench's acceptance shape (8 channels, 128 Hz, 120 trials per
-session of 2 s with one 2 s crop each, 16 filters, dense widths 48/24,
-batch 30, split 40 / 40:60 / 60:120), training what cli-bench trains:
-baseline single and multi, scsn and scsn_mmd; `--size tiny` is
-train-paper's smoke-test shape, training scsn_mmd. When no
+For each case it prints its unit, each side's median and interquartile
+range over the rounds, the ratio change / base of the medians, and in how
+many rounds the change was lower (faster, or smaller). `--size paper` is
+the train-paper geometry of `perfbench/workloads.py` (22 channels, 250 Hz,
+4 s trials of 21 crops, 40 filters, pool 75/15, 5 subjects, lambda 1),
+training scsn_mmd; `--size bench` is cli-bench's acceptance shape (8
+channels, 128 Hz, 120 trials per session of 2 s with one 2 s crop each, 16
+filters, dense widths 48/24, batch 30, split 40 / 40:60 / 60:120), training
+what cli-bench trains: baseline single and multi, scsn and scsn_mmd;
+`--size tiny` is train-paper's smoke-test shape, training scsn_mmd. When no
 BLAS thread variable is set and numpy is not loaded yet, the script pins
 BLAS to one thread, as the benchmark does.
 """
@@ -39,12 +42,15 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 SEED = 0
 DECODES = 20  # one-trial decodes per round
+EVAL_TRIALS = 48  # whole trials one eval case call decodes
+CASES = {"train": "ms", "decode": "ms", "eval": "ms", "eval_peak": "MB"}  # case: unit
 
 # split: (calibration trials, validation range, test range) of the target's
 # second session; trainings: the (kind, regime) pairs the train case runs
@@ -93,6 +99,7 @@ class Side:
         self.trainings = shape["trainings"]
         test = self.split.test
         self.trials = [test.subset([i]) for i in range(len(test))]
+        self.eval_set = test.subset([i % len(test) for i in range(EVAL_TRIALS)])
         self.model = None
 
     def train(self) -> float:
@@ -113,6 +120,23 @@ class Side:
             times.append(time.perf_counter() - start)
         return statistics.median(times)
 
+    def evaluate(self) -> tuple[float, int]:
+        """Seconds of one `evaluate` over the eval set, and the tracemalloc
+        peak in bytes of another."""
+        def run() -> None:
+            self.pkg.evaluate(self.model, self.model.cfg.target_index, self.eval_set,
+                              self.cfg.win_s, self.cfg.overlap_s)
+
+        start = time.perf_counter()
+        run()
+        seconds = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            run()
+            return seconds, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
 
 def iqr(values: list[float]) -> float:
     if len(values) < 2:
@@ -122,27 +146,30 @@ def iqr(values: list[float]) -> float:
 
 
 def compare(base: Side, change: Side, rounds: int) -> dict[str, dict]:
-    """Alternate the two sides for `rounds` rounds; per case, the seconds
-    each side took in each round."""
-    runs = {case: {"base": [], "change": []} for case in ("train", "decode")}
+    """Alternate the two sides for `rounds` rounds; per case, each side's
+    value in each round, in the case's unit."""
+    runs = {case: {"base": [], "change": []} for case in CASES}
     for r in range(rounds):
         order = [("base", base), ("change", change)]
         for label, side in order if r % 2 == 0 else order[::-1]:
-            runs["train"][label].append(side.train())
-            runs["decode"][label].append(side.decode())
+            runs["train"][label].append(1e3 * side.train())
+            runs["decode"][label].append(1e3 * side.decode())
+            seconds, peak = side.evaluate()
+            runs["eval"][label].append(1e3 * seconds)
+            runs["eval_peak"][label].append(peak / 1e6)
     return runs
 
 
 def summary(runs: dict[str, dict]) -> list[str]:
-    lines = [f"{'case':<8}{'base ms (IQR)':>22}{'change ms (IQR)':>22}{'change/base':>13}"
-             f"{'change faster':>15}"]
+    lines = [f"{'case':<10}{'unit':<5}{'base (IQR)':>22}{'change (IQR)':>22}"
+             f"{'change/base':>13}{'change lower':>14}"]
     for case, sides in runs.items():
         base, change = sides["base"], sides["change"]
         mb, mc = statistics.median(base), statistics.median(change)
         wins = sum(c < b for b, c in zip(base, change))
-        lines.append(f"{case:<8}{f'{1e3 * mb:.3f} ({1e3 * iqr(base):.3f})':>22}"
-                     f"{f'{1e3 * mc:.3f} ({1e3 * iqr(change):.3f})':>22}{mc / mb:>13.4f}"
-                     f"{f'{wins}/{len(base)}':>15}")
+        lines.append(f"{case:<10}{CASES[case]:<5}{f'{mb:.3f} ({iqr(base):.3f})':>22}"
+                     f"{f'{mc:.3f} ({iqr(change):.3f})':>22}{mc / mb:>13.4f}"
+                     f"{f'{wins}/{len(base)}':>14}")
     return lines
 
 
