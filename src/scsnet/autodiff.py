@@ -215,23 +215,46 @@ def _column_bounds(n: int, align: int = 1) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
-def _run_items(fn: Callable[[int, int], object], bounds: Sequence[tuple[int, int]]) -> list:
+def _run_items(fn: Callable[[int, int], object], bounds: Sequence[tuple[int, int]],
+               fold: Callable[[int, object], None] | None = None) -> list:
     """[fn(lo, hi) for lo, hi in bounds], each item's result in its slot.
+
+    Given `fold`, fold(i, result) takes each item's result instead, in item
+    order: whichever thread finishes the next item in sequence runs it,
+    under a lock, for that item and every later one already done. So a sum
+    in `fold` has one order at any worker count, and each result is freed
+    once folded; the returned slots hold None.
 
     The calling thread and up to _pool_size() - 1 pool workers take the
     items from one queue, in order, so a worker that starts late, or never
     (in a process forked after the pool started), delays nothing: the
     calling thread runs whatever is left. The caller waits for every item,
-    then re-raises the first item's error. Each fn writes only its own part
-    of any buffer the caller allocated, and the items alone fix the work,
-    so results are the same to the bit at any worker count."""
+    then re-raises the first item's error; no item from a failed one on is
+    folded. Each fn writes only its own part of any buffer the caller
+    allocated, and the items alone fix the work, so results are the same to
+    the bit at any worker count."""
     todo: queue.SimpleQueue = queue.SimpleQueue()
     for item in enumerate(bounds):
         todo.put(item)
     done = threading.Semaphore(0)
-    # fn, the results and the errors by item; emptied once every item is
-    # done, so a worker that starts later keeps none of them alive
-    job = [fn, [None] * len(bounds), {}]
+    lock = threading.Lock()
+    results = [None] * len(bounds)
+    # fn, fold, the results done but not yet folded, the errors by item and
+    # the next item to fold; emptied once every item is done, so a worker
+    # that starts later keeps none of them alive
+    job = [fn, fold or results.__setitem__, {}, {}, 0]
+
+    def fold_done() -> None:
+        # under the lock: fold the done items that come next, in order
+        waiting, errors = job[2], job[3]
+        while job[4] in waiting:
+            i = job[4]
+            try:
+                job[1](i, waiting.pop(i))
+            except BaseException as err:  # raised on the calling thread below
+                errors[i] = err
+                return
+            job[4] += 1
 
     def drain() -> None:
         while True:
@@ -240,9 +263,13 @@ def _run_items(fn: Callable[[int, int], object], bounds: Sequence[tuple[int, int
             except queue.Empty:
                 return
             try:
-                job[1][i] = job[0](lo, hi)
+                result = job[0](lo, hi)
             except BaseException as err:  # raised on the calling thread below
-                job[2][i] = err
+                job[3][i] = err
+            else:
+                with lock:
+                    job[2][i] = result
+                    fold_done()
             finally:
                 done.release()
 
@@ -252,7 +279,7 @@ def _run_items(fn: Callable[[int, int], object], bounds: Sequence[tuple[int, int
     drain()
     for _ in bounds:
         done.acquire()
-    _, results, errors = job
+    errors = job[3]
     job.clear()
     if errors:
         raise errors[min(errors)]
@@ -440,53 +467,64 @@ def conv_space(x, weights) -> Tensor:
     return make_node(out if batched else out[0], (x, weights), backward)
 
 
-def _check_crops(crops, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+def _check_crops(crops, sets: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, int]:
     trial, onset, width = crops
     trial, onset = np.asarray(trial), np.asarray(onset)
-    if len(shape) != 3:
+    if not sets or any(s.ndim != 3 for s in sets):
         raise ValueError("whole-trial input must be [trials, channels, samples]")
+    if len({s.shape[1] for s in sets}) > 1:
+        raise ValueError("whole-trial arrays must share their channel count")
     if not isinstance(width, (int, np.integer)) or width < 1:
         raise ValueError("crop width must be a positive integer")
     if (trial.ndim != 1 or trial.shape != onset.shape or not len(trial)
             or trial.dtype.kind not in "iu" or onset.dtype.kind not in "iu"):
         raise ValueError("crop trials and onsets must be equal-length, non-empty integer vectors")
-    if trial.min() < 0 or trial.max() >= shape[0]:
-        raise ValueError(f"crop trial index outside [0, {shape[0]})")
-    if onset.min() < 0 or onset.max() + width > shape[-1]:
-        raise ValueError(f"crop window outside the {shape[-1]} samples of a trial")
+    if any(s.shape[-1] < width for s in sets):
+        raise ValueError(f"a whole-trial array holds fewer than the crop width {width} samples")
+    n_trials = sum(map(len, sets))
+    if trial.min() < 0 or trial.max() >= n_trials:
+        raise ValueError(f"crop trial index outside [0, {n_trials})")
+    # each crop against the samples of its own trial's array
+    samples = np.repeat([s.shape[-1] for s in sets], [len(s) for s in sets])[trial]
+    outside = (onset < 0) | (onset + width > samples)
+    if outside.any():
+        raise ValueError(
+            f"crop window outside the {samples[outside.argmax()]} samples of a trial")
     return trial, onset, int(width)
 
 
 def _log_power_input(x, kernels, weights, crops, pool_width, pool_stride) -> tuple:
     """One branch of conv_log_power, checked in the five-op chain's order
-    and with its messages: (x as [N, C, T], batched, trial, onset, crop
-    width, kernels, weights)."""
+    and with its messages: (x as a tuple of [N, C, T] arrays, batched,
+    trial, onset, crop width, kernels, weights), trials numbered across the
+    arrays in order."""
     if isinstance(x, Tensor):
         if x.requires_grad:
             raise ValueError("conv_log_power has no input gradient: pass x as data")
         x = x.values
-    x, kernels, weights = np.asarray(x), as_tensor(kernels), as_tensor(weights)
+    kernels, weights = as_tensor(kernels), as_tensor(weights)
     if kernels.ndim != 2:
         raise ValueError("kernels must have shape [n_filters, k]")
     if crops is None:
-        xb, batched = _with_batch(x, 2)
-        b, width = len(xb), xb.shape[-1]
+        xb, batched = _with_batch(np.asarray(x), 2)
+        sets, b, width = (xb,), len(xb), xb.shape[-1]
         trial, onset = np.arange(b), np.zeros(b, dtype=np.intp)
     else:
-        xb, batched = x, True
-        trial, onset, width = _check_crops(crops, xb.shape)
+        sets = (x,) if isinstance(x, np.ndarray) else tuple(map(np.asarray, x))
+        batched = True
+        trial, onset, width = _check_crops(crops, sets)
     f, k = kernels.values.shape
     if k > width:
         raise ValueError(f"kernel length {k} exceeds signal length {width}")
     if weights.ndim != 3:
         raise ValueError("weights must have shape [n_out, n_filters, channels]")
-    c = xb.shape[1]
+    c = sets[0].shape[1]
     if weights.values.shape[1:] != (f, c):
         raise ValueError(
             f"weight extents {weights.values.shape[1:]} do not match input "
             f"filter/channel extents {(f, c)}")
     _check_pool(pool_width, pool_stride, width - k + 1)
-    return xb, batched, trial, onset, width, kernels, weights
+    return sets, batched, trial, onset, width, kernels, weights
 
 
 def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
@@ -507,14 +545,17 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
     that requires one is refused.
 
     By default each row of x is one crop. Given `crops` = (trial, onset,
-    width), x holds whole trials [trials, channels, samples] and crop r is
-    x[trial[r], :, onset[r]:onset[r] + width]. The crops of one trial whose
-    windows overlap or touch form a segment, which gets one im2col and one
-    matmul; each crop's conv output is a column slice of its segment's, so
-    samples that crops share are convolved once. Each segment is squared
-    once. Outputs follow the crops' row order. The backward pass takes the
-    log's gradient gp one work item at a time and gives each segment one
-    effective-kernel partial gh_seg @ cols_seg^T.
+    width), x holds whole trials [trials, channels, samples], or a sequence
+    of such arrays with the same channels, each in its own dtype and of its
+    own length, read in place: trials are numbered across the arrays in
+    order, and crop r is samples onset[r]:onset[r] + width of the trial
+    numbered trial[r], which must lie within that trial's own array. The
+    crops of one trial whose windows overlap or touch form a segment, which
+    gets one im2col and one matmul; each crop's conv output is a column
+    slice of its segment's, so samples that crops share are convolved once.
+    Each segment is squared once. Outputs follow the crops' row order. The
+    backward pass takes the log's gradient gp one work item at a time and
+    gives each segment one effective-kernel partial gh_seg @ cols_seg^T.
 
     Pooling depends on the segment. A segment whose crops all start at one
     onset (one crop, or duplicates of it) sums each crop's windows one by
@@ -533,7 +574,8 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
     Work items are whole segments in (trial, onset) order, cut once they
     hold _CHUNK crops; `_run_items` runs them, on the worker pool too when
     BLAS is pinned to one thread. The effective-kernel gradient is summed
-    within each item, then over the items in order. The crops alone fix the
+    within each item, then over the items in order, each item's partial
+    added as soon as the items before it are in. The crops alone fix the
     items, so every result is the same to the bit at any worker count.
     Shapes and input checks are the chain's: x [channels, time] or batched,
     kernels [n_filters, k], weights [n_out, n_filters, channels]; output
@@ -585,34 +627,41 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
     span = (n_pool - 1) * pool_stride + 1  # columns from a crop's first pool window to its last
 
     # per crop, in (branch, trial, onset) order: its output row and its
-    # column in its segment; per segment: (branch, trial, start, conv output
-    # columns, first crop, end crop); per work item: its segments lo:hi,
-    # all of one branch, cut once they hold _CHUNK crops
+    # column in its segment; per segment: (branch, its trial's [C, k, T']
+    # windows, start, conv output columns, first crop, end crop); per work
+    # item: its segments lo:hi, all of one branch, cut once they hold
+    # _CHUNK crops
     rows: list[int] = []
     offset: list[int] = []
-    segs: list[tuple[int, int, int, int, int, int]] = []
+    segs: list[tuple[int, np.ndarray, int, int, int, int]] = []
     bounds: list[tuple[int, int]] = []
-    windows, w_eff, row_at, seg_at = [], [], [0], [0]
-    for br, (xb, _, trial, onset, _, kern, wts) in enumerate(inputs):
+    w_eff, row_at = [], [0]
+    for br, (sets, _, trial, onset, _, kern, wts) in enumerate(inputs):
         # segments: runs of the branch's crops, sorted by (trial, onset),
         # that overlap or touch
         order = np.lexsort((onset, trial))
         s_trial, s_onset = trial[order], onset[order]
         breaks = (s_trial[1:] != s_trial[:-1]) | (s_onset[1:] > s_onset[:-1] + width)
         first = [0, *(np.flatnonzero(breaks) + 1).tolist(), len(order)] if len(order) else [0]
-        s_trial, s_onset, base = s_trial.tolist(), s_onset.tolist(), row_at[-1]
+        # each crop's trial array, and its trial's row there
+        sizes = [len(s) for s in sets]
+        ends = np.cumsum(sizes)
+        s_set = np.searchsorted(ends, s_trial, side="right")
+        s_row = (s_trial - (ends - sizes)[s_set]).tolist()
+        windows = [sliding_window_view(s, k, axis=-1).transpose(0, 1, 3, 2)  # [N, C, k, T']
+                   for s in sets]
+        s_set, s_onset, base = s_set.tolist(), s_onset.tolist(), row_at[-1]
         lo = len(segs)
         for i, j in zip(first, first[1:]):
             start = s_onset[i]
-            segs.append((br, s_trial[i], start, s_onset[j - 1] - start + t_out, base + i, base + j))
+            segs.append((br, windows[s_set[i]][s_row[i]], start,
+                         s_onset[j - 1] - start + t_out, base + i, base + j))
             offset += [on - start for on in s_onset[i:j]]
             if segs[-1][5] - segs[lo][4] >= _CHUNK or j == len(order):
                 bounds.append((lo, len(segs)))
                 lo = len(segs)
         rows += (order + base).tolist()
         row_at.append(base + len(order))
-        seg_at.append(len(segs))
-        windows.append(sliding_window_view(xb, k, axis=-1).transpose(0, 1, 3, 2))  # [N, C, k, T']
         w_eff.append((wts.values.transpose(0, 2, 1) @ kern.values).reshape(o, c * k))
 
     # each segment's [O, n] conv output, as views of one buffer the calling
@@ -650,9 +699,9 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
         # each width's square buffer, read through its pool windows
         square_of = {n: (sq, sliding_window_view(sq, pool_width, axis=-1))
                      for n, sq in views(lo, hi, (o,)).items()}
-        for s, (_, t, start, n, i, j) in enumerate(segs[lo:hi], lo):
+        for s, (_, wins, start, n, i, j) in enumerate(segs[lo:hi], lo):
             cols = cols_of[n]
-            np.copyto(cols, windows[br][t, :, :, start:start + n])
+            np.copyto(cols, wins[:, :, start:start + n])
             np.matmul(w_eff[br], cols.reshape(c * k, n), out=h[s])
             sq, sq_windows = square_of[n]
             np.multiply(h[s], h[s], out=sq)
@@ -681,7 +730,7 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
 
         def backward_item(lo: int, hi: int) -> np.ndarray:
             # the item's effective-kernel gradient partial
-            br, first = segs[lo][0], segs[lo][4]
+            first = segs[lo][4]
             # the log's gradient for the item's crops only: no full-batch
             # array is held while the im2col buffers are
             item = rows[first:segs[hi - 1][5]]
@@ -692,7 +741,7 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
             if any(seg[3] != t_out for seg in segs[lo:hi]):  # a segment of several onsets
                 gh_of = views(lo, hi, (o,))
             part = np.zeros((o, c * k))
-            for s, (_, t, start, n, i, j) in enumerate(segs[lo:hi], lo):
+            for s, (_, wins, start, n, i, j) in enumerate(segs[lo:hi], lo):
                 # the gradient at the segment's conv output
                 if n == t_out:  # crops of one onset: 2 h (gp @ P) each, in order
                     gh = 2.0 * h[s] * (gp[i - first] @ pool)
@@ -710,23 +759,29 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
                     grid *= 2.0 / pool_width
                     gh = _window_spread(grid, pool_width, step, gh_of[n], h[s])
                 cols = cols_of[n]
-                np.copyto(cols, windows[br][t, :, :, start:start + n])
+                np.copyto(cols, wins[:, :, start:start + n])
                 part += gh @ cols.reshape(c * k, n).T
             return part
 
-        # each branch's effective-kernel gradient sums its items' partials in
-        # order, then is chained to its kernels and weights
-        grads: list[np.ndarray | None] = [None] * (2 * len(inputs))
+        # each branch's effective-kernel gradient: zeros, then its items'
+        # partials added in item order as they finish
+        g_eff: list[np.ndarray | None] = [None] * len(inputs)
         items = [(lo, hi) for lo, hi in bounds if live[segs[lo][0]]]
-        for (lo, hi), part in zip(items, _run_items(backward_item, items)):
-            br = segs[lo][0]
-            if lo == seg_at[br]:
-                g_eff = np.zeros((o, c * k))
-            g_eff += part
-            if hi < seg_at[br + 1]:
+
+        def fold(n: int, part: np.ndarray) -> None:
+            br = segs[items[n][0]][0]
+            if g_eff[br] is None:
+                g_eff[br] = np.zeros((o, c * k))
+            g_eff[br] += part
+
+        _run_items(backward_item, items, fold)
+        # then chained to each branch's kernels and weights
+        grads: list[np.ndarray | None] = [None] * (2 * len(inputs))
+        for br, ge in enumerate(g_eff):
+            if ge is None:
                 continue
             *_, kern, wts = inputs[br]
-            ge = g_eff.reshape(o, c, k)
+            ge = ge.reshape(o, c, k)
             if kern.requires_grad:
                 grads[2 * br] = (wts.values.transpose(1, 0, 2).reshape(f, o * c)
                                  @ ge.reshape(o * c, k))

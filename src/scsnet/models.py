@@ -368,10 +368,11 @@ def forward_train(model, batch: dict, dropout_rng=None
     the shared block; a baseline is the one branch 0, with no deep layers.
 
     A sub-batch is (crops, labels), or (trials, labels, (trial, onset)): then
-    x holds whole trials [trials, channels, samples], such as a crop pool's
-    own trial array, and row r is the crop x[trial[r], :, onset[r]:onset[r] +
-    n_samples]. Either array is data: it is read in place, in its own dtype,
-    and gets no gradient. Every branch's shallow block runs in one
+    x holds whole trials, one [trials, channels, samples] array or a
+    sequence of them such as a crop pool's trial arrays, trials numbered
+    across them in order, and row r is samples onset[r]:onset[r] + n_samples
+    of trial trial[r]. The input is data: it is read in place, in its own
+    dtype, and gets no gradient. Every branch's shallow block runs in one
     `conv_log_power_branches` node, which convolves the samples that crops
     share once; each branch then takes its rows and runs dropout and its
     dense layers, in branch order, so dropout draws its masks branch by

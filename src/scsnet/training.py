@@ -190,15 +190,18 @@ def upsample_seed(seed: int, branch: int) -> np.random.SeedSequence:
 class CropPool:
     """A training pool of crops held as indices into whole trials.
 
-    Crop r is `trials[trial[r], :, onset[r]:onset[r] + width]` with label
-    `label[r]`. Rows run in `crop_trialset` order (trial-major, then by
-    onset) followed by any upsampled duplicates; duplicates share the trial
-    array. No crop is copied: training steps hand `trials` itself, with the
-    picked rows' trials and onsets, to the shallow block, which reads the
-    crops in place.
+    `trials` holds each training set's [trials, channels, samples] array as
+    the set gave it, in its own dtype; trials are numbered across the arrays
+    in order. Crop r is samples onset[r]:onset[r] + width of the trial
+    numbered `trial[r]`, with label `label[r]`. Rows run in
+    `crop_trialset` order (trial-major, then by onset) followed by any
+    upsampled duplicates; duplicates share the trial arrays. No trial or
+    crop is copied: training steps hand `trials` itself, with the picked
+    rows' trials and onsets, to the shallow block, which reads the crops in
+    place.
     """
 
-    trials: np.ndarray  # [trials, channels, samples], the trials' own dtype
+    trials: tuple[np.ndarray, ...]  # one [trials, channels, samples] array per set
     trial: np.ndarray
     onset: np.ndarray
     label: np.ndarray
@@ -219,29 +222,19 @@ class CropPool:
 
 def crop_pool(sets: list[TrialSet], win_s: float, overlap_s: float) -> CropPool:
     """Every crop of every trial of `sets`, set by set in `crop_trialset`
-    order. One set's trial array is used as it is; several are concatenated
-    into one array (shorter trials zero-padded at the end, where no crop
-    reads)."""
+    order, over the sets' own trial arrays."""
     if not all(sets):
         raise ValueError("every training set needs at least one trial")
     geos = [crop_geometry(ts.n_samples, ts.fs, win_s, overlap_s) for ts in sets]
     if len({geo.width for geo in geos}) > 1:
         raise ValueError("training sets give crops of different widths")
-    trials = sets[0].data
-    if len(sets) > 1:
-        trials = np.zeros((sum(map(len, sets)), len(sets[0].channel_names),
-                           max(ts.n_samples for ts in sets)),
-                          dtype=np.result_type(*(ts.data.dtype for ts in sets)))
-        lo = 0
-        for ts in sets:
-            trials[lo:lo + len(ts), :, :ts.n_samples] = ts.data
-            lo += len(ts)
     counts = np.repeat([geo.count for geo in geos], [len(ts) for ts in sets])
-    trial = np.repeat(np.arange(len(trials)), counts)
+    trial = np.repeat(np.arange(len(counts)), counts)
     onset = np.concatenate([np.tile(np.arange(geo.count) * geo.stride, len(ts))
                             for ts, geo in zip(sets, geos)])
     label = np.concatenate([ts.label for ts in sets])[trial]
-    return CropPool(trials, trial, onset, label, geos[0].width, list(sets[0].class_names))
+    return CropPool(tuple(ts.data for ts in sets), trial, onset, label, geos[0].width,
+                    list(sets[0].class_names))
 
 
 def scsn_pools(split: Split, cfg: TrainConfig) -> tuple[list[str], dict[str, CropPool]]:
@@ -403,7 +396,8 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
     with_mmd = kind == "scsn_mmd" and cfg.lam > 0
     state = AdamState(model.params)
 
-    best_acc, best_epoch, best_snapshot = -1.0, 0, model.params.snapshot()
+    # every epoch's accuracy is at least 0, so epoch 1 takes the first snapshot
+    best_acc, best_epoch, best_snapshot = -1.0, 0, None
     stale = 0
     for epoch in range(1, cfg.max_epochs + 1):
         steps: list[tuple[float, float]] = []

@@ -25,10 +25,10 @@ def test_head_against_head_at_tiny_shapes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("base HEAD against the working tree, size tiny")
     rows = {line.split()[0]: line.split() for line in lines[2:]}
-    assert sorted(rows) == ["decode", "eval", "eval_peak", "train"]
+    assert sorted(rows) == ["decode", "eval", "eval_peak", "train", "train_peak"]
     for case, cells in rows.items():
         # unit, base median (IQR), change median (IQR), ratio, wins out of rounds
-        assert cells[1] == ("MB" if case == "eval_peak" else "ms")
+        assert cells[1] == ("MB" if case.endswith("_peak") else "ms")
         assert float(cells[2]) > 0 and float(cells[4]) > 0 and float(cells[6]) > 0
         wins, rounds = cells[7].split("/")
         assert rounds == "2" and 0 <= int(wins) <= 2

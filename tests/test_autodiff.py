@@ -3,6 +3,7 @@ import math
 import os
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -528,6 +529,44 @@ class TestConvLogPowerOnsets:
         with pytest.raises(ValueError, match="no input gradient"):
             ad.conv_log_power(ad.Tensor(values, requires_grad=True), k, w, 4, 3, crops)
 
+    @given(sets=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 10), st.booleans()),
+                         min_size=2, max_size=3),
+           n_crops=st.integers(1, 2 * ad._CHUNK + 3), seed=st.integers(0, 2 ** 16))
+    @example(sets=[(2, 0, True), (1, 10, False), (3, 4, True)], n_crops=2 * ad._CHUNK + 3,
+             seed=0)
+    @example(sets=[(1, 3, False), (1, 0, True)], n_crops=1, seed=1)
+    @settings(max_examples=30, deadline=None)
+    def test_several_trial_arrays_read_as_their_concatenation(self, sets, n_crops, seed):
+        # arrays of (trials, WIDTH + extra samples, float32?) against the same
+        # crops of one zero-padded float64 array holding them all, at 1 and 2
+        # workers
+        rng = np.random.default_rng(seed)
+        arrays = [rng.normal(size=(n, 3, self.WIDTH + extra)).astype(
+                      np.float32 if f32 else np.float64) for n, extra, f32 in sets]
+        samples = np.repeat([a.shape[-1] for a in arrays], [len(a) for a in arrays])
+        trial = rng.integers(len(samples), size=n_crops)
+        onset = rng.integers(samples[trial] - self.WIDTH + 1)
+        joined = np.zeros((len(samples), 3, samples.max()))
+        for lo, a in zip(np.cumsum([0] + [len(a) for a in arrays]), arrays):
+            joined[lo:lo + len(a), :, :a.shape[-1]] = a
+        crops = (trial, onset, self.WIDTH)
+        want = [v.tobytes() for v in self._run(joined, crops)]
+        for size in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ad, "_pool_size", lambda: size)
+                assert [v.tobytes() for v in self._run(arrays, crops)] == want
+
+    def test_refuses_a_crop_past_its_own_arrays_samples(self):
+        arrays = (np.ones((2, 3, 40)), np.ones((2, 3, 20)))
+        k, w = np.zeros((2, 5)), np.zeros((3, 2, 3))
+        ad.conv_log_power(arrays, k, w, 4, 3, ([3, 1], [8, 28], 12))  # each ends its trial
+        with pytest.raises(ValueError, match="outside the 20 samples"):
+            ad.conv_log_power(arrays, k, w, 4, 3, ([1, 3], [28, 9], 12))
+        with pytest.raises(ValueError, match="share their channel count"):
+            ad.conv_log_power((arrays[0], np.ones((2, 2, 40))), k, w, 4, 3, ([0], [0], 12))
+        with pytest.raises(ValueError, match="fewer than the crop width 12 samples"):
+            ad.conv_log_power((arrays[0], np.ones((1, 3, 11))), k, w, 4, 3, ([0], [0], 12))
+
     @pytest.mark.parametrize("crops, message", [
         (([0], [0, 1], 12), "equal-length"),
         (([], [], 12), "non-empty"),
@@ -653,6 +692,36 @@ class TestConvLogPowerPool:
                 assert run() == want
         finally:
             sys.setswitchinterval(interval)
+
+    def test_fold_takes_items_in_order_when_the_first_finishes_last(self, monkeypatch):
+        # item 0 waits until items 1 and 2 have finished on other threads;
+        # the fold still takes 0, 1, 2 in order, and when item 0 fails its
+        # error is the one raised and nothing is folded
+        monkeypatch.setattr(ad, "_pool_size", lambda: 3)
+
+        def run(fail, finished, folded):
+            later = {1: threading.Event(), 2: threading.Event()}
+
+            def item(lo, hi):
+                waited = lo != 0 or all(event.wait(30.0) for event in later.values())
+                finished.append(lo)
+                if lo in later:
+                    later[lo].set()
+                if lo in fail:
+                    raise ValueError(f"item {lo} failed")
+                return lo, waited
+
+            return ad._run_items(item, [(0, 1), (1, 2), (2, 3)],
+                                 lambda i, result: folded.append((i, result)))
+
+        finished, folded = [], []
+        assert run(set(), finished, folded) == [None] * 3
+        assert finished[-1] == 0 and sorted(finished) == [0, 1, 2]
+        assert folded == [(0, (0, True)), (1, (1, True)), (2, (2, True))]
+        finished, folded = [], []
+        with pytest.raises(ValueError, match="item 0 failed"):
+            run({0, 2}, finished, folded)
+        assert finished[-1] == 0 and sorted(finished) == [0, 1, 2] and folded == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
     def test_forked_child_runs_every_item(self, monkeypatch):

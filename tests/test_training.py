@@ -221,6 +221,31 @@ class TestTrainBasics:
         crop_acc, _ = evaluate(model, None, split.val, cfg.win_s, cfg.overlap_s)
         assert crop_acc == max(report.val_accuracy)
 
+    def test_one_snapshot_per_improving_epoch(self, monkeypatch):
+        # the best parameters are copied after each epoch whose validation
+        # accuracy beats every earlier one's, and never before epoch 1
+        validations, snapshots = [], []
+        real_predict, real_snapshot = training._predict_crops, ModelParams.snapshot
+
+        def predict(*args, **kwargs):
+            validations.append(args[2])
+            return real_predict(*args, **kwargs)
+
+        def snapshot(params):
+            snapshots.append(len(validations))
+            return real_snapshot(params)
+
+        monkeypatch.setattr(training, "_predict_crops", predict)
+        monkeypatch.setattr(ModelParams, "snapshot", snapshot)
+        split = tiny_split(seed=2)
+        _, report = train("baseline", split, tiny_cfg(max_epochs=12, patience=3, seed=5),
+                          regime="single")
+        acc = report.val_accuracy
+        improving = [e for e in range(1, len(acc) + 1) if acc[e - 1] > max(acc[:e - 1], default=-1)]
+        assert len(validations) == len(acc) + 1 and validations[-1] is split.test
+        assert all(v is split.val for v in validations[:-1])
+        assert len(improving) > 1 and snapshots == improving, (acc, snapshots)
+
     def test_scsn_single_regime_rejected(self):
         with pytest.raises(ValueError):
             train("scsn", tiny_split(), tiny_cfg(), regime="single")
@@ -265,7 +290,7 @@ class TestMmdLogMatchesRecomputation:
         target_idx = subjects.index(split.target_subject)
         any_pool = pools[split.target_subject]
         base = BaselineConfig(
-            n_channels=any_pool.trials.shape[1], n_samples=any_pool.width,
+            n_channels=any_pool.trials[0].shape[1], n_samples=any_pool.width,
             n_classes=len(any_pool.class_names), temporal_filters=cfg.temporal_filters,
             temporal_kernel=cfg.temporal_kernel, pool_width=cfg.pool_width,
             pool_stride=cfg.pool_stride, dropout=cfg.dropout)
@@ -294,9 +319,17 @@ class TestMmdLogMatchesRecomputation:
         assert abs(report.train_mmd_loss[0] - float(np.mean(step_mmds))) < 1e-12
 
 
+def trials_of(arrays):
+    """The trials of several [trials, channels, samples] arrays, numbered
+    across them in order."""
+    return [trial for array in arrays for trial in array]
+
+
 def crop_rows(pool, rows=slice(None)):
-    """The crops `rows` of `pool`, copied one at a time: trials[t, :, o:o + width]."""
-    return np.stack([pool.trials[t, :, o:o + pool.width]
+    """The crops `rows` of `pool`, copied one at a time: samples o:o + width
+    of the trial numbered t across the pool's trial arrays."""
+    trials = trials_of(pool.trials)
+    return np.stack([trials[t][:, o:o + pool.width]
                      for t, o in zip(pool.trial[rows], pool.onset[rows])])
 
 
@@ -335,12 +368,29 @@ class TestCropPool:
         np.testing.assert_array_equal(pool.label, crops.label)
 
     def test_sets_of_different_lengths_concatenate(self):
+        # the sets' crops follow one another, read from each set's own array
         short, long = labeled_trialset(3, 2, 14, seed=3), labeled_trialset(2, 2, 23, seed=4)
         pool = crop_pool([short, long], 0.8, 0.5)
+        assert len(pool.trials) == 2
+        assert pool.trials[0] is short.data and pool.trials[1] is long.data
         crops = [crop_trialset(ts, 0.8, 0.5) for ts in (short, long)]
         want = np.concatenate([c.data for c in crops])
         assert crop_rows(pool).tobytes() == want.tobytes()
         np.testing.assert_array_equal(pool.label, np.concatenate([c.label for c in crops]))
+
+    def test_allocates_only_its_index_arrays(self):
+        sets = [labeled_trialset(6, 4, 400 + 20 * i, seed=i) for i in range(5)]
+        tracemalloc.start()
+        try:
+            pool = crop_pool(sets, 30.0, 0.0)  # 30 s windows of 40-48 s trials: 1 crop each
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        index_bytes = pool.trial.nbytes + pool.onset.nbytes + pool.label.nbytes
+        assert len(pool) == 30 and index_bytes == 720
+        # the smallest set's trials take 38,400 bytes; the rest of the peak is
+        # the geometries, lists and other interpreter objects
+        assert peak <= index_bytes + 16384, peak
 
     def test_mismatched_crop_widths_rejected(self):
         a, b = labeled_trialset(2, 1, 20), labeled_trialset(2, 1, 40, fs=20.0)
@@ -377,9 +427,11 @@ class TestStepsReadPoolTrials:
     @staticmethod
     def _check_crops(x, trial, onset, want, rows):
         width = want.n_samples
-        assert x.dtype == np.float32
+        assert all(array.dtype == np.float32 for array in x)
+        trials = trials_of(x)
         for r, row in enumerate(rows):
-            assert x[trial[r], :, onset[r]:onset[r] + width].tobytes() == want.data[row].tobytes()
+            assert trials[trial[r]][:, onset[r]:onset[r] + width].tobytes() \
+                == want.data[row].tobytes()
 
     @staticmethod
     def _spy_batches(monkeypatch) -> list[dict]:
@@ -405,7 +457,7 @@ class TestStepsReadPoolTrials:
         for batch, rows in zip(seen, picks):
             for i, s in enumerate(subjects):
                 x, y, (trial, onset) = batch[i]
-                assert x is split.train[s].data, s
+                assert len(x) == 1 and x[0] is split.train[s].data, s
                 np.testing.assert_array_equal(y, want[s].label[rows[s]])
                 self._check_crops(x, trial, onset, want[s], rows[s])
 
@@ -421,7 +473,7 @@ class TestStepsReadPoolTrials:
         for batch, rows in zip(seen, picks):
             assert list(batch) == [0]  # the baseline is the one branch 0
             x, y, (trial, onset) = batch[0]
-            assert x is split.train["S01"].data
+            assert len(x) == 1 and x[0] is split.train["S01"].data
             np.testing.assert_array_equal(y, want.label[rows["pooled"]])
             self._check_crops(x, trial, onset, want, rows["pooled"])
 
@@ -440,9 +492,14 @@ class TestPoolsShareLoadedTrials:
         split = make_splits(datasets, SplitSpec("S01", 4, (4, 8), (8, 12)))
         subjects, pools = scsn_pools(split, tiny_cfg(win_s=0.5, overlap_s=0.25))
         for s in subjects:
-            assert np.shares_memory(pools[s].trials, split.train[s].data), s
+            assert np.shares_memory(pools[s].trials[0], split.train[s].data), s
             if s != "S01":
                 assert split.train[s] is datasets[subjects.index(s)].sessions[0]
+        # baseline-multi's one pool over every subject holds each one's array
+        pooled = crop_pool([split.train[s] for s in subjects], 0.5, 0.25)
+        assert len(pooled.trials) == len(subjects)
+        for s, trials in zip(subjects, pooled.trials):
+            assert np.shares_memory(trials, split.train[s].data), s
 
 
 class TestMmdStepStructure:

@@ -9,7 +9,8 @@ then the rounds alternate the two sides, the first side switching every
 round:
 
 - `train`: the size's trainings, one epoch each: `train(kind, split, cfg,
-  regime=regime)` for each (kind, regime) of its `trainings` in `SIZES`;
+  regime=regime)` for each (kind, regime) of its `trainings` in `SIZES`,
+  and `train_peak`: the tracemalloc peak of a second run of them;
 - `decode`: the median of 20 one-trial `evaluate` calls with the target
   branch of the scsn_mmd model that side trained last;
 - `eval`: one `evaluate` of that model over a fixed set of 48 whole trials
@@ -50,7 +51,8 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 SEED = 0
 DECODES = 20  # one-trial decodes per round
 EVAL_TRIALS = 48  # whole trials one eval case call decodes
-CASES = {"train": "ms", "decode": "ms", "eval": "ms", "eval_peak": "MB"}  # case: unit
+CASES = {"train": "ms", "train_peak": "MB", "decode": "ms", "eval": "ms",
+         "eval_peak": "MB"}  # case: unit
 
 # split: (calibration trials, validation range, test range) of the target's
 # second session; trainings: the (kind, regime) pairs the train case runs
@@ -102,13 +104,16 @@ class Side:
         self.eval_set = test.subset([i % len(test) for i in range(EVAL_TRIALS)])
         self.model = None
 
-    def train(self) -> float:
-        start = time.perf_counter()
-        for kind, regime in self.trainings:
-            model, _ = self.pkg.train(kind, self.split, self.cfg, regime=regime)
-            if kind == "scsn_mmd":
-                self.model = model
-        return time.perf_counter() - start
+    def train(self) -> tuple[float, int]:
+        """Seconds of one run of the trainings, and the tracemalloc peak in
+        bytes of another."""
+        def run() -> None:
+            for kind, regime in self.trainings:
+                model, _ = self.pkg.train(kind, self.split, self.cfg, regime=regime)
+                if kind == "scsn_mmd":
+                    self.model = model
+
+        return _timed_then_traced(run)
 
     def decode(self) -> float:
         times = []
@@ -127,15 +132,20 @@ class Side:
             self.pkg.evaluate(self.model, self.model.cfg.target_index, self.eval_set,
                               self.cfg.win_s, self.cfg.overlap_s)
 
-        start = time.perf_counter()
+        return _timed_then_traced(run)
+
+
+def _timed_then_traced(run) -> tuple[float, int]:
+    """Seconds of one run(), then the tracemalloc peak in bytes of another."""
+    start = time.perf_counter()
+    run()
+    seconds = time.perf_counter() - start
+    tracemalloc.start()
+    try:
         run()
-        seconds = time.perf_counter() - start
-        tracemalloc.start()
-        try:
-            run()
-            return seconds, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return seconds, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def iqr(values: list[float]) -> float:
@@ -152,7 +162,9 @@ def compare(base: Side, change: Side, rounds: int) -> dict[str, dict]:
     for r in range(rounds):
         order = [("base", base), ("change", change)]
         for label, side in order if r % 2 == 0 else order[::-1]:
-            runs["train"][label].append(1e3 * side.train())
+            seconds, peak = side.train()
+            runs["train"][label].append(1e3 * seconds)
+            runs["train_peak"][label].append(peak / 1e6)
             runs["decode"][label].append(1e3 * side.decode())
             seconds, peak = side.evaluate()
             runs["eval"][label].append(1e3 * seconds)
@@ -161,13 +173,13 @@ def compare(base: Side, change: Side, rounds: int) -> dict[str, dict]:
 
 
 def summary(runs: dict[str, dict]) -> list[str]:
-    lines = [f"{'case':<10}{'unit':<5}{'base (IQR)':>22}{'change (IQR)':>22}"
+    lines = [f"{'case':<12}{'unit':<5}{'base (IQR)':>22}{'change (IQR)':>22}"
              f"{'change/base':>13}{'change lower':>14}"]
     for case, sides in runs.items():
         base, change = sides["base"], sides["change"]
         mb, mc = statistics.median(base), statistics.median(change)
         wins = sum(c < b for b, c in zip(base, change))
-        lines.append(f"{case:<10}{CASES[case]:<5}{f'{mb:.3f} ({iqr(base):.3f})':>22}"
+        lines.append(f"{case:<12}{CASES[case]:<5}{f'{mb:.3f} ({iqr(base):.3f})':>22}"
                      f"{f'{mc:.3f} ({iqr(change):.3f})':>22}{mc / mb:>13.4f}"
                      f"{f'{wins}/{len(base)}':>14}")
     return lines
