@@ -47,7 +47,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 LOG_FLOOR = 1e-6
 
 _CHUNK = 8  # crops at which a conv_log_power work item is cut
-_POOL_SAMPLES = 1 << 15  # input samples mean_pool sums at a time
 # multiply-adds from which conv_time's and conv_space's per-sample matmul is
 # cut into _BLOCKS column blocks
 _SPLIT = 1 << 21
@@ -802,9 +801,8 @@ def mean_pool(x, width: int, stride: int) -> Tensor:
 
     x: [features, time] or batched. Output time' = floor((time - width) /
     stride) + 1. The windows start on multiples of g = gcd(width, stride).
-    A few batch entries at a time (up to _POOL_SAMPLES samples, at least
-    one entry), the sums of every window on that grid come from blocks of g
-    samples (`_window_sums`), and the output takes every (stride / g)-th and
+    The sums of every window on that grid come from blocks of g samples
+    (`_window_sums`), and the output takes every (stride / g)-th and
     divides by width. Within 1e-12 relative of each window's own mean. The
     gradient is gout @ P, P being the [time', time] pooling matrix.
     """
@@ -813,12 +811,7 @@ def mean_pool(x, width: int, stride: int) -> Tensor:
     _check_pool(width, stride, xb.shape[-1])
 
     g = math.gcd(width, stride)
-    out = np.empty(xb.shape[:-1] + ((xb.shape[-1] - width) // stride + 1,))
-    # the window sums' temporaries stay small next to x
-    per = max(1, _POOL_SAMPLES // math.prod(xb.shape[1:]))
-    for a in range(0, len(xb), per):
-        sums = _window_sums(xb[a:a + per], width, g)
-        np.divide(sums[..., ::stride // g], width, out=out[a:a + per])
+    out = _window_sums(xb, width, g)[..., ::stride // g] / width
     n_out = out.shape[-1]
 
     def backward(gout):

@@ -7,7 +7,7 @@ extractor, the three deep feature layers, and the classifier, while a
 three-layer dense block in between is shared by everyone. The three deep
 per-subject layers expose their activations for discrepancy regularization.
 `forward_train` is the training forward of both models, the baseline being
-the one-branch case; the models' own methods are inference-only.
+the one-branch case, and `forward_infer` is their one inference function.
 """
 
 from __future__ import annotations
@@ -24,29 +24,33 @@ from .datasets import format_fields, read_header
 from .preprocessing import CropGeometry
 
 CHECKPOINT_VERSION = 1
-# float64 values of temporal-conv output that one inference chunk may hold
+# crops whose shallow features one inference head call takes
+_INFER_CHUNK = 256
+# float64 values of temporal-conv output that one shallow-block pass may hold
 _INFER_VALUES = 1 << 19
+
+
+def _as_int(name: str, value) -> int:
+    """`value` as an int. numpy integers pass through operator.index; a
+    float, a bool or anything else without an integer value is refused with
+    a TypeError that names it `name`."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def require_ints(cfg, *names: str) -> None:
     """Store each named field of the frozen dataclass `cfg` as an int, or a
-    tuple of ints for a sequence field. numpy integers pass through
-    operator.index; a float, a bool or anything else without an integer
-    value is refused with a TypeError that names the field."""
-    def as_int(name: str, value) -> int:
-        if isinstance(value, (bool, np.bool_)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        try:
-            return operator.index(value)
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
+    tuple of ints for a sequence field, refusing values `_as_int` refuses."""
     for name in names:
         value = getattr(cfg, name)
         if isinstance(value, (tuple, list)):
-            value = tuple(as_int(f"each of {name}", v) for v in value)
+            value = tuple(_as_int(f"each of {name}", v) for v in value)
         else:
-            value = as_int(name, value)
+            value = _as_int(name, value)
         object.__setattr__(cfg, name, value)
 
 
@@ -194,9 +198,9 @@ def _init_dense_chain(params: ModelParams, rng, prefix: str, group: str,
     return in_dim
 
 
-def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
-                     crop_stride: int | None = None) -> ad.Tensor:
-    """Inference-mode pooled log-power features of crops [[batch,] channels,
+def _shallow_forward(x: np.ndarray, params: ModelParams, cfg: BaselineConfig, prefix: str,
+                     crop_stride: int | None) -> ad.Tensor:
+    """Inference-mode pooled log-power features of crops [crops, channels,
     n_samples], one flat row per crop (dropout is the identity here).
 
     Given `crop_stride`, x holds whole trials [trials, channels, samples]
@@ -213,11 +217,8 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
     on each sample alone, so the features are the same to the bit at any
     chunk size; only each chunk's pooled rows outlive its pass.
     """
-    x = np.asarray(x)
     step, windows = cfg.pool_stride, None
     if crop_stride is not None:
-        if x.ndim != 3:
-            raise ValueError("whole-trial input must be [trials, channels, samples]")
         geo = CropGeometry.of(x.shape[-1], cfg.n_samples, crop_stride)
         x = x[..., :geo.covered]
         if geo.count > 1:  # a single crop pools exactly as the per-crop path
@@ -225,8 +226,6 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
             # crop j's m-th window starts at j * crop_stride + m * pool_stride
             windows = (np.arange(geo.count)[:, None] * crop_stride
                        + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
-    elif x.ndim not in (2, 3):
-        raise ValueError("crops must be [[batch,] channels, n_samples]")
     kernels, weights = params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"]
 
     def log_power(chunk: np.ndarray) -> np.ndarray:
@@ -246,14 +245,11 @@ def _shallow_forward(x, params: ModelParams, cfg: BaselineConfig, prefix: str,
         h = ad.conv_space(ad.conv_time(chunk, kernels, 1), weights)
         return ad.log_clipped(ad.mean_pool(ad.square(h), cfg.pool_width, step)).values
 
-    if x.ndim == 2:  # one crop
-        pooled = log_power(x)
-    else:
-        per_trial = cfg.temporal_filters * x.shape[1] * (x.shape[2] - cfg.temporal_kernel + 1)
-        per = max(1, _INFER_VALUES // per_trial)
-        # an empty batch still runs one (empty) chunk, for the output's shape
-        pooled = np.concatenate([log_power(x[lo:lo + per])
-                                 for lo in range(0, max(len(x), 1), per)])
+    per_trial = cfg.temporal_filters * x.shape[1] * (x.shape[2] - cfg.temporal_kernel + 1)
+    per = max(1, _INFER_VALUES // per_trial)
+    # an empty batch still runs one (empty) chunk, for the output's shape
+    pooled = np.concatenate([log_power(x[lo:lo + per])
+                             for lo in range(0, max(len(x), 1), per)])
     if windows is not None:
         feats = np.moveaxis(pooled[:, :, windows], 2, 1)  # [trials, crops, F, P]
         pooled = feats.reshape((-1,) + feats.shape[2:])
@@ -288,11 +284,6 @@ class BaselineModel:
         """The classifier on shallow features: (logits, no deep layers)."""
         return ad.dense(h, self.params["classifier.weight"], self.params["classifier.bias"]), []
 
-    def predict_proba(self, x, branch: int | None = None,
-                      crop_stride: int | None = None) -> np.ndarray:
-        logits, _ = self._head(_shallow_forward(x, self.params, self.cfg, "", crop_stride), 0)
-        return _softmax_probs(logits.values)
-
 
 class ScsnModel:
     """Multi-branch decoder with per-subject shallow and deep blocks around a
@@ -319,13 +310,6 @@ class ScsnModel:
         logits = ad.dense(h, self.params[f"{prefix}classifier.weight"],
                           self.params[f"{prefix}classifier.bias"])
         return logits, feats
-
-    def predict_proba(self, x, branch: int, crop_stride: int | None = None) -> np.ndarray:
-        if not 0 <= branch < self.cfg.n_subjects:
-            raise ValueError(f"branch {branch} out of range")
-        h = _shallow_forward(x, self.params, self.cfg.base, f"subject{branch}.", crop_stride)
-        logits, _ = self._head(h, branch)
-        return _softmax_probs(logits.values)
 
 
 def build_baseline(cfg: BaselineConfig, seed: int) -> BaselineModel:
@@ -361,6 +345,22 @@ def build_scsn(cfg: ScsnConfig, seed: int) -> ScsnModel:
     return ScsnModel(cfg, params)
 
 
+def _branches(model) -> tuple[BaselineConfig, list[str]]:
+    """The model's shallow-block config and each branch's parameter prefix;
+    a baseline is the one branch 0."""
+    if isinstance(model, ScsnModel):
+        return model.cfg.base, [f"subject{i}." for i in range(model.n_subjects)]
+    return model.cfg, [""]
+
+
+def _check_width(model, width: int) -> None:
+    """Refuse crops of `width` samples unless they are the model's input."""
+    n_samples = _branches(model)[0].n_samples
+    if width != n_samples:
+        raise ValueError(f"crops are {width} samples wide, but the model's input is "
+                         f"{n_samples} samples")
+
+
 def forward_train(model, batch: dict, dropout_rng=None
                   ) -> dict[int, tuple[ad.Tensor, list[ad.Tensor]]]:
     """Training-mode forward of every branch's sub-batch; returns {branch:
@@ -376,14 +376,15 @@ def forward_train(model, batch: dict, dropout_rng=None
     `conv_log_power_branches` node, which convolves the samples that crops
     share once; each branch then takes its rows and runs dropout and its
     dense layers, in branch order, so dropout draws its masks branch by
-    branch."""
-    if isinstance(model, ScsnModel):
-        base, prefixes = model.cfg.base, [f"subject{i}." for i in range(model.n_subjects)]
-    else:
-        base, prefixes = model.cfg, [""]
+    branch. Crops of a (crops, labels) sub-batch must be the model's input
+    width."""
+    base, prefixes = _branches(model)
     missing = [i for i in range(len(prefixes)) if i not in batch]
     if missing:
         raise ValueError(f"batch is missing sub-batches for branches {missing}")
+    for i in range(len(prefixes)):
+        if len(batch[i]) == 2:
+            _check_width(model, np.shape(batch[i][0])[-1])
     hs = ad.conv_log_power_branches(
         [(batch[i][0], model.params[f"{prefix}temporal.kernels"],
           model.params[f"{prefix}spatial.weights"],
@@ -399,20 +400,50 @@ def forward_train(model, batch: dict, dropout_rng=None
 
 def forward_infer(model, x, branch: int | None = None,
                   crop_stride: int | None = None) -> np.ndarray:
-    """Class probabilities per crop, dropout disabled. SCSN models use only
-    the requested branch; the baseline ignores the branch argument.
+    """Class probabilities per crop, dropout disabled: the inference of
+    both models. SCSN models use only the requested branch, an integer; the
+    baseline ignores the branch argument.
 
     x holds crops [crops, channels, n_samples]. Given `crop_stride`, it holds
     whole trials [trials, channels, samples] instead, and the rows are the
     probabilities of each trial's crops (n_samples wide, one every
     crop_stride samples), trial-major, from one shallow pass per trial.
+
+    The head runs over consecutive chunks of whole trials (or crops): at
+    most _INFER_CHUNK crops, and at least one trial; `_shallow_forward` cuts
+    each chunk further to bound its temporal-conv output. Each row is its
+    crop's own softmax, but the head's matmuls may round differently at
+    another batch size: over more than _INFER_CHUNK crops the probabilities
+    are those of the per-chunk calls, and can differ in the last bits from
+    one head call over every crop.
     """
-    dense = {} if crop_stride is None else {"crop_stride": crop_stride}
+    base, prefixes = _branches(model)
     if isinstance(model, ScsnModel):
         if branch is None:
             raise ValueError("SCSN inference needs a branch index")
-        return model.predict_proba(x, branch, **dense)
-    return model.predict_proba(x, **dense)
+        branch = _as_int("branch", branch)
+        if not 0 <= branch < len(prefixes):
+            raise ValueError(f"branch {branch} out of range")
+    else:
+        branch = 0
+    x = np.asarray(x)
+    if x.ndim != 3:
+        raise ValueError("crops must be [crops, channels, n_samples]" if crop_stride is None
+                         else "whole-trial input must be [trials, channels, samples]")
+    if crop_stride is None:
+        _check_width(model, x.shape[-1])
+        per = _INFER_CHUNK
+    else:
+        per = max(1, _INFER_CHUNK // CropGeometry.of(x.shape[-1], base.n_samples,
+                                                     crop_stride).count)
+
+    def probs(chunk: np.ndarray) -> np.ndarray:
+        # the chunk's features and graph are freed before the next chunk
+        h = _shallow_forward(chunk, model.params, base, prefixes[branch], crop_stride)
+        return _softmax_probs(model._head(h, branch)[0].values)
+
+    # an empty batch still runs one (empty) chunk, for the output's shape
+    return np.concatenate([probs(x[lo:lo + per]) for lo in range(0, max(len(x), 1), per)])
 
 
 # ---------------------------------------------------------------------------

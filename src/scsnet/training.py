@@ -13,17 +13,15 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import autodiff as ad
 from .datasets import Split, TrialSet, balanced_duplicates, batch_iter, format_fields
 from .mmd import multi_source_mmd, transfer_loss
 from .models import (
     BaselineConfig,
-    BaselineModel,
     ModelParams,
     ScsnConfig,
-    ScsnModel,
+    _check_width,
     build_baseline,
     build_scsn,
     forward_infer,
@@ -34,7 +32,6 @@ from .preprocessing import crop_geometry
 
 MODEL_KINDS = ("baseline", "scsn", "scsn_mmd")
 REGIMES = ("single", "multi")
-_INFER_CHUNK = 256
 
 # spawn keys for the trainer's seed streams; model builders use (0,) and (1, i)
 _DROPOUT_KEY = 10
@@ -264,30 +261,13 @@ def _check_finite(loss: float, params: ModelParams, epoch: int, step: int) -> No
 
 def _predict_crops(model, branch, trials: TrialSet, win_s: float, overlap_s: float
                    ) -> np.ndarray:
-    """Predicted class of every crop of every trial, [trials, crops].
-
-    The decoders of this package read a trial's crops out of one shallow
-    pass over the trial (`forward_infer` with the crop stride); any other
-    model exposing `predict_proba` is given the crops themselves, as
-    float64. Each inference chunk holds whole trials: at most _INFER_CHUNK
-    crops, and at least one trial. The decoders' shallow block cuts a chunk
-    further, to bound its temporal-conv output (`models._INFER_VALUES`).
-    """
+    """Predicted class of every crop of every trial, [trials, crops]: the
+    crops of `win_s` and `overlap_s`, which must be the model's input width,
+    read out of one `forward_infer` over the trials' covered samples."""
     geo = crop_geometry(trials.n_samples, trials.fs, win_s, overlap_s)
-    dense = isinstance(model, (BaselineModel, ScsnModel))
-    per_chunk = max(1, _INFER_CHUNK // geo.count)
-    preds = np.empty((len(trials), geo.count), dtype=np.int64)
-    for lo in range(0, len(trials), per_chunk):
-        x = trials.data[lo:lo + per_chunk, :, :geo.covered]
-        if dense:
-            probs = forward_infer(model, x, branch, crop_stride=geo.stride)
-        else:
-            crops = sliding_window_view(x.astype(np.float64), geo.width,
-                                        axis=-1)[..., ::geo.stride, :]
-            probs = forward_infer(
-                model, np.moveaxis(crops, 2, 1).reshape(-1, x.shape[1], geo.width), branch)
-        preds[lo:lo + len(x)] = probs.argmax(axis=1).reshape(len(x), geo.count)
-    return preds
+    _check_width(model, geo.width)
+    probs = forward_infer(model, trials.data[:, :, :geo.covered], branch, crop_stride=geo.stride)
+    return probs.argmax(axis=1).reshape(len(trials), geo.count)
 
 
 # ---------------------------------------------------------------------------

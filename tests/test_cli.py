@@ -311,6 +311,17 @@ class TestEvalAndReport:
         assert f"crop_accuracy={fields['test_crop_accuracy']}" in printed
         assert f"trial_accuracy={fields['test_trial_accuracy']}" in printed
 
+    def test_eval_refuses_a_window_that_is_not_the_models_input(self, data_dir, tmp_path,
+                                                                capsys):
+        run = tmp_path / "run"
+        self._train(data_dir, run)  # 1 s crops at 32 Hz: a 32-sample input
+        code = main(["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(data_dir),
+                     "--target", "S01", "--calib", "4", "--val", "4:8", "--test", "8:12",
+                     "--win", "0.75", "--overlap", "0.5", "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert "error: crops are 24 samples wide, but the model's input is 32 samples" \
+            in capsys.readouterr().err
+
     def test_eval_missing_checkpoint(self, data_dir, tmp_path, capsys):
         code = main(["eval", "--ckpt", str(tmp_path / "nope.ckpt"), "--data", str(data_dir),
                      "--target", "S01", "--out", str(tmp_path / "x")])

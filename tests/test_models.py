@@ -51,7 +51,7 @@ class TestBaselineBuild:
                              temporal_filters=4, temporal_kernel=7, pool_width=10,
                              pool_stride=5, dropout=0.0)
         model = build_baseline(cfg, seed=1)
-        probs = model.predict_proba(np.random.default_rng(0).normal(size=(5, 3, 60)))
+        probs = forward_infer(model, np.random.default_rng(0).normal(size=(5, 3, 60)))
         assert probs.shape == (5, 4)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
 
@@ -80,7 +80,7 @@ class TestBaselineBuild:
         assert type(cfg.pool_width) is type(cfg.n_channels) is int
         model = build_baseline(cfg, seed=0)
         x = np.random.default_rng(1).normal(size=(2, 2, 100))
-        assert model.predict_proba(x).shape == (2, 2)
+        assert forward_infer(model, x).shape == (2, 2)
         assert ad.conv_log_power(x, model.params["temporal.kernels"],
                                  model.params["spatial.weights"], cfg.pool_width,
                                  cfg.pool_stride).shape == (2, 3, cfg.pooled_out)
@@ -139,6 +139,17 @@ class TestForwardTrain:
         batch = self._batch(model, np.random.default_rng(0))
         del batch[1]
         with pytest.raises(ValueError, match="1"):
+            forward_train(model, batch)
+
+    @pytest.mark.parametrize("width", [99, 103])
+    def test_refuses_crops_of_another_width(self, width):
+        base = BaselineConfig(n_channels=2, n_samples=100, n_classes=2, temporal_filters=3)
+        model = build_scsn(ScsnConfig(base=base, n_subjects=2, target_index=0,
+                                      common_fc_dims=(4,), separate_fc_dims=(4, 4, 4)), seed=0)
+        rng = np.random.default_rng(0)
+        batch = {i: (rng.normal(size=(3, 2, width)), np.zeros(3, int)) for i in range(2)}
+        with pytest.raises(ValueError, match=f"crops are {width} samples wide, but the "
+                                             "model's input is 100 samples"):
             forward_train(model, batch)
 
     def test_thirty_per_branch_prediction_count(self):
@@ -215,6 +226,37 @@ class TestForwardInfer:
         model = build_scsn(tiny_scsn_cfg(), seed=0)
         with pytest.raises(ValueError):
             forward_infer(model, np.zeros((1, 2, 20)), 7)
+
+    @pytest.mark.parametrize("branch", [True, np.bool_(True), 1.0, "1"],
+                             ids=["bool", "numpy-bool", "float", "str"])
+    def test_refuses_a_non_integer_branch(self, branch):
+        model = build_scsn(tiny_scsn_cfg(), seed=0)
+        x = np.random.default_rng(1).normal(size=(2, 2, 20))
+        message = f"branch must be an integer, got {re.escape(repr(branch))}"
+        with pytest.raises(TypeError, match=message):
+            forward_infer(model, x, branch)
+        np.testing.assert_array_equal(forward_infer(model, x, np.int64(1)),
+                                      forward_infer(model, x, 1))
+
+    @pytest.mark.parametrize("kind", ["baseline", "scsn"])
+    @pytest.mark.parametrize("width", [99, 103])
+    def test_refuses_crops_of_another_width(self, kind, width):
+        base = BaselineConfig(n_channels=2, n_samples=100, n_classes=2, temporal_filters=3)
+        if kind == "baseline":
+            model = build_baseline(base, seed=0)
+        else:
+            model = build_scsn(ScsnConfig(base=base, n_subjects=2, target_index=0,
+                                          common_fc_dims=(4,), separate_fc_dims=(4, 4, 4)),
+                               seed=0)
+        with pytest.raises(ValueError, match=f"crops are {width} samples wide, but the "
+                                             "model's input is 100 samples"):
+            forward_infer(model, np.zeros((3, 2, width)), 1)
+
+    def test_crops_must_be_batched(self):
+        model = build_baseline(TINY, seed=0)
+        with pytest.raises(ValueError, match=re.escape("crops must be [crops, channels, "
+                                                       "n_samples]")):
+            forward_infer(model, np.zeros((2, TINY.n_samples)))
 
 
 class TestIsolation:
@@ -323,9 +365,11 @@ class TestDenseCropInference:
 
 
 class TestInferenceChunks:
-    """The shallow block runs over chunks of whole trials (or crops) whose
-    temporal-conv output stays within models._INFER_VALUES, at least one
-    trial each; the probabilities do not depend on the chunk size."""
+    """The head takes chunks of whole trials (or crops) of at most
+    models._INFER_CHUNK crops, at least one trial each. The shallow block
+    runs over chunks of those whose temporal-conv output stays within
+    models._INFER_VALUES, at least one trial each; the probabilities do not
+    depend on that chunk size."""
 
     BASE = BaselineConfig(n_channels=3, n_samples=60, n_classes=4, temporal_filters=4,
                           temporal_kernel=5, pool_width=10, pool_stride=4)
@@ -360,6 +404,40 @@ class TestInferenceChunks:
             chunks.clear()
             np.testing.assert_array_equal(forward_infer(model, x, branch, **dense), whole)
             assert chunks == sizes
+
+    @pytest.mark.parametrize("kind", ["baseline", "scsn"])
+    @pytest.mark.parametrize("shape, stride, per, sizes", [
+        pytest.param((600, 3, 60), None, 256, [256, 256, 88], id="crops"),
+        # 21 crops a trial: 12 trials a chunk
+        pytest.param((30, 3, 200), 7, 12, [252, 252, 126], id="trials"),
+        # 300 crops a trial: one trial a chunk
+        pytest.param((2, 3, 359), 1, 1, [300, 300], id="long-trials"),
+    ])
+    def test_head_takes_at_most_a_chunk_of_crops(self, monkeypatch, kind, shape, stride,
+                                                  per, sizes):
+        if kind == "baseline":
+            model, branch = build_baseline(self.BASE, seed=28), None
+        else:
+            model = build_scsn(ScsnConfig(base=self.BASE, n_subjects=2, target_index=0,
+                                          common_fc_dims=(8, 8, 8),
+                                          separate_fc_dims=(6, 6, 6)), seed=28)
+            branch = 1
+        x = np.random.default_rng(29).normal(size=shape).astype(np.float32)
+        heads = []
+        real_head = model._head
+
+        def spy(h, b):
+            heads.append(len(h.values))
+            return real_head(h, b)
+
+        monkeypatch.setattr(model, "_head", spy)
+        whole = forward_infer(model, x, branch, crop_stride=stride)
+        assert heads == sizes and len(whole) == sum(sizes)
+        assert max(sizes) <= models._INFER_CHUNK or per == 1
+        # more than _INFER_CHUNK crops are the per-chunk calls' rows, bit for bit
+        parts = [forward_infer(model, x[lo:lo + per], branch, crop_stride=stride)
+                 for lo in range(0, len(x), per)]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
 class TestCheckpoint:

@@ -26,10 +26,10 @@ from scsnet.models import (
     ScsnConfig,
     build_baseline,
     build_scsn,
+    forward_infer,
     forward_train,
 )
 from scsnet.training import (
-    _INFER_CHUNK,
     AdamState,
     ComparisonRow,
     TrainConfig,
@@ -600,8 +600,8 @@ class TestSeparableTask:
 
 
 class TestEvaluate:
-    def _const_model(self, n_classes=4):
-        cfg = BaselineConfig(n_channels=2, n_samples=64, n_classes=n_classes,
+    def _const_model(self, n_classes=4, n_samples=64):
+        cfg = BaselineConfig(n_channels=2, n_samples=n_samples, n_classes=n_classes,
                              temporal_filters=2, temporal_kernel=5, pool_width=6,
                              pool_stride=4, dropout=0.0)
         model = build_baseline(cfg, seed=0)
@@ -626,17 +626,18 @@ class TestEvaluate:
         crop_acc, trial_acc = evaluate(self._const_model(), None, test, 1.0, 0.5)
         assert crop_acc == trial_acc == 0.25
 
-    def test_uniform_random_predictor_near_chance(self):
-        class RandomModel:
-            def __init__(self):
-                self.rng = np.random.default_rng(42)
+    def test_uniform_random_predictor_near_chance(self, monkeypatch):
+        rng = np.random.default_rng(42)
 
-            def predict_proba(self, x, branch=None):
-                return self.rng.dirichlet(np.ones(4), size=len(x))
+        def random_probs(model, x, branch=None, crop_stride=None):
+            crops = (x.shape[-1] - model.cfg.n_samples) // crop_stride + 1
+            return rng.dirichlet(np.ones(4), size=len(x) * crops)
 
+        monkeypatch.setattr(training, "forward_infer", random_probs)
         test = self._test_set(list(np.random.default_rng(1).integers(4, size=100)),
                               fs=250.0, seconds=4.0)
-        crop_acc, _ = evaluate(RandomModel(), None, test, 2.0, 1.9)  # 2100 crops
+        model = self._const_model(n_samples=500)
+        crop_acc, _ = evaluate(model, None, test, 2.0, 1.9)  # 2100 crops
         assert abs(crop_acc - 0.25) <= 0.03
 
     def test_empty_test_rejected(self):
@@ -645,21 +646,26 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(self._const_model(), None, empty, 1.0, 0.5)
 
-    def test_tie_breaks_to_lowest_class(self):
-        class Alternating:
-            def __init__(self):
-                self.flip = 0
+    def test_tie_breaks_to_lowest_class(self, monkeypatch):
+        def alternating(model, x, branch=None, crop_stride=None):
+            out = np.zeros((2 * len(x), 4))  # 2 crops a trial
+            out[0::2, 2] = out[1::2, 3] = 1.0  # alternate classes 2 and 3
+            return out
 
-            def predict_proba(self, x, branch=None):
-                out = np.zeros((len(x), 4))
-                for i in range(len(x)):
-                    out[i, (self.flip + i) % 2 + 2] = 1.0  # alternate classes 2 and 3
-                return out
-
+        monkeypatch.setattr(training, "forward_infer", alternating)
         test = self._test_set([2, 2], fs=64.0, seconds=1.0)
-        crop_acc, trial_acc = evaluate(Alternating(), None, test, 0.5, 0.0)  # 2 crops/trial
+        crop_acc, trial_acc = evaluate(self._const_model(n_samples=32), None, test, 0.5, 0.0)
         assert crop_acc == 0.5
         assert trial_acc == 1.0  # ties (one vote each for 2 and 3) resolve to class 2
+
+    @pytest.mark.parametrize("win_s, overlap_s, width", [(1.04, 0.94, 104), (0.5, 0.4, 50),
+                                                         (2.0, 1.9, 200)])
+    def test_refuses_crops_of_another_width(self, win_s, overlap_s, width):
+        # a 100-sample model at 100 Hz takes 1 s crops only
+        test = self._test_set([0, 1, 2], fs=100.0, seconds=3.0)
+        with pytest.raises(ValueError, match=f"crops are {width} samples wide, but the "
+                                             "model's input is 100 samples"):
+            evaluate(self._const_model(n_samples=100), None, test, win_s, overlap_s)
 
 
 class TestDenseEvaluate:
@@ -681,21 +687,17 @@ class TestDenseEvaluate:
                         [f"k{i}" for i in range(4)])
 
     def test_matches_per_crop_predictions_across_chunks(self):
-        class CropsOnly:  # exposes predict_proba alone, so it is given crops
-            def __init__(self, model):
-                self.model = model
-
-            def predict_proba(self, x, branch=None):
-                return self.model.predict_proba(x, 1)
-
         model, test = self._model(), self._trials(30)
-        assert 30 * self.CROPS > _INFER_CHUNK
+        assert 30 * self.CROPS > models._INFER_CHUNK
         dense = _predict_crops(model, 1, test, self.WIN, self.OVERLAP)
-        crops = _predict_crops(CropsOnly(model), None, test, self.WIN, self.OVERLAP)
+        crops = crop_trialset(test, self.WIN, self.OVERLAP).data  # trial-major
+        per_crop = forward_infer(model, crops, 1).argmax(axis=1).reshape(30, self.CROPS)
         assert dense.shape == (30, self.CROPS)
-        np.testing.assert_array_equal(dense, crops)
+        np.testing.assert_array_equal(dense, per_crop)
+        labels = test.labels()
+        votes = np.array([np.bincount(v, minlength=4).argmax() for v in per_crop])
         assert evaluate(model, 1, test, self.WIN, self.OVERLAP) == \
-            evaluate(CropsOnly(model), None, test, self.WIN, self.OVERLAP)
+            (float(np.mean(per_crop == labels[:, None])), float(np.mean(votes == labels)))
 
     def test_one_temporal_conv_per_chunk_of_whole_trials(self, monkeypatch):
         shapes = []
@@ -708,7 +710,7 @@ class TestDenseEvaluate:
         monkeypatch.setattr(ad, "conv_time", spy)
         # a bound of 5 trials' temporal-conv output (4 filters, 3 channels)
         monkeypatch.setattr(models, "_INFER_VALUES", 5 * 4 * 3 * (self.COVERED - 5 + 1))
-        assert _INFER_CHUNK // self.CROPS == 12
+        assert models._INFER_CHUNK // self.CROPS == 12
         evaluate(self._model(), 0, self._trials(30), self.WIN, self.OVERLAP)
         # the head's chunks of 12, 12 and 6 trials, each cut at 5 trials
         assert shapes == [(n, 3, self.COVERED) for n in (5, 5, 2, 5, 5, 2, 5, 1)]
@@ -736,7 +738,7 @@ class TestDenseEvaluate:
         # past the shallow block only the head's values grow with the trials:
         # the pooled features, its dense layers' outputs and the logits
         head = base.feature_dim + sum(cfg.common_fc_dims) + sum(cfg.separate_fc_dims) + 4
-        assert 4 * 60 <= _INFER_CHUNK  # one head chunk either way
+        assert 4 * 60 <= models._INFER_CHUNK  # one head chunk either way
         assert peak(4 * 60) - peak(60) <= 3 * 60 * 8 * head
 
 
