@@ -4,8 +4,9 @@ Implements exactly the operation set the decoders in this package need:
 temporal and spatial convolutions, mean pooling, affine layers,
 square/log/tanh activations, dropout, a softmax cross-entropy head, and the
 convs, square, pool and log fused into one log-power op for training.
-Every op accepts either a single sample or a batch with one leading axis.
-No broadcasting beyond that, no GPU, no general-purpose graph surgery.
+Every op that has a sample axis takes a batch: its input has one leading
+axis, and a single sample is a batch of one. No broadcasting beyond that,
+no GPU, no general-purpose graph surgery.
 
 The log-power op takes its input as data, with no input gradient, in the
 input's own dtype. It also takes whole trials with per-crop onsets: crops
@@ -161,12 +162,10 @@ def make_node(values: np.ndarray, parents: Iterable[Tensor],
     return out
 
 
-def _with_batch(values: np.ndarray, expect_ndim: int) -> tuple[np.ndarray, bool]:
-    if values.ndim == expect_ndim:
-        return values[None], False
-    if values.ndim == expect_ndim + 1:
-        return values, True
-    raise ValueError(f"expected {expect_ndim}-d or {expect_ndim + 1}-d input, got {values.ndim}-d")
+def _check_batch(ndim: int, *axes: str) -> None:
+    """Refuse an input of `ndim` axes unless it is a batch with these axes."""
+    if ndim != len(axes):
+        raise ValueError(f"expected [{', '.join(axes)}] input, got {ndim}-d")
 
 
 def _scatter_windows(target: np.ndarray, windowed: np.ndarray, stride: int) -> None:
@@ -357,16 +356,16 @@ def conv_time(x, kernels, stride: int = 1) -> Tensor:
     """Valid 1-d convolution along the time axis, one kernel bank shared by
     all channels.
 
-    x: [channels, time] or [batch, channels, time]; kernels: [n_filters, k].
-    Output: [n_filters, channels, time'] (batched: leading batch axis) with
-    time' = floor((time - k) / stride) + 1.
+    x: [batch, channels, time]; kernels: [n_filters, k]. Output: [batch,
+    n_filters, channels, time'] with time' = floor((time - k) / stride) + 1.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
     if kernels.ndim != 2:
         raise ValueError("kernels must have shape [n_filters, k]")
     if not isinstance(stride, int) or stride < 1:
         raise ValueError("stride must be a positive integer")
-    xb, batched = _with_batch(x.values, 2)
+    _check_batch(x.ndim, "batch", "channels", "time")
+    xb = x.values
     f, k = kernels.values.shape
     b, c, t = xb.shape
     if k > t:
@@ -398,8 +397,7 @@ def conv_time(x, kernels, stride: int = 1) -> Tensor:
 
         _run_items(block, _column_bounds(c))
 
-    def backward(gout):
-        g = gout if batched else gout[None]
+    def backward(g):
         gk = gx = None
         if kernels.requires_grad:
             cols = np.empty((k, c, t_out))
@@ -410,23 +408,22 @@ def conv_time(x, kernels, stride: int = 1) -> Tensor:
             spread = np.tensordot(g, kernels.values, axes=([1], [0]))   # [B, C, T', k]
             gx = np.zeros_like(xb)
             _scatter_windows(gx, spread, stride)
-            if not batched:
-                gx = gx[0]
         return gx, gk
 
-    return make_node(out if batched else out[0], (x, kernels), backward)
+    return make_node(out, (x, kernels), backward)
 
 
 def conv_space(x, weights) -> Tensor:
     """Fully contract the (filter, channel) axes: spatial convolution.
 
-    x: [n_filters, channels, time] or batched; weights: [n_out, n_filters,
-    channels]. Output: [n_out, time] (batched: [batch, n_out, time]).
+    x: [batch, n_filters, channels, time]; weights: [n_out, n_filters,
+    channels]. Output: [batch, n_out, time].
     """
     x, weights = as_tensor(x), as_tensor(weights)
     if weights.ndim != 3:
         raise ValueError("weights must have shape [n_out, n_filters, channels]")
-    xb, batched = _with_batch(x.values, 3)
+    _check_batch(x.ndim, "batch", "n_filters", "channels", "time")
+    xb = x.values
     if weights.values.shape[1:] != xb.shape[1:3]:
         raise ValueError(
             f"weight extents {weights.values.shape[1:]} do not match input "
@@ -446,8 +443,7 @@ def conv_space(x, weights) -> Tensor:
 
             _run_items(block, _column_bounds(t, 8))
 
-    def backward(gout):
-        g = gout if batched else gout[None]
+    def backward(g):
         gw = gx = None
         if weights.requires_grad:
             gw = np.zeros((o, f * c))
@@ -459,11 +455,9 @@ def conv_space(x, weights) -> Tensor:
             # [B, F, C, T'] view of its [F, C, B, T'] result
             gx = (w2.T @ g.transpose(1, 0, 2).reshape(o, b * t)
                   ).reshape(f, c, b, t).transpose(2, 0, 1, 3)
-            if not batched:
-                gx = gx[0]
         return gx, gw
 
-    return make_node(out if batched else out[0], (x, weights), backward)
+    return make_node(out, (x, weights), backward)
 
 
 def _check_crops(crops, sets: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, int]:
@@ -494,9 +488,9 @@ def _check_crops(crops, sets: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.nd
 
 def _log_power_input(x, kernels, weights, crops, pool_width, pool_stride) -> tuple:
     """One branch of conv_log_power, checked in the five-op chain's order
-    and with its messages: (x as a tuple of [N, C, T] arrays, batched,
-    trial, onset, crop width, kernels, weights), trials numbered across the
-    arrays in order."""
+    and with its messages: (x as a tuple of [N, C, T] arrays, trial, onset,
+    crop width, kernels, weights), trials numbered across the arrays in
+    order."""
     if isinstance(x, Tensor):
         if x.requires_grad:
             raise ValueError("conv_log_power has no input gradient: pass x as data")
@@ -505,12 +499,12 @@ def _log_power_input(x, kernels, weights, crops, pool_width, pool_stride) -> tup
     if kernels.ndim != 2:
         raise ValueError("kernels must have shape [n_filters, k]")
     if crops is None:
-        xb, batched = _with_batch(np.asarray(x), 2)
-        sets, b, width = (xb,), len(xb), xb.shape[-1]
+        x = np.asarray(x)
+        _check_batch(x.ndim, "batch", "channels", "time")
+        sets, b, width = (x,), len(x), x.shape[-1]
         trial, onset = np.arange(b), np.zeros(b, dtype=np.intp)
     else:
         sets = (x,) if isinstance(x, np.ndarray) else tuple(map(np.asarray, x))
-        batched = True
         trial, onset, width = _check_crops(crops, sets)
     f, k = kernels.values.shape
     if k > width:
@@ -523,7 +517,7 @@ def _log_power_input(x, kernels, weights, crops, pool_width, pool_stride) -> tup
             f"weight extents {weights.values.shape[1:]} do not match input "
             f"filter/channel extents {(f, c)}")
     _check_pool(pool_width, pool_stride, width - k + 1)
-    return sets, batched, trial, onset, width, kernels, weights
+    return sets, trial, onset, width, kernels, weights
 
 
 def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
@@ -543,7 +537,8 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
     float64 cast, bit for bit). The op has no input gradient, so a Tensor
     that requires one is refused.
 
-    By default each row of x is one crop. Given `crops` = (trial, onset,
+    By default x is a batch of crops [crops, channels, time], each row one
+    crop. Given `crops` = (trial, onset,
     width), x holds whole trials [trials, channels, samples], or a sequence
     of such arrays with the same channels, each in its own dtype and of its
     own length, read in place: trials are numbered across the arrays in
@@ -576,24 +571,22 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
     within each item, then over the items in order, each item's partial
     added as soon as the items before it are in. The crops alone fix the
     items, so every result is the same to the bit at any worker count.
-    Shapes and input checks are the chain's: x [channels, time] or batched,
-    kernels [n_filters, k], weights [n_out, n_filters, channels]; output
-    [n_out, pooled] (batched: [crops, n_out, pooled]) with pooled =
+    Shapes and input checks are the chain's: kernels [n_filters, k], weights
+    [n_out, n_filters, channels]; output [crops, n_out, pooled] with pooled =
     floor((width - k + 1 - pool_width) / pool_stride) + 1, width being the
     crop width (by default the time extent).
     """
     return conv_log_power_branches([(x, kernels, weights, crops)], pool_width, pool_stride)[0]
 
 
-def _rows(x: Tensor, key) -> Tensor:
-    """x.values[key] (a slice of rows, or one row) as a view; the gradient
-    is zero outside it."""
+def _rows(x: Tensor, rows: slice) -> Tensor:
+    """x.values[rows] as a view; the gradient is zero outside it."""
     def backward(gout):
         gx = np.zeros_like(x.values)
-        gx[key] = gout
+        gx[rows] = gout
         return (gx,)
 
-    return make_node(x.values[key], (x,), backward)
+    return make_node(x.values[rows], (x,), backward)
 
 
 def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
@@ -635,7 +628,7 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
     segs: list[tuple[int, np.ndarray, int, int, int, int]] = []
     bounds: list[tuple[int, int]] = []
     w_eff, row_at = [], [0]
-    for br, (sets, _, trial, onset, _, kern, wts) in enumerate(inputs):
+    for br, (sets, trial, onset, _, kern, wts) in enumerate(inputs):
         # segments: runs of the branch's crops, sorted by (trial, onset),
         # that overlap or touch
         order = np.lexsort((onset, trial))
@@ -788,68 +781,66 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
                 grads[2 * br + 1] = (ge @ kern.values.T).transpose(0, 2, 1)
         return grads
 
-    parents = [t for *_, kern, wts in inputs for t in (kern, wts)]
+    node = make_node(out, [t for *_, kern, wts in inputs for t in (kern, wts)], backward)
     if len(inputs) == 1:
-        return [make_node(out if inputs[0][1] else out[0], parents, backward)]
-    node = make_node(out, parents, backward)
-    return [_rows(node, slice(a, z) if batched else a)
-            for (_, batched, *_), a, z in zip(inputs, row_at, row_at[1:])]
+        return [node]
+    return [_rows(node, slice(a, z)) for a, z in zip(row_at, row_at[1:])]
 
 
 def mean_pool(x, width: int, stride: int) -> Tensor:
     """Mean over sliding windows along the last axis.
 
-    x: [features, time] or batched. Output time' = floor((time - width) /
-    stride) + 1. The windows start on multiples of g = gcd(width, stride).
+    x: [batch, features, time]. Output: [batch, features, time'] with time' =
+    floor((time - width) / stride) + 1. The windows start on multiples of g = gcd(width, stride).
     The sums of every window on that grid come from blocks of g samples
     (`_window_sums`), and the output takes every (stride / g)-th and
     divides by width. Within 1e-12 relative of each window's own mean. The
     gradient is gout @ P, P being the [time', time] pooling matrix.
     """
     x = as_tensor(x)
-    xb, batched = _with_batch(x.values, 2)
-    _check_pool(width, stride, xb.shape[-1])
+    _check_batch(x.ndim, "batch", "features", "time")
+    _check_pool(width, stride, x.shape[-1])
 
     g = math.gcd(width, stride)
-    out = _window_sums(xb, width, g)[..., ::stride // g] / width
+    out = _window_sums(x.values, width, g)[..., ::stride // g] / width
     n_out = out.shape[-1]
 
     def backward(gout):
-        pool = _pool_matrix(n_out, xb.shape[-1], width, stride)
+        pool = _pool_matrix(n_out, x.shape[-1], width, stride)
         gx = (gout.reshape(-1, n_out) @ pool).reshape(x.shape)
         return (gx,)
 
-    return make_node(out if batched else out[0], (x,), backward)
+    return make_node(out, (x,), backward)
 
 
 def dense(x, weights, bias) -> Tensor:
-    """Affine map: weights @ x + bias, batched over a leading axis if present."""
+    """Affine map of each row: weights @ x[i] + bias.
+
+    x: [batch, n]; weights: [m, n]; bias: [m]. Output: [batch, m].
+    """
     x, weights, bias = as_tensor(x), as_tensor(weights), as_tensor(bias)
     if weights.ndim != 2 or bias.ndim != 1:
         raise ValueError("weights must be [m, n] and bias [m]")
-    xb, batched = _with_batch(x.values, 1)
+    _check_batch(x.ndim, "batch", "features")
     m, n = weights.values.shape
-    if xb.shape[-1] != n or bias.values.shape[0] != m:
+    if x.shape[-1] != n or bias.values.shape[0] != m:
         raise ValueError(
-            f"extent mismatch: input {xb.shape[-1]}, weights {weights.values.shape}, "
+            f"extent mismatch: input {x.shape[-1]}, weights {weights.values.shape}, "
             f"bias {bias.values.shape}")
 
-    out = xb @ weights.values.T + bias.values
+    out = x.values @ weights.values.T + bias.values
 
-    def backward(gout):
-        g = gout if batched else gout[None]
+    def backward(g):
         gx = gw = gb = None
         if x.requires_grad:
             gx = g @ weights.values
-            if not batched:
-                gx = gx[0]
         if weights.requires_grad:
-            gw = g.T @ xb
+            gw = g.T @ x.values
         if bias.requires_grad:
             gb = g.sum(axis=0)
         return gx, gw, gb
 
-    return make_node(out if batched else out[0], (x, weights, bias), backward)
+    return make_node(out, (x, weights, bias), backward)
 
 
 def square(x) -> Tensor:
@@ -928,11 +919,8 @@ def take_rows(x, idx) -> Tensor:
 
 
 def add(a, b) -> Tensor:
-    """Elementwise sum of two same-shape tensors, or tensor + python scalar."""
-    a = as_tensor(a)
-    if isinstance(b, (int, float)):
-        return make_node(a.values + float(b), (a,), lambda g: (g,))
-    b = as_tensor(b)
+    """Elementwise sum of two same-shape tensors."""
+    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch in add: {a.shape} vs {b.shape}")
     return make_node(a.values + b.values, (a, b), lambda g: (g, g))
@@ -968,24 +956,17 @@ def tsum(x) -> Tensor:
 
 
 def softmax_xent(logits, labels) -> tuple[Tensor, np.ndarray]:
-    """Stabilized softmax + cross-entropy.
+    """Stabilized softmax + cross-entropy, the mean over a batch.
 
-    1-d logits with an integer label give the single-sample loss; 2-d logits
-    with a label vector give the batch-mean loss. Returns (loss, probabilities).
+    logits: [batch, classes]; labels: [batch] integers. Returns (loss,
+    probabilities [batch, classes]).
     """
     logits = as_tensor(logits)
-    if logits.ndim == 1:
-        batched = False
-        z = logits.values[None]
-        labels_arr = np.asarray([labels], dtype=np.intp)
-    elif logits.ndim == 2:
-        batched = True
-        z = logits.values
-        labels_arr = np.asarray(labels, dtype=np.intp)
-        if labels_arr.shape != (z.shape[0],):
-            raise ValueError("labels must align with the batch axis")
-    else:
-        raise ValueError("logits must be 1-d or 2-d")
+    _check_batch(logits.ndim, "batch", "classes")
+    z = logits.values
+    labels_arr = np.asarray(labels, dtype=np.intp)
+    if labels_arr.shape != (z.shape[0],):
+        raise ValueError("labels must align with the batch axis")
     n_classes = z.shape[1]
     if n_classes < 2:
         raise ValueError("softmax_xent needs at least 2 classes")
@@ -998,18 +979,15 @@ def softmax_xent(logits, labels) -> tuple[Tensor, np.ndarray]:
     probs = exp / total
     rows = np.arange(z.shape[0])
     nll = np.log(total[:, 0]) - shifted[rows, labels_arr]
-    loss_value = nll.mean() if batched else nll[0]
 
     def backward(gout):
         d = probs.copy()
         d[rows, labels_arr] -= 1.0
-        if batched:
-            d /= z.shape[0]
-        g = d * float(gout)
-        return (g if batched else g[0],)
+        d /= z.shape[0]
+        return (d * float(gout),)
 
-    loss = make_node(np.asarray(loss_value), (logits,), backward)
-    return loss, (probs if batched else probs[0]).copy()
+    loss = make_node(np.asarray(nll.mean()), (logits,), backward)
+    return loss, probs.copy()
 
 
 def grad_check(fn: Callable[[], Tensor], wrt: Sequence[Tensor], eps: float = 1e-5) -> float:

@@ -201,19 +201,29 @@ def _discover_containers(data_dir: Path) -> list[Path]:
 def _load_subject_datasets(data_dir: Path
                            ) -> tuple[list[SubjectDataset], list[tuple[Path, str]]]:
     """Group <subject>_s<k>.tsc files into per-subject session lists; also
-    each file with the digest of the bytes it was loaded from."""
+    each file with the digest of the bytes it was loaded from. Each
+    subject's session numbers must be 1..n, each given once."""
     files = _discover_containers(data_dir)
-    grouped: dict[str, list[tuple[int, Path]]] = {}
+    grouped: dict[str, dict[int, Path]] = {}
     for path in files:
         stem = path.name[:-len(CONTAINER_SUFFIX)]
         subject, sep, session = stem.rpartition("_s")
         if not sep or not session.isdigit():
             raise ValueError(f"container name {path.name!r} is not <subject>_s<k>{CONTAINER_SUFFIX}")
-        grouped.setdefault(subject, []).append((int(session), path))
+        numbered, k = grouped.setdefault(subject, {}), int(session)
+        if k in numbered:
+            raise ValueError(f"containers {numbered[k].name!r} and {path.name!r} are both "
+                             f"session {k} of subject {subject!r}")
+        numbered[k] = path
     datasets, inputs = [], {}
     for subject in sorted(grouped):
+        numbered = grouped[subject]
+        missing = min(set(range(1, len(numbered) + 1)) - numbered.keys(), default=None)
+        if missing is not None:
+            raise ValueError(f"subject {subject!r} has no session {missing}: sessions must "
+                             f"be numbered 1..{len(numbered)}")
         sessions = []
-        for _, path in sorted(grouped[subject]):
+        for _, path in sorted(numbered.items()):
             session, inputs[path] = _load_input(load_trialset, path)
             sessions.append(session)
         datasets.append(SubjectDataset(subject, sessions))

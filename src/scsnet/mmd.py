@@ -28,8 +28,6 @@ LAYER_WEIGHTS = (1.0 / 6.0, 1.0 / 3.0, 1.0 / 2.0)
 
 def _rows(x, side: str) -> np.ndarray:
     v = x.values if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if v.ndim == 1:
-        v = v[None]
     if v.ndim != 2:
         raise ValueError(f"{side} feature set must be 2-d (rows are samples)")
     if not np.isfinite(v).all():
@@ -96,11 +94,11 @@ def mmd2_biased(x, y, sigma2: float | None = None) -> Tensor:
             #        + (2/mn s2)  sum_j Kxy[i,j](x_i - y_j)
             gx = (k_xx @ xv - k_xx.sum(axis=1)[:, None] * xv) * (2.0 / (m * m * sigma2))
             gx += (k_xy.sum(axis=1)[:, None] * xv - k_xy @ yv) * (2.0 / (m * n * sigma2))
-            gx = gx.reshape(x.shape) * g
+            gx *= g
         if y.requires_grad:
             gy = (k_yy @ yv - k_yy.sum(axis=1)[:, None] * yv) * (2.0 / (n * n * sigma2))
             gy += (k_xy.T.sum(axis=1)[:, None] * yv - k_xy.T @ xv) * (2.0 / (m * n * sigma2))
-            gy = gy.reshape(y.shape) * g
+            gy *= g
         return gx, gy
 
     return make_node(np.asarray(value), (x, y), backward)

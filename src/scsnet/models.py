@@ -199,33 +199,30 @@ def _init_dense_chain(params: ModelParams, rng, prefix: str, group: str,
 
 
 def _shallow_forward(x: np.ndarray, params: ModelParams, cfg: BaselineConfig, prefix: str,
-                     crop_stride: int | None) -> ad.Tensor:
-    """Inference-mode pooled log-power features of crops [crops, channels,
-    n_samples], one flat row per crop (dropout is the identity here).
+                     crop_stride: int) -> ad.Tensor:
+    """Inference-mode pooled log-power features of whole trials [trials,
+    channels, samples]: of every crop of every trial (n_samples wide, one
+    every crop_stride samples), one flat row per crop, trial-major (dropout
+    is the identity here). Conv and square act locally in time, so each
+    trial's covered span runs through them once; pooling at the stride g =
+    gcd(crop_stride, pool_stride) then yields every pooling window of every
+    crop, and the crop read-out is a gather. A trial of one crop pools at
+    the pool stride, with no gather. Training runs `forward_train` instead.
 
-    Given `crop_stride`, x holds whole trials [trials, channels, samples]
-    instead, and the result holds the features of every crop of every trial
-    (n_samples wide, one every crop_stride samples), trial-major. Conv and
-    square act locally in time, so each trial's covered span runs through
-    them once; pooling at the stride g = gcd(crop_stride, pool_stride) then
-    yields every pooling window of every crop, and the crop read-out is a
-    gather. Training runs `forward_train` instead.
-
-    The shallow block runs over consecutive chunks of whole trials (or
-    crops), each as large as keeps its temporal-conv output within
-    _INFER_VALUES float64 values, and at least one trial. Every op of it acts
-    on each sample alone, so the features are the same to the bit at any
-    chunk size; only each chunk's pooled rows outlive its pass.
+    The shallow block runs over consecutive chunks of whole trials, each as
+    large as keeps its temporal-conv output within _INFER_VALUES float64
+    values, and at least one trial. Every op of it acts on each sample
+    alone, so the features are the same to the bit at any chunk size; only
+    each chunk's pooled rows outlive its pass.
     """
     step, windows = cfg.pool_stride, None
-    if crop_stride is not None:
-        geo = CropGeometry.of(x.shape[-1], cfg.n_samples, crop_stride)
-        x = x[..., :geo.covered]
-        if geo.count > 1:  # a single crop pools exactly as the per-crop path
-            step = math.gcd(crop_stride, cfg.pool_stride)
-            # crop j's m-th window starts at j * crop_stride + m * pool_stride
-            windows = (np.arange(geo.count)[:, None] * crop_stride
-                       + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
+    geo = CropGeometry.of(x.shape[-1], cfg.n_samples, crop_stride)
+    x = x[..., :geo.covered]
+    if geo.count > 1:
+        step = math.gcd(crop_stride, cfg.pool_stride)
+        # crop j's m-th window starts at j * crop_stride + m * pool_stride
+        windows = (np.arange(geo.count)[:, None] * crop_stride
+                   + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
     kernels, weights = params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"]
 
     def log_power(chunk: np.ndarray) -> np.ndarray:
@@ -404,18 +401,20 @@ def forward_infer(model, x, branch: int | None = None,
     both models. SCSN models use only the requested branch, an integer; the
     baseline ignores the branch argument.
 
-    x holds crops [crops, channels, n_samples]. Given `crop_stride`, it holds
-    whole trials [trials, channels, samples] instead, and the rows are the
-    probabilities of each trial's crops (n_samples wide, one every
-    crop_stride samples), trial-major, from one shallow pass per trial.
+    Given `crop_stride`, a positive integer, x holds whole trials [trials,
+    channels, samples], and the rows are the probabilities of each trial's
+    crops (n_samples wide, one every crop_stride samples), trial-major, from
+    one shallow pass per trial. Without it, x holds crops [crops, channels,
+    n_samples], which run as whole trials of one crop each. Input rows
+    (trials or crops) that hold a non-finite sample are refused, by index.
 
-    The head runs over consecutive chunks of whole trials (or crops): at
-    most _INFER_CHUNK crops, and at least one trial; `_shallow_forward` cuts
-    each chunk further to bound its temporal-conv output. Each row is its
-    crop's own softmax, but the head's matmuls may round differently at
-    another batch size: over more than _INFER_CHUNK crops the probabilities
-    are those of the per-chunk calls, and can differ in the last bits from
-    one head call over every crop.
+    The head runs over consecutive chunks of whole trials: at most
+    _INFER_CHUNK crops, and at least one trial; `_shallow_forward` cuts each
+    chunk further to bound its temporal-conv output. Each row is its crop's
+    own softmax, but the head's matmuls may round differently at another
+    batch size: over more than _INFER_CHUNK crops the probabilities are
+    those of the per-chunk calls, and can differ in the last bits from one
+    head call over every crop.
     """
     base, prefixes = _branches(model)
     if isinstance(model, ScsnModel):
@@ -427,23 +426,31 @@ def forward_infer(model, x, branch: int | None = None,
     else:
         branch = 0
     x = np.asarray(x)
+    row = "crop" if crop_stride is None else "trial"
     if x.ndim != 3:
         raise ValueError("crops must be [crops, channels, n_samples]" if crop_stride is None
                          else "whole-trial input must be [trials, channels, samples]")
     if crop_stride is None:
         _check_width(model, x.shape[-1])
-        per = _INFER_CHUNK
+        crop_stride = 1
     else:
-        per = max(1, _INFER_CHUNK // CropGeometry.of(x.shape[-1], base.n_samples,
-                                                     crop_stride).count)
+        crop_stride = _as_int("crop_stride", crop_stride)
+        if crop_stride < 1:
+            raise ValueError(f"crop_stride must be a positive integer, got {crop_stride}")
+    per = max(1, _INFER_CHUNK // CropGeometry.of(x.shape[-1], base.n_samples,
+                                                 crop_stride).count)
 
-    def probs(chunk: np.ndarray) -> np.ndarray:
+    def probs(lo: int) -> np.ndarray:
         # the chunk's features and graph are freed before the next chunk
+        chunk = x[lo:lo + per]
+        finite = np.isfinite(chunk).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"{row} {lo + int(finite.argmin())} holds non-finite samples")
         h = _shallow_forward(chunk, model.params, base, prefixes[branch], crop_stride)
         return _softmax_probs(model._head(h, branch)[0].values)
 
     # an empty batch still runs one (empty) chunk, for the output's shape
-    return np.concatenate([probs(x[lo:lo + per]) for lo in range(0, max(len(x), 1), per)])
+    return np.concatenate([probs(lo) for lo in range(0, max(len(x), 1), per)])
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +529,16 @@ def load_checkpoint(path, *, blob: bytes | None = None):
                 raise ValueError(f"{path}: field {name}={fields[name]!r} does not parse") from None
         return values
 
-    base = BaselineConfig(**read(_BASE_FIELDS))
-    if fields.get("kind") == "baseline":
-        model = build_baseline(base, seed=0)
-    elif fields.get("kind") == "scsn":
-        model = build_scsn(ScsnConfig(base=base, **read(_SCSN_FIELDS)), seed=0)
-    else:
-        raise ValueError(f"{path}: unknown model kind {fields.get('kind')!r}")
+    base, kind = read(_BASE_FIELDS), fields.get("kind")
+    if kind not in ("baseline", "scsn"):
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    scsn = read(_SCSN_FIELDS) if kind == "scsn" else None
+    try:  # a field the config refuses
+        cfg = BaselineConfig(**base)
+        model = (build_baseline(cfg, seed=0) if scsn is None
+                 else build_scsn(ScsnConfig(base=cfg, **scsn), seed=0))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
     for name, tensor in model.params.items():
         line = _block_line(model.params, name)

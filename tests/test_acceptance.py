@@ -36,18 +36,18 @@ def criterion(number, description):
 
 def _layer_op_cases(rng):
     """(name, loss_builder, wrt) factories over fresh random instances."""
-    x2 = ad.Tensor(rng.normal(size=(2, 12)), requires_grad=True)
+    x2 = ad.Tensor(rng.normal(size=(1, 2, 12)), requires_grad=True)
     k = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     yield "conv_time", (lambda: ad.tsum(ad.square(ad.conv_time(x2, k, 2)))), [x2, k]
 
-    x3 = ad.Tensor(rng.normal(size=(3, 2, 5)), requires_grad=True)
+    x3 = ad.Tensor(rng.normal(size=(1, 3, 2, 5)), requires_grad=True)
     w3 = ad.Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
     yield "conv_space", (lambda: ad.tsum(ad.square(ad.conv_space(x3, w3)))), [x3, w3]
 
-    xp = ad.Tensor(rng.normal(size=(2, 9)), requires_grad=True)
+    xp = ad.Tensor(rng.normal(size=(1, 2, 9)), requires_grad=True)
     yield "mean_pool", (lambda: ad.tsum(ad.square(ad.mean_pool(xp, 3, 2)))), [xp]
 
-    xd = ad.Tensor(rng.normal(size=5), requires_grad=True)
+    xd = ad.Tensor(rng.normal(size=(1, 5)), requires_grad=True)
     wd = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     bd = ad.Tensor(rng.normal(size=3), requires_grad=True)
     yield "dense", (lambda: ad.tsum(ad.square(ad.dense(xd, wd, bd)))), [xd, wd, bd]

@@ -73,20 +73,20 @@ def einsum_conv_space(xb, w, g):
 
 class TestConvTime:
     def test_identity_kernel(self):
-        out = ad.conv_time(np.array([[1., 2., 3., 4., 5.]]), np.array([[1.]]), 1)
-        np.testing.assert_array_equal(out.values, [[[1, 2, 3, 4, 5]]])
+        out = ad.conv_time(np.array([[[1., 2., 3., 4., 5.]]]), np.array([[1.]]), 1)
+        np.testing.assert_array_equal(out.values, [[[[1, 2, 3, 4, 5]]]])
 
     def test_difference_kernel(self):
-        out = ad.conv_time(np.array([[1., 2., 3., 4.]]), np.array([[1., -1.]]), 1)
-        np.testing.assert_allclose(out.values, [[[-1., -1., -1.]]])
+        out = ad.conv_time(np.array([[[1., 2., 3., 4.]]]), np.array([[1., -1.]]), 1)
+        np.testing.assert_allclose(out.values, [[[[-1., -1., -1.]]]])
 
     def test_stride_shape(self):
-        out = ad.conv_time(np.zeros((1, 5)), np.zeros((1, 3)), 2)
-        assert out.shape == (1, 1, 2)
+        out = ad.conv_time(np.zeros((1, 1, 5)), np.zeros((1, 3)), 2)
+        assert out.shape == (1, 1, 1, 2)
 
     def test_kernel_longer_than_signal(self):
-        with pytest.raises(ValueError):
-            ad.conv_time(np.zeros((2, 4)), np.zeros((1, 5)), 1)
+        with pytest.raises(ValueError, match="kernel length 5 exceeds signal length 4"):
+            ad.conv_time(np.zeros((1, 2, 4)), np.zeros((1, 5)), 1)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
@@ -95,10 +95,10 @@ class TestConvTime:
             k = rng.integers(1, t + 1)
             s = rng.integers(1, 4)
             f = rng.integers(1, 4)
-            x = rng.normal(size=(c, t))
+            x = rng.normal(size=(1, c, t))
             kern = rng.normal(size=(f, k))
             got = ad.conv_time(x, kern, int(s)).values
-            np.testing.assert_allclose(got, naive_conv_time(x, kern, int(s)), atol=1e-12)
+            np.testing.assert_allclose(got[0], naive_conv_time(x[0], kern, int(s)), atol=1e-12)
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(1)
@@ -106,30 +106,28 @@ class TestConvTime:
         kern = rng.normal(size=(4, 3))
         batched = ad.conv_time(x, kern, 2).values
         for b in range(3):
-            single = ad.conv_time(x[b], kern, 2).values
-            np.testing.assert_array_equal(batched[b], single)
+            single = ad.conv_time(x[b:b + 1], kern, 2).values
+            np.testing.assert_array_equal(batched[b:b + 1], single)
 
-    @given(batch=st.none() | st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
+    @given(batch=st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
            k=st.integers(1, 8), stride=st.integers(1, 4), n_out=st.integers(1, 8),
            slack=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
     @example(batch=2, c=3, f=2, k=5, stride=3, n_out=4, slack=2, seed=0)     # stride > 1
     @example(batch=2, c=2, f=3, k=7, stride=1, n_out=1, slack=0, seed=1)     # k = T
-    @example(batch=None, c=3, f=2, k=4, stride=2, n_out=5, slack=1, seed=2)  # unbatched
+    @example(batch=1, c=3, f=2, k=4, stride=2, n_out=5, slack=1, seed=2)     # batch 1, stride 2
     @example(batch=1, c=4, f=3, k=6, stride=1, n_out=6, slack=0, seed=3)     # batch 1
     @settings(max_examples=100, deadline=None)
     def test_matches_tensordot_formulas(self, batch, c, f, k, stride, n_out, slack, seed):
         rng = np.random.default_rng(seed)
-        lead = () if batch is None else (batch,)
-        x = ad.Tensor(rng.normal(size=(*lead, c, (n_out - 1) * stride + k + slack)),
+        x = ad.Tensor(rng.normal(size=(batch, c, (n_out - 1) * stride + k + slack)),
                       requires_grad=True)
         kern = ad.Tensor(rng.normal(size=(f, k)), requires_grad=True)
         out = ad.conv_time(x, kern, stride)
         gout = rng.normal(size=out.shape)
         got = (out.values, *out._backward(gout))
-        want = tensordot_conv_time(x.values.reshape(-1, c, x.shape[-1]), kern.values, stride,
-                                   gout.reshape(-1, *out.shape[-3:]))
+        want = tensordot_conv_time(x.values, kern.values, stride, gout)
         for g, w in zip(got, want):
-            assert_rel_close(g, w.reshape(g.shape))
+            assert_rel_close(g, w)
 
     def test_peak_memory_is_output_plus_one_column_buffer(self):
         # the forward writes each sample's matmul into the output and stages
@@ -156,36 +154,37 @@ class TestConvTime:
     def test_shape_law(self, t, k, s):
         if k > t:
             with pytest.raises(ValueError):
-                ad.conv_time(np.zeros((1, t)), np.zeros((2, k)), s)
+                ad.conv_time(np.zeros((1, 1, t)), np.zeros((2, k)), s)
         else:
-            out = ad.conv_time(np.zeros((1, t)), np.zeros((2, k)), s)
-            assert out.shape == (2, 1, (t - k) // s + 1)
+            out = ad.conv_time(np.zeros((1, 1, t)), np.zeros((2, k)), s)
+            assert out.shape == (1, 2, 1, (t - k) // s + 1)
 
 
 class TestConvSpace:
     def test_zero_weights(self):
-        out = ad.conv_space(np.ones((2, 3, 4)), np.zeros((1, 2, 3)))
-        np.testing.assert_array_equal(out.values, np.zeros((1, 4)))
+        out = ad.conv_space(np.ones((1, 2, 3, 4)), np.zeros((1, 2, 3)))
+        np.testing.assert_array_equal(out.values, np.zeros((1, 1, 4)))
 
     def test_per_timepoint_weighted_sum(self):
-        x = np.array([[[1., 1., 1.], [2., 2., 2.]]])  # 1 filter, 2 channels, 3 samples
+        x = np.array([[[[1., 1., 1.], [2., 2., 2.]]]])  # 1 filter, 2 channels, 3 samples
         w = np.array([[[1., 1.]]])
         out = ad.conv_space(x, w)
-        np.testing.assert_allclose(out.values, [[3., 3., 3.]])
+        np.testing.assert_allclose(out.values, [[[3., 3., 3.]]])
 
     def test_leading_extent(self):
-        out = ad.conv_space(np.zeros((2, 3, 5)), np.zeros((4, 2, 3)))
-        assert out.shape == (4, 5)
+        out = ad.conv_space(np.zeros((1, 2, 3, 5)), np.zeros((4, 2, 3)))
+        assert out.shape == (1, 4, 5)
 
     def test_channel_mismatch(self):
-        with pytest.raises(ValueError):
-            ad.conv_space(np.zeros((2, 3, 5)), np.zeros((4, 2, 2)))
+        with pytest.raises(ValueError, match="do not match"):
+            ad.conv_space(np.zeros((1, 2, 3, 5)), np.zeros((4, 2, 2)))
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(3, 4, 6))
+        x = rng.normal(size=(1, 3, 4, 6))
         w = rng.normal(size=(2, 3, 4))
-        np.testing.assert_allclose(ad.conv_space(x, w).values, naive_conv_space(x, w), atol=1e-12)
+        np.testing.assert_allclose(ad.conv_space(x, w).values[0], naive_conv_space(x[0], w),
+                                   atol=1e-12)
 
     def test_batched_matches_per_sample(self):
         # a one-trial decode and a whole-set evaluate chunk run the same
@@ -195,26 +194,23 @@ class TestConvSpace:
         w = rng.normal(size=(2, 4, 5))
         batched = ad.conv_space(x, w).values
         for b in range(3):
-            single = ad.conv_space(x[b], w).values
-            np.testing.assert_array_equal(batched[b], single)
+            single = ad.conv_space(x[b:b + 1], w).values
+            np.testing.assert_array_equal(batched[b:b + 1], single)
 
-    @given(batch=st.none() | st.integers(1, 3), f=st.integers(1, 5), c=st.integers(1, 5),
+    @given(batch=st.integers(1, 3), f=st.integers(1, 5), c=st.integers(1, 5),
            o=st.integers(1, 5), t=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
-    @example(batch=None, f=3, c=4, o=2, t=6, seed=0)  # unbatched
-    @example(batch=1, f=4, c=2, o=3, t=9, seed=1)     # batch 1
+    @example(batch=1, f=3, c=4, o=2, t=6, seed=0)     # batch 1
+    @example(batch=1, f=4, c=2, o=3, t=9, seed=1)
     @settings(max_examples=100, deadline=None)
     def test_matches_einsum_formulas(self, batch, f, c, o, t, seed):
         rng = np.random.default_rng(seed)
-        lead = () if batch is None else (batch,)
-        x = ad.Tensor(rng.normal(size=(*lead, f, c, t)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(batch, f, c, t)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(o, f, c)), requires_grad=True)
         out = ad.conv_space(x, w)
         gout = rng.normal(size=out.shape)
         got = (out.values, *out._backward(gout))
-        want = einsum_conv_space(x.values.reshape(-1, f, c, t), w.values,
-                                 gout.reshape(-1, o, t))
-        for g, v in zip(got, want):
-            assert_rel_close(g, v.reshape(g.shape))
+        for g, v in zip(got, einsum_conv_space(x.values, w.values, gout)):
+            assert_rel_close(g, v)
 
 
 class TestConvColumnBlocks:
@@ -248,16 +244,15 @@ class TestConvColumnBlocks:
         return (rng.normal(size=(1, c, samples or t)), rng.normal(size=(f, k)),
                 rng.normal(size=(f, f, c)))
 
-    @given(batch=st.none() | st.integers(1, 3), c=st.integers(1, 9), t_out=st.integers(1, 40),
+    @given(batch=st.integers(1, 3), c=st.integers(1, 9), t_out=st.integers(1, 40),
            f=st.integers(1, 5), k=st.integers(1, 7), o=st.integers(1, 4),
            seed=st.integers(0, 2 ** 16))
     @example(batch=2, c=9, t_out=17, f=3, k=5, o=2, seed=0)   # ragged channel and column blocks
-    @example(batch=None, c=1, t_out=1, f=1, k=1, o=1, seed=1)
+    @example(batch=1, c=1, t_out=1, f=1, k=1, o=1, seed=1)
     @settings(max_examples=30, deadline=None)
     def test_same_bytes_at_every_pool_size(self, batch, c, t_out, f, k, o, seed):
         rng = np.random.default_rng(seed)
-        lead = () if batch is None else (batch,)
-        x = rng.normal(size=(*lead, c, t_out + k - 1))
+        x = rng.normal(size=(batch, c, t_out + k - 1))
         kern, w = rng.normal(size=(f, k)), rng.normal(size=(o, f, c))
         results = []
         for size in (1, 2, 3):
@@ -266,10 +261,8 @@ class TestConvColumnBlocks:
                 mp.setattr(ad, "_pool_size", lambda: size)
                 results.append([a.tobytes() for a in self._forward(x, kern, w)])
         assert results[0] == results[1] == results[2]
-        ct, cs = self._forward(x, kern, w)
-        want_ct, want_cs = self._unsplit(x[None] if batch is None else x, kern, w)
-        assert_rel_close(ct, want_ct[0] if batch is None else want_ct)
-        assert_rel_close(cs, want_cs[0] if batch is None else want_cs)
+        for got, want in zip(self._forward(x, kern, w), self._unsplit(x, kern, w)):
+            assert_rel_close(got, want)
 
     def test_paper_decode_is_the_unsplit_matmul(self, monkeypatch):
         x, kern, w = self._paper_operands(0)
@@ -390,7 +383,7 @@ class TestConvTimeSpace:
         ad.tsum(ad.square(out)).backward()
         return out.values, k.grad, w.grad
 
-    @given(batch=st.none() | st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
+    @given(batch=st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
            o=st.integers(1, 4), k=st.integers(1, 8), pool_width=st.integers(1, 10),
            pool_stride=st.integers(1, 6), slack=st.integers(0, 12), zero_crop=st.booleans(),
            seed=st.integers(0, 2 ** 16))
@@ -400,28 +393,26 @@ class TestConvTimeSpace:
              zero_crop=False, seed=1)                                     # width == T'
     @example(batch=3, c=2, f=2, o=2, k=3, pool_width=3, pool_stride=2, slack=5,
              zero_crop=True, seed=2)                                      # pooled below the floor
-    @example(batch=None, c=3, f=2, o=2, k=4, pool_width=5, pool_stride=2, slack=4,
-             zero_crop=False, seed=3)                                     # unbatched
+    @example(batch=1, c=3, f=2, o=2, k=4, pool_width=5, pool_stride=2, slack=4,
+             zero_crop=False, seed=3)                                     # batch 1
     @example(batch=2 * ad._CHUNK + 3, c=3, f=2, o=3, k=5, pool_width=4, pool_stride=3,
              slack=6, zero_crop=True, seed=4)                             # several chunks
     @settings(max_examples=60, deadline=None)
     def test_matches_five_op_chain(self, batch, c, f, o, k, pool_width, pool_stride, slack,
                                    zero_crop, seed):
         rng = np.random.default_rng(seed)
-        lead = () if batch is None else (batch,)
-        values = rng.normal(size=(*lead, c, k - 1 + pool_width + slack))
-        first = () if batch is None else 0  # index of the first crop
+        values = rng.normal(size=(batch, c, k - 1 + pool_width + slack))
         if zero_crop:
-            values[first] = 0.0
+            values[0] = 0.0
         kern = ad.Tensor(rng.normal(size=(f, k)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(o, f, c)), requires_grad=True)
         want = self._grads(five_op_chain, values, kern, w, pool_width, pool_stride)
         got = self._grads(ad.conv_log_power, values, kern, w, pool_width, pool_stride)
-        assert got[0].shape == (*lead, o, slack // pool_stride + 1)
+        assert got[0].shape == (batch, o, slack // pool_stride + 1)
         for g, v in zip(got, want):
             assert_rel_close(g, v)
         if zero_crop:
-            assert np.all(got[0][first] == np.log(ad.LOG_FLOOR))
+            assert np.all(got[0][0] == np.log(ad.LOG_FLOOR))
 
     def test_empty_batch(self):
         x = np.zeros((0, 3, 11))
@@ -443,14 +434,15 @@ class TestConvTimeSpace:
         assert ad.grad_check(loss, [k, w], eps=1e-5) < 1e-4
 
     @pytest.mark.parametrize("x_shape,k_shape,w_shape,pool", [
-        ((2, 4), (1, 5), (1, 1, 2), (1, 1)),
+        ((1, 2, 4), (1, 5), (1, 1, 2), (1, 1)),
         ((2, 3, 9), (2, 3), (4, 2, 2), (1, 1)),
-        ((3, 9), (2, 3), (4, 3, 3), (1, 1)),
-        ((3, 9), (2, 3), (2, 3), (1, 1)),
-        ((3, 9), (2, 3), (4, 2, 3), (8, 1)),
-        ((3, 9), (2, 3), (4, 2, 3), (2, 0)),
+        ((1, 3, 9), (2, 3), (4, 3, 3), (1, 1)),
+        ((1, 3, 9), (2, 3), (2, 3), (1, 1)),
+        ((1, 3, 9), (2, 3), (4, 2, 3), (8, 1)),
+        ((1, 3, 9), (2, 3), (4, 2, 3), (2, 0)),
+        ((3, 9), (2, 3), (4, 2, 3), (1, 1)),
     ], ids=["kernel-longer-than-signal", "channel-extent", "filter-extent", "weights-not-3d",
-            "pool-wider-than-conv-output", "pool-stride-zero"])
+            "pool-wider-than-conv-output", "pool-stride-zero", "one-crop-not-a-batch"])
     def test_rejects_what_the_chain_rejects(self, x_shape, k_shape, w_shape, pool):
         x, k, w = np.zeros(x_shape), np.zeros(k_shape), np.zeros(w_shape)
         with pytest.raises(ValueError) as chain:
@@ -633,13 +625,13 @@ class TestConvLogPowerPool:
     """conv_log_power's chunks give the same bytes at any worker count, and
     the worker count follows the BLAS thread environment."""
 
-    @given(batch=st.none() | st.integers(1, 2 * ad._CHUNK + 3),
+    @given(batch=st.integers(1, 2 * ad._CHUNK + 3),
            zero_crop=st.booleans(), onsets=st.booleans(), seed=st.integers(0, 2 ** 16))
     @example(batch=ad._CHUNK - 1, zero_crop=False, onsets=False, seed=0)      # below
     @example(batch=ad._CHUNK, zero_crop=False, onsets=False, seed=1)          # one chunk
     @example(batch=2 * ad._CHUNK + 3, zero_crop=True, onsets=False, seed=2)   # ragged last chunk
     @example(batch=2 * ad._CHUNK + 3, zero_crop=False, onsets=False, seed=3)
-    @example(batch=None, zero_crop=False, onsets=False, seed=4)               # unbatched
+    @example(batch=1, zero_crop=False, onsets=False, seed=4)                  # batch 1
     @example(batch=2 * ad._CHUNK + 3, zero_crop=True, onsets=True, seed=5)    # shared trials
     @example(batch=ad._CHUNK - 1, zero_crop=False, onsets=True, seed=6)
     @settings(max_examples=30, deadline=None)
@@ -647,16 +639,14 @@ class TestConvLogPowerPool:
         rng = np.random.default_rng(seed)
         crops = None
         if onsets:  # crops of 20 samples drawn from three 44-sample trials
-            n = batch or 1
-            crops = (rng.integers(3, size=n), rng.integers(25, size=n), 20)
+            crops = (rng.integers(3, size=batch), rng.integers(25, size=batch), 20)
             values = rng.normal(size=(3, 3, 44))
             if zero_crop:
-                values[crops[0][n // 2]] = 0.0
+                values[crops[0][batch // 2]] = 0.0
         else:
-            lead = () if batch is None else (batch,)
-            values = rng.normal(size=(*lead, 3, 20))
+            values = rng.normal(size=(batch, 3, 20))
             if zero_crop:
-                values[() if batch is None else batch // 2] = 0.0
+                values[batch // 2] = 0.0
         kern, w = rng.normal(size=(2, 5)), rng.normal(size=(3, 2, 3))
         results = []
         for size in (1, 2, 3):
@@ -835,14 +825,15 @@ class TestConvLogPowerBranches:
             assert [[out.values.tobytes(), k.grad.tobytes(), w.grad.tobytes()]
                     for out, (_, k, w, _) in zip(outs, leaves)] == want
 
-    def test_unbatched_branch_gets_its_row(self):
+    def test_refuses_a_crop_that_is_not_a_batch(self):
         rng = np.random.default_rng(3)
         rows = self._branch(rng, 4, False, False, False)
-        single = (rows[0][2], *rows[1:])  # [channels, time]: one crop, unbatched
-        outs = ad.conv_log_power_branches([self._leaves(rows), self._leaves(single)], 4, 3)
-        alone = ad.conv_log_power(*self._leaves(single)[:3], 4, 3)
-        assert outs[0].shape == (4, 3, 2) and outs[1].shape == alone.shape == (3, 2)
-        assert outs[1].values.tobytes() == alone.values.tobytes()
+        single = (rows[0][2], *rows[1:])  # [channels, time]: one crop, not a batch of one
+        with pytest.raises(ValueError, match=r"expected \[batch, channels, time\] input, got 2-d"):
+            ad.conv_log_power_branches([self._leaves(rows), self._leaves(single)], 4, 3)
+        batch_of_one = (rows[0][2:3], *rows[1:])
+        outs = ad.conv_log_power_branches([self._leaves(rows), self._leaves(batch_of_one)], 4, 3)
+        assert outs[0].shape == (4, 3, 2) and outs[1].shape == (1, 3, 2)
 
     def test_branch_without_gradient_gets_none(self):
         # branch 0 is unused, branch 2 is used with a zero weight: neither
@@ -874,37 +865,37 @@ class TestConvLogPowerBranches:
 
 class TestMeanPool:
     def test_constant_input(self):
-        out = ad.mean_pool(np.full((2, 10), 3.5), 4, 2)
-        np.testing.assert_allclose(out.values, np.full((2, 4), 3.5))
+        out = ad.mean_pool(np.full((1, 2, 10), 3.5), 4, 2)
+        np.testing.assert_allclose(out.values, np.full((1, 2, 4), 3.5))
 
     def test_window_means(self):
-        out = ad.mean_pool(np.array([[1., 2., 3., 4.]]), 2, 2)
-        np.testing.assert_allclose(out.values, [[1.5, 3.5]])
+        out = ad.mean_pool(np.array([[[1., 2., 3., 4.]]]), 2, 2)
+        np.testing.assert_allclose(out.values, [[[1.5, 3.5]]])
 
     def test_global_mean(self):
-        x = np.arange(6, dtype=float)[None]
+        x = np.arange(6, dtype=float)[None, None]
         out = ad.mean_pool(x, 6, 1)
-        np.testing.assert_allclose(out.values, [[2.5]])
+        np.testing.assert_allclose(out.values, [[[2.5]]])
 
     def test_width_exceeds_time(self):
-        with pytest.raises(ValueError):
-            ad.mean_pool(np.zeros((1, 3)), 4, 1)
+        with pytest.raises(ValueError, match="pool width 4 exceeds time extent 3"):
+            ad.mean_pool(np.zeros((1, 1, 3)), 4, 1)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
-        x = rng.normal(size=(3, 17))
-        np.testing.assert_allclose(ad.mean_pool(x, 5, 3).values, naive_mean_pool(x, 5, 3), atol=1e-12)
+        x = rng.normal(size=(1, 3, 17))
+        np.testing.assert_allclose(ad.mean_pool(x, 5, 3).values[0], naive_mean_pool(x[0], 5, 3),
+                                   atol=1e-12)
 
     @given(width=st.integers(1, 30), stride=st.integers(1, 20), n_out=st.integers(1, 12),
-           slack=st.integers(0, 3), batched=st.booleans(), seed=st.integers(0, 2 ** 16))
-    @example(width=4, stride=6, n_out=5, slack=2, batched=True, seed=0)    # width < stride
-    @example(width=7, stride=3, n_out=6, slack=1, batched=False, seed=1)   # not a multiple
-    @example(width=5, stride=1, n_out=9, slack=0, batched=True, seed=2)    # stride 1
+           slack=st.integers(0, 3), batch=st.integers(1, 2), seed=st.integers(0, 2 ** 16))
+    @example(width=4, stride=6, n_out=5, slack=2, batch=2, seed=0)    # width < stride
+    @example(width=7, stride=3, n_out=6, slack=1, batch=1, seed=1)    # not a multiple
+    @example(width=5, stride=1, n_out=9, slack=0, batch=2, seed=2)    # stride 1
     @settings(max_examples=150, deadline=None)
-    def test_matrix_gradient_matches_scatter(self, width, stride, n_out, slack, batched, seed):
+    def test_matrix_gradient_matches_scatter(self, width, stride, n_out, slack, batch, seed):
         rng = np.random.default_rng(seed)
-        lead = (2, 3) if batched else (3,)
-        x = ad.Tensor(rng.normal(size=(*lead, (n_out - 1) * stride + width + slack)),
+        x = ad.Tensor(rng.normal(size=(batch, 3, (n_out - 1) * stride + width + slack)),
                       requires_grad=True)
         out = ad.mean_pool(x, width, stride)
         gout = rng.normal(size=out.shape)
@@ -993,63 +984,63 @@ class TestWindowSums:
 
 class TestDense:
     def test_identity(self):
-        x = np.array([1., 2., 3.])
+        x = np.array([[1., 2., 3.]])
         out = ad.dense(x, np.eye(3), np.zeros(3))
         np.testing.assert_array_equal(out.values, x)
 
     def test_hand_product(self):
-        out = ad.dense(np.array([1., 1.]), np.array([[1., 2.], [3., 4.]]), np.zeros(2))
-        np.testing.assert_allclose(out.values, [3., 7.])
+        out = ad.dense(np.array([[1., 1.]]), np.array([[1., 2.], [3., 4.]]), np.zeros(2))
+        np.testing.assert_allclose(out.values, [[3., 7.]])
 
     def test_zero_weights_give_bias(self):
         b = np.array([0.5, -0.5])
-        out = ad.dense(np.ones(3), np.zeros((2, 3)), b)
-        np.testing.assert_array_equal(out.values, b)
+        out = ad.dense(np.ones((1, 3)), np.zeros((2, 3)), b)
+        np.testing.assert_array_equal(out.values, [b])
 
     def test_extent_mismatch(self):
-        with pytest.raises(ValueError):
-            ad.dense(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+        with pytest.raises(ValueError, match="extent mismatch"):
+            ad.dense(np.zeros((1, 3)), np.zeros((2, 4)), np.zeros(2))
 
 
 class TestSoftmaxXent:
     def test_uniform(self):
-        loss, probs = ad.softmax_xent(np.zeros(4), 1)
-        np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-15)
+        loss, probs = ad.softmax_xent(np.zeros((1, 4)), [1])
+        np.testing.assert_allclose(probs, [[0.25] * 4], atol=1e-15)
         assert abs(loss.item() - math.log(4)) < 1e-12
 
     def test_stabilized(self):
-        loss, probs = ad.softmax_xent(np.array([1000., 0.]), 0)
+        loss, probs = ad.softmax_xent(np.array([[1000., 0.]]), [0])
         assert np.isfinite(loss.item())
-        np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(probs, [[1.0, 0.0]], atol=1e-12)
 
     def test_closed_form(self):
-        loss, _ = ad.softmax_xent(np.array([1., 2., 3.]), 2)
+        loss, _ = ad.softmax_xent(np.array([[1., 2., 3.]]), [2])
         expected = math.log(math.exp(1) + math.exp(2) + math.exp(3)) - 3.0
         assert abs(loss.item() - expected) < 1e-12
 
     def test_probs_sum_to_one(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            logits = rng.normal(scale=10, size=rng.integers(2, 9))
-            _, probs = ad.softmax_xent(logits, 0)
+            logits = rng.normal(scale=10, size=(1, rng.integers(2, 9)))
+            _, probs = ad.softmax_xent(logits, [0])
             assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
-        logits = rng.normal(size=6)
-        _, p1 = ad.softmax_xent(logits, 3)
-        _, p2 = ad.softmax_xent(logits + 123.456, 3)
+        logits = rng.normal(size=(1, 6))
+        _, p1 = ad.softmax_xent(logits, [3])
+        _, p2 = ad.softmax_xent(logits + 123.456, [3])
         np.testing.assert_allclose(p1, p2, atol=1e-10)
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            ad.softmax_xent(np.zeros(3), 3)
+            ad.softmax_xent(np.zeros((1, 3)), [3])
 
     def test_batch_mean(self):
         logits = np.array([[1., 2., 3.], [3., 2., 1.]])
         loss, probs = ad.softmax_xent(logits, np.array([2, 0]))
-        l0, _ = ad.softmax_xent(logits[0], 2)
-        l1, _ = ad.softmax_xent(logits[1], 0)
+        l0, _ = ad.softmax_xent(logits[:1], [2])
+        l1, _ = ad.softmax_xent(logits[1:], [0])
         assert abs(loss.item() - 0.5 * (l0.item() + l1.item())) < 1e-12
         assert probs.shape == (2, 3)
 
@@ -1136,7 +1127,7 @@ class TestBackward:
 
     def test_composite_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        x = ad.Tensor(rng.normal(size=(2, 12)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(1, 2, 12)), requires_grad=True)
         k = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
 
@@ -1153,19 +1144,19 @@ class TestBackward:
 class TestGradCheck:
     def test_dense_layer(self):
         rng = np.random.default_rng(7)
-        x = ad.Tensor(rng.normal(size=5), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(1, 5)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         b = ad.Tensor(rng.normal(size=3), requires_grad=True)
 
         def loss():
-            out, _ = ad.softmax_xent(ad.dense(x, w, b), 1)
+            out, _ = ad.softmax_xent(ad.dense(x, w, b), [1])
             return out
 
         assert ad.grad_check(loss, [x, w, b], eps=1e-5) < 1e-4
 
     def test_conv_time_layer(self):
         rng = np.random.default_rng(8)
-        x = ad.Tensor(rng.normal(size=(2, 10)), requires_grad=True)
+        x = ad.Tensor(rng.normal(size=(1, 2, 10)), requires_grad=True)
         k = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
 
         def loss():
@@ -1224,9 +1215,31 @@ class TestActivationsAndDropout:
         assert ad.grad_check(loss, [x], eps=1e-5) < 1e-4
 
 
+@pytest.mark.parametrize("op, args, axes", [
+    (ad.conv_time, (np.zeros((2, 9)), np.zeros((3, 4))), "batch, channels, time"),
+    (ad.conv_space, (np.zeros((3, 2, 9)), np.zeros((4, 3, 2))),
+     "batch, n_filters, channels, time"),
+    (ad.mean_pool, (np.zeros((2, 9)), 3, 2), "batch, features, time"),
+    (ad.dense, (np.zeros(5), np.zeros((3, 5)), np.zeros(3)), "batch, features"),
+    (ad.softmax_xent, (np.zeros(3), [1]), "batch, classes"),
+    (ad.conv_log_power, (np.zeros((2, 12)), np.zeros((3, 4)), np.zeros((4, 3, 2)), 3, 2),
+     "batch, channels, time"),
+], ids=["conv_time", "conv_space", "mean_pool", "dense", "softmax_xent", "conv_log_power"])
+def test_ops_refuse_a_single_sample(op, args, axes):
+    # one sample is a batch of one: the input without its batch axis is refused
+    with pytest.raises(ValueError, match=rf"expected \[{axes}\] input, got {args[0].ndim}-d"):
+        op(*args)
+    op(args[0][None], *args[1:])
+
+
+def test_add_refuses_a_python_scalar():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ad.add(ad.Tensor(np.ones(3)), 1.0)
+
+
 def test_forward_is_bit_deterministic():
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(3, 30))
+    x = rng.normal(size=(1, 3, 30))
     k = rng.normal(size=(4, 5))
     w = rng.normal(size=(4, 4, 3))
 

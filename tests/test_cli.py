@@ -158,6 +158,21 @@ class TestTrain:
         for name in ("model.ckpt", "report.csv", "summary.txt", "manifest.txt"):
             assert (out / name).exists()
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("S01_s2.tsc", "S01_s01.tsc", "containers 'S01_s01.tsc' and 'S01_s1.tsc' are both "
+                                      "session 1 of subject 'S01'"),
+        ("S01_s2.tsc", "S01_s3.tsc", "subject 'S01' has no session 2: sessions must be "
+                                     "numbered 1..2"),
+        ("S02_s1.tsc", "S02_s0.tsc", "subject 'S02' has no session 1: sessions must be "
+                                     "numbered 1..2"),
+    ], ids=["s1-and-s01", "gap", "from-zero"])
+    def test_refuses_ambiguous_session_numbers(self, data_dir, tmp_path, capsys, old, new,
+                                               message):
+        (data_dir / old).rename(data_dir / new)
+        assert main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_sessions_the_split_does_not_use_are_freed(self, data_dir, tmp_path, monkeypatch):
         # the trial arrays alive when training starts: each source's first
         # session and the target's second (its validation and test views)

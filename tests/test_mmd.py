@@ -116,6 +116,14 @@ class TestMmd2Biased:
         with pytest.raises(ValueError):
             mmd2_biased(np.zeros((0, 3)), np.zeros((2, 3)))
 
+    def test_one_feature_row_is_a_batch_of_one(self):
+        # a 1-d feature vector is refused, not read as one row
+        with pytest.raises(ValueError, match="x feature set must be 2-d"):
+            mmd2_biased(np.zeros(3), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="y feature set must be 2-d"):
+            bandwidth_mean_l2(np.zeros((2, 3)), np.ones(3))
+        assert mmd2_biased(np.zeros((1, 3)), np.zeros((2, 3))).item() == 0.0
+
     @pytest.mark.parametrize("sigma2", [None, 1.0])
     def test_non_finite_rows_refused_naming_the_side(self, sigma2):
         bad = np.array([[0.0, 1.0], [np.nan, 0.0]])
@@ -387,10 +395,10 @@ class TestTransferLoss:
         rng = np.random.default_rng(14)
         x = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         y = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-        logits = ad.Tensor(rng.standard_normal(3), requires_grad=True)
+        logits = ad.Tensor(rng.standard_normal((1, 3)), requires_grad=True)
 
         def loss():
-            lc, _ = ad.softmax_xent(logits, 1)
+            lc, _ = ad.softmax_xent(logits, [1])
             return transfer_loss(lc, [mmd2_biased(x, y, 1.0)], 0.7)
 
         assert ad.grad_check(loss, [x, y, logits], eps=1e-5) < 1e-4

@@ -152,6 +152,14 @@ class TestForwardTrain:
                                              "model's input is 100 samples"):
             forward_train(model, batch)
 
+    def test_refuses_a_crop_that_is_not_a_batch(self):
+        # one [channels, n_samples] crop is a batch of one, [1, channels, n_samples]
+        model = build_scsn(tiny_scsn_cfg(), seed=0)
+        batch = self._batch(model, np.random.default_rng(0), n=1)
+        batch[1] = (batch[1][0][0], batch[1][1])
+        with pytest.raises(ValueError, match="got 2-d"):
+            forward_train(model, batch)
+
     def test_thirty_per_branch_prediction_count(self):
         cfg = tiny_scsn_cfg(n_subjects=5)
         model = build_scsn(cfg, seed=0)
@@ -257,6 +265,27 @@ class TestForwardInfer:
         with pytest.raises(ValueError, match=re.escape("crops must be [crops, channels, "
                                                        "n_samples]")):
             forward_infer(model, np.zeros((2, TINY.n_samples)))
+
+    @pytest.mark.parametrize("stride", [0, -5, 2.0, True, "7"],
+                             ids=["zero", "negative", "float", "bool", "str"])
+    def test_refuses_a_crop_stride_that_is_not_a_positive_integer(self, stride):
+        model = build_baseline(TINY, seed=0)
+        trials = np.zeros((2, TINY.n_channels, 36))
+        with pytest.raises((TypeError, ValueError), match="^crop_stride must be"):
+            forward_infer(model, trials, crop_stride=stride)
+
+    @pytest.mark.parametrize("form, shape, bad, message", [
+        ("crops", (300, 2, 20), (270, 1, 4), "crop 270"),  # in the second head chunk
+        ("trials", (5, 2, 40), (3, 0, 39), "trial 3"),
+    ])
+    def test_refuses_non_finite_samples_naming_the_row(self, form, shape, bad, message):
+        model = build_scsn(tiny_scsn_cfg(), seed=0)
+        x = np.random.default_rng(2).normal(size=shape)
+        dense = {"crop_stride": 4} if form == "trials" else {}
+        for value in (np.nan, np.inf):
+            x[bad] = value
+            with pytest.raises(ValueError, match=f"^{message} holds non-finite samples$"):
+                forward_infer(model, x, 1, **dense)
 
 
 class TestIsolation:
@@ -562,6 +591,23 @@ class TestCheckpoint:
     def test_header_refusals_name_the_file(self, tmp_path, old, new, message):
         path = tmp_path / "model.ckpt"
         save_checkpoint(build_baseline(TINY, seed=22), path)
+        blob = path.read_bytes()
+        assert old in blob
+        path.write_bytes(blob.replace(old, new, 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new, message", [
+        (b"\ntemporal_filters=3\n", b"\ntemporal_filters=0\n",
+         "temporal_filters must be positive"),
+        (b"\ndropout=0.0\n", b"\ndropout=nan\n", "dropout must lie in [0, 1)"),
+        (b"\npool_width=4\n", b"\npool_width=17\n",
+         "pool width 17 exceeds the temporal-conv output (16 samples)"),
+        (b"\ntarget_index=0\n", b"\ntarget_index=2\n", "target_index out of range"),
+    ], ids=["temporal_filters", "dropout", "pool_width", "target_index"])
+    def test_config_refusals_name_the_file(self, tmp_path, old, new, message):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_scsn(tiny_scsn_cfg(), seed=22), path)
         blob = path.read_bytes()
         assert old in blob
         path.write_bytes(blob.replace(old, new, 1))

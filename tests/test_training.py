@@ -626,6 +626,14 @@ class TestEvaluate:
         crop_acc, trial_acc = evaluate(self._const_model(), None, test, 1.0, 0.5)
         assert crop_acc == trial_acc == 0.25
 
+    def test_refuses_a_non_finite_trial_naming_it(self):
+        # a NaN gives NaN probabilities, which argmax would read as class 0
+        test = self._test_set([1, 2, 3, 0, 1, 2, 3, 0])
+        for value in (np.nan, -np.inf):
+            test.data[3, 1, 10] = value
+            with pytest.raises(ValueError, match="^trial 3 holds non-finite samples$"):
+                evaluate(self._const_model(), None, test, 1.0, 0.5)
+
     def test_uniform_random_predictor_near_chance(self, monkeypatch):
         rng = np.random.default_rng(42)
 
