@@ -27,8 +27,14 @@ queue, joined, when the environment pins BLAS to one thread, by a private
 pool of one worker per further usable core. The crops, or one sample's
 operand shapes, fix the items and so every sum's order, never the worker
 count, the batch size or the other branches, so results are the same to
-the bit either way. Workers run numpy and this module's private helpers
-only.
+the bit either way.
+
+`_run_each` runs a list of independent items through the same scheduler,
+one item each: `datasets.synth_multisubject` one per session, and the CLI
+one per container that `preprocess` filters or that `train` and `eval`
+load. So workers run numpy, scipy's filters, file reads and writes and
+sha256 hashing besides this module's private helpers; each item writes
+only its own file or its own part of a buffer the caller allocated.
 """
 
 from __future__ import annotations
@@ -284,9 +290,14 @@ def _run_items(fn: Callable[[int, int], object], bounds: Sequence[tuple[int, int
     return results
 
 
+def _run_each(fn: Callable[[object], object], items: Sequence) -> list:
+    """[fn(item) for item in items] through `_run_items`, one item each."""
+    return _run_items(lambda lo, _: fn(items[lo]), [(i, i + 1) for i in range(len(items))])
+
+
 @functools.cache
 def _executor(workers: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(workers, thread_name_prefix="scsnet-conv")
+    return ThreadPoolExecutor(workers, thread_name_prefix="scsnet-pool")
 
 
 def _pool_matrix(n_out: int, t: int, width: int, stride: int) -> np.ndarray:

@@ -21,10 +21,10 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .autodiff import BLAS_THREAD_VARS
+from .autodiff import BLAS_THREAD_VARS, _run_each
 from .datasets import SplitSpec, SubjectDataset, format_fields, load_trialset, make_splits, \
     read_fields, save_trialset, synth_multisubject
-from .models import load_checkpoint, save_checkpoint
+from .models import _check_width, load_checkpoint, save_checkpoint
 from .preprocessing import crop_geometry, preprocess_trialset
 from .training import ComparisonRow, TrainConfig, base_config, evaluate, \
     negative_transfer_report, train
@@ -215,19 +215,16 @@ def _load_subject_datasets(data_dir: Path
             raise ValueError(f"containers {numbered[k].name!r} and {path.name!r} are both "
                              f"session {k} of subject {subject!r}")
         numbered[k] = path
-    datasets, inputs = [], {}
-    for subject in sorted(grouped):
-        numbered = grouped[subject]
+    for subject, numbered in sorted(grouped.items()):
         missing = min(set(range(1, len(numbered) + 1)) - numbered.keys(), default=None)
         if missing is not None:
             raise ValueError(f"subject {subject!r} has no session {missing}: sessions must "
                              f"be numbered 1..{len(numbered)}")
-        sessions = []
-        for _, path in sorted(numbered.items()):
-            session, inputs[path] = _load_input(load_trialset, path)
-            sessions.append(session)
-        datasets.append(SubjectDataset(subject, sessions))
-    return datasets, [inputs[path] for path in files]
+    # one pool item per container: read, hash and parse
+    loaded = dict(zip(files, _run_each(functools.partial(_load_input, load_trialset), files)))
+    datasets = [SubjectDataset(subject, [loaded[path][0] for _, path in sorted(numbered.items())])
+                for subject, numbered in sorted(grouped.items())]
+    return datasets, [loaded[path][1] for path in files]
 
 
 def _check_overlap(ns, parser) -> None:
@@ -272,15 +269,17 @@ def cmd_synth(ns, parser) -> int:
 def cmd_preprocess(ns, parser) -> int:
     out = _out_dir(ns)
     channels = ns.channels.split(",") if ns.channels else None
-    inputs, outputs = [], []
-    for path in _discover_containers(Path(ns.data)):
+    files = _discover_containers(Path(ns.data))
+
+    def item(path: Path) -> tuple[Path, str]:
         ts, digest = _load_input(load_trialset, path)
-        inputs.append(digest)
-        processed = preprocess_trialset(ts, notch_hz=ns.notch, band=(ns.low, ns.high),
-                                        channels=channels)
-        dest = out / path.name
-        save_trialset(processed, dest)
-        outputs.append(dest)
+        save_trialset(preprocess_trialset(ts, notch_hz=ns.notch, band=(ns.low, ns.high),
+                                          channels=channels), out / path.name)
+        return digest
+
+    # one pool item per container, so at most the pool's size are in memory
+    inputs = _run_each(item, files)
+    outputs = [out / path.name for path in files]
     write_manifest(out, "preprocess", replay_args(ns, parser), None, inputs, outputs)
     print(f"preprocessed {len(outputs)} container(s) into {out}")
     return 0
@@ -336,20 +335,45 @@ def cmd_train(ns, parser) -> int:
     return 0
 
 
+def _recorded_crops(ckpt: Path, meta: dict[str, str]) -> dict[str, float]:
+    """The window and overlap `train` recorded in a checkpoint's meta, by
+    flag name ("win", "overlap"); a checkpoint without them records none."""
+    recorded = {}
+    for flag, key in (("win", "win_s"), ("overlap", "overlap_s")):
+        if key in meta:
+            try:
+                recorded[flag] = float(meta[key])
+            except ValueError:
+                raise ValueError(f"{ckpt}: meta.{key} {meta[key]!r} is not a number") from None
+    return recorded
+
+
 def cmd_eval(ns, parser) -> int:
-    _check_overlap(ns, parser)
+    if ns.win is not None and ns.overlap is not None:
+        _check_overlap(ns, parser)
     out = _out_dir(ns)
     ckpt = Path(ns.ckpt)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
     (model, meta), ckpt_input = _load_input(load_checkpoint, ckpt)
+    # --win and --overlap default to the checkpoint's, else to TrainConfig's
+    recorded, defaults = _recorded_crops(ckpt, meta), TrainConfig()
+    win = recorded.get("win", defaults.win_s) if ns.win is None else ns.win
+    overlap = recorded.get("overlap", defaults.overlap_s) if ns.overlap is None else ns.overlap
     datasets, inputs = _load_subject_datasets(Path(ns.data))
     _check_target_sessions(datasets, ns.target, lambda session: crop_geometry(
-        session.n_samples, session.fs, ns.win, ns.overlap))
+        session.n_samples, session.fs, win, overlap))
     split = make_splits(datasets, SplitSpec(ns.target, ns.calib, ns.val, ns.test))
     del datasets  # sessions the split does not use are freed before decoding
+    # crops of another width are refused by width; other crops of the model's
+    # width by the flag that differs from the checkpoint's
+    _check_width(model, crop_geometry(split.test.n_samples, split.test.fs, win, overlap).width)
+    for flag, value in recorded.items():
+        if getattr(ns, flag) not in (None, value):
+            raise ValueError(f"--{flag} {getattr(ns, flag)} differs from the {value} that "
+                             f"{ckpt} was trained with")
     branch = model.cfg.target_index if model.kind == "scsn" else None
-    crop_acc, trial_acc = evaluate(model, branch, split.test, ns.win, ns.overlap)
+    crop_acc, trial_acc = evaluate(model, branch, split.test, win, overlap)
     print(f"crop_accuracy={crop_acc!r}")
     print(f"trial_accuracy={trial_acc!r}")
     summary = out / "summary.txt"
@@ -481,10 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
     split.add_argument("--calib", type=_nonnegative_int, default=120)
     split.add_argument("--val", type=_range_pair, default=(120, 144))
     split.add_argument("--test", type=_range_pair, default=(144, 288))
-    split.add_argument("--win", type=_positive_float, default=defaults.win_s)
-    split.add_argument("--overlap", type=_nonnegative_float, default=defaults.overlap_s)
 
     p = sub.add_parser("train", parents=[split], help="train a decoder on a split")
+    p.add_argument("--win", type=_positive_float, default=defaults.win_s)
+    p.add_argument("--overlap", type=_nonnegative_float, default=defaults.overlap_s)
     p.add_argument("--model", choices=("baseline", "scsn", "scsn-mmd"), required=True)
     p.add_argument("--regime", choices=("single", "multi"), default="multi")
     p.add_argument("--lambda", type=_nonnegative_float, default=defaults.lam,
@@ -507,6 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[split], help="evaluate a checkpoint on a test split")
+    p.add_argument("--win", type=_positive_float, default=None,
+                   help="default: the checkpoint's window")
+    p.add_argument("--overlap", type=_nonnegative_float, default=None,
+                   help="default: the checkpoint's overlap")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)

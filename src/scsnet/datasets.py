@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .autodiff import _run_each
+
 HEADER_KEYS = ("format_version", "fs_hz", "n_trials", "n_channels", "n_samples",
                "channel_names", "class_names", "subject_id")
 FORMAT_VERSION = 1
@@ -270,12 +272,15 @@ class SplitSpec:
 
 @dataclass
 class Split:
-    """Per-subject training sets plus target-only validation and test sets."""
+    """Per-subject training sets plus target-only validation and test sets.
+    Each training set is its subject's first session; the target's ends with
+    the first `calib_trials` trials of its second session."""
 
     train: dict[str, TrialSet]
     val: TrialSet
     test: TrialSet
     target_subject: str
+    calib_trials: int = 0
 
 
 def make_splits(datasets: list[SubjectDataset], spec: SplitSpec) -> Split:
@@ -329,13 +334,14 @@ def make_splits(datasets: list[SubjectDataset], spec: SplitSpec) -> Split:
     else:
         train[spec.target_subject] = session1
         val, test = session1.subset(slice(0)), session1.subset(slice(0))
-    return Split(train, val, test, spec.target_subject)
+    return Split(train, val, test, spec.target_subject, spec.calib_trials)
 
 
 # ---------------------------------------------------------------------------
 # synthetic multi-subject data
 
 _MIX_JITTER = 0.15
+_SYNTH_BLOCK = 1 << 16  # float64 samples per block of trials `_synth_trials` computes on
 
 
 def class_center_frequencies(n_classes: int) -> np.ndarray:
@@ -420,27 +426,47 @@ def synth_multisubject(n_subjects: int, n_sessions: int, n_trials: int,
     noise_sigma = math.sqrt(0.5 / snr)
     channel_names = [f"ch{i:02d}" for i in range(n_channels)]
     class_names = [f"class{c}" for c in range(n_classes)]
+    mixings = [subject_mixing_matrix(seed, s, n_channels, shift_strength)
+               for s in range(n_subjects)]
 
-    datasets = []
-    for s in range(n_subjects):
-        subject_id = f"S{s + 1:02d}"
-        mixing = subject_mixing_matrix(seed, s, n_channels, shift_strength)
-        sessions = []
-        for k in range(n_sessions):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, s, k)))
-            labels = np.tile(np.arange(n_classes), n_trials // n_classes + 1)[:n_trials]
-            rng.shuffle(labels)
-            data = np.empty((n_trials, n_channels, n_samples), dtype=np.float32)
-            for i, label in enumerate(labels):
-                f = freqs[label] + rng.uniform(-0.5, 0.5)
-                phase = rng.uniform(0.0, 2.0 * math.pi)
-                amp = rng.uniform(0.8, 1.2)
-                wave = amp * np.sin(2.0 * math.pi * f * t + phase)
-                clean = mixing @ np.outer(patterns[label], wave)
-                data[i] = clean + rng.normal(0.0, noise_sigma, (n_channels, n_samples))
-            sessions.append(TrialSet(data, labels, subject_id, channel_names, fs, class_names))
-        datasets.append(SubjectDataset(subject_id, sessions))
-    return datasets
+    def session(unit) -> TrialSet:
+        data, s, k = unit
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, s, k)))
+        labels = np.tile(np.arange(n_classes), n_trials // n_classes + 1)[:n_trials]
+        rng.shuffle(labels)
+        _synth_trials(rng, data, labels, t, freqs, patterns, mixings[s], noise_sigma)
+        return TrialSet(data, labels, f"S{s + 1:02d}", channel_names, fs, class_names)
+
+    # one item per session, each filling samples the calling thread allocated
+    sessions = _run_each(session, [
+        (np.empty((n_trials, n_channels, n_samples), dtype=np.float32), s, k)
+        for s in range(n_subjects) for k in range(n_sessions)])
+    return [SubjectDataset(f"S{s + 1:02d}", sessions[s * n_sessions:(s + 1) * n_sessions])
+            for s in range(n_subjects)]
+
+
+def _synth_trials(rng: np.random.Generator, out: np.ndarray, labels: np.ndarray,
+                  t: np.ndarray, freqs: np.ndarray, patterns: np.ndarray,
+                  mixing: np.ndarray, noise_sigma: float) -> None:
+    """Fill `out`, one session's float32 [trials, channels, samples], with
+    the trials of `labels`. Per trial, `rng` draws the frequency jitter, the
+    phase, the amplitude and the noise, in that order; the waves, their
+    projection and the sum are computed on blocks of at most _SYNTH_BLOCK
+    float64 samples, elementwise as for one trial alone."""
+    n_trials, n_channels, n_samples = out.shape
+    per_block = max(1, _SYNTH_BLOCK // max(1, n_channels * n_samples))
+    for lo in range(0, n_trials, per_block):
+        block = labels[lo:lo + per_block]
+        jitter, phase, amp = np.empty((3, len(block), 1))
+        noise = np.empty((len(block), n_channels, n_samples))
+        for j in range(len(block)):
+            jitter[j], phase[j], amp[j] = (rng.uniform(-0.5, 0.5), rng.uniform(0.0, 2.0 * math.pi),
+                                           rng.uniform(0.8, 1.2))
+            noise[j] = rng.normal(0.0, noise_sigma, (n_channels, n_samples))
+        f = freqs[block, None] + jitter
+        wave = amp * np.sin(2.0 * math.pi * f * t + phase)
+        clean = mixing @ (patterns[block, :, None] * wave[:, None, :])
+        out[lo:lo + len(block)] = clean + noise
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import Split, TrialSet, balanced_duplicates, batch_iter, format_fields
+from .datasets import Split, TrialSet, _check_finite_trials, balanced_duplicates, batch_iter, \
+    format_fields
 from .mmd import multi_source_mmd, transfer_loss
 from .models import (
     BaselineConfig,
@@ -246,6 +247,16 @@ def scsn_pools(split: Split, cfg: TrainConfig) -> tuple[list[str], dict[str, Cro
     return subjects, pools
 
 
+def _check_finite_training(split: Split) -> None:
+    """Refuse a training set with a non-finite sample, naming the subject,
+    the session and the trial, before any step reads it."""
+    for subject in sorted(split.train):
+        data = split.train[subject].data
+        first = len(data) - (split.calib_trials if subject == split.target_subject else 0)
+        for k, part in ((1, data[:first]), (2, data[first:])):
+            _check_finite_trials(part, f"subject {subject!r} session {k}", ValueError)
+
+
 def _grads_of(params: ModelParams) -> dict[str, np.ndarray | None]:
     return {name: tensor.grad for name, tensor in params.items()}
 
@@ -351,6 +362,7 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
         raise ValueError("early stopping needs a non-empty validation set")
 
     start = time.perf_counter()
+    _check_finite_training(split)
     base = base_config(cfg, split.train[split.target_subject])
     val_y = split.val.labels()[:, None]
     drop_rng = dropout_stream(cfg.seed)

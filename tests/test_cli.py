@@ -16,6 +16,7 @@ from scsnet import autodiff as ad
 from scsnet import cli
 from scsnet.cli import build_parser, main, read_manifest, replay_args, sha256_file
 from scsnet.datasets import load_trialset
+from scsnet.models import BaselineConfig, build_baseline, save_checkpoint
 from scsnet.training import TrainConfig
 
 SYNTH = ["synth", "--subjects", "2", "--sessions", "2", "--trials", "12",
@@ -337,6 +338,56 @@ class TestEvalAndReport:
         assert "error: crops are 24 samples wide, but the model's input is 32 samples" \
             in capsys.readouterr().err
 
+    def test_eval_takes_the_checkpoints_window_and_overlap(self, data_dir, tmp_path,
+                                                          capsys):
+        run = tmp_path / "run"
+        self._train(data_dir, run)  # --win 1.0 --overlap 0.5
+        fields = dict(line.split("=", 1)
+                      for line in (run / "summary.txt").read_text().splitlines())
+        out = tmp_path / "eval"
+        assert main(["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(data_dir),
+                     *TRAIN_FLAGS[:8], "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert f"crop_accuracy={fields['test_crop_accuracy']}" in printed
+        assert f"trial_accuracy={fields['test_trial_accuracy']}" in printed
+        assert "--win" not in read_manifest(out / "manifest.txt")["args"]
+        assert main(["rerun", str(out / "manifest.txt"), "--out", str(tmp_path / "fresh")]) == 0
+        assert capsys.readouterr().out.endswith("\nok\tsummary.txt\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--win", "1.0", "--overlap", "0.25"], "--overlap 0.25 differs from the 0.5"),
+        (["--overlap", "0.75"], "--overlap 0.75 differs from the 0.5"),
+    ], ids=["overlap", "overlap-alone"])
+    def test_eval_refuses_crops_other_than_the_checkpoints(self, data_dir, tmp_path, capsys,
+                                                           flags, message):
+        # crops of the model's width, at another stride than it trained on
+        run = tmp_path / "run"
+        self._train(data_dir, run)
+        code = main(["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(data_dir),
+                     *TRAIN_FLAGS[:8], *flags, "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {message} that {run / 'model.ckpt'} was trained with\n"
+        assert not (tmp_path / "eval" / "summary.txt").exists()
+
+    def test_eval_of_a_checkpoint_without_crops_takes_train_defaults(self, tmp_path, capsys):
+        # a checkpoint saved without meta: 2 s crops with 1.9 s overlap, as
+        # TrainConfig's defaults, of 2.5 s trials at 40 Hz (6 crops each)
+        data = tmp_path / "data"
+        assert main([*SYNTH[:9], "--fs", "40", "--duration", "2.5", *SYNTH[13:],
+                     "--out", str(data)]) == 0
+        defaults = TrainConfig()
+        base = BaselineConfig(n_channels=3, n_samples=round(defaults.win_s * 40), n_classes=2,
+                              temporal_filters=2, temporal_kernel=5, pool_width=4,
+                              pool_stride=3)
+        save_checkpoint(build_baseline(base, seed=0), tmp_path / "model.ckpt")
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tmp_path / "model.ckpt"), "--data", str(data),
+                     *TRAIN_FLAGS[:8], "--out", str(tmp_path / "eval")]) == 0
+        assert "crop_accuracy=" in capsys.readouterr().out
+        assert main(["eval", "--ckpt", str(tmp_path / "model.ckpt"), "--data", str(data),
+                     *TRAIN_FLAGS[:8], "--overlap", "1.0", "--out", str(tmp_path / "eval")]) == 0
+
     def test_eval_missing_checkpoint(self, data_dir, tmp_path, capsys):
         code = main(["eval", "--ckpt", str(tmp_path / "nope.ckpt"), "--data", str(data_dir),
                      "--target", "S01", "--out", str(tmp_path / "x")])
@@ -648,6 +699,68 @@ def test_outputs_do_not_depend_on_the_conv_worker_count(tmp_path, monkeypatch, m
                          for name in ("model.ckpt", "report.csv", "summary.txt")}
     assert pooled and set(pooled) == {2}
     assert outputs[1] == outputs[2]
+
+
+def _outputs_and_digests(root: Path) -> dict:
+    """Every file's bytes under `root`, but each manifest as its input and
+    output lines, with `root` cut out of the input paths."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.name == "manifest.txt":
+            info = read_manifest(path)
+            files[path.relative_to(root)] = (
+                [(str(Path(name).relative_to(root)), digest) for name, digest in info["inputs"]],
+                info["outputs"])
+        elif path.is_file():
+            files[path.relative_to(root)] = path.read_bytes()
+    return files
+
+
+def test_set_up_outputs_do_not_depend_on_the_pool_size(tmp_path, monkeypatch):
+    # synth's sessions, preprocess's containers and the containers train and
+    # eval read are pool items: the same bytes and digests at either size
+    pooled = []
+    real_executor = ad._executor
+
+    def executor(workers):
+        pooled.append(workers)
+        return real_executor(workers)
+
+    monkeypatch.setattr(ad, "_executor", executor)
+    outputs = {}
+    for size in (1, 2):
+        monkeypatch.setattr(ad, "_pool_size", lambda size=size: size)
+        root = tmp_path / f"size{size}"
+        assert main(SYNTH + ["--out", str(root / "raw")]) == 0
+        assert main(["preprocess", "--data", str(root / "raw"), "--notch", "10", "--low", "1",
+                     "--high", "14", "--out", str(root / "pre")]) == 0
+        assert pooled == ([2, 2] if size == 2 else [])
+        assert main(["train", "--data", str(root / "pre"), "--model", "baseline",
+                     "--regime", "single", *TRAIN_FLAGS, "--out", str(root / "run")]) == 0
+        assert main(["eval", "--ckpt", str(root / "run" / "model.ckpt"),
+                     "--data", str(root / "pre"), *TRAIN_FLAGS[:12],
+                     "--out", str(root / "eval")]) == 0
+        outputs[size] = _outputs_and_digests(root)
+    assert len(outputs[1]) == 16  # 4 + 4 containers, 3 + 1 run files, 4 manifests
+    assert outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("command", ["preprocess", "train"])
+def test_of_two_bad_containers_the_first_is_named(data_dir, tmp_path, monkeypatch, size,
+                                                  command):
+    monkeypatch.setattr(ad, "_pool_size", lambda: size)
+    for name in ("S02_s1.tsc", "S01_s2.tsc"):
+        path = data_dir / name
+        path.write_bytes(path.read_bytes()[:-1])
+    argv = {"preprocess": ["preprocess", "--data", str(data_dir), "--notch", "10",
+                           "--high", "14"],
+            "train": ["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS]}
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main([*argv[command], "--out", str(tmp_path / "out")]) == 1
+    assert err.getvalue().startswith(f"error: {data_dir / 'S01_s2.tsc'}: payload holds ")
+    assert "S02_s1" not in err.getvalue()
+    assert not (tmp_path / "out" / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("argv", NON_DEFAULT_ARGV, ids=lambda argv: argv[0])

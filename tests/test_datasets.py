@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scsnet import autodiff as ad
+from scsnet import datasets
 from scsnet.datasets import (
     ContainerFormatError,
     Epoch,
@@ -21,6 +24,8 @@ from scsnet.datasets import (
     read_fields,
     read_header,
     save_trialset,
+    class_center_frequencies,
+    class_spatial_patterns,
     subject_mixing_matrix,
     synth_multisubject,
 )
@@ -378,6 +383,36 @@ class TestMakeSplits:
             SplitSpec("T", 2, (2, 9), (8, 20))
 
 
+def per_trial_synth(n_subjects, n_sessions, n_trials, n_channels, fs, duration_s, n_classes,
+                    shift_strength, snr, seed):
+    """Each session's (data, labels) as `synth_multisubject` made them one
+    trial at a time, in the order its random draws are specified."""
+    n_samples = int(round(duration_s * fs))
+    t = np.arange(n_samples) / fs
+    freqs = class_center_frequencies(n_classes)
+    patterns = class_spatial_patterns(n_channels, n_classes)
+    noise_sigma = math.sqrt(0.5 / snr)
+    datasets = []
+    for s in range(n_subjects):
+        mixing = subject_mixing_matrix(seed, s, n_channels, shift_strength)
+        sessions = []
+        for k in range(n_sessions):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, s, k)))
+            labels = np.tile(np.arange(n_classes), n_trials // n_classes + 1)[:n_trials]
+            rng.shuffle(labels)
+            data = np.empty((n_trials, n_channels, n_samples), dtype=np.float32)
+            for i, label in enumerate(labels):
+                f = freqs[label] + rng.uniform(-0.5, 0.5)
+                phase = rng.uniform(0.0, 2.0 * math.pi)
+                amp = rng.uniform(0.8, 1.2)
+                wave = amp * np.sin(2.0 * math.pi * f * t + phase)
+                clean = mixing @ np.outer(patterns[label], wave)
+                data[i] = clean + rng.normal(0.0, noise_sigma, (n_channels, n_samples))
+            sessions.append((data, labels))
+        datasets.append(SubjectDataset(f"S{s + 1:02d}", sessions))
+    return datasets
+
+
 class TestSynth:
     def test_deterministic(self):
         a = synth_multisubject(2, 2, 8, 4, 64.0, 1.0, 2, 0.5, 5.0, seed=7)
@@ -415,6 +450,34 @@ class TestSynth:
                                         for c in range(len(session.class_names))]))
         for other in maps[1:]:
             assert np.mean(np.abs(maps[0] - other)) < 1.0
+
+    # (subjects, sessions, trials, channels, fs, duration, classes, shift, snr,
+    # seed, trials per block): cli-bench's and the paper's geometries, one
+    # channel, and blocks that do not divide the trial count
+    @pytest.mark.parametrize("shape", [
+        (5, 2, 120, 8, 128.0, 2.0, 4, 0.7, 3.0, 0, None),
+        (5, 2, 4, 22, 250.0, 4.0, 4, 0.5, 5.0, 7919, None),
+        (2, 3, 13, 1, 32.0, 1.0, 3, 0.0, 1.0, 3, 5),
+        (3, 2, 7, 4, 64.0, 0.5, 2, 1.0, 2.0, 11, 3),
+        (1, 1, 5, 3, 10.0, 0.1, 2, 0.3, 1.0, 2, 1),
+    ], ids=["cli-bench", "paper", "one-channel", "blocks-of-3", "blocks-of-1"])
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_matches_the_per_trial_loop_bitwise(self, monkeypatch, shape, size):
+        *args, block_trials = shape
+        n_channels, n_samples = args[3], round(args[4] * args[5])
+        if block_trials is not None:
+            monkeypatch.setattr(datasets, "_SYNTH_BLOCK", block_trials * n_channels * n_samples)
+        monkeypatch.setattr(ad, "_pool_size", lambda: size)
+        got = synth_multisubject(*args)
+        want = per_trial_synth(*args)
+        assert [ds.subject_id for ds in got] == [ds.subject_id for ds in want]
+        for ds, oracle in zip(got, want):
+            assert len(ds.sessions) == len(oracle.sessions)
+            for session, (data, labels) in zip(ds.sessions, oracle.sessions):
+                assert session.data.dtype == np.float32
+                assert session.data.tobytes() == data.tobytes()
+                np.testing.assert_array_equal(session.label, labels)
+                assert session.subject_id == ds.subject_id
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -812,19 +812,42 @@ class TestSplitDecode:
 
 
 class TestNonFinite:
-    def test_nan_training_data_aborts_with_epoch_and_step(self):
+    # training refuses non-finite training trials before its first step; the
+    # two tests below switch that check off to reach the step's own check of
+    # the loss, which still stops a run that diverges
+    def test_nan_training_data_aborts_with_epoch_and_step(self, monkeypatch):
+        monkeypatch.setattr(training, "_check_finite_training", lambda split: None)
         split = tiny_split()
         split.train["S01"].data[:, 0, 3] = np.nan
         with pytest.raises(FloatingPointError, match="epoch 1, step 1: non-finite loss"):
             train("scsn", split, tiny_cfg())
 
-    def test_nan_training_data_aborts_scsn_mmd_before_the_mmd(self):
+    def test_nan_training_data_aborts_scsn_mmd_before_the_mmd(self, monkeypatch):
         # the MMD refuses non-finite features with a ValueError that names no
         # step; the step checks its cross-entropy first
+        monkeypatch.setattr(training, "_check_finite_training", lambda split: None)
         split = tiny_split()
         split.train["S01"].data[:, 0, 3] = np.nan
         with pytest.raises(FloatingPointError, match="epoch 1, step 1: non-finite loss"):
             train("scsn_mmd", split, tiny_cfg(lam=1.0))
+
+    @pytest.mark.parametrize("kind, regime", [("scsn", "multi"), ("scsn_mmd", "multi"),
+                                              ("baseline", "multi")])
+    @pytest.mark.parametrize("subject, session, trial", [("S02", 1, 5), ("S01", 1, 7),
+                                                         ("S01", 2, 3)])
+    def test_a_non_finite_trial_is_named_before_the_first_step(
+            self, monkeypatch, kind, regime, subject, session, trial):
+        # the target's training set is its first session then the first 8
+        # (calibration) trials of its second
+        data = synth_multisubject(3, 2, 24, 4, 64.0, 1.0, 2, 0.5, 5.0, seed=1)
+        data[int(subject[1:]) - 1].sessions[session - 1].data[trial, 2, 40] = np.inf
+        split = make_splits(data, SplitSpec("S01", 8, (8, 16), (16, 24)))
+        steps = []
+        monkeypatch.setattr(training, "_step", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match=f"^subject '{subject}' session {session}: "
+                                             f"trial {trial} holds non-finite samples$"):
+            train(kind, split, tiny_cfg(lam=1.0), regime=regime)
+        assert steps == []
 
     def test_non_finite_gradient_named(self):
         params = ModelParams()

@@ -8,6 +8,9 @@ tree's `src/scsnet`. Each side builds the same split from seed 0,
 then the rounds alternate the two sides, the first side switching every
 round:
 
+- `setup`: `synth_multisubject` of the size's data, then
+  `preprocess_trialset` of every session with the size's notch and band,
+  those of the matching benchmark workload;
 - `train`: the size's trainings, one epoch each: `train(kind, split, cfg,
   regime=regime)` for each (kind, regime) of its `trainings` in `SIZES`,
   and `train_peak`: the tracemalloc peak of a second run of them;
@@ -51,27 +54,28 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 SEED = 0
 DECODES = 20  # one-trial decodes per round
 EVAL_TRIALS = 48  # whole trials one eval case call decodes
-CASES = {"train": "ms", "train_peak": "MB", "decode": "ms", "eval": "ms",
+CASES = {"setup": "ms", "train": "ms", "train_peak": "MB", "decode": "ms", "eval": "ms",
          "eval_peak": "MB"}  # case: unit
 
 # split: (calibration trials, validation range, test range) of the target's
-# second session; trainings: the (kind, regime) pairs the train case runs
+# second session; filters: the set-up's notch and band; trainings: the
+# (kind, regime) pairs the train case runs
 MMD_ONLY = (("scsn_mmd", "multi"),)
 SIZES = {
     "paper": dict(data=dict(n_channels=22, fs=250.0, duration_s=4.0, n_trials=4),
-                  split=(1, (1, 2), (2, 4)), trainings=MMD_ONLY,
+                  filters=(50.0, (1.0, 100.0)), split=(1, (1, 2), (2, 4)), trainings=MMD_ONLY,
                   cfg=dict(batch_per_branch=30, win_s=2.0, overlap_s=1.9, temporal_filters=40,
                            temporal_kernel=25, pool_width=75, pool_stride=15,
                            common_fc_dims=(128, 128, 128), separate_fc_dims=(64, 64, 64))),
     "bench": dict(data=dict(n_channels=8, fs=128.0, duration_s=2.0, n_trials=120),
-                  split=(40, (40, 60), (60, 120)),
+                  filters=(50.0, (1.0, 40.0)), split=(40, (40, 60), (60, 120)),
                   trainings=(("baseline", "single"), ("baseline", "multi"), ("scsn", "multi"),
                              ("scsn_mmd", "multi")),
                   cfg=dict(batch_per_branch=30, win_s=2.0, overlap_s=1.0, temporal_filters=16,
                            temporal_kernel=25, pool_width=75, pool_stride=15,
                            common_fc_dims=(48, 48, 48), separate_fc_dims=(24, 24, 24))),
     "tiny": dict(data=dict(n_channels=4, fs=64.0, duration_s=2.0, n_trials=4),
-                 split=(1, (1, 2), (2, 4)), trainings=MMD_ONLY,
+                 filters=(20.0, (1.0, 30.0)), split=(1, (1, 2), (2, 4)), trainings=MMD_ONLY,
                  cfg=dict(batch_per_branch=5, win_s=1.0, overlap_s=0.75, temporal_filters=3,
                           temporal_kernel=9, pool_width=16, pool_stride=8,
                           common_fc_dims=(8, 8, 8), separate_fc_dims=(4, 4, 4))),
@@ -93,9 +97,8 @@ class Side:
 
     def __init__(self, pkg, size: str):
         self.pkg = pkg
-        shape = SIZES[size]
-        data = pkg.synth_multisubject(n_subjects=5, n_sessions=2, n_classes=4,
-                                      shift_strength=0.7, snr=3.0, seed=SEED, **shape["data"])
+        self.shape = shape = SIZES[size]
+        data = self.synth()
         self.split = pkg.make_splits(data, pkg.SplitSpec("S01", *shape["split"]))
         self.cfg = pkg.TrainConfig(max_epochs=1, patience=1, lam=1.0, seed=SEED, **shape["cfg"])
         self.trainings = shape["trainings"]
@@ -103,6 +106,20 @@ class Side:
         self.trials = [test.subset([i]) for i in range(len(test))]
         self.eval_set = test.subset([i % len(test) for i in range(EVAL_TRIALS)])
         self.model = None
+
+    def synth(self) -> list:
+        return self.pkg.synth_multisubject(n_subjects=5, n_sessions=2, n_classes=4,
+                                           shift_strength=0.7, snr=3.0, seed=SEED,
+                                           **self.shape["data"])
+
+    def setup(self) -> float:
+        """Seconds to synthesize the data and filter every session."""
+        notch, band = self.shape["filters"]
+        start = time.perf_counter()
+        for ds in self.synth():
+            for session in ds.sessions:
+                self.pkg.preprocess_trialset(session, notch_hz=notch, band=band)
+        return time.perf_counter() - start
 
     def train(self) -> tuple[float, int]:
         """Seconds of one run of the trainings, and the tracemalloc peak in
@@ -162,6 +179,7 @@ def compare(base: Side, change: Side, rounds: int) -> dict[str, dict]:
     for r in range(rounds):
         order = [("base", base), ("change", change)]
         for label, side in order if r % 2 == 0 else order[::-1]:
+            runs["setup"][label].append(1e3 * side.setup())
             seconds, peak = side.train()
             runs["train"][label].append(1e3 * seconds)
             runs["train_peak"][label].append(peak / 1e6)
