@@ -1,5 +1,7 @@
 import math
+import os
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -478,6 +480,24 @@ class TestSynth:
                 assert session.data.tobytes() == data.tobytes()
                 np.testing.assert_array_equal(session.label, labels)
                 assert session.subject_id == ds.subject_id
+
+    def test_same_bytes_under_fast_thread_switching(self, monkeypatch):
+        # more threads than cores and a thread switch every microsecond: a
+        # session that wrote outside its own array or drew from another's
+        # stream would change bytes
+        args = (3, 3, 9, 4, 64.0, 0.5, 3, 0.5, 2.0, 5)
+        monkeypatch.setattr(datasets, "_SYNTH_BLOCK", 2 * 4 * 32)
+        want = per_trial_synth(*args)
+        monkeypatch.setattr(ad, "_pool_size", lambda: 2 * (os.cpu_count() or 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = synth_multisubject(*args)
+                assert [[ts.data.tobytes() for ts in ds.sessions] for ds in got] == \
+                    [[data.tobytes() for data, _ in ds.sessions] for ds in want]
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
