@@ -54,6 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 LOG_FLOOR = 1e-6
 
 _CHUNK = 8  # crops at which a conv_log_power work item is cut
+_GRAD_COLS = 256  # conv columns per block of the kernel gradient's im2col
 # multiply-adds from which conv_time's and conv_space's per-sample matmul is
 # cut into _BLOCKS column blocks
 _SPLIT = 1 << 21
@@ -232,11 +233,12 @@ def _run_items(fn: Callable[[int, int], object], bounds: Sequence[tuple[int, int
     The calling thread and up to _pool_size() - 1 pool workers take the
     items from one queue, in order, so a worker that starts late, or never
     (in a process forked after the pool started), delays nothing: the
-    calling thread runs whatever is left. The caller waits for every item,
-    then re-raises the first item's error; no item from a failed one on is
-    folded. Each fn writes only its own part of any buffer the caller
-    allocated, and the items alone fix the work, so results are the same to
-    the bit at any worker count."""
+    calling thread runs whatever is left. Once an item, or a fold, has
+    raised, no further item is started: the items already running finish,
+    then the caller re-raises the lowest-numbered item's error; no item from
+    a failed one on is folded. Each fn writes only its own part of any
+    buffer the caller allocated, and the items alone fix the work, so
+    results are the same to the bit at any worker count."""
     todo: queue.SimpleQueue = queue.SimpleQueue()
     for item in enumerate(bounds):
         todo.put(item)
@@ -266,6 +268,9 @@ def _run_items(fn: Callable[[int, int], object], bounds: Sequence[tuple[int, int
                 i, (lo, hi) = todo.get_nowait()
             except queue.Empty:
                 return
+            if job[3]:  # an item has failed: this one is counted, not run
+                done.release()
+                continue
             try:
                 result = job[0](lo, hi)
             except BaseException as err:  # raised on the calling thread below
@@ -560,7 +565,13 @@ def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
     slice of its segment's, so samples that crops share are convolved once.
     Each segment is squared once. Outputs follow the crops' row order. The
     backward pass takes the log's gradient gp one work item at a time and
-    gives each segment one effective-kernel partial gh_seg @ cols_seg^T.
+    gives each segment its effective-kernel partial gh_seg @ cols_seg^T,
+    gh_seg being the gradient at the segment's conv output. It builds the
+    segment's im2col in blocks of at most _GRAD_COLS conv columns, each
+    block one GEMM added onto the partial, so an item's im2col scratch is
+    one [C, k, _GRAD_COLS] buffer whatever the trial length. A segment of
+    at most _GRAD_COLS columns is one whole-segment GEMM; a wider one may
+    differ from that GEMM in the last bits.
 
     Pooling depends on the segment. A segment whose crops all start at one
     onset (one crop, or duplicates of it) sums each crop's windows one by
@@ -740,7 +751,9 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
             gi, p = g[item], pooled[item]
             nonzero = p > LOG_FLOOR
             gp = np.where(nonzero, gi / np.where(nonzero, p, 1.0), 0.0)
-            cols_of = views(lo, hi, (c, k))
+            # one im2col buffer of at most _GRAD_COLS columns, whatever the
+            # segments' widths
+            cols_buf = np.empty(c * k * min(_GRAD_COLS, max(seg[3] for seg in segs[lo:hi])))
             if any(seg[3] != t_out for seg in segs[lo:hi]):  # a segment of several onsets
                 gh_of = views(lo, hi, (o,))
             part = np.zeros((o, c * k))
@@ -761,9 +774,13 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
                         crop += gp[i - first]
                     grid *= 2.0 / pool_width
                     gh = _window_spread(grid, pool_width, step, gh_of[n], h[s])
-                cols = cols_of[n]
-                np.copyto(cols, wins[:, :, start:start + n])
-                part += gh @ cols.reshape(c * k, n).T
+                # the segment's partial, _GRAD_COLS conv columns at a time: a
+                # segment that fits one block is one whole-segment GEMM
+                for a in range(0, n, _GRAD_COLS):
+                    z = min(a + _GRAD_COLS, n)
+                    cols = cols_buf[:c * k * (z - a)].reshape(c, k, z - a)
+                    np.copyto(cols, wins[:, :, start + a:start + z])
+                    part += gh[:, a:z] @ cols.reshape(c * k, z - a).T
             return part
 
         # each branch's effective-kernel gradient: zeros, then its items'

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .autodiff import BLAS_THREAD_VARS, _run_each
 from .datasets import SplitSpec, SubjectDataset, format_fields, load_trialset, make_splits, \
-    read_fields, save_trialset, synth_multisubject
+    read_fields, save_trialset, synth_multisubject, write_parts
 from .models import _check_width, load_checkpoint, save_checkpoint
 from .preprocessing import crop_geometry, preprocess_trialset
 from .training import ComparisonRow, TrainConfig, base_config, evaluate, \
@@ -93,6 +93,8 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def sha256_file(path) -> str:
+    """The sha256 hex digest of a file's bytes, read back: what `rerun`
+    checks inputs and replayed outputs with."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -109,21 +111,29 @@ def _load_input(load, path: Path) -> tuple[object, tuple[Path, str]]:
     return load(path, blob=blob), (path, hashlib.sha256(blob).hexdigest())
 
 
+def _write_text(path: Path, text: str) -> tuple[Path, str]:
+    """Write `text` to `path` as UTF-8; `path` with the digest of its bytes."""
+    return path, write_parts(path, [text.encode("utf-8")])
+
+
 def blas_threads() -> str:
     """The BLAS thread variables as NAME=value words, empty when unset."""
     return " ".join(f"{name}={os.environ.get(name, '')}" for name in BLAS_THREAD_VARS)
 
 
 def write_manifest(out_dir: Path, command: str, args: list[str], seed: int | None,
-                   inputs: list[tuple[Path, str]], outputs: list[Path],
+                   inputs: list[tuple[Path, str]], outputs: list[tuple[Path, str]],
                    extras: dict[str, str] | None = None) -> Path:
+    """Write out_dir/manifest.txt. `inputs` and `outputs` are (path, sha256
+    digest) pairs, each digest that of the bytes the command read or wrote,
+    so no file is opened to hash it."""
     fields = [("command", command), ("timestamp", datetime.now(timezone.utc).isoformat()),
               ("args", shlex.join(args)), ("blas_threads", blas_threads())]
     if seed is not None:
         fields.append(("seed", seed))
     fields += (extras or {}).items()
     fields += [("input", f"{path}\t{digest}") for path, digest in inputs]
-    fields += [("output", f"{path.name}\t{sha256_file(path)}") for path in outputs]
+    fields += [("output", f"{path.name}\t{digest}") for path, digest in outputs]
     manifest = out_dir / "manifest.txt"
     manifest.write_text(format_fields(fields), encoding="utf-8")
     return manifest
@@ -259,8 +269,7 @@ def cmd_synth(ns, parser) -> int:
     for ds in datasets:
         for k, session in enumerate(ds.sessions, start=1):
             path = out / f"{ds.subject_id}_s{k}{CONTAINER_SUFFIX}"
-            save_trialset(session, path)
-            outputs.append(path)
+            outputs.append((path, save_trialset(session, path)))
     write_manifest(out, "synth", replay_args(ns, parser), seed, [], outputs)
     print(f"wrote {len(outputs)} container(s) to {out}")
     return 0
@@ -271,15 +280,14 @@ def cmd_preprocess(ns, parser) -> int:
     channels = ns.channels.split(",") if ns.channels else None
     files = _discover_containers(Path(ns.data))
 
-    def item(path: Path) -> tuple[Path, str]:
+    def item(path: Path) -> tuple[tuple[Path, str], tuple[Path, str]]:
         ts, digest = _load_input(load_trialset, path)
-        save_trialset(preprocess_trialset(ts, notch_hz=ns.notch, band=(ns.low, ns.high),
-                                          channels=channels), out / path.name)
-        return digest
+        target = out / path.name
+        return digest, (target, save_trialset(preprocess_trialset(
+            ts, notch_hz=ns.notch, band=(ns.low, ns.high), channels=channels), target))
 
     # one pool item per container, so at most the pool's size are in memory
-    inputs = _run_each(item, files)
-    outputs = [out / path.name for path in files]
+    inputs, outputs = zip(*_run_each(item, files))
     write_manifest(out, "preprocess", replay_args(ns, parser), None, inputs, outputs)
     print(f"preprocessed {len(outputs)} container(s) into {out}")
     return 0
@@ -318,16 +326,13 @@ def cmd_train(ns, parser) -> int:
     model, report = train(ns.model.replace("-", "_"), split, cfg, regime=ns.regime)
 
     ckpt = out / "model.ckpt"
-    save_checkpoint(model, ckpt, meta={
+    outputs = [(ckpt, save_checkpoint(model, ckpt, meta={
         "model": ns.model, "regime": ns.regime, "target": ns.target,
         "subjects": ",".join(sorted(split.train)), "win_s": str(ns.win),
-        "overlap_s": str(ns.overlap)})
-    report_csv = out / "report.csv"
-    report_csv.write_text(report.to_csv_text(), encoding="utf-8")
-    summary = out / "summary.txt"
-    summary.write_text(report.to_summary_text(), encoding="utf-8")
-    write_manifest(out, "train", replay_args(ns, parser), seed, inputs,
-                   [ckpt, report_csv, summary],
+        "overlap_s": str(ns.overlap)})),
+        _write_text(out / "report.csv", report.to_csv_text()),
+        _write_text(out / "summary.txt", report.to_summary_text())]
+    write_manifest(out, "train", replay_args(ns, parser), seed, inputs, outputs,
                    extras={"wall_time_s": f"{report.wall_time_s:.3f}",
                            "split_sizes": f"{n_train}/{len(split.val)}/{len(split.test)}"})
     print(f"test_crop_accuracy={report.test_crop_accuracy!r}")
@@ -376,11 +381,10 @@ def cmd_eval(ns, parser) -> int:
     crop_acc, trial_acc = evaluate(model, branch, split.test, win, overlap)
     print(f"crop_accuracy={crop_acc!r}")
     print(f"trial_accuracy={trial_acc!r}")
-    summary = out / "summary.txt"
-    summary.write_text(format_fields([
+    summary = _write_text(out / "summary.txt", format_fields([
         ("model", meta.get("model", model.kind)), ("regime", meta.get("regime", "")),
         ("target_subject", ns.target), ("test_crop_accuracy", repr(crop_acc)),
-        ("test_trial_accuracy", repr(trial_acc))]), encoding="utf-8")
+        ("test_trial_accuracy", repr(trial_acc))]))
     write_manifest(out, "eval", replay_args(ns, parser), None, [ckpt_input, *inputs],
                    [summary])
     return 0
@@ -415,12 +419,9 @@ def cmd_report(ns, parser) -> int:
         rows.append(row)
         inputs.append(digest)
     table = negative_transfer_report(rows)
-    report_csv = out / "report.csv"
-    report_csv.write_text(table.to_csv_text(), encoding="utf-8")
-    summary_txt = out / "summary.txt"
-    summary_txt.write_text(table.to_text(), encoding="utf-8")
-    write_manifest(out, "report", replay_args(ns, parser), None, inputs,
-                   [report_csv, summary_txt])
+    outputs = [_write_text(out / "report.csv", table.to_csv_text()),
+               _write_text(out / "summary.txt", table.to_text())]
+    write_manifest(out, "report", replay_args(ns, parser), None, inputs, outputs)
     print(table.to_text(), end="")
     return 0
 

@@ -9,8 +9,9 @@ float64. One container file holds one TrialSet (a single subject's session).
 
 from __future__ import annotations
 
+import hashlib
 import math
-from collections.abc import Sized
+from collections.abc import Iterable, Sized
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -164,11 +165,23 @@ def _check_finite_trials(data: np.ndarray, path, error) -> None:
         raise error(f"{path}: trial {int(np.argmin(finite))} holds non-finite samples")
 
 
-def save_trialset(trial_set: TrialSet, path) -> None:
+def write_parts(path, parts: Iterable) -> str:
+    """Write the byte strings (or buffers) `parts` to `path`, in order, and
+    return the sha256 hex digest of the bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for part in parts:
+            digest.update(part)
+            fh.write(part)
+    return digest.hexdigest()
+
+
+def save_trialset(trial_set: TrialSet, path) -> str:
     """Write one TrialSet: text header, blank line, uint8 labels, float32
-    little-endian payload in [trial][channel][sample] order. Non-finite
-    samples, which `load_trialset` refuses, are refused here too, naming the
-    file and the trial, before the file is opened."""
+    little-endian payload in [trial][channel][sample] order; returns the
+    sha256 hex digest of the file's bytes. Non-finite samples, which
+    `load_trialset` refuses, are refused here too, naming the file and the
+    trial, before the file is opened."""
     _check_name("subject id", trial_set.subject_id, may_be_empty=True)
     for name in trial_set.channel_names:
         _check_name("channel name", name)
@@ -184,10 +197,8 @@ def save_trialset(trial_set: TrialSet, path) -> None:
         raise ValueError("labels above 255 do not fit the container format")
     payload = np.ascontiguousarray(trial_set.data, dtype="<f4")
     _check_finite_trials(payload, path, ValueError)
-    with open(path, "wb") as fh:
-        fh.write(f"{header}\n".encode("utf-8"))
-        fh.write(labels.astype(np.uint8).tobytes())
-        fh.write(payload.data)
+    return write_parts(path, [f"{header}\n".encode("utf-8"),
+                              labels.astype(np.uint8).tobytes(), payload.data])
 
 
 def _parse_int(fields: dict, key: str, path) -> int:

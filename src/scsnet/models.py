@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .datasets import format_fields, read_header
+from .datasets import format_fields, read_header, write_parts
 from .preprocessing import CropGeometry
 
 CHECKPOINT_VERSION = 1
@@ -486,9 +486,10 @@ def _block_line(params: ModelParams, name: str) -> bytes:
     return f"param={name} shape={shape} group={params.group_of(name)}\n".encode("utf-8")
 
 
-def save_checkpoint(model, path, meta: dict[str, str] | None = None) -> None:
+def save_checkpoint(model, path, meta: dict[str, str] | None = None) -> str:
     """Config echo as key=value lines, then per parameter, in the model's order,
-    its `_block_line` and little-endian float64 values; round-trips bit-exactly."""
+    its `_block_line` and little-endian float64 values; round-trips bit-exactly.
+    Returns the sha256 hex digest of the file's bytes."""
     meta = meta or {}
     for key in meta:
         if not key or "=" in key:
@@ -497,11 +498,14 @@ def save_checkpoint(model, path, meta: dict[str, str] | None = None) -> None:
         [("checkpoint_version", CHECKPOINT_VERSION), *_config_fields(model),
          *((f"meta.{key}", value) for key, value in meta.items()),
          ("param_count", len(model.params.names()))])
-    with open(path, "wb") as fh:
-        fh.write(f"{header}\n".encode("utf-8"))
+
+    def parts():
+        yield f"{header}\n".encode("utf-8")
         for name, tensor in model.params.items():
-            fh.write(_block_line(model.params, name))
-            fh.write(tensor.values.astype("<f8").tobytes())
+            yield _block_line(model.params, name)
+            yield tensor.values.astype("<f8").tobytes()
+
+    return write_parts(path, parts())
 
 
 def load_checkpoint(path, *, blob: bytes | None = None):

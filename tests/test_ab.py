@@ -25,7 +25,8 @@ def test_head_against_head_at_tiny_shapes(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("base HEAD against the working tree, size tiny")
     rows = {line.split()[0]: line.split() for line in lines[2:]}
-    assert sorted(rows) == ["decode", "eval", "eval_peak", "setup", "train", "train_peak"]
+    assert sorted(rows) == ["decode", "eval", "eval_peak", "log_power", "log_power_peak",
+                            "setup", "train", "train_peak"]
     for case, cells in rows.items():
         # unit, base median (IQR), change median (IQR), ratio, wins out of rounds
         assert cells[1] == ("MB" if case.endswith("_peak") else "ms")

@@ -652,6 +652,34 @@ class TestRerun:
         for name, digest in inputs:
             assert digest == parsed[name] != sha256_file(name), name
 
+    def test_manifest_digests_are_of_the_bytes_written(self, data_dir, tmp_path,
+                                                      monkeypatch):
+        # no command reads an output back to hash it: each manifest digest is
+        # that of the bytes the command wrote
+        def refuse(path):
+            raise AssertionError(f"{path} was read back to be hashed")
+
+        monkeypatch.setattr(cli, "sha256_file", refuse)
+        runs = {name: tmp_path / name for name in ("synth", "prep", "train", "eval", "report")}
+        for argv in (
+                [*SYNTH, "--out", str(runs["synth"])],
+                ["preprocess", "--data", str(data_dir), "--notch", "10", "--low", "1",
+                 "--high", "14", "--out", str(runs["prep"])],
+                ["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
+                 "--out", str(runs["train"])],
+                ["eval", "--ckpt", str(runs["train"] / "model.ckpt"), "--data", str(data_dir),
+                 *TRAIN_FLAGS[:12], "--out", str(runs["eval"])],
+                ["report", "--runs", str(runs["train"]), "--out", str(runs["report"])]):
+            assert main(argv) == 0, argv
+        monkeypatch.undo()
+        counts = {}
+        for name, run in runs.items():
+            outputs = read_manifest(run / "manifest.txt")["outputs"]
+            counts[name] = len(outputs)
+            for output, digest in outputs:
+                assert digest == sha256_file(run / output), (name, output)
+        assert counts == {"synth": 4, "prep": 4, "train": 3, "eval": 1, "report": 2}
+
     def test_rerun_checks_inputs_first(self, data_dir, tmp_path, capsys):
         prep = tmp_path / "prep"
         assert main(["preprocess", "--data", str(data_dir), "--notch", "10", "--low", "1",
@@ -761,6 +789,20 @@ def test_of_two_bad_containers_the_first_is_named(data_dir, tmp_path, monkeypatc
     assert err.getvalue().startswith(f"error: {data_dir / 'S01_s2.tsc'}: payload holds ")
     assert "S02_s1" not in err.getvalue()
     assert not (tmp_path / "out" / "manifest.txt").exists()
+
+
+def test_preprocess_writes_no_container_after_a_bad_one(data_dir, tmp_path, monkeypatch):
+    # with one worker the containers run in file order: the first fails to
+    # load, and no later one is filtered or written
+    monkeypatch.setattr(ad, "_pool_size", lambda: 1)
+    bad = data_dir / "S01_s1.tsc"
+    bad.write_bytes(bad.read_bytes()[:-1])
+    out = tmp_path / "out"
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["preprocess", "--data", str(data_dir), "--notch", "10", "--high", "14",
+                     "--out", str(out)]) == 1
+    assert err.getvalue().startswith(f"error: {bad}: payload holds ")
+    assert sorted(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", NON_DEFAULT_ARGV, ids=lambda argv: argv[0])

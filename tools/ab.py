@@ -18,7 +18,14 @@ round:
   branch of the scsn_mmd model that side trained last;
 - `eval`: one `evaluate` of that model over a fixed set of 48 whole trials
   (the test trials, repeated as needed), and `eval_peak`: the tracemalloc
-  peak of a second such call.
+  peak of a second such call;
+- `log_power`: the median of 5 calls of one training step's shallow block,
+  a `conv_log_power_branches` forward plus its backward, and
+  `log_power_peak`: the tracemalloc peak of another. The step is the
+  size's: one branch per subject, each with the crops that the first batch
+  of training epoch 1 draws from that subject's pool (`scsn_pools`,
+  `batch_iter`), read in place from its trials, and with random kernels
+  and weights of the config's shapes.
 
 For each case it prints its unit, each side's median and interquartile
 range over the rounds, the ratio change / base of the medians, and in how
@@ -54,8 +61,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 SEED = 0
 DECODES = 20  # one-trial decodes per round
 EVAL_TRIALS = 48  # whole trials one eval case call decodes
+LOG_POWER_CALLS = 5  # timed shallow-block calls per round
 CASES = {"setup": "ms", "train": "ms", "train_peak": "MB", "decode": "ms", "eval": "ms",
-         "eval_peak": "MB"}  # case: unit
+         "eval_peak": "MB", "log_power": "ms", "log_power_peak": "MB"}  # case: unit
 
 # split: (calibration trials, validation range, test range) of the target's
 # second session; filters: the set-up's notch and band; trainings: the
@@ -106,11 +114,35 @@ class Side:
         self.trials = [test.subset([i]) for i in range(len(test))]
         self.eval_set = test.subset([i % len(test) for i in range(EVAL_TRIALS)])
         self.model = None
+        self.step = self.step_branches()
 
     def synth(self) -> list:
         return self.pkg.synth_multisubject(n_subjects=5, n_sessions=2, n_classes=4,
                                            shift_strength=0.7, snr=3.0, seed=SEED,
                                            **self.shape["data"])
+
+    def step_branches(self) -> list[tuple]:
+        """The (trials, kernels, weights, crops) of each branch of the first
+        scsn_mmd training step."""
+        import numpy as np  # here, once main() has pinned BLAS
+
+        training, cfg = self.pkg.training, self.cfg
+        _, pools = training.scsn_pools(self.split, cfg)
+        rows = next(self.pkg.batch_iter(pools, cfg.batch_per_branch,
+                                        training.epoch_batch_seed(SEED, 1)))
+        rng = np.random.default_rng(SEED)
+        f, k = cfg.temporal_filters, cfg.temporal_kernel
+        c = self.shape["data"]["n_channels"]
+        branches = []
+        for subject in sorted(pools):
+            pool, picked = pools[subject], rows[subject]
+            kernels = self.pkg.Tensor(rng.normal(scale=k ** -0.5, size=(f, k)),
+                                      requires_grad=True)
+            weights = self.pkg.Tensor(rng.normal(scale=(f * c) ** -0.5, size=(f, f, c)),
+                                      requires_grad=True)
+            branches.append((pool.trials, kernels, weights,
+                             (pool.trial[picked], pool.onset[picked], pool.width)))
+        return branches
 
     def setup(self) -> float:
         """Seconds to synthesize the data and filter every session."""
@@ -151,12 +183,32 @@ class Side:
 
         return _timed_then_traced(run)
 
+    def log_power(self) -> tuple[float, int]:
+        """Median seconds of LOG_POWER_CALLS forward-plus-backward calls of
+        the step's shallow block, and the tracemalloc peak in bytes of
+        another."""
+        ad = self.pkg.autodiff
 
-def _timed_then_traced(run) -> tuple[float, int]:
-    """Seconds of one run(), then the tracemalloc peak in bytes of another."""
-    start = time.perf_counter()
-    run()
-    seconds = time.perf_counter() - start
+        def run() -> None:
+            for _, kernels, weights, _ in self.step:
+                kernels.zero_grad()
+                weights.zero_grad()
+            hs = ad.conv_log_power_branches(self.step, self.cfg.pool_width,
+                                            self.cfg.pool_stride)
+            ad.add_n([ad.tsum(h) for h in hs]).backward()
+
+        return _timed_then_traced(run, LOG_POWER_CALLS)
+
+
+def _timed_then_traced(run, calls: int = 1) -> tuple[float, int]:
+    """Median seconds of `calls` runs of run(), then the tracemalloc peak in
+    bytes of another."""
+    times = []
+    for _ in range(calls):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    seconds = statistics.median(times)
     tracemalloc.start()
     try:
         run()
@@ -187,17 +239,20 @@ def compare(base: Side, change: Side, rounds: int) -> dict[str, dict]:
             seconds, peak = side.evaluate()
             runs["eval"][label].append(1e3 * seconds)
             runs["eval_peak"][label].append(peak / 1e6)
+            seconds, peak = side.log_power()
+            runs["log_power"][label].append(1e3 * seconds)
+            runs["log_power_peak"][label].append(peak / 1e6)
     return runs
 
 
 def summary(runs: dict[str, dict]) -> list[str]:
-    lines = [f"{'case':<12}{'unit':<5}{'base (IQR)':>22}{'change (IQR)':>22}"
+    lines = [f"{'case':<16}{'unit':<5}{'base (IQR)':>22}{'change (IQR)':>22}"
              f"{'change/base':>13}{'change lower':>14}"]
     for case, sides in runs.items():
         base, change = sides["base"], sides["change"]
         mb, mc = statistics.median(base), statistics.median(change)
         wins = sum(c < b for b, c in zip(base, change))
-        lines.append(f"{case:<12}{CASES[case]:<5}{f'{mb:.3f} ({iqr(base):.3f})':>22}"
+        lines.append(f"{case:<16}{CASES[case]:<5}{f'{mb:.3f} ({iqr(base):.3f})':>22}"
                      f"{f'{mc:.3f} ({iqr(change):.3f})':>22}{mc / mb:>13.4f}"
                      f"{f'{wins}/{len(base)}':>14}")
     return lines
