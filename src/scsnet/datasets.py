@@ -68,14 +68,20 @@ class TrialSet:
 
     def __post_init__(self):
         self.data = np.asarray(self.data)
-        self.label = np.asarray(self.label, dtype=np.int64)
+        given = np.asarray(self.label)
+        with np.errstate(invalid="ignore"):  # a non-finite label, refused below
+            self.label = given.astype(np.int64)
         self.channel_names, self.class_names = list(self.channel_names), list(self.class_names)
         if self.data.ndim != 3 or self.data.shape[1] != len(self.channel_names):
             raise ValueError("data must be [trials, channels, samples] over channel_names")
         if self.label.shape != self.data.shape[:1]:
             raise ValueError("label must hold one class index per trial")
-        if np.any((self.label < 0) | (self.label >= len(self.class_names))):
-            raise ValueError("labels must index class_names")
+        # a label the int64 cast changes, such as 0.7, is refused, not truncated
+        bad = np.flatnonzero((self.label != given) | (self.label < 0)
+                             | (self.label >= len(self.class_names)))
+        if len(bad):
+            raise ValueError(f"trial {bad[0]}: label {given[bad[0]].item()!r} is not an "
+                             "integer index into class_names")
         if not (math.isfinite(self.fs) and self.fs > 0):
             raise ValueError(f"fs must be finite and positive, got {self.fs!r}")
 
@@ -427,6 +433,9 @@ def synth_multisubject(n_subjects: int, n_sessions: int, n_trials: int,
     for name, value in (("fs", fs), ("duration_s", duration_s), ("snr", snr)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if n_channels < 2:
+        raise ValueError(f"n_channels must be at least 2, got {n_channels}: each class "
+                         "pattern spans a pair of channels")
     if not 0.0 <= shift_strength <= 1.0:
         raise ValueError("shift_strength must lie in [0, 1]")
 

@@ -171,8 +171,8 @@ def _class_pairs(labels: list[np.ndarray], target: int) -> _Pairs | None:
                   np.asarray(source), np.asarray(share))
 
 
-def _layer_mmd(feats: list[Tensor], rows: list[np.ndarray], pairs: _Pairs, weight: float,
-               sigma2: float | None) -> tuple[Tensor, np.ndarray]:
+def _layer_mmd(feats: list[Tensor], rows: list[np.ndarray], pairs: _Pairs, weight: float
+               ) -> tuple[Tensor, np.ndarray]:
     """One layer's node, weight times each source's class-mean biased MMD^2
     summed over the sources, and those per-branch terms (0 for the target
     and for a source that shares no class)."""
@@ -189,14 +189,11 @@ def _layer_mmd(feats: list[Tensor], rows: list[np.ndarray], pairs: _Pairs, weigh
         s_rows = slice(off[s], off[s + 1])
         sq[s_rows, s_rows] = cdist(x[s_rows], x[s_rows], "sqeuclidean")
     d2 = sq[pairs.idx[:, :, None], pairs.idx[:, None, :]]
-    if sigma2 is None:
-        # bandwidth_mean_l2 of each pair's union: every distinct pair is
-        # counted twice in the square, and so is the denominator
-        size = pairs.m + pairs.n
-        mean = np.where(pairs.real, np.sqrt(d2), 0.0).sum(axis=(1, 2)) / (size * (size - 1))
-        s2 = np.where(mean > 0.0, mean, 1.0)
-    else:
-        s2 = np.full(len(d2), float(sigma2))
+    # bandwidth_mean_l2 of each pair's union: every distinct pair is counted
+    # twice in the square, and so is the denominator
+    size = pairs.m + pairs.n
+    mean = np.where(pairs.real, np.sqrt(d2), 0.0).sum(axis=(1, 2)) / (size * (size - 1))
+    s2 = np.where(mean > 0.0, mean, 1.0)
     k = np.exp(d2 / (-2.0 * s2)[:, None, None])
     k_t = np.matmul(k, pairs.on_target[:, :, None])[..., 0]
     k_s = np.matmul(k, pairs.on_source[:, :, None])[..., 0]
@@ -207,7 +204,7 @@ def _layer_mmd(feats: list[Tensor], rows: list[np.ndarray], pairs: _Pairs, weigh
 
     def backward(gout):
         # d/dx_i of sum_p c_p a_p^T K_p a_p is 2 sum_j G_ij (x_j - x_i),
-        # G = sum_p c_p (a_p a_p^T * K_p) / sigma2_p scattered to stacked rows
+        # G = sum_p c_p (a_p a_p^T * K_p) / s2_p scattered to stacked rows
         coef = float(gout) * weight * pairs.share / s2
         g = np.bincount(pairs.flat.ravel(), (pairs.aa * k * coef[:, None, None]).ravel(),
                         minlength=total * total).reshape(total, total)
@@ -222,20 +219,19 @@ def _layer_mmd(feats: list[Tensor], rows: list[np.ndarray], pairs: _Pairs, weigh
     return make_node(np.asarray(terms.sum()), feats, backward), terms
 
 
-def multi_source_mmd(branch_feats, branch_labels, target: int,
-                     sigma2: float | None = None) -> tuple[Tensor, dict[int, tuple[float, ...]]]:
+def multi_source_mmd(branch_feats, branch_labels, target: int
+                     ) -> tuple[Tensor, dict[int, tuple[float, ...]]]:
     """Layer-weighted, class-matched discrepancy of every source branch
     against the target branch, as one node per deep layer.
 
     `branch_feats[b]` holds branch b's three deep feature layers (rows are
     samples) and `branch_labels[b]` its integer labels. A source's term is,
-    per layer, the mean of mmd2_biased (with `sigma2`) over every class it
-    shares with the target, feature rows restricted to that class, combined
-    with LAYER_WEIGHTS. Returns the sum of the source terms (a constant 0
-    when no source shares a class) and, per source branch, its per-layer
-    weighted terms as floats; those sum to the source's term.
+    per layer, the mean of mmd2_biased, at its bandwidth rule, over every
+    class it shares with the target, feature rows restricted to that class,
+    combined with LAYER_WEIGHTS. Returns the sum of the source terms (a
+    constant 0 when no source shares a class) and, per source branch, its
+    per-layer weighted terms as floats; those sum to the source's term.
     """
-    _check_sigma2(sigma2)
     feats = [[as_tensor(f) for f in layers] for layers in branch_feats]
     if len(branch_labels) != len(feats):
         raise ValueError("expected one label vector per branch")
@@ -259,23 +255,22 @@ def multi_source_mmd(branch_feats, branch_labels, target: int,
     if pairs is None:
         return Tensor(np.asarray(0.0)), {s: (0.0,) * len(LAYER_WEIGHTS) for s in sources}
     nodes, terms = zip(*(_layer_mmd([layers[layer] for layers in feats],
-                                    [r[layer] for r in rows], pairs, weight, sigma2)
+                                    [r[layer] for r in rows], pairs, weight)
                          for layer, weight in enumerate(LAYER_WEIGHTS)))
     return add_n(nodes), {s: tuple(float(t[s]) for t in terms) for s in sources}
 
 
-def layered_class_mmd(target_feats, source_feats, target_labels, source_labels,
-                      sigma2: float | None = None) -> Tensor:
+def layered_class_mmd(target_feats, source_feats, target_labels, source_labels) -> Tensor:
     """Layer-weighted, class-matched discrepancy across the three deep layers.
 
-    Per layer: the mean of mmd2_biased (with `sigma2`) over every class
-    present in both batches, feature rows restricted to that class. The
-    per-layer values are combined with LAYER_WEIGHTS. Returns a constant 0
+    Per layer: the mean of mmd2_biased, at its bandwidth rule, over every
+    class present in both batches, feature rows restricted to that class.
+    The per-layer values are combined with LAYER_WEIGHTS. Returns a constant 0
     when the batches share no class. This is `multi_source_mmd` with one
     source.
     """
     return multi_source_mmd([target_feats, source_feats], [target_labels, source_labels],
-                            0, sigma2)[0]
+                            0)[0]
 
 
 def transfer_loss(classification_loss, per_source_mmd, lam: float) -> Tensor:

@@ -199,15 +199,15 @@ def _init_dense_chain(params: ModelParams, rng, prefix: str, group: str,
 
 
 def _shallow_forward(x: np.ndarray, params: ModelParams, cfg: BaselineConfig, prefix: str,
-                     crop_stride: int) -> ad.Tensor:
+                     geo: CropGeometry) -> ad.Tensor:
     """Inference-mode pooled log-power features of whole trials [trials,
-    channels, samples]: of every crop of every trial (n_samples wide, one
-    every crop_stride samples), one flat row per crop, trial-major (dropout
-    is the identity here). Conv and square act locally in time, so each
-    trial's covered span runs through them once; pooling at the stride g =
-    gcd(crop_stride, pool_stride) then yields every pooling window of every
-    crop, and the crop read-out is a gather. A trial of one crop pools at
-    the pool stride, with no gather. Training runs `forward_train` instead.
+    channels, samples]: of every crop `geo` lays out in a trial, one flat
+    row per crop, trial-major (dropout is the identity here). Conv and
+    square act locally in time, so each trial's covered span runs through
+    them once; pooling at the stride g = gcd(crop stride, pool_stride) then
+    yields every pooling window of every crop, and the crop read-out is a
+    gather. A trial of one crop pools at the pool stride. Training runs
+    `forward_train` instead.
 
     The shallow block runs over consecutive chunks of whole trials, each as
     large as keeps its temporal-conv output within _INFER_VALUES float64
@@ -215,14 +215,11 @@ def _shallow_forward(x: np.ndarray, params: ModelParams, cfg: BaselineConfig, pr
     alone, so the features are the same to the bit at any chunk size; only
     each chunk's pooled rows outlive its pass.
     """
-    step, windows = cfg.pool_stride, None
-    geo = CropGeometry.of(x.shape[-1], cfg.n_samples, crop_stride)
     x = x[..., :geo.covered]
-    if geo.count > 1:
-        step = math.gcd(crop_stride, cfg.pool_stride)
-        # crop j's m-th window starts at j * crop_stride + m * pool_stride
-        windows = (np.arange(geo.count)[:, None] * crop_stride
-                   + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
+    step = math.gcd(geo.stride, cfg.pool_stride) if geo.count > 1 else cfg.pool_stride
+    # crop j's m-th window starts at j * crop stride + m * pool_stride
+    windows = (np.arange(geo.count)[:, None] * geo.stride
+               + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
     kernels, weights = params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"]
 
     def log_power(chunk: np.ndarray) -> np.ndarray:
@@ -247,10 +244,8 @@ def _shallow_forward(x: np.ndarray, params: ModelParams, cfg: BaselineConfig, pr
     # an empty batch still runs one (empty) chunk, for the output's shape
     pooled = np.concatenate([log_power(x[lo:lo + per])
                              for lo in range(0, max(len(x), 1), per)])
-    if windows is not None:
-        feats = np.moveaxis(pooled[:, :, windows], 2, 1)  # [trials, crops, F, P]
-        pooled = feats.reshape((-1,) + feats.shape[2:])
-    return ad.Tensor(pooled.reshape(pooled.shape[:-2] + (cfg.feature_dim,)))
+    feats = pooled[:, :, windows].transpose(0, 2, 1, 3)  # [trials, crops, F, P]
+    return ad.Tensor(feats.reshape(-1, cfg.feature_dim))
 
 
 def _dense_chain_forward(h, params: ModelParams, prefix: str, n_layers: int,
@@ -395,18 +390,16 @@ def forward_train(model, batch: dict, dropout_rng=None
     return out
 
 
-def forward_infer(model, x, branch: int | None = None,
-                  crop_stride: int | None = None) -> np.ndarray:
+def forward_infer(model, x, branch: int | None = None, *, crop_stride: int) -> np.ndarray:
     """Class probabilities per crop, dropout disabled: the inference of
     both models. SCSN models use only the requested branch, an integer; the
     baseline ignores the branch argument.
 
-    Given `crop_stride`, a positive integer, x holds whole trials [trials,
-    channels, samples], and the rows are the probabilities of each trial's
-    crops (n_samples wide, one every crop_stride samples), trial-major, from
-    one shallow pass per trial. Without it, x holds crops [crops, channels,
-    n_samples], which run as whole trials of one crop each. Input rows
-    (trials or crops) that hold a non-finite sample are refused, by index.
+    x holds whole trials [trials, channels, samples], and the rows are the
+    probabilities of each trial's crops (n_samples wide, one every
+    `crop_stride` samples, a positive integer), trial-major, from one
+    shallow pass per trial. Trials that hold a non-finite sample are
+    refused, by index.
 
     The head runs over consecutive chunks of whole trials: at most
     _INFER_CHUNK crops, and at least one trial; `_shallow_forward` cuts each
@@ -426,27 +419,21 @@ def forward_infer(model, x, branch: int | None = None,
     else:
         branch = 0
     x = np.asarray(x)
-    row = "crop" if crop_stride is None else "trial"
     if x.ndim != 3:
-        raise ValueError("crops must be [crops, channels, n_samples]" if crop_stride is None
-                         else "whole-trial input must be [trials, channels, samples]")
-    if crop_stride is None:
-        _check_width(model, x.shape[-1])
-        crop_stride = 1
-    else:
-        crop_stride = _as_int("crop_stride", crop_stride)
-        if crop_stride < 1:
-            raise ValueError(f"crop_stride must be a positive integer, got {crop_stride}")
-    per = max(1, _INFER_CHUNK // CropGeometry.of(x.shape[-1], base.n_samples,
-                                                 crop_stride).count)
+        raise ValueError("whole-trial input must be [trials, channels, samples]")
+    crop_stride = _as_int("crop_stride", crop_stride)
+    if crop_stride < 1:
+        raise ValueError(f"crop_stride must be a positive integer, got {crop_stride}")
+    geo = CropGeometry.of(x.shape[-1], base.n_samples, crop_stride)
+    per = max(1, _INFER_CHUNK // geo.count)
 
     def probs(lo: int) -> np.ndarray:
         # the chunk's features and graph are freed before the next chunk
         chunk = x[lo:lo + per]
         finite = np.isfinite(chunk).all(axis=(1, 2))
         if not finite.all():
-            raise ValueError(f"{row} {lo + int(finite.argmin())} holds non-finite samples")
-        h = _shallow_forward(chunk, model.params, base, prefixes[branch], crop_stride)
+            raise ValueError(f"trial {lo + int(finite.argmin())} holds non-finite samples")
+        h = _shallow_forward(chunk, model.params, base, prefixes[branch], geo)
         return _softmax_probs(model._head(h, branch)[0].values)
 
     # an empty batch still runs one (empty) chunk, for the output's shape

@@ -118,6 +118,9 @@ def select_channels(trial_set: TrialSet, names: list[str]) -> TrialSet:
     missing = [n for n in names if n not in trial_set.channel_names]
     if missing:
         raise KeyError(f"unknown channel(s): {', '.join(missing)}")
+    repeated = [n for i, n in enumerate(names) if n in names[:i]]
+    if repeated:
+        raise ValueError(f"channel {repeated[0]!r} is given more than once")
     idx = [trial_set.channel_names.index(n) for n in names]
     return replace(trial_set, data=trial_set.data[:, idx], channel_names=names)
 

@@ -223,7 +223,12 @@ def crop_pool(sets: list[TrialSet], win_s: float, overlap_s: float) -> CropPool:
     order, over the sets' own trial arrays."""
     if not all(sets):
         raise ValueError("every training set needs at least one trial")
-    geos = [crop_geometry(ts.n_samples, ts.fs, win_s, overlap_s) for ts in sets]
+    geos = []
+    for ts in sets:
+        try:
+            geos.append(crop_geometry(ts.n_samples, ts.fs, win_s, overlap_s))
+        except ValueError as err:
+            raise ValueError(f"subject {ts.subject_id!r}: {err}") from None
     if len({geo.width for geo in geos}) > 1:
         raise ValueError("training sets give crops of different widths")
     counts = np.repeat([geo.count for geo in geos], [len(ts) for ts in sets])

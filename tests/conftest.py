@@ -3,7 +3,16 @@ import time
 import numpy as np
 import pytest
 
+from scsnet import autodiff as ad
 from scsnet.datasets import SplitSpec, make_splits, synth_multisubject
+from scsnet.mmd import (
+    LAYER_WEIGHTS,
+    bandwidth_mean_l2,
+    layered_class_mmd,
+    mmd2_biased,
+    transfer_loss,
+)
+from scsnet.models import forward_train
 from scsnet.training import TrainConfig, train
 
 BENCH_SEEDS = (0, 1, 2)
@@ -13,6 +22,54 @@ def assert_rel_close(got, want, rtol=1e-12):
     """Max absolute deviation within rtol of the reference's largest magnitude."""
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def frozen_bandwidth_mmd(t_feats, s_feats, t_labels, s_labels):
+    """`layered_class_mmd` with each (layer, shared class) pair's bandwidth
+    held at its value for these features: a function of target and source
+    feature tensors built from one `mmd2_biased` node per pair. The MMD
+    node's backward treats the bandwidth as a constant, so its gradient at
+    these features is this function's, whose finite differences
+    `grad_check` can take."""
+    shared = sorted(set(t_labels.tolist()) & set(s_labels.tolist()))
+    rows = [(np.flatnonzero(t_labels == c), np.flatnonzero(s_labels == c)) for c in shared]
+    sigma2 = [[bandwidth_mean_l2(t.values[i], s.values[j]) for i, j in rows]
+              for t, s in zip(t_feats, s_feats)]
+
+    def mmd(t_feats, s_feats):
+        return ad.add_n([ad.scale(ad.add_n([mmd2_biased(ad.take_rows(t, i),
+                                                        ad.take_rows(s, j), v)
+                                            for (i, j), v in zip(rows, layer)]),
+                                  w / len(rows))
+                         for w, t, s, layer in zip(LAYER_WEIGHTS, t_feats, s_feats, sigma2)])
+
+    return mmd
+
+
+def scsn_mmd_grad_check(model, batch, eps=1e-5):
+    """`grad_check`'s error for a two-branch SCSN-MMD loss over every
+    parameter: the mean cross-entropy plus the layered class MMD of branch
+    1 against branch 0, lambda 1. The finite differences hold each MMD
+    pair's bandwidth at its value here (`frozen_bandwidth_mmd`), and the
+    gradient with the bandwidth rule must equal that loss's to 1e-12
+    relative."""
+    labels = (batch[0][1], batch[1][1])
+    wrt = [model.params[n] for n in model.params.names()]
+
+    def loss(mmd):
+        out = forward_train(model, batch)
+        ce = ad.scale(ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0]
+                                for i in range(2)]), 0.5)
+        return transfer_loss(ce, [mmd(out[0][1], out[1][1])], 1.0)
+
+    model.params.zero_grad()
+    loss(lambda t, s: layered_class_mmd(t, s, *labels)).backward()
+    got = np.concatenate([w.grad.ravel() for w in wrt])
+    out = forward_train(model, batch)
+    frozen = frozen_bandwidth_mmd(out[0][1], out[1][1], *labels)
+    err = ad.grad_check(lambda: loss(frozen), wrt, eps=eps)  # leaves its gradient in wrt
+    assert_rel_close(got, np.concatenate([w.grad.ravel() for w in wrt]))
+    return err
 
 
 # one crop per trial (window == duration) keeps the desk-scale budget small

@@ -15,10 +15,10 @@ import pytest
 from scsnet import autodiff as ad
 from scsnet.cli import main as cli_main
 from scsnet.datasets import Epoch, SplitSpec, SubjectDataset, TrialSet, make_splits
-from scsnet.mmd import bandwidth_mean_l2, layered_class_mmd, mmd2_biased, transfer_loss
-from scsnet.models import BaselineConfig, ScsnConfig, build_scsn, forward_infer, forward_train
+from scsnet.mmd import bandwidth_mean_l2, layered_class_mmd, mmd2_biased
+from scsnet.models import BaselineConfig, ScsnConfig, build_scsn, forward_infer
 from scsnet.preprocessing import bandpass_filter, crop_trials, notch_filter
-from tests.conftest import BENCH_SEEDS
+from tests.conftest import BENCH_SEEDS, scsn_mmd_grad_check
 
 
 @contextmanager
@@ -80,15 +80,7 @@ def _scsn_mmd_loss_case(seed):
     model = build_scsn(cfg, seed=seed)
     rng = np.random.default_rng(seed + 1000)
     batch = {i: (rng.normal(size=(3, 2, 12)), np.array([0, 1, 0])) for i in range(2)}
-
-    def loss():
-        out = forward_train(model, batch)
-        ce = ad.scale(ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0]
-                                for i in range(2)]), 0.5)
-        disc = layered_class_mmd(out[0][1], out[1][1], batch[0][1], batch[1][1], 1.5)
-        return transfer_loss(ce, [disc], 1.0)
-
-    return loss, [model.params[n] for n in model.params.names()]
+    return model, batch
 
 
 def test_criterion_1_gradient_suite():
@@ -101,9 +93,8 @@ def test_criterion_1_gradient_suite():
             for name, loss, wrt in _layer_op_cases(rng):
                 err = ad.grad_check(loss, wrt, eps=1e-5)
                 worst[name] = max(worst.get(name, 0.0), err)
-            loss, wrt = _scsn_mmd_loss_case(instance)
             worst["scsn_mmd_loss"] = max(worst.get("scsn_mmd_loss", 0.0),
-                                         ad.grad_check(loss, wrt, eps=1e-5))
+                                         scsn_mmd_grad_check(*_scsn_mmd_loss_case(instance)))
         elapsed = time.perf_counter() - started
         assert all(err < 1e-4 for err in worst.values()), worst
         assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
@@ -254,14 +245,16 @@ def test_criterion_9_target_branch_isolation():
         cfg = ScsnConfig(base=base, n_subjects=4, target_index=1,
                          common_fc_dims=(8, 8, 8), separate_fc_dims=(5, 5, 5))
         model = build_scsn(cfg, seed=3)
-        crops = np.random.default_rng(4).normal(size=(6, 3, 40))
-        before = forward_infer(model, crops, branch=1)
+        # whole trials of 60 samples, each holding five 40-sample crops, one every 5
+        trials = np.random.default_rng(4).normal(size=(6, 3, 60))
+        before = forward_infer(model, trials, branch=1, crop_stride=5)
+        assert before.shape == (6 * 5, 3)
         rng = np.random.default_rng(5)
         for name in model.params.names():
             group = model.params.group_of(name)
             if group.startswith("subject") and group != "subject1":
                 model.params[name].values += rng.normal(size=model.params[name].shape)
-        after = forward_infer(model, crops, branch=1)
+        after = forward_infer(model, trials, branch=1, crop_stride=5)
         assert np.array_equal(before, after)
 
 

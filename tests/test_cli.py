@@ -5,6 +5,7 @@ import io
 import os
 import shlex
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from scsnet import autodiff as ad
 from scsnet import cli
 from scsnet.cli import build_parser, main, read_manifest, replay_args, sha256_file
-from scsnet.datasets import load_trialset
+from scsnet.datasets import load_trialset, save_trialset
 from scsnet.models import BaselineConfig, build_baseline, save_checkpoint
 from scsnet.training import TrainConfig
 
@@ -70,6 +71,16 @@ class TestSynth:
                      "--classes", "2", "--shift", "0.5", "--snr", "5", "--seed", "1",
                      "--out", str(out)]) == 0
         assert len(list(out.glob("*.tsc"))) == 10
+
+    def test_one_channel_is_refused(self, tmp_path, capsys):
+        # one channel cannot hold a class pattern's channel pair: synth wrote
+        # class-free noise and exited 0
+        argv = list(SYNTH)
+        argv[argv.index("--channels") + 1] = "1"
+        out = tmp_path / "one"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "error: n_channels must be at least 2, got 1" in capsys.readouterr().err
+        assert list(out.glob("*.tsc")) == []
 
     def test_rejects_out_of_range_shift(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -133,6 +144,13 @@ class TestPreprocess:
         # default notch 50 Hz and band 1-100 Hz are valid at fs=250
         assert main(["preprocess", "--data", str(raw), "--out", str(out)]) == 0
         assert load_trialset(out / "S01_s1.tsc").fs == 250.0
+
+    def test_channel_given_twice_runtime_error(self, data_dir, tmp_path, capsys):
+        code = main(["preprocess", "--data", str(data_dir), "--notch", "10",
+                     "--low", "1", "--high", "14", "--channels", "ch00,ch00",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "error: channel 'ch00' is given more than once" in capsys.readouterr().err
 
     def test_unknown_channel_runtime_error(self, data_dir, tmp_path, capsys):
         code = main(["preprocess", "--data", str(data_dir), "--notch", "10",
@@ -272,6 +290,21 @@ class TestTrain:
         assert code == 1
         assert f"error: subject 'S01' session 1: {message}" in capsys.readouterr().err
         assert splits == []
+
+    @pytest.mark.parametrize("model", ["scsn", "baseline"])
+    def test_source_trials_shorter_than_the_window_name_the_subject(
+            self, data_dir, tmp_path, capsys, model):
+        # a source's sessions are not checked before the split; its crop pool
+        # refused them without naming the subject
+        for k in (1, 2):
+            path = data_dir / f"S02_s{k}.tsc"
+            ts = load_trialset(path)
+            save_trialset(replace(ts, data=ts.data[:, :, :16]), path)
+        code = main(["train", "--data", str(data_dir), "--model", model, *TRAIN_FLAGS,
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "error: subject 'S02': window exceeds the trial duration" \
+            in capsys.readouterr().err
 
     def test_eval_window_longer_than_trials_fails_before_the_split(
             self, data_dir, tmp_path, capsys, monkeypatch):

@@ -61,6 +61,19 @@ class TestTrialSet:
             with pytest.raises(ValueError, match=match):
                 TrialSet(**{**ok, **bad})
 
+    def test_refuses_a_label_the_integer_cast_would_change(self):
+        # [0.7, 1.2] once loaded as [0, 1]
+        ok = dict(data=np.zeros((3, 2, 5), np.float32), subject_id="S",
+                  channel_names=["a", "b"], fs=10.0, class_names=["x", "y"])
+        for labels, message in (([0.7, 1.2, 0], "trial 0: label 0.7"),
+                                ([0, 1, 1.2], "trial 2: label 1.2"),
+                                ([0, np.nan, 1], "trial 1: label nan"),
+                                ([0, 1, 2], "trial 2: label 2")):
+            with pytest.raises(ValueError, match=f"^{message} is not an integer index"):
+                TrialSet(label=labels, **ok)
+        ts = TrialSet(label=np.array([1.0, 0.0, 1.0]), **ok)
+        assert ts.label.dtype == np.int64 and ts.label.tolist() == [1, 0, 1]
+
     @pytest.mark.parametrize("fs", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_fs(self, fs):
         with pytest.raises(ValueError, match="fs must be finite"):
@@ -454,15 +467,16 @@ class TestSynth:
             assert np.mean(np.abs(maps[0] - other)) < 1.0
 
     # (subjects, sessions, trials, channels, fs, duration, classes, shift, snr,
-    # seed, trials per block): cli-bench's and the paper's geometries, one
-    # channel, and blocks that do not divide the trial count
+    # seed, trials per block): cli-bench's and the paper's geometries, two
+    # channels (the fewest synth takes), and blocks that do not divide the
+    # trial count
     @pytest.mark.parametrize("shape", [
         (5, 2, 120, 8, 128.0, 2.0, 4, 0.7, 3.0, 0, None),
         (5, 2, 4, 22, 250.0, 4.0, 4, 0.5, 5.0, 7919, None),
-        (2, 3, 13, 1, 32.0, 1.0, 3, 0.0, 1.0, 3, 5),
+        (2, 3, 13, 2, 32.0, 1.0, 3, 0.0, 1.0, 3, 5),
         (3, 2, 7, 4, 64.0, 0.5, 2, 1.0, 2.0, 11, 3),
         (1, 1, 5, 3, 10.0, 0.1, 2, 0.3, 1.0, 2, 1),
-    ], ids=["cli-bench", "paper", "one-channel", "blocks-of-3", "blocks-of-1"])
+    ], ids=["cli-bench", "paper", "two-channels", "blocks-of-3", "blocks-of-1"])
     @pytest.mark.parametrize("size", [1, 2])
     def test_matches_the_per_trial_loop_bitwise(self, monkeypatch, shape, size):
         *args, block_trials = shape

@@ -14,7 +14,7 @@ from scsnet.mmd import (
     multi_source_mmd,
     transfer_loss,
 )
-from tests.conftest import assert_rel_close
+from tests.conftest import assert_rel_close, frozen_bandwidth_mmd
 
 
 def naive_mean_l2(x, y):
@@ -188,13 +188,13 @@ class TestLayeredClassMmd:
         got = layered_class_mmd(feats, [f.copy() for f in feats], labels, labels.copy())
         assert abs(got.item()) <= 1e-12
 
-    def _hand_composition(self, sigma2):
+    def test_hand_composition(self):
         rng = np.random.default_rng(9)
         t_labels = np.array([0, 0, 1, 1])
         s_labels = np.array([1, 0, 1, 0])
         t_feats = self._three_layers(rng, 4)
         s_feats = [f + 0.5 for f in self._three_layers(rng, 4)]
-        got = layered_class_mmd(t_feats, s_feats, t_labels, s_labels, sigma2).item()
+        got = layered_class_mmd(t_feats, s_feats, t_labels, s_labels).item()
 
         weights = (1 / 6, 1 / 3, 1 / 2)
         assert LAYER_WEIGHTS == weights
@@ -203,15 +203,9 @@ class TestLayeredClassMmd:
             per_class = []
             for c in (0, 1):
                 per_class.append(
-                    mmd2_biased(tf[t_labels == c], sf[s_labels == c], sigma2).item())
+                    mmd2_biased(tf[t_labels == c], sf[s_labels == c]).item())
             want += w * np.mean(per_class)
         assert abs(got - want) < 1e-12
-
-    def test_hand_composition(self):
-        self._hand_composition(None)
-
-    def test_hand_composition_with_given_sigma2(self):
-        self._hand_composition(2.0)
 
     def test_no_shared_class_is_zero(self):
         rng = np.random.default_rng(10)
@@ -232,11 +226,14 @@ class TestLayeredClassMmd:
         s_feats = [ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True) for _ in range(3)]
         t_labels = np.array([0, 1, 0, 1])
         s_labels = np.array([0, 0, 1, 1])
+        feats = t_feats + s_feats
+        layered_class_mmd(t_feats, s_feats, t_labels, s_labels).backward()
+        got = np.concatenate([f.grad.ravel() for f in feats])
 
-        def loss():
-            return layered_class_mmd(t_feats, s_feats, t_labels, s_labels, 2.0)
-
-        assert ad.grad_check(loss, t_feats + s_feats, eps=1e-5) < 1e-4
+        # finite differences at each pair's bandwidth, held where the gradient is taken
+        frozen = frozen_bandwidth_mmd(t_feats, s_feats, t_labels, s_labels)
+        assert ad.grad_check(lambda: frozen(t_feats, s_feats), feats, eps=1e-5) < 1e-4
+        assert_rel_close(got, np.concatenate([f.grad.ravel() for f in feats]))
 
 
     def test_non_integer_labels_refused(self):
@@ -260,7 +257,7 @@ class TestLayeredClassMmd:
             layered_class_mmd(s_feats, t_feats, labels, labels)
 
 
-def per_source_composition(branch_feats, branch_labels, target, sigma2=None):
+def per_source_composition(branch_feats, branch_labels, target):
     """The discrepancy as one `layered_class_mmd` per source built it before
     the multi-source node: per source and layer, the mean over shared classes
     of one mmd2_biased node between row gathers, weighted by the layer, then
@@ -278,7 +275,7 @@ def per_source_composition(branch_feats, branch_labels, target, sigma2=None):
         per_layer = []
         for t_f, s_f, w in zip(branch_feats[target], feats, LAYER_WEIGHTS):
             pairs = [mmd2_biased(ad.take_rows(t_f, np.flatnonzero(t_labels == c)),
-                                 ad.take_rows(s_f, np.flatnonzero(labels == c)), sigma2)
+                                 ad.take_rows(s_f, np.flatnonzero(labels == c)))
                      for c in shared]
             per_layer.append(ad.scale(ad.scale(ad.add_n(pairs), 1.0 / len(pairs)), w))
         parts[s] = tuple(layer.item() for layer in per_layer)
@@ -304,22 +301,17 @@ class TestMultiSourceMmd:
     """One node per layer for every source equals the per-source composition."""
 
     @settings(max_examples=60, deadline=None)
-    @given(case=branch_cases, seed=st.integers(0, 2**16),
-           sigma2=st.sampled_from([None, 0.5, 3.0]), coincide=st.booleans())
+    @given(case=branch_cases, seed=st.integers(0, 2**16), coincide=st.booleans())
     # source 2 shares no class with the target
-    @example(case=([[0, 1], [0, 0, 1], [2, 2]], 1), seed=0, sigma2=None, coincide=False)
+    @example(case=([[0, 1], [0, 0, 1], [2, 2]], 1), seed=0, coincide=False)
     # source 2 shares only some of the target's classes
-    @example(case=([[0, 1, 2, 0], [0, 1, 1, 2], [1, 1, 3]], 1), seed=1, sigma2=None,
-             coincide=False)
+    @example(case=([[0, 1, 2, 0], [0, 1, 1, 2], [1, 1, 3]], 1), seed=1, coincide=False)
     # one row per class on both sides
-    @example(case=([[0, 1, 2], [2, 1, 0], [1, 0, 2]], 2), seed=2, sigma2=None, coincide=False)
-    # a given sigma2 for every pair
-    @example(case=([[0, 1, 0, 1], [1, 1, 0], [0, 0, 1, 2], [2, 1]], 3), seed=3, sigma2=2.0,
-             coincide=False)
+    @example(case=([[0, 1, 2], [2, 1, 0], [1, 0, 2]], 2), seed=2, coincide=False)
     # every class-0 row coincides, so each class-0 pair takes the 1.0 fallback
-    @example(case=([[0, 0, 1], [0, 0, 1, 1], [0, 1, 1]], 1), seed=4, sigma2=None, coincide=True)
-    @example(case=([[0, 0], [0, 0, 0], [0]], 2), seed=5, sigma2=None, coincide=True)
-    def test_matches_per_source_composition(self, case, seed, sigma2, coincide):
+    @example(case=([[0, 0, 1], [0, 0, 1, 1], [0, 1, 1]], 1), seed=4, coincide=True)
+    @example(case=([[0, 0], [0, 0, 0], [0]], 2), seed=5, coincide=True)
+    def test_matches_per_source_composition(self, case, seed, coincide):
         labels, target = case
         rng = np.random.default_rng(seed)
         widths = (3, 1, 4)
@@ -335,8 +327,8 @@ class TestMultiSourceMmd:
                     for layers in values]
 
         got_feats, want_feats = tensors(), tensors()
-        got, parts = multi_source_mmd(got_feats, labels, target, sigma2)
-        want, want_parts = per_source_composition(want_feats, labels, target, sigma2)
+        got, parts = multi_source_mmd(got_feats, labels, target)
+        want, want_parts = per_source_composition(want_feats, labels, target)
         got_value, got_grads = _value_and_grads(got, got_feats)
         want_value, want_grads = _value_and_grads(want, want_feats)
         assert_rel_close(got_value, want_value)
@@ -406,9 +398,6 @@ class TestTransferLoss:
 
 def test_config_validation():
     x = np.zeros((2, 3))
-    labels = np.zeros(2)
     for sigma2 in (-2.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma2"):
             mmd2_biased(x, x + 1.0, sigma2)
-        with pytest.raises(ValueError, match="sigma2"):
-            layered_class_mmd([x] * 3, [x] * 3, labels, labels, sigma2)

@@ -8,7 +8,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from scsnet import autodiff as ad
 from scsnet import models
-from scsnet.mmd import layered_class_mmd, transfer_loss
 from scsnet.models import (
     BaselineConfig,
     ScsnConfig,
@@ -19,6 +18,7 @@ from scsnet.models import (
     load_checkpoint,
     save_checkpoint,
 )
+from tests.conftest import scsn_mmd_grad_check
 
 TINY = BaselineConfig(n_channels=2, n_samples=20, n_classes=2,
                       temporal_filters=3, temporal_kernel=5, pool_width=4,
@@ -51,7 +51,8 @@ class TestBaselineBuild:
                              temporal_filters=4, temporal_kernel=7, pool_width=10,
                              pool_stride=5, dropout=0.0)
         model = build_baseline(cfg, seed=1)
-        probs = forward_infer(model, np.random.default_rng(0).normal(size=(5, 3, 60)))
+        probs = forward_infer(model, np.random.default_rng(0).normal(size=(5, 3, 60)),
+                              crop_stride=1)
         assert probs.shape == (5, 4)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
 
@@ -80,7 +81,7 @@ class TestBaselineBuild:
         assert type(cfg.pool_width) is type(cfg.n_channels) is int
         model = build_baseline(cfg, seed=0)
         x = np.random.default_rng(1).normal(size=(2, 2, 100))
-        assert forward_infer(model, x).shape == (2, 2)
+        assert forward_infer(model, x, crop_stride=1).shape == (2, 2)
         assert ad.conv_log_power(x, model.params["temporal.kernels"],
                                  model.params["spatial.weights"], cfg.pool_width,
                                  cfg.pool_stride).shape == (2, 3, cfg.pooled_out)
@@ -211,13 +212,15 @@ class TestForwardInfer:
                              pool_stride=4, dropout=0.0)
         model = build_baseline(cfg, seed=0)
         model.params["classifier.weight"].values[:] = 0.0
-        probs = forward_infer(model, np.random.default_rng(0).normal(size=(6, 2, 40)))
+        probs = forward_infer(model, np.random.default_rng(0).normal(size=(6, 2, 40)),
+                              crop_stride=1)
         np.testing.assert_allclose(probs, 0.25, atol=1e-15)
 
     def test_deterministic(self):
         model = build_scsn(tiny_scsn_cfg(), seed=3)
         x = np.random.default_rng(4).normal(size=(5, 2, 20))
-        np.testing.assert_array_equal(forward_infer(model, x, 1), forward_infer(model, x, 1))
+        np.testing.assert_array_equal(forward_infer(model, x, 1, crop_stride=1),
+                                      forward_infer(model, x, 1, crop_stride=1))
 
     def test_matches_training_mode_without_dropout(self):
         model = build_scsn(tiny_scsn_cfg(dropout=0.0), seed=5)
@@ -227,13 +230,13 @@ class TestForwardInfer:
         for branch, (logits, _) in out.items():
             shifted = logits.values - logits.values.max(axis=1, keepdims=True)
             expected = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-            got = forward_infer(model, x, branch)
+            got = forward_infer(model, x, branch, crop_stride=1)
             assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_branch_out_of_range(self):
         model = build_scsn(tiny_scsn_cfg(), seed=0)
         with pytest.raises(ValueError):
-            forward_infer(model, np.zeros((1, 2, 20)), 7)
+            forward_infer(model, np.zeros((1, 2, 20)), 7, crop_stride=1)
 
     @pytest.mark.parametrize("branch", [True, np.bool_(True), 1.0, "1"],
                              ids=["bool", "numpy-bool", "float", "str"])
@@ -242,29 +245,14 @@ class TestForwardInfer:
         x = np.random.default_rng(1).normal(size=(2, 2, 20))
         message = f"branch must be an integer, got {re.escape(repr(branch))}"
         with pytest.raises(TypeError, match=message):
-            forward_infer(model, x, branch)
-        np.testing.assert_array_equal(forward_infer(model, x, np.int64(1)),
-                                      forward_infer(model, x, 1))
+            forward_infer(model, x, branch, crop_stride=1)
+        np.testing.assert_array_equal(forward_infer(model, x, np.int64(1), crop_stride=1),
+                                      forward_infer(model, x, 1, crop_stride=1))
 
-    @pytest.mark.parametrize("kind", ["baseline", "scsn"])
-    @pytest.mark.parametrize("width", [99, 103])
-    def test_refuses_crops_of_another_width(self, kind, width):
-        base = BaselineConfig(n_channels=2, n_samples=100, n_classes=2, temporal_filters=3)
-        if kind == "baseline":
-            model = build_baseline(base, seed=0)
-        else:
-            model = build_scsn(ScsnConfig(base=base, n_subjects=2, target_index=0,
-                                          common_fc_dims=(4,), separate_fc_dims=(4, 4, 4)),
-                               seed=0)
-        with pytest.raises(ValueError, match=f"crops are {width} samples wide, but the "
-                                             "model's input is 100 samples"):
-            forward_infer(model, np.zeros((3, 2, width)), 1)
-
-    def test_crops_must_be_batched(self):
+    def test_crop_stride_is_required(self):
         model = build_baseline(TINY, seed=0)
-        with pytest.raises(ValueError, match=re.escape("crops must be [crops, channels, "
-                                                       "n_samples]")):
-            forward_infer(model, np.zeros((2, TINY.n_samples)))
+        with pytest.raises(TypeError, match="crop_stride"):
+            forward_infer(model, np.zeros((2, TINY.n_channels, TINY.n_samples)))
 
     @pytest.mark.parametrize("stride", [0, -5, 2.0, True, "7"],
                              ids=["zero", "negative", "float", "bool", "str"])
@@ -275,28 +263,29 @@ class TestForwardInfer:
             forward_infer(model, trials, crop_stride=stride)
 
     @pytest.mark.parametrize("form, shape, bad, message", [
-        ("crops", (300, 2, 20), (270, 1, 4), "crop 270"),  # in the second head chunk
+        # trials of one crop; trial 270 is in the second head chunk
+        ("crops", (300, 2, 20), (270, 1, 4), "trial 270"),
         ("trials", (5, 2, 40), (3, 0, 39), "trial 3"),
     ])
     def test_refuses_non_finite_samples_naming_the_row(self, form, shape, bad, message):
         model = build_scsn(tiny_scsn_cfg(), seed=0)
         x = np.random.default_rng(2).normal(size=shape)
-        dense = {"crop_stride": 4} if form == "trials" else {}
+        stride = 4 if form == "trials" else 1
         for value in (np.nan, np.inf):
             x[bad] = value
             with pytest.raises(ValueError, match=f"^{message} holds non-finite samples$"):
-                forward_infer(model, x, 1, **dense)
+                forward_infer(model, x, 1, crop_stride=stride)
 
 
 class TestIsolation:
     def test_other_branch_mutation_is_invisible(self):
         model = build_scsn(tiny_scsn_cfg(n_subjects=3), seed=7)
         x = np.random.default_rng(8).normal(size=(4, 2, 20))
-        before = forward_infer(model, x, 0)
+        before = forward_infer(model, x, 0, crop_stride=1)
         for name in model.params.names():
             if name.startswith(("subject1.", "subject2.")):
                 model.params[name].values += 13.37
-        after = forward_infer(model, x, 0)
+        after = forward_infer(model, x, 0, crop_stride=1)
         np.testing.assert_array_equal(before, after)
 
     def test_gradient_isolation(self):
@@ -323,16 +312,7 @@ def test_end_to_end_gradient_check_tiny_scsn():
     model = build_scsn(cfg, seed=11)
     rng = np.random.default_rng(12)
     batch = {i: (rng.normal(size=(3, 2, 12)), np.array([0, 1, 0])) for i in range(2)}
-
-    def loss():
-        out = forward_train(model, batch)
-        ce = ad.scale(ad.add_n([ad.softmax_xent(out[i][0], batch[i][1])[0]
-                                for i in range(2)]), 0.5)
-        disc = layered_class_mmd(out[0][1], out[1][1], batch[0][1], batch[1][1], 1.5)
-        return transfer_loss(ce, [disc], 1.0)
-
-    wrt = [model.params[n] for n in model.params.names()]
-    assert ad.grad_check(loss, wrt, eps=1e-5) < 1e-4
+    assert scsn_mmd_grad_check(model, batch) < 1e-4
 
 
 def crops_of(trials, width, stride):
@@ -368,7 +348,7 @@ class TestDenseCropInference:
             branch = 2
         trials = np.random.default_rng(22).normal(size=(3, 3, samples))
         dense = forward_infer(model, trials, branch, crop_stride=stride)
-        crops = forward_infer(model, crops_of(trials, width, stride), branch)
+        crops = forward_infer(model, crops_of(trials, width, stride), branch, crop_stride=1)
         assert dense.shape == crops.shape == (3 * ((samples - width) // stride + 1), 4)
         np.testing.assert_allclose(dense, crops, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(dense.argmax(axis=1), crops.argmax(axis=1))
@@ -394,7 +374,7 @@ class TestDenseCropInference:
 
 
 class TestInferenceChunks:
-    """The head takes chunks of whole trials (or crops) of at most
+    """The head takes chunks of whole trials of at most
     models._INFER_CHUNK crops, at least one trial each. The shallow block
     runs over chunks of those whose temporal-conv output stays within
     models._INFER_VALUES, at least one trial each; the probabilities do not
@@ -413,12 +393,13 @@ class TestInferenceChunks:
                                           common_fc_dims=(8, 8, 8),
                                           separate_fc_dims=(6, 6, 6)), seed=26)
             branch = 1
-        # 7 trials of 200 samples hold 21 crops each, 60 wide, one every 7
-        samples, dense = (200, {"crop_stride": 7}) if form == "trials" else (60, {})
+        # 7 trials of 200 samples hold 21 crops each, 60 wide, one every 7;
+        # the crops form is 7 trials of one crop
+        samples, stride = (200, 7) if form == "trials" else (60, 1)
         x = np.random.default_rng(27).normal(size=(7, 3, samples)).astype(np.float32)
         per_trial = 4 * 3 * (samples - 5 + 1)
         assert 7 * per_trial <= models._INFER_VALUES  # one chunk at the default bound
-        whole = forward_infer(model, x, branch, **dense)
+        whole = forward_infer(model, x, branch, crop_stride=stride)
 
         chunks = []
         real_conv = ad.conv_time
@@ -431,12 +412,14 @@ class TestInferenceChunks:
         for bound, sizes in ((1, [1] * 7), (3 * per_trial, [3, 3, 1])):
             monkeypatch.setattr(models, "_INFER_VALUES", bound)
             chunks.clear()
-            np.testing.assert_array_equal(forward_infer(model, x, branch, **dense), whole)
+            np.testing.assert_array_equal(forward_infer(model, x, branch, crop_stride=stride),
+                                          whole)
             assert chunks == sizes
 
     @pytest.mark.parametrize("kind", ["baseline", "scsn"])
     @pytest.mark.parametrize("shape, stride, per, sizes", [
-        pytest.param((600, 3, 60), None, 256, [256, 256, 88], id="crops"),
+        # 600 trials of one crop
+        pytest.param((600, 3, 60), 1, 256, [256, 256, 88], id="crops"),
         # 21 crops a trial: 12 trials a chunk
         pytest.param((30, 3, 200), 7, 12, [252, 252, 126], id="trials"),
         # 300 crops a trial: one trial a chunk
@@ -522,7 +505,8 @@ class TestCheckpoint:
             for name in model.params.names():
                 assert back.params[name].values.tobytes() == model.params[name].values.tobytes()
             x = np.random.default_rng(15).normal(size=(2, cfg.base.n_channels, cfg.base.n_samples))
-            np.testing.assert_array_equal(forward_infer(back, x, 1), forward_infer(model, x, 1))
+            np.testing.assert_array_equal(forward_infer(back, x, 1, crop_stride=1),
+                                          forward_infer(model, x, 1, crop_stride=1))
 
     def test_truncated_rejected(self, tmp_path):
         model = build_baseline(TINY, seed=16)

@@ -211,6 +211,11 @@ class TestSelectChannels:
         with pytest.raises(KeyError, match="Oz"):
             select_channels(ts, ["C3", "Oz"])
 
+    def test_channel_given_twice_refused(self):
+        ts = _trialset(names=["Fz", "C3", "Pz"])
+        with pytest.raises(ValueError, match="^channel 'C3' is given more than once$"):
+            select_channels(ts, ["C3", "Pz", "C3"])
+
     def test_composition(self):
         ts = _trialset(names=["a", "b", "c", "d"])
         nested = select_channels(select_channels(ts, ["d", "b", "a"]), ["b", "a"])

@@ -1,5 +1,6 @@
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,6 +261,15 @@ class TestTrainBasics:
         with pytest.raises(ValueError):
             train("mlp", tiny_split(), tiny_cfg())
 
+    @pytest.mark.parametrize("kind", ["scsn", "baseline"])
+    def test_source_trials_shorter_than_the_window_name_the_subject(self, kind):
+        split = tiny_split()
+        short = split.train["S02"]
+        split.train["S02"] = replace(short, data=short.data[:, :, :32])  # 1 s crops at 64 Hz
+        with pytest.raises(ValueError,
+                           match="^subject 'S02': window exceeds the trial duration$"):
+            train(kind, split, tiny_cfg(), regime="multi")
+
     def test_mmd_log_nonnegative(self):
         _, report = train("scsn_mmd", tiny_split(), tiny_cfg(max_epochs=4, patience=4, lam=1.0))
         assert all(v >= -1e-12 for v in report.train_mmd_loss)
@@ -507,8 +517,8 @@ class TestMmdStepStructure:
         calls = []
         real = training.multi_source_mmd
 
-        def spy(branch_feats, branch_labels, target, sigma2=None):
-            out = real(branch_feats, branch_labels, target, sigma2)
+        def spy(branch_feats, branch_labels, target):
+            out = real(branch_feats, branch_labels, target)
             calls.append((len(branch_feats), target, len(out[0]._parents)))
             return out
 
@@ -699,7 +709,8 @@ class TestDenseEvaluate:
         assert 30 * self.CROPS > models._INFER_CHUNK
         dense = _predict_crops(model, 1, test, self.WIN, self.OVERLAP)
         crops = crop_trialset(test, self.WIN, self.OVERLAP).data  # trial-major
-        per_crop = forward_infer(model, crops, 1).argmax(axis=1).reshape(30, self.CROPS)
+        probs = forward_infer(model, crops, 1, crop_stride=1)  # trials of one crop each
+        per_crop = probs.argmax(axis=1).reshape(30, self.CROPS)
         assert dense.shape == (30, self.CROPS)
         np.testing.assert_array_equal(dense, per_crop)
         labels = test.labels()
