@@ -347,9 +347,9 @@ def _window_sums(a: np.ndarray, width: int, g: int) -> np.ndarray:
 
 
 def _window_spread(grid: np.ndarray, width: int, g: int, out: np.ndarray,
-                   times: np.ndarray | None = None) -> np.ndarray:
-    """The adjoint of _window_sums: out[..., t] = the sum of grid[..., m]
-    over the windows m that hold sample t, times `times[..., t]` if given.
+                   times: np.ndarray) -> np.ndarray:
+    """The adjoint of _window_sums, scaled: out[..., t] = the sum of
+    grid[..., m] over the windows m that hold sample t, times `times[..., t]`.
     Each block's gradient is the same doubling run on the grid padded with
     width / g - 1 zeros at both ends, repeated over the block's g samples;
     samples after the last window get zero. `out` is C-contiguous, so that
@@ -363,8 +363,7 @@ def _window_spread(grid: np.ndarray, width: int, g: int, out: np.ndarray,
     # over g runs several times slower at g = 5
     out[..., :covered].reshape(*per_block.shape, g)[...] = per_block[..., None]
     out[..., covered:] = 0.0
-    if times is not None:
-        out *= times
+    out *= times
     return out
 
 

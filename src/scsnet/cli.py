@@ -30,7 +30,6 @@ from .training import ComparisonRow, TrainConfig, base_config, evaluate, \
     negative_transfer_report, train
 
 CONTAINER_SUFFIX = ".tsc"
-SEED_ENV = "SCSN_SEED"
 SUBJECTS_NOTE = "A01,A03,A07,A08,A09"
 
 
@@ -77,15 +76,6 @@ def _dims(text: str) -> tuple[int, ...]:
         return tuple(int(d) for d in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated int list") from None
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    text = os.environ.get(SEED_ENV, "0")
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{SEED_ENV}={text!r} is not a nonnegative integer")
-    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +156,12 @@ def replay_args(ns, parser: argparse.ArgumentParser) -> list[str]:
 
     Walks the command's option actions in declaration order, so every flag is
     recorded, defaults included: a single-valued flag as `--flag=value`, a
-    list flag as the flag and its values. The seed is recorded resolved;
-    flags whose value is None are left out."""
+    list flag as the flag and its values; flags whose value is None are
+    left out."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     args = []
     for action in sub.choices[ns.command]._actions:
         value = getattr(ns, action.dest, None)
-        if action.dest == "seed":
-            value = _resolve_seed(value)
         if not action.option_strings or value is None:
             continue
         render, flag = _RENDER.get(action.type, str), action.option_strings[0]
@@ -190,8 +178,7 @@ def _check_replay(ns, parser: argparse.ArgumentParser) -> None:
         back = vars(parser.parse_args([ns.command, *args]))
     except SystemExit:  # argparse has printed why
         raise ValueError(f"the recorded flags {shlex.join(args)} do not parse back") from None
-    want = vars(ns) | ({"seed": _resolve_seed(ns.seed)} if "seed" in back else {})
-    if differ := [dest for dest, value in back.items() if value != want[dest]]:
+    if differ := [dest for dest, value in back.items() if value != getattr(ns, dest)]:
         raise ValueError(f"flag(s) {', '.join(differ)} would not replay from {shlex.join(args)}")
 
 
@@ -261,16 +248,15 @@ def _check_target_sessions(datasets: list[SubjectDataset], target: str, fits) ->
 
 
 def cmd_synth(ns, parser) -> int:
-    seed = _resolve_seed(ns.seed)
     out = _out_dir(ns)
     datasets = synth_multisubject(ns.subjects, ns.sessions, ns.trials, ns.channels,
-                                  ns.fs, ns.duration, ns.classes, ns.shift, ns.snr, seed)
+                                  ns.fs, ns.duration, ns.classes, ns.shift, ns.snr, ns.seed)
     outputs = []
     for ds in datasets:
         for k, session in enumerate(ds.sessions, start=1):
             path = out / f"{ds.subject_id}_s{k}{CONTAINER_SUFFIX}"
             outputs.append((path, save_trialset(session, path)))
-    write_manifest(out, "synth", replay_args(ns, parser), seed, [], outputs)
+    write_manifest(out, "synth", replay_args(ns, parser), ns.seed, [], outputs)
     print(f"wrote {len(outputs)} container(s) to {out}")
     return 0
 
@@ -293,11 +279,11 @@ def cmd_preprocess(ns, parser) -> int:
     return 0
 
 
-def _train_config(ns, seed: int) -> TrainConfig:
+def _train_config(ns) -> TrainConfig:
     return TrainConfig(
         lr=ns.lr, max_epochs=ns.epochs, patience=ns.patience,
         lam=getattr(ns, "lambda"), batch_per_branch=ns.batch,
-        win_s=ns.win, overlap_s=ns.overlap, seed=seed,
+        win_s=ns.win, overlap_s=ns.overlap, seed=ns.seed,
         temporal_filters=ns.temporal_filters, temporal_kernel=ns.temporal_kernel,
         pool_width=ns.pool_width, pool_stride=ns.pool_stride, dropout=ns.dropout,
         common_fc_dims=ns.common_dims, separate_fc_dims=ns.separate_dims)
@@ -310,9 +296,8 @@ def cmd_train(ns, parser) -> int:
     if ns.patience > ns.epochs:
         parser.error(f"--patience {ns.patience} exceeds --epochs {ns.epochs}; "
                      f"give --patience at most {ns.epochs}")
-    seed = _resolve_seed(ns.seed)
     try:
-        cfg = _train_config(ns, seed)
+        cfg = _train_config(ns)
     except ValueError as err:
         parser.error(str(err))
     out = _out_dir(ns)
@@ -332,7 +317,7 @@ def cmd_train(ns, parser) -> int:
         "overlap_s": str(ns.overlap)})),
         _write_text(out / "report.csv", report.to_csv_text()),
         _write_text(out / "summary.txt", report.to_summary_text())]
-    write_manifest(out, "train", replay_args(ns, parser), seed, inputs, outputs,
+    write_manifest(out, "train", replay_args(ns, parser), ns.seed, inputs, outputs,
                    extras={"wall_time_s": f"{report.wall_time_s:.3f}",
                            "split_sizes": f"{n_train}/{len(split.val)}/{len(split.test)}"})
     print(f"test_crop_accuracy={report.test_crop_accuracy!r}")
@@ -483,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subject shift strength in [0, 1]")
     p.add_argument("--snr", type=_positive_float, default=5.0,
                    help="signal-to-noise power ratio")
-    p.add_argument("--seed", type=_nonnegative_int, default=None,
-                   help=f"default: ${SEED_ENV} or 0")
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -525,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dropout", type=_dropout_rate, default=defaults.dropout)
     p.add_argument("--common-dims", type=_dims, default=defaults.common_fc_dims)
     p.add_argument("--separate-dims", type=_dims, default=defaults.separate_fc_dims)
-    p.add_argument("--seed", type=_nonnegative_int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--subjects-note", default=SUBJECTS_NOTE,
                    help="informational record of the recommended subject subset")
     p.add_argument("--out", required=True)

@@ -84,6 +84,7 @@ class TrialSet:
                              "integer index into class_names")
         if not (math.isfinite(self.fs) and self.fs > 0):
             raise ValueError(f"fs must be finite and positive, got {self.fs!r}")
+        self.fs = float(self.fs)  # the container records repr(fs), which numpy scalars spell out
 
     def __len__(self) -> int:
         return len(self.data)
@@ -91,9 +92,6 @@ class TrialSet:
     @property
     def n_samples(self) -> int:
         return self.data.shape[2]
-
-    def labels(self) -> np.ndarray:
-        return self.label.copy()
 
     def subset(self, indices) -> "TrialSet":
         """The rows `indices`; a slice gives views of this set's arrays."""
@@ -198,7 +196,7 @@ def save_trialset(trial_set: TrialSet, path) -> str:
         ("n_trials", len(trial_set)), ("n_channels", len(trial_set.channel_names)),
         ("n_samples", trial_set.n_samples), ("channel_names", ",".join(trial_set.channel_names)),
         ("class_names", ",".join(trial_set.class_names)), ("subject_id", trial_set.subject_id)])
-    labels = trial_set.labels()
+    labels = trial_set.label
     if labels.size and labels.max() > 255:
         raise ValueError("labels above 255 do not fit the container format")
     payload = np.ascontiguousarray(trial_set.data, dtype="<f4")

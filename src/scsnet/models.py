@@ -78,6 +78,10 @@ class BaselineConfig:
             raise ValueError("temporal_kernel exceeds n_samples")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
+        if self.pool_width > self.conv_time_out:
+            raise ValueError(
+                f"pool width {self.pool_width} exceeds the temporal-conv output "
+                f"({self.conv_time_out} samples)")
 
     @property
     def conv_time_out(self) -> int:
@@ -85,10 +89,6 @@ class BaselineConfig:
 
     @property
     def pooled_out(self) -> int:
-        if self.pool_width > self.conv_time_out:
-            raise ValueError(
-                f"pool width {self.pool_width} exceeds the temporal-conv output "
-                f"({self.conv_time_out} samples)")
         return (self.conv_time_out - self.pool_width) // self.pool_stride + 1
 
     @property
@@ -149,9 +149,6 @@ class ModelParams:
         for name, group in self._group_of.items():
             out.setdefault(group, []).append(name)
         return out
-
-    def n_values(self) -> int:
-        return sum(t.size for t in self._tensors.values())
 
     def zero_grad(self) -> None:
         for t in self._tensors.values():
@@ -287,10 +284,6 @@ class ScsnModel:
         self.cfg = cfg
         self.params = params
 
-    @property
-    def n_subjects(self) -> int:
-        return self.cfg.n_subjects
-
     def _head(self, h: ad.Tensor, branch: int) -> tuple[ad.Tensor, list[ad.Tensor]]:
         """Shared block, the branch's deep layers and its classifier on the
         branch's shallow features: (logits, three deep-layer activations)."""
@@ -307,7 +300,6 @@ class ScsnModel:
 def build_baseline(cfg: BaselineConfig, seed: int) -> BaselineModel:
     """Initialize the baseline decoder; uniform Glorot-bound weights, zero
     biases, deterministic given the seed."""
-    cfg.pooled_out  # validates pool feasibility
     params = ModelParams()
     rng = _branch_rng(seed, None)
     _init_shallow(params, cfg, rng, "", "model")
@@ -319,7 +311,6 @@ def build_baseline(cfg: BaselineConfig, seed: int) -> BaselineModel:
 def build_scsn(cfg: ScsnConfig, seed: int) -> ScsnModel:
     """Initialize the SCSN; the shared block and each subject branch draw
     from separate streams derived from (seed, branch)."""
-    cfg.base.pooled_out
     params = ModelParams()
     shared_rng = _branch_rng(seed, None)
     common_out = _init_dense_chain(params, shared_rng, "common.", "shared",
@@ -341,7 +332,7 @@ def _branches(model) -> tuple[BaselineConfig, list[str]]:
     """The model's shallow-block config and each branch's parameter prefix;
     a baseline is the one branch 0."""
     if isinstance(model, ScsnModel):
-        return model.cfg.base, [f"subject{i}." for i in range(model.n_subjects)]
+        return model.cfg.base, [f"subject{i}." for i in range(model.cfg.n_subjects)]
     return model.cfg, [""]
 
 
@@ -369,7 +360,7 @@ def forward_train(model, batch: dict, dropout_rng=None
     share once; each branch then takes its rows and runs dropout and its
     dense layers, in branch order, so dropout draws its masks branch by
     branch. Crops of a (crops, labels) sub-batch must be the model's input
-    width."""
+    width. A model whose dropout is above 0 needs `dropout_rng`."""
     base, prefixes = _branches(model)
     missing = [i for i in range(len(prefixes)) if i not in batch]
     if missing:
@@ -377,6 +368,8 @@ def forward_train(model, batch: dict, dropout_rng=None
     for i in range(len(prefixes)):
         if len(batch[i]) == 2:
             _check_width(model, np.shape(batch[i][0])[-1])
+    if base.dropout > 0 and dropout_rng is None:
+        raise ValueError(f"dropout {base.dropout} needs a dropout_rng")
     hs = ad.conv_log_power_branches(
         [(batch[i][0], model.params[f"{prefix}temporal.kernels"],
           model.params[f"{prefix}spatial.weights"],

@@ -117,7 +117,7 @@ def select_channels(trial_set: TrialSet, names: list[str]) -> TrialSet:
     """Project onto the requested channels, in the requested order."""
     missing = [n for n in names if n not in trial_set.channel_names]
     if missing:
-        raise KeyError(f"unknown channel(s): {', '.join(missing)}")
+        raise ValueError(f"unknown channel(s): {', '.join(missing)}")
     repeated = [n for i, n in enumerate(names) if n in names[:i]]
     if repeated:
         raise ValueError(f"channel {repeated[0]!r} is given more than once")

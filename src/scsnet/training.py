@@ -332,7 +332,7 @@ def base_config(cfg: TrainConfig, trials: TrialSet) -> BaselineConfig:
     """The shallow-block geometry `train` builds for crops of `trials`.
     Raises ValueError when the crops do not fit the trials or the pool does
     not fit the temporal-conv output."""
-    base = BaselineConfig(
+    return BaselineConfig(
         n_channels=len(trials.channel_names),
         n_samples=crop_geometry(trials.n_samples, trials.fs, cfg.win_s, cfg.overlap_s).width,
         n_classes=len(trials.class_names),
@@ -342,8 +342,6 @@ def base_config(cfg: TrainConfig, trials: TrialSet) -> BaselineConfig:
         pool_stride=cfg.pool_stride,
         dropout=cfg.dropout,
     )
-    base.pooled_out  # validates pool feasibility
-    return base
 
 
 def train(model_kind: str, split: Split, cfg: TrainConfig,
@@ -369,7 +367,7 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
     start = time.perf_counter()
     _check_finite_training(split)
     base = base_config(cfg, split.train[split.target_subject])
-    val_y = split.val.labels()[:, None]
+    val_y = split.val.label[:, None]
     drop_rng = dropout_stream(cfg.seed)
     report = TrainReport(kind, regime, split.target_subject)
 
@@ -434,7 +432,7 @@ def evaluate(model, branch, test: TrialSet, win_s: float, overlap_s: float
         raise ValueError("cannot evaluate on an empty test set")
     n_classes = len(test.class_names)
     preds = _predict_crops(model, branch, test, win_s, overlap_s)
-    labels = test.labels()
+    labels = test.label
     crop_acc = float(np.mean(preds == labels[:, None]))
     winners = np.array([np.bincount(v, minlength=n_classes).argmax() for v in preds])
     trial_acc = float(np.mean(winners == labels))

@@ -1089,7 +1089,7 @@ class TestWindowSums:
 
         grid = rng.normal(size=sums.shape)
         spread = np.full(a.shape, np.nan)  # every sample must be written
-        assert ad._window_spread(grid, width, g, spread) is spread
+        assert ad._window_spread(grid, width, g, spread, np.ones(a.shape)) is spread
         # <spread(G), a> = <G, sums(a)>, against the sum of the terms' sizes
         lhs, rhs = np.sum(spread * a), np.sum(grid * want)
         terms = np.sum(np.abs(grid) * ad._window_sums(np.abs(a), width, g))

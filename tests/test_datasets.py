@@ -86,11 +86,11 @@ class TestTrialSet:
         assert ts.data.dtype == np.float32 and ts.label.dtype == np.int64
         part = ts.subset([3, 1])
         np.testing.assert_array_equal(part.data, ts.data[[3, 1]])
-        np.testing.assert_array_equal(part.labels(), ts.labels()[[3, 1]])
+        np.testing.assert_array_equal(part.label, ts.label[[3, 1]])
         assert (part.subject_id, part.n_samples) == (ts.subject_id, ts.n_samples)
         assert len(ts.subset([])) == 0 and ts.subset(range(0)).n_samples == ts.n_samples
         view = ts.subset(slice(1, 4))
-        np.testing.assert_array_equal(view.labels(), ts.labels()[1:4])
+        np.testing.assert_array_equal(view.label, ts.label[1:4])
         assert np.shares_memory(view.data, ts.data)
 
 
@@ -163,10 +163,20 @@ class TestContainer:
         assert back.channel_names == ts.channel_names
         assert back.class_names == ts.class_names
         assert back.fs == ts.fs
-        np.testing.assert_array_equal(back.labels(), ts.labels())
+        np.testing.assert_array_equal(back.label, ts.label)
         np.testing.assert_array_equal(back.data.astype(np.float32), ts.data.astype(np.float32))
         assert back.subject_id == "S01"
         assert back.data.dtype == np.float32 and back.data.shape == ts.data.shape
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_numpy_float_fs_round_trips(self, tmp_path, dtype):
+        # the header recorded repr(fs), "np.float64(128.0)" under numpy 2,
+        # which load_trialset refused as not a number
+        ts = random_trialset(fs=dtype(128.0))
+        save_trialset(ts, tmp_path / "numpy.tsc")
+        save_trialset(random_trialset(fs=128.0), tmp_path / "python.tsc")
+        assert load_trialset(tmp_path / "numpy.tsc").fs == 128.0
+        assert (tmp_path / "numpy.tsc").read_bytes() == (tmp_path / "python.tsc").read_bytes()
 
     def test_double_round_trip_bytes(self, tmp_path):
         ts = random_trialset(seed=2)
@@ -185,7 +195,7 @@ class TestContainer:
         save_trialset(ts, path)
         back = load_trialset(path)
         np.testing.assert_array_equal(back.data.astype(np.float32), ts.data.astype(np.float32))
-        np.testing.assert_array_equal(back.labels(), ts.labels())
+        np.testing.assert_array_equal(back.label, ts.label)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "set.tsc"
@@ -354,9 +364,9 @@ class TestMakeSplits:
         np.testing.assert_array_equal(split.train["T"].data[:8], session1.data)
         picked = np.concatenate([split.train["T"].data[8:], split.val.data, split.test.data])
         np.testing.assert_array_equal(picked, session2.data)
-        picked_labels = np.concatenate([split.train["T"].labels()[8:], split.val.labels(),
-                                        split.test.labels()])
-        np.testing.assert_array_equal(picked_labels, session2.labels())
+        picked_labels = np.concatenate([split.train["T"].label[8:], split.val.label,
+                                        split.test.label])
+        np.testing.assert_array_equal(picked_labels, session2.label)
 
     @pytest.mark.parametrize("field, value", [("channel_names", ["c1"]), ("fs", 50.0),
                                               ("n_samples", 5), ("class_names", ["a", "c"])])
@@ -436,7 +446,7 @@ class TestSynth:
             for sa, sb in zip(da.sessions, db.sessions):
                 np.testing.assert_array_equal(sa.data.astype(np.float32),
                                               sb.data.astype(np.float32))
-                np.testing.assert_array_equal(sa.labels(), sb.labels())
+                np.testing.assert_array_equal(sa.label, sb.label)
 
     def test_shapes(self):
         data = synth_multisubject(3, 2, 10, 6, 128.0, 2.0, 4, 0.3, 3.0, seed=0)
@@ -537,19 +547,19 @@ class TestBalancedUpsample:
 
     def test_even_growth(self):
         out = balanced_upsample(self._set([10, 10]), 60, seed=1)
-        counts = np.bincount(out.labels())
+        counts = np.bincount(out.label)
         np.testing.assert_array_equal(counts, [30, 30])
 
     def test_already_balanced_unchanged(self):
         ts = self._set([5, 5])
         out = balanced_upsample(ts, 10, seed=2)
         assert out.data.tobytes() == ts.data.tobytes()
-        np.testing.assert_array_equal(out.labels(), ts.labels())
+        np.testing.assert_array_equal(out.label, ts.label)
 
     def test_counting_argument(self):
         ts = self._set([7, 3])
         out = balanced_upsample(ts, 20, seed=3)
-        counts = np.bincount(out.labels())
+        counts = np.bincount(out.label)
         np.testing.assert_array_equal(counts, [10, 10])
         # originals kept, then 3 class-0 and 7 class-1 duplicates
         assert out.data[:10].tobytes() == ts.data.tobytes()
@@ -564,7 +574,7 @@ class TestBalancedUpsample:
         ts = self._set([4, 7, 2], seed=6)
         a = balanced_upsample(ts, 30, seed=9)
         b = balanced_upsample(ts, 30, seed=9)
-        np.testing.assert_array_equal(a.labels(), b.labels())
+        np.testing.assert_array_equal(a.label, b.label)
         np.testing.assert_array_equal(a.data.astype(np.float64), b.data.astype(np.float64))
 
     def test_absent_class_rejected(self):

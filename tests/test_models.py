@@ -57,10 +57,10 @@ class TestBaselineBuild:
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(5), atol=1e-12)
 
     def test_infeasible_pool_rejected(self):
-        cfg = BaselineConfig(n_channels=2, n_samples=30, n_classes=2,
-                             temporal_kernel=25, pool_width=10, pool_stride=2)
-        with pytest.raises(ValueError, match="pool"):
-            build_baseline(cfg, seed=0)
+        with pytest.raises(ValueError, match=re.escape(
+                "pool width 10 exceeds the temporal-conv output (6 samples)")):
+            BaselineConfig(n_channels=2, n_samples=30, n_classes=2,
+                           temporal_kernel=25, pool_width=10, pool_stride=2)
 
     def test_zero_bias_glorot_bounds(self):
         model = build_baseline(TINY, seed=2)
@@ -111,7 +111,7 @@ class TestScsnBuild:
         sep = sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(3))
         classifier = base.n_classes * cfg.separate_fc_dims[-1] + base.n_classes
         expected = shared + 3 * (shallow + sep + classifier)
-        assert model.params.n_values() == expected
+        assert sum(t.size for _, t in model.params.items()) == expected
 
 
     def test_empty_shared_block_rejected(self):
@@ -125,7 +125,7 @@ class TestForwardTrain:
         cfg = model.cfg.base
         return {i: (rng.normal(size=(n, cfg.n_channels, cfg.n_samples)),
                     rng.integers(cfg.n_classes, size=n))
-                for i in range(model.n_subjects)}
+                for i in range(model.cfg.n_subjects)}
 
     def test_feature_shapes(self):
         model = build_scsn(tiny_scsn_cfg(), seed=0)
@@ -134,6 +134,15 @@ class TestForwardTrain:
             assert logits.shape == (4, 2)
             assert [f.shape[1] for f in feats] == [4, 4, 4]
             assert len(feats) == 3
+
+    def test_dropout_needs_a_rng(self, monkeypatch):
+        # numpy raised an AttributeError on None.random inside ad.dropout
+        model = build_scsn(tiny_scsn_cfg(dropout=0.5), seed=0)
+        calls = []
+        monkeypatch.setattr(ad, "conv_log_power_branches", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="^dropout 0.5 needs a dropout_rng$"):
+            forward_train(model, self._batch(model, np.random.default_rng(0)))
+        assert calls == []
 
     def test_missing_subject_rejected(self):
         model = build_scsn(tiny_scsn_cfg(), seed=0)

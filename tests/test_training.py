@@ -413,7 +413,7 @@ class TestCropPool:
     def test_upsampling_matches_balanced_upsample(self, n_trials, n_classes, grow, seed):
         ts = labeled_trialset(n_trials, 2, 13, n_classes=n_classes, seed=seed)
         crops = crop_trialset(ts, 0.5, 0.2)  # 3 crops per trial
-        target = n_classes * int(np.bincount(crops.labels()).max()) + grow
+        target = n_classes * int(np.bincount(crops.label).max()) + grow
         want = balanced_upsample(crops, target, np.random.SeedSequence(seed))
         got = crop_pool([ts], 0.5, 0.2).upsampled(target, np.random.SeedSequence(seed))
         assert crop_rows(got).tobytes() == want.data.tobytes()
@@ -599,10 +599,10 @@ class TestSeparableTask:
             return np.concatenate([x.var(axis=2), np.ones((len(x), 1))], axis=1)
 
         train_x = variance_features(split.train["S01"])
-        train_y = np.eye(2)[split.train["S01"].labels()]
+        train_y = np.eye(2)[split.train["S01"].label]
         w, *_ = np.linalg.lstsq(train_x, train_y, rcond=None)
         val_pred = (variance_features(split.val) @ w).argmax(axis=1)
-        assert np.mean(val_pred == split.val.labels()) == 1.0
+        assert np.mean(val_pred == split.val.label) == 1.0
 
         cfg = tiny_cfg(max_epochs=50, patience=50, seed=7)
         _, report = train("baseline", split, cfg, regime="single")
@@ -713,7 +713,7 @@ class TestDenseEvaluate:
         per_crop = probs.argmax(axis=1).reshape(30, self.CROPS)
         assert dense.shape == (30, self.CROPS)
         np.testing.assert_array_equal(dense, per_crop)
-        labels = test.labels()
+        labels = test.label
         votes = np.array([np.bincount(v, minlength=4).argmax() for v in per_crop])
         assert evaluate(model, 1, test, self.WIN, self.OVERLAP) == \
             (float(np.mean(per_crop == labels[:, None])), float(np.mean(votes == labels)))
