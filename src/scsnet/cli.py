@@ -298,12 +298,13 @@ def cmd_train(ns, parser) -> int:
                      f"give --patience at most {ns.epochs}")
     try:
         cfg = _train_config(ns)
+        spec = SplitSpec(ns.target, ns.calib, ns.val, ns.test)
     except ValueError as err:
         parser.error(str(err))
     out = _out_dir(ns)
     datasets, inputs = _load_subject_datasets(Path(ns.data))
     _check_target_sessions(datasets, ns.target, lambda session: base_config(cfg, session))
-    split = make_splits(datasets, SplitSpec(ns.target, ns.calib, ns.val, ns.test))
+    split = make_splits(datasets, spec)
     del datasets  # sessions the split does not use are freed before training
     n_train = sum(len(ts) for ts in split.train.values())
     print(f"split: train={n_train} val={len(split.val)} test={len(split.test)}")
@@ -341,6 +342,10 @@ def _recorded_crops(ckpt: Path, meta: dict[str, str]) -> dict[str, float]:
 def cmd_eval(ns, parser) -> int:
     if ns.win is not None and ns.overlap is not None:
         _check_overlap(ns, parser)
+    try:
+        spec = SplitSpec(ns.target, ns.calib, ns.val, ns.test)
+    except ValueError as err:
+        parser.error(str(err))
     out = _out_dir(ns)
     ckpt = Path(ns.ckpt)
     if not ckpt.exists():
@@ -353,7 +358,7 @@ def cmd_eval(ns, parser) -> int:
     datasets, inputs = _load_subject_datasets(Path(ns.data))
     _check_target_sessions(datasets, ns.target, lambda session: crop_geometry(
         session.n_samples, session.fs, win, overlap))
-    split = make_splits(datasets, SplitSpec(ns.target, ns.calib, ns.val, ns.test))
+    split = make_splits(datasets, spec)
     del datasets  # sessions the split does not use are freed before decoding
     # crops of another width are refused by width; other crops of the model's
     # width by the flag that differs from the checkpoint's
@@ -497,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("baseline", "scsn", "scsn-mmd"), required=True)
     p.add_argument("--regime", choices=("single", "multi"), default="multi")
     p.add_argument("--lambda", type=_nonnegative_float, default=defaults.lam,
-                   help="balance of the discrepancy term (scsn-mmd)")
+                   help="weight of the discrepancy term, which is summed over the "
+                        "N-1 sources against the branch-mean cross-entropy (scsn-mmd)")
     p.add_argument("--batch", type=_positive_int, default=defaults.batch_per_branch)
     p.add_argument("--epochs", type=_positive_int, default=defaults.max_epochs)
     p.add_argument("--patience", type=_positive_int, default=defaults.patience)

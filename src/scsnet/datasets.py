@@ -281,6 +281,9 @@ class SplitSpec:
         t0, t1 = self.test_range
         if self.calib_trials < 0 or v0 > v1 or t0 > t1:
             raise ValueError("ranges must be nonnegative and ordered")
+        for name, (lo, hi) in (("validation", self.val_range), ("test", self.test_range)):
+            if lo == hi:
+                raise ValueError(f"the {name} range {lo}:{hi} is empty")
         if not (self.calib_trials <= v0 and v1 <= t0):
             raise ValueError("calibration, validation and test ranges must not overlap")
 
@@ -311,9 +314,6 @@ def make_splits(datasets: list[SubjectDataset], spec: SplitSpec) -> Split:
     if spec.target_subject not in by_id:
         raise ValueError(f"target subject {spec.target_subject!r} not in datasets")
 
-    needs_session2 = spec.calib_trials > 0 or spec.val_range[1] > spec.val_range[0] \
-        or spec.test_range[1] > spec.test_range[0]
-
     train: dict[str, TrialSet] = {}
     target = by_id[spec.target_subject]
     session1 = target.sessions[0]
@@ -326,29 +326,25 @@ def make_splits(datasets: list[SubjectDataset], spec: SplitSpec) -> Split:
                                  f"target {spec.target_subject!r} in {name}")
         train[ds.subject_id] = ds.sessions[0]
 
-    if needs_session2:
-        if len(target.sessions) < 2:
-            raise ValueError("split spec references the target's second session")
-        session2 = target.sessions[1]
-        limit = len(session2)
-        for name, hi in (("calib_trials", spec.calib_trials),
-                         ("val_range", spec.val_range[1]),
-                         ("test_range", spec.test_range[1])):
-            if hi > limit:
-                raise ValueError(f"{name} exceeds the second session size ({limit})")
-        for name in ("channel_names", "fs", "n_samples", "class_names"):
-            if getattr(session2, name) != getattr(session1, name):
-                raise ValueError(f"subject {spec.target_subject!r}: sessions 1 and 2 "
-                                 f"differ in {name}")
-        calib = slice(spec.calib_trials)
-        train[spec.target_subject] = replace(
-            session1, data=np.concatenate([session1.data, session2.data[calib]]),
-            label=np.concatenate([session1.label, session2.label[calib]]))
-        val = session2.subset(slice(*spec.val_range))
-        test = session2.subset(slice(*spec.test_range))
-    else:
-        train[spec.target_subject] = session1
-        val, test = session1.subset(slice(0)), session1.subset(slice(0))
+    if len(target.sessions) < 2:
+        raise ValueError(f"target subject {spec.target_subject!r} has no second session")
+    session2 = target.sessions[1]
+    limit = len(session2)
+    for name, hi in (("calib_trials", spec.calib_trials),
+                     ("val_range", spec.val_range[1]),
+                     ("test_range", spec.test_range[1])):
+        if hi > limit:
+            raise ValueError(f"{name} exceeds the second session size ({limit})")
+    for name in ("channel_names", "fs", "n_samples", "class_names"):
+        if getattr(session2, name) != getattr(session1, name):
+            raise ValueError(f"subject {spec.target_subject!r}: sessions 1 and 2 "
+                             f"differ in {name}")
+    calib = slice(spec.calib_trials)
+    train[spec.target_subject] = replace(
+        session1, data=np.concatenate([session1.data, session2.data[calib]]),
+        label=np.concatenate([session1.label, session2.label[calib]]))
+    val = session2.subset(slice(*spec.val_range))
+    test = session2.subset(slice(*spec.test_range))
     return Split(train, val, test, spec.target_subject, spec.calib_trials)
 
 

@@ -109,20 +109,19 @@ class _Pairs(NamedTuple):
 
     Row indices run over the branches' rows stacked in branch order. Pair p
     holds the target's m rows of its class, then its source's n rows of
-    that class, then copies of its first row up to the width. Its weight
-    vector a is 1/m on the target rows, -1/n on the source rows and 0 on
-    the padding, so its biased MMD^2 is a^T K a."""
+    that class, then copies of its first row up to the width. Its integer
+    weight vector b is n on the target rows, -m on the source rows and 0 on
+    the padding, so its biased MMD^2 is b^T K b / (mn)^2; with a = b / mn,
+    which rounds to exactly 1/m and -1/n, that is a^T K a."""
 
     target: int
     offsets: np.ndarray  # [branches + 1] first stacked row of each branch
     sources: list[int]  # source branches that share a class with the target
     idx: np.ndarray  # [pairs, width] stacked row indices
-    on_target: np.ndarray  # [pairs, width] 1.0 on the pair's target rows
-    on_source: np.ndarray  # [pairs, width] 1.0 on the pair's source rows
+    b: np.ndarray  # [pairs, width] integer weights, 0 on the padding
     m: np.ndarray  # [pairs] target rows per pair
     n: np.ndarray  # [pairs] source rows per pair
     aa: np.ndarray  # [pairs, width, width] outer product a a^T
-    real: np.ndarray  # [pairs, width, width] True where both rows are the pair's
     flat: np.ndarray  # [pairs, width, width] index into the stacked [N, N] square
     source: np.ndarray  # [pairs] the pair's source branch
     share: np.ndarray  # [pairs] 1 / classes the pair's source shares with the target
@@ -154,20 +153,15 @@ def _class_pairs(labels: list[np.ndarray], target: int) -> _Pairs | None:
         return None
     width = max(len(t) + len(s) for t, s in groups)
     idx = np.empty((len(groups), width), dtype=np.intp)
-    on_target = np.zeros((len(groups), width))
-    on_source = np.zeros((len(groups), width))
+    b = np.zeros((len(groups), width), dtype=np.int64)
     for p, (t_rows, s_rows) in enumerate(groups):
         m, n = len(t_rows), len(s_rows)
         idx[p, :m], idx[p, m:m + n], idx[p, m + n:] = t_rows, s_rows, t_rows[0]
-        on_target[p, :m] = 1.0
-        on_source[p, m:m + n] = 1.0
-    m = on_target.sum(axis=1)
-    n = on_source.sum(axis=1)
-    a = on_target / m[:, None] - on_source / n[:, None]
-    real = (on_target + on_source) > 0.0
-    return _Pairs(target, offsets, sorted(set(source)), idx, on_target, on_source, m, n,
-                  a[:, :, None] * a[:, None, :], real[:, :, None] & real[:, None, :],
-                  idx[:, :, None] * offsets[-1] + idx[:, None, :],
+        b[p, :m], b[p, m:m + n] = n, -m
+    m, n = (b > 0).sum(axis=1), (b < 0).sum(axis=1)
+    a = b / (m * n)[:, None]
+    return _Pairs(target, offsets, sorted(set(source)), idx, b, m, n,
+                  a[:, :, None] * a[:, None, :], idx[:, :, None] * offsets[-1] + idx[:, None, :],
                   np.asarray(source), np.asarray(share))
 
 
@@ -192,14 +186,13 @@ def _layer_mmd(feats: list[Tensor], rows: list[np.ndarray], pairs: _Pairs, weigh
     # bandwidth_mean_l2 of each pair's union: every distinct pair is counted
     # twice in the square, and so is the denominator
     size = pairs.m + pairs.n
-    mean = np.where(pairs.real, np.sqrt(d2), 0.0).sum(axis=(1, 2)) / (size * (size - 1))
+    real = pairs.b[:, :, None] * pairs.b[:, None, :] != 0
+    mean = np.where(real, np.sqrt(d2), 0.0).sum(axis=(1, 2)) / (size * (size - 1))
     s2 = np.where(mean > 0.0, mean, 1.0)
     k = np.exp(d2 / (-2.0 * s2)[:, None, None])
-    k_t = np.matmul(k, pairs.on_target[:, :, None])[..., 0]
-    k_s = np.matmul(k, pairs.on_source[:, :, None])[..., 0]
-    values = ((k_t * pairs.on_target).sum(axis=1) / (pairs.m * pairs.m)
-              + (k_s * pairs.on_source).sum(axis=1) / (pairs.n * pairs.n)
-              - 2.0 * (k_t * pairs.on_source).sum(axis=1) / (pairs.m * pairs.n))
+    # integer weights keep coincident rows (k = 1) at exactly 0
+    mn = pairs.m * pairs.n
+    values = np.einsum("pi,pij,pj->p", pairs.b, k, pairs.b) / (mn * mn)
     terms = weight * np.bincount(pairs.source, pairs.share * values, minlength=len(feats))
 
     def backward(gout):

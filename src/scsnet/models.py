@@ -344,6 +344,15 @@ def _check_width(model, width: int) -> None:
                          f"{n_samples} samples")
 
 
+def _check_counts(model, trials) -> None:
+    """Refuse trials whose class or channel count is not the model's."""
+    base = _branches(model)[0]
+    for field, have, want in (("class_names", len(trials.class_names), base.n_classes),
+                              ("channel_names", len(trials.channel_names), base.n_channels)):
+        if have != want:
+            raise ValueError(f"the trials' {field} hold {have} names, but the model takes {want}")
+
+
 def forward_train(model, batch: dict, dropout_rng=None
                   ) -> dict[int, tuple[ad.Tensor, list[ad.Tensor]]]:
     """Training-mode forward of every branch's sub-batch; returns {branch:

@@ -22,6 +22,7 @@ from .models import (
     BaselineConfig,
     ModelParams,
     ScsnConfig,
+    _check_counts,
     _check_width,
     build_baseline,
     build_scsn,
@@ -279,9 +280,11 @@ def _predict_crops(model, branch, trials: TrialSet, win_s: float, overlap_s: flo
                    ) -> np.ndarray:
     """Predicted class of every crop of every trial, [trials, crops]: the
     crops of `win_s` and `overlap_s`, which must be the model's input width,
-    read out of one `forward_infer` over the trials' covered samples."""
+    read out of one `forward_infer` over the trials' covered samples. The
+    trials must have the model's class and channel counts."""
     geo = crop_geometry(trials.n_samples, trials.fs, win_s, overlap_s)
     _check_width(model, geo.width)
+    _check_counts(model, trials)
     probs = forward_infer(model, trials.data[:, :, :geo.covered], branch, crop_stride=geo.stride)
     return probs.argmax(axis=1).reshape(len(trials), geo.count)
 

@@ -300,6 +300,24 @@ class TestTrain:
         assert "error: subject 'S02': window exceeds the trial duration" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, name", [("--val", "4:4", "validation"),
+                                                   ("--test", "8:8", "test")])
+    def test_an_empty_range_fails_before_any_work(self, data_dir, tmp_path, capsys,
+                                                  monkeypatch, flag, value, name):
+        # an empty test range trained every epoch, then exited 1 and wrote nothing
+        calls = []
+        monkeypatch.setattr(cli, "load_trialset", lambda *args, **kwargs: calls.append("load"))
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append("train"))
+        flags = list(TRAIN_FLAGS)
+        flags[flags.index(flag) + 1] = value
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(data_dir), "--model", "scsn", *flags,
+                  "--out", str(out)])
+        assert err.value.code == 2
+        assert f"the {name} range {value} is empty" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_eval_window_longer_than_trials_fails_before_the_split(
             self, data_dir, tmp_path, capsys, monkeypatch):
         run = tmp_path / "run"
@@ -414,6 +432,23 @@ class TestEvalAndReport:
         assert "crop_accuracy=" in capsys.readouterr().out
         assert main(["eval", "--ckpt", str(tmp_path / "model.ckpt"), "--data", str(data),
                      *TRAIN_FLAGS[:8], "--overlap", "1.0", "--out", str(tmp_path / "eval")]) == 0
+
+    @pytest.mark.parametrize("counts, message", [
+        (dict(n_classes=4), "the trials' class_names hold 2 names, but the model takes 4"),
+        (dict(n_channels=6), "the trials' channel_names hold 3 names, but the model takes 6"),
+    ], ids=["classes", "channels"])
+    def test_eval_refuses_data_of_another_class_or_channel_count(self, data_dir, tmp_path,
+                                                                 capsys, counts, message):
+        # 2-class data under a 4-class model decoded and exited 0; 3-channel
+        # data under a 6-channel model failed in the spatial conv's extents
+        base = BaselineConfig(**{**dict(n_channels=3, n_samples=32, n_classes=2,
+                                        temporal_filters=2, temporal_kernel=5, pool_width=4,
+                                        pool_stride=3), **counts})
+        save_checkpoint(build_baseline(base, seed=0), tmp_path / "model.ckpt")
+        code = main(["eval", "--ckpt", str(tmp_path / "model.ckpt"), "--data", str(data_dir),
+                     *TRAIN_FLAGS[:12], "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_eval_missing_checkpoint(self, data_dir, tmp_path, capsys):
         code = main(["eval", "--ckpt", str(tmp_path / "nope.ckpt"), "--data", str(data_dir),

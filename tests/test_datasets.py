@@ -352,10 +352,15 @@ class TestMakeSplits:
         assert len(split.test) == 140
 
     def test_degenerate_spec(self):
+        # an empty range is refused by the spec: training would otherwise run
+        # every epoch before evaluation found no test trials
+        with pytest.raises(ValueError, match="^the validation range 0:0 is empty$"):
+            SplitSpec("X", 0, (0, 0), (0, 1))
+        with pytest.raises(ValueError, match="^the test range 1:1 is empty$"):
+            SplitSpec("X", 0, (0, 1), (1, 1))
         datasets = subjects_with_sessions([("X", [10]), ("Y", [10])])
-        split = make_splits(datasets, SplitSpec("X", 0, (0, 0), (0, 0)))
-        assert len(split.train["X"]) == 10
-        assert len(split.val) == 0 and len(split.test) == 0
+        with pytest.raises(ValueError, match="^target subject 'X' has no second session$"):
+            make_splits(datasets, SplitSpec("X", 0, (0, 1), (1, 2)))
 
     def test_partitions_disjoint_and_cover(self):
         datasets = subjects_with_sessions([("T", [8, 20]), ("S", [8])])

@@ -342,6 +342,15 @@ class TestMultiSourceMmd:
             if not set(labels[s]) & set(labels[target]):
                 assert all(f.grad is None for f in got_feats[s]), s
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=branch_cases)
+    def test_zero_rows_give_exact_zeros(self, case):
+        labels, target = case
+        feats = [[np.zeros((len(v), d)) for d in (3, 1, 4)] for v in labels]
+        loss, parts = multi_source_mmd(feats, labels, target)
+        assert loss.item() == 0.0
+        assert all(term == 0.0 for terms in parts.values() for term in terms)
+
     def test_one_node_per_layer_over_every_branch(self):
         rng = np.random.default_rng(16)
         feats = [[ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True) for _ in range(3)]
