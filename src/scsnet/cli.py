@@ -25,7 +25,7 @@ from .autodiff import BLAS_THREAD_VARS, _run_each
 from .datasets import SplitSpec, SubjectDataset, format_fields, load_trialset, make_splits, \
     read_fields, save_trialset, synth_multisubject, write_parts
 from .models import _check_width, load_checkpoint, save_checkpoint
-from .preprocessing import crop_geometry, preprocess_trialset
+from .preprocessing import MIN_FILTER_SAMPLES, crop_geometry, preprocess_trialset
 from .training import ComparisonRow, TrainConfig, base_config, evaluate, \
     negative_transfer_report, train
 
@@ -195,11 +195,12 @@ def _discover_containers(data_dir: Path) -> list[Path]:
     return files
 
 
-def _load_subject_datasets(data_dir: Path
+def _load_subject_datasets(data_dir: Path, target: str, *, sources: bool
                            ) -> tuple[list[SubjectDataset], list[tuple[Path, str]]]:
-    """Group <subject>_s<k>.tsc files into per-subject session lists; also
-    each file with the digest of the bytes it was loaded from. Each
-    subject's session numbers must be 1..n, each given once."""
+    """The sessions `make_splits` reads: the target's sessions 1 and 2 and,
+    with `sources`, every other subject's session 1; also each loaded file
+    with the digest of its bytes. Every container's name is checked first:
+    each subject's session numbers must be 1..n, each given once."""
     files = _discover_containers(data_dir)
     grouped: dict[str, dict[int, Path]] = {}
     for path in files:
@@ -217,10 +218,14 @@ def _load_subject_datasets(data_dir: Path
         if missing is not None:
             raise ValueError(f"subject {subject!r} has no session {missing}: sessions must "
                              f"be numbered 1..{len(numbered)}")
+    used = {subject: [numbered[k] for k in ((1, 2) if subject == target else (1,))
+                      if k in numbered]
+            for subject, numbered in sorted(grouped.items()) if sources or subject == target}
+    files = sorted(path for paths in used.values() for path in paths)
     # one pool item per container: read, hash and parse
     loaded = dict(zip(files, _run_each(functools.partial(_load_input, load_trialset), files)))
-    datasets = [SubjectDataset(subject, [loaded[path][0] for _, path in sorted(numbered.items())])
-                for subject, numbered in sorted(grouped.items())]
+    datasets = [SubjectDataset(subject, [loaded[path][0] for path in paths])
+                for subject, paths in used.items()]
     return datasets, [loaded[path][1] for path in files]
 
 
@@ -268,6 +273,9 @@ def cmd_preprocess(ns, parser) -> int:
 
     def item(path: Path) -> tuple[tuple[Path, str], tuple[Path, str]]:
         ts, digest = _load_input(load_trialset, path)
+        if ts.n_samples < MIN_FILTER_SAMPLES:
+            raise ValueError(f"{path}: trials of {ts.n_samples} samples are too short for "
+                             f"the filters, which need at least {MIN_FILTER_SAMPLES}")
         target = out / path.name
         return digest, (target, save_trialset(preprocess_trialset(
             ts, notch_hz=ns.notch, band=(ns.low, ns.high), channels=channels), target))
@@ -302,10 +310,10 @@ def cmd_train(ns, parser) -> int:
     except ValueError as err:
         parser.error(str(err))
     out = _out_dir(ns)
-    datasets, inputs = _load_subject_datasets(Path(ns.data))
+    datasets, inputs = _load_subject_datasets(Path(ns.data), ns.target, sources=True)
     _check_target_sessions(datasets, ns.target, lambda session: base_config(cfg, session))
     split = make_splits(datasets, spec)
-    del datasets  # sessions the split does not use are freed before training
+    del datasets  # the target's session 1, copied into its training array, is freed
     n_train = sum(len(ts) for ts in split.train.values())
     print(f"split: train={n_train} val={len(split.val)} test={len(split.test)}")
 
@@ -355,20 +363,20 @@ def cmd_eval(ns, parser) -> int:
     recorded, defaults = _recorded_crops(ckpt, meta), TrainConfig()
     win = recorded.get("win", defaults.win_s) if ns.win is None else ns.win
     overlap = recorded.get("overlap", defaults.overlap_s) if ns.overlap is None else ns.overlap
-    datasets, inputs = _load_subject_datasets(Path(ns.data))
+    datasets, inputs = _load_subject_datasets(Path(ns.data), ns.target, sources=False)
     _check_target_sessions(datasets, ns.target, lambda session: crop_geometry(
         session.n_samples, session.fs, win, overlap))
-    split = make_splits(datasets, spec)
-    del datasets  # sessions the split does not use are freed before decoding
+    test = make_splits(datasets, spec).test
+    del datasets  # only the test range's view of session 2 is kept for decoding
     # crops of another width are refused by width; other crops of the model's
     # width by the flag that differs from the checkpoint's
-    _check_width(model, crop_geometry(split.test.n_samples, split.test.fs, win, overlap).width)
+    _check_width(model, crop_geometry(test.n_samples, test.fs, win, overlap).width)
     for flag, value in recorded.items():
         if getattr(ns, flag) not in (None, value):
             raise ValueError(f"--{flag} {getattr(ns, flag)} differs from the {value} that "
                              f"{ckpt} was trained with")
     branch = model.cfg.target_index if model.kind == "scsn" else None
-    crop_acc, trial_acc = evaluate(model, branch, split.test, win, overlap)
+    crop_acc, trial_acc = evaluate(model, branch, test, win, overlap)
     print(f"crop_accuracy={crop_acc!r}")
     print(f"trial_accuracy={trial_acc!r}")
     summary = _write_text(out / "summary.txt", format_fields([

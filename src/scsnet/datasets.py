@@ -355,6 +355,16 @@ _MIX_JITTER = 0.15
 _SYNTH_BLOCK = 1 << 16  # float64 samples per block of trials `_synth_trials` computes on
 
 
+def _samples(seconds: float, fs: float, what: str) -> int:
+    """`seconds` at `fs` as a whole, positive number of samples; any other
+    span is refused, naming `what`."""
+    exact = seconds * fs
+    rounded = round(exact)
+    if abs(exact - rounded) > 1e-9 or rounded < 1:
+        raise ValueError(f"{what} of {seconds} s is not a whole number of samples at fs={fs}")
+    return int(rounded)
+
+
 def class_center_frequencies(n_classes: int) -> np.ndarray:
     """Distinct oscillation frequencies in the 8-30 Hz band, packed 0.8 Hz
     apart (comparable to the per-trial frequency jitter) so that class
@@ -433,7 +443,7 @@ def synth_multisubject(n_subjects: int, n_sessions: int, n_trials: int,
     if not 0.0 <= shift_strength <= 1.0:
         raise ValueError("shift_strength must lie in [0, 1]")
 
-    n_samples = int(round(duration_s * fs))
+    n_samples = _samples(duration_s, fs, "duration_s")
     t = np.arange(n_samples) / fs
     freqs = class_center_frequencies(n_classes)
     patterns = class_spatial_patterns(n_channels, n_classes)

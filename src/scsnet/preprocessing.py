@@ -16,11 +16,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import butter, filtfilt, iirnotch
 
-from .datasets import Epoch, TrialSet
+from .datasets import Epoch, TrialSet, _samples
 
 NOTCH_Q = 30.0
 BANDPASS_ORDER = 4
 _FILTER_BLOCK = 1 << 20  # samples per filtered block of whole trials (8 MB of float64)
+# the fewest samples a trial needs for the notch and the bandpass: filtfilt
+# pads each end with 3 samples per filter coefficient (the bandpass's
+# 2 * BANDPASS_ORDER + 1 outnumber the notch's 3) and needs more than that
+MIN_FILTER_SAMPLES = 3 * (2 * BANDPASS_ORDER + 1) + 1
 
 
 def notch_filter(x: np.ndarray, f0: float, fs: float) -> np.ndarray:
@@ -48,14 +52,6 @@ def _trial_blocks(data: np.ndarray):
     per_block = max(1, _FILTER_BLOCK // max(1, data.shape[1] * data.shape[2]))
     for lo in range(0, len(data), per_block):
         yield lo, data[lo:lo + per_block].astype(np.float64)
-
-
-def _samples(seconds: float, fs: float, what: str) -> int:
-    exact = seconds * fs
-    rounded = round(exact)
-    if abs(exact - rounded) > 1e-9 or rounded < 1:
-        raise ValueError(f"{what} of {seconds} s is not a whole number of samples at fs={fs}")
-    return int(rounded)
 
 
 @dataclass(frozen=True)

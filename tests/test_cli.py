@@ -82,6 +82,17 @@ class TestSynth:
         assert "error: n_channels must be at least 2, got 1" in capsys.readouterr().err
         assert list(out.glob("*.tsc")) == []
 
+    @pytest.mark.parametrize("duration", ["0.04", "0.25"])
+    def test_duration_of_no_whole_number_of_samples_is_refused(self, tmp_path, capsys,
+                                                               duration):
+        # at 10 Hz, 0.04 s wrote trials of 0 samples and 0.25 s trials of 2
+        out = tmp_path / "x"
+        assert main(["synth", "--subjects", "2", "--trials", "4", "--channels", "2",
+                     "--fs", "10", "--duration", duration, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: duration_s of {duration} s is not a "
+                                           "whole number of samples at fs=10.0\n")
+        assert list(out.glob("*.tsc")) == []
+
     def test_rejects_out_of_range_shift(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["synth", "--shift", "1.5", "--out", str(tmp_path / "x")])
@@ -158,6 +169,19 @@ class TestPreprocess:
                      "--low", "1", "--high", "100", "--out", str(tmp_path / "x")])
         assert code == 1
         assert "Nyquist" in capsys.readouterr().err
+
+    def test_trials_too_short_for_the_filters_name_the_container(self, tmp_path, capsys):
+        # 16-sample trials failed in scipy's filtfilt, which named no file
+        raw, out = tmp_path / "raw", tmp_path / "prep"
+        assert main([*SYNTH[:9], "--fs", "32", "--duration", "0.5", *SYNTH[13:],
+                     "--out", str(raw)]) == 0
+        capsys.readouterr()
+        assert main(["preprocess", "--data", str(raw), "--notch", "12", "--low", "1",
+                     "--high", "10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {raw / 'S01_s1.tsc'}: trials of 16 samples "
+                                           "are too short for the filters, which need at "
+                                           "least 28\n")
+        assert list(out.glob("*.tsc")) == []
 
 
 class TestTrain:
@@ -500,6 +524,71 @@ class TestEvalAndReport:
         assert f"{run / 'summary.txt'}: field model_kind is missing" in err, err
 
 
+class TestSessionsRead:
+    # the containers each command loads, as its manifest lists them: train
+    # reads every subject's session 1 and the target's session 2, eval the
+    # target's two sessions only
+    READ = {"train": ["S01_s1.tsc", "S01_s2.tsc", "S02_s1.tsc"],
+            "eval": ["S01_s1.tsc", "S01_s2.tsc"]}
+
+    @pytest.fixture()
+    def ckpt(self, data_dir, tmp_path):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir), "--model", "baseline",
+                     "--regime", "single", *TRAIN_FLAGS, "--out", str(run)]) == 0
+        return run / "model.ckpt"
+
+    def _argv(self, command, data_dir, ckpt, out, flags=TRAIN_FLAGS):
+        if command == "train":
+            return ["train", "--data", str(data_dir), "--model", "scsn", *flags,
+                    "--out", str(out)]
+        return ["eval", "--ckpt", str(ckpt), "--data", str(data_dir), *flags[:12],
+                "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_only_the_sessions_the_split_uses_are_loaded(self, data_dir, tmp_path, ckpt,
+                                                          monkeypatch, command):
+        # both loaded all four containers, eval only to decode S01_s2's tests
+        loads, real_load = [], cli.load_trialset
+        monkeypatch.setattr(cli, "load_trialset",
+                            lambda path, **kw: loads.append(path.name) or real_load(path, **kw))
+        out = tmp_path / "out"
+        assert main(self._argv(command, data_dir, ckpt, out)) == 0
+        assert sorted(loads) == self.READ[command]  # a pool may load them in any order
+        inputs = [Path(name).name for name, _ in read_manifest(out / "manifest.txt")["inputs"]]
+        assert inputs == (["model.ckpt"] if command == "eval" else []) + self.READ[command]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_bad_container_the_split_does_not_use_is_not_read(self, data_dir, tmp_path,
+                                                                ckpt, command):
+        bad = data_dir / "S02_s2.tsc"
+        bad.write_bytes(bad.read_bytes()[:-1])
+        assert main(self._argv(command, data_dir, ckpt, tmp_path / "out")) == 0
+
+    @pytest.mark.parametrize("change, message", [
+        ("channels", "subject 'S01': sessions 1 and 2 differ in channel_names"),
+        ("no-second-session", "target subject 'S01' has no second session"),
+        ("unknown-target", "target subject 'S03' not in datasets"),
+        ("past-the-session", "test_range exceeds the second session size (12)"),
+    ])
+    def test_eval_keeps_the_refusals_about_the_target(self, data_dir, tmp_path, ckpt, capsys,
+                                                      change, message):
+        flags = list(TRAIN_FLAGS)
+        second = data_dir / "S01_s2.tsc"
+        if change == "channels":
+            save_trialset(replace(load_trialset(second), channel_names=["a", "b", "c"]), second)
+        elif change == "no-second-session":
+            second.unlink()
+        elif change == "unknown-target":
+            flags[flags.index("--target") + 1] = "S03"
+        else:
+            flags[flags.index("--test") + 1] = "8:13"
+        out = tmp_path / "out"
+        assert main(self._argv("eval", data_dir, ckpt, out, flags)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "summary.txt").exists()
+
+
 class TestRerun:
     def test_synth_rerun_verifies(self, data_dir, tmp_path, capsys):
         fresh = tmp_path / "fresh"
@@ -710,7 +799,7 @@ class TestRerun:
             monkeypatch.setattr(cli, name, rewriting(getattr(cli, name)))
         assert main([*argv, "--out", str(out)]) == 0
         inputs = read_manifest(out / "manifest.txt")["inputs"]
-        assert len(inputs) == {"preprocess": 4, "train": 4, "eval": 5, "report": 1}[command]
+        assert len(inputs) == {"preprocess": 4, "train": 3, "eval": 3, "report": 1}[command]
         for name, digest in inputs:
             assert digest == parsed[name] != sha256_file(name), name
 

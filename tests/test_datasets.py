@@ -542,6 +542,13 @@ class TestSynth:
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
             synth_multisubject(**{**args, name: value})
 
+    @pytest.mark.parametrize("duration_s", [0.04, 0.25])
+    def test_duration_of_no_whole_number_of_samples_refused(self, duration_s):
+        # at 10 Hz, 0.04 s made trials of 0 samples and 0.25 s trials of 2
+        message = f"duration_s of {duration_s} s is not a whole number of samples at fs=10.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synth_multisubject(2, 2, 4, 2, 10.0, duration_s, 2, 0.5, 5.0, seed=0)
+
 
 class TestBalancedUpsample:
     def _set(self, counts, seed=0):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scsnet import preprocessing
 from scsnet.datasets import Epoch, TrialSet
 from scsnet.preprocessing import (
+    MIN_FILTER_SAMPLES,
     CropGeometry,
     bandpass_filter,
     crop_geometry,
@@ -271,6 +273,16 @@ def _session(trials, channels=3, samples=120, fs=FS, seed=0):
     data = (rng.normal(size=(trials, channels, samples)) * 10.0).astype(np.float32)
     return TrialSet(data, np.arange(trials) % 2, "S03", [f"ch{i}" for i in range(channels)],
                     fs, ["a", "b"])
+
+
+def test_min_filter_samples_is_filtfilts_bound():
+    # trials of MIN_FILTER_SAMPLES filter; one sample fewer fails in filtfilt
+    data = np.random.default_rng(5).normal(size=(2, 2, MIN_FILTER_SAMPLES))
+    ts = TrialSet(data.astype(np.float32), [0, 1], "S", ["a", "b"], 32.0, ["x", "y"])
+    assert preprocess_trialset(ts, notch_hz=12.0, band=(1.0, 10.0)).n_samples == 28
+    with pytest.raises(ValueError, match="padlen"):
+        preprocess_trialset(replace(ts, data=ts.data[:, :, 1:]), notch_hz=12.0,
+                            band=(1.0, 10.0))
 
 
 class TestBlockFiltering:
