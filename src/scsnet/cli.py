@@ -200,7 +200,8 @@ def _load_subject_datasets(data_dir: Path, target: str, *, sources: bool
     """The sessions `make_splits` reads: the target's sessions 1 and 2 and,
     with `sources`, every other subject's session 1; also each loaded file
     with the digest of its bytes. Every container's name is checked first:
-    each subject's session numbers must be 1..n, each given once."""
+    each subject's session numbers must be 1..n, each given once, and the
+    target must have two sessions; a refusal loads no container."""
     files = _discover_containers(data_dir)
     grouped: dict[str, dict[int, Path]] = {}
     for path in files:
@@ -218,8 +219,12 @@ def _load_subject_datasets(data_dir: Path, target: str, *, sources: bool
         if missing is not None:
             raise ValueError(f"subject {subject!r} has no session {missing}: sessions must "
                              f"be numbered 1..{len(numbered)}")
-    used = {subject: [numbered[k] for k in ((1, 2) if subject == target else (1,))
-                      if k in numbered]
+    # make_splits' refusals, made from the names alone
+    if target not in grouped:
+        raise ValueError(f"target subject {target!r} not in datasets")
+    if len(grouped[target]) < 2:
+        raise ValueError(f"target subject {target!r} has no second session")
+    used = {subject: [numbered[k] for k in ((1, 2) if subject == target else (1,))]
             for subject, numbered in sorted(grouped.items()) if sources or subject == target}
     files = sorted(path for paths in used.values() for path in paths)
     # one pool item per container: read, hash and parse
@@ -237,7 +242,7 @@ def _check_overlap(ns, parser) -> None:
 def _check_target_sessions(datasets: list[SubjectDataset], target: str, fits) -> None:
     """Call `fits(session)` on each of the target's sessions, so a crop or
     pool that does not fit its trials fails before the split is built; the
-    ValueError names the session. An unknown target is left to the split."""
+    ValueError names the session."""
     for ds in datasets:
         if ds.subject_id != target:
             continue
@@ -309,11 +314,11 @@ def cmd_train(ns, parser) -> int:
         spec = SplitSpec(ns.target, ns.calib, ns.val, ns.test)
     except ValueError as err:
         parser.error(str(err))
-    out = _out_dir(ns)
     datasets, inputs = _load_subject_datasets(Path(ns.data), ns.target, sources=True)
     _check_target_sessions(datasets, ns.target, lambda session: base_config(cfg, session))
     split = make_splits(datasets, spec)
     del datasets  # the target's session 1, copied into its training array, is freed
+    out = _out_dir(ns)
     n_train = sum(len(ts) for ts in split.train.values())
     print(f"split: train={n_train} val={len(split.val)} test={len(split.test)}")
 
@@ -354,7 +359,6 @@ def cmd_eval(ns, parser) -> int:
         spec = SplitSpec(ns.target, ns.calib, ns.val, ns.test)
     except ValueError as err:
         parser.error(str(err))
-    out = _out_dir(ns)
     ckpt = Path(ns.ckpt)
     if not ckpt.exists():
         raise FileNotFoundError(f"checkpoint not found: {ckpt}")
@@ -379,6 +383,7 @@ def cmd_eval(ns, parser) -> int:
     crop_acc, trial_acc = evaluate(model, branch, test, win, overlap)
     print(f"crop_accuracy={crop_acc!r}")
     print(f"trial_accuracy={trial_acc!r}")
+    out = _out_dir(ns)
     summary = _write_text(out / "summary.txt", format_fields([
         ("model", meta.get("model", model.kind)), ("regime", meta.get("regime", "")),
         ("target_subject", ns.target), ("test_crop_accuracy", repr(crop_acc)),
@@ -425,6 +430,11 @@ def cmd_report(ns, parser) -> int:
 
 
 def cmd_rerun(ns, parser) -> int:
+    # a replay into a used directory would overwrite the outputs under check
+    out = Path(ns.out)
+    held = min(out.iterdir(), default=None) if out.is_dir() else None
+    if held is not None:
+        raise ValueError(f"--out {out} is not a fresh directory: it holds {held.name}")
     manifest = read_manifest(Path(ns.manifest))
     try:
         command, stored = manifest["command"], shlex.split(manifest["args"])
@@ -440,7 +450,6 @@ def cmd_rerun(ns, parser) -> int:
     code = main([command, *stored, f"--out={ns.out}"])
     if code != 0:
         return code
-    out = Path(ns.out)
     mismatched = []
     for name, digest in manifest["outputs"]:
         fresh = out / name

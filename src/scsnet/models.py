@@ -24,9 +24,9 @@ from .datasets import format_fields, read_header, write_parts
 from .preprocessing import CropGeometry
 
 CHECKPOINT_VERSION = 1
-# crops whose shallow features one inference head call takes
+# crops that one inference chunk may hold: the rows of one head call
 _INFER_CHUNK = 256
-# float64 values of temporal-conv output that one shallow-block pass may hold
+# float64 values of temporal-conv output that one inference chunk may hold
 _INFER_VALUES = 1 << 19
 
 
@@ -203,44 +203,31 @@ def _shallow_forward(x: np.ndarray, params: ModelParams, cfg: BaselineConfig, pr
     square act locally in time, so each trial's covered span runs through
     them once; pooling at the stride g = gcd(crop stride, pool_stride) then
     yields every pooling window of every crop, and the crop read-out is a
-    gather. A trial of one crop pools at the pool stride. Training runs
-    `forward_train` instead.
-
-    The shallow block runs over consecutive chunks of whole trials, each as
-    large as keeps its temporal-conv output within _INFER_VALUES float64
-    values, and at least one trial. Every op of it acts on each sample
-    alone, so the features are the same to the bit at any chunk size; only
-    each chunk's pooled rows outlive its pass.
+    gather. A trial of one crop pools at the pool stride. `forward_infer`
+    hands it one chunk of trials at a time; training runs `forward_train`.
     """
     x = x[..., :geo.covered]
     step = math.gcd(geo.stride, cfg.pool_stride) if geo.count > 1 else cfg.pool_stride
     # crop j's m-th window starts at j * crop stride + m * pool_stride
     windows = (np.arange(geo.count)[:, None] * geo.stride
                + np.arange(cfg.pooled_out) * cfg.pool_stride) // step
+    # Inference runs the five-op chain, the convs as per-sample matmuls
+    # (conv_time writes [F, C, T'] straight from one kernel-bank matmul,
+    # conv_space is one [O, F*C] @ [F*C, T'] matmul), the float32 trials
+    # cast to float64 (exactly) as conv_time takes them in. At the paper
+    # geometry each matmul is cut into column blocks, which the calling
+    # thread shares with the worker pool when BLAS is pinned
+    # (autodiff._SPLIT, autodiff._run_items); the bench-shape ones stay
+    # whole. The chain stays because the traced benchmark
+    # (perfbench/tracer.py, perfbench/metrics.py) derives
+    # autodiff.conv_time.useful_frac and autodiff.conv.gflops from work
+    # counters that only conv_time and conv_space feed. ROADMAP item 5's
+    # switch, once a benchmark change traces conv_log_power, is to call
+    # conv_log_power here instead. The chain's graph is freed once `pooled`
+    # holds its values, before the read-out.
     kernels, weights = params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"]
-
-    def log_power(chunk: np.ndarray) -> np.ndarray:
-        # Inference runs the five-op chain, the convs as per-sample matmuls
-        # (conv_time writes [F, C, T'] straight from one kernel-bank matmul,
-        # conv_space is one [O, F*C] @ [F*C, T'] matmul), the float32 trials
-        # cast to float64 (exactly) as conv_time takes them in. At the paper
-        # geometry each matmul is cut into column blocks, which the calling
-        # thread shares with the worker pool when BLAS is pinned
-        # (autodiff._SPLIT, autodiff._run_items); the bench-shape ones stay
-        # whole. The chain stays because the traced benchmark
-        # (perfbench/tracer.py, perfbench/metrics.py) derives
-        # autodiff.conv_time.useful_frac and autodiff.conv.gflops from work
-        # counters that only conv_time and conv_space feed. ROADMAP item 5's
-        # switch, once a benchmark change traces conv_log_power, is to call
-        # conv_log_power here instead. The chunk's graph is freed on return.
-        h = ad.conv_space(ad.conv_time(chunk, kernels, 1), weights)
-        return ad.log_clipped(ad.mean_pool(ad.square(h), cfg.pool_width, step)).values
-
-    per_trial = cfg.temporal_filters * x.shape[1] * (x.shape[2] - cfg.temporal_kernel + 1)
-    per = max(1, _INFER_VALUES // per_trial)
-    # an empty batch still runs one (empty) chunk, for the output's shape
-    pooled = np.concatenate([log_power(x[lo:lo + per])
-                             for lo in range(0, max(len(x), 1), per)])
+    pooled = ad.log_clipped(ad.mean_pool(ad.square(ad.conv_space(
+        ad.conv_time(x, kernels, 1), weights)), cfg.pool_width, step)).values
     feats = pooled[:, :, windows].transpose(0, 2, 1, 3)  # [trials, crops, F, P]
     return ad.Tensor(feats.reshape(-1, cfg.feature_dim))
 
@@ -403,13 +390,13 @@ def forward_infer(model, x, branch: int | None = None, *, crop_stride: int) -> n
     shallow pass per trial. Trials that hold a non-finite sample are
     refused, by index.
 
-    The head runs over consecutive chunks of whole trials: at most
-    _INFER_CHUNK crops, and at least one trial; `_shallow_forward` cuts each
-    chunk further to bound its temporal-conv output. Each row is its crop's
-    own softmax, but the head's matmuls may round differently at another
-    batch size: over more than _INFER_CHUNK crops the probabilities are
-    those of the per-chunk calls, and can differ in the last bits from one
-    head call over every crop.
+    The trials run in consecutive chunks of whole trials, at least one: as
+    many as keep the chunk within _INFER_CHUNK crops, which bounds the
+    head's rows, and its temporal-conv output within _INFER_VALUES float64
+    values. Each row is its crop's own softmax, but the head's matmuls may
+    round differently at another batch size: over more than one chunk the
+    probabilities are those of the per-chunk calls, and can differ in the
+    last bits from one call over every trial.
     """
     base, prefixes = _branches(model)
     if isinstance(model, ScsnModel):
@@ -427,7 +414,8 @@ def forward_infer(model, x, branch: int | None = None, *, crop_stride: int) -> n
     if crop_stride < 1:
         raise ValueError(f"crop_stride must be a positive integer, got {crop_stride}")
     geo = CropGeometry.of(x.shape[-1], base.n_samples, crop_stride)
-    per = max(1, _INFER_CHUNK // geo.count)
+    conv_values = base.temporal_filters * x.shape[1] * (geo.covered - base.temporal_kernel + 1)
+    per = max(1, min(_INFER_CHUNK // geo.count, _INFER_VALUES // conv_values))
 
     def probs(lo: int) -> np.ndarray:
         # the chunk's features and graph are freed before the next chunk

@@ -276,19 +276,6 @@ def _check_finite(loss: float, params: ModelParams, epoch: int, step: int) -> No
                 f"epoch {epoch}, step {step}: non-finite gradient for {name!r}")
 
 
-def _predict_crops(model, branch, trials: TrialSet, win_s: float, overlap_s: float
-                   ) -> np.ndarray:
-    """Predicted class of every crop of every trial, [trials, crops]: the
-    crops of `win_s` and `overlap_s`, which must be the model's input width,
-    read out of one `forward_infer` over the trials' covered samples. The
-    trials must have the model's class and channel counts."""
-    geo = crop_geometry(trials.n_samples, trials.fs, win_s, overlap_s)
-    _check_width(model, geo.width)
-    _check_counts(model, trials)
-    probs = forward_infer(model, trials.data[:, :, :geo.covered], branch, crop_stride=geo.stride)
-    return probs.argmax(axis=1).reshape(len(trials), geo.count)
-
-
 # ---------------------------------------------------------------------------
 # training
 
@@ -370,7 +357,6 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
     start = time.perf_counter()
     _check_finite_training(split)
     base = base_config(cfg, split.train[split.target_subject])
-    val_y = split.val.label[:, None]
     drop_rng = dropout_stream(cfg.seed)
     report = TrainReport(kind, regime, split.target_subject)
 
@@ -406,8 +392,7 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
         step_losses, step_mmds = zip(*steps)
         report.train_loss.append(float(np.mean(step_losses)))
         report.train_mmd_loss.append(float(np.mean(step_mmds)))
-        val_acc = float(np.mean(
-            _predict_crops(model, branch, split.val, cfg.win_s, cfg.overlap_s) == val_y))
+        val_acc = evaluate(model, branch, split.val, cfg.win_s, cfg.overlap_s)[0]
         report.val_accuracy.append(val_acc)
         if val_acc > best_acc:
             best_acc, best_epoch = val_acc, epoch
@@ -430,15 +415,19 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
 def evaluate(model, branch, test: TrialSet, win_s: float, overlap_s: float
              ) -> tuple[float, float]:
     """Crop-level accuracy plus trial-level accuracy under majority voting
-    over each trial's crops (ties resolve to the lowest class index)."""
+    over each trial's crops (ties resolve to the lowest class index), for
+    validation and test alike. The crops of `win_s` and `overlap_s` must be
+    the model's input width; one `forward_infer` reads them all out."""
     if len(test) == 0:
         raise ValueError("cannot evaluate on an empty test set")
-    n_classes = len(test.class_names)
-    preds = _predict_crops(model, branch, test, win_s, overlap_s)
-    labels = test.label
-    crop_acc = float(np.mean(preds == labels[:, None]))
-    winners = np.array([np.bincount(v, minlength=n_classes).argmax() for v in preds])
-    trial_acc = float(np.mean(winners == labels))
+    geo = crop_geometry(test.n_samples, test.fs, win_s, overlap_s)
+    _check_width(model, geo.width)
+    _check_counts(model, test)
+    probs = forward_infer(model, test.data, branch, crop_stride=geo.stride)
+    preds = probs.argmax(axis=1).reshape(len(test), geo.count)
+    crop_acc = float(np.mean(preds == test.label[:, None]))
+    winners = np.array([np.bincount(v, minlength=len(test.class_names)).argmax() for v in preds])
+    trial_acc = float(np.mean(winners == test.label))
     return crop_acc, trial_acc
 
 

@@ -589,7 +589,46 @@ class TestSessionsRead:
         assert not (out / "summary.txt").exists()
 
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("change, message", [
+        ("no-second-session", "target subject 'S01' has no second session"),
+        ("unknown-target", "target subject 'S09' not in datasets"),
+    ], ids=["no-second-session", "unknown-target"])
+    def test_a_target_the_names_refuse_loads_nothing(self, data_dir, tmp_path, ckpt, capsys,
+                                                      monkeypatch, command, change, message):
+        # both loaded the sources' or the target's containers and created
+        # --out before the split refused the target
+        flags = list(TRAIN_FLAGS)
+        if change == "no-second-session":
+            (data_dir / "S01_s2.tsc").unlink()
+        else:
+            flags[flags.index("--target") + 1] = "S09"
+        loads = []
+        monkeypatch.setattr(cli, "load_trialset", lambda path, **kw: loads.append(path))
+        out = tmp_path / "out"
+        assert main(self._argv(command, data_dir, ckpt, out, flags)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert loads == [] and not out.exists()
+
+
 class TestRerun:
+    def test_refuses_an_out_that_holds_a_file(self, data_dir, tmp_path, capsys, monkeypatch):
+        # a replay into the run's own directory rewrote its containers and
+        # its manifest, so a mismatch would have lost what it was checked
+        # against
+        before = {path.name: path.read_bytes() for path in data_dir.iterdir()}
+        hashed = []
+        monkeypatch.setattr(cli, "sha256_file", lambda path: hashed.append(path))
+        assert main(["rerun", str(data_dir / "manifest.txt"), "--out", str(data_dir)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: --out {data_dir} is not a fresh directory: it holds S01_s1.tsc\n"
+        assert {path.name: path.read_bytes() for path in data_dir.iterdir()} == before
+        assert hashed == []  # refused before the input check
+        monkeypatch.undo()
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["rerun", str(data_dir / "manifest.txt"), "--out", str(empty)]) == 0
+
     def test_synth_rerun_verifies(self, data_dir, tmp_path, capsys):
         fresh = tmp_path / "fresh"
         code = main(["rerun", str(data_dir / "manifest.txt"), "--out", str(fresh)])

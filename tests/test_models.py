@@ -383,11 +383,10 @@ class TestDenseCropInference:
 
 
 class TestInferenceChunks:
-    """The head takes chunks of whole trials of at most
-    models._INFER_CHUNK crops, at least one trial each. The shallow block
-    runs over chunks of those whose temporal-conv output stays within
-    models._INFER_VALUES, at least one trial each; the probabilities do not
-    depend on that chunk size."""
+    """Inference runs chunks of whole trials, at least one each, as many as
+    keep a chunk within models._INFER_CHUNK crops and its temporal-conv
+    output within models._INFER_VALUES; the probabilities are those of the
+    per-chunk calls, and the decisions do not depend on the bounds."""
 
     BASE = BaselineConfig(n_channels=3, n_samples=60, n_classes=4, temporal_filters=4,
                           temporal_kernel=5, pool_width=10, pool_stride=4)
@@ -407,7 +406,8 @@ class TestInferenceChunks:
         samples, stride = (200, 7) if form == "trials" else (60, 1)
         x = np.random.default_rng(27).normal(size=(7, 3, samples)).astype(np.float32)
         per_trial = 4 * 3 * (samples - 5 + 1)
-        assert 7 * per_trial <= models._INFER_VALUES  # one chunk at the default bound
+        default = models._INFER_VALUES
+        assert 7 * per_trial <= default  # one chunk at the default bound
         whole = forward_infer(model, x, branch, crop_stride=stride)
 
         chunks = []
@@ -421,9 +421,18 @@ class TestInferenceChunks:
         for bound, sizes in ((1, [1] * 7), (3 * per_trial, [3, 3, 1])):
             monkeypatch.setattr(models, "_INFER_VALUES", bound)
             chunks.clear()
-            np.testing.assert_array_equal(forward_infer(model, x, branch, crop_stride=stride),
-                                          whole)
+            probs = forward_infer(model, x, branch, crop_stride=stride)
             assert chunks == sizes
+            # the per-chunk calls' probabilities, bit for bit, each one chunk
+            # at any bound; a head chunk of another size may round them
+            # differently in the last bits, but never flips a decision
+            los = np.cumsum([0] + sizes[:-1])
+            monkeypatch.setattr(models, "_INFER_VALUES", default)
+            parts = [forward_infer(model, x[lo:lo + n], branch, crop_stride=stride)
+                     for lo, n in zip(los, sizes)]
+            assert probs.tobytes() == np.concatenate(parts).tobytes()
+            np.testing.assert_allclose(probs, whole, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(probs.argmax(axis=1), whole.argmax(axis=1))
 
     @pytest.mark.parametrize("kind", ["baseline", "scsn"])
     @pytest.mark.parametrize("shape, stride, per, sizes", [
@@ -431,7 +440,8 @@ class TestInferenceChunks:
         pytest.param((600, 3, 60), 1, 256, [256, 256, 88], id="crops"),
         # 21 crops a trial: 12 trials a chunk
         pytest.param((30, 3, 200), 7, 12, [252, 252, 126], id="trials"),
-        # 300 crops a trial: one trial a chunk
+        # 300 crops a trial: one trial a chunk, though the temporal-conv
+        # bound alone would admit 123 trials (36,900 crops)
         pytest.param((2, 3, 359), 1, 1, [300, 300], id="long-trials"),
     ])
     def test_head_takes_at_most_a_chunk_of_crops(self, monkeypatch, kind, shape, stride,
@@ -455,6 +465,8 @@ class TestInferenceChunks:
         whole = forward_infer(model, x, branch, crop_stride=stride)
         assert heads == sizes and len(whole) == sum(sizes)
         assert max(sizes) <= models._INFER_CHUNK or per == 1
+        # the crop bound, not the temporal-conv bound, sets the chunks here
+        assert models._INFER_VALUES // (4 * 3 * (shape[2] - 5 + 1)) > per
         # more than _INFER_CHUNK crops are the per-chunk calls' rows, bit for bit
         parts = [forward_infer(model, x[lo:lo + per], branch, crop_stride=stride)
                  for lo in range(0, len(x), per)]

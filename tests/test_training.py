@@ -44,7 +44,7 @@ from scsnet.training import (
     train,
 )
 from scsnet.preprocessing import crop_trialset
-from scsnet.training import _check_finite, _predict_crops
+from scsnet.training import _check_finite
 
 TINY_ARCH = dict(temporal_filters=4, temporal_kernel=9, pool_width=10, pool_stride=5,
                  common_fc_dims=(8, 8, 8), separate_fc_dims=(6, 6, 6))
@@ -226,17 +226,17 @@ class TestTrainBasics:
         # the best parameters are copied after each epoch whose validation
         # accuracy beats every earlier one's, and never before epoch 1
         validations, snapshots = [], []
-        real_predict, real_snapshot = training._predict_crops, ModelParams.snapshot
+        real_evaluate, real_snapshot = training.evaluate, ModelParams.snapshot
 
-        def predict(*args, **kwargs):
+        def spy(*args, **kwargs):
             validations.append(args[2])
-            return real_predict(*args, **kwargs)
+            return real_evaluate(*args, **kwargs)
 
         def snapshot(params):
             snapshots.append(len(validations))
             return real_snapshot(params)
 
-        monkeypatch.setattr(training, "_predict_crops", predict)
+        monkeypatch.setattr(training, "evaluate", spy)
         monkeypatch.setattr(ModelParams, "snapshot", snapshot)
         split = tiny_split(seed=2)
         _, report = train("baseline", split, tiny_cfg(max_epochs=12, patience=3, seed=5),
@@ -246,6 +246,33 @@ class TestTrainBasics:
         assert len(validations) == len(acc) + 1 and validations[-1] is split.test
         assert all(v is split.val for v in validations[:-1])
         assert len(improving) > 1 and snapshots == improving, (acc, snapshots)
+
+    @pytest.mark.parametrize("kind, regime", [("baseline", "single"), ("scsn_mmd", "multi")])
+    def test_validation_is_evaluate_on_each_epochs_parameters(self, monkeypatch, kind, regime):
+        # each epoch's parameters are copied when its batches run out, just
+        # before its validation
+        built, epochs = [], []
+        real_builds = {"baseline": training.build_baseline, "scsn_mmd": training.build_scsn}
+        real_batches = training.batch_iter
+
+        def build(*args):
+            built.append(real_builds[kind](*args))
+            return built[-1]
+
+        def batches(*args):
+            yield from real_batches(*args)
+            epochs.append(built[0].params.snapshot())
+
+        monkeypatch.setattr(training, "build_baseline" if kind == "baseline" else "build_scsn",
+                            build)
+        monkeypatch.setattr(training, "batch_iter", batches)
+        split, cfg = tiny_split(seed=2), tiny_cfg(max_epochs=6, patience=6, seed=5)
+        model, report = train(kind, split, cfg, regime=regime)
+        branch = None if kind == "baseline" else sorted(split.train).index("S01")
+        assert len(epochs) == len(report.val_accuracy) == 6
+        for params, acc in zip(epochs, report.val_accuracy):
+            model.params.restore(params)
+            assert evaluate(model, branch, split.val, cfg.win_s, cfg.overlap_s)[0] == acc
 
     def test_scsn_single_regime_rejected(self):
         with pytest.raises(ValueError):
@@ -708,7 +735,7 @@ class TestDenseEvaluate:
     def test_matches_per_crop_predictions_across_chunks(self):
         model, test = self._model(), self._trials(30)
         assert 30 * self.CROPS > models._INFER_CHUNK
-        dense = _predict_crops(model, 1, test, self.WIN, self.OVERLAP)
+        dense = forward_infer(model, test.data, 1, crop_stride=7).argmax(1).reshape(30, -1)
         crops = crop_trialset(test, self.WIN, self.OVERLAP).data  # trial-major
         probs = forward_infer(model, crops, 1, crop_stride=1)  # trials of one crop each
         per_crop = probs.argmax(axis=1).reshape(30, self.CROPS)
@@ -732,8 +759,8 @@ class TestDenseEvaluate:
         monkeypatch.setattr(models, "_INFER_VALUES", 5 * 4 * 3 * (self.COVERED - 5 + 1))
         assert models._INFER_CHUNK // self.CROPS == 12
         evaluate(self._model(), 0, self._trials(30), self.WIN, self.OVERLAP)
-        # the head's chunks of 12, 12 and 6 trials, each cut at 5 trials
-        assert shapes == [(n, 3, self.COVERED) for n in (5, 5, 2, 5, 5, 2, 5, 1)]
+        # chunks of min(12, 5) trials, one temporal conv each
+        assert shapes == [(5, 3, self.COVERED)] * 6
 
     def test_peak_memory_stays_flat_in_the_trial_count(self):
         # the acceptance shape: 8 channels, 256 samples, one crop per trial
@@ -802,11 +829,11 @@ class TestSplitDecode:
         monkeypatch.setattr(ad, "_pool_size", lambda: size)
         shape = self.PAPER
         model, trials = self._decoder(shape, 7)
-        whole = _predict_crops(model, 0, trials, shape["win"], shape["overlap"])
+        whole = forward_infer(model, trials.data, 0, crop_stride=25).argmax(1).reshape(7, -1)
         assert whole.shape == (7, 21)
         for i in range(len(trials)):
             one = trials.subset([i])
-            assert (_predict_crops(model, 0, one, shape["win"], shape["overlap"])
+            assert (forward_infer(model, one.data, 0, crop_stride=25).argmax(1)
                     == whole[i]).all()
             assert evaluate(model, 0, one, shape["win"], shape["overlap"]) == \
                 (float(np.mean(whole[i] == i % 4)),
