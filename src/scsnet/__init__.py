@@ -7,12 +7,10 @@ split, batching, and evaluation protocol they are trained under.
 from .autodiff import Tensor, grad_check
 from .datasets import (
     ContainerFormatError,
-    Epoch,
     Split,
     SplitSpec,
     SubjectDataset,
     TrialSet,
-    balanced_upsample,
     batch_iter,
     load_trialset,
     make_splits,
@@ -20,9 +18,7 @@ from .datasets import (
     synth_multisubject,
 )
 from .mmd import (
-    bandwidth_mean_l2,
     layered_class_mmd,
-    mmd2_biased,
     multi_source_mmd,
     transfer_loss,
 )
@@ -38,8 +34,6 @@ from .models import (
 )
 from .preprocessing import (
     bandpass_filter,
-    crop_trials,
-    crop_trialset,
     notch_filter,
     preprocess_trialset,
     select_channels,
@@ -58,15 +52,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Tensor", "grad_check",
-    "ContainerFormatError", "Epoch", "Split", "SplitSpec", "SubjectDataset", "TrialSet",
-    "balanced_upsample", "batch_iter", "load_trialset", "make_splits", "save_trialset",
-    "synth_multisubject",
-    "bandwidth_mean_l2", "layered_class_mmd", "mmd2_biased", "multi_source_mmd",
-    "transfer_loss",
+    "ContainerFormatError", "Split", "SplitSpec", "SubjectDataset", "TrialSet",
+    "batch_iter", "load_trialset", "make_splits", "save_trialset", "synth_multisubject",
+    "layered_class_mmd", "multi_source_mmd", "transfer_loss",
     "BaselineConfig", "ScsnConfig", "build_baseline", "build_scsn", "forward_infer",
     "forward_train", "load_checkpoint", "save_checkpoint",
-    "bandpass_filter", "crop_trials", "crop_trialset", "notch_filter", "preprocess_trialset",
-    "select_channels",
+    "bandpass_filter", "notch_filter", "preprocess_trialset", "select_channels",
     "ComparisonRow", "TrainConfig", "TrainReport", "adam_step", "evaluate",
     "negative_transfer_report", "train",
     "__version__",

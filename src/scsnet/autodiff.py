@@ -8,12 +8,12 @@ Every op that has a sample axis takes a batch: its input has one leading
 axis, and a single sample is a batch of one. No broadcasting beyond that,
 no GPU, no general-purpose graph surgery.
 
-The log-power op takes its input as data, with no input gradient, in the
-input's own dtype. It also takes whole trials with per-crop onsets: crops
-of one trial that overlap or touch are convolved as one segment, so shared
-samples are convolved once. One log-power node can hold several
-branches, each with its own input and parameters, as SCSN's per-subject
-shallow blocks are.
+The temporal conv and the log-power op take their input as data, with no
+input gradient; the log-power op reads it in its own dtype. It also takes
+whole trials with per-crop onsets: crops of one trial that overlap or
+touch are convolved as one segment, so shared samples are convolved once.
+One log-power node can hold several branches, each with its own input and
+parameters, as SCSN's per-subject shallow blocks are.
 
 Every op runs on the calling thread except three, whose work is a fixed
 list of items that `_run_items` schedules. The log-power op splits each
@@ -173,18 +173,6 @@ def _check_batch(ndim: int, *axes: str) -> None:
     """Refuse an input of `ndim` axes unless it is a batch with these axes."""
     if ndim != len(axes):
         raise ValueError(f"expected [{', '.join(axes)}] input, got {ndim}-d")
-
-
-def _scatter_windows(target: np.ndarray, windowed: np.ndarray, stride: int) -> None:
-    # windowed[..., t', j] contributes to target[..., t' * stride + j]. Within a
-    # block of `stride` consecutive offsets j every target is hit at most once,
-    # so each block is one strided add; blocks go in increasing j, the order in
-    # which a per-offset loop would sum, so the result is the same to the bit.
-    n_out, width = windowed.shape[-2], windowed.shape[-1]
-    for j in range(0, width, stride):
-        block = min(stride, width - j)
-        slab = sliding_window_view(target[..., j:], block, axis=-1, writeable=True)
-        slab[..., :(n_out - 1) * stride + 1:stride, :] += windowed[..., j:j + block]
 
 
 def _check_pool(width, stride, extent: int) -> None:
@@ -367,20 +355,33 @@ def _window_spread(grid: np.ndarray, width: int, g: int, out: np.ndarray,
     return out
 
 
+def _data(x, op: str):
+    """x as data: the values of a Tensor that requires no gradient, else x
+    itself; `op` has no input gradient, so a Tensor that requires one is
+    refused."""
+    if isinstance(x, Tensor):
+        if x.requires_grad:
+            raise ValueError(f"{op} has no input gradient: pass x as data")
+        return x.values
+    return x
+
+
 def conv_time(x, kernels, stride: int = 1) -> Tensor:
     """Valid 1-d convolution along the time axis, one kernel bank shared by
     all channels.
 
     x: [batch, channels, time]; kernels: [n_filters, k]. Output: [batch,
     n_filters, channels, time'] with time' = floor((time - k) / stride) + 1.
+    x is data, cast to float64 once: the op has no input gradient, so a
+    Tensor that requires one is refused, and the gradient is the kernels'.
     """
-    x, kernels = as_tensor(x), as_tensor(kernels)
+    xb = np.asarray(_data(x, "conv_time"), dtype=np.float64)
+    kernels = as_tensor(kernels)
     if kernels.ndim != 2:
         raise ValueError("kernels must have shape [n_filters, k]")
     if not isinstance(stride, int) or stride < 1:
         raise ValueError("stride must be a positive integer")
-    _check_batch(x.ndim, "batch", "channels", "time")
-    xb = x.values
+    _check_batch(xb.ndim, "batch", "channels", "time")
     f, k = kernels.values.shape
     b, c, t = xb.shape
     if k > t:
@@ -413,19 +414,13 @@ def conv_time(x, kernels, stride: int = 1) -> Tensor:
         _run_items(block, _column_bounds(c))
 
     def backward(g):
-        gk = gx = None
-        if kernels.requires_grad:
-            cols = np.empty((k, c, t_out))
-            gk = np.zeros((f, k))
-            for i in range(b):
-                gk += g[i].reshape(f, c * t_out) @ im2col(i, cols).T
-        if x.requires_grad:
-            spread = np.tensordot(g, kernels.values, axes=([1], [0]))   # [B, C, T', k]
-            gx = np.zeros_like(xb)
-            _scatter_windows(gx, spread, stride)
-        return gx, gk
+        cols = np.empty((k, c, t_out))
+        gk = np.zeros((f, k))
+        for i in range(b):
+            gk += g[i].reshape(f, c * t_out) @ im2col(i, cols).T
+        return (gk,)
 
-    return make_node(out, (x, kernels), backward)
+    return make_node(out, (kernels,), backward)
 
 
 def conv_space(x, weights) -> Tensor:
@@ -506,10 +501,7 @@ def _log_power_input(x, kernels, weights, crops, pool_width, pool_stride) -> tup
     and with its messages: (x as a tuple of [N, C, T] arrays, trial, onset,
     crop width, kernels, weights), trials numbered across the arrays in
     order."""
-    if isinstance(x, Tensor):
-        if x.requires_grad:
-            raise ValueError("conv_log_power has no input gradient: pass x as data")
-        x = x.values
+    x = _data(x, "conv_log_power")
     kernels, weights = as_tensor(kernels), as_tensor(weights)
     if kernels.ndim != 2:
         raise ValueError("kernels must have shape [n_filters, k]")

@@ -30,7 +30,6 @@ from .training import ComparisonRow, TrainConfig, base_config, evaluate, \
     negative_transfer_report, train
 
 CONTAINER_SUFFIX = ".tsc"
-SUBJECTS_NOTE = "A01,A03,A07,A08,A09"
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +439,19 @@ def cmd_rerun(ns, parser) -> int:
         command, stored = manifest["command"], shlex.split(manifest["args"])
     except KeyError as missing:
         raise ValueError(f"manifest lacks a {missing} line") from None
+    # argparse keeps the last --out, so this one replaces the recorded one
+    argv = [command, *stored, f"--out={ns.out}"]
+    try:
+        parser.parse_args(argv)
+    except SystemExit:  # argparse has printed why
+        raise ValueError(f"{ns.manifest}: the recorded flags no longer parse") from None
     drifted = [name for name, digest in manifest["inputs"]
                if not Path(name).is_file() or sha256_file(name) != digest]
     for name in drifted:
         print(f"input differs from the manifest: {name}", file=sys.stderr)
     if drifted:
         return 1
-    # argparse keeps the last --out, so this one replaces the recorded one
-    code = main([command, *stored, f"--out={ns.out}"])
+    code = main(argv)
     if code != 0:
         return code
     mismatched = []
@@ -533,8 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--common-dims", type=_dims, default=defaults.common_fc_dims)
     p.add_argument("--separate-dims", type=_dims, default=defaults.separate_fc_dims)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--subjects-note", default=SUBJECTS_NOTE,
-                   help="informational record of the recommended subject subset")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -96,6 +96,17 @@ class BaselineConfig:
         return self.temporal_filters * self.pooled_out
 
 
+def check_dense_widths(common: tuple[int, ...], separate: tuple[int, ...]) -> None:
+    """Refuse SCSN dense widths: the shared block needs at least one layer,
+    each source path exactly three, and every width must be positive."""
+    if not common:
+        raise ValueError("common_fc_dims needs at least one layer: the shared block")
+    if len(separate) != 3:
+        raise ValueError("separate_fc_dims must have exactly 3 entries")
+    if any(d < 1 for d in common + separate):
+        raise ValueError("dense widths must be positive")
+
+
 @dataclass(frozen=True)
 class ScsnConfig:
     base: BaselineConfig
@@ -110,12 +121,7 @@ class ScsnConfig:
             raise ValueError("SCSN needs at least 2 subjects")
         if not 0 <= self.target_index < self.n_subjects:
             raise ValueError("target_index out of range")
-        if not self.common_fc_dims:
-            raise ValueError("common_fc_dims needs at least one layer: the shared block")
-        if len(self.separate_fc_dims) != 3:
-            raise ValueError("separate_fc_dims must have exactly 3 entries")
-        if any(d < 1 for d in self.common_fc_dims + self.separate_fc_dims):
-            raise ValueError("dense widths must be positive")
+        check_dense_widths(self.common_fc_dims, self.separate_fc_dims)
 
 
 class ModelParams:
@@ -410,6 +416,9 @@ def forward_infer(model, x, branch: int | None = None, *, crop_stride: int) -> n
     x = np.asarray(x)
     if x.ndim != 3:
         raise ValueError("whole-trial input must be [trials, channels, samples]")
+    if x.shape[1] != base.n_channels:
+        raise ValueError(f"the trials hold {x.shape[1]} channels, but the model takes "
+                         f"{base.n_channels}")
     crop_stride = _as_int("crop_stride", crop_stride)
     if crop_stride < 1:
         raise ValueError(f"crop_stride must be a positive integer, got {crop_stride}")

@@ -121,10 +121,10 @@ def select_channels(trial_set: TrialSet, names: list[str]) -> TrialSet:
     return replace(trial_set, data=trial_set.data[:, idx], channel_names=names)
 
 
-def preprocess_trialset(trial_set: TrialSet, notch_hz: float | None = 50.0,
-                        band: tuple[float, float] | None = (1.0, 100.0),
+def preprocess_trialset(trial_set: TrialSet, notch_hz: float, band: tuple[float, float],
                         channels: list[str] | None = None) -> TrialSet:
-    """The standard pipeline: notch, bandpass, optional channel selection.
+    """The standard pipeline: notch at `notch_hz`, bandpass over `band` =
+    (low, high), optional channel selection.
 
     Filtering runs in float64 on blocks of whole trials (at most
     _FILTER_BLOCK samples, at least one trial), each filter designed once
@@ -140,9 +140,6 @@ def preprocess_trialset(trial_set: TrialSet, notch_hz: float | None = 50.0,
         if not finite.all():
             i = lo + int(np.argmin(finite))
             raise ValueError(f"trial {i} (subject {ts.subject_id!r}) holds non-finite samples")
-        if notch_hz is not None:
-            block = notch_filter(block, notch_hz, ts.fs)
-        if band is not None:
-            block = bandpass_filter(block, band[0], band[1], ts.fs)
+        block = bandpass_filter(notch_filter(block, notch_hz, ts.fs), band[0], band[1], ts.fs)
         out[lo:lo + len(block)] = block
     return replace(ts, data=out)

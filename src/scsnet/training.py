@@ -26,6 +26,7 @@ from .models import (
     _check_width,
     build_baseline,
     build_scsn,
+    check_dense_widths,
     forward_infer,
     forward_train,
     require_ints,
@@ -80,6 +81,7 @@ class TrainConfig:
             raise ValueError("batch_per_branch must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed!r}")
+        check_dense_widths(self.common_fc_dims, self.separate_fc_dims)
 
 
 @dataclass
@@ -344,12 +346,11 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
     upsampled to the target's pool size. Early stopping tracks the best
     validation crop accuracy and restores the best-epoch parameters.
     """
-    kind = model_kind.replace("-", "_")
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {model_kind!r}")
+    if model_kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {model_kind!r}: one of {', '.join(MODEL_KINDS)}")
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    if kind != "baseline" and regime == "single":
+    if model_kind != "baseline" and regime == "single":
         raise ValueError("multi-branch models need the multi-subject regime")
     if len(split.val) == 0:
         raise ValueError("early stopping needs a non-empty validation set")
@@ -358,9 +359,9 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
     _check_finite_training(split)
     base = base_config(cfg, split.train[split.target_subject])
     drop_rng = dropout_stream(cfg.seed)
-    report = TrainReport(kind, regime, split.target_subject)
+    report = TrainReport(model_kind, regime, split.target_subject)
 
-    if kind == "baseline":
+    if model_kind == "baseline":
         subjects = [split.target_subject] if regime == "single" else sorted(split.train)
         # every pooled subject's crops in one pool, batched as one branch
         pools = {"pooled": crop_pool([split.train[s] for s in subjects], cfg.win_s,
@@ -377,7 +378,7 @@ def train(model_kind: str, split: Split, cfg: TrainConfig,
                        common_fc_dims=tuple(cfg.common_fc_dims),
                        separate_fc_dims=tuple(cfg.separate_fc_dims)),
             cfg.seed)
-    with_mmd = kind == "scsn_mmd" and cfg.lam > 0
+    with_mmd = model_kind == "scsn_mmd" and cfg.lam > 0
     state = AdamState(model.params)
 
     # every epoch's accuracy is at least 0, so epoch 1 takes the first snapshot

@@ -52,15 +52,12 @@ def naive_mean_pool(x, width, stride):
 
 def tensordot_conv_time(xb, kernels, stride, g):
     """The tensordot formulas conv_time used before its per-sample matmul:
-    (output, input gradient, kernel gradient) of a batched input for the
-    output gradient g."""
+    (output, kernel gradient) of a batched input for the output gradient g."""
     windows = sliding_window_view(xb, kernels.shape[1], axis=-1)[..., ::stride, :]
     out = np.ascontiguousarray(np.moveaxis(
         np.tensordot(windows, kernels, axes=([3], [1])), -1, 1))
     gk = np.tensordot(g, windows, axes=([0, 2, 3], [0, 1, 2]))
-    gx = np.zeros_like(xb)
-    ad._scatter_windows(gx, np.tensordot(g, kernels, axes=([1], [0])), stride)
-    return out, gx, gk
+    return out, gk
 
 
 def einsum_conv_space(xb, w, g):
@@ -119,15 +116,32 @@ class TestConvTime:
     @settings(max_examples=100, deadline=None)
     def test_matches_tensordot_formulas(self, batch, c, f, k, stride, n_out, slack, seed):
         rng = np.random.default_rng(seed)
-        x = ad.Tensor(rng.normal(size=(batch, c, (n_out - 1) * stride + k + slack)),
-                      requires_grad=True)
+        x = rng.normal(size=(batch, c, (n_out - 1) * stride + k + slack))
         kern = ad.Tensor(rng.normal(size=(f, k)), requires_grad=True)
         out = ad.conv_time(x, kern, stride)
         gout = rng.normal(size=out.shape)
         got = (out.values, *out._backward(gout))
-        want = tensordot_conv_time(x.values, kern.values, stride, gout)
+        want = tensordot_conv_time(x, kern.values, stride, gout)
+        assert len(got) == len(want)
         for g, w in zip(got, want):
             assert_rel_close(g, w)
+
+    def test_refuses_an_input_that_requires_a_gradient(self):
+        x = ad.Tensor(np.zeros((1, 2, 6)), requires_grad=True)
+        with pytest.raises(ValueError, match="conv_time has no input gradient: pass x as data"):
+            ad.conv_time(x, ad.Tensor(np.ones((2, 3)), requires_grad=True))
+        # a Tensor that requires none is data, and the kernels are the one parent
+        out = ad.conv_time(ad.Tensor(x.values), ad.Tensor(np.ones((2, 3)), requires_grad=True))
+        assert len(out._parents) == 1 and out._parents[0].shape == (2, 3)
+
+    def test_float32_input_gives_its_float64_cast_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 4, 40)).astype(np.float32)
+        kern = rng.normal(size=(5, 7))
+        for stride in (1, 3):
+            got = ad.conv_time(x, kern, stride).values
+            want = ad.conv_time(x.astype(np.float64), kern, stride).values
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
     def test_peak_memory_is_output_plus_one_column_buffer(self):
         # the forward writes each sample's matmul into the output and stages
@@ -1015,6 +1029,7 @@ class TestMeanPool:
     @example(width=4, stride=6, n_out=5, slack=2, batch=2, seed=0)    # width < stride
     @example(width=7, stride=3, n_out=6, slack=1, batch=1, seed=1)    # not a multiple
     @example(width=5, stride=1, n_out=9, slack=0, batch=2, seed=2)    # stride 1
+    @example(width=75, stride=15, n_out=9, slack=0, batch=3, seed=3)  # the paper's pool
     @settings(max_examples=150, deadline=None)
     def test_matrix_gradient_matches_scatter(self, width, stride, n_out, slack, batch, seed):
         rng = np.random.default_rng(seed)
@@ -1024,45 +1039,16 @@ class TestMeanPool:
         gout = rng.normal(size=out.shape)
         (got,) = out._backward(gout)
         want = np.zeros_like(x.values)
-        spread = np.broadcast_to((gout / width)[..., None], gout.shape + (width,))
-        ad._scatter_windows(want, spread, stride)
+        loop_scatter_windows(want, np.repeat((gout / width)[..., None], width, axis=-1), stride)
         assert_rel_close(got, want)
 
 
 def loop_scatter_windows(target, windowed, stride):
-    """The per-offset loop `_scatter_windows` replaces: one strided add per
-    window column, in increasing offset."""
+    """Scatter each window's values back onto the samples it covers: one
+    strided add per window column, in increasing offset."""
     n_out, width = windowed.shape[-2], windowed.shape[-1]
     for j in range(width):
         target[..., j:j + (n_out - 1) * stride + 1:stride] += windowed[..., j]
-
-
-class TestScatterWindows:
-    @given(width=st.integers(1, 30), stride=st.integers(1, 20), n_out=st.integers(1, 12),
-           slack=st.integers(0, 3), lead=st.lists(st.integers(1, 3), max_size=2),
-           seed=st.integers(0, 2 ** 16))
-    @settings(max_examples=300, deadline=None)
-    def test_bit_identical_to_offset_loop(self, width, stride, n_out, slack, lead, seed):
-        # covers width < stride, width not a multiple of stride, and stride 1
-        # (the conv_time input gradient)
-        rng = np.random.default_rng(seed)
-        windowed = rng.normal(size=(*lead, n_out, width))
-        extent = (n_out - 1) * stride + width + slack
-        want, got = np.zeros((*lead, extent)), np.zeros((*lead, extent))
-        loop_scatter_windows(want, windowed, stride)
-        ad._scatter_windows(got, windowed, stride)
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("width,stride", [(75, 15), (4, 6), (7, 3), (5, 1)])
-    def test_pool_gradient_matches_offset_loop(self, width, stride):
-        rng = np.random.default_rng(width * stride)
-        x = ad.Tensor(rng.normal(size=(3, 2, 2 * width + 3 * stride)), requires_grad=True)
-        out = ad.mean_pool(x, width, stride)
-        gout = rng.normal(size=out.shape)
-        (got,) = out._backward(gout)
-        want = np.zeros_like(x.values)
-        loop_scatter_windows(want, np.repeat((gout / width)[..., None], width, axis=-1), stride)
-        assert_rel_close(got, want)
 
 
 class TestWindowSums:
@@ -1250,7 +1236,7 @@ class TestBackward:
 
     def test_composite_matches_finite_differences(self):
         rng = np.random.default_rng(6)
-        x = ad.Tensor(rng.normal(size=(1, 2, 12)), requires_grad=True)
+        x = rng.normal(size=(1, 2, 12))  # data: conv_time has no input gradient
         k = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
 
@@ -1261,7 +1247,7 @@ class TestBackward:
             h = ad.mean_pool(h, 3, 2)
             return ad.tsum(h)
 
-        assert ad.grad_check(loss, [x, k, w], eps=1e-5) < 1e-4
+        assert ad.grad_check(loss, [k, w], eps=1e-5) < 1e-4
 
 
 class TestGradCheck:
@@ -1279,13 +1265,13 @@ class TestGradCheck:
 
     def test_conv_time_layer(self):
         rng = np.random.default_rng(8)
-        x = ad.Tensor(rng.normal(size=(1, 2, 10)), requires_grad=True)
+        x = rng.normal(size=(1, 2, 10))  # data: conv_time has no input gradient
         k = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
 
         def loss():
             return ad.tsum(ad.square(ad.conv_time(x, k, 2)))
 
-        assert ad.grad_check(loss, [x, k], eps=1e-5) < 1e-4
+        assert ad.grad_check(loss, [k], eps=1e-5) < 1e-4
 
     def test_square_at_zero(self):
         x = ad.Tensor(np.zeros(3), requires_grad=True)

@@ -3,6 +3,7 @@ import contextlib
 import gc
 import io
 import os
+import re
 import shlex
 import weakref
 from dataclasses import replace
@@ -44,7 +45,7 @@ NON_DEFAULT_ARGV = [
      "--lambda", "0.5", "--batch", "7", "--epochs", "4", "--patience", "2", "--lr", "0.01",
      "--temporal-filters", "3", "--temporal-kernel", "4", "--pool-width", "5",
      "--pool-stride", "2", "--dropout", "0.1", "--common-dims", "5,6",
-     "--separate-dims", "2,3,4", "--seed", "3", "--subjects-note", "S01,S02", "--out", "o"],
+     "--separate-dims", "2,3,4", "--seed", "3", "--out", "o"],
     ["eval", "--ckpt", "c", "--data", "d", "--target", "S02", "--calib", "3", "--val", "3:5",
      "--test", "5:9", "--win", "1.5", "--overlap", "0.25", "--out", "o"],
     ["report", "--runs", "a", "b", "--metric", "crop", "--out", "o"],
@@ -234,6 +235,27 @@ class TestTrain:
         assert main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
                      "--out", str(tmp_path / "run")]) == 0
         assert alive == {"S01_s2.tsc", "S02_s1.tsc"}
+
+    def test_subjects_note_is_not_a_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(tmp_path), "--model", "scsn", *TRAIN_FLAGS,
+                  "--subjects-note", "x", "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --subjects-note x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--separate-dims", "1,2", "separate_fc_dims must have exactly 3 entries"),
+        ("--common-dims", "0", "dense widths must be positive")])
+    def test_malformed_dense_widths_fail_before_any_load(self, data_dir, tmp_path, capsys,
+                                                         monkeypatch, flag, value, message):
+        loads = []
+        monkeypatch.setattr(cli, "load_trialset", lambda path, **kw: loads.append(path))
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
+                  flag, value, "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+        assert loads == [] and not (tmp_path / "x").exists()
 
     def test_scsn_single_regime_usage_error(self, data_dir, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -682,7 +704,7 @@ class TestRerun:
     def test_manifest_refuses_a_field_that_would_not_read_back(self, tmp_path):
         # this args= line was written, and then read back with a second seed field
         with pytest.raises(ValueError, match="field 'args' may not hold a line break"):
-            cli.write_manifest(tmp_path, "train", ["--subjects-note", "a\rseed=9"], 1, [], [])
+            cli.write_manifest(tmp_path, "train", ["--target", "a\rseed=9"], 1, [], [])
         assert not (tmp_path / "manifest.txt").exists()
 
     @pytest.mark.parametrize("note", ["a\rseed=9", "a\u2028b", "a\udcffb"],
@@ -693,20 +715,37 @@ class TestRerun:
         monkeypatch.setattr(cli, "load_trialset", lambda path, **kw: loads.append(path))
         run = tmp_path / "run"
         assert main(["train", "--data", str(data_dir), "--model", "scsn", *TRAIN_FLAGS,
-                     "--subjects-note", note, "--out", str(run)]) == 1
+                     "--target", note, "--out", str(run)]) == 1
         assert "error: field 'args' " in capsys.readouterr().err
         assert loads == [] and not run.exists()
 
-    def test_a_flag_value_that_starts_with_a_dash_replays(self, data_dir, tmp_path, capsys):
-        # recorded as "--subjects-note -x", which did not parse back
-        run = tmp_path / "run"
+    def test_a_flag_value_that_starts_with_a_dash_replays(self, data_dir, tmp_path, capsys,
+                                                           monkeypatch):
+        # recorded as "--out -x", which did not parse back
+        monkeypatch.chdir(tmp_path)
         assert main(["train", "--data", str(data_dir), "--model", "baseline",
-                     "--regime", "single", *TRAIN_FLAGS, "--subjects-note=-x",
-                     "--out", str(run)]) == 0
-        assert "--subjects-note=-x" in read_manifest(run / "manifest.txt")["args"]
+                     "--regime", "single", *TRAIN_FLAGS, "--out=-x"]) == 0
+        assert "--out=-x" in read_manifest(tmp_path / "-x" / "manifest.txt")["args"]
         capsys.readouterr()
-        assert main(["rerun", str(run / "manifest.txt"), "--out", str(tmp_path / "fresh")]) == 0
+        assert main(["rerun", str(tmp_path / "-x" / "manifest.txt"),
+                     "--out", str(tmp_path / "fresh")]) == 0
         assert capsys.readouterr().out.count("ok\t") == 3
+
+    def test_refuses_a_manifest_whose_flags_no_longer_parse(self, data_dir, tmp_path, capsys,
+                                                             monkeypatch):
+        # a train manifest of an earlier version records --subjects-note,
+        # a flag train no longer has
+        manifest = data_dir / "manifest.txt"
+        manifest.write_text(re.sub(r"^(args=.*)$", r"\1 --bogus=1", manifest.read_text(),
+                                   flags=re.M))
+        hashed = []
+        monkeypatch.setattr(cli, "sha256_file", lambda path: hashed.append(path))
+        fresh = tmp_path / "fresh"
+        assert main(["rerun", str(manifest), "--out", str(fresh)]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --bogus=1" in err
+        assert err.endswith(f"error: {manifest}: the recorded flags no longer parse\n")
+        assert hashed == [] and not fresh.exists()
 
     def test_a_manifest_with_two_word_flags_replays(self, data_dir, tmp_path, capsys):
         # the args= line as earlier versions wrote it: "--flag value"

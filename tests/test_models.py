@@ -381,6 +381,13 @@ class TestDenseCropInference:
         with pytest.raises(ValueError, match="trials"):
             forward_infer(model, np.zeros((2, 40)), crop_stride=5)
 
+    @pytest.mark.parametrize("channels", [0, 3])
+    def test_trials_of_another_channel_count_are_refused(self, channels):
+        model = build_baseline(TINY, seed=26)
+        with pytest.raises(ValueError, match=f"the trials hold {channels} channels, but the "
+                                             f"model takes {TINY.n_channels}"):
+            forward_infer(model, np.zeros((2, channels, TINY.n_samples)), crop_stride=1)
+
 
 class TestInferenceChunks:
     """Inference runs chunks of whole trials, at least one each, as many as

@@ -259,12 +259,8 @@ def per_trial_preprocess(trial_set, notch_hz, band, channels):
     ts = select_channels(trial_set, channels) if channels else trial_set
     out = []
     for trial in ts.data:
-        data = trial.astype(np.float64)
-        if notch_hz is not None:
-            data = notch_filter(data, notch_hz, ts.fs)
-        if band is not None:
-            data = bandpass_filter(data, band[0], band[1], ts.fs)
-        out.append(data.astype(np.float32))
+        data = notch_filter(trial.astype(np.float64), notch_hz, ts.fs)
+        out.append(bandpass_filter(data, band[0], band[1], ts.fs).astype(np.float32))
     return out
 
 
@@ -288,29 +284,24 @@ def test_min_filter_samples_is_filtfilts_bound():
 class TestBlockFiltering:
     @given(trials=st.integers(1, 7), channels=st.integers(1, 4),
            samples=st.integers(60, 200), block_trials=st.integers(0, 8),
-           notch=st.sampled_from([None, 50.0]),
-           band=st.sampled_from([None, (1.0, 40.0), (4.0, 100.0)]),
+           band=st.sampled_from([(1.0, 40.0), (4.0, 100.0)]),
            select=st.booleans(), seed=st.integers(0, 2 ** 16))
-    @example(trials=1, channels=2, samples=100, block_trials=1, notch=50.0,
+    @example(trials=1, channels=2, samples=100, block_trials=1,
              band=(1.0, 40.0), select=False, seed=0)   # one trial
-    @example(trials=4, channels=3, samples=90, block_trials=4, notch=None,
-             band=(1.0, 40.0), select=False, seed=1)   # no notch
-    @example(trials=4, channels=3, samples=90, block_trials=4, notch=50.0,
-             band=None, select=False, seed=2)          # no bandpass
-    @example(trials=5, channels=4, samples=80, block_trials=5, notch=50.0,
+    @example(trials=5, channels=4, samples=80, block_trials=5,
              band=(1.0, 40.0), select=True, seed=3)    # channel selection
-    @example(trials=7, channels=3, samples=150, block_trials=3, notch=50.0,
+    @example(trials=7, channels=3, samples=150, block_trials=3,
              band=(4.0, 100.0), select=True, seed=4)   # three blocks, the last one short
     @settings(max_examples=60, deadline=None)
     def test_matches_per_trial_loop_bitwise(self, trials, channels, samples, block_trials,
-                                            notch, band, select, seed):
+                                            band, select, seed):
         ts = _session(trials, channels, samples, seed=seed)
         names = ts.channel_names[::-1][:max(1, channels - 1)] if select else None
         # block_trials 0 makes a block smaller than one trial: one trial per block
         block = block_trials * channels * samples
         with mock.patch.object(preprocessing, "_FILTER_BLOCK", block):
-            got = preprocess_trialset(ts, notch_hz=notch, band=band, channels=names)
-        want = per_trial_preprocess(ts, notch, band, names)
+            got = preprocess_trialset(ts, notch_hz=50.0, band=band, channels=names)
+        want = per_trial_preprocess(ts, 50.0, band, names)
         assert got.channel_names == (names or ts.channel_names)
         assert len(got) == trials
         assert got.data.dtype == np.float32
@@ -335,7 +326,8 @@ class TestBlockFiltering:
         assert len(out) == 0
         assert (out.channel_names, out.fs, out.class_names) == (["c0", "c1", "c2"], FS,
                                                                 ["a", "b"])
-        assert len(preprocess_trialset(empty, channels=["c2"])) == 0
+        assert len(preprocess_trialset(empty, notch_hz=50.0, band=(1.0, 40.0),
+                                       channels=["c2"])) == 0
 
     def test_non_finite_trial_in_a_later_block_is_named(self):
         ts = _session(7, channels=2, samples=100)
