@@ -1051,6 +1051,22 @@ def loop_scatter_windows(target, windowed, stride):
         target[..., j:j + (n_out - 1) * stride + 1:stride] += windowed[..., j]
 
 
+class TestScatterWindows:
+    """mean_pool's gradient against the offset-loop scatter of each window's
+    mean gradient, at fixed (width, stride) pairs."""
+
+    @pytest.mark.parametrize("width,stride", [(75, 15), (4, 6), (7, 3), (5, 1)])
+    def test_pool_gradient_matches_offset_loop(self, width, stride):
+        rng = np.random.default_rng(width * stride)
+        x = ad.Tensor(rng.normal(size=(3, 2, 2 * width + 3 * stride)), requires_grad=True)
+        out = ad.mean_pool(x, width, stride)
+        gout = rng.normal(size=out.shape)
+        (got,) = out._backward(gout)
+        want = np.zeros_like(x.values)
+        loop_scatter_windows(want, np.repeat((gout / width)[..., None], width, axis=-1), stride)
+        assert_rel_close(got, want)
+
+
 class TestWindowSums:
     """_window_sums against direct per-window sums, and _window_spread as
     its adjoint."""
