@@ -53,7 +53,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 LOG_FLOOR = 1e-6
 
-_CHUNK = 8  # crops at which a conv_log_power work item is cut
+_CHUNK = 8  # crops at which a conv_log_power_branches work item is cut
 _GRAD_COLS = 256  # conv columns per block of the kernel gradient's im2col
 # multiply-adds from which conv_time's and conv_space's per-sample matmul is
 # cut into _BLOCKS column blocks
@@ -470,22 +470,30 @@ def conv_space(x, weights) -> Tensor:
     return make_node(out, (x, weights), backward)
 
 
-def _check_crops(crops, sets: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+def _log_power_input(x, kernels, weights, crops, pool_width, pool_stride) -> tuple:
+    """One branch of conv_log_power_branches, checked in the five-op chain's
+    order and with its messages: (x as a tuple of [N, C, T] arrays, trial,
+    onset, crop width, kernels, weights)."""
+    x = _data(x, "conv_log_power_branches")
+    kernels, weights = as_tensor(kernels), as_tensor(weights)
+    if kernels.ndim != 2:
+        raise ValueError("kernels must have shape [n_filters, k]")
+    sets = (x,) if isinstance(x, np.ndarray) else tuple(map(np.asarray, x))
+    for s in sets:
+        _check_batch(s.ndim, "batch", "channels", "time")
+    if len({s.shape[1] for s in sets}) != 1:
+        raise ValueError("whole-trial input must be arrays that share their channel count")
     trial, onset, width = crops
     trial, onset = np.asarray(trial), np.asarray(onset)
-    if not sets or any(s.ndim != 3 for s in sets):
-        raise ValueError("whole-trial input must be [trials, channels, samples]")
-    if len({s.shape[1] for s in sets}) > 1:
-        raise ValueError("whole-trial arrays must share their channel count")
     if not isinstance(width, (int, np.integer)) or width < 1:
         raise ValueError("crop width must be a positive integer")
-    if (trial.ndim != 1 or trial.shape != onset.shape or not len(trial)
+    if (trial.ndim != 1 or trial.shape != onset.shape
             or trial.dtype.kind not in "iu" or onset.dtype.kind not in "iu"):
-        raise ValueError("crop trials and onsets must be equal-length, non-empty integer vectors")
+        raise ValueError("crop trials and onsets must be equal-length integer vectors")
     if any(s.shape[-1] < width for s in sets):
         raise ValueError(f"a whole-trial array holds fewer than the crop width {width} samples")
     n_trials = sum(map(len, sets))
-    if trial.min() < 0 or trial.max() >= n_trials:
+    if np.any((trial < 0) | (trial >= n_trials)):
         raise ValueError(f"crop trial index outside [0, {n_trials})")
     # each crop against the samples of its own trial's array
     samples = np.repeat([s.shape[-1] for s in sets], [len(s) for s in sets])[trial]
@@ -493,26 +501,6 @@ def _check_crops(crops, sets: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.nd
     if outside.any():
         raise ValueError(
             f"crop window outside the {samples[outside.argmax()]} samples of a trial")
-    return trial, onset, int(width)
-
-
-def _log_power_input(x, kernels, weights, crops, pool_width, pool_stride) -> tuple:
-    """One branch of conv_log_power, checked in the five-op chain's order
-    and with its messages: (x as a tuple of [N, C, T] arrays, trial, onset,
-    crop width, kernels, weights), trials numbered across the arrays in
-    order."""
-    x = _data(x, "conv_log_power")
-    kernels, weights = as_tensor(kernels), as_tensor(weights)
-    if kernels.ndim != 2:
-        raise ValueError("kernels must have shape [n_filters, k]")
-    if crops is None:
-        x = np.asarray(x)
-        _check_batch(x.ndim, "batch", "channels", "time")
-        sets, b, width = (x,), len(x), x.shape[-1]
-        trial, onset = np.arange(b), np.zeros(b, dtype=np.intp)
-    else:
-        sets = (x,) if isinstance(x, np.ndarray) else tuple(map(np.asarray, x))
-        trial, onset, width = _check_crops(crops, sets)
     f, k = kernels.values.shape
     if k > width:
         raise ValueError(f"kernel length {k} exceeds signal length {width}")
@@ -524,72 +512,7 @@ def _log_power_input(x, kernels, weights, crops, pool_width, pool_stride) -> tup
             f"weight extents {weights.values.shape[1:]} do not match input "
             f"filter/channel extents {(f, c)}")
     _check_pool(pool_width, pool_stride, width - k + 1)
-    return sets, trial, onset, width, kernels, weights
-
-
-def conv_log_power(x, kernels, weights, pool_width: int, pool_stride: int,
-                   crops: tuple | None = None) -> Tensor:
-    """log_clipped(mean_pool(square(conv_space(conv_time(x, kernels, 1),
-    weights)), pool_width, pool_stride)) as one op: Shallow ConvNet's
-    log-power block. This is `conv_log_power_branches` with one branch.
-
-    No nonlinearity separates the two convs, so they are one valid
-    convolution with the effective kernel W[o, c, k] = sum_f weights[o, f,
-    c] * kernels[f, k], run as an im2col matmul; the [F, C, T'] temporal-conv
-    output is never formed. The op keeps only the conv output and the
-    pooled power, never the squared batch.
-
-    x is data: an array read in place, in its own dtype, each im2col copy
-    casting its samples to float64 (float32 trials give the values of their
-    float64 cast, bit for bit). The op has no input gradient, so a Tensor
-    that requires one is refused.
-
-    By default x is a batch of crops [crops, channels, time], each row one
-    crop. Given `crops` = (trial, onset,
-    width), x holds whole trials [trials, channels, samples], or a sequence
-    of such arrays with the same channels, each in its own dtype and of its
-    own length, read in place: trials are numbered across the arrays in
-    order, and crop r is samples onset[r]:onset[r] + width of the trial
-    numbered trial[r], which must lie within that trial's own array. The
-    crops of one trial whose windows overlap or touch form a segment, which
-    gets one im2col and one matmul; each crop's conv output is a column
-    slice of its segment's, so samples that crops share are convolved once.
-    Each segment is squared once. Outputs follow the crops' row order. The
-    backward pass takes the log's gradient gp one work item at a time and
-    gives each segment its effective-kernel partial gh_seg @ cols_seg^T,
-    gh_seg being the gradient at the segment's conv output. It builds the
-    segment's im2col in blocks of at most _GRAD_COLS conv columns, each
-    block one GEMM added onto the partial, so an item's im2col scratch is
-    one [C, k, _GRAD_COLS] buffer whatever the trial length. A segment of
-    at most _GRAD_COLS columns is one whole-segment GEMM; a wider one may
-    differ from that GEMM in the last bits.
-
-    Pooling depends on the segment. A segment whose crops all start at one
-    onset (one crop, or duplicates of it) sums each crop's windows one by
-    one, and its gradient is 2 h (gp @ P) crop by crop, P being the
-    [pooled, T'] pooling matrix. A segment of several onsets sums every
-    window that starts on a multiple of g = gcd(pool width, pool stride,
-    its crops' offsets) once (`_window_sums`), and each crop's row is a
-    strided slice of those sums; backward, its crops' gp are added onto
-    that window grid in (trial, onset) order and spread back once
-    (`_window_spread`), times 2 h / pool_width. Both stay within 1e-12
-    relative of the five-op chain. A crop alone in its segment gets
-    exactly the matmul of a crop row; a crop inside a longer segment may
-    differ from it in the last bits, as BLAS computes a matrix's edge
-    columns with other kernels.
-
-    Work items are whole segments in (trial, onset) order, cut once they
-    hold _CHUNK crops; `_run_items` runs them, on the worker pool too when
-    BLAS is pinned to one thread. The effective-kernel gradient is summed
-    within each item, then over the items in order, each item's partial
-    added as soon as the items before it are in. The crops alone fix the
-    items, so every result is the same to the bit at any worker count.
-    Shapes and input checks are the chain's: kernels [n_filters, k], weights
-    [n_out, n_filters, channels]; output [crops, n_out, pooled] with pooled =
-    floor((width - k + 1 - pool_width) / pool_stride) + 1, width being the
-    crop width (by default the time extent).
-    """
-    return conv_log_power_branches([(x, kernels, weights, crops)], pool_width, pool_stride)[0]
+    return sets, trial, onset, int(width), kernels, weights
 
 
 def _rows(x: Tensor, rows: slice) -> Tensor:
@@ -604,23 +527,67 @@ def _rows(x: Tensor, rows: slice) -> Tensor:
 
 def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
                             pool_stride: int) -> list[Tensor]:
-    """`conv_log_power` of several branches as one graph node, whose work
-    items go through one `_run_items` call forward and one backward.
+    """log_clipped(mean_pool(square(conv_space(conv_time(crops, kernels, 1),
+    weights)), pool_width, pool_stride)) of each branch, Shallow ConvNet's
+    log-power block, as one graph node whose work items go through one
+    `_run_items` call forward and one backward.
 
-    Each branch is (x, kernels, weights, crops) in either of conv_log_power's
-    forms, with its own parameters; all branches share the kernel and
-    weight shapes and the crop width. A branch's segments and work items
-    are cut exactly as conv_log_power cuts them for that branch alone, and
-    no item mixes branches, so every value and gradient equals the
-    branch's own conv_log_power to the bit. The node's rows are the
-    branches' outputs, branch-major, and its parents are every branch's
-    kernels and weights. A branch whose rows get an all-zero gradient runs
-    no backward items and leaves its parameters without a gradient, as if
-    its output were unused. Returns each branch's output: the node itself
-    for one branch, else a view of the branch's rows.
+    Each branch is (x, kernels, weights, crops) with its own parameters;
+    all share the kernel and weight shapes and the crop width. x holds
+    whole trials [trials, channels, samples], or is a sequence of such
+    arrays with the same channels, each in its own dtype and of its own
+    length: trials are numbered across the arrays in order. With crops =
+    (trial, onset, width), crop r is samples onset[r]:onset[r] + width of
+    the trial numbered trial[r], which must lie within that trial's own
+    array; output rows follow the crops' order, and no crops give no rows.
+    x is data, read in place, each im2col copy casting its samples to
+    float64 (float32 trials give the values of their float64 cast, bit for
+    bit). The node has no input gradient: a Tensor that requires one is
+    refused.
+
+    No nonlinearity separates the two convs, so they are one valid
+    convolution with the effective kernel W[o, c, k] = sum_f weights[o, f,
+    c] * kernels[f, k], run as an im2col matmul; the [F, C, T'] temporal-conv
+    output and the squared batch are never held. The crops of one trial
+    whose windows overlap or touch form a segment, which gets one im2col
+    and one matmul, each crop's conv output being a column slice of its
+    segment's, and is squared once. Backward, each segment gets its
+    effective-kernel partial gh_seg @ cols_seg^T, gh_seg being the gradient
+    at its conv output, its im2col built in blocks of at most _GRAD_COLS
+    columns, each one GEMM added onto the partial, so an item's im2col
+    scratch does not grow with the trial; a segment wider than one block
+    may differ from one whole-segment GEMM in the last bits.
+
+    A segment whose crops all start at one onset sums each crop's windows
+    one by one, and its gradient is 2 h (gp @ P) crop by crop, P being the
+    [pooled, T'] pooling matrix. A segment of several onsets sums every
+    window that starts on a multiple of g = gcd(pool width, pool stride,
+    its crops' offsets) once (`_window_sums`), each crop's row a strided
+    slice of those sums; backward, its crops' gp are added onto that grid
+    in (trial, onset) order and spread back once (`_window_spread`), times
+    2 h / pool_width. Both stay within 1e-12 relative of the five-op chain.
+    A crop alone in its segment gets exactly the matmul of a trial of its
+    own; a crop inside a longer segment may differ from it in the last
+    bits, as BLAS computes a matrix's edge columns with other kernels.
+
+    Work items are whole segments of one branch in (trial, onset) order,
+    cut once they hold _CHUNK crops, as if the branch ran alone; they run
+    on the worker pool too when BLAS is pinned to one thread. The
+    effective-kernel gradient is summed within each item, then over the
+    items in order, each partial added once the items before it are in.
+    The crops alone fix the items, so every result is the same to the bit
+    at any worker count and equals each branch's own one-branch node.
+    Shapes and input checks are the chain's: kernels [n_filters, k],
+    weights [n_out, n_filters, channels]; a branch's output is [crops,
+    n_out, floor((width - k + 1 - pool_width) / pool_stride) + 1]. The
+    node's rows are the branches' outputs, branch-major, and its parents
+    every branch's kernels and weights. A branch whose rows get an all-zero
+    gradient runs no backward items and gets no gradient. Returns each
+    branch's output: the node itself for one branch, else a view of the
+    branch's rows.
     """
     if not branches:
-        raise ValueError("conv_log_power needs at least one branch")
+        raise ValueError("conv_log_power_branches needs at least one branch")
     inputs = [_log_power_input(*branch, pool_width, pool_stride) for branch in branches]
     *_, width, kernels, weights = inputs[0]
     if any((wd, kn.shape, wt.shape) != (width, kernels.shape, weights.shape)

@@ -228,9 +228,9 @@ def _shallow_forward(x: np.ndarray, params: ModelParams, cfg: BaselineConfig, pr
     # (perfbench/tracer.py, perfbench/metrics.py) derives
     # autodiff.conv_time.useful_frac and autodiff.conv.gflops from work
     # counters that only conv_time and conv_space feed. ROADMAP item 5's
-    # switch, once a benchmark change traces conv_log_power, is to call
-    # conv_log_power here instead. The chain's graph is freed once `pooled`
-    # holds its values, before the read-out.
+    # switch, once a benchmark change traces conv_log_power_branches, is to
+    # call conv_log_power_branches here instead. The chain's graph is freed
+    # once `pooled` holds its values, before the read-out.
     kernels, weights = params[f"{prefix}temporal.kernels"], params[f"{prefix}spatial.weights"]
     pooled = ad.log_clipped(ad.mean_pool(ad.square(ad.conv_space(
         ad.conv_time(x, kernels, 1), weights)), cfg.pool_width, step)).values
@@ -362,22 +362,29 @@ def forward_train(model, batch: dict, dropout_rng=None
     share once; each branch then takes its rows and runs dropout and its
     dense layers, in branch order, so dropout draws its masks branch by
     branch. Crops of a (crops, labels) sub-batch must be the model's input
-    width. A model whose dropout is above 0 needs `dropout_rng`."""
+    width, and go to the node as trials of their own, at onset 0. The batch
+    holds one sub-batch per branch and no other. A model whose dropout is
+    above 0 needs `dropout_rng`."""
     base, prefixes = _branches(model)
     missing = [i for i in range(len(prefixes)) if i not in batch]
     if missing:
         raise ValueError(f"batch is missing sub-batches for branches {missing}")
-    for i in range(len(prefixes)):
-        if len(batch[i]) == 2:
-            _check_width(model, np.shape(batch[i][0])[-1])
+    extra = [key for key in batch if key not in range(len(prefixes))]
+    if extra:
+        raise ValueError(f"batch has sub-batches for branches {extra} the model does not have")
+    branches = []
+    for i, prefix in enumerate(prefixes):
+        if len(batch[i]) == 2:  # each crop a trial of its own, at onset 0
+            x = np.asarray(batch[i][0])
+            _check_width(model, x.shape[-1])
+            crops = (np.arange(len(x)), np.zeros(len(x), dtype=int))
+        else:
+            x, _, crops = batch[i]
+        branches.append((x, model.params[f"{prefix}temporal.kernels"],
+                         model.params[f"{prefix}spatial.weights"], (*crops, base.n_samples)))
     if base.dropout > 0 and dropout_rng is None:
         raise ValueError(f"dropout {base.dropout} needs a dropout_rng")
-    hs = ad.conv_log_power_branches(
-        [(batch[i][0], model.params[f"{prefix}temporal.kernels"],
-          model.params[f"{prefix}spatial.weights"],
-          (*batch[i][2], base.n_samples) if len(batch[i]) > 2 else None)
-         for i, prefix in enumerate(prefixes)],
-        base.pool_width, base.pool_stride)
+    hs = ad.conv_log_power_branches(branches, base.pool_width, base.pool_stride)
     out = {}
     for i, h in enumerate(hs):
         h = ad.dropout(h, base.dropout, dropout_rng)

@@ -386,14 +386,28 @@ class TestConvColumnBlocks:
 
 
 def five_op_chain(x, kernels, weights, pool_width, pool_stride):
-    """The ops conv_log_power fuses, one graph node each."""
+    """The ops conv_log_power_branches fuses, one graph node each."""
     h = ad.conv_space(ad.conv_time(x, kernels, 1), weights)
     return ad.log_clipped(ad.mean_pool(ad.square(h), pool_width, pool_stride))
 
 
+def whole_trials(x):
+    """crops = (trial, onset, width) that take each trial of x whole: one
+    crop a trial, at onset 0."""
+    return np.arange(len(x)), np.zeros(len(x), dtype=int), np.shape(x)[-1]
+
+
+def fused_chain(x, kernels, weights, pool_width, pool_stride):
+    """five_op_chain as one conv_log_power_branches node of one branch,
+    each trial of x one crop."""
+    return ad.conv_log_power_branches([(x, kernels, weights, whole_trials(x))],
+                                      pool_width, pool_stride)[0]
+
+
 class TestConvTimeSpace:
-    """conv_log_power: the fused temporal and spatial conv, with the square,
-    mean pool and log that follow it in the shallow block."""
+    """conv_log_power_branches of one branch: the fused temporal and spatial
+    conv, with the square, mean pool and log that follow it in the shallow
+    block."""
 
     @staticmethod
     def _grads(op, x, k, w, pool_width, pool_stride):
@@ -427,7 +441,7 @@ class TestConvTimeSpace:
         kern = ad.Tensor(rng.normal(size=(f, k)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(o, f, c)), requires_grad=True)
         want = self._grads(five_op_chain, values, kern, w, pool_width, pool_stride)
-        got = self._grads(ad.conv_log_power, values, kern, w, pool_width, pool_stride)
+        got = self._grads(fused_chain, values, kern, w, pool_width, pool_stride)
         assert got[0].shape == (batch, o, slack // pool_stride + 1)
         for g, v in zip(got, want):
             assert_rel_close(g, v)
@@ -437,10 +451,14 @@ class TestConvTimeSpace:
     def test_empty_batch(self):
         x = np.zeros((0, 3, 11))
         k, w = ad.Tensor(np.ones((2, 4)), requires_grad=True), np.ones((3, 2, 3))
-        out = ad.conv_log_power(x, k, w, 3, 2)
+        out = ad.conv_log_power_branches([(x, k, w, whole_trials(x))], 3, 2)[0]
         assert out.shape == five_op_chain(x, k, w, 3, 2).shape == (0, 3, 3)
         ad.tsum(out).backward()
         assert not np.any(k.grad)
+        # an empty crop list over trials gives an empty output too
+        no_crops = (np.zeros(0, dtype=int), np.zeros(0, dtype=int), 11)
+        out = ad.conv_log_power_branches([(np.ones((2, 3, 11)), k, w, no_crops)], 3, 2)[0]
+        assert out.shape == (0, 3, 3)
 
     def test_gradient_check(self):
         rng = np.random.default_rng(12)
@@ -449,7 +467,8 @@ class TestConvTimeSpace:
         w = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
 
         def loss():
-            return ad.tsum(ad.square(ad.conv_log_power(x, k, w, 3, 2)))
+            return ad.tsum(ad.square(
+                ad.conv_log_power_branches([(x, k, w, whole_trials(x))], 3, 2)[0]))
 
         assert ad.grad_check(loss, [k, w], eps=1e-5) < 1e-4
 
@@ -468,15 +487,15 @@ class TestConvTimeSpace:
         with pytest.raises(ValueError) as chain:
             five_op_chain(x, k, w, *pool)
         with pytest.raises(ValueError) as fused:
-            ad.conv_log_power(x, k, w, *pool)
+            ad.conv_log_power_branches([(x, k, w, whole_trials(x))], *pool)
         assert str(fused.value) == str(chain.value)
 
 
 class TestKernelGradientBlocks:
-    """conv_log_power's backward builds each segment's im2col, and takes its
-    kernel-gradient GEMM, over blocks of at most ad._GRAD_COLS conv columns:
-    against one unblocked GEMM per segment, and with scratch that does not
-    grow with the segment."""
+    """conv_log_power_branches' backward builds each segment's im2col, and takes
+    its kernel-gradient GEMM, over blocks of at most ad._GRAD_COLS conv columns:
+    against one unblocked GEMM per segment, and with scratch that does not grow
+    with the segment."""
 
     C, F, O, K = 3, 2, 2, 5
     POOL = (10, 5)
@@ -518,17 +537,17 @@ class TestKernelGradientBlocks:
                 (g_eff @ kern.T).transpose(0, 2, 1))
 
     @staticmethod
-    def _grads(x, kern, w, pool, crops=None):
+    def _grads(x, kern, w, pool, crops):
         kern.zero_grad()
         w.zero_grad()
-        out = ad.conv_log_power(x, kern, w, *pool, crops)
+        out = ad.conv_log_power_branches([(x, kern, w, crops)], *pool)[0]
         ad.tsum(ad.square(out)).backward()
         return out.values, kern.grad, w.grad
 
     @pytest.mark.parametrize("n", COLUMNS)
     def test_matches_one_unblocked_gemm(self, n):
         x, kern, w = self._operands(n)
-        got = self._grads(x, kern, w, self.POOL)
+        got = self._grads(x, kern, w, self.POOL, whole_trials(x))
         want = self._unblocked(x, kern.values, w.values, *self.POOL)
         assert got[0].tobytes() == want[0].tobytes()  # the forward is not blocked
         for g, v in zip(got[1:], want[1:]):
@@ -549,7 +568,7 @@ class TestKernelGradientBlocks:
         crops = (np.zeros(len(onset), dtype=int), onset, width)
         gathered = np.stack([x[0, :, a:a + width] for a in onset])
         for g, v in zip(self._grads(x, kern, w, self.POOL, crops),
-                        self._grads(gathered, kern, w, self.POOL)):
+                        self._grads(gathered, kern, w, self.POOL, whole_trials(gathered))):
             assert_rel_close(g, v)
 
     @pytest.mark.parametrize("n", COLUMNS)
@@ -557,7 +576,8 @@ class TestKernelGradientBlocks:
         x, kern, w = self._operands(n, seed=2)
 
         def loss():
-            return ad.tsum(ad.square(ad.conv_log_power(x, kern, w, *self.POOL)))
+            return ad.tsum(ad.square(ad.conv_log_power_branches(
+                [(x, kern, w, whole_trials(x))], *self.POOL)[0]))
 
         assert ad.grad_check(loss, [kern, w], eps=1e-5) < 1e-4
 
@@ -576,7 +596,8 @@ class TestKernelGradientBlocks:
         for samples in (1000, 4000):
             x = rng.normal(size=(1, c, samples))
             onset = 15 * np.round(np.linspace(0, (samples - width) // 15, 21)).astype(int)
-            out = ad.conv_log_power(x, kern, w, 75, 15, (np.zeros(21, dtype=int), onset, width))
+            crops = (np.zeros(21, dtype=int), onset, width)
+            out = ad.conv_log_power_branches([(x, kern, w, crops)], 75, 15)[0]
             gout = np.ones(out.shape)
             n = onset[-1] + width - k + 1
             tracemalloc.start()
@@ -590,8 +611,9 @@ class TestKernelGradientBlocks:
 
 
 class TestConvLogPowerOnsets:
-    """conv_log_power on whole trials with per-crop onsets against the same
-    op on the crops gathered into an array, one crop per row."""
+    """conv_log_power_branches on whole trials with per-crop onsets against
+    the same node on the crops gathered into an array, each a trial of its
+    own."""
 
     N_TRIALS, SAMPLES, WIDTH = 3, 40, 12
 
@@ -600,7 +622,7 @@ class TestConvLogPowerOnsets:
         rng = np.random.default_rng(7)
         k = ad.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
-        out = ad.conv_log_power(values, k, w, 4, 3, crops)
+        out = ad.conv_log_power_branches([(values, k, w, crops)], 4, 3)[0]
         ad.tsum(ad.square(out)).backward()
         return out.values, k.grad, w.grad
 
@@ -622,7 +644,7 @@ class TestConvLogPowerOnsets:
         trial, onset = (np.array(v) for v in zip(*pairs))
         gathered = np.stack([values[t, :, o:o + self.WIDTH] for t, o in pairs])
         got = self._run(values, (trial, onset, self.WIDTH))
-        want = self._run(gathered, None)
+        want = self._run(gathered, whole_trials(gathered))
         assert_rel_close(got[0], want[0])
         # a crop that overlaps or touches no other crop of its trial is
         # convolved by the very matmul its row gets
@@ -648,15 +670,17 @@ class TestConvLogPowerOnsets:
         trial, onset = (np.array(v) for v in zip(*pairs))
         if onsets:
             crops = (trial, onset, self.WIDTH)
-        else:  # crop rows: the trials themselves, picked by `trial`
-            values, crops = values[trial], None
+        else:  # the trials themselves, picked by `trial`, each one crop
+            values = values[trial]
+            crops = whole_trials(values)
         got = self._run(values, crops)
         want = self._run(values.astype(np.float64), crops)
         for g, v in zip(got, want):
             assert g.dtype == np.float64 and g.tobytes() == v.tobytes()
         k, w = np.zeros((2, 5)), np.zeros((3, 2, 3))
         with pytest.raises(ValueError, match="no input gradient"):
-            ad.conv_log_power(ad.Tensor(values, requires_grad=True), k, w, 4, 3, crops)
+            ad.conv_log_power_branches([(ad.Tensor(values, requires_grad=True), k, w, crops)],
+                                       4, 3)
 
     @given(sets=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 10), st.booleans()),
                          min_size=2, max_size=3),
@@ -688,33 +712,36 @@ class TestConvLogPowerOnsets:
     def test_refuses_a_crop_past_its_own_arrays_samples(self):
         arrays = (np.ones((2, 3, 40)), np.ones((2, 3, 20)))
         k, w = np.zeros((2, 5)), np.zeros((3, 2, 3))
-        ad.conv_log_power(arrays, k, w, 4, 3, ([3, 1], [8, 28], 12))  # each ends its trial
+        # each ends its trial
+        ad.conv_log_power_branches([(arrays, k, w, ([3, 1], [8, 28], 12))], 4, 3)
         with pytest.raises(ValueError, match="outside the 20 samples"):
-            ad.conv_log_power(arrays, k, w, 4, 3, ([1, 3], [28, 9], 12))
+            ad.conv_log_power_branches([(arrays, k, w, ([1, 3], [28, 9], 12))], 4, 3)
         with pytest.raises(ValueError, match="share their channel count"):
-            ad.conv_log_power((arrays[0], np.ones((2, 2, 40))), k, w, 4, 3, ([0], [0], 12))
+            ad.conv_log_power_branches(
+                [((arrays[0], np.ones((2, 2, 40))), k, w, ([0], [0], 12))], 4, 3)
         with pytest.raises(ValueError, match="fewer than the crop width 12 samples"):
-            ad.conv_log_power((arrays[0], np.ones((1, 3, 11))), k, w, 4, 3, ([0], [0], 12))
+            ad.conv_log_power_branches(
+                [((arrays[0], np.ones((1, 3, 11))), k, w, ([0], [0], 12))], 4, 3)
 
     @pytest.mark.parametrize("crops, message", [
         (([0], [0, 1], 12), "equal-length"),
-        (([], [], 12), "non-empty"),
         (([0.0], [0], 12), "integer"),
         (([3], [0], 12), "trial index"),
         (([0], [-1], 12), "outside the 40 samples"),
         (([0], [29], 12), "outside the 40 samples"),
         (([0], [0], 0), "width"),
-    ], ids=["lengths", "empty", "float-trial", "trial-range", "negative-onset", "past-the-end",
+    ], ids=["lengths", "float-trial", "trial-range", "negative-onset", "past-the-end",
             "zero-width"])
     def test_rejects_bad_crops(self, crops, message):
         values = np.zeros((self.N_TRIALS, 3, self.SAMPLES))
         with pytest.raises(ValueError, match=message):
-            ad.conv_log_power(values, np.zeros((2, 5)), np.zeros((3, 2, 3)), 4, 3, crops)
+            ad.conv_log_power_branches([(values, np.zeros((2, 5)), np.zeros((3, 2, 3)), crops)],
+                                       4, 3)
 
 
 class TestConvLogPowerGrid:
-    """conv_log_power on onsets that share a pool grid step g > 1 with the
-    pool width and stride, so a segment of several crops sums its windows on
+    """conv_log_power_branches on onsets that share a pool grid step g > 1 with
+    the pool width and stride, so a segment of several crops sums its windows on
     that grid once: against the gathered crops, at every pool size."""
 
     SAMPLES, WIDTH = 70, 30
@@ -726,7 +753,7 @@ class TestConvLogPowerGrid:
         w = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ad, "_pool_size", lambda: size)
-            out = ad.conv_log_power(values, k, w, *pool, crops)
+            out = ad.conv_log_power_branches([(values, k, w, crops)], *pool)[0]
             ad.tsum(ad.square(out)).backward()
         return out.values, k.grad, w.grad
 
@@ -750,7 +777,7 @@ class TestConvLogPowerGrid:
         crops = (trial, onset, self.WIDTH)
         pool = (pool_width, pool_stride)
         gathered = np.stack([values[t, :, o:o + self.WIDTH] for t, o in pairs])
-        want = self._run(gathered, None, pool, 1)
+        want = self._run(gathered, whole_trials(gathered), pool, 1)
         got = [self._run(values, crops, pool, size) for size in (1, 2, 3)]
         for g, v in zip(got[0], want):
             assert_rel_close(g, v)
@@ -759,8 +786,8 @@ class TestConvLogPowerGrid:
 
 
 class TestConvLogPowerPool:
-    """conv_log_power's chunks give the same bytes at any worker count, and
-    the worker count follows the BLAS thread environment."""
+    """conv_log_power_branches' chunks give the same bytes at any worker count,
+    and the worker count follows the BLAS thread environment."""
 
     @given(batch=st.integers(1, 2 * ad._CHUNK + 3),
            zero_crop=st.booleans(), onsets=st.booleans(), seed=st.integers(0, 2 ** 16))
@@ -774,23 +801,21 @@ class TestConvLogPowerPool:
     @settings(max_examples=30, deadline=None)
     def test_same_bytes_at_every_pool_size(self, batch, zero_crop, onsets, seed):
         rng = np.random.default_rng(seed)
-        crops = None
         if onsets:  # crops of 20 samples drawn from three 44-sample trials
             crops = (rng.integers(3, size=batch), rng.integers(25, size=batch), 20)
             values = rng.normal(size=(3, 3, 44))
-            if zero_crop:
-                values[crops[0][batch // 2]] = 0.0
         else:
             values = rng.normal(size=(batch, 3, 20))
-            if zero_crop:
-                values[batch // 2] = 0.0
+            crops = whole_trials(values)
+        if zero_crop:
+            values[crops[0][batch // 2]] = 0.0
         kern, w = rng.normal(size=(2, 5)), rng.normal(size=(3, 2, 3))
         results = []
         for size in (1, 2, 3):
             k, wt = ad.Tensor(kern, requires_grad=True), ad.Tensor(w, requires_grad=True)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ad, "_pool_size", lambda: size)
-                out = ad.conv_log_power(values, k, wt, 4, 3, crops)
+                out = ad.conv_log_power_branches([(values, k, wt, crops)], 4, 3)[0]
                 ad.tsum(ad.square(out)).backward()
             results.append([a.tobytes() for a in (out.values, k.grad, wt.grad)])
         assert results[0] == results[1] == results[2]
@@ -805,7 +830,7 @@ class TestConvLogPowerPool:
 
         def run():
             k, wt = ad.Tensor(kern, requires_grad=True), ad.Tensor(w, requires_grad=True)
-            out = ad.conv_log_power(values, k, wt, 4, 3)
+            out = ad.conv_log_power_branches([(values, k, wt, whole_trials(values))], 4, 3)[0]
             ad.tsum(ad.square(out)).backward()
             return [a.tobytes() for a in (out.values, k.grad, wt.grad)]
 
@@ -861,7 +886,7 @@ class TestConvLogPowerPool:
 
         def run():
             k, wt = ad.Tensor(kern, requires_grad=True), ad.Tensor(w, requires_grad=True)
-            out = ad.conv_log_power(values, k, wt, 4, 3)
+            out = ad.conv_log_power_branches([(values, k, wt, whole_trials(values))], 4, 3)[0]
             ad.tsum(ad.square(out)).backward()
             return [a.tobytes() for a in (out.values, k.grad, wt.grad)]
 
@@ -906,7 +931,7 @@ class TestConvLogPowerPool:
 
 class TestConvLogPowerBranches:
     """conv_log_power_branches: several branches as one node against each
-    branch's own conv_log_power."""
+    branch's own one-branch node."""
 
     SAMPLES, WIDTH = 40, 12
 
@@ -918,10 +943,11 @@ class TestConvLogPowerBranches:
             x = rng.normal(size=(3, 3, cls.SAMPLES))
             crops = (rng.integers(3, size=n), rng.integers(cls.SAMPLES - cls.WIDTH + 1, size=n),
                      cls.WIDTH)
-        else:
-            x, crops = rng.normal(size=(n, 3, cls.WIDTH)), None
+        else:  # each trial one crop
+            x = rng.normal(size=(n, 3, cls.WIDTH))
+            crops = whole_trials(x)
         if zero_crop:  # pooled below the log's floor
-            x[0 if crops is None else crops[0][0]] = 0.0
+            x[crops[0][0]] = 0.0
         if float32:
             x = x.astype(np.float32)
         return x, rng.normal(size=(2, 5)), rng.normal(size=(3, 2, 3)), crops
@@ -946,7 +972,7 @@ class TestConvLogPowerBranches:
         want = []
         for branch in branches:
             x, k, w, crops = self._leaves(branch)
-            out = ad.conv_log_power(x, k, w, 4, 3, crops)
+            out = ad.conv_log_power_branches([(x, k, w, crops)], 4, 3)[0]
             ad.tsum(ad.square(out)).backward()
             want.append([out.values.tobytes(), k.grad.tobytes(), w.grad.tobytes()])
         for size in (1, 2, 3):
@@ -965,10 +991,11 @@ class TestConvLogPowerBranches:
     def test_refuses_a_crop_that_is_not_a_batch(self):
         rng = np.random.default_rng(3)
         rows = self._branch(rng, 4, False, False, False)
-        single = (rows[0][2], *rows[1:])  # [channels, time]: one crop, not a batch of one
+        # [channels, time]: one crop, not a batch of one
+        single = (rows[0][2], *rows[1:3], whole_trials(rows[0][2]))
         with pytest.raises(ValueError, match=r"expected \[batch, channels, time\] input, got 2-d"):
             ad.conv_log_power_branches([self._leaves(rows), self._leaves(single)], 4, 3)
-        batch_of_one = (rows[0][2:3], *rows[1:])
+        batch_of_one = (rows[0][2:3], *rows[1:3], whole_trials(rows[0][2:3]))
         outs = ad.conv_log_power_branches([self._leaves(rows), self._leaves(batch_of_one)], 4, 3)
         assert outs[0].shape == (4, 3, 2) and outs[1].shape == (1, 3, 2)
 
@@ -982,7 +1009,7 @@ class TestConvLogPowerBranches:
         outs = ad.conv_log_power_branches(leaves, 4, 3)
         ad.add(ad.tsum(ad.square(outs[1])), ad.scale(ad.tsum(outs[2]), 0.0)).backward()
         x, k, w, crops = self._leaves(branches[1])
-        ad.tsum(ad.square(ad.conv_log_power(x, k, w, 4, 3, crops))).backward()
+        ad.tsum(ad.square(ad.conv_log_power_branches([(x, k, w, crops)], 4, 3)[0])).backward()
         assert leaves[1][1].grad.tobytes() == k.grad.tobytes()
         assert leaves[1][2].grad.tobytes() == w.grad.tobytes()
         assert all(t.grad is None for i in (0, 2) for t in leaves[i][1:3])
@@ -1225,7 +1252,7 @@ class TestBackward:
 
     def test_only_leaves_keep_gradients(self):
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(3, 2, 20))  # data: conv_log_power has no input gradient
+        x = rng.normal(size=(3, 2, 20))  # data: the node has no input gradient
         k = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         w = ad.Tensor(rng.normal(size=(4, 3, 2)), requires_grad=True)
         d = ad.Tensor(rng.normal(size=(2, 4 * 5)), requires_grad=True)
@@ -1233,7 +1260,7 @@ class TestBackward:
         leaves = [k, w, d, b]
 
         def loss():
-            h = ad.conv_log_power(x, k, w, 4, 3)
+            h = ad.conv_log_power_branches([(x, k, w, whole_trials(x))], 4, 3)[0]
             logits = ad.dense(ad.reshape(h, (3, 20)), d, b)
             ce, _ = ad.softmax_xent(logits, np.array([0, 1, 1]))
             return ad.add(ce, ad.scale(ad.tsum(ad.square(k)), 0.1))  # k used twice
@@ -1347,7 +1374,7 @@ class TestActivationsAndDropout:
     (ad.mean_pool, (np.zeros((2, 9)), 3, 2), "batch, features, time"),
     (ad.dense, (np.zeros(5), np.zeros((3, 5)), np.zeros(3)), "batch, features"),
     (ad.softmax_xent, (np.zeros(3), [1]), "batch, classes"),
-    (ad.conv_log_power, (np.zeros((2, 12)), np.zeros((3, 4)), np.zeros((4, 3, 2)), 3, 2),
+    (fused_chain, (np.zeros((2, 12)), np.zeros((3, 4)), np.zeros((4, 3, 2)), 3, 2),
      "batch, channels, time"),
 ], ids=["conv_time", "conv_space", "mean_pool", "dense", "softmax_xent", "conv_log_power"])
 def test_ops_refuse_a_single_sample(op, args, axes):

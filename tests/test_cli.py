@@ -929,7 +929,8 @@ class TestRerun:
                          ids=["scsn-mmd", "baseline-multi"])
 def test_outputs_do_not_depend_on_the_conv_worker_count(tmp_path, monkeypatch, model):
     # batches of 12 crops per branch (24 pooled for the baseline) span
-    # several conv_log_power chunks, so size 2 runs them on the worker pool
+    # several conv_log_power_branches work items, so size 2 runs them on the
+    # worker pool
     data = tmp_path / "data"
     assert main(["synth", "--subjects", "2", "--sessions", "2", "--trials", "12",
                  "--channels", "3", "--fs", "32", "--duration", "2.0", "--classes", "2",

@@ -82,9 +82,10 @@ class TestBaselineBuild:
         model = build_baseline(cfg, seed=0)
         x = np.random.default_rng(1).normal(size=(2, 2, 100))
         assert forward_infer(model, x, crop_stride=1).shape == (2, 2)
-        assert ad.conv_log_power(x, model.params["temporal.kernels"],
-                                 model.params["spatial.weights"], cfg.pool_width,
-                                 cfg.pool_stride).shape == (2, 3, cfg.pooled_out)
+        branch = (x, model.params["temporal.kernels"], model.params["spatial.weights"],
+                  (np.arange(2), np.zeros(2, dtype=int), 100))
+        assert ad.conv_log_power_branches([branch], cfg.pool_width,
+                                          cfg.pool_stride)[0].shape == (2, 3, cfg.pooled_out)
 
 
 class TestScsnBuild:
@@ -151,6 +152,38 @@ class TestForwardTrain:
         with pytest.raises(ValueError, match="1"):
             forward_train(model, batch)
 
+    def test_refuses_a_sub_batch_of_a_branch_it_lacks(self):
+        model = build_baseline(TINY, seed=0)
+        rng = np.random.default_rng(0)
+        batch = {key: (rng.normal(size=(2, 2, 20)), np.zeros(2, int)) for key in (0, 1, "S02")}
+        with pytest.raises(ValueError, match=re.escape("branches [1, 'S02'] the model does "
+                                                       "not have")):
+            forward_train(model, batch)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_crop_rows_are_trials_of_their_own(self, monkeypatch, size):
+        # a (crops, labels) sub-batch gives the bits of the same crops passed
+        # as whole trials, one crop each at onset 0: logits, deep features
+        # and every parameter gradient, over several work items per branch
+        monkeypatch.setattr(ad, "_pool_size", lambda: size)
+        model = build_scsn(tiny_scsn_cfg(n_subjects=3, dropout=0.5), seed=0)
+        rng = np.random.default_rng(7)
+        n = 2 * ad._CHUNK + 3
+        crops = {i: (rng.normal(size=(n, 2, 20)).astype(np.float32 if i == 1 else np.float64),
+                     rng.integers(2, size=n)) for i in range(3)}
+        as_trials = {i: (x, y, (np.arange(n), np.zeros(n, dtype=int)))
+                     for i, (x, y) in crops.items()}
+
+        def run(batch):
+            model.params.zero_grad()
+            out = forward_train(model, batch, dropout_rng=np.random.default_rng(0))
+            acts = [t for logits, feats in out.values() for t in (logits, *feats)]
+            ad.add_n([ad.tsum(ad.square(t)) for t in acts]).backward()
+            return ([t.values.tobytes() for t in acts]
+                    + [t.grad.tobytes() for _, t in model.params.items()])
+
+        assert run(crops) == run(as_trials)
+
     @pytest.mark.parametrize("width", [99, 103])
     def test_refuses_crops_of_another_width(self, width):
         base = BaselineConfig(n_channels=2, n_samples=100, n_classes=2, temporal_filters=3)
@@ -193,16 +226,17 @@ class TestForwardTrain:
         real_fused = ad.conv_log_power_branches
 
         def spy(branches, pool_width, pool_stride):
-            calls.append(([(np.shape(x), kernels.shape, weights.shape, crops)
-                           for x, kernels, weights, crops in branches], pool_width, pool_stride))
+            calls.append(([(np.shape(x), kernels.shape, weights.shape,
+                            (list(trial), list(onset), width))
+                           for x, kernels, weights, (trial, onset, width) in branches],
+                          pool_width, pool_stride))
             return real_fused(branches, pool_width, pool_stride)
 
         def other_op(*args, **kwargs):
             raise AssertionError("training ran a per-branch op or an op of the five-op chain")
 
         monkeypatch.setattr(ad, "conv_log_power_branches", spy)
-        for name in ("conv_log_power", "conv_time", "conv_space", "square", "mean_pool",
-                     "log_clipped"):
+        for name in ("conv_time", "conv_space", "square", "mean_pool", "log_clipped"):
             monkeypatch.setattr(ad, name, other_op)
         if kind == "baseline":  # the one branch 0
             model, n = build_baseline(TINY, seed=0), 1
@@ -211,7 +245,9 @@ class TestForwardTrain:
         rng = np.random.default_rng(3)
         forward_train(model, {i: (rng.normal(size=(4, 2, 20)), rng.integers(2, size=4))
                               for i in range(n)})
-        assert calls == [([((4, 2, 20), (3, 5), (3, 3, 2), None)] * n, 4, 3)]
+        # each crop a trial of its own, at onset 0
+        crops = ([0, 1, 2, 3], [0, 0, 0, 0], 20)
+        assert calls == [([((4, 2, 20), (3, 5), (3, 3, 2), crops)] * n, 4, 3)]
 
 
 class TestForwardInfer:
