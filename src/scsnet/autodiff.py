@@ -293,13 +293,14 @@ def _executor(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="scsnet-pool")
 
 
-def _pool_matrix(n_out: int, t: int, width: int, stride: int) -> np.ndarray:
-    # mean pooling over t samples is the fixed [n_out, t] matrix P with
-    # 1/width on each window, so its input gradient is g @ P
-    pool = np.zeros((n_out, t))
+def _window_matrix(n_out: int, t: int, width: int, stride: int) -> np.ndarray:
+    # the [n_out, t] 0/1 matrix of the pool windows over t samples: mean
+    # pooling is this matrix over width, so its input gradient is g @ P
+    # with P = _window_matrix(...) / width
+    windows = np.zeros((n_out, t))
     rows = np.arange(n_out)[:, None]
-    pool[rows, rows * stride + np.arange(width)] = 1.0 / width
-    return pool
+    windows[rows, rows * stride + np.arange(width)] = 1.0
+    return windows
 
 
 def _consecutive_sums(v: np.ndarray, w: int) -> np.ndarray:
@@ -552,23 +553,28 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
     whose windows overlap or touch form a segment, which gets one im2col
     and one matmul, each crop's conv output being a column slice of its
     segment's, and is squared once. Backward, each segment gets its
-    effective-kernel partial gh_seg @ cols_seg^T, gh_seg being the gradient
-    at its conv output, its im2col built in blocks of at most _GRAD_COLS
-    columns, each one GEMM added onto the partial, so an item's im2col
-    scratch does not grow with the trial; a segment wider than one block
-    may differ from one whole-segment GEMM in the last bits.
+    effective-kernel partial cols_seg @ gh_seg^T, [C * k, n_out], gh_seg
+    being the gradient at its conv output, its im2col built in blocks of at
+    most _GRAD_COLS columns, each one GEMM added onto the item's partial,
+    which is transposed once when folded; so an item's im2col scratch does
+    not grow with the trial, and a segment wider than one block may differ
+    from one whole-segment GEMM in the last bits.
 
-    A segment whose crops all start at one onset sums each crop's windows
-    one by one, and its gradient is 2 h (gp @ P) crop by crop, P being the
-    [pooled, T'] pooling matrix. A segment of several onsets sums every
-    window that starts on a multiple of g = gcd(pool width, pool stride,
-    its crops' offsets) once (`_window_sums`), each crop's row a strided
-    slice of those sums; backward, its crops' gp are added onto that grid
-    in (trial, onset) order and spread back once (`_window_spread`), times
-    2 h / pool_width. Both stay within 1e-12 relative of the five-op chain.
-    A crop alone in its segment gets exactly the matmul of a trial of its
-    own; a crop inside a longer segment may differ from it in the last
-    bits, as BLAS computes a matrix's edge columns with other kernels.
+    A segment whose crops all start at one onset holds its conv output
+    time-major, h^T = cols^T @ W_eff^T: each item squares all such
+    segments in one call and pools them by one batched matmul with the 0/1
+    [pooled, T'] window matrix M, and backward each one's gh^T is 2 h^T *
+    (M^T @ gp^T) / pool_width, gp summed over its crops. A segment of
+    several onsets computes W_eff @ cols and sums every window that starts
+    on a multiple of g = gcd(pool width, pool stride, its crops' offsets)
+    once (`_window_sums`), each crop's row a strided slice of those sums;
+    backward, its crops' gp are added onto that grid in (trial, onset)
+    order and spread back once (`_window_spread`), times 2 h / pool_width.
+    Both stay within 1e-12 relative of the five-op chain. A segment's own
+    onsets fix its layout, whatever else its item holds, so a crop alone in
+    its segment gets exactly the matmuls of a trial of its own; a crop
+    inside a longer segment may differ from it in the last bits, as BLAS
+    computes a matrix's edge columns with other kernels.
 
     Work items are whole segments of one branch in (trial, onset) order,
     cut once they hold _CHUNK crops, as if the branch ran alone; they run
@@ -596,7 +602,6 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
     (f, k), (o, _, c) = kernels.shape, weights.shape
     t_out = width - k + 1
     n_pool = (t_out - pool_width) // pool_stride + 1
-    span = (n_pool - 1) * pool_stride + 1  # columns from a crop's first pool window to its last
 
     # per crop, in (branch, trial, onset) order: its output row and its
     # column in its segment; per segment: (branch, its trial's [C, k, T']
@@ -607,7 +612,7 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
     offset: list[int] = []
     segs: list[tuple[int, np.ndarray, int, int, int, int]] = []
     bounds: list[tuple[int, int]] = []
-    w_eff, row_at = [], [0]
+    w_eff, w_eff_t, row_at = [], [], [0]
     for br, (sets, trial, onset, _, kern, wts) in enumerate(inputs):
         # segments: runs of the branch's crops, sorted by (trial, onset),
         # that overlap or touch
@@ -623,7 +628,7 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
         windows = [sliding_window_view(s, k, axis=-1).transpose(0, 1, 3, 2)  # [N, C, k, T']
                    for s in sets]
         s_set, s_onset, base = s_set.tolist(), s_onset.tolist(), row_at[-1]
-        lo = len(segs)
+        lo = seg0 = len(segs)
         for i, j in zip(first, first[1:]):
             start = s_onset[i]
             segs.append((br, windows[s_set[i]][s_row[i]], start,
@@ -635,14 +640,29 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
         rows += (order + base).tolist()
         row_at.append(base + len(order))
         w_eff.append((wts.values.transpose(0, 2, 1) @ kern.values).reshape(o, c * k))
+        # the [C * k, O] transpose, for the branch's segments of one onset
+        w_eff_t.append(np.ascontiguousarray(w_eff[-1].T)
+                       if any(seg[3] == t_out for seg in segs[seg0:]) else None)
 
-    # each segment's [O, n] conv output, as views of one buffer the calling
-    # thread allocates: buffers that worker threads allocate and this thread
-    # frees cost glibc about 1,000 page faults per bench-shape step
-    h_at = [0, *itertools.accumulate(o * seg[3] for seg in segs)]
-    h_flat = np.empty(h_at[-1])
-    h = [h_flat[a:z].reshape(o, -1) for a, z in zip(h_at, h_at[1:])]
+    # each segment's conv output, as views of one buffer the calling thread
+    # allocates: buffers that worker threads allocate and this thread frees
+    # cost glibc about 1,000 page faults per bench-shape step. A segment of
+    # one onset (n == T') holds it time-major, [T', O], and those come
+    # first, in segment order, so each item's are one [m, T', O] run; a
+    # segment of several onsets holds it [O, n]
+    one_at = [0, *itertools.accumulate(int(seg[3] == t_out) for seg in segs)]
+    h_flat = np.empty(o * sum(seg[3] for seg in segs))
+    h_one = h_flat[:one_at[-1] * t_out * o].reshape(-1, t_out, o)
+    h, at = [], h_one.size
+    for s, (*_, n, _, _) in enumerate(segs):
+        if n == t_out:
+            h.append(h_one[one_at[s]])
+        else:
+            h.append(h_flat[at:at + o * n].reshape(o, n))
+            at += o * n
     pooled = np.empty((row_at[-1], o, n_pool))
+    # the 0/1 pool windows over a one-onset segment's T' conv columns, [T', P]
+    windows_t = _window_matrix(n_pool, t_out, pool_width, pool_stride).T if one_at[-1] else None
 
     def grid_step(i: int, j: int) -> int:
         # the pool windows of crops i:j of a segment all start on multiples of
@@ -655,39 +675,45 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
         at, every = offset[i] // step, pool_stride // step
         return a[:, at:at + (n_pool - 1) * every + 1:every]
 
-    def views(lo: int, hi: int, lead: tuple[int, ...]) -> dict[int, np.ndarray]:
-        # [*lead, n] views, one per segment width n of the item, onto the
-        # front of one buffer of the item's own
-        widths = {seg[3] for seg in segs[lo:hi]}
+    def views(widths: set[int], lead: tuple[int, ...]) -> dict[int, np.ndarray]:
+        # [*lead, n] views, one per width n, onto the front of one buffer of
+        # the item's own
         size = math.prod(lead)
-        buf = np.empty(size * max(widths))
+        buf = np.empty(size * max(widths, default=0))
         return {n: buf[:size * n].reshape(*lead, n) for n in widths}
 
     def forward_item(lo: int, hi: int) -> None:
         # each item has its own buffers and writes only its segments of h
         # and its crops' rows of pooled
         br = segs[lo][0]
-        cols_of = views(lo, hi, (c, k))
-        # each width's square buffer, read through its pool windows
-        square_of = {n: (sq, sliding_window_view(sq, pool_width, axis=-1))
-                     for n, sq in views(lo, hi, (o,)).items()}
+        widths = {seg[3] for seg in segs[lo:hi]}
+        cols_of = views(widths, (c, k))
+        # each several-onset width's square buffer
+        square_of = views(widths - {t_out}, (o,))
         for s, (_, wins, start, n, i, j) in enumerate(segs[lo:hi], lo):
-            cols = cols_of[n]
-            np.copyto(cols, wins[:, :, start:start + n])
-            np.matmul(w_eff[br], cols.reshape(c * k, n), out=h[s])
-            sq, sq_windows = square_of[n]
-            np.multiply(h[s], h[s], out=sq)
-            if n == t_out:  # crops of one onset: each one's windows summed one by one
-                for i in range(i, j):
-                    np.add.reduce(sq_windows[:, :span:pool_stride], axis=-1,
-                                  out=pooled[rows[i]])
+            cols = cols_of[n].reshape(c * k, n)
+            np.copyto(cols_of[n], wins[:, :, start:start + n])
+            if n == t_out:  # one onset: h^T = cols^T @ W_eff^T, pooled below
+                np.matmul(cols.T, w_eff_t[br], out=h[s])
                 continue
+            np.matmul(w_eff[br], cols, out=h[s])
             # crops of several onsets: every window on the segment's grid
             # summed once, each crop's row a strided slice of those sums
+            sq = np.multiply(h[s], h[s], out=square_of[n])
             step = grid_step(i, j)
             sums = _window_sums(sq, pool_width, step)
             for i in range(i, j):
                 np.copyto(pooled[rows[i]], on_grid(sums, i, step))
+        # the item's one-onset segments, squared in one call and pooled by
+        # one batched matmul with the 0/1 window matrix, [m, O, P]; each
+        # crop's row its segment's sums
+        run = h_one[one_at[lo]:one_at[hi]]
+        if len(run):
+            sums = np.matmul(np.square(run).transpose(0, 2, 1), windows_t)
+            for s, (*_, n, i, j) in enumerate(segs[lo:hi], lo):
+                if n == t_out:
+                    for i in range(i, j):
+                        np.copyto(pooled[rows[i]], sums[one_at[s] - one_at[lo]])
 
     _run_items(forward_item, bounds)
     pooled /= pool_width  # the window sums, then divide, as mean_pool does
@@ -698,10 +724,15 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
         g = gout.reshape(pooled.shape)
         live = [(kern.requires_grad or wts.requires_grad) and g[a:z].any()
                 for (*_, kern, wts), a, z in zip(inputs, row_at, row_at[1:])]
-        pool = _pool_matrix(n_pool, t_out, pool_width, pool_stride)
+        items = [(lo, hi) for lo, hi in bounds if live[segs[lo][0]]]
+        # 2 / pool_width on each window, [T', P]: a one-onset segment's
+        # gradient at its conv output is 2 h^T (M^T @ gp^T) / pool_width
+        spread_t = (_window_matrix(n_pool, t_out, pool_width, pool_stride).T
+                    * (2.0 / pool_width) if any(one_at[hi] > one_at[lo] for lo, hi in items)
+                    else None)
 
         def backward_item(lo: int, hi: int) -> np.ndarray:
-            # the item's effective-kernel gradient partial
+            # the item's effective-kernel gradient partial, [C * k, O]
             first = segs[lo][4]
             # the log's gradient for the item's crops only: no full-batch
             # array is held while the im2col buffers are
@@ -711,16 +742,19 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
             gp = np.where(nonzero, gi / np.where(nonzero, p, 1.0), 0.0)
             # one im2col buffer of at most _GRAD_COLS columns, whatever the
             # segments' widths
-            cols_buf = np.empty(c * k * min(_GRAD_COLS, max(seg[3] for seg in segs[lo:hi])))
-            if any(seg[3] != t_out for seg in segs[lo:hi]):  # a segment of several onsets
-                gh_of = views(lo, hi, (o,))
-            part = np.zeros((o, c * k))
+            widths = {seg[3] for seg in segs[lo:hi]}
+            cols_buf = np.empty(c * k * min(_GRAD_COLS, max(widths)))
+            # the scratch for the gradient at a segment's conv output: [O, n],
+            # read as [T', O] for a segment of one onset
+            gh_of = views(widths, (o,))
+            part = np.zeros((c * k, o))
             for s, (_, wins, start, n, i, j) in enumerate(segs[lo:hi], lo):
-                # the gradient at the segment's conv output
-                if n == t_out:  # crops of one onset: 2 h (gp @ P) each, in order
-                    gh = 2.0 * h[s] * (gp[i - first] @ pool)
-                    for i in range(i + 1, j):
-                        gh += 2.0 * h[s] * (gp[i - first] @ pool)
+                if n == t_out:
+                    # one onset: 2 h^T (M^T @ gp^T) / pool_width, its crops'
+                    # gp summed
+                    gh_t = np.matmul(spread_t, gp[i - first:j - first].sum(axis=0).T,
+                                     out=gh_of[n].reshape(n, o))
+                    gh_t *= h[s]
                 else:
                     # its crops' gp added onto the segment's window grid in
                     # (trial, onset) order, then spread over the windows
@@ -731,26 +765,26 @@ def conv_log_power_branches(branches: Sequence[tuple], pool_width: int,
                         crop = on_grid(grid, i, step)
                         crop += gp[i - first]
                     grid *= 2.0 / pool_width
-                    gh = _window_spread(grid, pool_width, step, gh_of[n], h[s])
-                # the segment's partial, _GRAD_COLS conv columns at a time: a
-                # segment that fits one block is one whole-segment GEMM
+                    gh_t = _window_spread(grid, pool_width, step, gh_of[n], h[s]).T
+                # the segment's partial cols @ gh^T, _GRAD_COLS conv columns
+                # at a time: a segment that fits one block is one
+                # whole-segment GEMM
                 for a in range(0, n, _GRAD_COLS):
                     z = min(a + _GRAD_COLS, n)
                     cols = cols_buf[:c * k * (z - a)].reshape(c, k, z - a)
                     np.copyto(cols, wins[:, :, start + a:start + z])
-                    part += gh[:, a:z] @ cols.reshape(c * k, z - a).T
+                    part += cols.reshape(c * k, z - a) @ gh_t[a:z]
             return part
 
         # each branch's effective-kernel gradient: zeros, then its items'
-        # partials added in item order as they finish
+        # partials added in item order as they finish, each transposed
         g_eff: list[np.ndarray | None] = [None] * len(inputs)
-        items = [(lo, hi) for lo, hi in bounds if live[segs[lo][0]]]
 
         def fold(n: int, part: np.ndarray) -> None:
             br = segs[items[n][0]][0]
             if g_eff[br] is None:
                 g_eff[br] = np.zeros((o, c * k))
-            g_eff[br] += part
+            g_eff[br] += part.T
 
         _run_items(backward_item, items, fold)
         # then chained to each branch's kernels and weights
@@ -792,7 +826,7 @@ def mean_pool(x, width: int, stride: int) -> Tensor:
     n_out = out.shape[-1]
 
     def backward(gout):
-        pool = _pool_matrix(n_out, x.shape[-1], width, stride)
+        pool = _window_matrix(n_out, x.shape[-1], width, stride) / width
         gx = (gout.reshape(-1, n_out) @ pool).reshape(x.shape)
         return (gx,)
 

@@ -26,7 +26,7 @@ def test_head_against_head_at_tiny_shapes(capsys):
     assert lines[0].startswith("base HEAD against the working tree, size tiny")
     rows = {line.split()[0]: line.split() for line in lines[2:]}
     assert sorted(rows) == ["decode", "eval", "eval_peak", "log_power", "log_power_peak",
-                            "setup", "train", "train_peak"]
+                            "setup", "step", "step_peak", "train", "train_peak"]
     for case, cells in rows.items():
         # unit, base median (IQR), change median (IQR), ratio, wins out of rounds
         assert cells[1] == ("MB" if case.endswith("_peak") else "ms")

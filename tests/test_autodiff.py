@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from scsnet import autodiff as ad
+from scsnet.training import CropPool
 from tests.conftest import assert_rel_close
 
 
@@ -513,25 +514,31 @@ class TestKernelGradientBlocks:
     def _unblocked(x, kern, w, pool_width, pool_stride):
         """Output, kernel and weight gradients of tsum(square(out)) for one
         crop row, its segment's effective-kernel gradient one GEMM over the
-        whole [C * k, T'] im2col, in the op's order of operations."""
+        whole [C * k, T'] im2col, in the op's order of operations for a
+        segment of one onset: the time-major conv output h^T = cols^T @
+        W_eff^T, its squares' window sums by the 0/1 window matrix M, and
+        the partial cols @ gh^T with gh^T = 2 h^T (M^T @ gp^T) / width."""
         (f, k), (o, _, c) = kern.shape, w.shape
         n = x.shape[-1] - k + 1
         cols = np.ascontiguousarray(
             sliding_window_view(x[0], k, axis=-1).transpose(0, 2, 1)).reshape(c * k, n)
-        h = (w.transpose(0, 2, 1) @ kern).reshape(o, c * k) @ cols
+        w_eff_t = np.ascontiguousarray((w.transpose(0, 2, 1) @ kern).reshape(o, c * k).T)
+        h_t = cols.T @ w_eff_t
         n_pool = (n - pool_width) // pool_stride + 1
-        span = (n_pool - 1) * pool_stride + 1
-        windows = sliding_window_view(h * h, pool_width, axis=-1)[:, :span:pool_stride]
-        pooled = np.add.reduce(windows, axis=-1) / pool_width
+        windows = np.zeros((n_pool, n))
+        rows = np.arange(n_pool)[:, None]
+        windows[rows, rows * pool_stride + np.arange(pool_width)] = 1.0
+        pooled = (h_t * h_t).T @ windows.T / pool_width
         out = np.log(np.maximum(pooled, ad.LOG_FLOOR))
         g = 2.0 * out  # the gradient of tsum(square(out))
         nonzero = pooled > ad.LOG_FLOOR
         gp = np.where(nonzero, g / np.where(nonzero, pooled, 1.0), 0.0)
-        pool = np.zeros((n_pool, n))
-        rows = np.arange(n_pool)[:, None]
-        pool[rows, rows * pool_stride + np.arange(pool_width)] = 1.0 / pool_width
+        gh_t = windows.T * (2.0 / pool_width) @ gp.T
+        gh_t *= h_t
+        part = np.zeros((c * k, o))
+        part += cols @ gh_t
         g_eff = np.zeros((o, c * k))
-        g_eff += 2.0 * h * (gp @ pool) @ cols.T
+        g_eff += part.T
         g_eff = g_eff.reshape(o, c, k)
         return (out[None], w.transpose(1, 0, 2).reshape(f, o * c) @ g_eff.reshape(o * c, k),
                 (g_eff @ kern.T).transpose(0, 2, 1))
@@ -608,6 +615,85 @@ class TestKernelGradientBlocks:
                 tracemalloc.stop()
             scratch[samples] = peak - o * n * 8
         assert scratch[4000] - scratch[1000] < c * k * ad._GRAD_COLS * 8
+
+
+class TestOneOnsetSegments:
+    """conv_log_power_branches on segments whose crops share one onset, which
+    hold their conv output time-major and pool by the 0/1 window matrix: the
+    segment's own onsets choose that, so a lone crop gets the same bits
+    whatever shares its work item, and duplicated crops stay on the chain.
+    At these sizes the other layout's GEMM and window sums round
+    differently, so a layout chosen by the item would change the bits."""
+
+    C, F, O, K = 8, 4, 8, 25
+    SAMPLES, WIDTH = 160, 120
+    POOL = (30, 10)
+    TARGET = (1, 7)  # the lone crop: trial 1, onset 7
+
+    @classmethod
+    def _leaves(cls, rng):
+        return (ad.Tensor(rng.normal(size=(cls.F, cls.K)), requires_grad=True),
+                ad.Tensor(rng.normal(size=(cls.O, cls.F, cls.C)), requires_grad=True))
+
+    @classmethod
+    def _target_row(cls, x, pairs, size):
+        """The lone crop's output row, and the kernel and weight gradients of
+        tsum(square(that row)), at `size` workers."""
+        kern, w = cls._leaves(np.random.default_rng(9))
+        trial, onset = (np.array(v) for v in zip(*pairs))
+        row = pairs.index(cls.TARGET)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ad, "_pool_size", lambda: size)
+            out = ad.conv_log_power_branches([(x, kern, w, (trial, onset, cls.WIDTH))],
+                                             *cls.POOL)[0]
+            picked = ad.take_rows(ad.reshape(out, (len(pairs), -1)), [row])
+            ad.tsum(ad.square(picked)).backward()
+        return [a.tobytes() for a in (out.values[row], kern.grad, w.grad)]
+
+    def test_lone_crop_bits_do_not_depend_on_its_item(self):
+        x = np.random.default_rng(8).normal(size=(2 * ad._CHUNK + 4, self.C, self.SAMPLES))
+        lone = [(t, (5 * t) % (self.SAMPLES - self.WIDTH)) for t in range(2, 2 * ad._CHUNK + 4)]
+        compositions = {
+            "alone": [self.TARGET],
+            # every other crop alone in its trial, or a duplicate: items of
+            # one-onset segments only
+            "one-onset item": [(0, 3), *lone[:3], self.TARGET, *lone[3:], (0, 3)],
+            # trial 0's crops overlap: a segment of several onsets in the
+            # lone crop's item
+            "mixed item": [(0, 0), *lone[:4], (0, 9), self.TARGET, (0, 12), *lone[4:]],
+        }
+        want = self._target_row(x, compositions["alone"], 1)
+        for name, pairs in compositions.items():
+            for size in (1, 2):
+                assert self._target_row(x, pairs, size) == want, (name, size)
+
+    def test_duplicated_crops_match_the_chain(self):
+        # an upsampled pool repeats its crops: each repeat joins its
+        # original's segment of one onset
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(4, self.C, self.SAMPLES))
+        pool = CropPool((x,), np.arange(4), np.array([5, 0, 12, 20]), np.array([0, 0, 0, 1]),
+                        self.WIDTH, ["a", "b"]).upsampled(10, seed=3)
+        assert len(set(zip(pool.trial, pool.onset))) == 4 < len(pool)
+        crops = (pool.trial, pool.onset, pool.width)
+        gathered = np.stack([x[t, :, a:a + self.WIDTH] for t, a in zip(pool.trial, pool.onset)])
+        kern, w = self._leaves(rng)
+        results = []
+        for build in (lambda: ad.conv_log_power_branches([(x, kern, w, crops)], *self.POOL)[0],
+                      lambda: five_op_chain(gathered, kern, w, *self.POOL)):
+            kern.zero_grad()
+            w.zero_grad()
+            out = build()
+            ad.tsum(ad.square(out)).backward()
+            results.append((out.values, kern.grad, w.grad))
+        for got, want in zip(*results):
+            assert_rel_close(got, want)
+
+        def loss():
+            return ad.tsum(ad.square(
+                ad.conv_log_power_branches([(x, kern, w, crops)], *self.POOL)[0]))
+
+        assert ad.grad_check(loss, [kern, w], eps=1e-5) < 1e-4
 
 
 class TestConvLogPowerOnsets:

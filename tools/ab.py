@@ -25,7 +25,12 @@ round:
   size's: one branch per subject, each with the crops that the first batch
   of training epoch 1 draws from that subject's pool (`scsn_pools`,
   `batch_iter`), read in place from its trials, and with random kernels
-  and weights of the config's shapes.
+  and weights of the config's shapes;
+- `step`: the median of 5 calls of `training._step` on that same first
+  batch, each with a fresh `AdamState`, on a model that `build_scsn`
+  builds once from seed 0 with the config's shapes (so each call takes
+  one more Adam step on it), and `step_peak`: the tracemalloc peak of
+  another.
 
 For each case it prints its unit, each side's median and interquartile
 range over the rounds, the ratio change / base of the medians, and in how
@@ -61,9 +66,10 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
 SEED = 0
 DECODES = 20  # one-trial decodes per round
 EVAL_TRIALS = 48  # whole trials one eval case call decodes
-LOG_POWER_CALLS = 5  # timed shallow-block calls per round
+LOG_POWER_CALLS = 5  # timed shallow-block calls, and training steps, per round
 CASES = {"setup": "ms", "train": "ms", "train_peak": "MB", "decode": "ms", "eval": "ms",
-         "eval_peak": "MB", "log_power": "ms", "log_power_peak": "MB"}  # case: unit
+         "eval_peak": "MB", "log_power": "ms", "log_power_peak": "MB", "step": "ms",
+         "step_peak": "MB"}  # case: unit
 
 # split: (calibration trials, validation range, test range) of the target's
 # second session; filters: the set-up's notch and band; trainings: the
@@ -114,7 +120,13 @@ class Side:
         self.trials = [test.subset([i]) for i in range(len(test))]
         self.eval_set = test.subset([i % len(test) for i in range(EVAL_TRIALS)])
         self.model = None
-        self.step = self.step_branches()
+        self.subjects, pools = self.pkg.training.scsn_pools(self.split, self.cfg)
+        rows = next(self.pkg.batch_iter(pools, self.cfg.batch_per_branch,
+                                        self.pkg.training.epoch_batch_seed(SEED, 1)))
+        # each branch's pool and the rows the first batch draws from it
+        self.picks = [(pools[s], rows[s]) for s in self.subjects]
+        self.branches = self.step_branches()
+        self.step_model = self.scsn()
 
     def synth(self) -> list:
         return self.pkg.synth_multisubject(n_subjects=5, n_sessions=2, n_classes=4,
@@ -126,16 +138,11 @@ class Side:
         scsn_mmd training step."""
         import numpy as np  # here, once main() has pinned BLAS
 
-        training, cfg = self.pkg.training, self.cfg
-        _, pools = training.scsn_pools(self.split, cfg)
-        rows = next(self.pkg.batch_iter(pools, cfg.batch_per_branch,
-                                        training.epoch_batch_seed(SEED, 1)))
         rng = np.random.default_rng(SEED)
-        f, k = cfg.temporal_filters, cfg.temporal_kernel
+        f, k = self.cfg.temporal_filters, self.cfg.temporal_kernel
         c = self.shape["data"]["n_channels"]
         branches = []
-        for subject in sorted(pools):
-            pool, picked = pools[subject], rows[subject]
+        for pool, picked in self.picks:
             kernels = self.pkg.Tensor(rng.normal(scale=k ** -0.5, size=(f, k)),
                                       requires_grad=True)
             weights = self.pkg.Tensor(rng.normal(scale=(f * c) ** -0.5, size=(f, f, c)),
@@ -143,6 +150,17 @@ class Side:
             branches.append((pool.trials, kernels, weights,
                              (pool.trial[picked], pool.onset[picked], pool.width)))
         return branches
+
+    def scsn(self):
+        """The SCSN that `train` builds for scsn_mmd on the split."""
+        pkg, cfg = self.pkg, self.cfg
+        base = pkg.training.base_config(cfg, self.split.train[self.split.target_subject])
+        return pkg.build_scsn(
+            pkg.ScsnConfig(base=base, n_subjects=len(self.subjects),
+                           target_index=self.subjects.index(self.split.target_subject),
+                           common_fc_dims=tuple(cfg.common_fc_dims),
+                           separate_fc_dims=tuple(cfg.separate_fc_dims)),
+            cfg.seed)
 
     def setup(self) -> float:
         """Seconds to synthesize the data and filter every session."""
@@ -190,12 +208,25 @@ class Side:
         ad = self.pkg.autodiff
 
         def run() -> None:
-            for _, kernels, weights, _ in self.step:
+            for _, kernels, weights, _ in self.branches:
                 kernels.zero_grad()
                 weights.zero_grad()
-            hs = ad.conv_log_power_branches(self.step, self.cfg.pool_width,
+            hs = ad.conv_log_power_branches(self.branches, self.cfg.pool_width,
                                             self.cfg.pool_stride)
             ad.add_n([ad.tsum(h) for h in hs]).backward()
+
+        return _timed_then_traced(run, LOG_POWER_CALLS)
+
+    def step(self) -> tuple[float, int]:
+        """Median seconds of LOG_POWER_CALLS scsn_mmd training steps on the
+        first batch, each with a fresh AdamState, and the tracemalloc peak
+        in bytes of another."""
+        training = self.pkg.training
+
+        def run() -> None:
+            training._step(self.step_model, training.AdamState(self.step_model.params),
+                           self.cfg, (1, 1), training.dropout_stream(SEED), self.picks,
+                           with_mmd=True)
 
         return _timed_then_traced(run, LOG_POWER_CALLS)
 
@@ -242,6 +273,9 @@ def compare(base: Side, change: Side, rounds: int) -> dict[str, dict]:
             seconds, peak = side.log_power()
             runs["log_power"][label].append(1e3 * seconds)
             runs["log_power_peak"][label].append(peak / 1e6)
+            seconds, peak = side.step()
+            runs["step"][label].append(1e3 * seconds)
+            runs["step_peak"][label].append(peak / 1e6)
     return runs
 
 
