@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .autodiff import BLAS_THREAD_VARS, _run_each
-from .datasets import SplitSpec, SubjectDataset, format_fields, load_trialset, make_splits, \
+from .datasets import Split, SplitSpec, SubjectDataset, format_fields, load_trialset, make_splits, \
     read_fields, save_trialset, synth_multisubject, write_parts
 from .models import _check_width, load_checkpoint, save_checkpoint
 from .preprocessing import MIN_FILTER_SAMPLES, crop_geometry, preprocess_trialset
@@ -194,16 +194,18 @@ def _discover_containers(data_dir: Path) -> list[Path]:
     return files
 
 
-def _load_subject_datasets(data_dir: Path, target: str, *, sources: bool
-                           ) -> tuple[list[SubjectDataset], list[tuple[Path, str]]]:
-    """The sessions `make_splits` reads: the target's sessions 1 and 2 and,
-    with `sources`, every other subject's session 1; also each loaded file
-    with the digest of its bytes. Every container's name is checked first:
-    each subject's session numbers must be 1..n, each given once, and the
-    target must have two sessions; a refusal loads no container."""
-    files = _discover_containers(data_dir)
+def _read_split(data_dir: Path, target: str, spec: SplitSpec, fits, *, sources: bool
+                ) -> tuple[Split, list[tuple[Path, str]]]:
+    """The split of `spec`, and each container read for it with the digest
+    of its bytes: the target's sessions 1 and 2 and, with `sources`, every
+    other subject's session 1. The containers' names are checked first
+    (each subject's sessions numbered 1..n, once each; a target with two),
+    so a refusal loads nothing; then `fits(session)` on each of the
+    target's sessions refuses, naming the session, a crop or pool that
+    does not fit, before the split is built. What the split does not hold
+    is freed on return."""
     grouped: dict[str, dict[int, Path]] = {}
-    for path in files:
+    for path in _discover_containers(data_dir):
         stem = path.name[:-len(CONTAINER_SUFFIX)]
         subject, sep, session = stem.rpartition("_s")
         if not sep or not session.isdigit():
@@ -228,28 +230,19 @@ def _load_subject_datasets(data_dir: Path, target: str, *, sources: bool
     files = sorted(path for paths in used.values() for path in paths)
     # one pool item per container: read, hash and parse
     loaded = dict(zip(files, _run_each(functools.partial(_load_input, load_trialset), files)))
-    datasets = [SubjectDataset(subject, [loaded[path][0] for path in paths])
-                for subject, paths in used.items()]
-    return datasets, [loaded[path][1] for path in files]
+    for k, path in enumerate(used[target], start=1):
+        try:
+            fits(loaded[path][0])
+        except ValueError as err:
+            raise ValueError(f"subject {target!r} session {k}: {err}") from None
+    split = make_splits([SubjectDataset(subject, [loaded[path][0] for path in paths])
+                         for subject, paths in used.items()], spec)
+    return split, [loaded[path][1] for path in files]
 
 
-def _check_overlap(ns, parser) -> None:
-    if ns.overlap >= ns.win:
-        parser.error(f"--overlap {ns.overlap} must be shorter than --win {ns.win}")
-
-
-def _check_target_sessions(datasets: list[SubjectDataset], target: str, fits) -> None:
-    """Call `fits(session)` on each of the target's sessions, so a crop or
-    pool that does not fit its trials fails before the split is built; the
-    ValueError names the session."""
-    for ds in datasets:
-        if ds.subject_id != target:
-            continue
-        for k, session in enumerate(ds.sessions, start=1):
-            try:
-                fits(session)
-            except ValueError as err:
-                raise ValueError(f"subject {target!r} session {k}: {err}") from None
+def _check_overlap(win: float, overlap: float, parser) -> None:
+    if overlap >= win:
+        parser.error(f"--overlap {overlap} must be shorter than --win {win}")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +297,7 @@ def _train_config(ns) -> TrainConfig:
 def cmd_train(ns, parser) -> int:
     if ns.model in ("scsn", "scsn-mmd") and ns.regime == "single":
         parser.error("multi-branch models require --regime multi (need at least 2 subjects)")
-    _check_overlap(ns, parser)
+    _check_overlap(ns.win, ns.overlap, parser)
     if ns.patience > ns.epochs:
         parser.error(f"--patience {ns.patience} exceeds --epochs {ns.epochs}; "
                      f"give --patience at most {ns.epochs}")
@@ -313,10 +306,10 @@ def cmd_train(ns, parser) -> int:
         spec = SplitSpec(ns.target, ns.calib, ns.val, ns.test)
     except ValueError as err:
         parser.error(str(err))
-    datasets, inputs = _load_subject_datasets(Path(ns.data), ns.target, sources=True)
-    _check_target_sessions(datasets, ns.target, lambda session: base_config(cfg, session))
-    split = make_splits(datasets, spec)
-    del datasets  # the target's session 1, copied into its training array, is freed
+    # a single-regime run trains on the target alone, so it reads only its sessions
+    split, inputs = _read_split(Path(ns.data), ns.target, spec,
+                                lambda session: base_config(cfg, session),
+                                sources=ns.regime == "multi")
     out = _out_dir(ns)
     n_train = sum(len(ts) for ts in split.train.values())
     print(f"split: train={n_train} val={len(split.val)} test={len(split.test)}")
@@ -352,8 +345,8 @@ def _recorded_crops(ckpt: Path, meta: dict[str, str]) -> dict[str, float]:
 
 
 def cmd_eval(ns, parser) -> int:
-    if ns.win is not None and ns.overlap is not None:
-        _check_overlap(ns, parser)
+    if ns.win is not None and ns.overlap is not None:  # refused before the checkpoint is read
+        _check_overlap(ns.win, ns.overlap, parser)
     try:
         spec = SplitSpec(ns.target, ns.calib, ns.val, ns.test)
     except ValueError as err:
@@ -366,11 +359,11 @@ def cmd_eval(ns, parser) -> int:
     recorded, defaults = _recorded_crops(ckpt, meta), TrainConfig()
     win = recorded.get("win", defaults.win_s) if ns.win is None else ns.win
     overlap = recorded.get("overlap", defaults.overlap_s) if ns.overlap is None else ns.overlap
-    datasets, inputs = _load_subject_datasets(Path(ns.data), ns.target, sources=False)
-    _check_target_sessions(datasets, ns.target, lambda session: crop_geometry(
-        session.n_samples, session.fs, win, overlap))
-    test = make_splits(datasets, spec).test
-    del datasets  # only the test range's view of session 2 is kept for decoding
+    _check_overlap(win, overlap, parser)
+    split, inputs = _read_split(Path(ns.data), ns.target, spec, lambda session: crop_geometry(
+        session.n_samples, session.fs, win, overlap), sources=False)
+    test = split.test
+    del split  # only the test range's view of session 2 is kept for decoding
     # crops of another width are refused by width; other crops of the model's
     # width by the flag that differs from the checkpoint's
     _check_width(model, crop_geometry(test.n_samples, test.fs, win, overlap).width)

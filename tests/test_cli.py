@@ -18,7 +18,7 @@ from scsnet import autodiff as ad
 from scsnet import cli
 from scsnet.cli import build_parser, main, read_manifest, replay_args, sha256_file
 from scsnet.datasets import load_trialset, save_trialset
-from scsnet.models import BaselineConfig, build_baseline, save_checkpoint
+from scsnet.models import BaselineConfig, build_baseline, load_checkpoint, save_checkpoint
 from scsnet.training import TrainConfig
 
 SYNTH = ["synth", "--subjects", "2", "--sessions", "2", "--trials", "12",
@@ -461,6 +461,26 @@ class TestEvalAndReport:
             f"error: {message} that {run / 'model.ckpt'} was trained with\n"
         assert not (tmp_path / "eval" / "summary.txt").exists()
 
+    @pytest.mark.parametrize("flags, win, overlap", [
+        (["--overlap", "1.0"], 1.0, 1.0), (["--win", "0.5"], 0.5, 0.5),
+    ], ids=["overlap-alone", "win-alone"])
+    def test_eval_refuses_an_overlap_not_shorter_than_the_resolved_window(
+            self, data_dir, tmp_path, capsys, monkeypatch, flags, win, overlap):
+        # one flag with the checkpoint's other value loaded both containers,
+        # then exited 1 when the crops did not fit the session
+        run = tmp_path / "run"
+        self._train(data_dir, run)  # --win 1.0 --overlap 0.5
+        capsys.readouterr()
+        loads = []
+        monkeypatch.setattr(cli, "load_trialset", lambda path, **kw: loads.append(path))
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(data_dir),
+                  *TRAIN_FLAGS[:8], *flags, "--out", str(tmp_path / "eval")])
+        assert err.value.code == 2
+        assert f"--overlap {overlap} must be shorter than --win {win}" \
+            in capsys.readouterr().err
+        assert loads == [] and not (tmp_path / "eval").exists()
+
     def test_eval_of_a_checkpoint_without_crops_takes_train_defaults(self, tmp_path, capsys):
         # a checkpoint saved without meta: 2 s crops with 1.9 s overlap, as
         # TrainConfig's defaults, of 2.5 s trials at 40 Hz (6 crops each)
@@ -547,10 +567,11 @@ class TestEvalAndReport:
 
 
 class TestSessionsRead:
-    # the containers each command loads, as its manifest lists them: train
-    # reads every subject's session 1 and the target's session 2, eval the
-    # target's two sessions only
+    # the containers each command loads, as its manifest lists them: a
+    # multi-regime train reads every subject's session 1 and the target's
+    # session 2; a single-regime train and eval the target's two sessions only
     READ = {"train": ["S01_s1.tsc", "S01_s2.tsc", "S02_s1.tsc"],
+            "train-single": ["S01_s1.tsc", "S01_s2.tsc"],
             "eval": ["S01_s1.tsc", "S01_s2.tsc"]}
 
     @pytest.fixture()
@@ -564,13 +585,18 @@ class TestSessionsRead:
         if command == "train":
             return ["train", "--data", str(data_dir), "--model", "scsn", *flags,
                     "--out", str(out)]
+        if command == "train-single":
+            return ["train", "--data", str(data_dir), "--model", "baseline",
+                    "--regime", "single", *flags, "--out", str(out)]
         return ["eval", "--ckpt", str(ckpt), "--data", str(data_dir), *flags[:12],
                 "--out", str(out)]
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["train", "train-single", "eval"])
     def test_only_the_sessions_the_split_uses_are_loaded(self, data_dir, tmp_path, ckpt,
                                                           monkeypatch, command):
-        # both loaded all four containers, eval only to decode S01_s2's tests
+        # each loaded all four containers, eval only to decode S01_s2's tests;
+        # a single-regime train then read, hashed and recorded S02_s1 as well,
+        # and named S02 among the subjects it trained on
         loads, real_load = [], cli.load_trialset
         monkeypatch.setattr(cli, "load_trialset",
                             lambda path, **kw: loads.append(path.name) or real_load(path, **kw))
@@ -579,6 +605,10 @@ class TestSessionsRead:
         assert sorted(loads) == self.READ[command]  # a pool may load them in any order
         inputs = [Path(name).name for name, _ in read_manifest(out / "manifest.txt")["inputs"]]
         assert inputs == (["model.ckpt"] if command == "eval" else []) + self.READ[command]
+        if command != "eval":
+            _, meta = load_checkpoint(out / "model.ckpt")
+            subjects = sorted({name.rpartition("_s")[0] for name in inputs})
+            assert meta["subjects"] == ",".join(subjects)
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_a_bad_container_the_split_does_not_use_is_not_read(self, data_dir, tmp_path,
@@ -838,7 +868,7 @@ class TestRerun:
         monkeypatch.setattr(cli, "train", replacing_train)
         run = tmp_path / "run"
         assert main(["train", "--data", str(data_dir), "--model", "baseline",
-                     "--regime", "single", *TRAIN_FLAGS, "--out", str(run)]) == 0
+                     "--regime", "multi", *TRAIN_FLAGS, "--out", str(run)]) == 0
         monkeypatch.setattr(cli, "train", real_train)
         capsys.readouterr()
         assert main(["rerun", str(run / "manifest.txt"), "--out", str(tmp_path / "fresh")]) == 1
@@ -858,7 +888,7 @@ class TestRerun:
         argv = {"preprocess": ["preprocess", "--data", str(data_dir), "--notch", "10",
                                "--low", "1", "--high", "14"],
                 "train": ["train", "--data", str(data_dir), "--model", "baseline",
-                          "--regime", "single", *TRAIN_FLAGS],
+                          "--regime", "multi", *TRAIN_FLAGS],
                 "eval": ["eval", "--ckpt", str(run / "model.ckpt"), "--data", str(data_dir),
                          *TRAIN_FLAGS[:12]],
                 "report": ["report", "--runs", str(run)]}[command]

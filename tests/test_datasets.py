@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scsnet import autodiff as ad
@@ -102,6 +102,7 @@ FIELD_TEXT = st.text(st.characters() | st.sampled_from(LINE_BREAKS + "="), max_s
 
 class TestFieldCodec:
     @given(fields=st.dictionaries(FIELD_TEXT, FIELD_TEXT, max_size=6))
+    @example(fields={"\ud800": ""})  # a lone surrogate is not UTF-8 text
     @settings(max_examples=300, deadline=None)
     def test_every_accepted_list_reads_back(self, fields):
         pairs = list(fields.items())
@@ -109,6 +110,7 @@ class TestFieldCodec:
             text = format_fields(pairs)
         except ValueError:
             assert any(not name or "=" in name or set(name + value) & set(LINE_BREAKS)
+                       or any("\ud800" <= ch <= "\udfff" for ch in name + value)
                        for name, value in pairs)
             return
         assert read_fields(text, "header") == fields

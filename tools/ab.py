@@ -67,9 +67,6 @@ SEED = 0
 DECODES = 20  # one-trial decodes per round
 EVAL_TRIALS = 48  # whole trials one eval case call decodes
 LOG_POWER_CALLS = 5  # timed shallow-block calls, and training steps, per round
-CASES = {"setup": "ms", "train": "ms", "train_peak": "MB", "decode": "ms", "eval": "ms",
-         "eval_peak": "MB", "log_power": "ms", "log_power_peak": "MB", "step": "ms",
-         "step_peak": "MB"}  # case: unit
 
 # split: (calibration trials, validation range, test range) of the target's
 # second session; filters: the set-up's notch and band; trainings: the
@@ -162,27 +159,30 @@ class Side:
                            separate_fc_dims=tuple(cfg.separate_fc_dims)),
             cfg.seed)
 
-    def setup(self) -> float:
-        """Seconds to synthesize the data and filter every session."""
+    # each method below measures its cases and returns {case: value} in the
+    # case's unit: ms, or MB for a `_peak` case
+
+    def setup(self) -> dict[str, float]:
+        """Synthesizing the data and filtering every session."""
         notch, band = self.shape["filters"]
         start = time.perf_counter()
         for ds in self.synth():
             for session in ds.sessions:
                 self.pkg.preprocess_trialset(session, notch_hz=notch, band=band)
-        return time.perf_counter() - start
+        return {"setup": 1e3 * (time.perf_counter() - start)}
 
-    def train(self) -> tuple[float, int]:
-        """Seconds of one run of the trainings, and the tracemalloc peak in
-        bytes of another."""
+    def train(self) -> dict[str, float]:
+        """One run of the trainings."""
         def run() -> None:
             for kind, regime in self.trainings:
                 model, _ = self.pkg.train(kind, self.split, self.cfg, regime=regime)
                 if kind == "scsn_mmd":
                     self.model = model
 
-        return _timed_then_traced(run)
+        return _timed_then_traced("train", run)
 
-    def decode(self) -> float:
+    def decode(self) -> dict[str, float]:
+        """The median of DECODES one-trial decodes."""
         times = []
         for i in range(DECODES):
             start = time.perf_counter()
@@ -190,21 +190,19 @@ class Side:
                               self.trials[i % len(self.trials)], self.cfg.win_s,
                               self.cfg.overlap_s)
             times.append(time.perf_counter() - start)
-        return statistics.median(times)
+        return {"decode": 1e3 * statistics.median(times)}
 
-    def evaluate(self) -> tuple[float, int]:
-        """Seconds of one `evaluate` over the eval set, and the tracemalloc
-        peak in bytes of another."""
+    def evaluate(self) -> dict[str, float]:
+        """One `evaluate` over the eval set."""
         def run() -> None:
             self.pkg.evaluate(self.model, self.model.cfg.target_index, self.eval_set,
                               self.cfg.win_s, self.cfg.overlap_s)
 
-        return _timed_then_traced(run)
+        return _timed_then_traced("eval", run)
 
-    def log_power(self) -> tuple[float, int]:
-        """Median seconds of LOG_POWER_CALLS forward-plus-backward calls of
-        the step's shallow block, and the tracemalloc peak in bytes of
-        another."""
+    def log_power(self) -> dict[str, float]:
+        """LOG_POWER_CALLS forward-plus-backward calls of the step's shallow
+        block."""
         ad = self.pkg.autodiff
 
         def run() -> None:
@@ -215,12 +213,11 @@ class Side:
                                             self.cfg.pool_stride)
             ad.add_n([ad.tsum(h) for h in hs]).backward()
 
-        return _timed_then_traced(run, LOG_POWER_CALLS)
+        return _timed_then_traced("log_power", run, LOG_POWER_CALLS)
 
-    def step(self) -> tuple[float, int]:
-        """Median seconds of LOG_POWER_CALLS scsn_mmd training steps on the
-        first batch, each with a fresh AdamState, and the tracemalloc peak
-        in bytes of another."""
+    def step(self) -> dict[str, float]:
+        """LOG_POWER_CALLS scsn_mmd training steps on the first batch, each
+        with a fresh AdamState."""
         training = self.pkg.training
 
         def run() -> None:
@@ -228,22 +225,22 @@ class Side:
                            self.cfg, (1, 1), training.dropout_stream(SEED), self.picks,
                            with_mmd=True)
 
-        return _timed_then_traced(run, LOG_POWER_CALLS)
+        return _timed_then_traced("step", run, LOG_POWER_CALLS)
 
 
-def _timed_then_traced(run, calls: int = 1) -> tuple[float, int]:
-    """Median seconds of `calls` runs of run(), then the tracemalloc peak in
-    bytes of another."""
+def _timed_then_traced(case: str, run, calls: int = 1) -> dict[str, float]:
+    """`case`: the median ms of `calls` runs of run(), and `case`_peak: the
+    tracemalloc peak in MB of another."""
     times = []
     for _ in range(calls):
         start = time.perf_counter()
         run()
         times.append(time.perf_counter() - start)
-    seconds = statistics.median(times)
+    ms = 1e3 * statistics.median(times)
     tracemalloc.start()
     try:
         run()
-        return seconds, tracemalloc.get_traced_memory()[1]
+        return {case: ms, f"{case}_peak": tracemalloc.get_traced_memory()[1] / 1e6}
     finally:
         tracemalloc.stop()
 
@@ -257,25 +254,15 @@ def iqr(values: list[float]) -> float:
 
 def compare(base: Side, change: Side, rounds: int) -> dict[str, dict]:
     """Alternate the two sides for `rounds` rounds; per case, each side's
-    value in each round, in the case's unit."""
-    runs = {case: {"base": [], "change": []} for case in CASES}
+    value in each round, in the case's unit, the cases in method order."""
+    runs: dict[str, dict] = {}
     for r in range(rounds):
         order = [("base", base), ("change", change)]
         for label, side in order if r % 2 == 0 else order[::-1]:
-            runs["setup"][label].append(1e3 * side.setup())
-            seconds, peak = side.train()
-            runs["train"][label].append(1e3 * seconds)
-            runs["train_peak"][label].append(peak / 1e6)
-            runs["decode"][label].append(1e3 * side.decode())
-            seconds, peak = side.evaluate()
-            runs["eval"][label].append(1e3 * seconds)
-            runs["eval_peak"][label].append(peak / 1e6)
-            seconds, peak = side.log_power()
-            runs["log_power"][label].append(1e3 * seconds)
-            runs["log_power_peak"][label].append(peak / 1e6)
-            seconds, peak = side.step()
-            runs["step"][label].append(1e3 * seconds)
-            runs["step_peak"][label].append(peak / 1e6)
+            for measure in (side.setup, side.train, side.decode, side.evaluate,
+                            side.log_power, side.step):
+                for case, value in measure().items():
+                    runs.setdefault(case, {"base": [], "change": []})[label].append(value)
     return runs
 
 
@@ -286,7 +273,8 @@ def summary(runs: dict[str, dict]) -> list[str]:
         base, change = sides["base"], sides["change"]
         mb, mc = statistics.median(base), statistics.median(change)
         wins = sum(c < b for b, c in zip(base, change))
-        lines.append(f"{case:<16}{CASES[case]:<5}{f'{mb:.3f} ({iqr(base):.3f})':>22}"
+        unit = "MB" if case.endswith("_peak") else "ms"
+        lines.append(f"{case:<16}{unit:<5}{f'{mb:.3f} ({iqr(base):.3f})':>22}"
                      f"{f'{mc:.3f} ({iqr(change):.3f})':>22}{mc / mb:>13.4f}"
                      f"{f'{wins}/{len(base)}':>14}")
     return lines
